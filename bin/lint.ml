@@ -56,13 +56,7 @@ let fstab_rules path =
 
 let whitelist_rules path =
   load "mount whitelist" path Policy_state.parse_mounts
-  |> List.map (fun (r : Policy_state.mount_rule) ->
-         { Compile.fm_source = r.Policy_state.mr_source;
-           fm_target = r.Policy_state.mr_target;
-           fm_fstype = r.Policy_state.mr_fstype;
-           fm_flags = r.Policy_state.mr_flags;
-           fm_user_only = (r.Policy_state.mr_mode = `User);
-           fm_phase = r.Policy_state.mr_phase })
+  |> List.map Policy_state.filter_rule
 
 let load_accounts path =
   let users, groups = load "accounts" path Policy_state.parse_accounts in

@@ -114,14 +114,6 @@ let read_file path =
   try In_channel.with_open_bin path In_channel.input_all
   with Sys_error msg -> die "%s" msg
 
-let fm_of_mr (m : PS.mount_rule) =
-  { Compile.fm_source = m.PS.mr_source;
-    fm_target = m.PS.mr_target;
-    fm_fstype = m.PS.mr_fstype;
-    fm_flags = m.PS.mr_flags;
-    fm_user_only = (m.PS.mr_mode = `User);
-    fm_phase = m.PS.mr_phase }
-
 let verify files budget dir =
   if files = [] then die "verify needs at least one --journal FILE";
   let obs = observations_of files in
@@ -164,7 +156,7 @@ let verify files budget dir =
   (* 3. strict lint: zero findings of any severity *)
   let input =
     { Lint.empty_input with
-      Lint.mounts = List.map fm_of_mr r.Synth.r_mounts;
+      Lint.mounts = List.map PS.filter_rule r.Synth.r_mounts;
       binds = r.Synth.r_binds;
       ppp = Some r.Synth.r_ppp;
       chains =

@@ -27,8 +27,8 @@
       [Ret]s with different verdicts) was shown infeasible — its
       constraint store has a definitely-empty concretization.  Since
       every hook derives errno from the verdict alone
-      ({!Pfm_dispatch}'s [deny_errno] is a function of hook and
-      verdict), verdict equality implies (verdict, errno) equality.
+      ([Decider.errno] is a function of hook and verdict), verdict
+      equality implies (verdict, errno) equality.
     - [Not_equal cx] is a {e witness}: [cx.cx_ctx] was replayed
       through both programs with {!Pfm.eval} and really diverged —
       never a "trust me" verdict.  Replay happens on counter-isolated

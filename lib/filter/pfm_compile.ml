@@ -112,6 +112,11 @@ let flag_bit = function
 
 let flags_mask flags = List.fold_left (fun m f -> m lor flag_bit f) 0 flags
 
+let flags_of_mask m =
+  List.filter
+    (fun f -> m land flag_bit f <> 0)
+    Ktypes.[ Mf_readonly; Mf_nosuid; Mf_nodev; Mf_noexec ]
+
 let s_source = 0
 let s_target = 1
 let s_fstype = 2

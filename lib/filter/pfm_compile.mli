@@ -61,6 +61,10 @@ type mount_rule = {
 val flags_mask : Ktypes.mount_flag list -> int
 (** ro=1, nosuid=2, nodev=4, noexec=8. *)
 
+val flags_of_mask : int -> Ktypes.mount_flag list
+(** The canonical flag list of a mask (the inverse of {!flags_mask} up
+    to order and duplicates) — what journal records carry decoded. *)
+
 val mount_rule_text : mount_rule -> string
 (** ["allow <source> <target> <fstype>[ <guard>]"] — the form used in
     provenance notes and lint findings. *)

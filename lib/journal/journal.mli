@@ -180,6 +180,12 @@ val stitch :
 val entry_to_string : entry -> string
 (** One-line rendering for the CLI ([protego-journal dump]). *)
 
+val verdict_name : int -> string
+(** ["deny"], ["allow"], ["reject"] or ["recorded"] for codes 0-3. *)
+
+val errno_name : int -> string
+(** The errno's name, or ["-"] for 0 (no errno). *)
+
 (** {1 Persistence} *)
 
 val save : t -> string -> unit

@@ -1,5 +1,6 @@
 module PS = Protego_core.Policy_state
 module DC = Protego_core.Decision_cache
+module Decider = Protego_core.Decider
 module Trace = Protego_core.Trace
 module Pfm = Protego_filter.Pfm
 module Compile = Protego_filter.Pfm_compile
@@ -33,12 +34,9 @@ let hook_index = function
   | Bind _ -> 2
   | Ppp_ioctl _ -> 3
 
-let hook_name = function
-  | 0 -> "mount"
-  | 1 -> "umount"
-  | 2 -> "bind"
-  | 3 -> "ppp_ioctl"
-  | _ -> invalid_arg "Plane.hook_name"
+let kinds = Decider.[| Mount; Umount; Bind; Ppp_ioctl |]
+
+let hook_name hi = Decider.kind_name kinds.(hi)
 
 let subject_of = function
   | Mount { subject; _ } | Umount { subject; _ } | Bind { subject; _ }
@@ -78,71 +76,92 @@ let capacity_per_sec rr =
     (fun acc ns -> if Float.is_finite ns && ns > 0. then acc +. (1e9 /. ns) else acc)
     0. rr.rr_min_op_ns
 
-(* One-entry front slot per hook, ahead of the worker's memo table.
-   Keyed on the request value by physical identity plus the snapshot
-   epoch (same epoch implies the same generation vector — epochs only
-   ever move by publication) and the worker cache's epoch (a [reset]
-   must kill slots, as in the sequential dispatcher). *)
-type slot = {
-  mutable f_sepoch : int;  (* snapshot epoch; -1: never filled *)
-  mutable f_cepoch : int;  (* worker decision-cache epoch *)
-  mutable f_phase : int;   (* subject phase index the verdict was served under *)
-  mutable f_req : request option;
-  mutable f_verdict : Pfm.verdict;
-  mutable f_errno : Errno.t option;
-}
+type audit_mode = [ `Off | `Journal ]
 
-let fresh_slot () =
-  { f_sepoch = -1; f_cepoch = 0; f_phase = 0; f_req = None;
-    f_verdict = Pfm.Deny; f_errno = None }
+let audit_mode_name = function `Off -> "off" | `Journal -> "journal"
 
 (* Everything a worker touches on a decision is domain-private; the only
    shared reads are the snapshot pointer and the live [t.engine]/clock
    configuration (constant during a run). *)
-type audit_mode = [ `Off | `Spool | `Journal | `Both ]
-
-let audit_mode_name = function
-  | `Off -> "off"
-  | `Spool -> "spool"
-  | `Journal -> "journal"
-  | `Both -> "both"
-
 type worker = {
   w_id : int;
   mutable w_term : J.term;         (* this worker's journal write handle *)
-  w_cache : DC.t;
-  w_ch : DC.hook array;            (* per hook, this worker's cache hooks *)
-  w_slots : slot array;            (* per hook *)
+  w_dec : Decider.t;               (* this worker's ladder *)
+  w_hooks : (worker, request) Decider.hook array;  (* per hook *)
   mutable w_snap : Snapshot.t;
   mutable w_progs : Snapshot.progs;
-  w_gens : int array array;        (* per-hook scratch generation vectors *)
-  w_dec : int array;               (* per-hook decisions served *)
-  w_allow : int array;
-  w_deny : int array;
-  w_evals : int array;             (* per-hook engine evaluations *)
   w_completed : int Atomic.t;      (* this run's progress, coordinator-read *)
   mutable w_min_op_ns : float;     (* min per-op cost over timed batches *)
   mutable w_sample : int;          (* latency sampling phase counter *)
-  w_trace : Trace.t;
   w_keys : Trace.key array;        (* per hook, engine "plane" *)
 }
 
-let make_worker ?cache_capacity journal id snap =
-  let cache = DC.create ?capacity:cache_capacity () in
-  let ch = Array.init hook_count (fun hi -> DC.register cache (hook_name hi)) in
-  let tr = Trace.create () in
+(* The memo-table key of a request under the subject's phase index: the
+   same canonical encoding the LSM hooks use. *)
+let request_args phase = function
+  | Mount { source; target; fstype; flags; _ } ->
+      Decider.mount_args ~phase ~source ~target ~fstype ~flags
+  | Umount { target; mounted_by; _ } ->
+      Decider.umount_args ~phase ~target ~mounted_by
+  | Bind { port; proto; exe; _ } -> Decider.bind_args ~phase ~port ~proto ~exe
+  | Ppp_ioctl { device; opt; _ } -> Decider.ppp_args ~phase ~device ~opt
+
+let of_bool b = if b then Pfm.Allow else Pfm.Deny
+
+let request_oracle ?phase (st : PS.t) = function
+  | Mount { source; target; fstype; flags; _ } ->
+      PS.mount_decision ?phase st ~source ~target ~fstype ~flags
+  | Umount { subject; target; mounted_by } ->
+      PS.umount_decision ?phase st ~target ~mounted_by ~ruid:subject
+  | Bind { subject; port; proto; exe } ->
+      PS.bind_allowed ?phase st ~port ~proto ~exe ~uid:subject
+  | Ppp_ioctl { device; opt; _ } ->
+      PS.ppp_ioctl_decision ?phase st ~device ~opt
+
+let snapshot_oracle ?phase snap = request_oracle ?phase snap.Snapshot.frozen
+
+(* Plane hooks all carry a deny errno (only nf_output lacks one). *)
+let request_deny_errno req =
+  Option.get (Decider.deny_errno kinds.(hook_index req))
+
+(* A worker's engine, evaluated against the snapshot it adopted for the
+   decision ([decide_with] adopts before the ladder runs). *)
+let eval w engine ~phase ~subject:_ req =
+  match engine with
+  | `Ref -> of_bool (snapshot_oracle ~phase:(Phase.of_index phase) w.w_snap req)
+  | `Pfm -> (
+      let progs = w.w_progs in
+      match req with
+      | Mount { source; target; fstype; flags; _ } ->
+          Pfm.eval progs.Snapshot.p_mount
+            (Compile.mount_ctx ~phase ~source ~target ~fstype ~flags)
+      | Umount { subject; target; mounted_by } ->
+          Pfm.eval progs.Snapshot.p_umount
+            (Compile.umount_ctx ~phase ~target ~mounted_by ~ruid:subject)
+      | Bind { subject; port; proto; exe } ->
+          Pfm.eval progs.Snapshot.p_bind
+            (Compile.bind_ctx ~phase ~port ~proto ~exe ~uid:subject)
+      | Ppp_ioctl { device; opt; _ } ->
+          Pfm.eval progs.Snapshot.p_ppp (Compile.ppp_ctx ~phase ~device ~opt))
+
+let make_worker ?cache_capacity ~record journal id snap =
+  let dec =
+    Decider.create
+      ~cache:(DC.create ?capacity:cache_capacity ())
+      ~trace:(Trace.create ())
+  in
+  Decider.set_record dec record;
+  let hooks =
+    Array.map (fun k -> Decider.hook dec k ~args:request_args ~eval) kinds
+  in
   let keys =
     Array.init hook_count (fun hi ->
-        Trace.register tr ~hook:(hook_name hi) ~engine:"plane")
+        Trace.register (Decider.trace dec) ~hook:(hook_name hi) ~engine:"plane")
   in
-  { w_id = id; w_term = J.term journal ~domain:id; w_cache = cache; w_ch = ch;
-    w_slots = Array.init hook_count (fun _ -> fresh_slot ());
+  { w_id = id; w_term = J.term journal ~domain:id; w_dec = dec; w_hooks = hooks;
     w_snap = snap; w_progs = Snapshot.clone_progs snap;
-    w_gens = Array.init hook_count (fun _ -> [| 0 |]);
-    w_dec = Array.make hook_count 0; w_allow = Array.make hook_count 0;
-    w_deny = Array.make hook_count 0; w_evals = Array.make hook_count 0;
     w_completed = Atomic.make 0; w_min_op_ns = infinity; w_sample = 0;
-    w_trace = tr; w_keys = keys }
+    w_keys = keys }
 
 (* Per-subject lifecycle phases.  Subjects are uids; the table is a
    fixed array of atomics indexed [subject mod phase_slots], so workers
@@ -163,11 +182,6 @@ type t = {
   mutable clock : (unit -> int) option;
   mutable runs : int;
   mutable audit : audit_mode;
-  mutable record : bool;
-  (* record mode: engine verdicts other than Allow are served as Allow
-     but journaled with the distinct verdict code 3 ("recorded"), so a
-     permissive observation run captures exactly what enforcement would
-     have denied without actually denying it. *)
   cache_capacity : int option;   (* worker decision-cache capacity knob *)
   mutable journal : J.t;
   mutable rotations : int;
@@ -193,9 +207,11 @@ let create ?(domains = 1) ?(journal_seg_bytes = 262144)
   { st; pub;
     phases = Array.init phase_slots (fun _ -> Atomic.make 0);
     domains = d;
-    workers = Array.init d (fun i -> make_worker ?cache_capacity journal i snap);
-    engine = `Pfm; clock = None; runs = 0; audit = `Journal;
-    record = false; cache_capacity; journal;
+    workers =
+      Array.init d (fun i ->
+          make_worker ?cache_capacity ~record:false journal i snap);
+    engine = `Pfm; clock = None; runs = 0; audit = `Journal; cache_capacity;
+    journal;
     rotations = 0; jseg_bytes = journal_seg_bytes; jsegs = journal_segments;
     running = false }
 
@@ -206,8 +222,16 @@ let in_flight_msg op =
   Printf.sprintf
     "Plane.%s: a run is in flight; apply the change between runs" op
 
+(* Record mode: engine verdicts other than Allow are served as Allow but
+   journaled with the distinct verdict code 3 ("recorded"), so a
+   permissive observation run captures exactly what enforcement would
+   have denied without actually denying it.  Every worker's decider
+   carries the flag; worker 0's is the plane's. *)
+let record_mode t = Decider.record t.workers.(0).w_dec
+
 let set_domains t d =
   if t.running then invalid_arg (in_flight_msg "set_domains");
+  let record = record_mode t in
   let d = clamp_domains ~segments:t.jsegs d in
   (* The replaced workers' terms would otherwise stay registered on the
      journal forever (inflating stats and pinning half-filled
@@ -217,16 +241,15 @@ let set_domains t d =
   let snap = Snapshot.current t.pub in
   t.workers <-
     Array.init d (fun i ->
-        make_worker ?cache_capacity:t.cache_capacity t.journal i snap)
+        make_worker ?cache_capacity:t.cache_capacity ~record t.journal i snap)
 
 let audit_mode t = t.audit
 let set_audit_mode t m = t.audit <- m
 
-let record_mode t = t.record
-
 let set_record_mode t on =
   if t.running then invalid_arg (in_flight_msg "set_record_mode");
-  t.record <- on
+  Array.iter (fun w -> Decider.set_record w.w_dec on) t.workers
+
 let journal t = t.journal
 let rotations t = t.rotations
 
@@ -288,129 +311,36 @@ let reset_phases t = Array.iter (fun a -> Atomic.set a 0) t.phases
 
 (* --- the decision ------------------------------------------------------- *)
 
-let sep = "\x1f"
-
-let of_bool b = if b then Pfm.Allow else Pfm.Deny
-
-let deny_errno e (v : Pfm.verdict) =
-  match v with Pfm.Allow -> None | Pfm.Deny | Pfm.Reject -> Some e
-
 let adopt w snap =
   if snap != w.w_snap then begin
     w.w_snap <- snap;
     w.w_progs <- Snapshot.clone_progs snap
   end
 
-let refill w hi snap req ~ph ~verdict ~errno =
-  let s = w.w_slots.(hi) in
-  s.f_sepoch <- snap.Snapshot.epoch;
-  s.f_cepoch <- DC.epoch w.w_cache;
-  s.f_phase <- ph;
-  s.f_req <- Some req;
-  s.f_verdict <- verdict;
-  s.f_errno <- errno
-
-let tally w hi (v : Pfm.verdict) =
-  w.w_dec.(hi) <- w.w_dec.(hi) + 1;
-  match v with
-  | Pfm.Allow -> w.w_allow.(hi) <- w.w_allow.(hi) + 1
-  | Pfm.Deny | Pfm.Reject -> w.w_deny.(hi) <- w.w_deny.(hi) + 1
-
-let slot_valid w hi snap req ~ph =
-  let s = w.w_slots.(hi) in
-  s.f_sepoch = snap.Snapshot.epoch
-  && s.f_cepoch = DC.epoch w.w_cache
-  && s.f_phase = ph
-  && (match s.f_req with Some r -> r == req | None -> false)
-
-(* Serve one request on a worker against the currently published
-   snapshot: front slot -> memo table -> engine, exactly the sequential
-   dispatcher's ladder, but over domain-private structures.  [ph] is
-   the subject's phase index, read once before the ladder: it keys the
-   front slot and the memo args, so a phase transition strands exactly
-   the transitioning subject's cached verdicts, and it selects the
-   per-phase ladder inside the compiled programs (the leading dispatch
-   field of the ctx). *)
+(* Serve one request on a worker against [snap] through the worker's
+   decider.  The front slot is stamped with the snapshot epoch (same
+   epoch implies the same generation vector: epochs only ever move by
+   publication) and keyed on the request by physical identity; the memo
+   table is stamped with the snapshot's generation of the hook's source.
+   [ph] is the subject's phase index, read once before the ladder: it
+   keys the slot and the memo args, and selects the per-phase ladder
+   inside the compiled programs (the leading dispatch field of the
+   ctx). *)
 let decide_with w engine snap req ~ph =
   adopt w snap;
   let hi = hook_index req in
-  if slot_valid w hi snap req ~ph then begin
-    let s = w.w_slots.(hi) in
-    DC.record_hit w.w_cache w.w_ch.(hi);
-    tally w hi s.f_verdict;
-    { o_verdict = s.f_verdict; o_errno = s.f_errno;
-      o_epoch = snap.Snapshot.epoch; o_phase = ph }
-  end
-  else begin
-    let gens = w.w_gens.(hi) in
-    gens.(0) <- snap.Snapshot.gens.(gens_index.(hi));
-    let phase = Phase.of_index ph in
-    let subject, args =
-      match req with
-      | Mount { subject; source; target; fstype; flags } ->
-          ( subject,
-            String.concat sep
-              [ string_of_int ph; source; target; fstype;
-                string_of_int (Compile.flags_mask flags) ] )
-      | Umount { subject; target; mounted_by } ->
-          ( subject,
-            string_of_int ph ^ sep ^ target ^ sep ^ string_of_int mounted_by )
-      | Bind { subject; port; proto; exe } ->
-          ( subject,
-            string_of_int ph ^ sep ^ string_of_int port ^ sep
-            ^ Bindconf.proto_to_string proto ^ sep ^ exe )
-      | Ppp_ioctl { subject; device; opt } ->
-          ( subject,
-            string_of_int ph ^ sep ^ device ^ sep
-            ^ if Protego_net.Ppp.option_is_safe opt then "1" else "0" )
-    in
-    match DC.find w.w_cache w.w_ch.(hi) ~subject ~args ~gens with
-    | Some (v, e) ->
-        tally w hi v;
-        refill w hi snap req ~ph ~verdict:v ~errno:e;
-        { o_verdict = v; o_errno = e; o_epoch = snap.Snapshot.epoch;
-          o_phase = ph }
-    | None ->
-        let v =
-          match req, engine with
-          | Mount { source; target; fstype; flags; _ }, `Pfm ->
-              Pfm.eval w.w_progs.Snapshot.p_mount
-                (Compile.mount_ctx ~phase:ph ~source ~target ~fstype ~flags)
-          | Mount { source; target; fstype; flags; _ }, `Ref ->
-              of_bool
-                (Snapshot.ref_mount ~phase snap ~source ~target ~fstype ~flags)
-          | Umount { subject; target; mounted_by }, `Pfm ->
-              Pfm.eval w.w_progs.Snapshot.p_umount
-                (Compile.umount_ctx ~phase:ph ~target ~mounted_by
-                   ~ruid:subject)
-          | Umount { subject; target; mounted_by }, `Ref ->
-              of_bool
-                (Snapshot.ref_umount ~phase snap ~target ~mounted_by
-                   ~ruid:subject)
-          | Bind { subject; port; proto; exe }, `Pfm ->
-              Pfm.eval w.w_progs.Snapshot.p_bind
-                (Compile.bind_ctx ~phase:ph ~port ~proto ~exe ~uid:subject)
-          | Bind { subject; port; proto; exe }, `Ref ->
-              of_bool
-                (Snapshot.ref_bind ~phase snap ~port ~proto ~exe ~uid:subject)
-          | Ppp_ioctl { device; opt; _ }, `Pfm ->
-              Pfm.eval w.w_progs.Snapshot.p_ppp
-                (Compile.ppp_ctx ~phase:ph ~device ~opt)
-          | Ppp_ioctl { device; opt; _ }, `Ref ->
-              of_bool (Snapshot.ref_ppp ~phase snap ~device ~opt)
-        in
-        let e =
-          match req with
-          | Bind _ -> deny_errno Errno.EACCES v
-          | Mount _ | Umount _ | Ppp_ioctl _ -> deny_errno Errno.EPERM v
-        in
-        w.w_evals.(hi) <- w.w_evals.(hi) + 1;
-        tally w hi v;
-        DC.add w.w_cache w.w_ch.(hi) ~subject ~args ~gens ~verdict:v ~errno:e;
-        refill w hi snap req ~ph ~verdict:v ~errno:e;
-        { o_verdict = v; o_errno = e; o_epoch = snap.Snapshot.epoch;
-          o_phase = ph }
-  end
+  let d = w.w_dec and h = w.w_hooks.(hi) in
+  let epoch = snap.Snapshot.epoch in
+  let v =
+    match
+      Decider.probe d h ~stamp:epoch ~gen:snap.Snapshot.gens.(gens_index.(hi))
+        ~subject:(subject_of req) ~phase:ph
+    with
+    | Some r when r == req -> Decider.hit d h
+    | _ -> Decider.miss d h w ~raw:req ~engine
+  in
+  { o_verdict = v; o_errno = Decider.errno (Decider.kind h) v; o_epoch = epoch;
+    o_phase = ph }
 
 let request_phase t req =
   Atomic.get (phase_slot t (subject_of req))
@@ -422,22 +352,7 @@ let decide t req =
   ignore (refresh t);
   decide_one t t.workers.(0) t.engine req
 
-(* --- audit spools ------------------------------------------------------- *)
-
-type spool = {
-  sp_seq : int array;
-  sp_hook : int array;
-  sp_subject : int array;
-  sp_allowed : int array;
-  sp_epoch : int array;
-  mutable sp_len : int;
-}
-
-let make_spool cap =
-  { sp_seq = Array.make (max cap 1) 0; sp_hook = Array.make (max cap 1) 0;
-    sp_subject = Array.make (max cap 1) 0;
-    sp_allowed = Array.make (max cap 1) 0;
-    sp_epoch = Array.make (max cap 1) 0; sp_len = 0 }
+(* --- audit journal ------------------------------------------------------ *)
 
 (* Worker [w] of [d] owns exactly the sequence numbers congruent to
    [w] mod [d]. *)
@@ -448,7 +363,7 @@ let slice_len n d w = if w >= n then 0 else ((n - w - 1) / d) + 1
    per record kind), so the binary record format is unchanged and old
    journals still decode — {!split_phase} reads absent stamps as phase
    0.  Replay peels the stamp off before re-evaluating. *)
-let stamp_phase ph s = string_of_int ph ^ sep ^ s
+let stamp_phase ph s = string_of_int ph ^ "\x1f" ^ s
 
 let split_phase s =
   match String.index_opt s '\x1f' with
@@ -458,6 +373,33 @@ let split_phase s =
           (ph, String.sub s (i + 1) (String.length s - i - 1))
       | _ -> (0, s))
   | None -> (0, s)
+
+(* Decode a record back into the request it journaled and the phase
+   index it was served under ({!stamp_phase}), so a decision journaled
+   across a phase transition replays against the phase that actually
+   served it. *)
+let request_of_decision (dec : J.decision) =
+  let subject = dec.J.d_subject in
+  match dec.J.d_req with
+  | J.Mount { source; target; fstype; flags } ->
+      let ph, source = split_phase source in
+      let flags = Compile.flags_of_mask flags in
+      (ph, Mount { subject; source; target; fstype; flags })
+  | J.Umount { target; mounted_by } ->
+      let ph, target = split_phase target in
+      (ph, Umount { subject; target; mounted_by })
+  | J.Bind { port; proto; exe } ->
+      let ph, exe = split_phase exe in
+      let proto = if proto = 1 then Bindconf.Udp else Bindconf.Tcp in
+      (ph, Bind { subject; port; proto; exe })
+  | J.Ppp { device; safe } ->
+      (* The ppp decision depends only on (device, option safety); any
+         option of the recorded safety class reproduces it. *)
+      let ph, device = split_phase device in
+      let opt =
+        if safe then Protego_net.Ppp.Accomp else Protego_net.Ppp.Default_route
+      in
+      (ph, Ppp_ioctl { subject; device; opt })
 
 (* Claim-and-encode one decision into the worker's journal term.  The
    ppp option collapses to its safe bit, which is the only thing the
@@ -488,19 +430,6 @@ let journal_append ?(recorded = false) term ~run ~seq req (o : outcome) =
         ~device:(stamp_phase ph device)
         ~safe:(Protego_net.Ppp.option_is_safe opt)
 
-let merge_audit spools n d =
-  Array.iteri
-    (fun w sp ->
-      if sp.sp_len <> slice_len n d w then
-        failwith "Plane.run: audit spool length mismatch")
-    spools;
-  Array.init n (fun s ->
-      let sp = spools.(s mod d) in
-      let k = s / d in
-      if sp.sp_seq.(k) <> s then failwith "Plane.run: audit spool out of order";
-      { a_seq = s; a_hook = sp.sp_hook.(k); a_subject = sp.sp_subject.(k);
-        a_allowed = sp.sp_allowed.(k) = 1; a_epoch = sp.sp_epoch.(k) })
-
 (* --- the run loop ------------------------------------------------------- *)
 
 let batch_len = 1024
@@ -512,7 +441,7 @@ let dummy_outcome =
    [base] is the completed-count already published for earlier segments
    of the same run (one-domain runs are split at reload thresholds). *)
 let worker_slice t w reqs ~start ~stop ~d ~engine ~clock ~collect ~outcomes
-    ~spool ~base ~mode ~run_id =
+    ~base ~mode ~run_id =
   let i = ref start in
   let done_ = ref 0 in
   while !i < stop do
@@ -531,30 +460,18 @@ let worker_slice t w reqs ~start ~stop ~d ~engine ~clock ~collect ~outcomes
         | _ -> decide_one t w engine req
       in
       w.w_sample <- w.w_sample + 1;
-      (* Record mode: the engine's true verdict was just computed (and
-         cached); a would-deny is served as Allow while the journal
-         keeps the distinct "recorded" tag.  The spool mirrors the
-         served outcome, so the journal/spool differential still holds
-         once verdict 3 decodes as allowed. *)
-      let recorded = t.record && o.o_verdict <> Pfm.Allow in
+      (* Record mode: the ladder cached the true verdict; a would-deny
+         is served as Allow while the journal keeps the distinct
+         "recorded" tag. *)
+      let served = Decider.flip w.w_dec o.o_verdict in
+      let recorded = Decider.last_recorded w.w_dec in
       let o =
-        if recorded then { o with o_verdict = Pfm.Allow; o_errno = None }
-        else o
+        if recorded then { o with o_verdict = served; o_errno = None } else o
       in
       if collect then outcomes.(!i) <- o;
       (match mode with
        | `Off -> ()
-       | `Journal -> journal_append ~recorded w.w_term ~run:run_id ~seq:!i req o
-       | `Spool | `Both ->
-           let k = spool.sp_len in
-           spool.sp_seq.(k) <- !i;
-           spool.sp_hook.(k) <- hook_index req;
-           spool.sp_subject.(k) <- subject_of req;
-           spool.sp_allowed.(k) <- (if o.o_verdict = Pfm.Allow then 1 else 0);
-           spool.sp_epoch.(k) <- o.o_epoch;
-           spool.sp_len <- k + 1;
-           if mode = `Both then
-             journal_append ~recorded w.w_term ~run:run_id ~seq:!i req o);
+       | `Journal -> journal_append ~recorded w.w_term ~run:run_id ~seq:!i req o);
       i := !i + d
     done;
     (match clock with
@@ -568,8 +485,8 @@ let worker_slice t w reqs ~start ~stop ~d ~engine ~clock ~collect ~outcomes
 
 (* Rebuild the submission-ordered audit view from the journal: stitch
    the run's records by their sequence stamps (zero lost, zero
-   duplicated — checked, not assumed) and decode each into the same
-   audit entry the spool merge produces. *)
+   duplicated — checked, not assumed) and decode each into an audit
+   entry. *)
 let audit_of_stitched ds =
   Array.map
     (fun (dec : J.decision) ->
@@ -586,10 +503,13 @@ let audit_of_stitched ds =
         a_epoch = dec.J.d_epoch })
     ds
 
+let stitch t ~run_id ~n =
+  Result.map audit_of_stitched (J.stitch t.journal ~run:run_id ~base:0 ~count:n)
+
 let stitched_audit t ~run_id ~n =
-  match J.stitch t.journal ~run:run_id ~base:0 ~count:n with
+  match stitch t ~run_id ~n with
   | Error e -> failwith ("Plane.stitched_audit: " ^ e)
-  | Ok ds -> audit_of_stitched ds
+  | Ok a -> a
 
 let run t ?(collect = true) ?(reloads = []) reqs =
   if t.running then failwith "Plane.run: a run is already in flight";
@@ -604,11 +524,6 @@ let run t ?(collect = true) ?(reloads = []) reqs =
   let mode = t.audit in
   let run_id = t.runs in
   let outcomes = if collect then Array.make n dummy_outcome else [||] in
-  let spools =
-    match mode with
-    | `Spool | `Both -> Array.init d (fun w -> make_spool (slice_len n d w))
-    | `Off | `Journal -> Array.init d (fun _ -> make_spool 0)
-  in
   Array.iter
     (fun w ->
       Atomic.set w.w_completed 0;
@@ -621,11 +536,10 @@ let run t ?(collect = true) ?(reloads = []) reqs =
        thresholds, so an action fires exactly before the decision with
        its sequence number. *)
     let w = ws.(0) in
-    let sp = spools.(0) in
     let seg start stop =
       if start < stop then
         worker_slice t w reqs ~start ~stop ~d:1 ~engine ~clock ~collect
-          ~outcomes ~spool:sp ~base:start ~mode ~run_id
+          ~outcomes ~base:start ~mode ~run_id
     in
     let pos = ref 0 in
     List.iter
@@ -642,7 +556,7 @@ let run t ?(collect = true) ?(reloads = []) reqs =
     let spawn w =
       Domain.spawn (fun () ->
           worker_slice t w reqs ~start:w.w_id ~stop:n ~d ~engine ~clock
-            ~collect ~outcomes ~spool:spools.(w.w_id) ~base:0 ~mode ~run_id)
+            ~collect ~outcomes ~base:0 ~mode ~run_id)
     in
     let doms = Array.map spawn ws in
     (* Coordinate reloads off the published progress counters; a
@@ -670,33 +584,15 @@ let run t ?(collect = true) ?(reloads = []) reqs =
      correctness failure: surface them in [rr_audit_lost] rather than
      throwing away the whole run's computed outcomes.  Any stitch error
      with nothing dropped is real corruption and still aborts. *)
-  let stitch_run () = J.stitch t.journal ~run:run_id ~base:0 ~count:n in
-  let degrade e =
-    if J.dropped t.journal > 0 then ([||], Some e)
-    else failwith ("Plane.run: " ^ e)
-  in
   let audit, audit_lost =
     match mode with
     | _ when not collect -> ([||], None)
     | `Off -> ([||], None)
-    | `Spool -> (merge_audit spools n d, None)
     | `Journal -> (
-        match stitch_run () with
-        | Ok ds -> (audit_of_stitched ds, None)
-        | Error e -> degrade e)
-    | `Both -> (
-        (* Differential oracle: the index-arithmetic spool merge and the
-           stamp-driven journal stitch must reconstruct the exact same
-           submission-ordered trail. *)
-        let sp = merge_audit spools n d in
-        match stitch_run () with
-        | Ok ds ->
-            if sp <> audit_of_stitched ds then
-              failwith "Plane.run: journal/spool audit divergence";
-            (sp, None)
-        | Error e ->
-            let _, lost = degrade e in
-            (sp, lost))
+        match stitch t ~run_id ~n with
+        | Ok a -> (a, None)
+        | Error e when J.dropped t.journal > 0 -> ([||], Some e)
+        | Error e -> failwith ("Plane.run: " ^ e))
   in
   { rr_outcomes = outcomes; rr_audit = audit; rr_audit_lost = audit_lost;
     rr_wall_ns = wall; rr_min_op_ns = Array.map (fun w -> w.w_min_op_ns) ws }
@@ -713,47 +609,16 @@ type hook_totals = {
 
 let hook_stats t =
   List.init hook_count (fun hi ->
-      let sum f = Array.fold_left (fun acc w -> acc + f w) 0 t.workers in
-      let hits =
-        sum (fun w ->
-            let h = List.nth (DC.hook_stats w.w_cache) hi in
-            h.DC.h_hits)
+      let sum f =
+        Array.fold_left (fun acc w -> acc + f w.w_hooks.(hi)) 0 t.workers
       in
+      let stat f = sum (fun h -> f (Decider.stats h)) in
       ( hook_name hi,
-        { ht_decisions = sum (fun w -> w.w_dec.(hi));
-          ht_allow = sum (fun w -> w.w_allow.(hi));
-          ht_deny = sum (fun w -> w.w_deny.(hi));
-          ht_evals = sum (fun w -> w.w_evals.(hi));
-          ht_hits = hits } ))
-
-(* Percentile over summed per-worker histograms, the same bucket-walk
-   {!Trace.percentile} does on a single key. *)
-let merged_pct buckets total ~pct =
-  if total = 0 then 0
-  else
-    let need =
-      let p = total * pct in
-      (p / 100) + (if p mod 100 = 0 then 0 else 1)
-    in
-    let rec go i acc =
-      if i >= Trace.bucket_count then Trace.bucket_upper (Trace.bucket_count - 1)
-      else
-        let acc = acc + buckets.(i) in
-        if acc >= need then Trace.bucket_upper i else go (i + 1) acc
-    in
-    go 0 0
-
-let merged_latency t hi =
-  let buckets = Array.make Trace.bucket_count 0 in
-  let total = ref 0 in
-  Array.iter
-    (fun w ->
-      let k = w.w_keys.(hi) in
-      let b = Trace.buckets k in
-      Array.iteri (fun i c -> buckets.(i) <- buckets.(i) + c) b;
-      total := !total + k.Trace.k_count)
-    t.workers;
-  (!total, buckets)
+        { ht_decisions = stat (fun s -> s.Decider.served);
+          ht_allow = stat (fun s -> s.Decider.served_allow);
+          ht_deny = stat (fun s -> s.Decider.served_deny);
+          ht_evals = stat (fun s -> s.Decider.evals);
+          ht_hits = sum Decider.hits } ))
 
 let engine_name t = match t.engine with `Pfm -> "pfm" | `Ref -> "ref"
 
@@ -771,16 +636,19 @@ let render t =
        (audit_mode_name t.audit) js.J.s_records js.J.s_live js.J.s_dropped
        t.rotations);
   Buffer.add_string b
-    (Printf.sprintf "record %s\n" (if t.record then "on" else "off"));
+    (Printf.sprintf "record %s\n" (if record_mode t then "on" else "off"));
   Array.iter
     (fun w ->
+      let sum f =
+        Array.fold_left (fun acc h -> acc + f (Decider.stats h)) 0 w.w_hooks
+      in
+      let c = Decider.cache w.w_dec in
       Buffer.add_string b
         (Printf.sprintf "worker %d decisions %d evals %d hits %d misses %d stale %d\n"
            w.w_id
-           (Array.fold_left ( + ) 0 w.w_dec)
-           (Array.fold_left ( + ) 0 w.w_evals)
-           (DC.hits w.w_cache) (DC.misses w.w_cache)
-           (DC.stale_evictions w.w_cache)))
+           (sum (fun s -> s.Decider.served))
+           (sum (fun s -> s.Decider.evals))
+           (DC.hits c) (DC.misses c) (DC.stale_evictions c)))
     t.workers;
   List.iter
     (fun (name, ht) ->
@@ -789,14 +657,17 @@ let render t =
            name ht.ht_decisions ht.ht_allow ht.ht_deny ht.ht_evals ht.ht_hits))
     (hook_stats t);
   for hi = 0 to hook_count - 1 do
-    let total, buckets = merged_latency t hi in
-    if total > 0 then
+    let k =
+      Trace.sum ~hook:(hook_name hi) ~engine:"plane"
+        (Array.to_list (Array.map (fun w -> w.w_keys.(hi)) t.workers))
+    in
+    if k.Trace.k_count > 0 then
       Buffer.add_string b
         (Printf.sprintf "latency hook %s count %d p50 %d p90 %d p99 %d\n"
-           (hook_name hi) total
-           (merged_pct buckets total ~pct:50)
-           (merged_pct buckets total ~pct:90)
-           (merged_pct buckets total ~pct:99))
+           (hook_name hi) k.Trace.k_count
+           (Trace.percentile k ~pct:50)
+           (Trace.percentile k ~pct:90)
+           (Trace.percentile k ~pct:99))
   done;
   Buffer.contents b
 
@@ -822,13 +693,11 @@ let handle_write t contents =
       if t.running then
         Error "plane: a run is in flight; retry record toggle after it completes"
       else begin
-        t.record <- on;
+        set_record_mode t on;
         Ok ()
       end
   | "audit off" -> set_audit_mode t `Off; Ok ()
-  | "audit spool" -> set_audit_mode t `Spool; Ok ()
   | "audit journal" -> set_audit_mode t `Journal; Ok ()
-  | "audit both" -> set_audit_mode t `Both; Ok ()
   | other -> (
       match String.split_on_char ' ' other with
       | [ "domains"; ns ] -> (
@@ -866,51 +735,20 @@ let install_proc m t =
   let open Protego_kernel in
   let kt = Machine.kernel_task m in
   ignore (Machine.mkdir_p m kt "/proc/protego" ());
-  ignore
-    (Machine.add_vnode m kt ~path:"/proc/protego/plane" ~mode:0o600
-       ~read:(fun _m _t -> Ok (render t))
-       ~write:(fun m _t contents ->
-         match handle_write t contents with
-         | Ok () -> Ok ()
-         | Error msg ->
-             Ktypes.log_dmesg m "protego: %s" msg;
-             Error Errno.EINVAL)
-       ());
-  ignore
-    (Machine.add_vnode m kt ~path:"/proc/protego/journal" ~mode:0o600
-       ~read:(fun _m _t -> Ok (render_journal t))
-       ~write:(fun m _t contents ->
-         match handle_journal_write t contents with
-         | Ok () -> Ok ()
-         | Error msg ->
-             Ktypes.log_dmesg m "protego: %s" msg;
-             Error Errno.EINVAL)
-       ())
-
-(* --- reference oracles -------------------------------------------------- *)
-
-let request_oracle ?phase (st : PS.t) = function
-  | Mount { source; target; fstype; flags; _ } ->
-      PS.mount_decision ?phase st ~source ~target ~fstype ~flags
-  | Umount { subject; target; mounted_by } ->
-      PS.umount_decision ?phase st ~target ~mounted_by ~ruid:subject
-  | Bind { subject; port; proto; exe } ->
-      PS.bind_allowed ?phase st ~port ~proto ~exe ~uid:subject
-  | Ppp_ioctl { device; opt; _ } ->
-      PS.ppp_ioctl_decision ?phase st ~device ~opt
-
-let snapshot_oracle ?phase snap = function
-  | Mount { source; target; fstype; flags; _ } ->
-      Snapshot.ref_mount ?phase snap ~source ~target ~fstype ~flags
-  | Umount { subject; target; mounted_by } ->
-      Snapshot.ref_umount ?phase snap ~target ~mounted_by ~ruid:subject
-  | Bind { subject; port; proto; exe } ->
-      Snapshot.ref_bind ?phase snap ~port ~proto ~exe ~uid:subject
-  | Ppp_ioctl { device; opt; _ } -> Snapshot.ref_ppp ?phase snap ~device ~opt
-
-let request_deny_errno = function
-  | Bind _ -> Errno.EACCES
-  | Mount _ | Umount _ | Ppp_ioctl _ -> Errno.EPERM
+  List.iter
+    (fun (name, render, handle) ->
+      ignore
+        (Machine.add_vnode m kt ~path:("/proc/protego/" ^ name) ~mode:0o600
+           ~read:(fun _m _t -> Ok (render t))
+           ~write:(fun m _t contents ->
+             match handle t contents with
+             | Ok () -> Ok ()
+             | Error msg ->
+                 Ktypes.log_dmesg m "protego: %s" msg;
+                 Error Errno.EINVAL)
+           ()))
+    [ ("plane", render, handle_write);
+      ("journal", render_journal, handle_journal_write) ]
 
 (* --- simulation hooks --------------------------------------------------- *)
 
@@ -932,8 +770,6 @@ let worker_of t i =
   t.workers.(i)
 
 let decide_on t ~worker req = decide_one t (worker_of t worker) t.engine req
-
-let worker_snapshot t i = (worker_of t i).w_snap
 
 let decide_against t ~worker snap req =
   decide_with (worker_of t worker) t.engine snap req ~ph:(request_phase t req)

@@ -4,11 +4,12 @@
     The sequential dispatcher ({!Protego_core.Pfm_dispatch}) serves one
     caller at a time over global mutable state.  A real LSM answers the
     same hooks concurrently from every CPU; this module is that shape on
-    OCaml 5 Domains.  Per worker domain: a private decision cache, a
-    per-hook front slot keyed to the snapshot epoch, private compiled
-    programs (counters and all), private filter/latency counters, and a
-    private audit spool — so the warm path shares {e nothing} writable
-    between domains.  The only cross-domain communication on a decision
+    OCaml 5 Domains.  Each worker domain owns one
+    {!Protego_core.Decider} — the same front slot -> decision cache ->
+    engine ladder the LSM hooks run, here with the front slot stamped by
+    the snapshot epoch — plus private compiled programs (counters and
+    all), private latency histograms and a private journal term, so the
+    warm path shares {e nothing} writable between domains.  The only cross-domain communication on a decision
     is one [Atomic.get] of the current {!Snapshot.t}.  Policy changes
     build a new snapshot off to the side and swap the pointer
     ({!publish}); in-flight decisions finish against whichever snapshot
@@ -21,10 +22,7 @@
     segment-granular atomic claim amortized over thousands of records;
     after a run the epoch/sequence stamps let {!Protego_journal.
     Journal.stitch} reconstruct the total submission order without a
-    merge barrier (DESIGN.md §8).  The pre-journal columnar spool
-    survives as a runtime-selectable fallback ([`Spool]) and as a
-    differential oracle ([`Both] runs both sinks and fails the run on
-    any divergence).  Requests are partitioned round-robin, so worker
+    merge barrier (DESIGN.md §8).  Requests are partitioned round-robin, so worker
     [w] of [d] owns exactly the sequence numbers congruent to [w] mod
     [d] — zero lost, zero duplicated, by construction (and by test). *)
 
@@ -84,8 +82,9 @@ type run_result = {
       (** one per request, submission order; [[||]] when collection was
           disabled *)
   rr_audit : audit_entry array;
-      (** merged spools, strictly ascending [a_seq] = 0..n-1; [[||]]
-          when the journal trail degraded (see [rr_audit_lost]) *)
+      (** the run's journal trail, stitched: strictly ascending
+          [a_seq] = 0..n-1; [[||]] with audit off, without collection,
+          or when the trail degraded (see [rr_audit_lost]) *)
   rr_audit_lost : string option;
       (** [Some reason] when the run's journaled trail could not be
           stitched because wraparound overwrote part of it (the run
@@ -105,10 +104,9 @@ val capacity_per_sec : run_result -> float
     domains this measures contention-freedom rather than wall-clock
     parallelism; methodology in DESIGN.md §6.  [0.] without a clock. *)
 
-type audit_mode = [ `Off | `Spool | `Journal | `Both ]
-(** What records decisions during {!run}: nothing, the legacy columnar
-    spool, the binary journal (default), or both (differential oracle —
-    the run fails if the two sinks disagree record-for-record). *)
+type audit_mode = [ `Off | `Journal ]
+(** What records decisions during {!run}: nothing, or the binary journal
+    (default). *)
 
 val audit_mode_name : audit_mode -> string
 
@@ -163,8 +161,8 @@ val refresh : t -> Snapshot.t
 
 val decide : t -> request -> outcome
 (** One decision on worker 0, after a {!refresh} — the deterministic
-    sequential entry point tests and the /proc surface use.  Does not
-    spool audit records. *)
+    sequential entry point tests and the /proc surface use.  Journals
+    nothing. *)
 
 val run :
   t -> ?collect:bool -> ?reloads:(int * (unit -> unit)) list ->
@@ -174,8 +172,8 @@ val run :
     one domain the run is inline and deterministic; otherwise one
     OCaml domain is spawned per worker.  [collect:false] skips the
     outcome array and the [rr_audit] reconstruction (bench mode; the
-    configured audit sinks still record every decision — use
-    {!stitched_audit} to rebuild the trail afterwards).  [reloads] are [(threshold, action)]
+    journal still records every decision — use {!stitched_audit} to
+    rebuild the trail afterwards).  [reloads] are [(threshold, action)]
     pairs: each action fires once, off the coordinating domain, as soon
     as the total completed-decision count reaches its threshold (with
     one domain: exactly at that submission index).  Actions typically
@@ -219,6 +217,11 @@ val split_phase : string -> int * string
 (** Peel a {!stamp_phase} prefix off; an unstamped string (an old
     journal) reads as phase 0 with the string intact. *)
 
+val request_of_decision : Protego_journal.Journal.decision -> int * request
+(** The request a journal record encodes and the phase index it was
+    served under.  A ppp record yields an option of its recorded safety
+    class, which is all the decision reads. *)
+
 (** {1 Reference oracles}
 
     The list-walking reference semantics over a whole {!request} — the
@@ -235,8 +238,8 @@ val snapshot_oracle :
     [always (verdict = snapshot_at(epoch) oracle verdict)] checks. *)
 
 val request_deny_errno : request -> Protego_base.Errno.t
-(** The errno a denial of this request carries: [EACCES] for bind,
-    [EPERM] for the rest. *)
+(** The errno a denial of this request carries:
+    {!Protego_core.Decider.deny_errno} of its hook. *)
 
 (** {1 Simulation hooks}
 
@@ -260,13 +263,9 @@ val sim_end : t -> unit
 
 val decide_on : t -> worker:int -> request -> outcome
 (** One decision on the given worker against the currently published
-    snapshot — the exact ladder (front slot, memo table, engine) a run
-    step executes, without the surrounding refresh.  Raises
+    snapshot — the exact {!Protego_core.Decider} ladder a run step
+    executes, without the surrounding refresh.  Raises
     [Invalid_argument] for a worker outside [0..domains-1]. *)
-
-val worker_snapshot : t -> int -> Snapshot.t
-(** The snapshot the worker last adopted — possibly older than
-    {!current} if publications happened since its last decision. *)
 
 val decide_against : t -> worker:int -> Snapshot.t -> request -> outcome
 (** Like {!decide_on} but against an explicit snapshot — the simulator's
@@ -289,12 +288,11 @@ val set_audit_mode : t -> audit_mode -> unit
 val record_mode : t -> bool
 
 val set_record_mode : t -> bool -> unit
-(** Permissive record mode.  While on, a request the engine would deny
-    or reject is {e served} as an allow (outcomes, spool) but journaled
-    with the distinct verdict code 3 ("recorded") — the raw material
-    the policy synthesizer generalizes from.  Engine caches keep the
-    true verdicts, so toggling record off needs no invalidation.
-    @raise Invalid_argument if a run is in flight. *)
+(** Permissive record mode ({!Protego_core.Decider.flip}).  While on, a
+    request the engine would deny or reject is {e served} as an allow
+    (outcomes, audit) but journaled with the distinct verdict code 3
+    ("recorded") — the raw material the policy synthesizer generalizes
+    from.  @raise Invalid_argument if a run is in flight. *)
 
 val journal : t -> Protego_journal.Journal.t
 (** The plane's current journal (replaced by {!rotate_journal}). *)
@@ -348,7 +346,7 @@ val render : t -> string
 
 val handle_write : t -> string -> (unit, string) result
 (** ["domains <n>"], ["engine pfm|ref"], ["publish"],
-    ["audit off|spool|journal|both"],
+    ["audit off|journal"],
     ["phase <subject> setup|serving|steady"] (tighten-only; loosening
     errors), ["reset"] (zero counters, drop caches, phases back to
     initial, fresh journal); anything else errors. *)

@@ -36,8 +36,9 @@ val replay :
 (** Re-evaluate every decision against the snapshot its epoch stamp
     names.  Verdict expectation comes from the reference oracle
     ([Snapshot.ref_*]); errno expectation is the hook's deny errno
-    (EACCES for bind, EPERM otherwise) when denied, none when
-    allowed. *)
+    ({!Protego_core.Decider.deny_errno}) when denied, none when
+    allowed.  A record-mode record (verdict 3, "recorded": a would-deny
+    served as an allow) matches a reference denial with no errno. *)
 
 val replay_run : Plane.t -> run:int -> count:int -> report
 (** Stitch run [run] ([count] requests) out of the plane's journal and

@@ -16,14 +16,6 @@ type t = {
   progs : progs;
 }
 
-let filter_rule (r : PS.mount_rule) : Compile.mount_rule =
-  { Compile.fm_source = r.PS.mr_source;
-    fm_target = r.PS.mr_target;
-    fm_fstype = r.PS.mr_fstype;
-    fm_flags = r.PS.mr_flags;
-    fm_user_only = (r.PS.mr_mode = `User);
-    fm_phase = r.PS.mr_phase }
-
 (* The policy fields are immutable values (lists, records): aliasing them
    into a fresh record decouples the snapshot from every future mutation
    of the live state, which only ever replaces whole fields. *)
@@ -42,7 +34,7 @@ let copy_state (st : PS.t) =
 let freeze ~epoch (st : PS.t) =
   let frozen = copy_state st in
   let gens = Array.of_list (List.map (PS.generation st) PS.sources) in
-  let rules = List.map filter_rule frozen.PS.mounts in
+  let rules = List.map PS.filter_rule frozen.PS.mounts in
   let progs =
     { p_mount = Compile.mount rules;
       p_umount = Compile.umount rules;
@@ -66,14 +58,6 @@ let gen_for t s = t.gens.(PS.source_index s)
 let ref_mount ?phase t ~source ~target ~fstype ~flags =
   PS.mount_decision ?phase t.frozen ~source ~target ~fstype ~flags
 
-let ref_umount ?phase t ~target ~mounted_by ~ruid =
-  PS.umount_decision ?phase t.frozen ~target ~mounted_by ~ruid
-
-let ref_bind ?phase t ~port ~proto ~exe ~uid =
-  PS.bind_allowed ?phase t.frozen ~port ~proto ~exe ~uid
-
-let ref_ppp ?phase t ~device ~opt =
-  PS.ppp_ioctl_decision ?phase t.frozen ~device ~opt
 
 (* --- publication -------------------------------------------------------- *)
 

@@ -46,31 +46,12 @@ val clone_progs : t -> progs
 val gen_for : t -> PS.source -> int
 (** The frozen generation of one source. *)
 
-(** {1 Reference oracles}
-
-    The list-walking reference semantics evaluated against the frozen
-    state — what the [ref] engine runs and what differential tests
-    compare compiled verdicts to.  [?phase] is the subject's lifecycle
-    phase: rules whose guard is inactive there are skipped, exactly as
-    the compiled per-phase ladders do (default: no phase filtering,
-    which coincides with {!Protego_base.Phase.initial} for tighten-only
-    policies). *)
-
 val ref_mount :
   ?phase:Protego_base.Phase.t -> t -> source:string -> target:string ->
   fstype:string -> flags:Protego_kernel.Ktypes.mount_flag list -> bool
-
-val ref_umount :
-  ?phase:Protego_base.Phase.t -> t -> target:string -> mounted_by:int ->
-  ruid:int -> bool
-
-val ref_bind :
-  ?phase:Protego_base.Phase.t -> t -> port:int ->
-  proto:Protego_policy.Bindconf.proto -> exe:string -> uid:int -> bool
-
-val ref_ppp :
-  ?phase:Protego_base.Phase.t -> t -> device:string ->
-  opt:Protego_net.Ppp.option_ -> bool
+(** The reference mount decision against the frozen state
+    ({!PS.mount_decision}); {!Plane.snapshot_oracle} covers every plane
+    hook. *)
 
 (** {1 Publication} *)
 

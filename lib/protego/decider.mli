@@ -1,0 +1,142 @@
+(** The decision ladder — front slot, then {!Decision_cache} table, then
+    engine — in the one implementation every filtered decision runs
+    through: the LSM hooks ({!Pfm_dispatch}) and every decision-plane
+    worker alike.
+
+    The slot is compared by {e physical} identity of the raw arguments
+    (sound: they are immutable) and stamped with the cache epoch plus
+    one caller-supplied [stamp]: the source generation on the LSM path,
+    the snapshot epoch on a plane worker.  Table entries are stamped
+    with the source generation [gen].  The caller's lifecycle phase
+    index keys both, so a phase transition strands exactly the
+    transitioning subject's cached verdicts.  Caches and slots hold only
+    {e true} verdicts; record mode flips a would-deny afterwards
+    ({!flip}).  A decider is single-threaded: each plane worker owns
+    one. *)
+
+module Pfm = Protego_filter.Pfm
+
+(** {1 Per-hook facts} *)
+
+type kind = Mount | Umount | Bind | Nf_output | Ppp_ioctl
+
+val kind_name : kind -> string
+(** ["mount"], ["umount"], ["bind"], ["nf_output"], ["ppp_ioctl"] — the
+    name every counter, cache line and latency series carries. *)
+
+val deny_errno : kind -> Protego_base.Errno.t option
+(** What a denial on the hook returns: [EACCES] for bind, [EPERM] for
+    mount, umount and ppp_ioctl; none for nf_output, whose denial is a
+    dropped packet. *)
+
+val errno : kind -> Pfm.verdict -> Protego_base.Errno.t option
+(** [None] for [Allow], {!deny_errno} otherwise. *)
+
+(** {1 Canonical argument encodings}
+
+    The decision-cache table key of each hook's arguments under a phase
+    index, which leads.  US (unit separator) cannot appear in any path,
+    fstype or rendered integer, so the encodings are injective.  Flag
+    lists canonicalize to their bitmask; a ppp option to the one bit of
+    it the decision reads (whether it is intrinsically safe); a packet
+    to its PFM context's integer fields. *)
+
+val mount_args :
+  phase:int -> source:string -> target:string -> fstype:string ->
+  flags:Protego_kernel.Ktypes.mount_flag list -> string
+
+val umount_args : phase:int -> target:string -> mounted_by:int -> string
+
+val bind_args :
+  phase:int -> port:int -> proto:Protego_policy.Bindconf.proto ->
+  exe:string -> string
+
+val ppp_args : phase:int -> device:string -> opt:Protego_net.Ppp.option_ -> string
+
+val nf_args : int -> Protego_net.Packet.t * Protego_net.Packet.origin -> string
+(** A hook [args] function as it stands: the phase is ignored. *)
+
+(** {1 Deciders and hooks} *)
+
+type engine = [ `Pfm | `Ref ]
+
+type stats = private {
+  mutable served : int;        (** decisions served, by any rung *)
+  mutable served_allow : int;
+  mutable served_deny : int;   (** deny + reject *)
+  mutable evals : int;         (** engine evaluations (table misses) *)
+  mutable eval_allow : int;
+  mutable eval_deny : int;
+  mutable eval_reject : int;
+}
+(** Per-hook counters.  The LSM's filter_stats shows the engine ones;
+    the plane shows the served ones. *)
+
+type t
+type ('e, 'a) hook
+(** One hook's front slot, cache-table hook, latency series, counters
+    and engine; ['a] is the raw argument value the slot holds, ['e] the
+    environment the engine evaluates in. *)
+
+val create : cache:Decision_cache.t -> trace:Trace.t -> t
+(** A decider serving through [cache] and recording into [trace] (it
+    becomes the tracer's {!Trace.on_arm} listener).  Record mode off. *)
+
+val hook :
+  t -> kind -> args:(int -> 'a -> string) ->
+  eval:('e -> engine -> phase:int -> subject:int -> 'a -> Pfm.verdict) ->
+  ('e, 'a) hook
+(** Register a hook: its cache-table hook and its [cache]/[pfm]/[ref]
+    latency series, in call order.  [args phase raw] renders the table
+    key; it runs only on a slot miss while the cache is enabled.
+    [eval env engine ~phase ~subject raw] is the hook's engine: the
+    compiled program or the reference walk, as [engine] says. *)
+
+val cache : t -> Decision_cache.t
+val trace : t -> Trace.t
+val kind : ('e, 'a) hook -> kind
+val stats : ('e, 'a) hook -> stats
+val reset_stats : ('e, 'a) hook -> unit
+
+val hits : ('e, 'a) hook -> int
+(** Front-slot plus table hits, as the cache's per-hook line counts them. *)
+
+(** {1 The ladder} *)
+
+val probe :
+  t -> ('e, 'a) hook -> stamp:int -> gen:int -> subject:int -> phase:int ->
+  'a option
+(** Open a decision: start its clock (while traced), remember its
+    scalars for the {!hit} or {!miss} that must follow, and return the
+    slot's raw arguments when the slot is fresh for them — cache
+    enabled, same cache epoch, [stamp], [subject] and [phase]. *)
+
+val hit : t -> ('e, 'a) hook -> Pfm.verdict
+(** Serve the probed slot (counted as a cache hit). *)
+
+val miss : t -> ('e, 'a) hook -> 'e -> raw:'a -> engine:engine -> Pfm.verdict
+(** Serve the probed decision off the table, or else by running the
+    hook's engine in the given environment, memoizing the result; then
+    refill the slot with [raw] (skipped while the cache is disabled, so a
+    bypassed decision is never replayed after re-enabling). *)
+
+(** {1 Record mode} *)
+
+val record : t -> bool
+
+val set_record : t -> bool -> unit
+
+val flip : t -> Pfm.verdict -> Pfm.verdict
+(** The verdict to serve: [Allow] for a would-deny while record mode is
+    on (then {!last_recorded} is true), the verdict itself otherwise. *)
+
+val last_recorded : t -> bool
+
+(** {1 Last decision} *)
+
+val last_engine : t -> string
+(** What served the most recent decision: ["cache"], ["pfm"] or
+    ["ref"]; ["pfm"] before any. *)
+
+val last_span : t -> int option
+(** Span id of the most recent decision; [None] when spans were off. *)

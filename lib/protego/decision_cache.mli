@@ -1,12 +1,10 @@
 (** The hot-path decision cache: a fixed-capacity, generation-stamped memo
-    table in front of the filter-machine dispatcher.
+    table, the middle rung of the {!Decider} ladder.
 
     A filtered hook's decision is a pure function of (policy sources it
-    reads, subject credential key, canonicalized argument tuple).  The
-    dispatcher therefore memoizes verdicts: the lookup order on every
-    filtered hook is {e cache -> compiled PFM -> reference engine}.  Both
-    positive (Allow) and negative (Deny/Reject, with the errno the hook
-    would return) results are cached.
+    reads, subject credential key, canonicalized argument tuple), so its
+    verdict is memoized — positive (Allow) and negative (Deny/Reject,
+    with the errno the hook would return) alike.
 
     {b Invalidation is lazy and per-source, not a global flush.}  Every
     policy source carries a generation counter ({!Policy_state.generation});
@@ -78,13 +76,9 @@ val add :
 
 (** {1 Front slots}
 
-    Building the canonical argument string costs as much as evaluating a
-    small compiled program, so the dispatcher keeps a one-entry front slot
-    per hook, compared by {e physical} identity of the raw arguments (sound:
-    the argument values are immutable) and validated by the same generation
-    stamps.  The two functions below keep such slots coherent with this
-    table: a slot is only served while {!epoch} still has the value the slot
-    was stamped with, and a slot hit is counted here like any other hit. *)
+    {!Decider} keeps a one-entry front slot per hook ahead of this table.
+    A slot is only served while {!epoch} still has the value the slot was
+    stamped with, and a slot hit is counted here like any other hit. *)
 
 val epoch : t -> int
 (** Changes whenever memoized entries are dropped wholesale ({!clear} /

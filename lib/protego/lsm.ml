@@ -69,15 +69,15 @@ let stock = Security.stock_linux
    phase — the policy synthesizer's raw input.  [verdict=allow] marks a
    genuine allow, [verdict=recorded] a would-deny the permissive mode
    flipped; none of the values contain spaces. *)
+let record_verdict disp =
+  if Pfm_dispatch.last_recorded disp then "recorded" else "allow"
+
 let record_emit disp m task ~hook ~subject ~desc =
   if Pfm_dispatch.record_mode disp then
-    let verdict =
-      if Pfm_dispatch.last_recorded disp then "recorded" else "allow"
-    in
     Audit.emit m task ~op:("record-" ^ hook)
       ~obj:
         (Printf.sprintf "phase=%s subject=%d verdict=%s %s"
-           (Phase.to_string task.sec.phase) subject verdict desc)
+           (Phase.to_string task.sec.phase) subject (record_verdict disp) desc)
       ~allowed:true
 
 let sb_mount disp st m task ~source ~target ~fstype ~flags =
@@ -650,30 +650,22 @@ let install_proc_files m st disp =
       | Error msg ->
           log_dmesg m "protego: %s" msg;
           Error Errno.EINVAL);
-  add "/proc/protego/cache_stats"
-    ~read:(fun _m _t -> Ok (Pfm_dispatch.render_cache disp))
-    ~write:(fun m _t contents ->
-      match Pfm_dispatch.handle_cache_write disp contents with
-      | Ok () -> Ok ()
-      | Error msg ->
-          log_dmesg m "protego: %s" msg;
-          Error Errno.EINVAL);
-  add "/proc/protego/trace"
-    ~read:(fun _m _t -> Ok (Pfm_dispatch.render_trace disp))
-    ~write:(fun m _t contents ->
-      match Pfm_dispatch.handle_trace_write disp contents with
-      | Ok () -> Ok ()
-      | Error msg ->
-          log_dmesg m "protego: %s" msg;
-          Error Errno.EINVAL);
-  add "/proc/protego/latency"
-    ~read:(fun _m _t -> Ok (Pfm_dispatch.render_latency disp))
-    ~write:(fun m _t contents ->
-      match Pfm_dispatch.handle_latency_write disp contents with
-      | Ok () -> Ok ()
-      | Error msg ->
-          log_dmesg m "protego: %s" msg;
-          Error Errno.EINVAL)
+  (* The dispatcher's counter files: the render on read, the handler's
+     commands on write (EINVAL plus a dmesg line on a bad one). *)
+  List.iter
+    (fun (name, render, handle) ->
+      add ("/proc/protego/" ^ name)
+        ~read:(fun _m _t -> Ok (render disp))
+        ~write:(fun m _t contents ->
+          match handle disp contents with
+          | Ok () -> Ok ()
+          | Error msg ->
+              log_dmesg m "protego: %s" msg;
+              Error Errno.EINVAL))
+    Pfm_dispatch.
+      [ ("cache_stats", render_cache, handle_cache_write);
+        ("trace", render_trace, handle_trace_write);
+        ("latency", render_latency, handle_latency_write) ]
 
 let install_sysfs_dm_files m =
   let kt = Machine.kernel_task m in
@@ -726,9 +718,7 @@ let install m =
             trail rides on the kernel task with the origin uid in the
             descriptor; packets carry no lifecycle phase (phase=-). *)
          (if Pfm_dispatch.record_mode disp then
-            let verdict =
-              if Pfm_dispatch.last_recorded disp then "recorded" else "allow"
-            in
+            let verdict = record_verdict disp in
             let uid =
               match origin with
               | Packet.Kernel_stack -> 0

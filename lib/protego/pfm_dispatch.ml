@@ -4,14 +4,13 @@ module Netfilter = Protego_net.Netfilter
 module Packet = Protego_net.Packet
 module Bindconf = Protego_policy.Bindconf
 module Pppopts = Protego_policy.Pppopts
-module Errno = Protego_base.Errno
 module Phase = Protego_base.Phase
 
 module Policy_lint = Protego_analysis.Policy_lint
 module Pfm_opt = Protego_filter.Pfm_opt
 module Pfm_equiv = Protego_analysis.Pfm_equiv
 
-type engine = [ `Pfm | `Ref ]
+type engine = Decider.engine
 type lint_mode = [ `Warn | `Enforce ]
 
 type hook_stats = {
@@ -23,7 +22,18 @@ type hook_stats = {
   mutable insns : int;
 }
 
-type 'k cache = { mutable slot : ('k * Pfm.program) option }
+(* One hook's compiled program, keyed on the physical identity of the
+   policy source it was compiled from, with the recompiles a source change
+   forced and the bytecode instructions its runs retired. *)
+type 'k prog = {
+  mutable slot : ('k * Pfm.program) option;
+  mutable invalidations : int;
+  mutable insns : int;
+}
+
+(* A hook's ladder and its program, whatever their argument and source
+   types: what the per-hook /proc and optimizer walks iterate over. *)
+type any_hook = Hook : ('e, 'a) Decider.hook * 'k prog -> any_hook
 
 (* Last source value observed by a decision, by physical identity.  When it
    changes without a /proc write having bumped the generation (direct field
@@ -32,99 +42,26 @@ type 'k cache = { mutable slot : ('k * Pfm.program) option }
    old value can never be served. *)
 type 'k watch = { mutable seen : 'k option }
 
-(* One-entry front slot per hook, ahead of the {!Decision_cache} table.
-   Where the table keys on the canonical argument string, the slot keys on
-   the raw arguments by physical identity ('a is the hook's raw tuple) —
-   sound because the argument values are immutable, and cheap enough that a
-   repeated decision costs a handful of compares.  Validity is the same
-   generation check the table uses, plus the cache epoch (a wholesale
-   [clear]/[reset] must not leave a servable slot behind).  [s_x] carries
-   the hook's canonicalized integer argument (flag mask, port/proto,
-   option-safety bit); hooks without one leave it 0. *)
-type 'a slot = {
-  mutable s_epoch : int;  (* -1: never filled *)
-  mutable s_gen : int;
-  mutable s_sub : int;
-  mutable s_ph : int;  (* subject's lifecycle-phase index at fill time *)
-  mutable s_x : int;
-  mutable s_args : 'a option;
-  mutable s_verdict : Pfm.verdict;
-}
-
-let fresh_slot () =
-  { s_epoch = -1; s_gen = 0; s_sub = 0; s_ph = 0; s_x = 0; s_args = None;
-    s_verdict = Pfm.Deny }
-
-(* One latency histogram per engine that can serve a hook's decision. *)
-type engine_keys = {
-  ek_cache : Trace.key;
-  ek_pfm : Trace.key;
-  ek_ref : Trace.key;
-}
-
 type t = {
   mutable engine : engine;
   mutable lint_mode : lint_mode;
-  mutable record : bool;
-      (** permissive record mode: would-be denials are granted, flagged
-          via [last_recorded] so the hook layer can audit them *)
-  mutable last_recorded : bool;
-      (** the most recent decision was a would-deny flipped by record
-          mode (false on every genuine allow/deny) *)
-  mutable last_engine : string;
-      (** what served the most recent decision: "cache", "pfm" or "ref" *)
-  mount_cache : Policy_state.mount_rule list cache;
-  umount_cache : Policy_state.mount_rule list cache;
-  bind_cache : Bindconf.entry list cache;
-  ppp_cache : Pppopts.t cache;
-  nf_cache : (Netfilter.rule list * Netfilter.verdict) cache;
-  mount_stats : hook_stats;
-  umount_stats : hook_stats;
-  bind_stats : hook_stats;
-  nf_stats : hook_stats;
-  ppp_stats : hook_stats;
-  (* decision cache and its per-hook counters *)
-  dcache : Decision_cache.t;
-  ch_mount : Decision_cache.hook;
-  ch_umount : Decision_cache.hook;
-  ch_bind : Decision_cache.hook;
-  ch_nf : Decision_cache.hook;
-  ch_ppp : Decision_cache.hook;
+  dec : Decider.t;
+  (* the ladder's hooks, keyed by their raw argument tuples *)
+  mount :
+    ( Policy_state.t,
+      string * string * string * Protego_kernel.Ktypes.mount_flag list )
+    Decider.hook;
+  umount : (Policy_state.t, string * int) Decider.hook;
+  bind : (Policy_state.t, string * int * Bindconf.proto) Decider.hook;
+  nf : (Netfilter.t, Packet.t * Packet.origin) Decider.hook;
+  ppp : (Policy_state.t, string * Protego_net.Ppp.option_) Decider.hook;
+  hooks : (string * any_hook) list;  (* filter_stats order, by name *)
   (* physical-identity watches backing the generation counters *)
   mounts_watch : Policy_state.mount_rule list watch;
   binds_watch : Bindconf.entry list watch;
   ppp_watch : Pppopts.t watch;
   nf_watch : (Netfilter.rule list * Netfilter.verdict) watch;
   mutable nf_gen : int;
-  (* per-hook front slots (physical-identity fast path) *)
-  mount_slot :
-    (string * string * string * Protego_kernel.Ktypes.mount_flag list) slot;
-  umount_slot : string slot;
-  bind_slot : string slot;
-  ppp_slot : (string * Protego_net.Ppp.option_) slot;
-  nf_slot : (Packet.t * Packet.origin) slot;
-  (* scratch generation vectors, one per hook, reused on every decision so
-     the hit path allocates nothing but the key *)
-  g_mount : int array;
-  g_umount : int array;
-  g_bind : int array;
-  g_ppp : int array;
-  g_nf : int array;
-  (* decision tracing: per-(hook, engine) latency histograms, the span
-     ring, and the span id of the most recent decision (for audit) *)
-  trace : Trace.t;
-  mutable traced : bool;
-      (* mirror of [Trace.armed trace] (kept current via [Trace.on_arm]):
-         the decision prologue reads it from this record instead of
-         chasing into the tracer *)
-  tk_mount : engine_keys;
-  tk_umount : engine_keys;
-  tk_bind : engine_keys;
-  tk_nf : engine_keys;
-  tk_ppp : engine_keys;
-  mutable last_span : int;
-      (* span id of the last decision, 0 when none: kept unboxed so the
-         untraced hot path clears it with a plain store, not caml_modify *)
   (* profile-guided recompilation: per hook the (original, optimized)
      pair currently installed, a human-readable status, the running
      count of gate rejections, and pending log lines for dmesg/audit *)
@@ -134,116 +71,165 @@ type t = {
   mutable opt_log : string list; (* newest first *)
 }
 
-let fresh_stats () =
-  { evals = 0; allow = 0; deny = 0; reject = 0; invalidations = 0; insns = 0 }
+let fresh_prog () = { slot = None; invalidations = 0; insns = 0 }
 
-let engine_keys tr hook =
-  { ek_cache = Trace.register tr ~hook ~engine:"cache";
-    ek_pfm = Trace.register tr ~hook ~engine:"pfm";
-    ek_ref = Trace.register tr ~hook ~engine:"ref" }
+(* Run the hook's program for [key], recompiling when the source changed
+   since the last compile. *)
+let run c ~same ~key ~compile ctx =
+  let p =
+    match c.slot with
+    | Some (k, p) when same k key -> p
+    | prev ->
+        if Option.is_some prev then c.invalidations <- c.invalidations + 1;
+        let p = compile key in
+        c.slot <- Some (key, p);
+        p
+  in
+  let before = p.Pfm.retired in
+  let v = Pfm.eval p ctx in
+  c.insns <- c.insns + (p.Pfm.retired - before);
+  v
+
+let of_bool b = if b then Pfm.Allow else Pfm.Deny
+
+let filter_rules rules = List.map Policy_state.filter_rule rules
 
 let create () =
-  let dcache = Decision_cache.create () in
-  let tr = Trace.create () in
-  let t =
-    { engine = `Pfm;
-    lint_mode = `Warn;
-    record = false;
-    last_recorded = false;
-    last_engine = "pfm";
-    mount_cache = { slot = None };
-    umount_cache = { slot = None };
-    bind_cache = { slot = None };
-    ppp_cache = { slot = None };
-    nf_cache = { slot = None };
-    mount_stats = fresh_stats ();
-    umount_stats = fresh_stats ();
-    bind_stats = fresh_stats ();
-    nf_stats = fresh_stats ();
-    ppp_stats = fresh_stats ();
-    dcache;
-    ch_mount = Decision_cache.register dcache "mount";
-    ch_umount = Decision_cache.register dcache "umount";
-    ch_bind = Decision_cache.register dcache "bind";
-    ch_nf = Decision_cache.register dcache "nf_output";
-    ch_ppp = Decision_cache.register dcache "ppp_ioctl";
-    mounts_watch = { seen = None };
-    binds_watch = { seen = None };
-    ppp_watch = { seen = None };
-    nf_watch = { seen = None };
-    nf_gen = 0;
-    mount_slot = fresh_slot ();
-    umount_slot = fresh_slot ();
-    bind_slot = fresh_slot ();
-    ppp_slot = fresh_slot ();
-    nf_slot = fresh_slot ();
-    g_mount = [| 0 |];
-    g_umount = [| 0 |];
-    g_bind = [| 0 |];
-    g_ppp = [| 0 |];
-    g_nf = [| 0 |];
-    trace = tr;
-    traced = false;
-    tk_mount = engine_keys tr "mount";
-    tk_umount = engine_keys tr "umount";
-    tk_bind = engine_keys tr "bind";
-    tk_nf = engine_keys tr "nf_output";
-    tk_ppp = engine_keys tr "ppp_ioctl";
-      last_span = 0;
-      opt_installed = Hashtbl.create 8;
-      opt_status = Hashtbl.create 8;
-      opt_rejects = 0;
-      opt_log = [] }
+  let dec =
+    Decider.create ~cache:(Decision_cache.create ()) ~trace:(Trace.create ())
   in
-  (* Clearing last_span here (not per decision) keeps the unarmed hot
-     path store-free: while armed every decision sets it in [conclude],
-     while unarmed it stays 0. *)
-  Trace.on_arm tr (fun armed ->
-      t.traced <- armed;
-      t.last_span <- 0);
-  t
+  let mount_prog = fresh_prog () and umount_prog = fresh_prog () in
+  let bind_prog = fresh_prog () and nf_prog = fresh_prog () in
+  let ppp_prog = fresh_prog () in
+  (* Each hook's engine runs its policy source compiled (lazily) into a
+     PFM program, or the reference walk.  Registration order fixes the
+     order of the cache_stats and latency lines. *)
+  let mount =
+    Decider.hook dec Decider.Mount
+      ~args:(fun phase (source, target, fstype, flags) ->
+        Decider.mount_args ~phase ~source ~target ~fstype ~flags)
+      ~eval:(fun st engine ~phase ~subject:_ (source, target, fstype, flags) ->
+        match engine with
+        | `Ref ->
+            of_bool
+              (Policy_state.mount_decision ~phase:(Phase.of_index phase) st
+                 ~source ~target ~fstype ~flags)
+        | `Pfm ->
+            run mount_prog ~same:( == ) ~key:st.Policy_state.mounts
+              ~compile:(fun rules -> Compile.mount (filter_rules rules))
+              (Compile.mount_ctx ~phase ~source ~target ~fstype ~flags))
+  in
+  let umount =
+    Decider.hook dec Decider.Umount
+      ~args:(fun phase (target, mounted_by) ->
+        Decider.umount_args ~phase ~target ~mounted_by)
+      ~eval:(fun st engine ~phase ~subject:ruid (target, mounted_by) ->
+        match engine with
+        | `Ref ->
+            of_bool
+              (Policy_state.umount_decision ~phase:(Phase.of_index phase) st
+                 ~target ~mounted_by ~ruid)
+        | `Pfm ->
+            run umount_prog ~same:( == ) ~key:st.Policy_state.mounts
+              ~compile:(fun rules -> Compile.umount (filter_rules rules))
+              (Compile.umount_ctx ~phase ~target ~mounted_by ~ruid))
+  in
+  let bind =
+    Decider.hook dec Decider.Bind
+      ~args:(fun phase (exe, port, proto) ->
+        Decider.bind_args ~phase ~port ~proto ~exe)
+      ~eval:(fun st engine ~phase ~subject:uid (exe, port, proto) ->
+        match engine with
+        | `Ref ->
+            of_bool
+              (Policy_state.bind_allowed ~phase:(Phase.of_index phase) st ~port
+                 ~proto ~exe ~uid)
+        | `Pfm ->
+            run bind_prog ~same:( == ) ~key:st.Policy_state.binds
+              ~compile:Compile.bind
+              (Compile.bind_ctx ~phase ~port ~proto ~exe ~uid))
+  in
+  let nf =
+    Decider.hook dec Decider.Nf_output ~args:Decider.nf_args
+      ~eval:(fun nf engine ~phase:_ ~subject:_ (pkt, origin) ->
+        match engine with
+        | `Ref ->
+            Compile.verdict_of_netfilter
+              (Netfilter.walk nf Netfilter.Output pkt ~origin)
+        | `Pfm ->
+            run nf_prog
+              ~same:(fun (r1, p1) (r2, p2) -> r1 == r2 && p1 = p2)
+              ~key:
+                ( Netfilter.rules nf Netfilter.Output,
+                  Netfilter.policy nf Netfilter.Output )
+              ~compile:(fun (rules, policy) -> Compile.netfilter ~rules ~policy)
+              (Compile.packet_ctx pkt ~origin))
+  in
+  let ppp =
+    Decider.hook dec Decider.Ppp_ioctl
+      ~args:(fun phase (device, opt) -> Decider.ppp_args ~phase ~device ~opt)
+      ~eval:(fun st engine ~phase ~subject:_ (device, opt) ->
+        match engine with
+        | `Ref ->
+            of_bool
+              (Policy_state.ppp_ioctl_decision ~phase:(Phase.of_index phase) st
+                 ~device ~opt)
+        | `Pfm ->
+            run ppp_prog ~same:( == ) ~key:st.Policy_state.ppp
+              ~compile:Compile.ppp_ioctl (Compile.ppp_ctx ~phase ~device ~opt))
+  in
+  let hooks =
+    List.map
+      (fun (Hook (h, _) as hp) -> (Decider.kind_name (Decider.kind h), hp))
+      [ Hook (mount, mount_prog); Hook (umount, umount_prog);
+        Hook (bind, bind_prog); Hook (nf, nf_prog); Hook (ppp, ppp_prog) ]
+  in
+  { engine = `Pfm; lint_mode = `Warn; dec; mount; umount; bind; nf; ppp; hooks;
+    mounts_watch = { seen = None }; binds_watch = { seen = None };
+    ppp_watch = { seen = None }; nf_watch = { seen = None }; nf_gen = 0;
+    opt_installed = Hashtbl.create 8; opt_status = Hashtbl.create 8;
+    opt_rejects = 0; opt_log = [] }
 
 let engine t = t.engine
 let set_engine t e = t.engine <- e
 let engine_name t = match t.engine with `Pfm -> "pfm" | `Ref -> "ref"
-let decision_engine_name t = t.last_engine
+let decision_engine_name t = Decider.last_engine t.dec
 let lint_mode t = t.lint_mode
 let set_lint_mode t m = t.lint_mode <- m
 
-let record_mode t = t.record
-let set_record t on = t.record <- on; t.last_recorded <- false
-let last_recorded t = t.last_recorded
+let record_mode t = Decider.record t.dec
+let set_record t on = Decider.set_record t.dec on
+let last_recorded t = Decider.last_recorded t.dec
 
 let lint_mode_name t =
   match t.lint_mode with `Warn -> "warn" | `Enforce -> "enforce"
 
-let cache t = t.dcache
-let trace t = t.trace
-let last_span t = if t.last_span = 0 then None else Some t.last_span
+let cache t = Decider.cache t.dec
+let trace t = Decider.trace t.dec
+let last_span t = Decider.last_span t.dec
 
-let hooks t =
-  [ ("mount", t.mount_stats); ("umount", t.umount_stats);
-    ("bind", t.bind_stats); ("nf_output", t.nf_stats);
-    ("ppp_ioctl", t.ppp_stats) ]
-
-let stats = hooks
+let stats t =
+  List.map
+    (fun (name, Hook (h, p)) ->
+      let s = Decider.stats h in
+      ( name,
+        { evals = s.Decider.evals; allow = s.Decider.eval_allow;
+          deny = s.Decider.eval_deny; reject = s.Decider.eval_reject;
+          invalidations = p.invalidations; insns = p.insns } ))
+    t.hooks
 
 let reset_stats t =
   List.iter
-    (fun (_, s) ->
-      s.evals <- 0; s.allow <- 0; s.deny <- 0; s.reject <- 0;
-      s.invalidations <- 0; s.insns <- 0)
-    (hooks t)
+    (fun (_, Hook (h, p)) ->
+      Decider.reset_stats h;
+      p.invalidations <- 0;
+      p.insns <- 0)
+    t.hooks
 
 let cached_program t name =
-  let slot c = Option.map snd c.slot in
-  match name with
-  | "mount" -> slot t.mount_cache
-  | "umount" -> slot t.umount_cache
-  | "bind" -> slot t.bind_cache
-  | "nf_output" -> slot t.nf_cache
-  | "ppp_ioctl" -> slot t.ppp_cache
-  | _ -> None
+  match List.assoc_opt name t.hooks with
+  | Some (Hook (_, { slot = Some (_, p); _ })) -> Some p
+  | Some (Hook (_, { slot = None; _ })) | None -> None
 
 (* --- profile-guided recompilation --------------------------------------- *)
 
@@ -263,7 +249,7 @@ let opt_rejects t = t.opt_rejects
    {!Pfm_equiv.prove} must return [Equal].  A counterexample or an
    [Unknown] keeps the original program running and leaves an audit line
    — "trust me" never installs. *)
-let optimize_slot t name (c : _ cache) =
+let optimize_slot t (name, Hook (_, c)) =
   match c.slot with
   | None -> (name, "skipped: no compiled program")
   | Some (key, p) ->
@@ -299,14 +285,9 @@ let optimize_slot t name (c : _ cache) =
                 | Pfm_equiv.Unknown m -> reject ("unproven: " ^ m)))
       end
 
-let optimize t =
-  [ optimize_slot t "mount" t.mount_cache;
-    optimize_slot t "umount" t.umount_cache;
-    optimize_slot t "bind" t.bind_cache;
-    optimize_slot t "nf_output" t.nf_cache;
-    optimize_slot t "ppp_ioctl" t.ppp_cache ]
+let optimize t = List.map (optimize_slot t) t.hooks
 
-let deoptimize_slot t name (c : _ cache) =
+let deoptimize_slot t (name, Hook (_, c)) =
   match Hashtbl.find_opt t.opt_installed name with
   | None -> ()
   | Some (orig, q) ->
@@ -317,552 +298,126 @@ let deoptimize_slot t name (c : _ cache) =
       Hashtbl.remove t.opt_status name;
       log_opt t (Printf.sprintf "opt %s reverted" name)
 
-let deoptimize t =
-  deoptimize_slot t "mount" t.mount_cache;
-  deoptimize_slot t "umount" t.umount_cache;
-  deoptimize_slot t "bind" t.bind_cache;
-  deoptimize_slot t "nf_output" t.nf_cache;
-  deoptimize_slot t "ppp_ioctl" t.ppp_cache
+let deoptimize t = List.iter (deoptimize_slot t) t.hooks
 
 (* The status {!render} shows: "active" only while the optimized program
    is still the one the slot serves; a reload that recompiled from
    source demotes it to stale. *)
-let opt_status_line t name (c : _ cache) =
-  match Hashtbl.find_opt t.opt_status name with
-  | None -> "none"
-  | Some s -> (
-      match Hashtbl.find_opt t.opt_installed name, c.slot with
-      | Some (_, q), Some (_, cur) when cur == q -> s
-      | Some _, _ -> "stale (policy changed)"
-      | None, _ -> s)
+let opt_status_line t (name, Hook (_, c)) =
+  ( name,
+    match Hashtbl.find_opt t.opt_status name with
+    | None -> "none"
+    | Some s -> (
+        match Hashtbl.find_opt t.opt_installed name, c.slot with
+        | Some (_, q), Some (_, cur) when cur == q -> s
+        | Some _, _ -> "stale (policy changed)"
+        | None, _ -> s) )
 
-let opt_statuses t =
-  [ ("mount", opt_status_line t "mount" t.mount_cache);
-    ("umount", opt_status_line t "umount" t.umount_cache);
-    ("bind", opt_status_line t "bind" t.bind_cache);
-    ("nf_output", opt_status_line t "nf_output" t.nf_cache);
-    ("ppp_ioctl", opt_status_line t "ppp_ioctl" t.ppp_cache) ]
+let opt_statuses t = List.map (opt_status_line t) t.hooks
 
-(* --- generation vectors ------------------------------------------------- *)
+(* --- generations and programs ------------------------------------------ *)
 
-(* Refresh one watched Policy_state source and return the hook's current
-   generation vector (in the hook's scratch array). *)
-let source_gens watch st source ~key ~scratch =
+(* Refresh one watched Policy_state source and return its generation. *)
+let source_gen watch st source ~key =
   (match watch.seen with
    | Some k when k == key -> ()
    | Some _ ->
        Policy_state.bump_generation st source;
        watch.seen <- Some key
    | None -> watch.seen <- Some key);
-  scratch.(0) <- Policy_state.generation st source;
-  scratch
+  Policy_state.generation st source
 
-let mount_gens t (st : Policy_state.t) =
-  source_gens t.mounts_watch st Policy_state.Mounts ~key:st.Policy_state.mounts
-    ~scratch:t.g_mount
-
-let umount_gens t (st : Policy_state.t) =
-  source_gens t.mounts_watch st Policy_state.Mounts ~key:st.Policy_state.mounts
-    ~scratch:t.g_umount
-
-let bind_gens t (st : Policy_state.t) =
-  source_gens t.binds_watch st Policy_state.Binds ~key:st.Policy_state.binds
-    ~scratch:t.g_bind
-
-let ppp_gens t (st : Policy_state.t) =
-  source_gens t.ppp_watch st Policy_state.Ppp ~key:st.Policy_state.ppp
-    ~scratch:t.g_ppp
+let mounts_gen t (st : Policy_state.t) =
+  source_gen t.mounts_watch st Policy_state.Mounts ~key:st.Policy_state.mounts
 
 (* The netfilter chain lives on the machine, not in Policy_state; its
    generation counter is dispatcher-local. *)
-let nf_gens t ~rules ~policy =
+let nf_gen t nf =
+  let rules = Netfilter.rules nf Netfilter.Output in
+  let policy = Netfilter.policy nf Netfilter.Output in
   (match t.nf_watch.seen with
    | Some (r, p) when r == rules && p = policy -> ()
    | Some _ ->
        t.nf_gen <- t.nf_gen + 1;
        t.nf_watch.seen <- Some (rules, policy)
    | None -> t.nf_watch.seen <- Some (rules, policy));
-  t.g_nf.(0) <- t.nf_gen;
-  t.g_nf
-
-(* --- cache + evaluation plumbing --------------------------------------- *)
-
-let fetch cache st ~same ~key ~compile =
-  match cache.slot with
-  | Some (k, p) when same k key -> p
-  | prev ->
-      (match prev with
-       | Some _ -> st.invalidations <- st.invalidations + 1
-       | None -> ());
-      let p = compile key in
-      cache.slot <- Some (key, p);
-      p
-
-let run st (p : Pfm.program) ctx =
-  let before = p.Pfm.retired in
-  let v = Pfm.eval p ctx in
-  st.insns <- st.insns + (p.Pfm.retired - before);
-  v
-
-let tally st (v : Pfm.verdict) =
-  st.evals <- st.evals + 1;
-  (match v with
-   | Pfm.Allow -> st.allow <- st.allow + 1
-   | Pfm.Deny -> st.deny <- st.deny + 1
-   | Pfm.Reject -> st.reject <- st.reject + 1);
-  v
-
-let of_bool b = if b then Pfm.Allow else Pfm.Deny
-
-(* Canonical argument-tuple encodings.  US (unit separator) cannot appear
-   in any path, fstype or rendered integer, so the encoding is injective.
-   Flag lists are canonicalized to their bitmask (order- and
-   duplicate-insensitive); a ppp option is canonicalized to the one bit of
-   it the decision reads (whether it is intrinsically safe). *)
-let sep = "\x1f"
-
-let deny_errno e (v : Pfm.verdict) =
-  match v with Pfm.Allow -> None | Pfm.Deny | Pfm.Reject -> Some e
-
-(* Close out a traced decision: the serving engine's histogram always sees
-   the latency; a span is recorded only when spans are on ([stages] is
-   oldest-first by then).  Callers only reach this while {!Trace.armed} —
-   the untraced path skips it entirely ([last_span] was zeroed when the
-   tracer disarmed). *)
-let conclude t ek ~t0 ~stages ~verdict ~errno ~gen =
-  let tr = t.trace in
-  let fin = Trace.now tr in
-  let k =
-    match t.last_engine with
-    | "cache" -> ek.ek_cache
-    | "ref" -> ek.ek_ref
-    | _ -> ek.ek_pfm
-  in
-  Trace.observe k ~ns:(fin - t0);
-  t.last_span <-
-    (match
-       Trace.record_span tr ~hook:k.Trace.k_hook ~engine:k.Trace.k_engine
-         ~verdict ~errno ~gen ~epoch:(Decision_cache.epoch t.dcache) ~start:t0
-         ~finish:fin ~stages
-     with
-     | Some id -> id
-     | None -> 0)
-
-(* Refill a hook's front slot after a decision was served off the slow path
-   (table hit or engine run).  Skipped while the cache is disabled, so a
-   bypassed decision can never be replayed after re-enabling without the
-   table having seen it. *)
-let refill t (s : _ slot) ~gen ~sub ~ph ~x ~args ~verdict =
-  if Decision_cache.enabled t.dcache then begin
-    s.s_epoch <- Decision_cache.epoch t.dcache;
-    s.s_gen <- gen;
-    s.s_sub <- sub;
-    s.s_ph <- ph;
-    s.s_x <- x;
-    s.s_args <- Some args;
-    s.s_verdict <- verdict
-  end
+  t.nf_gen
 
 (* --- hook decisions ---------------------------------------------------- *)
 
-let filter_rule (r : Policy_state.mount_rule) : Compile.mount_rule =
-  { Compile.fm_source = r.Policy_state.mr_source;
-    fm_target = r.Policy_state.mr_target;
-    fm_fstype = r.Policy_state.mr_fstype;
-    fm_flags = r.Policy_state.mr_flags;
-    fm_user_only = (r.Policy_state.mr_mode = `User);
-    fm_phase = r.Policy_state.mr_phase }
-
-(* Every task-scoped decision is keyed on the caller's lifecycle phase —
-   in the front slot, the table key, and the PFM context alike — so a
-   phase transition makes exactly the transitioning task's stale entries
-   unreachable (they age out) while other tasks keep hitting.  Callers
-   without task context (bench, fuzz) default to [Phase.initial], which
-   is verdict-neutral for unphased policies. *)
-
-(* Every decide_* funnels its engine verdict through one of these two
-   epilogues.  Caches and front slots were already fed the TRUE verdict
-   by the time we get here, so record mode never pollutes them: only
-   the value handed back to the hook is flipped, and [last_recorded]
-   tells the hook layer to audit the would-deny. *)
-let record_result t v =
-  t.last_recorded <- t.record && v <> Pfm.Allow;
-  t.last_recorded || v = Pfm.Allow
-
-let record_nf_result t v =
-  t.last_recorded <- t.record && v <> Pfm.Allow;
-  if t.last_recorded then Netfilter.Accept else Compile.netfilter_of_verdict v
+(* Callers without task context (bench, fuzz) default to [Phase.initial],
+   which is verdict-neutral for unphased policies.  Each decision serves
+   [Decider.flip] of the ladder's true verdict. *)
 
 let decide_mount t ?(subject = 0) ?(phase = Phase.initial) (st : Policy_state.t)
     ~source ~target ~fstype ~flags =
-  let t0 = if t.traced then Trace.now t.trace else 0 in
-  let gens = mount_gens t st in
-  let s = t.mount_slot in
-  let ph = Phase.index phase in
-  if
-    Decision_cache.enabled t.dcache
-    && s.s_epoch = Decision_cache.epoch t.dcache
-    && s.s_gen = Array.unsafe_get gens 0
-    && s.s_sub = subject && s.s_ph = ph
-    && (match s.s_args with
-        | Some (sr, tg, fs, fl) ->
-            sr == source && tg == target && fs == fstype && fl == flags
-        | None -> false)
-  then begin
-    Decision_cache.record_hit t.dcache t.ch_mount;
-    t.last_engine <- "cache";
-    let v = s.s_verdict in
-    if t.traced then
-      conclude t t.tk_mount ~t0
-        ~stages:
-          (if Trace.spans_enabled t.trace then [ ("slot", Trace.now t.trace - t0) ]
-           else [])
-        ~verdict:v ~errno:(deny_errno Errno.EPERM v)
-        ~gen:(Array.unsafe_get gens 0);
-    record_result t v
-  end
-  else begin
-    let sp = t.traced && Trace.spans_enabled t.trace in
-    let stages = if sp then [ ("slot", Trace.now t.trace - t0) ] else [] in
-    let args =
-      String.concat sep
-        [ string_of_int ph; source; target; fstype;
-          string_of_int (Compile.flags_mask flags) ]
-    in
-    let found = Decision_cache.find t.dcache t.ch_mount ~subject ~args ~gens in
-    let stages = if sp then ("table", Trace.now t.trace - t0) :: stages else stages in
-    let v, errno, stages =
-      match found with
-      | Some (v, e) ->
-          t.last_engine <- "cache";
-          (v, e, stages)
-      | None ->
-          let v =
-            match t.engine with
-            | `Ref ->
-                of_bool
-                  (Policy_state.mount_decision ~phase st ~source ~target ~fstype
-                     ~flags)
-            | `Pfm ->
-                let p =
-                  fetch t.mount_cache t.mount_stats ~same:( == )
-                    ~key:st.Policy_state.mounts
-                    ~compile:(fun rules ->
-                      Compile.mount (List.map filter_rule rules))
-                in
-                run t.mount_stats p
-                  (Compile.mount_ctx ~phase:ph ~source ~target ~fstype ~flags)
-          in
-          t.last_engine <- engine_name t;
-          let v = tally t.mount_stats v in
-          let e = deny_errno Errno.EPERM v in
-          Decision_cache.add t.dcache t.ch_mount ~subject ~args ~gens ~verdict:v
-            ~errno:e;
-          (v, e,
-           if sp then ("engine", Trace.now t.trace - t0) :: stages else stages)
-    in
-    refill t s ~gen:gens.(0) ~sub:subject ~ph ~x:0
-      ~args:(source, target, fstype, flags) ~verdict:v;
-    if t.traced then
-      conclude t t.tk_mount ~t0 ~stages:(List.rev stages) ~verdict:v ~errno
-        ~gen:gens.(0);
-    record_result t v
-  end
+  let d = t.dec and h = t.mount in
+  let gen = mounts_gen t st in
+  let v =
+    match Decider.probe d h ~stamp:gen ~gen ~subject ~phase:(Phase.index phase) with
+    | Some (sr, tg, fs, fl)
+      when sr == source && tg == target && fs == fstype && fl == flags ->
+        Decider.hit d h
+    | _ ->
+        Decider.miss d h st ~raw:(source, target, fstype, flags) ~engine:t.engine
+  in
+  Decider.flip d v = Pfm.Allow
 
 let decide_umount t ?(phase = Phase.initial) (st : Policy_state.t) ~target
     ~mounted_by ~ruid =
-  let t0 = if t.traced then Trace.now t.trace else 0 in
-  let gens = umount_gens t st in
-  let s = t.umount_slot in
-  let ph = Phase.index phase in
-  if
-    Decision_cache.enabled t.dcache
-    && s.s_epoch = Decision_cache.epoch t.dcache
-    && s.s_gen = Array.unsafe_get gens 0
-    && s.s_sub = ruid && s.s_ph = ph && s.s_x = mounted_by
-    && (match s.s_args with Some tg -> tg == target | None -> false)
-  then begin
-    Decision_cache.record_hit t.dcache t.ch_umount;
-    t.last_engine <- "cache";
-    let v = s.s_verdict in
-    if t.traced then
-      conclude t t.tk_umount ~t0
-        ~stages:
-          (if Trace.spans_enabled t.trace then [ ("slot", Trace.now t.trace - t0) ]
-           else [])
-        ~verdict:v ~errno:(deny_errno Errno.EPERM v)
-        ~gen:(Array.unsafe_get gens 0);
-    record_result t v
-  end
-  else begin
-    let sp = t.traced && Trace.spans_enabled t.trace in
-    let stages = if sp then [ ("slot", Trace.now t.trace - t0) ] else [] in
-    let args =
-      string_of_int ph ^ sep ^ target ^ sep ^ string_of_int mounted_by
-    in
-    let found =
-      Decision_cache.find t.dcache t.ch_umount ~subject:ruid ~args ~gens
-    in
-    let stages = if sp then ("table", Trace.now t.trace - t0) :: stages else stages in
-    let v, errno, stages =
-      match found with
-      | Some (v, e) ->
-          t.last_engine <- "cache";
-          (v, e, stages)
-      | None ->
-          let v =
-            match t.engine with
-            | `Ref ->
-                of_bool
-                  (Policy_state.umount_decision ~phase st ~target ~mounted_by
-                     ~ruid)
-            | `Pfm ->
-                let p =
-                  fetch t.umount_cache t.umount_stats ~same:( == )
-                    ~key:st.Policy_state.mounts
-                    ~compile:(fun rules ->
-                      Compile.umount (List.map filter_rule rules))
-                in
-                run t.umount_stats p
-                  (Compile.umount_ctx ~phase:ph ~target ~mounted_by ~ruid)
-          in
-          t.last_engine <- engine_name t;
-          let v = tally t.umount_stats v in
-          let e = deny_errno Errno.EPERM v in
-          Decision_cache.add t.dcache t.ch_umount ~subject:ruid ~args ~gens
-            ~verdict:v ~errno:e;
-          (v, e,
-           if sp then ("engine", Trace.now t.trace - t0) :: stages else stages)
-    in
-    refill t s ~gen:gens.(0) ~sub:ruid ~ph ~x:mounted_by ~args:target ~verdict:v;
-    if t.traced then
-      conclude t t.tk_umount ~t0 ~stages:(List.rev stages) ~verdict:v ~errno
-        ~gen:gens.(0);
-    record_result t v
-  end
+  let d = t.dec and h = t.umount in
+  let gen = mounts_gen t st in
+  let v =
+    match
+      Decider.probe d h ~stamp:gen ~gen ~subject:ruid ~phase:(Phase.index phase)
+    with
+    | Some (tg, mb) when tg == target && mb = mounted_by -> Decider.hit d h
+    | _ -> Decider.miss d h st ~raw:(target, mounted_by) ~engine:t.engine
+  in
+  Decider.flip d v = Pfm.Allow
 
 let decide_bind t ?(phase = Phase.initial) (st : Policy_state.t) ~port ~proto
     ~exe ~uid =
-  let t0 = if t.traced then Trace.now t.trace else 0 in
-  let gens = bind_gens t st in
-  let s = t.bind_slot in
-  let ph = Phase.index phase in
-  let x = (port * 2) + (match proto with Bindconf.Tcp -> 0 | Bindconf.Udp -> 1) in
-  if
-    Decision_cache.enabled t.dcache
-    && s.s_epoch = Decision_cache.epoch t.dcache
-    && s.s_gen = Array.unsafe_get gens 0
-    && s.s_sub = uid && s.s_ph = ph && s.s_x = x
-    && (match s.s_args with Some e -> e == exe | None -> false)
-  then begin
-    Decision_cache.record_hit t.dcache t.ch_bind;
-    t.last_engine <- "cache";
-    let v = s.s_verdict in
-    if t.traced then
-      conclude t t.tk_bind ~t0
-        ~stages:
-          (if Trace.spans_enabled t.trace then [ ("slot", Trace.now t.trace - t0) ]
-           else [])
-        ~verdict:v ~errno:(deny_errno Errno.EACCES v)
-        ~gen:(Array.unsafe_get gens 0);
-    record_result t v
-  end
-  else begin
-    let sp = t.traced && Trace.spans_enabled t.trace in
-    let stages = if sp then [ ("slot", Trace.now t.trace - t0) ] else [] in
-    let args =
-      string_of_int ph ^ sep ^ string_of_int port ^ sep
-      ^ Bindconf.proto_to_string proto ^ sep ^ exe
-    in
-    let found = Decision_cache.find t.dcache t.ch_bind ~subject:uid ~args ~gens in
-    let stages = if sp then ("table", Trace.now t.trace - t0) :: stages else stages in
-    let v, errno, stages =
-      match found with
-      | Some (v, e) ->
-          t.last_engine <- "cache";
-          (v, e, stages)
-      | None ->
-          let v =
-            match t.engine with
-            | `Ref ->
-                of_bool (Policy_state.bind_allowed ~phase st ~port ~proto ~exe ~uid)
-            | `Pfm ->
-                let p =
-                  fetch t.bind_cache t.bind_stats ~same:( == )
-                    ~key:st.Policy_state.binds ~compile:(fun b -> Compile.bind b)
-                in
-                run t.bind_stats p
-                  (Compile.bind_ctx ~phase:ph ~port ~proto ~exe ~uid)
-          in
-          t.last_engine <- engine_name t;
-          let v = tally t.bind_stats v in
-          let e = deny_errno Errno.EACCES v in
-          Decision_cache.add t.dcache t.ch_bind ~subject:uid ~args ~gens
-            ~verdict:v ~errno:e;
-          (v, e,
-           if sp then ("engine", Trace.now t.trace - t0) :: stages else stages)
-    in
-    refill t s ~gen:gens.(0) ~sub:uid ~ph ~x ~args:exe ~verdict:v;
-    if t.traced then
-      conclude t t.tk_bind ~t0 ~stages:(List.rev stages) ~verdict:v ~errno
-        ~gen:gens.(0);
-    record_result t v
-  end
+  let d = t.dec and h = t.bind in
+  let gen =
+    source_gen t.binds_watch st Policy_state.Binds ~key:st.Policy_state.binds
+  in
+  let v =
+    match
+      Decider.probe d h ~stamp:gen ~gen ~subject:uid ~phase:(Phase.index phase)
+    with
+    | Some (e, po, pr) when e == exe && po = port && pr = proto ->
+        Decider.hit d h
+    | _ -> Decider.miss d h st ~raw:(exe, port, proto) ~engine:t.engine
+  in
+  Decider.flip d v = Pfm.Allow
 
 let decide_ppp_ioctl t ?(subject = 0) ?(phase = Phase.initial)
     (st : Policy_state.t) ~device ~opt =
-  let t0 = if t.traced then Trace.now t.trace else 0 in
-  let gens = ppp_gens t st in
-  let s = t.ppp_slot in
-  let ph = Phase.index phase in
-  if
-    Decision_cache.enabled t.dcache
-    && s.s_epoch = Decision_cache.epoch t.dcache
-    && s.s_gen = Array.unsafe_get gens 0
-    && s.s_sub = subject && s.s_ph = ph
-    && (match s.s_args with
-        | Some (dv, op) -> dv == device && op == opt
-        | None -> false)
-  then begin
-    Decision_cache.record_hit t.dcache t.ch_ppp;
-    t.last_engine <- "cache";
-    let v = s.s_verdict in
-    if t.traced then
-      conclude t t.tk_ppp ~t0
-        ~stages:
-          (if Trace.spans_enabled t.trace then [ ("slot", Trace.now t.trace - t0) ]
-           else [])
-        ~verdict:v ~errno:(deny_errno Errno.EPERM v)
-        ~gen:(Array.unsafe_get gens 0);
-    record_result t v
-  end
-  else begin
-    let sp = t.traced && Trace.spans_enabled t.trace in
-    let stages = if sp then [ ("slot", Trace.now t.trace - t0) ] else [] in
-    let args =
-      string_of_int ph ^ sep ^ device ^ sep
-      ^ (if Protego_net.Ppp.option_is_safe opt then "1" else "0")
-    in
-    let found = Decision_cache.find t.dcache t.ch_ppp ~subject ~args ~gens in
-    let stages = if sp then ("table", Trace.now t.trace - t0) :: stages else stages in
-    let v, errno, stages =
-      match found with
-      | Some (v, e) ->
-          t.last_engine <- "cache";
-          (v, e, stages)
-      | None ->
-          let v =
-            match t.engine with
-            | `Ref ->
-                of_bool (Policy_state.ppp_ioctl_decision ~phase st ~device ~opt)
-            | `Pfm ->
-                let p =
-                  fetch t.ppp_cache t.ppp_stats ~same:( == )
-                    ~key:st.Policy_state.ppp
-                    ~compile:(fun pol -> Compile.ppp_ioctl pol)
-                in
-                run t.ppp_stats p (Compile.ppp_ctx ~phase:ph ~device ~opt)
-          in
-          t.last_engine <- engine_name t;
-          let v = tally t.ppp_stats v in
-          let e = deny_errno Errno.EPERM v in
-          Decision_cache.add t.dcache t.ch_ppp ~subject ~args ~gens ~verdict:v
-            ~errno:e;
-          (v, e,
-           if sp then ("engine", Trace.now t.trace - t0) :: stages else stages)
-    in
-    refill t s ~gen:gens.(0) ~sub:subject ~ph ~x:0 ~args:(device, opt) ~verdict:v;
-    if t.traced then
-      conclude t t.tk_ppp ~t0 ~stages:(List.rev stages) ~verdict:v ~errno
-        ~gen:gens.(0);
-    record_result t v
-  end
+  let d = t.dec and h = t.ppp in
+  let gen = source_gen t.ppp_watch st Policy_state.Ppp ~key:st.Policy_state.ppp in
+  let v =
+    match Decider.probe d h ~stamp:gen ~gen ~subject ~phase:(Phase.index phase) with
+    | Some (dv, op) when dv == device && op == opt -> Decider.hit d h
+    | _ -> Decider.miss d h st ~raw:(device, opt) ~engine:t.engine
+  in
+  Decider.flip d v = Pfm.Allow
 
 let decide_nf_output t nf pkt ~origin =
-  let t0 = if t.traced then Trace.now t.trace else 0 in
-  let rules = Netfilter.rules nf Netfilter.Output in
-  let policy = Netfilter.policy nf Netfilter.Output in
-  let gens = nf_gens t ~rules ~policy in
-  let s = t.nf_slot in
-  if
-    Decision_cache.enabled t.dcache
-    && s.s_epoch = Decision_cache.epoch t.dcache
-    && s.s_gen = Array.unsafe_get gens 0
-    && (match s.s_args with
-        | Some (p0, o0) -> p0 == pkt && o0 = origin
-        | None -> false)
-  then begin
-    Decision_cache.record_hit t.dcache t.ch_nf;
-    t.last_engine <- "cache";
-    let v = s.s_verdict in
-    if t.traced then
-      conclude t t.tk_nf ~t0
-        ~stages:
-          (if Trace.spans_enabled t.trace then [ ("slot", Trace.now t.trace - t0) ]
-           else [])
-        ~verdict:v ~errno:None ~gen:(Array.unsafe_get gens 0);
-    record_nf_result t v
-  end
-  else begin
-    let sp = t.traced && Trace.spans_enabled t.trace in
-    let stages = if sp then [ ("slot", Trace.now t.trace - t0) ] else [] in
-    (* packet_ctx is the canonical integer encoding of everything the chain
-       can match on; reuse it as the cache key. *)
-    let ctx = Compile.packet_ctx pkt ~origin in
-    (* Rendering the key string costs more than a short program run;
-       skip it entirely while the cache is off (find/add would ignore
-       it anyway) rather than taxing every engine decision with it. *)
-    let cache_on = Decision_cache.enabled t.dcache in
-    let args =
-      if cache_on then
-        String.concat sep (List.map string_of_int (Array.to_list ctx.Pfm.ints))
-      else ""
-    in
-    let found =
-      if cache_on then
-        Decision_cache.find t.dcache t.ch_nf ~subject:0 ~args ~gens
-      else None
-    in
-    let stages = if sp then ("table", Trace.now t.trace - t0) :: stages else stages in
-    let v, stages =
-      match found with
-      | Some (v, _) ->
-          t.last_engine <- "cache";
-          (v, stages)
-      | None ->
-          let v =
-            match t.engine with
-            | `Ref ->
-                Compile.verdict_of_netfilter
-                  (Netfilter.walk nf Netfilter.Output pkt ~origin)
-            | `Pfm ->
-                let p =
-                  fetch t.nf_cache t.nf_stats
-                    ~same:(fun (r1, p1) (r2, p2) -> r1 == r2 && p1 = p2)
-                    ~key:(rules, policy)
-                    ~compile:(fun (rules, policy) ->
-                      Compile.netfilter ~rules ~policy)
-                in
-                run t.nf_stats p ctx
-          in
-          t.last_engine <- engine_name t;
-          let v = tally t.nf_stats v in
-          Decision_cache.add t.dcache t.ch_nf ~subject:0 ~args ~gens ~verdict:v
-            ~errno:None;
-          (v, if sp then ("engine", Trace.now t.trace - t0) :: stages else stages)
-    in
-    refill t s ~gen:gens.(0) ~sub:0 ~ph:0 ~x:0 ~args:(pkt, origin) ~verdict:v;
-    if t.traced then
-      conclude t t.tk_nf ~t0 ~stages:(List.rev stages) ~verdict:v ~errno:None
-        ~gen:gens.(0);
-    record_nf_result t v
-  end
+  let d = t.dec and h = t.nf in
+  let gen = nf_gen t nf in
+  let v =
+    match Decider.probe d h ~stamp:gen ~gen ~subject:0 ~phase:0 with
+    | Some (p0, o0) when p0 == pkt && o0 = origin -> Decider.hit d h
+    | _ -> Decider.miss d h nf ~raw:(pkt, origin) ~engine:t.engine
+  in
+  Compile.netfilter_of_verdict (Decider.flip d v)
 
 (* --- load-time policy lint --------------------------------------------- *)
 
 let lint_input ?(chains = []) (st : Policy_state.t) =
   {
-    Policy_lint.mounts = List.map filter_rule st.Policy_state.mounts;
+    Policy_lint.mounts = List.map Policy_state.filter_rule st.Policy_state.mounts;
     binds = st.Policy_state.binds;
     delegation = st.Policy_state.delegation;
     accounts =
@@ -916,7 +471,7 @@ let render t =
         (Printf.sprintf
            "hook %s evals %d allow %d deny %d reject %d invalidations %d insns %d\n"
            name s.evals s.allow s.deny s.reject s.invalidations s.insns))
-    (hooks t);
+    (stats t);
   List.iter
     (fun (name, status) ->
       Buffer.add_string b (Printf.sprintf "opt %s %s\n" name status))
@@ -939,14 +494,14 @@ let handle_write t contents =
 
 (* --- /proc/protego/cache_stats ------------------------------------------ *)
 
-let render_cache t = Decision_cache.render t.dcache
-let handle_cache_write t contents = Decision_cache.handle_write t.dcache contents
+let render_cache t = Decision_cache.render (cache t)
+let handle_cache_write t contents = Decision_cache.handle_write (cache t) contents
 
 (* --- /proc/protego/trace and /proc/protego/latency ---------------------- *)
 
-let render_trace t = Trace.render_trace t.trace
-let handle_trace_write t contents = Trace.handle_trace_write t.trace contents
-let render_latency t = Trace.render_latency t.trace
+let render_trace t = Trace.render_trace (trace t)
+let handle_trace_write t contents = Trace.handle_trace_write (trace t) contents
+let render_latency t = Trace.render_latency (trace t)
 
 let handle_latency_write t contents =
-  Trace.handle_latency_write t.trace contents
+  Trace.handle_latency_write (trace t) contents

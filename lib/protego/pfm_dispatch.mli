@@ -2,17 +2,14 @@
     compiled {!Protego_filter.Pfm} programs.
 
     Each filtered hook (mount, umount, bind, netfilter output, ppp ioctl)
-    asks the dispatcher for a verdict.  The lookup order is {e decision
-    cache -> compiled PFM -> reference engine}: a {!Decision_cache} memo
-    keyed on (hook, subject credential key, canonicalized argument tuple)
-    is consulted first; on a miss, under the [`Pfm] engine (the default)
-    the dispatcher compiles the hook's policy source into a bytecode
-    program, caches it, and evaluates it; under [`Ref] it runs the
-    original list-walking decision ({!Policy_state.mount_decision} and
-    friends, {!Protego_net.Netfilter.walk}).  All three paths must agree —
-    the [`Ref] engine is kept in-tree as the differential-testing oracle.
-    The computed verdict is memoized (negative results included), stamped
-    with the generation vector of the policy sources the hook reads
+    asks the dispatcher for a verdict, served through one {!Decider} —
+    front slot, then the {!Decision_cache} table, then the engine: under
+    [`Pfm] (the default) the hook's policy source compiled lazily into a
+    bytecode program, under [`Ref] the original list-walking decision
+    ({!Policy_state.mount_decision} and friends,
+    {!Protego_net.Netfilter.walk}), kept in-tree as the
+    differential-testing oracle.  Memoized verdicts are stamped with the
+    generation of the policy source the hook reads
     ({!Policy_state.generation}); a policy reload bumps the written
     source's generation and lazily invalidates exactly the stamped
     entries.
@@ -30,7 +27,7 @@
     dispatcher between states would let entries from one answer for the
     other. *)
 
-type engine = [ `Pfm | `Ref ]
+type engine = Decider.engine
 
 type lint_mode = [ `Warn | `Enforce ]
 (** What the load-time policy lint gate does with error-severity
@@ -38,7 +35,7 @@ type lint_mode = [ `Warn | `Enforce ]
     audit trail; [`Enforce] refuses the install. *)
 
 type hook_stats = {
-  mutable evals : int;          (** decisions taken on this hook *)
+  mutable evals : int;          (** engine evaluations (table misses) *)
   mutable allow : int;
   mutable deny : int;
   mutable reject : int;
@@ -82,12 +79,10 @@ val lint_mode_name : t -> string
 val record_mode : t -> bool
 
 val set_record : t -> bool -> unit
-(** Permissive record mode ([/proc/protego/record]).  While on, every
-    decide function returns allow; a decision the policy would actually
-    have denied sets {!last_recorded} so the hook layer can emit a
-    record-tagged audit entry carrying the full canonical arguments.
-    Engine caches and front slots always hold the true verdicts, so
-    toggling the mode needs no invalidation. *)
+(** Permissive record mode ([/proc/protego/record], {!Decider.flip}):
+    while on, every decide function returns allow, and a would-deny sets
+    {!last_recorded} so the hook layer can emit a record-tagged audit
+    entry carrying the full canonical arguments. *)
 
 val last_recorded : t -> bool
 (** The most recent decide_* call was a would-deny flipped to allow by
@@ -138,10 +133,8 @@ val decide_mount :
     the mount verdict itself is subject-independent, so it defaults to 0
     for callers without task context (bench, fuzz).  [phase] is the
     caller's lifecycle phase (default {!Protego_base.Phase.initial},
-    verdict-neutral for unphased policies): every task-scoped decision
-    here and below is keyed on it in the front slot and the cache table,
-    so a phase transition strands exactly the transitioning task's stale
-    entries, and it rides into the PFM context / reference oracle so
+    verdict-neutral for unphased policies); here and below it keys the
+    ladder and rides into the PFM context / reference oracle so
     phase-guarded rules see it. *)
 
 val decide_umount :
@@ -157,8 +150,6 @@ val decide_bind :
 val decide_ppp_ioctl :
   t -> ?subject:int -> ?phase:Protego_base.Phase.t -> Policy_state.t ->
   device:string -> opt:Protego_net.Ppp.option_ -> bool
-(** The cached argument tuple canonicalizes [opt] to the one bit the
-    decision reads: whether the option is intrinsically safe. *)
 
 val decide_nf_output :
   t -> Protego_net.Netfilter.t -> Protego_net.Packet.t ->

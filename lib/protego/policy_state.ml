@@ -10,6 +10,11 @@ type mount_rule = {
   mr_phase : Phase.guard;
 }
 
+let filter_rule r : Protego_filter.Pfm_compile.mount_rule =
+  { fm_source = r.mr_source; fm_target = r.mr_target; fm_fstype = r.mr_fstype;
+    fm_flags = r.mr_flags; fm_user_only = r.mr_mode = `User;
+    fm_phase = r.mr_phase }
+
 type account_user = {
   au_name : string;
   au_uid : int;

@@ -42,6 +42,10 @@ type mount_rule = {
           [phase<=...] token (DESIGN.md §11) *)
 }
 
+val filter_rule : mount_rule -> Protego_filter.Pfm_compile.mount_rule
+(** The compiler's view of a whitelist rule — what every mount and
+    umount program is built from. *)
+
 type account_user = {
   au_name : string;
   au_uid : int;

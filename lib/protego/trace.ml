@@ -117,6 +117,19 @@ let percentile k ~pct =
     bucket_upper !b
   end
 
+let sum ~hook ~engine keys =
+  let k =
+    { k_hook = hook; k_engine = engine; k_buckets = Array.make bucket_count 0;
+      k_count = 0; k_max = 0 }
+  in
+  List.iter
+    (fun s ->
+      Array.iteri (fun i c -> k.k_buckets.(i) <- k.k_buckets.(i) + c) s.k_buckets;
+      k.k_count <- k.k_count + s.k_count;
+      if s.k_max > k.k_max then k.k_max <- s.k_max)
+    keys;
+  k
+
 let reset_latency t =
   List.iter
     (fun k ->

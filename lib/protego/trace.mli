@@ -99,6 +99,11 @@ val percentile : key -> pct:int -> int
     the bucket containing the [ceil (count * pct / 100)]-th smallest
     observed latency; 0 when the histogram is empty. *)
 
+val sum : hook:string -> engine:string -> key list -> key
+(** A fresh, unregistered histogram holding the bucket-wise sum of
+    [keys] (counts added, maximum of the maxima) — how per-worker
+    histograms of one series merge before a {!percentile} walk. *)
+
 val reset_latency : t -> unit
 (** Zero every histogram (buckets, counts, maxima); keys survive. *)
 

@@ -34,13 +34,6 @@ type obs = {
 let all_flags =
   [ Ktypes.Mf_readonly; Ktypes.Mf_nosuid; Ktypes.Mf_nodev; Ktypes.Mf_noexec ]
 
-(* Decode the compiled mount-flag mask the journal's decision records
-   carry ({!Protego_filter.Pfm_compile.flags_mask}). *)
-let flags_of_mask m =
-  List.filter
-    (fun f -> m land Protego_filter.Pfm_compile.flags_mask [ f ] <> 0)
-    all_flags
-
 let origin_name = function
   | `Kernel -> "kernel"
   | `Raw -> "raw"
@@ -68,28 +61,23 @@ let key_of_obs o =
   Printf.sprintf "subject=%d phase=%d %s" o.ob_subject o.ob_phase
     (desc_of_args o.ob_args)
 
-(* One raw observation out of a plane decision record.  The serving
-   phase rides as a stamp on one string field per request kind
-   ({!Plane.split_phase}); any verdict other than plain allow (deny,
-   reject, or the record-mode code 3) counts as would-deny demand. *)
+(* One raw observation out of a plane decision record: its request and
+   serving phase ({!Plane.request_of_decision}); any verdict other than
+   plain allow (deny, reject, or the record-mode code 3) counts as
+   would-deny demand. *)
 let raw_of_decision (d : Journal.decision) =
   let recorded = d.Journal.d_verdict <> 1 in
-  match d.Journal.d_req with
-  | Journal.Mount { source; target; fstype; flags } ->
-      let ph, source = Plane.split_phase source in
-      Some
-        ( d.Journal.d_subject, ph, recorded,
-          A_mount { source; target; fstype; flags = flags_of_mask flags } )
-  | Journal.Umount { target; mounted_by } ->
-      let ph, target = Plane.split_phase target in
-      Some (d.Journal.d_subject, ph, recorded, A_umount { target; mounted_by })
-  | Journal.Bind { port; proto; exe } ->
-      let ph, exe = Plane.split_phase exe in
-      let proto = if proto = 0 then Bindconf.Tcp else Bindconf.Udp in
-      Some (d.Journal.d_subject, ph, recorded, A_bind { port; proto; exe })
-  | Journal.Ppp { device; safe } ->
-      let ph, device = Plane.split_phase device in
-      Some (d.Journal.d_subject, ph, recorded, A_ppp { device; safe })
+  let ph, req = Plane.request_of_decision d in
+  let args =
+    match req with
+    | Plane.Mount { source; target; fstype; flags; _ } ->
+        A_mount { source; target; fstype; flags }
+    | Plane.Umount { target; mounted_by; _ } -> A_umount { target; mounted_by }
+    | Plane.Bind { port; proto; exe; _ } -> A_bind { port; proto; exe }
+    | Plane.Ppp_ioctl { device; opt; _ } ->
+        A_ppp { device; safe = Protego_net.Ppp.option_is_safe opt }
+  in
+  Some (d.Journal.d_subject, ph, recorded, args)
 
 let kv_of_obj obj =
   List.filter_map

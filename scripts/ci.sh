@@ -5,7 +5,9 @@
 #
 #   --fast   build + full unit/property suite + strict policy lint
 #            (including the phased examples and the deliberate-loosening
-#            rejection check).  This is the per-compiler signal job.
+#            rejection check) + the lsmbench smoke run (outcome oracle
+#            on all four workloads).  This is the per-compiler signal
+#            job.
 #   --full   everything the fast tier skips: the protego-tune sweep, the
 #            bench regression gate (with tuned_* knobs asserted in the
 #            report), journal artifact verification, the cache/
@@ -79,6 +81,12 @@ fast_tier() {
             exit 1
         }
     fi
+
+    # Short runs of every benchmark workload: exits non-zero if any
+    # operation's outcome disagrees with the benchmark's oracle or a
+    # declared metric goes missing.
+    echo "==> lsmbench smoke (outcome oracle on all four workloads)"
+    python3 lsmbench/run.py --smoke
 }
 
 full_tier() {
@@ -144,9 +152,9 @@ full_tier() {
     ./_build/default/test/test_main.exe test plane
 
     # Journal stress: torn-tail/wraparound/stitch unit suites plus the
-    # 20k-request 4-domain `Both`-mode differential (journal vs spool
-    # record-for-record) and the total-order replay against epoch-stamped
-    # snapshots.
+    # 20k-request 4-domain journal differential (stitched trail vs the
+    # oracle and the live outcomes) and the total-order replay against
+    # epoch-stamped snapshots, including a record-mode run.
     echo "==> audit-journal stress (differential + total-order replay)"
     ./_build/default/test/test_main.exe test journal
 

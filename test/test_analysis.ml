@@ -184,13 +184,7 @@ let fixture_input base exts =
       (if has "mounts" then
          parsed (file "mounts")
            (PS.parse_mounts (read_fixture (file "mounts")))
-         |> List.map (fun (r : PS.mount_rule) ->
-                { Compile.fm_source = r.PS.mr_source;
-                  fm_target = r.PS.mr_target;
-                  fm_fstype = r.PS.mr_fstype;
-                  fm_flags = r.PS.mr_flags;
-                  fm_user_only = (r.PS.mr_mode = `User);
-                  fm_phase = r.PS.mr_phase })
+         |> List.map PS.filter_rule
        else []);
     binds =
       (if has "map" then

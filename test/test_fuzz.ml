@@ -194,11 +194,6 @@ module Bindconf = Protego_policy.Bindconf
 module Pppopts = Protego_policy.Pppopts
 module Ppp = Protego_net.Ppp
 
-let filter_rule (r : PS.mount_rule) : Compile.mount_rule =
-  { Compile.fm_source = r.PS.mr_source; fm_target = r.PS.mr_target;
-    fm_fstype = r.PS.mr_fstype; fm_flags = r.PS.mr_flags;
-    fm_user_only = (r.PS.mr_mode = `User); fm_phase = r.PS.mr_phase }
-
 let sources = [ "/dev/cdrom"; "/dev/sdb1"; "fuse"; "/dev/sda2"; "10.0.0.7:/export" ]
 let targets = [ "/media/cdrom"; "/media/usb"; "/mnt/a"; "/mnt/b" ]
 let fstypes = [ "iso9660"; "vfat"; "ext4"; "auto"; "nfs" ]
@@ -230,7 +225,7 @@ let prop_pfm_mount =
     (fun (rules, queries) ->
       let st = PS.create () in
       st.PS.mounts <- rules;
-      let prog = Compile.mount (List.map filter_rule rules) in
+      let prog = Compile.mount (List.map PS.filter_rule rules) in
       List.for_all
         (fun ((source, target), (fstype, flags)) ->
           (Pfm.eval prog (Compile.mount_ctx ~phase:0 ~source ~target ~fstype ~flags)
@@ -250,7 +245,7 @@ let prop_pfm_umount =
     (fun (rules, queries) ->
       let st = PS.create () in
       st.PS.mounts <- rules;
-      let prog = Compile.umount (List.map filter_rule rules) in
+      let prog = Compile.umount (List.map PS.filter_rule rules) in
       List.for_all
         (fun (target, mounted_by, ruid) ->
           (Pfm.eval prog (Compile.umount_ctx ~phase:0 ~target ~mounted_by ~ruid)
@@ -425,7 +420,7 @@ let prop_absint_sound_mount =
            (pair (pair (oneofl sources) (oneofl targets))
               (pair (oneofl fstypes) flags_gen))))
     (fun (rules, queries) ->
-      let prog = Compile.mount (List.map filter_rule rules) in
+      let prog = Compile.mount (List.map PS.filter_rule rules) in
       let s = Absint.analyze prog in
       List.for_all
         (fun ((source, target), (fstype, flags)) ->

@@ -359,11 +359,11 @@ let run_with_reloads plane (sched : Workload.schedule) =
   in
   Plane.run plane ~reloads sched.Workload.s_requests
 
-(* The tentpole acceptance test: 20k requests over 4 domains in [`Both]
-   mode.  Plane.run itself fails if the journal stitch and the spool
-   merge ever disagree; on top of that the journal replay must
-   reproduce every verdict and errno against the snapshot history, in
-   submission order, with zero lost and zero duplicated records. *)
+(* 20k requests over 4 domains in [`Journal] mode: the stitched trail
+   must be complete and in submission order, agree with the oracle and
+   the live outcomes, and the journal replay must reproduce every
+   verdict and errno against the snapshot history, with zero lost and
+   zero duplicated records. *)
 let test_replay_differential () =
   let sp =
     { (spec ~seed:13 ~phases:storm_phases ()) with Workload.loop = `Closed }
@@ -373,7 +373,7 @@ let test_replay_differential () =
   let sched = Workload.generate sp ~workers:4 in
   let st = fresh_state sp in
   let plane = Plane.create ~domains:4 st in
-  Plane.set_audit_mode plane `Both;
+  Plane.set_audit_mode plane `Journal;
   let run_id = Plane.runs plane in
   let rr = run_with_reloads plane sched in
   check_int "audit complete" n (Array.length rr.Plane.rr_audit);
@@ -412,6 +412,36 @@ let test_replay_differential () =
   check_bool "report renders" true
     (contains (Replay.render rep)
        (Printf.sprintf "replay total %d matched %d" n n))
+
+(* A record-mode run journals every would-deny as verdict 3 ("recorded")
+   with no errno, so its replay must match record-for-record; a recorded
+   verdict the reference would have allowed is still a mismatch. *)
+let test_replay_record_mode () =
+  let sp = spec ~phases:[ (Workload.Deny_flood, 2_000) ] () in
+  let plane = Plane.create (fresh_state sp) in
+  Plane.set_record_mode plane true;
+  let sched = Workload.generate sp ~workers:1 in
+  let n = Array.length sched.Workload.s_requests in
+  let run_id = Plane.runs plane in
+  ignore (Plane.run plane sched.Workload.s_requests);
+  match J.stitch (Plane.journal plane) ~run:run_id ~base:0 ~count:n with
+  | Error e -> Alcotest.failf "stitch failed: %s" e
+  | Ok ds ->
+      check_bool "would-denies recorded" true
+        (Array.exists (fun (d : J.decision) -> d.J.d_verdict = 3) ds);
+      let snapshot_of_epoch = Plane.snapshot_at plane in
+      let rep = Replay.replay ~snapshot_of_epoch ds in
+      check_int "replayed everything" n rep.Replay.rp_total;
+      check_int "every record matches" rep.Replay.rp_total rep.Replay.rp_matched;
+      (match Array.find_opt (fun (d : J.decision) -> d.J.d_verdict = 1) ds with
+      | None -> Alcotest.fail "no allowed record in the run"
+      | Some d ->
+          let forged =
+            Replay.replay ~snapshot_of_epoch [| { d with J.d_verdict = 3 } |]
+          in
+          check_int "recorded allow mismatches" 0 forged.Replay.rp_matched;
+          check_bool "mismatch names the recorded verdict" true
+            (contains (Replay.render forged) "expected allow got recorded"))
 
 (* A collected [`Journal] run whose audit volume exceeds the journal
    capacity: wraparound eats part of the trail.  The run must keep its
@@ -509,13 +539,30 @@ let test_proc_journal () =
       (match Syscall.write_file m root "/proc/protego/journal" "reset" with
       | Ok () -> check_int "reset via proc" 0 (Plane.rotations plane)
       | Error _ -> Alcotest.fail "cannot write reset");
-      (* Mode switching through /proc/protego/plane. *)
-      (match Syscall.write_file m root "/proc/protego/plane" "audit spool" with
-      | Ok () -> check_bool "mode applied" true (Plane.audit_mode plane = `Spool)
-      | Error _ -> Alcotest.fail "cannot switch audit mode");
-      match Syscall.read_file m root "/proc/protego/plane" with
-      | Ok s -> check_bool "mode rendered" true (contains s "audit mode spool")
-      | Error _ -> Alcotest.fail "cannot re-read /proc/protego/plane");
+      (* Mode switching through /proc/protego/plane: off and back. *)
+      let switch mode =
+        (match Syscall.write_file m root "/proc/protego/plane" ("audit " ^ mode) with
+        | Ok () ->
+            check_bool ("mode applied: " ^ mode) true
+              (Plane.audit_mode_name (Plane.audit_mode plane) = mode)
+        | Error _ -> Alcotest.failf "cannot switch audit mode to %s" mode);
+        match Syscall.read_file m root "/proc/protego/plane" with
+        | Ok s ->
+            check_bool ("mode rendered: " ^ mode) true
+              (contains s ("audit mode " ^ mode))
+        | Error _ -> Alcotest.fail "cannot re-read /proc/protego/plane"
+      in
+      switch "off";
+      switch "journal";
+      (* The retired spool modes are unknown commands now. *)
+      List.iter
+        (fun mode ->
+          match
+            Syscall.write_file m root "/proc/protego/plane" ("audit " ^ mode)
+          with
+          | Error Protego_base.Errno.EINVAL -> ()
+          | _ -> Alcotest.failf "audit %s must be EINVAL" mode)
+        [ "spool"; "both" ]);
   (match Syscall.write_file m root "/proc/protego/journal" "bogus" with
   | Error Protego_base.Errno.EINVAL -> ()
   | _ -> Alcotest.fail "bogus journal write must be EINVAL");
@@ -548,6 +595,8 @@ let suites =
     ("journal:replay",
      [ Alcotest.test_case "4-domain 20k differential replay" `Quick
          test_replay_differential;
+       Alcotest.test_case "record-mode run replays clean" `Quick
+         test_replay_record_mode;
        Alcotest.test_case "wraparound degrades, never aborts" `Quick
          test_wraparound_degrades;
        Alcotest.test_case "set_domains retires terms" `Quick

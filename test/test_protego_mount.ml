@@ -192,6 +192,59 @@ let test_mount_binary_equivalence () =
   check "legacy vs protego equivalent" true
     (drive Image.Linux = drive Image.Protego)
 
+(* Permissive record mode through /proc/protego/record: a would-deny is
+   served (and leaves a record-tagged audit entry), while the true
+   verdict is what the ladder caches — so switching record off needs no
+   flush, and the very next identical request is denied from the
+   cache. *)
+let test_record_mode_proc () =
+  let img = Image.build Image.Protego in
+  let m = img.Image.machine in
+  let root = Image.login img "root" in
+  let alice = Image.login img "alice" in
+  let disp =
+    match img.Image.protego with
+    | Some lsm -> Protego_core.Lsm.dispatch lsm
+    | None -> Alcotest.fail "Protego image has no LSM"
+  in
+  let cache = Protego_core.Pfm_dispatch.cache disp in
+  let set_record v =
+    Syntax.expect_ok ("record " ^ v)
+      (Syscall.write_file m root "/proc/protego/record" v)
+  in
+  let mount () =
+    Syscall.mount m alice ~source:"/dev/sda2" ~target:"/mnt/secure"
+      ~fstype:"ext4" ~flags:[]
+  in
+  set_record "on";
+  Syntax.expect_ok "non-whitelisted mount recorded, not denied" (mount ());
+  check "record-mount entry tagged recorded" true
+    (List.exists
+       (fun (r : Audit.record) ->
+         r.Audit.au_op = "record-mount"
+         && Test_support.contains r.Audit.au_obj "verdict=recorded"
+         && Test_support.contains r.Audit.au_obj "target=/mnt/secure")
+       (Audit.records m));
+  Syntax.expect_ok "umount while recording"
+    (Syscall.umount m alice ~target:"/mnt/secure");
+  let epoch = Protego_core.Decision_cache.epoch cache in
+  set_record "off";
+  Alcotest.(check (result unit errno))
+    "same mount denied once record is off" (Error Errno.EPERM) (mount ());
+  check "no cache flush" true
+    (Protego_core.Decision_cache.epoch cache = epoch);
+  match
+    List.rev
+      (List.filter
+         (fun (r : Audit.record) -> r.Audit.au_op = "mount")
+         (Audit.records m))
+  with
+  | last :: _ ->
+      check "denial audited" false last.Audit.au_allowed;
+      Alcotest.(check (option string))
+        "true verdict served from the cache" (Some "cache") last.Audit.au_engine
+  | [] -> Alcotest.fail "no mount audit record"
+
 let suites =
   [ ("protego:mount",
       [ Alcotest.test_case "whitelist allow/deny" `Quick test_whitelist_allow_deny;
@@ -201,4 +254,5 @@ let suites =
         Alcotest.test_case "busy and missing" `Quick test_busy_and_missing;
         Alcotest.test_case "/proc configuration" `Quick test_proc_interface;
         Alcotest.test_case "network filesystems" `Quick test_network_filesystems;
-        Alcotest.test_case "binary equivalence" `Quick test_mount_binary_equivalence ]) ]
+        Alcotest.test_case "binary equivalence" `Quick test_mount_binary_equivalence;
+        Alcotest.test_case "record mode via /proc" `Quick test_record_mode_proc ]) ]

@@ -67,16 +67,8 @@ let record_obs ?(phases = [ (Workload.Deny_flood, 3_000) ]) ~seed () =
    synthesized sources linted together, zero findings of any severity
    expected. *)
 let lint_input (r : Synth.result) =
-  let fm (m : PS.mount_rule) =
-    { Compile.fm_source = m.PS.mr_source;
-      fm_target = m.PS.mr_target;
-      fm_fstype = m.PS.mr_fstype;
-      fm_flags = m.PS.mr_flags;
-      fm_user_only = (m.PS.mr_mode = `User);
-      fm_phase = m.PS.mr_phase }
-  in
   { Lint.empty_input with
-    Lint.mounts = List.map fm r.Synth.r_mounts;
+    Lint.mounts = List.map PS.filter_rule r.Synth.r_mounts;
     binds = r.Synth.r_binds;
     ppp = Some r.Synth.r_ppp;
     chains = [ ("output", r.Synth.r_nf_rules, r.Synth.r_nf_policy) ] }

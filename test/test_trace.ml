@@ -127,15 +127,28 @@ let prop_percentile =
   QCheck2.Test.make ~name:"trace: bucket-walk percentile equals the oracle"
     ~count:300
     QCheck2.Gen.(
-      pair
+      triple
         (list_size (int_range 1 60)
            (oneof
               [ int_range 0 64; int_range 0 100_000;
                 map (fun i -> 1 lsl i) (int_range 0 55) ]))
-        (int_range 1 100))
-    (fun (samples, pct) ->
+        (int_range 1 100) (int_range 1 4))
+    (fun (samples, pct, parts) ->
+      let want = oracle_percentile samples pct in
       let _, k = observe_all samples in
-      Trace.percentile k ~pct = oracle_percentile samples pct)
+      (* The same samples dealt round-robin over [parts] per-worker keys,
+         then summed: the merged walk must agree too. *)
+      let t = Trace.create () in
+      let ks =
+        List.init parts (fun i ->
+            Trace.register t ~hook:"mount" ~engine:(string_of_int i))
+      in
+      List.iteri (fun i ns -> Trace.observe (List.nth ks (i mod parts)) ~ns) samples;
+      let merged = Trace.sum ~hook:"mount" ~engine:"plane" ks in
+      Trace.percentile k ~pct = want
+      && Trace.percentile merged ~pct = want
+      && merged.Trace.k_count = List.length samples
+      && merged.Trace.k_max = k.Trace.k_max)
 
 (* --- span ring wraparound ------------------------------------------------ *)
 
