@@ -89,28 +89,12 @@ let check_guard emit what g =
         (Printf.sprintf
            "%s has phase guard `%s' that activates later in the lifecycle: \
             guards must be tighten-only (downward closed)"
-           what (Phase.guard_to_string g))
-
-(* [guard_covers outer inner]: is [outer] active in every phase [inner]
-   is?  First-match shadowing claims below are conditioned on coverage —
-   an earlier rule active only during setup does not shadow a later
-   always-active rule. *)
-let guard_covers outer inner =
-  List.for_all
-    (fun p -> (not (Phase.active inner p)) || Phase.active outer p)
-    Phase.all
+           (what ()) (Phase.guard_to_string g))
 
 let guards_overlap a b =
   List.exists (fun p -> Phase.active a p && Phase.active b p) Phase.all
 
 (* --- mounts: PL-M* ------------------------------------------------------ *)
-
-(* The set of request fstypes a whitelist rule matches: a rule whose
-   fstype is the "auto" wildcard matches any request; otherwise the
-   rule's own fstype plus the "auto" request wildcard. *)
-let mount_fstype_subsumes earlier later =
-  earlier.Pfm_compile.fm_fstype = "auto"
-  || earlier.Pfm_compile.fm_fstype = later.Pfm_compile.fm_fstype
 
 let sensitive_prefixes =
   [ "/etc"; "/usr"; "/bin"; "/sbin"; "/lib"; "/boot"; "/root"; "/proc"; "/sys" ]
@@ -118,8 +102,19 @@ let sensitive_prefixes =
 let path_under prefix p =
   p = prefix
   || String.length p > String.length prefix
-     && String.sub p 0 (String.length prefix) = prefix
+     && String.starts_with ~prefix p
      && p.[String.length prefix] = '/'
+
+(* The phases a guard is active in, as a bitmask over {!Phase.index}.
+   First-match shadowing claims are conditioned on coverage: an earlier
+   rule shadows a later one only if it is active in every phase the
+   later one is ([mask later] a subset of [mask earlier]) — an earlier
+   rule active only during setup does not shadow a later always-active
+   rule. *)
+let phase_mask g =
+  List.fold_left
+    (fun m p -> if Phase.active g p then m lor (1 lsl Phase.index p) else m)
+    0 Phase.all
 
 let lint_mounts rules =
   let fs = ref [] in
@@ -130,36 +125,52 @@ let lint_mounts rules =
       fmt
   in
   let arr = Array.of_list rules in
+  (* PL-M001 index: per (source, target), in rule order, the first rule
+     of each (fstype, phase mask).  A later rule with the same pair is
+     never the earliest shadower, so a bucket stays bounded by the
+     distinct fstypes and guards at one (source, target), not by the
+     rule count. *)
+  let earlier = Hashtbl.create (Array.length arr) in
   Array.iteri
     (fun j r ->
       let locus = Printf.sprintf "rule %d" j in
       let text = Pfm_compile.mount_rule_text r in
+      check_guard
+        (fun m -> f "PL-PH001" Error locus "%s" m)
+        (fun () -> Printf.sprintf "`%s'" text) r.Pfm_compile.fm_phase;
       (* PL-M001: an earlier first-match rule fires on every request this
          one would, so this one never takes effect (its flag requirement
          in particular is silently replaced by the earlier rule's). *)
-      check_guard
-        (fun m -> f "PL-PH001" Error locus "%s" m)
-        (Printf.sprintf "`%s'" text) r.Pfm_compile.fm_phase;
-      (try
-         for i = 0 to j - 1 do
-           let e = arr.(i) in
-           if
-             e.Pfm_compile.fm_source = r.Pfm_compile.fm_source
-             && e.Pfm_compile.fm_target = r.Pfm_compile.fm_target
-             && mount_fstype_subsumes e r
-             && guard_covers e.Pfm_compile.fm_phase r.Pfm_compile.fm_phase
-           then begin
-             f "PL-M001" Warning locus
-               "shadowed by rule %d: first match decides, so `%s' never \
-                takes effect%s"
-               i text
-               (if e.Pfm_compile.fm_flags <> r.Pfm_compile.fm_flags then
-                  " (and the rules require different mount flags)"
-                else "");
-             raise Exit
-           end
-         done
-       with Exit -> ());
+      let key = (r.Pfm_compile.fm_source, r.Pfm_compile.fm_target) in
+      let mask = phase_mask r.Pfm_compile.fm_phase in
+      let bucket = Option.value ~default:[] (Hashtbl.find_opt earlier key) in
+      (* A rule whose fstype is the "auto" wildcard matches any request;
+         otherwise its own fstype plus the "auto" request wildcard. *)
+      (match
+         List.find_opt
+           (fun (fstype, m, _) ->
+             (fstype = "auto" || fstype = r.Pfm_compile.fm_fstype)
+             && mask land m = mask)
+           bucket
+       with
+       | Some (_, _, i) ->
+           f "PL-M001" Warning locus
+             "shadowed by rule %d: first match decides, so `%s' never \
+              takes effect%s"
+             i text
+             (if arr.(i).Pfm_compile.fm_flags <> r.Pfm_compile.fm_flags then
+                " (and the rules require different mount flags)"
+              else "")
+       | None -> ());
+      if
+        not
+          (List.exists
+             (fun (fstype, m, _) ->
+               fstype = r.Pfm_compile.fm_fstype && m = mask)
+             bucket)
+      then
+        Hashtbl.replace earlier key
+          (bucket @ [ (r.Pfm_compile.fm_fstype, mask, j) ]);
       (* PL-M002 / PL-M003: a user-mountable filesystem without nosuid
          re-opens the setuid hole the whitelist exists to close; without
          nodev it hands out device nodes. *)
@@ -195,45 +206,44 @@ let lint_binds entries =
         fs := { code; severity; source = "binds"; locus; message } :: !fs)
       fmt
   in
-  let arr = Array.of_list entries in
-  Array.iteri
+  (* Earlier entries by port, most recent first: PL-B001 and PL-B002
+     only ever compare entries that share a port. *)
+  let by_port = Hashtbl.create (List.length entries) in
+  List.iteri
     (fun j (e : Bindconf.entry) ->
       let locus = Printf.sprintf "entry %d" j in
       check_guard
         (fun m -> f "PL-PH001" Error locus "%s" m)
-        (Printf.sprintf "entry %d/%s" e.port (Bindconf.proto_to_string e.proto))
+        (fun () ->
+          Printf.sprintf "entry %d/%s" e.port (Bindconf.proto_to_string e.proto))
         e.Bindconf.phase;
+      let prior = Option.value ~default:[] (Hashtbl.find_opt by_port e.port) in
+      let earlier = List.rev prior in
       (* PL-B001: a port maps to exactly one application instance; the
          first entry wins (among entries whose guards can be active
          together) and this one never takes effect.  The strict parser
          refuses such files, so one reaching the kernel would bypass
          review. *)
-      (try
-         for i = 0 to j - 1 do
-           let d = arr.(i) in
-           if
-             d.Bindconf.port = e.port && d.Bindconf.proto = e.proto
-             && guards_overlap d.Bindconf.phase e.Bindconf.phase
-           then begin
-             f "PL-B001" Error locus
-               "duplicate %d/%s: entry %d (%s uid %d) already claims it, \
-                this entry never takes effect"
-               e.port
-               (Bindconf.proto_to_string e.proto)
-               i d.Bindconf.exe d.Bindconf.owner;
-             raise Exit
-           end
-         done
-       with Exit -> ());
+      (match
+         List.find_opt
+           (fun (_, (d : Bindconf.entry)) ->
+             d.Bindconf.proto = e.proto
+             && guards_overlap d.Bindconf.phase e.Bindconf.phase)
+           earlier
+       with
+       | Some (i, d) ->
+           f "PL-B001" Error locus
+             "duplicate %d/%s: entry %d (%s uid %d) already claims it, \
+              this entry never takes effect"
+             e.port
+             (Bindconf.proto_to_string e.proto)
+             i d.Bindconf.exe d.Bindconf.owner
+       | None -> ());
       (* PL-B002: the same port number handed to different binaries on
          tcp vs udp is usually a typo for one service. *)
-      Array.iteri
-        (fun i (d : Bindconf.entry) ->
-          if
-            i < j && d.Bindconf.port = e.port
-            && d.Bindconf.proto <> e.proto
-            && d.Bindconf.exe <> e.exe
-          then
+      List.iter
+        (fun (i, (d : Bindconf.entry)) ->
+          if d.Bindconf.proto <> e.proto && d.Bindconf.exe <> e.exe then
             f "PL-B002" Warning locus
               "port %d maps to %s (%s) but to %s (%s) in entry %d" e.port
               e.exe
@@ -241,7 +251,8 @@ let lint_binds entries =
               d.Bindconf.exe
               (Bindconf.proto_to_string d.Bindconf.proto)
               i)
-        arr;
+        earlier;
+      Hashtbl.replace by_port e.port ((j, e) :: prior);
       (* PL-B003: the kernel consults the bind map only for ports below
          1024; anything else here is inert. *)
       if e.port < 1 || e.port >= 1024 then
@@ -249,7 +260,7 @@ let lint_binds entries =
           "port %d is outside the privileged range [1,1023]; the entry \
            has no effect"
           e.port)
-    arr;
+    entries;
   List.rev !fs
 
 (* --- delegation: PL-S* -------------------------------------------------- *)
@@ -311,7 +322,7 @@ let lint_delegation (t : Sudoers.t) accounts =
       in
       check_guard
         (fun m -> f "PL-PH001" Error (rule_locus i) "%s" m)
-        (Printf.sprintf "rule for %s" who_s)
+        (fun () -> Printf.sprintf "rule for %s" who_s)
         r.Sudoers.rphase;
       let unrestricted = List.mem Sudoers.Any_command r.commands in
       (* PL-S002: passwordless unrestricted delegation from a non-root
@@ -437,7 +448,7 @@ let lint_ppp (t : Pppopts.t) =
           let locus = Printf.sprintf "directive %d" i in
           check_guard
             (fun m -> f "PL-PH001" Error locus "%s" m)
-            (Printf.sprintf "allow-device %s" dev) g;
+            (fun () -> Printf.sprintf "allow-device %s" dev) g;
           (match Hashtbl.find_opt seen dev with
           | Some g' when guards_overlap g g' ->
               f "PL-P001" Warning locus "duplicate allow-device %s" dev
@@ -483,7 +494,24 @@ let lint_cross (inp : input) =
       fmt
   in
   (* PL-X001: a service the bind map authorizes on a port the packet
-     filter then drops — the two sources disagree about intent. *)
+     filter then drops — the two sources disagree about intent.  Only a
+     rule whose every match is a protocol or destination port can decide
+     [port_blocked], so each chain is cut down to those rules once. *)
+  let chains =
+    List.map
+      (fun (name, rules, policy) ->
+        ( name,
+          List.filter
+            (fun (r : Netfilter.rule) ->
+              List.for_all
+                (function
+                  | Netfilter.Proto _ | Netfilter.Dst_port _ -> true
+                  | _ -> false)
+                r.Netfilter.matches)
+            rules,
+          policy ))
+      inp.chains
+  in
   List.iteri
     (fun j (e : Bindconf.entry) ->
       let proto =
@@ -501,7 +529,7 @@ let lint_cross (inp : input) =
               e.port
               (Bindconf.proto_to_string e.proto)
               e.exe name)
-        inp.chains)
+        chains)
     inp.binds;
   (* PL-X002: a bind entry owned by a uid the account database has never
      heard of can never successfully bind. *)
@@ -551,6 +579,9 @@ let lint_program ~source ?(notes = []) ?(entries = 0) (p : Pfm.program) =
      definite (see Pfm_absint's soundness note). *)
   let n = Array.length p.Pfm.insns in
   let ranges = Absint.note_ranges ~notes n in
+  (* [in_dead.(pc)]: [pc] lies in a rule range with unreachable code —
+     marked once here, so the constant-branch pass below is linear. *)
+  let in_dead = Array.make n false in
   List.iter
     (fun (lo, hi, text) ->
       if lo <= hi then begin
@@ -558,6 +589,7 @@ let lint_program ~source ?(notes = []) ?(entries = 0) (p : Pfm.program) =
         for pc = lo to hi do
           if not s.Absint.reachable.(pc) then incr dead
         done;
+        if !dead > 0 then Array.fill in_dead lo (hi - lo + 1) true;
         if !dead = hi - lo + 1 then
           f "PFM-DEAD" Warning text
             "no input reaches this rule's code: it is dead (shadowed by \
@@ -573,21 +605,9 @@ let lint_program ~source ?(notes = []) ?(entries = 0) (p : Pfm.program) =
   (* Constant conditionals outside already-reported dead rules: the test
      is decided before it runs.  Informational — first-match chains
      legitimately re-test refuted conditions. *)
-  let dead_range pc =
-    List.exists
-      (fun (lo, hi, _) ->
-        lo <= pc && pc <= hi
-        &&
-        let d = ref false in
-        for q = lo to hi do
-          if not s.Absint.reachable.(q) then d := true
-        done;
-        !d)
-      ranges
-  in
   List.iter
     (fun (pc, dir) ->
-      if not (dead_range pc) then
+      if not in_dead.(pc) then
         f "PFM-CONST-BRANCH" Info
           (match Absint.attribute ~notes pc with
           | Some text -> text
@@ -635,56 +655,67 @@ let lint_phase_residuals ~source ~phased ~compile_at =
 
 (* --- driver ------------------------------------------------------------- *)
 
-let lint (inp : input) =
-  let mount_prog () =
+let all_sources (inp : input) =
+  [ "mounts"; "binds"; "delegation" ]
+  @ List.map (fun (name, _, _) -> "netfilter:" ^ name) inp.chains
+  @ match inp.ppp with Some _ -> [ "ppp" ] | None -> []
+
+(* One entry point for the whole lint and for the load-time gate: each source
+   in [sources] gets its declarative checks, its compiled-program checks
+   and its per-phase residuals; sources outside the set are not compiled
+   or analysed at all.  The cross-source checks run on every call.  The
+   result is the whole lint's findings for those sources, in the same
+   order. *)
+let lint ?sources (inp : input) =
+  let sources = match sources with Some s -> s | None -> all_sources inp in
+  let part source run = if List.mem source sources then run () else [] in
+  let mounts () =
     let p, notes = Pfm_compile.mount_notes inp.mounts in
-    lint_program ~source:"mounts" ~notes ~entries:(List.length inp.mounts) p
-  in
-  let umount_prog () =
+    let mp =
+      lint_program ~source:"mounts" ~notes ~entries:(List.length inp.mounts) p
+    in
     let p, notes = Pfm_compile.umount_notes inp.mounts in
     (* The umount program's verdict shape tracks the mount one; re-flagging
        NEVER-ALLOW here would duplicate every mounts finding. *)
-    lint_program ~source:"mounts" ~notes ~entries:0 p
+    let up = lint_program ~source:"mounts" ~notes ~entries:0 p in
+    List.concat
+      [
+        lint_mounts inp.mounts;
+        mp;
+        up;
+        lint_phase_residuals ~source:"mounts"
+          ~phased:
+            (List.exists
+               (fun r -> r.Pfm_compile.fm_phase <> Phase.Always)
+               inp.mounts)
+          ~compile_at:(fun ph -> Pfm_compile.mount_notes ~phase:ph inp.mounts);
+      ]
   in
-  let bind_prog () =
+  let binds () =
     let p, notes = Pfm_compile.bind_notes inp.binds in
-    lint_program ~source:"binds" ~notes ~entries:(List.length inp.binds) p
+    List.concat
+      [
+        lint_binds inp.binds;
+        lint_program ~source:"binds" ~notes ~entries:(List.length inp.binds) p;
+        lint_phase_residuals ~source:"binds"
+          ~phased:
+            (List.exists
+               (fun (e : Bindconf.entry) -> e.phase <> Phase.Always)
+               inp.binds)
+          ~compile_at:(fun ph -> Pfm_compile.bind_notes ~phase:ph inp.binds);
+      ]
   in
-  let chain_progs () =
+  let chains run =
     List.concat_map
-      (fun (name, rules, policy) ->
-        let p, notes = Pfm_compile.netfilter_notes ~rules ~policy in
-        lint_program ~source:("netfilter:" ^ name) ~notes
-          ~entries:(List.length rules) p)
+      (fun ((name, _, _) as c) -> part ("netfilter:" ^ name) (fun () -> run c))
       inp.chains
   in
-  let ppp_prog () =
-    match inp.ppp with
-    | None -> []
-    | Some t ->
-        let p, notes = Pfm_compile.ppp_ioctl_notes t in
-        lint_program ~source:"ppp" ~notes ~entries:0 p
-  in
-  let mount_phases () =
-    lint_phase_residuals ~source:"mounts"
-      ~phased:
-        (List.exists
-           (fun r -> r.Pfm_compile.fm_phase <> Phase.Always)
-           inp.mounts)
-      ~compile_at:(fun ph -> Pfm_compile.mount_notes ~phase:ph inp.mounts)
-  in
-  let bind_phases () =
-    lint_phase_residuals ~source:"binds"
-      ~phased:
-        (List.exists
-           (fun (e : Bindconf.entry) -> e.phase <> Phase.Always)
-           inp.binds)
-      ~compile_at:(fun ph -> Pfm_compile.bind_notes ~phase:ph inp.binds)
-  in
-  let ppp_phases () =
-    match inp.ppp with
-    | None -> []
-    | Some t ->
+  let ppp t () =
+    let p, notes = Pfm_compile.ppp_ioctl_notes t in
+    List.concat
+      [
+        lint_ppp t;
+        lint_program ~source:"ppp" ~notes ~entries:0 p;
         lint_phase_residuals ~source:"ppp"
           ~phased:
             (List.exists
@@ -692,25 +723,20 @@ let lint (inp : input) =
                  | Pppopts.Allow_device (_, g) -> g <> Phase.Always
                  | _ -> false)
                t.Pppopts.directives)
-          ~compile_at:(fun ph -> Pfm_compile.ppp_ioctl_notes ~phase:ph t)
+          ~compile_at:(fun ph -> Pfm_compile.ppp_ioctl_notes ~phase:ph t);
+      ]
   in
   List.concat
     [
-      lint_mounts inp.mounts;
-      mount_prog ();
-      umount_prog ();
-      mount_phases ();
-      lint_binds inp.binds;
-      bind_prog ();
-      bind_phases ();
-      lint_delegation inp.delegation inp.accounts;
-      List.concat_map
-        (fun (name, rules, policy) -> lint_chain name rules policy)
-        inp.chains;
-      chain_progs ();
-      (match inp.ppp with None -> [] | Some t -> lint_ppp t);
-      ppp_prog ();
-      ppp_phases ();
+      part "mounts" mounts;
+      part "binds" binds;
+      part "delegation" (fun () -> lint_delegation inp.delegation inp.accounts);
+      chains (fun (name, rules, policy) -> lint_chain name rules policy);
+      chains (fun (name, rules, policy) ->
+          let p, notes = Pfm_compile.netfilter_notes ~rules ~policy in
+          lint_program ~source:("netfilter:" ^ name) ~notes
+            ~entries:(List.length rules) p);
+      (match inp.ppp with None -> [] | Some t -> part "ppp" (ppp t));
       lint_cross inp;
     ]
 

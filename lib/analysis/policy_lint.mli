@@ -97,11 +97,19 @@ type input = {
 
 val empty_input : input
 
-val lint : input -> finding list
-(** All checks over all provided sources, including compiling each
-    source and running the abstract-interpretation checks on the result.
-    Finding order is deterministic: by source in input order, then by
-    rule position. *)
+val lint : ?sources:string list -> input -> finding list
+(** All checks over [sources], named as findings name them (["mounts"],
+    ["binds"], ["delegation"], ["netfilter:<chain>"], ["ppp"]; default:
+    every source [input] carries), including compiling each source and
+    running the abstract-interpretation checks on the result.  Sources
+    outside the set are neither checked nor compiled.  The cross-source
+    checks ([source = "cross"]) run on every call, so [lint ~sources inp]
+    is exactly [lint inp] restricted to the findings of [sources] plus
+    the cross-source ones, in the same order.  Finding order is
+    deterministic: by source in input order, then by rule position.
+    PL-M001, PL-B001 and PL-B002 look earlier rules up through indexes,
+    so the declarative checks are linear in the rule count apart from
+    the findings they emit. *)
 
 (** {2 Per-source entry points} (used by tests and the CLI) *)
 

@@ -402,15 +402,19 @@ let current_chains m =
   [ ("output", Netfilter.rules m.netfilter Netfilter.Output,
      Netfilter.policy m.netfilter Netfilter.Output) ]
 
-(* A policy write passes the load-time lint gate before it sticks: apply
-   the parsed value, lint the resulting state, and roll back (EPERM,
-   audited) if the dispatcher is in enforce mode and the written sources
-   carry error-severity findings.  In warn mode defective policy loads,
-   but tagged in the audit log — the differential-rollout posture. *)
-let gated_load m st disp task ~file ~sources ~apply ~rollback =
-  apply ();
+(* A policy write passes the load-time lint gate before it sticks: lint
+   [candidate] (the live state with only the written field replaced)
+   over the written [sources], and commit it to [st] — which bumps the
+   [written] source's generation — only if the gate does not refuse.  A
+   refused write (EPERM, audited: the dispatcher is in enforce mode and
+   the written sources carry error-severity findings) leaves the policy
+   and the generation vector untouched, so no cached decision goes
+   stale.  In warn mode defective policy loads, but tagged in the audit
+   log — the differential-rollout posture. *)
+let gated_load m st disp task ~file ~sources written candidate =
   let verdict =
-    Pfm_dispatch.check_policy_load disp ~chains:(current_chains m) st ~sources
+    Pfm_dispatch.check_policy_load disp ~chains:(current_chains m) candidate
+      ~sources
   in
   let describe fs =
     let errors =
@@ -425,8 +429,11 @@ let gated_load m st disp task ~file ~sources ~apply ~rollback =
       errors
   in
   match verdict with
-  | `Clean -> Ok ()
+  | `Clean ->
+      Policy_state.commit st ~candidate written;
+      Ok ()
   | `Warned fs ->
+      Policy_state.commit st ~candidate written;
       Audit.emit ~engine:(Pfm_dispatch.engine_name disp) m task
         ~op:"policy-load" ~obj:(describe fs) ~allowed:true;
       List.iter
@@ -436,7 +443,6 @@ let gated_load m st disp task ~file ~sources ~apply ~rollback =
         fs;
       Ok ()
   | `Refused fs ->
-      rollback ();
       Audit.emit ~engine:(Pfm_dispatch.engine_name disp) m task
         ~op:"policy-load" ~obj:(describe fs) ~allowed:false;
       List.iter
@@ -457,12 +463,9 @@ let install_proc_files m st disp =
     ~write:(fun m t contents ->
       match Policy_state.parse_mounts contents with
       | Ok rules ->
-          let prev = st.Policy_state.mounts in
           gated_load m st disp t ~file:"mount_whitelist" ~sources:[ "mounts" ]
-            ~apply:(fun () ->
-              st.Policy_state.mounts <- rules;
-              Policy_state.bump_generation st Policy_state.Mounts)
-            ~rollback:(fun () -> st.Policy_state.mounts <- prev)
+            Policy_state.Mounts
+            { st with Policy_state.mounts = rules }
       | Error msg ->
           log_dmesg m "protego: mount_whitelist rejected: %s" msg;
           Error Errno.EINVAL);
@@ -487,12 +490,9 @@ let install_proc_files m st disp =
     ~write:(fun m t contents ->
       match Bindconf.parse contents with
       | Ok entries ->
-          let prev = st.Policy_state.binds in
           gated_load m st disp t ~file:"bind_map" ~sources:[ "binds" ]
-            ~apply:(fun () ->
-              st.Policy_state.binds <- entries;
-              Policy_state.bump_generation st Policy_state.Binds)
-            ~rollback:(fun () -> st.Policy_state.binds <- prev)
+            Policy_state.Binds
+            { st with Policy_state.binds = entries }
       | Error msg ->
           log_dmesg m "protego: bind_map rejected: %s" msg;
           Error Errno.EINVAL);
@@ -501,12 +501,9 @@ let install_proc_files m st disp =
     ~write:(fun m t contents ->
       match Sudoers.parse contents with
       | Ok rules ->
-          let prev = st.Policy_state.delegation in
           gated_load m st disp t ~file:"delegation" ~sources:[ "delegation" ]
-            ~apply:(fun () ->
-              st.Policy_state.delegation <- rules;
-              Policy_state.bump_generation st Policy_state.Delegation)
-            ~rollback:(fun () -> st.Policy_state.delegation <- prev)
+            Policy_state.Delegation
+            { st with Policy_state.delegation = rules }
       | Error msg ->
           log_dmesg m "protego: delegation rejected: %s" msg;
           Error Errno.EINVAL);
@@ -518,19 +515,13 @@ let install_proc_files m st disp =
     ~write:(fun m t contents ->
       match Policy_state.parse_accounts contents with
       | Ok (users, groups) ->
-          let prev_u = st.Policy_state.users
-          and prev_g = st.Policy_state.groups in
-          (* New accounts re-resolve names in the delegation and bind
-             sources, so the gate re-checks those. *)
-          gated_load m st disp t ~file:"accounts"
-            ~sources:[ "delegation" ]
-            ~apply:(fun () ->
-              st.Policy_state.users <- users;
-              st.Policy_state.groups <- groups;
-              Policy_state.bump_generation st Policy_state.Accounts)
-            ~rollback:(fun () ->
-              st.Policy_state.users <- prev_u;
-              st.Policy_state.groups <- prev_g)
+          (* New accounts re-resolve the names delegation rules are
+             written in, so the gate re-checks that source (PL-S004).
+             Bind owners are re-checked too, but by the cross-source
+             PL-X002, which the gate runs on every write. *)
+          gated_load m st disp t ~file:"accounts" ~sources:[ "delegation" ]
+            Policy_state.Accounts
+            { st with Policy_state.users = users; groups }
       | Error msg ->
           log_dmesg m "protego: accounts rejected: %s" msg;
           Error Errno.EINVAL);
@@ -544,12 +535,9 @@ let install_proc_files m st disp =
     ~write:(fun m t contents ->
       match Pppopts.parse contents with
       | Ok policy ->
-          let prev = st.Policy_state.ppp in
           gated_load m st disp t ~file:"ppp_policy" ~sources:[ "ppp" ]
-            ~apply:(fun () ->
-              st.Policy_state.ppp <- policy;
-              Policy_state.bump_generation st Policy_state.Ppp)
-            ~rollback:(fun () -> st.Policy_state.ppp <- prev)
+            Policy_state.Ppp
+            { st with Policy_state.ppp = policy }
       | Error msg ->
           log_dmesg m "protego: ppp_policy rejected: %s" msg;
           Error Errno.EINVAL);

@@ -438,21 +438,16 @@ let lint_input ?(chains = []) (st : Policy_state.t) =
 
 let lint_report ?chains st = Policy_lint.lint (lint_input ?chains st)
 
-(* Findings that bear on installing [sources] — each source's own plus
-   the cross-source checks.  A delegation typo must not veto a bind-map
-   install, so the gate never looks wider than the write at hand. *)
-let relevant findings ~sources =
-  List.filter
-    (fun (f : Policy_lint.finding) ->
-      List.mem f.Policy_lint.source sources || f.Policy_lint.source = "cross")
-    findings
-
 (* The load-time gate: lint the candidate state a /proc policy write
-   would install.  [`Refused fs] (enforce mode, error-severity findings
-   among the written sources) means the caller must not apply the write;
-   [`Warned fs] means apply but tag the audit trail. *)
+   would install, over the written [sources] only — each source's own
+   findings plus the cross-source checks.  A delegation typo must not
+   veto a bind-map install, so the gate never looks wider than the write
+   at hand, and never pays for compiling the sources it leaves alone.
+   [`Refused fs] (enforce mode, error-severity findings) means the
+   caller must not install the candidate; [`Warned fs] means install but
+   tag the audit trail. *)
 let check_policy_load t ?chains st ~sources =
-  let findings = relevant (lint_report ?chains st) ~sources in
+  let findings = Policy_lint.lint ~sources (lint_input ?chains st) in
   if t.lint_mode = `Enforce && Policy_lint.has_errors findings then
     `Refused findings
   else if findings <> [] then `Warned findings

@@ -185,8 +185,9 @@ val check_policy_load :
   | `Warned of Protego_analysis.Policy_lint.finding list
   | `Refused of Protego_analysis.Policy_lint.finding list ]
 (** The gate behind every /proc policy write: lint the candidate state
-    and keep only the findings for [sources] (the sources being written)
-    plus the cross-source checks — a pre-existing defect in an unrelated
+    over [sources] (the sources being written) plus the cross-source
+    checks — [Policy_lint.lint ~sources], which neither checks nor
+    compiles the other sources, so a pre-existing defect in an unrelated
     source never vetoes an install.  [`Refused] is only possible in
     [`Enforce] mode and only for error-severity findings. *)
 

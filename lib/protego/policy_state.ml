@@ -79,6 +79,17 @@ let generation t s = Atomic.get t.generations.(source_index s)
 
 let bump_generation t s = Atomic.incr t.generations.(source_index s)
 
+let commit t ~candidate s =
+  (match s with
+   | Mounts -> t.mounts <- candidate.mounts
+   | Binds -> t.binds <- candidate.binds
+   | Delegation -> t.delegation <- candidate.delegation
+   | Accounts ->
+       t.users <- candidate.users;
+       t.groups <- candidate.groups
+   | Ppp -> t.ppp <- candidate.ppp);
+  bump_generation t s
+
 (* --- name service ---------------------------------------------------- *)
 
 let uid_of_name t name =

@@ -88,8 +88,9 @@ val create : unit -> t
 
 (** {1 Generations}
 
-    Every /proc/protego policy write bumps the written source's generation
-    counter.  The decision cache ({!Decision_cache}) stamps each memoized
+    Every accepted /proc/protego policy write bumps the written source's
+    generation counter (a write the load gate refuses bumps nothing; see
+    {!commit}).  The decision cache ({!Decision_cache}) stamps each memoized
     verdict with the generation vector of the sources its hook reads, so a
     reload lazily invalidates exactly the affected entries — no global
     flush.  The dispatcher additionally bumps a source's generation when it
@@ -107,6 +108,14 @@ val source_index : source -> int
 
 val generation : t -> source -> int
 val bump_generation : t -> source -> unit
+
+val commit : t -> candidate:t -> source -> unit
+(** Install [candidate]'s value of [source] (both account lists for
+    [Accounts]) into [t] and bump that source's generation.  A /proc
+    write builds [candidate] as a copy of [t] with only the written
+    field replaced, has the load gate lint it, and commits only if the
+    gate accepts — so a refused write changes neither the policy nor the
+    generation vector. *)
 
 (** {1 Name service} *)
 

@@ -318,6 +318,263 @@ let test_lint_gate_scoped () =
   Syntax.expect_ok "unrelated delegation write passes the gate"
     (write "/proc/protego/delegation" "alice ALL=(root) /usr/bin/lpr\n")
 
+(* A refused write changes nothing: the gate lints a candidate copy of
+   the state and only an accepted one is committed, so the written
+   source's generation stays put and decisions cached against the
+   unchanged policy keep being served. *)
+let test_refused_write_keeps_generation () =
+  let img = Image.build Image.Protego in
+  let m = img.Image.machine in
+  m.password_source <- (fun _ -> None);
+  let lsm = Option.get img.Image.protego in
+  let st = Protego_core.Lsm.state lsm in
+  let disp = Protego_core.Lsm.dispatch lsm in
+  let dc = Protego_core.Pfm_dispatch.cache disp in
+  let root = Image.login img "root" in
+  let alice = Image.login img "alice" in
+  let write file s = Syscall.write_file m root file s in
+  let mount () =
+    ignore
+      (Syscall.mount m alice ~source:"/dev/sda2" ~target:"/etc" ~fstype:"ext4"
+         ~flags:[])
+  in
+  mount ();
+  let gen = PS.generation st PS.Mounts in
+  let before = st.PS.mounts in
+  Syntax.expect_ok "switch to enforce" (write "/proc/protego/lint" "mode enforce\n");
+  Alcotest.(check (result unit errno)) "enforce mode refuses"
+    (Error Errno.EPERM)
+    (write "/proc/protego/mount_whitelist" "allow /dev/sdb9 /mnt/usb9 vfat - users\n");
+  check "refused write leaves the whitelist" true (st.PS.mounts == before);
+  Alcotest.(check int) "refused write leaves the generation" gen
+    (PS.generation st PS.Mounts);
+  let hits = Protego_core.Decision_cache.hits dc
+  and stale = Protego_core.Decision_cache.stale_evictions dc in
+  mount ();
+  check_str "identical decision served by the cache" "cache"
+    (Protego_core.Pfm_dispatch.decision_engine_name disp);
+  Alcotest.(check int) "one more hit" (hits + 1)
+    (Protego_core.Decision_cache.hits dc);
+  Alcotest.(check int) "no stale eviction" stale
+    (Protego_core.Decision_cache.stale_evictions dc)
+
+(* --- scoped lint and the indexed checks --------------------------------- *)
+
+module Gen = QCheck2.Gen
+module NF = Protego_net.Netfilter
+
+let guard_gen =
+  Gen.oneofl
+    Phase.[ Always; Always; Upto Setup; Upto Serving; Exactly Setup;
+            Exactly Serving; From Serving; From Steady ]
+
+(* Few sources, targets, ports and binaries, so rules collide often. *)
+let mount_gen =
+  Gen.map
+    (fun (((src, tgt), (fstype, flags)), (user_only, phase)) ->
+      { Compile.fm_source = src; fm_target = tgt; fm_fstype = fstype;
+        fm_flags = flags; fm_user_only = user_only; fm_phase = phase })
+    Gen.(
+      pair
+        (pair
+           (pair (oneofl [ "/dev/sdb1"; "/dev/sdb2"; "/dev/cdrom" ])
+              (oneofl [ "/mnt/usb"; "/mnt/cdrom"; "/etc/x" ]))
+           (pair
+              (oneofl [ "auto"; "auto"; "vfat"; "ext4" ])
+              (oneofl
+                 Ktypes.[ [ Mf_nosuid; Mf_nodev ]; [ Mf_readonly; Mf_nosuid; Mf_nodev ];
+                          [ Mf_nosuid ]; [] ])))
+        (pair bool guard_gen))
+
+let bind_gen =
+  Gen.map
+    (fun ((port, proto), (exe, (owner, phase))) ->
+      { Bindconf.port; proto; exe; owner; phase })
+    Gen.(
+      pair
+        (pair (oneofl [ 22; 53; 80; 80; 443; 2000 ])
+           (oneofl [ Bindconf.Tcp; Bindconf.Udp ]))
+        (pair
+           (oneofl [ "/usr/sbin/named"; "/usr/sbin/nginx"; "/usr/sbin/sshd" ])
+           (pair (int_bound 3) guard_gen)))
+
+let nf_rule_gen =
+  Gen.map
+    (fun (matches, target) -> { NF.matches; target; comment = "" })
+    Gen.(
+      pair
+        (list_size (int_range 0 2)
+           (oneofl
+              [ NF.Proto Protego_net.Packet.Tcp; NF.Proto Protego_net.Packet.Udp;
+                NF.Dst_port { lo = 50; hi = 90 }; NF.Dst_port { lo = 443; hi = 443 };
+                NF.Owner_uid 33 ]))
+        (oneofl [ NF.Accept; NF.Drop; NF.Reject ]))
+
+let sudo_gen =
+  Gen.map
+    (fun ((who, runas), (tags, (any, rphase))) ->
+      { Sudoers.who = Sudoers.User who; runas = Sudoers.Runas_users [ runas ];
+        tags;
+        commands =
+          (if any then [ Sudoers.Any_command ]
+           else [ Sudoers.Command { path = "/usr/bin/lpr"; args = None } ]);
+        rphase })
+    Gen.(
+      pair
+        (pair (oneofl [ "alice"; "bob"; "carol" ])
+           (oneofl [ "root"; "alice"; "bob"; "mallory" ]))
+        (pair
+           (oneofl Sudoers.[ []; [ Nopasswd ]; [ Setenv ] ])
+           (pair bool guard_gen)))
+
+let input_gen =
+  Gen.map
+    (fun ((mounts, binds), ((chain, policy), (rules, (devices, owners)))) ->
+      { Lint.mounts; binds;
+        delegation = { Sudoers.empty with Sudoers.rules };
+        accounts =
+          (if owners = 0 then Lint.no_accounts
+           else
+             { Lint.user_names =
+                 List.init owners (fun u -> (List.nth [ "root"; "alice"; "bob" ] u, u));
+               group_names = [] });
+        ppp =
+          Some
+            { Pppopts.directives =
+                List.map (fun (d, g) -> Pppopts.Allow_device (d, g)) devices };
+        chains = [ ("output", chain, policy) ] })
+    Gen.(
+      pair
+        (pair (list_size (int_bound 12) mount_gen) (list_size (int_bound 12) bind_gen))
+        (pair
+           (pair (list_size (int_bound 6) nf_rule_gen)
+              (oneofl [ NF.Accept; NF.Drop ]))
+           (pair (list_size (int_bound 4) sudo_gen)
+              (pair
+                 (list_size (int_bound 3)
+                    (pair (oneofl [ "/dev/ttyS0"; "/dev/ttyS1"; "/tmp/tty" ]) guard_gen))
+                 (int_bound 3)))))
+
+let print_findings inp = Lint.render (Lint.lint inp)
+
+(* What each /proc write lints: the written sources plus "cross", exactly
+   as the whole lint reports them. *)
+let prop_scoped_matches_whole =
+  QCheck2.Test.make ~name:"lint: scoped == whole filtered to the sources"
+    ~count:300 ~print:print_findings input_gen (fun inp ->
+      let whole = Lint.lint inp in
+      List.for_all
+        (fun sources ->
+          Lint.lint ~sources inp
+          = List.filter
+              (fun (f : Lint.finding) ->
+                List.mem f.Lint.source sources || f.Lint.source = "cross")
+              whole)
+        [ [ "mounts" ]; [ "binds" ]; [ "delegation" ]; [ "ppp" ] ])
+
+(* The pairwise O(n^2) PL-M001, PL-B001 and PL-B002 loops the indexed
+   checks replaced, kept as an oracle. *)
+let quadratic_mounts rules =
+  let arr = Array.of_list rules in
+  let covers outer inner =
+    List.for_all
+      (fun p -> (not (Phase.active inner p)) || Phase.active outer p)
+      Phase.all
+  in
+  List.concat
+    (List.mapi
+       (fun j (r : Compile.mount_rule) ->
+         let rec first i =
+           if i >= j then []
+           else
+             let e = arr.(i) in
+             if
+               e.Compile.fm_source = r.Compile.fm_source
+               && e.Compile.fm_target = r.Compile.fm_target
+               && (e.Compile.fm_fstype = "auto"
+                  || e.Compile.fm_fstype = r.Compile.fm_fstype)
+               && covers e.Compile.fm_phase r.Compile.fm_phase
+             then
+               [ { Lint.code = "PL-M001"; severity = Lint.Warning;
+                   source = "mounts"; locus = Printf.sprintf "rule %d" j;
+                   message =
+                     Printf.sprintf
+                       "shadowed by rule %d: first match decides, so `%s' \
+                        never takes effect%s"
+                       i (Compile.mount_rule_text r)
+                       (if e.Compile.fm_flags <> r.Compile.fm_flags then
+                          " (and the rules require different mount flags)"
+                        else "") } ]
+             else first (i + 1)
+         in
+         first 0)
+       rules)
+
+let quadratic_binds entries =
+  let arr = Array.of_list entries in
+  let overlap a b =
+    List.exists (fun p -> Phase.active a p && Phase.active b p) Phase.all
+  in
+  let finding code severity j message =
+    { Lint.code; severity; source = "binds"; locus = Printf.sprintf "entry %d" j;
+      message }
+  in
+  List.concat
+    (List.mapi
+       (fun j (e : Bindconf.entry) ->
+         let b001 =
+           let rec first i =
+             if i >= j then []
+             else
+               let d = arr.(i) in
+               if
+                 d.Bindconf.port = e.port && d.Bindconf.proto = e.proto
+                 && overlap d.Bindconf.phase e.Bindconf.phase
+               then
+                 [ finding "PL-B001" Lint.Error j
+                     (Printf.sprintf
+                        "duplicate %d/%s: entry %d (%s uid %d) already claims \
+                         it, this entry never takes effect"
+                        e.port (Bindconf.proto_to_string e.proto) i
+                        d.Bindconf.exe d.Bindconf.owner) ]
+               else first (i + 1)
+           in
+           first 0
+         in
+         let b002 =
+           List.concat
+             (List.init j (fun i ->
+                  let d = arr.(i) in
+                  if
+                    d.Bindconf.port = e.port && d.Bindconf.proto <> e.proto
+                    && d.Bindconf.exe <> e.exe
+                  then
+                    [ finding "PL-B002" Lint.Warning j
+                        (Printf.sprintf
+                           "port %d maps to %s (%s) but to %s (%s) in entry %d"
+                           e.port e.exe (Bindconf.proto_to_string e.proto)
+                           d.Bindconf.exe
+                           (Bindconf.proto_to_string d.Bindconf.proto)
+                           i) ]
+                  else []))
+         in
+         b001 @ b002)
+       entries)
+
+let only codes fs =
+  List.filter (fun (f : Lint.finding) -> List.mem f.Lint.code codes) fs
+
+let prop_indexed_mounts =
+  QCheck2.Test.make ~name:"lint: indexed PL-M001 == pairwise oracle"
+    ~count:500 Gen.(list_size (int_bound 40) mount_gen) (fun rules ->
+      only [ "PL-M001" ] (Lint.lint_mounts rules) = quadratic_mounts rules)
+
+let prop_indexed_binds =
+  QCheck2.Test.make ~name:"lint: indexed PL-B001/B002 == pairwise oracle"
+    ~count:500 Gen.(list_size (int_bound 40) bind_gen) (fun entries ->
+      only [ "PL-B001"; "PL-B002" ] (Lint.lint_binds entries)
+      = quadratic_binds entries)
+
 let suites =
   [ ("analysis:absint",
       [ Alcotest.test_case "domain algebra" `Quick test_domains;
@@ -334,4 +591,9 @@ let suites =
       [ Alcotest.test_case "/proc/protego/lint warn and enforce" `Quick
           test_lint_gate_proc;
         Alcotest.test_case "gate scoped to written sources" `Quick
-          test_lint_gate_scoped ]) ]
+          test_lint_gate_scoped;
+        Alcotest.test_case "refused write keeps the generation" `Quick
+          test_refused_write_keeps_generation ]);
+    ("analysis:scoped",
+      List.map (QCheck_alcotest.to_alcotest ~long:false)
+        [ prop_scoped_matches_whole; prop_indexed_mounts; prop_indexed_binds ]) ]
