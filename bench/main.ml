@@ -601,17 +601,14 @@ let run_lint () =
    zipfian schedule split across [d] simulated callers, one warm pass to
    fill the per-worker caches and front slots, then a timed pass.
 
-   Two readings per row, because they answer different questions:
+   Two readings per row:
 
-   - [min op] / aggregate capacity: each worker times its slice in
-     batches and keeps the cheapest per-decision batch, so a batch in
-     which the OS descheduled the domain does not count.  Summing
-     [1e9 / min_op_ns] over workers gives the throughput the plane would
-     sustain given a core per domain — the scaling claim, valid even on
-     a one-core CI runner (methodology: DESIGN.md on the decision plane).
-   - wall ops/s: requests / wall time, which on a machine with fewer
-     cores than domains mostly measures the scheduler, and is reported
-     for honesty next to the capacity figure. *)
+   - [min op]: each worker times its slice in batches and keeps the
+     cheapest per-decision batch, so a batch in which the OS descheduled
+     the domain does not count — the warm-path cost per decision.
+   - wall ops/s: requests / wall time, the throughput this machine
+     actually delivered (on fewer cores than domains it mostly measures
+     the scheduler). *)
 
 let plane_domain_counts = [ 1; 2; 4; 8 ]
 let plane_requests = 30_000
@@ -619,7 +616,6 @@ let plane_requests = 30_000
 type plane_row = {
   pl_domains : int;
   pl_min_op_ns : float;     (* cheapest warm decision across workers *)
-  pl_capacity : float;      (* aggregate decisions/sec, per-core model *)
   pl_wall_ops : float;      (* decisions/sec by wall clock, this machine *)
 }
 
@@ -652,18 +648,16 @@ let plane_scaling () =
           float_of_int plane_requests *. 1e9
           /. float_of_int res.Plane.rr_wall_ns
       in
-      { pl_domains = d; pl_min_op_ns = min_op;
-        pl_capacity = Plane.capacity_per_sec res; pl_wall_ops = wall_ops })
+      { pl_domains = d; pl_min_op_ns = min_op; pl_wall_ops = wall_ops })
     plane_domain_counts
 
-let plane_speedups rows =
+let plane_wall_speedup rows =
   let at d =
     match List.find_opt (fun r -> r.pl_domains = d) rows with
     | Some r -> r
     | None -> die "plane bench: no row for %d domains" d
   in
-  let r1 = at 1 and r8 = at 8 in
-  (r8.pl_capacity /. r1.pl_capacity, r8.pl_wall_ops /. r1.pl_wall_ops)
+  (at 8).pl_wall_ops /. (at 1).pl_wall_ops
 
 (* --- audit journal overhead (extension) ---------------------------------- *)
 
@@ -771,19 +765,17 @@ let run_plane () =
             "closed-loop zipfian workload, %d decisions per domain count"
             plane_requests)
        ~header:
-         [ "domains"; "min op"; "capacity (dec/s)"; "wall ops/s" ]
-       ~align:Study.Report.[ R; R; R; R ]
+         [ "domains"; "min op"; "wall ops/s" ]
+       ~align:Study.Report.[ R; R; R ]
        (List.map
           (fun r ->
             [ string_of_int r.pl_domains; fmt_ns r.pl_min_op_ns;
-              Printf.sprintf "%.0f" r.pl_capacity;
               Printf.sprintf "%.0f" r.pl_wall_ops ])
           rows));
-  let cap_8v1, wall_8v1 = plane_speedups rows in
   Printf.printf
-    "\naggregate warm-path capacity at 8 domains vs 1: %.2fx (wall-clock \
-     %.2fx on this machine, %d core(s) recommended by the runtime)\n"
-    cap_8v1 wall_8v1
+    "\nwall-clock throughput at 8 domains vs 1: %.2fx (%d core(s) \
+     recommended by the runtime)\n"
+    (plane_wall_speedup rows)
     (Domain.recommended_domain_count ())
 
 let run_all () =
@@ -976,10 +968,9 @@ let run_json ~out =
       (Trace.keys (PD.trace disp))
   in
   (* Decision-plane scaling: per-domain-count min-op cost (gated) plus
-     the capacity and wall-clock readings and the 8-vs-1 speedups
-     (informational; wall-clock scaling depends on the runner's cores). *)
+     the wall-clock readings and the 8-vs-1 wall speedup (informational;
+     wall-clock scaling depends on the runner's cores). *)
   let plane_rows = plane_scaling () in
-  let cap_8v1, wall_8v1 = plane_speedups plane_rows in
   let plane_scenario =
     { BR.sc_name = "plane:scaling";
       sc_metrics =
@@ -989,8 +980,7 @@ let run_json ~out =
               ( Printf.sprintf "d%d_wall_ops_per_sec" r.pl_domains,
                 r.pl_wall_ops ) ])
           plane_rows
-        @ [ ("capacity_speedup_8v1", cap_8v1);
-            ("wall_speedup_8v1", wall_8v1) ] }
+        @ [ ("wall_speedup_8v1", plane_wall_speedup plane_rows) ] }
   in
   (* Audit journal overhead at 8 domains, plus the journal artifact the
      CI verify smoke reads back (written next to the report). *)
@@ -1007,27 +997,6 @@ let run_json ~out =
     Filename.concat (Filename.dirname out) "JOURNAL_protego.bin"
   in
   Protego_journal.Journal.save audit_row.au_journal journal_out;
-  (* protego-tune recommendations, when a TUNE file sits next to the
-     report: each "recommended_<knob> <value>" line surfaces in the
-     environment block as a tuned_<knob> key, so a report records the
-     knob settings the auto-tuner measured for this runner. *)
-  let tuned_env =
-    let tune_file =
-      Filename.concat (Filename.dirname out) "TUNE_protego.txt"
-    in
-    if not (Sys.file_exists tune_file) then []
-    else
-      In_channel.with_open_text tune_file In_channel.input_lines
-      |> List.filter_map (fun line ->
-             match String.split_on_char ' ' (String.trim line) with
-             | [ key; value ]
-               when String.starts_with ~prefix:"recommended_" key ->
-                 let knob =
-                   String.sub key 12 (String.length key - 12)
-                 in
-                 Some ("tuned_" ^ knob, value)
-             | _ -> None)
-  in
   let lookups = DC.hits cache + DC.misses cache in
   let report =
     { BR.scenarios =
@@ -1050,8 +1019,7 @@ let run_json ~out =
             String.concat ","
               (List.map string_of_int plane_domain_counts) );
           ("plane_requests", string_of_int plane_requests);
-          ("plane_audit_domains", string_of_int plane_audit_domains) ]
-        @ tuned_env }
+          ("plane_audit_domains", string_of_int plane_audit_domains) ] }
   in
   (match BR.validate report with
   | Ok () -> ()

@@ -15,7 +15,11 @@
    contiguous from 0 — zero lost, zero duplicated.  With --strict, any
    wraparound loss at all is a failure.
 
-   Exit status: 0 clean, 1 verification failure, 2 usage or I/O error. *)
+   Every command first loads the whole image, which decodes every
+   committed record once; an image that is unreadable, of another
+   format version, or holds a malformed record is rejected there.
+
+   Exit status: 0 clean, 1 the image failed to load or to verify. *)
 
 module J = Protego_journal.Journal
 
@@ -24,7 +28,7 @@ let load_or_die file =
   | Ok j -> j
   | Error msg ->
       Printf.eprintf "protego-journal: %s: %s\n%!" file msg;
-      exit 2
+      exit 1
 
 (* Dump filters.  An entry's hook is the request kind for decision
    records; a kaudit record carries one only when it is an LSM

@@ -1,4 +1,5 @@
 module Errno = Protego_base.Errno
+module Phase = Protego_base.Phase
 
 (* Record framing.  Every record is 8-byte aligned and starts with one
    little-endian 32-bit header word:
@@ -191,11 +192,13 @@ let get_u32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xFFFFFFFF
 
 (* Decision record, after the header word:
      4  kind = 1          5  domain         6  reqtag (0..3)
-     7  verdict           8  errno (0 = none)
-     9  seq u32          13  run u32       17  epoch u32     21  subject u32
-    25  per-reqtag body (fixed fields first, then length-prefixed strings) *)
+     7  verdict (0..3)    8  errno (0 = none)
+     9  phase ({!Protego_base.Phase.index} it was served under)
+    10  seq u32          14  run u32       18  epoch u32     22  subject u32
+    26  per-reqtag body (fixed fields first, then length-prefixed strings) *)
 
-let put_decision tm ~at ~reqtag ~seq ~run ~epoch ~subject ~verdict ~errno =
+let put_decision tm ~at ~reqtag ~seq ~run ~epoch ~phase ~subject ~verdict
+    ~errno =
   let j = tm.tm_j in
   let b = phys j at in
   let o = at land j.jseg_mask in
@@ -204,10 +207,11 @@ let put_decision tm ~at ~reqtag ~seq ~run ~epoch ~subject ~verdict ~errno =
   put_u8 b (o + 6) reqtag;
   put_u8 b (o + 7) verdict;
   put_u8 b (o + 8) errno;
-  put_u32 b (o + 9) seq;
-  put_u32 b (o + 13) run;
-  put_u32 b (o + 17) epoch;
-  put_u32 b (o + 21) subject;
+  put_u8 b (o + 9) phase;
+  put_u32 b (o + 10) seq;
+  put_u32 b (o + 14) run;
+  put_u32 b (o + 18) epoch;
+  put_u32 b (o + 22) subject;
   (b, o)
 
 let finish tm ~at ~len =
@@ -215,51 +219,57 @@ let finish tm ~at ~len =
   tm.tm_records <- tm.tm_records + 1;
   tm.tm_bytes <- tm.tm_bytes + len
 
-let append_mount tm ~seq ~run ~epoch ~subject ~verdict ~errno ~source ~target
-    ~fstype ~flags =
+let append_mount tm ~seq ~run ~epoch ~phase ~subject ~verdict ~errno ~source
+    ~target ~fstype ~flags =
   let len =
-    rounded (27 + str_len source + str_len target + str_len fstype)
+    rounded (28 + str_len source + str_len target + str_len fstype)
   in
   let at = claim tm len in
   let b, o =
-    put_decision tm ~at ~reqtag:0 ~seq ~run ~epoch ~subject ~verdict ~errno
+    put_decision tm ~at ~reqtag:0 ~seq ~run ~epoch ~phase ~subject ~verdict
+      ~errno
   in
-  put_u16 b (o + 25) flags;
-  let p = put_str b (o + 27) source in
+  put_u16 b (o + 26) flags;
+  let p = put_str b (o + 28) source in
   let p = put_str b p target in
   ignore (put_str b p fstype : int);
   finish tm ~at ~len
 
-let append_umount tm ~seq ~run ~epoch ~subject ~verdict ~errno ~target
+let append_umount tm ~seq ~run ~epoch ~phase ~subject ~verdict ~errno ~target
     ~mounted_by =
-  let len = rounded (29 + str_len target) in
+  let len = rounded (30 + str_len target) in
   let at = claim tm len in
   let b, o =
-    put_decision tm ~at ~reqtag:1 ~seq ~run ~epoch ~subject ~verdict ~errno
+    put_decision tm ~at ~reqtag:1 ~seq ~run ~epoch ~phase ~subject ~verdict
+      ~errno
   in
-  put_u32 b (o + 25) mounted_by;
-  ignore (put_str b (o + 29) target : int);
+  put_u32 b (o + 26) mounted_by;
+  ignore (put_str b (o + 30) target : int);
   finish tm ~at ~len
 
-let append_bind tm ~seq ~run ~epoch ~subject ~verdict ~errno ~port ~proto ~exe =
-  let len = rounded (28 + str_len exe) in
+let append_bind tm ~seq ~run ~epoch ~phase ~subject ~verdict ~errno ~port
+    ~proto ~exe =
+  let len = rounded (29 + str_len exe) in
   let at = claim tm len in
   let b, o =
-    put_decision tm ~at ~reqtag:2 ~seq ~run ~epoch ~subject ~verdict ~errno
+    put_decision tm ~at ~reqtag:2 ~seq ~run ~epoch ~phase ~subject ~verdict
+      ~errno
   in
-  put_u16 b (o + 25) port;
-  put_u8 b (o + 27) proto;
-  ignore (put_str b (o + 28) exe : int);
+  put_u16 b (o + 26) port;
+  put_u8 b (o + 28) proto;
+  ignore (put_str b (o + 29) exe : int);
   finish tm ~at ~len
 
-let append_ppp tm ~seq ~run ~epoch ~subject ~verdict ~errno ~device ~safe =
-  let len = rounded (26 + str_len device) in
+let append_ppp tm ~seq ~run ~epoch ~phase ~subject ~verdict ~errno ~device
+    ~safe =
+  let len = rounded (27 + str_len device) in
   let at = claim tm len in
   let b, o =
-    put_decision tm ~at ~reqtag:3 ~seq ~run ~epoch ~subject ~verdict ~errno
+    put_decision tm ~at ~reqtag:3 ~seq ~run ~epoch ~phase ~subject ~verdict
+      ~errno
   in
-  put_u8 b (o + 25) (if safe then 1 else 0);
-  ignore (put_str b (o + 26) device : int);
+  put_u8 b (o + 26) (if safe then 1 else 0);
+  ignore (put_str b (o + 27) device : int);
   finish tm ~at ~len
 
 (* Kernel audit record, after the header word:
@@ -302,6 +312,7 @@ type decision = {
   d_subject : int;
   d_verdict : int;
   d_errno : int;
+  d_phase : int;
   d_req : req;
 }
 
@@ -318,54 +329,72 @@ type kaudit = {
 
 type entry = Decision of decision | Kaudit of kaudit
 
+(* The one decoder.  Every field is range-checked, so a record either
+   decodes to a value the encoders could have written or raises
+   [Failure]; {!load} runs it over the whole live window, which is what
+   keeps {!iter} total on a loaded image. *)
+let malformed fmt = Printf.ksprintf (fun s -> failwith ("Journal: " ^ s)) fmt
+
 let get_str b off lim =
+  if off >= lim then malformed "string runs past record end";
   let n = Bytes.get_uint8 b off in
-  if off + 1 + n > lim then failwith "Journal: string runs past record end";
+  if off + 1 + n > lim then malformed "string runs past record end";
   (Bytes.sub_string b (off + 1) n, off + 1 + n)
+
+let get_bounded b off what max =
+  let v = Bytes.get_uint8 b off in
+  if v > max then malformed "%s %d out of range" what v;
+  v
+
+(* Every record's fixed fields end within its first 32 bytes, and even
+   the shortest valid record (empty strings) rounds up to 32. *)
+let min_record = 32
 
 let decode_entry j ~at ~len =
   let b = phys j at in
   let o = at land j.jseg_mask in
   let lim = o + len in
+  if len < min_record then malformed "record of %d bytes is too short" len;
   match Bytes.get_uint8 b (o + 4) with
   | 1 ->
       let domain = Bytes.get_uint8 b (o + 5) in
       let reqtag = Bytes.get_uint8 b (o + 6) in
-      let verdict = Bytes.get_uint8 b (o + 7) in
+      let verdict = get_bounded b (o + 7) "verdict" 3 in
       let errno = Bytes.get_uint8 b (o + 8) in
-      let seq = get_u32 b (o + 9) in
-      let run = get_u32 b (o + 13) in
-      let epoch = get_u32 b (o + 17) in
-      let subject = get_u32 b (o + 21) in
+      let phase = get_bounded b (o + 9) "phase" (Phase.count - 1) in
+      let seq = get_u32 b (o + 10) in
+      let run = get_u32 b (o + 14) in
+      let epoch = get_u32 b (o + 18) in
+      let subject = get_u32 b (o + 22) in
       let req =
         match reqtag with
         | 0 ->
-            let flags = Bytes.get_uint16_le b (o + 25) in
-            let source, p = get_str b (o + 27) lim in
+            let flags = Bytes.get_uint16_le b (o + 26) in
+            let source, p = get_str b (o + 28) lim in
             let target, p = get_str b p lim in
             let fstype, _ = get_str b p lim in
             Mount { source; target; fstype; flags }
         | 1 ->
-            let mounted_by = get_u32 b (o + 25) in
-            let target, _ = get_str b (o + 29) lim in
+            let mounted_by = get_u32 b (o + 26) in
+            let target, _ = get_str b (o + 30) lim in
             Umount { target; mounted_by }
         | 2 ->
-            let port = Bytes.get_uint16_le b (o + 25) in
-            let proto = Bytes.get_uint8 b (o + 27) in
-            let exe, _ = get_str b (o + 28) lim in
+            let port = Bytes.get_uint16_le b (o + 26) in
+            let proto = get_bounded b (o + 28) "proto" 1 in
+            let exe, _ = get_str b (o + 29) lim in
             Bind { port; proto; exe }
         | 3 ->
-            let safe = Bytes.get_uint8 b (o + 25) = 1 in
-            let device, _ = get_str b (o + 26) lim in
+            let safe = get_bounded b (o + 26) "ppp safe" 1 = 1 in
+            let device, _ = get_str b (o + 27) lim in
             Ppp { device; safe }
-        | n -> failwith (Printf.sprintf "Journal: unknown reqtag %d" n)
+        | n -> malformed "unknown reqtag %d" n
       in
       Decision
         { d_seq = seq; d_run = run; d_epoch = epoch; d_domain = domain;
           d_subject = subject; d_verdict = verdict; d_errno = errno;
-          d_req = req }
+          d_phase = phase; d_req = req }
   | 2 ->
-      let allowed = Bytes.get_uint8 b (o + 5) = 1 in
+      let allowed = get_bounded b (o + 5) "allowed" 1 = 1 in
       let time = Int64.float_of_bits (Bytes.get_int64_le b (o + 6)) in
       let pid = get_u32 b (o + 14) in
       let uid = get_u32 b (o + 18) in
@@ -381,7 +410,7 @@ let decode_entry j ~at ~len =
           k_op = op; k_obj = obj;
           k_engine = (if engine = "" then None else Some engine);
           k_span = span }
-  | k -> failwith (Printf.sprintf "Journal: unknown record kind %d" k)
+  | k -> malformed "unknown record kind %d" k
 
 (* Oldest logical segment still physically intact: the live window is
    exactly the last [jsegs] claimed segments. *)
@@ -545,9 +574,11 @@ let entry_to_string = function
             Printf.sprintf "ppp %s %s" device (if safe then "safe" else "unsafe")
       in
       Printf.sprintf
-        "decision seq=%d run=%d epoch=%d domain=%d subject=%d verdict=%s \
-         errno=%s %s"
-        d.d_seq d.d_run d.d_epoch d.d_domain d.d_subject
+        "decision seq=%d run=%d epoch=%d phase=%s domain=%d subject=%d \
+         verdict=%s errno=%s %s"
+        d.d_seq d.d_run d.d_epoch
+        (Phase.to_string (Phase.of_index d.d_phase))
+        d.d_domain d.d_subject
         (verdict_name d.d_verdict) (errno_name d.d_errno) req
   | Kaudit k ->
       Printf.sprintf
@@ -559,7 +590,13 @@ let entry_to_string = function
 
 (* --- persistence -------------------------------------------------------- *)
 
-let magic = "PJRNL1\n"
+(* Image layout: the magic line, one header line
+   "<seg_bytes> <segments> <tail> <terms> <retired records> <retired
+   bytes> <retired padding>", one "<domain> <records> <bytes> <padding>"
+   line per active term, then the raw segments.  The magic carries the
+   record-layout version; an image of any other version is refused. *)
+let magic_prefix = "PJRNL"
+let magic = magic_prefix ^ "2\n"
 
 let save j path =
   let oc = open_out_bin path in
@@ -577,49 +614,48 @@ let save j path =
         j.jterms;
       Array.iter (output_bytes oc) j.store)
 
+let ints line = List.map int_of_string (String.split_on_char ' ' line)
+
+let read_image ic =
+  let m = really_input_string ic (String.length magic) in
+  if m = magic then Ok ()
+  else if String.starts_with ~prefix:magic_prefix m then
+    Error
+      (Printf.sprintf "journal format %s is not supported (this build reads %s)"
+         (String.trim m) (String.trim magic))
+  else Error "not a protego journal (bad magic)"
+
 let load path =
   try
     let ic = open_in_bin path in
     Fun.protect
       ~finally:(fun () -> close_in_noerr ic)
       (fun () ->
-        let m = really_input_string ic (String.length magic) in
-        if m <> magic then Error "not a protego journal (bad magic)"
-        else
-          let ints line =
-            List.map int_of_string (String.split_on_char ' ' line)
-          in
-          let header =
-            match ints (input_line ic) with
-            | [ seg_bytes; segs; tl; nterms ] ->
-                (* pre-retire header layout: no retired counters *)
-                Some (seg_bytes, segs, tl, nterms, 0, 0, 0)
-            | [ seg_bytes; segs; tl; nterms; rrec; rbytes; rpad ] ->
-                Some (seg_bytes, segs, tl, nterms, rrec, rbytes, rpad)
-            | _ -> None
-          in
-          match header with
-          | Some (seg_bytes, segs, tl, nterms, rrec, rbytes, rpad) ->
-              let j = create ~seg_bytes ~segments:segs () in
-              Atomic.set j.jtail tl;
-              j.jretired_records <- rrec;
-              j.jretired_bytes <- rbytes;
-              j.jretired_padding <- rpad;
-              let terms = ref [] in
-              for _ = 1 to nterms do
-                match ints (input_line ic) with
-                | [ dom; records; bytes; padding ] ->
-                    terms :=
+        Result.bind (read_image ic) @@ fun () ->
+        match ints (input_line ic) with
+        | [ seg_bytes; segs; tl; nterms; rrec; rbytes; rpad ]
+          when seg_bytes > 0 && tl >= 0 && tl mod seg_bytes = 0 && nterms >= 0
+          ->
+            let j = create ~seg_bytes ~segments:segs () in
+            Atomic.set j.jtail tl;
+            j.jretired_records <- rrec;
+            j.jretired_bytes <- rbytes;
+            j.jretired_padding <- rpad;
+            j.jterms <-
+              List.init nterms (fun _ ->
+                  match ints (input_line ic) with
+                  | [ dom; records; bytes; padding ] ->
                       { tm_domain = dom; tm_j = j; tm_pos = 0; tm_end = 0;
                         tm_records = records; tm_bytes = bytes;
                         tm_padding = padding }
-                      :: !terms
-                | _ -> failwith "corrupt journal term header"
-              done;
-              j.jterms <- !terms;
-              Array.iter (fun b -> really_input ic b 0 (Bytes.length b)) j.store;
-              Ok j
-          | None -> Error "corrupt journal header")
+                  | _ -> failwith "corrupt journal term header");
+            Array.iter (fun b -> really_input ic b 0 (Bytes.length b)) j.store;
+            (* Decode every committed record once: a malformed one fails
+               the load here instead of raising from a later [iter]. *)
+            iter_raw j (fun ~at ~len ->
+                ignore (decode_entry j ~at ~len : entry));
+            Ok j
+        | _ -> Error "corrupt journal header")
   with
   | Sys_error e -> Error e
   | End_of_file -> Error "truncated journal file"

@@ -21,9 +21,10 @@
 
     Two record kinds share the store: plane {e decision} records (one
     per {!Protego_plane.Plane} request, stamped with run / submission
-    sequence / snapshot epoch, which is what lets {!stitch} rebuild one
-    total submission order from per-domain terms without any merge
-    barrier) and kernel {e kaudit} records (the [Audit] ring's storage). *)
+    sequence / snapshot epoch / serving phase; the first three are what
+    let {!stitch} rebuild one total submission order from per-domain
+    terms without any merge barrier) and kernel {e kaudit} records (the
+    [Audit] ring's storage). *)
 
 type t
 type term
@@ -67,26 +68,28 @@ val retire : term -> unit
     strings directly into the store, and commits.  Strings are truncated
     to 255 bytes.  No OCaml heap allocation occurs.
 
-    Decision fields: [verdict] is 0 deny / 1 allow / 2 reject; [errno]
-    is 0 for none, else {!Protego_base.Errno.to_code}; [flags] is the
-    compiled mount-flag mask; [proto] is 0 tcp / 1 udp. *)
+    Decision fields: [verdict] is 0 deny / 1 allow / 2 reject / 3
+    recorded; [errno] is 0 for none, else {!Protego_base.Errno.to_code};
+    [phase] is the {!Protego_base.Phase.index} the decision was served
+    under; [flags] is the compiled mount-flag mask; [proto] is 0 tcp /
+    1 udp. *)
 
 val append_mount :
-  term -> seq:int -> run:int -> epoch:int -> subject:int -> verdict:int ->
-  errno:int -> source:string -> target:string -> fstype:string ->
-  flags:int -> unit
+  term -> seq:int -> run:int -> epoch:int -> phase:int -> subject:int ->
+  verdict:int -> errno:int -> source:string -> target:string ->
+  fstype:string -> flags:int -> unit
 
 val append_umount :
-  term -> seq:int -> run:int -> epoch:int -> subject:int -> verdict:int ->
-  errno:int -> target:string -> mounted_by:int -> unit
+  term -> seq:int -> run:int -> epoch:int -> phase:int -> subject:int ->
+  verdict:int -> errno:int -> target:string -> mounted_by:int -> unit
 
 val append_bind :
-  term -> seq:int -> run:int -> epoch:int -> subject:int -> verdict:int ->
-  errno:int -> port:int -> proto:int -> exe:string -> unit
+  term -> seq:int -> run:int -> epoch:int -> phase:int -> subject:int ->
+  verdict:int -> errno:int -> port:int -> proto:int -> exe:string -> unit
 
 val append_ppp :
-  term -> seq:int -> run:int -> epoch:int -> subject:int -> verdict:int ->
-  errno:int -> device:string -> safe:bool -> unit
+  term -> seq:int -> run:int -> epoch:int -> phase:int -> subject:int ->
+  verdict:int -> errno:int -> device:string -> safe:bool -> unit
 
 val append_kaudit :
   term -> time:float -> pid:int -> uid:int -> op:string -> obj:string ->
@@ -110,6 +113,7 @@ type decision = {
   d_subject : int;
   d_verdict : int;
   d_errno : int;
+  d_phase : int;  (** {!Protego_base.Phase.index} it was served under *)
   d_req : req;
 }
 
@@ -189,11 +193,18 @@ val errno_name : int -> string
 (** {1 Persistence} *)
 
 val save : t -> string -> unit
-(** Write the whole store (header, term counters, raw segments) to a
-    file; the format is what {!load} and the [protego-journal] CLI
-    read. *)
+(** Write the whole store (the [PJRNL2] magic, header, term counters,
+    raw segments) to a file; the format is what {!load} and the
+    [protego-journal] CLI read. *)
 
 val load : string -> (t, string) result
+(** Read an image written by {!save}.  Only the [PJRNL2] record layout
+    is accepted; an image of another version, a malformed header, a
+    truncated file, or any committed record that does not decode (an
+    unknown kind or reqtag, a string past the record end, an
+    out-of-range verdict, proto, ppp safety bit, phase or kaudit
+    allowed bit) is an [Error].  On [Ok], {!iter}, {!entries} and {!stitch} cannot raise
+    on the image's records. *)
 
 (** {1 Test hooks}
 

@@ -71,11 +71,6 @@ type run_result = {
   rr_min_op_ns : float array;
 }
 
-let capacity_per_sec rr =
-  Array.fold_left
-    (fun acc ns -> if Float.is_finite ns && ns > 0. then acc +. (1e9 /. ns) else acc)
-    0. rr.rr_min_op_ns
-
 type audit_mode = [ `Off | `Journal ]
 
 let audit_mode_name = function `Off -> "off" | `Journal -> "journal"
@@ -144,12 +139,8 @@ let eval w engine ~phase ~subject:_ req =
       | Ppp_ioctl { device; opt; _ } ->
           Pfm.eval progs.Snapshot.p_ppp (Compile.ppp_ctx ~phase ~device ~opt))
 
-let make_worker ?cache_capacity ~record journal id snap =
-  let dec =
-    Decider.create
-      ~cache:(DC.create ?capacity:cache_capacity ())
-      ~trace:(Trace.create ())
-  in
+let make_worker ~record journal id snap =
+  let dec = Decider.create ~cache:(DC.create ()) ~trace:(Trace.create ()) in
   Decider.set_record dec record;
   let hooks =
     Array.map (fun k -> Decider.hook dec k ~args:request_args ~eval) kinds
@@ -182,7 +173,6 @@ type t = {
   mutable clock : (unit -> int) option;
   mutable runs : int;
   mutable audit : audit_mode;
-  cache_capacity : int option;   (* worker decision-cache capacity knob *)
   mutable journal : J.t;
   mutable rotations : int;
   jseg_bytes : int;   (* journal geometry, reused on rotate *)
@@ -197,7 +187,7 @@ let max_domains = 64
 let clamp_domains ~segments d = max 1 (min (min max_domains segments) d)
 
 let create ?(domains = 1) ?(journal_seg_bytes = 262144)
-    ?(journal_segments = 32) ?cache_capacity st =
+    ?(journal_segments = 32) st =
   let pub = Snapshot.make st in
   let d = clamp_domains ~segments:journal_segments domains in
   let snap = Snapshot.current pub in
@@ -209,9 +199,8 @@ let create ?(domains = 1) ?(journal_seg_bytes = 262144)
     domains = d;
     workers =
       Array.init d (fun i ->
-          make_worker ?cache_capacity ~record:false journal i snap);
-    engine = `Pfm; clock = None; runs = 0; audit = `Journal; cache_capacity;
-    journal;
+          make_worker ~record:false journal i snap);
+    engine = `Pfm; clock = None; runs = 0; audit = `Journal; journal;
     rotations = 0; jseg_bytes = journal_seg_bytes; jsegs = journal_segments;
     running = false }
 
@@ -240,8 +229,7 @@ let set_domains t d =
   t.domains <- d;
   let snap = Snapshot.current t.pub in
   t.workers <-
-    Array.init d (fun i ->
-        make_worker ?cache_capacity:t.cache_capacity ~record t.journal i snap)
+    Array.init d (fun i -> make_worker ~record t.journal i snap)
 
 let audit_mode t = t.audit
 let set_audit_mode t m = t.audit <- m
@@ -358,48 +346,29 @@ let decide t req =
    [w] mod [d]. *)
 let slice_len n d w = if w >= n then 0 else ((n - w - 1) / d) + 1
 
-(* The phase a decision was served under rides inside the journal's
-   existing request strings (a "<digit>US" prefix on one string field
-   per record kind), so the binary record format is unchanged and old
-   journals still decode — {!split_phase} reads absent stamps as phase
-   0.  Replay peels the stamp off before re-evaluating. *)
-let stamp_phase ph s = string_of_int ph ^ "\x1f" ^ s
-
-let split_phase s =
-  match String.index_opt s '\x1f' with
-  | Some i -> (
-      match int_of_string_opt (String.sub s 0 i) with
-      | Some ph when ph >= 0 && ph < Phase.count ->
-          (ph, String.sub s (i + 1) (String.length s - i - 1))
-      | _ -> (0, s))
-  | None -> (0, s)
-
 (* Decode a record back into the request it journaled and the phase
-   index it was served under ({!stamp_phase}), so a decision journaled
-   across a phase transition replays against the phase that actually
-   served it. *)
+   index it was served under, so a decision journaled across a phase
+   transition replays against the phase that actually served it. *)
 let request_of_decision (dec : J.decision) =
   let subject = dec.J.d_subject in
-  match dec.J.d_req with
-  | J.Mount { source; target; fstype; flags } ->
-      let ph, source = split_phase source in
-      let flags = Compile.flags_of_mask flags in
-      (ph, Mount { subject; source; target; fstype; flags })
-  | J.Umount { target; mounted_by } ->
-      let ph, target = split_phase target in
-      (ph, Umount { subject; target; mounted_by })
-  | J.Bind { port; proto; exe } ->
-      let ph, exe = split_phase exe in
-      let proto = if proto = 1 then Bindconf.Udp else Bindconf.Tcp in
-      (ph, Bind { subject; port; proto; exe })
-  | J.Ppp { device; safe } ->
-      (* The ppp decision depends only on (device, option safety); any
-         option of the recorded safety class reproduces it. *)
-      let ph, device = split_phase device in
-      let opt =
-        if safe then Protego_net.Ppp.Accomp else Protego_net.Ppp.Default_route
-      in
-      (ph, Ppp_ioctl { subject; device; opt })
+  let req =
+    match dec.J.d_req with
+    | J.Mount { source; target; fstype; flags } ->
+        let flags = Compile.flags_of_mask flags in
+        Mount { subject; source; target; fstype; flags }
+    | J.Umount { target; mounted_by } -> Umount { subject; target; mounted_by }
+    | J.Bind { port; proto; exe } ->
+        let proto = if proto = 1 then Bindconf.Udp else Bindconf.Tcp in
+        Bind { subject; port; proto; exe }
+    | J.Ppp { device; safe } ->
+        (* The ppp decision depends only on (device, option safety); any
+           option of the recorded safety class reproduces it. *)
+        let opt =
+          if safe then Protego_net.Ppp.Accomp else Protego_net.Ppp.Default_route
+        in
+        Ppp_ioctl { subject; device; opt }
+  in
+  (dec.J.d_phase, req)
 
 (* Claim-and-encode one decision into the worker's journal term.  The
    ppp option collapses to its safe bit, which is the only thing the
@@ -411,23 +380,20 @@ let journal_append ?(recorded = false) term ~run ~seq req (o : outcome) =
       match o.o_verdict with Pfm.Allow -> 1 | Pfm.Deny -> 0 | Pfm.Reject -> 2
   in
   let errno = match o.o_errno with None -> 0 | Some e -> Errno.to_code e in
-  let epoch = o.o_epoch in
-  let ph = o.o_phase in
+  let epoch = o.o_epoch and phase = o.o_phase in
   match req with
   | Mount { subject; source; target; fstype; flags } ->
-      J.append_mount term ~seq ~run ~epoch ~subject ~verdict ~errno
-        ~source:(stamp_phase ph source) ~target ~fstype
-        ~flags:(Compile.flags_mask flags)
+      J.append_mount term ~seq ~run ~epoch ~phase ~subject ~verdict ~errno
+        ~source ~target ~fstype ~flags:(Compile.flags_mask flags)
   | Umount { subject; target; mounted_by } ->
-      J.append_umount term ~seq ~run ~epoch ~subject ~verdict ~errno
-        ~target:(stamp_phase ph target) ~mounted_by
+      J.append_umount term ~seq ~run ~epoch ~phase ~subject ~verdict ~errno
+        ~target ~mounted_by
   | Bind { subject; port; proto; exe } ->
-      J.append_bind term ~seq ~run ~epoch ~subject ~verdict ~errno ~port
+      J.append_bind term ~seq ~run ~epoch ~phase ~subject ~verdict ~errno ~port
         ~proto:(match proto with Bindconf.Tcp -> 0 | Bindconf.Udp -> 1)
-        ~exe:(stamp_phase ph exe)
+        ~exe
   | Ppp_ioctl { subject; device; opt } ->
-      J.append_ppp term ~seq ~run ~epoch ~subject ~verdict ~errno
-        ~device:(stamp_phase ph device)
+      J.append_ppp term ~seq ~run ~epoch ~phase ~subject ~verdict ~errno ~device
         ~safe:(Protego_net.Ppp.option_is_safe opt)
 
 (* --- the run loop ------------------------------------------------------- *)

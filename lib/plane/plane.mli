@@ -97,13 +97,6 @@ type run_result = {
           [infinity] without a clock or for an empty slice. *)
 }
 
-val capacity_per_sec : run_result -> float
-(** Aggregate decision capacity: sum over workers of [1e9 /. min_op_ns]
-    — what the plane would sustain given a core per domain.  The batch
-    minimum filters out descheduled batches, so on fewer cores than
-    domains this measures contention-freedom rather than wall-clock
-    parallelism; methodology in DESIGN.md §6.  [0.] without a clock. *)
-
 type audit_mode = [ `Off | `Journal ]
 (** What records decisions during {!run}: nothing, or the binary journal
     (default). *)
@@ -113,19 +106,14 @@ val audit_mode_name : audit_mode -> string
 type t
 
 val create :
-  ?domains:int -> ?journal_seg_bytes:int -> ?journal_segments:int ->
-  ?cache_capacity:int -> PS.t -> t
+  ?domains:int -> ?journal_seg_bytes:int -> ?journal_segments:int -> PS.t -> t
 (** A plane over the live state, initial snapshot published at epoch 0.
     [domains] defaults to 1 and is clamped to
     [1..min max_domains journal_segments] — each worker's journal term
     owns a whole segment, so the journal geometry bounds the domain
     count.  [journal_seg_bytes] (default 256 KiB) and [journal_segments]
     (default 32) size the audit journal; both must be powers of two
-    (see {!Protego_journal.Journal.create}).  [cache_capacity] sizes
-    each worker's decision cache (default
-    {!Protego_cache.Decision_cache.create}'s own default); it sticks
-    across {!set_domains} worker rebuilds — the knob [protego-tune]
-    sweeps. *)
+    (see {!Protego_journal.Journal.create}). *)
 
 val max_domains : int
 
@@ -207,20 +195,11 @@ val reset_phases : t -> unit
 (** Every subject back to {!Protego_base.Phase.initial} — part of the
     ["reset"] /proc command, for between-run reuse only. *)
 
-val stamp_phase : int -> string -> string
-(** The journal encoding of a served phase: a ["<index>\x1f"] prefix
-    on one request-string field per record kind (mount source, umount
-    target, bind exe, ppp device) — the binary record format is
-    unchanged. *)
-
-val split_phase : string -> int * string
-(** Peel a {!stamp_phase} prefix off; an unstamped string (an old
-    journal) reads as phase 0 with the string intact. *)
-
 val request_of_decision : Protego_journal.Journal.decision -> int * request
-(** The request a journal record encodes and the phase index it was
-    served under.  A ppp record yields an option of its recorded safety
-    class, which is all the decision reads. *)
+(** The request a journal record encodes, and the phase index it was
+    served under (the record's [d_phase] field).  A ppp record yields an
+    option of its recorded safety class, which is all the decision
+    reads. *)
 
 (** {1 Reference oracles}
 

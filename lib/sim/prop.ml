@@ -182,9 +182,9 @@ let no_decide_under_pending_mutate =
       | _ -> Ok pending)
 
 (* The journal is a faithful record: every journaled decision appears
-   exactly once with the exact verdict/errno/epoch/domain, nothing is
-   duplicated, nothing appears that was never decided, and each term's
-   records stay in append order. *)
+   exactly once with the exact verdict/errno/epoch/domain and serving
+   phase, nothing is duplicated, nothing appears that was never decided,
+   and each term's records stay in append order. *)
 let journal_faithful =
   { p_name = "journal-faithful";
     p_applies = (fun sp -> plane_lane sp && without [ Sim.F_dup ] sp);
@@ -252,6 +252,7 @@ let journal_faithful =
                                  || jd.J.d_errno <> d.d_errno
                                  || jd.J.d_epoch <> d.d_epoch
                                  || jd.J.d_domain <> d.d_worker
+                                 || jd.J.d_phase <> d.d_phase
                                then begin
                                  out :=
                                    Violated

@@ -8,9 +8,8 @@
 #            rejection check) + the lsmbench smoke run (outcome oracle
 #            on all four workloads).  This is the per-compiler signal
 #            job.
-#   --full   everything the fast tier skips: the protego-tune sweep, the
-#            bench regression gate (with tuned_* knobs asserted in the
-#            report), journal artifact verification, the cache/
+#   --full   everything the fast tier skips: the bench regression gate,
+#            journal artifact verification, the cache/
 #            equivalence/plane/journal/sim stress suites, both seeded
 #            simulation sweeps, the plane scaling smoke and the
 #            protego-synth record->synthesize->verify closed loop (fresh
@@ -93,15 +92,6 @@ full_tier() {
     echo "==> dune build"
     dune build
 
-    # A small pcbench-style sweep (capacity x domains x zipf) writes
-    # TUNE_protego.txt next to the report; the bench run below folds the
-    # recommended_* lines into its environment block as tuned_* keys, a
-    # fact asserted right after the report lands.
-    echo "==> protego-tune sweep (knobs land in TUNE_protego.txt)"
-    ./_build/default/bin/tune.exe \
-        --caps 256,1024 --domains 1,2 --zipf 0.9 --requests 2000 \
-        -o TUNE_protego.txt
-
     # The bench emits a versioned JSON report; bench_gate parses it back,
     # asserts its structure (schema, required scenarios, sane non-zero
     # rates, monotone percentiles) and compares every *_ns metric against
@@ -117,12 +107,6 @@ full_tier() {
     ./_build/default/bin/bench_gate.exe BENCH_protego.json \
         --baseline bench/baseline.json --tolerance 3 \
         --floor filter:nf_output,opt_speedup,3
-
-    echo "==> tuned knobs present in the bench environment block"
-    grep -q '"tuned_cache_capacity"' BENCH_protego.json || {
-        echo "CI: BENCH_protego.json carries no tuned_* environment keys" >&2
-        exit 1
-    }
 
     # The audit bench saves the steady journal's binary image; verifying it
     # with the standalone CLI exercises the full persistence + decode +
@@ -202,7 +186,10 @@ full_tier() {
 
     # The committed fixture pair: re-synthesizing the committed recorded
     # journal must reproduce the committed policy sources byte for byte
-    # (plus the same lint/load/replay gauntlet).
+    # (plus the same lint/load/replay gauntlet).  The recording was made
+    # with:
+    #   synth.exe record --seed 42 --requests 800 --seg-bytes 16384 \
+    #       --segments 8 -o examples/policies/synth/RECORD.bin
     echo "==> committed synth fixture is reproducible"
     ./_build/default/bin/synth.exe verify \
         --journal examples/policies/synth/RECORD.bin \

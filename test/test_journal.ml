@@ -28,13 +28,14 @@ let contains hay needle =
 let test_roundtrip () =
   let j = J.create () in
   let tm = J.term j ~domain:3 in
-  J.append_mount tm ~seq:0 ~run:1 ~epoch:2 ~subject:1000 ~verdict:1 ~errno:0
-    ~source:"/dev/cdrom" ~target:"/media/cdrom" ~fstype:"iso9660" ~flags:0xb;
-  J.append_umount tm ~seq:1 ~run:1 ~epoch:2 ~subject:1001 ~verdict:0
+  J.append_mount tm ~seq:0 ~run:1 ~epoch:2 ~phase:2 ~subject:1000 ~verdict:1
+    ~errno:0 ~source:"/dev/cdrom" ~target:"/media/cdrom" ~fstype:"iso9660"
+    ~flags:0xb;
+  J.append_umount tm ~seq:1 ~run:1 ~epoch:2 ~phase:1 ~subject:1001 ~verdict:0
     ~errno:(Errno.to_code Errno.EPERM) ~target:"/media/usb" ~mounted_by:7;
-  J.append_bind tm ~seq:2 ~run:1 ~epoch:3 ~subject:25 ~verdict:0
+  J.append_bind tm ~seq:2 ~run:1 ~epoch:3 ~phase:0 ~subject:25 ~verdict:0
     ~errno:(Errno.to_code Errno.EACCES) ~port:25 ~proto:1 ~exe:"/usr/sbin/smtpd";
-  J.append_ppp tm ~seq:3 ~run:1 ~epoch:3 ~subject:8 ~verdict:1 ~errno:0
+  J.append_ppp tm ~seq:3 ~run:1 ~epoch:3 ~phase:1 ~subject:8 ~verdict:1 ~errno:0
     ~device:"/dev/ttyS0" ~safe:true;
   J.append_kaudit tm ~time:42. ~pid:99 ~uid:1000 ~op:"mount" ~obj:"x"
     ~allowed:false ~engine:(Some "pfm") ~span:(Some 5);
@@ -68,6 +69,10 @@ let test_roundtrip () =
       | J.Ppp { device; safe } ->
           check_bool "ppp fields" true (device = "/dev/ttyS0" && safe)
       | _ -> Alcotest.fail "ppp reqtag");
+      (* The phase byte round-trips on every request kind. *)
+      Alcotest.(check (list int))
+        "phases" [ 2; 1; 0; 1 ]
+        (List.map (fun d -> d.J.d_phase) [ m; u; b; p ]);
       check_bool "kaudit fields" true
         (k.J.k_time = 42. && k.J.k_pid = 99 && k.J.k_uid = 1000
         && k.J.k_op = "mount" && k.J.k_obj = "x" && not k.J.k_allowed
@@ -75,8 +80,8 @@ let test_roundtrip () =
   | _ -> Alcotest.fail "unexpected entry shapes");
   (* Strings cap at 255 bytes on the wire. *)
   let long = String.make 400 'a' in
-  J.append_umount tm ~seq:4 ~run:1 ~epoch:3 ~subject:0 ~verdict:1 ~errno:0
-    ~target:long ~mounted_by:0;
+  J.append_umount tm ~seq:4 ~run:1 ~epoch:3 ~phase:0 ~subject:0 ~verdict:1
+    ~errno:0 ~target:long ~mounted_by:0;
   match List.rev (J.entries j) with
   | J.Decision { J.d_req = J.Umount { target; _ }; _ } :: _ ->
       check_int "string truncated" 255 (String.length target);
@@ -89,7 +94,7 @@ let test_torn_tail () =
   let j = J.create ~seg_bytes:4096 ~segments:4 () in
   let tm = J.term j ~domain:0 in
   let app seq =
-    J.append_ppp tm ~seq ~run:0 ~epoch:0 ~subject:1 ~verdict:1 ~errno:0
+    J.append_ppp tm ~seq ~run:0 ~epoch:0 ~phase:0 ~subject:1 ~verdict:1 ~errno:0
       ~device:"/dev/ttyS0" ~safe:true
   in
   app 0;
@@ -123,8 +128,8 @@ let test_segment_boundary () =
      padding record the reader must skip. *)
   let n = 200 in
   for seq = 0 to n - 1 do
-    J.append_mount tm ~seq ~run:0 ~epoch:0 ~subject:seq ~verdict:1 ~errno:0
-      ~source:"/dev/wl00" ~target:"/media/wl00" ~fstype:"ext4" ~flags:0
+    J.append_mount tm ~seq ~run:0 ~epoch:0 ~phase:0 ~subject:seq ~verdict:1
+      ~errno:0 ~source:"/dev/wl00" ~target:"/media/wl00" ~fstype:"ext4" ~flags:0
   done;
   let st = J.stats j in
   check_bool "crossed segments" true (st.J.s_tail > J.seg_bytes j);
@@ -149,7 +154,7 @@ let test_wraparound () =
   let n = 2_000 in
   (* ~48B per record * 2000 >> 16KiB capacity: several full laps. *)
   for seq = 0 to n - 1 do
-    J.append_umount tm ~seq ~run:0 ~epoch:0 ~subject:seq ~verdict:0
+    J.append_umount tm ~seq ~run:0 ~epoch:0 ~phase:0 ~subject:seq ~verdict:0
       ~errno:(Errno.to_code Errno.EPERM) ~target:"/media/none" ~mounted_by:1
   done;
   let st = J.stats j in
@@ -185,7 +190,7 @@ let test_term_capacity () =
   | _ -> Alcotest.fail "fifth term on four segments must be rejected");
   (* Retiring a term frees its slot — and folds its counters into the
      journal-wide totals instead of losing them. *)
-  J.append_ppp terms.(0) ~seq:0 ~run:0 ~epoch:0 ~subject:1 ~verdict:1
+  J.append_ppp terms.(0) ~seq:0 ~run:0 ~epoch:0 ~phase:0 ~subject:1 ~verdict:1
     ~errno:0 ~device:"/dev/ttyS0" ~safe:true;
   J.retire terms.(0);
   let st = J.stats j in
@@ -194,7 +199,7 @@ let test_term_capacity () =
   check_bool "retired remainder padded out" true (st.J.s_padding >= 1);
   check_int "retired record still decodes" 1 (J.live_entries j);
   let tm = J.term j ~domain:4 in
-  J.append_ppp tm ~seq:1 ~run:0 ~epoch:0 ~subject:1 ~verdict:1 ~errno:0
+  J.append_ppp tm ~seq:1 ~run:0 ~epoch:0 ~phase:0 ~subject:1 ~verdict:1 ~errno:0
     ~device:"/dev/ttyS1" ~safe:true;
   check_int "freed slot reusable" 2 (J.live_entries j)
 
@@ -203,14 +208,14 @@ let test_writer_overrun () =
   let a = J.term j ~domain:0 in
   let b = J.term j ~domain:1 in
   (* A claims physical segment 0 and stalls. *)
-  J.append_ppp a ~seq:0 ~run:0 ~epoch:0 ~subject:1 ~verdict:1 ~errno:0
+  J.append_ppp a ~seq:0 ~run:0 ~epoch:0 ~phase:0 ~subject:1 ~verdict:1 ~errno:0
     ~device:"/dev/ttyS0" ~safe:true;
   (* B writes through segments 1..3; its next claim wraps onto physical
      segment 0, which A still owns — the journal must refuse loudly
      rather than zero-fill A's committed records under it. *)
   match
     for seq = 1 to 10_000 do
-      J.append_umount b ~seq ~run:0 ~epoch:0 ~subject:seq ~verdict:1
+      J.append_umount b ~seq ~run:0 ~epoch:0 ~phase:0 ~subject:seq ~verdict:1
         ~errno:0 ~target:"/media/none" ~mounted_by:1
     done
   with
@@ -231,7 +236,7 @@ let test_stitch_terms () =
   for w = 0 to d - 1 do
     let seq = ref w in
     while !seq < n do
-      J.append_bind terms.(w) ~seq:!seq ~run:7 ~epoch:(!seq / 25)
+      J.append_bind terms.(w) ~seq:!seq ~run:7 ~epoch:(!seq / 25) ~phase:0
         ~subject:w ~verdict:1 ~errno:0 ~port:(1000 + !seq) ~proto:0
         ~exe:"/usr/sbin/svc0";
       seq := !seq + d
@@ -250,13 +255,13 @@ let test_stitch_terms () =
             Alcotest.failf "epoch stamp lost at %d" i)
         ds);
   (* Records of other runs are invisible to the stitch. *)
-  J.append_bind terms.(0) ~seq:0 ~run:8 ~epoch:4 ~subject:0 ~verdict:0
+  J.append_bind terms.(0) ~seq:0 ~run:8 ~epoch:4 ~phase:0 ~subject:0 ~verdict:0
     ~errno:(Errno.to_code Errno.EACCES) ~port:2000 ~proto:1 ~exe:"/bin/x";
   (match J.stitch j ~run:7 ~base:0 ~count:n with
   | Error e -> Alcotest.failf "stitch polluted by another run: %s" e
   | Ok ds -> check_int "still the full run" n (Array.length ds));
   (* A duplicate sequence stamp is an error, not a silent overwrite. *)
-  J.append_bind terms.(1) ~seq:5 ~run:7 ~epoch:0 ~subject:1 ~verdict:1
+  J.append_bind terms.(1) ~seq:5 ~run:7 ~epoch:0 ~phase:0 ~subject:1 ~verdict:1
     ~errno:0 ~port:1005 ~proto:0 ~exe:"/usr/sbin/svc0";
   (match J.stitch j ~run:7 ~base:0 ~count:n with
   | Error e -> check_bool "duplicate reported" true (contains e "duplicate")
@@ -268,18 +273,24 @@ let test_stitch_terms () =
 
 (* --- persistence --------------------------------------------------------- *)
 
+let with_temp f =
+  let path = Filename.temp_file "protego_journal" ".bin" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () -> f path)
+
+let write_file path s =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+
 let test_save_load () =
   let j = J.create ~seg_bytes:4096 ~segments:4 () in
   let tm = J.term j ~domain:2 in
   for seq = 0 to 499 do
-    J.append_ppp tm ~seq ~run:3 ~epoch:1 ~subject:seq ~verdict:(seq land 1)
+    J.append_ppp tm ~seq ~run:3 ~epoch:1 ~phase:(seq mod 3) ~subject:seq
+      ~verdict:(seq land 1)
       ~errno:(if seq land 1 = 1 then 0 else Errno.to_code Errno.EPERM)
       ~device:"/dev/ttyS1" ~safe:false
   done;
-  let path = Filename.temp_file "protego_journal" ".bin" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
+  with_temp (fun path ->
       J.save j path;
       match J.load path with
       | Error e -> Alcotest.failf "load failed: %s" e
@@ -289,6 +300,87 @@ let test_save_load () =
   match J.load "/nonexistent/journal.bin" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "loading a missing file must error"
+
+let test_load_v1 () =
+  with_temp @@ fun path ->
+  write_file path ("PJRNL1\n4096 4 0 0\n" ^ String.make 16384 '\000');
+  match J.load path with
+  | Error e -> check_bool ("v1 refused, naming the version: " ^ e) true
+                 (contains e "PJRNL1")
+  | Ok _ -> Alcotest.fail "a PJRNL1 image must not load"
+
+(* The protego-journal binary next to this test executable's build
+   directory (the test stanza depends on it). *)
+let journal_exe () =
+  let exe =
+    Filename.concat (Filename.dirname Sys.executable_name)
+      (Filename.concat Filename.parent_dir_name
+         (Filename.concat "bin" "journal.exe"))
+  in
+  if Sys.file_exists exe then exe
+  else Alcotest.failf "protego-journal not built at %s" exe
+
+(* Run [protego-journal dump FILE]; its exit code and stderr. *)
+let cli_dump file =
+  with_temp @@ fun err ->
+  let code =
+    Sys.command
+      (Filename.quote_command (journal_exe ()) [ "dump"; file ]
+         ~stdout:Filename.null ~stderr:err)
+  in
+  (code, In_channel.with_open_bin err In_channel.input_all)
+
+(* One record of each kind, then one byte of one record flipped per
+   case: [load] must refuse the image with a message naming the fault,
+   and [protego-journal dump] must exit 1 with that message instead of
+   raising from a later decode. *)
+let test_load_corrupt () =
+  let seg_bytes = 4096 and segments = 4 in
+  let j = J.create ~seg_bytes ~segments () in
+  let tm = J.term j ~domain:0 in
+  J.append_mount tm ~seq:0 ~run:0 ~epoch:0 ~phase:0 ~subject:1 ~verdict:1
+    ~errno:0 ~source:"/dev/cdrom" ~target:"/media/cdrom" ~fstype:"iso9660"
+    ~flags:0;
+  J.append_umount tm ~seq:1 ~run:0 ~epoch:0 ~phase:1 ~subject:1 ~verdict:0
+    ~errno:(Errno.to_code Errno.EPERM) ~target:"/media/cdrom" ~mounted_by:1;
+  J.append_bind tm ~seq:2 ~run:0 ~epoch:0 ~phase:2 ~subject:1 ~verdict:1
+    ~errno:0 ~port:80 ~proto:0 ~exe:"/usr/sbin/httpd";
+  J.append_ppp tm ~seq:3 ~run:0 ~epoch:0 ~phase:2 ~subject:1 ~verdict:1
+    ~errno:0 ~device:"/dev/ttyS0" ~safe:true;
+  J.append_kaudit tm ~time:1. ~pid:1 ~uid:0 ~op:"mount" ~obj:"x" ~allowed:true
+    ~engine:None ~span:None;
+  with_temp @@ fun path ->
+  J.save j path;
+  let image = In_channel.with_open_bin path In_channel.input_all in
+  let store = String.length image - (seg_bytes * segments) in
+  (* Record start offsets in the file, from the length-prefix headers. *)
+  let starts = Array.make 5 store in
+  for i = 1 to 4 do
+    let prev = starts.(i - 1) in
+    starts.(i) <-
+      prev + (Int32.to_int (String.get_int32_le image prev) land 0x3FFFFFFF)
+  done;
+  check_int "pristine image dumps" 0 (fst (cli_dump path));
+  List.iter
+    (fun (what, record, field, byte, expect) ->
+      let b = Bytes.of_string image in
+      Bytes.set_uint8 b (starts.(record) + field) byte;
+      write_file path (Bytes.to_string b);
+      (match J.load path with
+      | Error e ->
+          check_bool (Printf.sprintf "%s: %s" what e) true (contains e expect)
+      | Ok _ -> Alcotest.failf "%s: corrupted image loaded" what);
+      let code, err = cli_dump path in
+      check_int (what ^ ": dump exits 1") 1 code;
+      check_bool (what ^ ": dump says why") true (contains err expect))
+    [ ("kind", 0, 4, 9, "kind 9");
+      ("reqtag", 0, 6, 9, "reqtag 9");
+      ("string length", 0, 28, 255, "past record end");
+      ("verdict", 1, 7, 4, "verdict 4");
+      ("proto", 2, 28, 250, "proto 250");
+      ("ppp safe", 3, 26, 2, "ppp safe 2");
+      ("phase", 3, 9, Protego_base.Phase.count, "phase 3");
+      ("kaudit allowed", 4, 5, 2, "allowed 2") ]
 
 (* --- kernel audit ring view ---------------------------------------------- *)
 
@@ -588,7 +680,10 @@ let suites =
      [ Alcotest.test_case "total order across terms and epochs" `Quick
          test_stitch_terms ]);
     ("journal:persistence",
-     [ Alcotest.test_case "save and load" `Quick test_save_load ]);
+     [ Alcotest.test_case "save and load" `Quick test_save_load;
+       Alcotest.test_case "PJRNL1 image refused" `Quick test_load_v1;
+       Alcotest.test_case "corrupted record refused" `Quick
+         test_load_corrupt ]);
     ("journal:kaudit",
      [ Alcotest.test_case "ring view drop counting" `Quick
          test_kernel_audit_dropped ]);

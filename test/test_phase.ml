@@ -218,24 +218,26 @@ let test_replay_crossing () =
   check "setup-window mount expired" false (allowed (journal 2));
   check "lifetime mount still allowed" true (allowed (journal 3));
   Plane.sim_end plane;
-  (* The served phase travels inside the record's request strings. *)
+  (* The served phase travels in the record's own phase field; the
+     request strings are stored as submitted. *)
   let ds =
     List.filter
       (fun d -> d.J.d_run = run_id)
       (J.decisions (Plane.journal plane))
   in
   check_int "four records" 4 (List.length ds);
-  let phase_of (d : J.decision) =
-    match d.J.d_req with
-    | J.Mount { source; _ } -> fst (Plane.split_phase source)
-    | _ -> Alcotest.fail "unexpected record kind"
-  in
   List.iter
     (fun (d : J.decision) ->
       let expect = if d.J.d_seq < 2 then 0 else Phase.index Phase.Serving in
       check_int
         (Printf.sprintf "record %d phase stamp" d.J.d_seq)
-        expect (phase_of d))
+        expect d.J.d_phase;
+      match (d.J.d_req, reqs.(d.J.d_seq)) with
+      | J.Mount { source; _ }, Plane.Mount m ->
+          Alcotest.(check string)
+            (Printf.sprintf "record %d source verbatim" d.J.d_seq)
+            m.source source
+      | _ -> Alcotest.fail "unexpected record kind")
     ds;
   (* Replay re-evaluates each record under its stamped phase: the same
      request journaled as allow (seq 0) and deny (seq 2) both match. *)

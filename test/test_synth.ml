@@ -205,12 +205,48 @@ let prop_budget =
       && r.Synth.r_used <= r.Synth.r_budget
       && r.Synth.r_budget = budget)
 
+(* --- the committed fixture ----------------------------------------------- *)
+
+(* dune runtest runs us in test/ (the stanza depends on the fixture);
+   `dune exec` from the root. *)
+let fixture_record =
+  List.find Sys.file_exists
+    (List.map
+       (fun dir -> Filename.concat dir "examples/policies/synth/RECORD.bin")
+       [ Filename.parent_dir_name; Filename.current_dir_name ])
+
+(* Every dump line of the committed recording is printable text and
+   names the serving phase exactly once per decision. *)
+let test_fixture_dump () =
+  match J.load fixture_record with
+  | Error e -> Alcotest.failf "%s: %s" fixture_record e
+  | Ok j ->
+      let decisions = ref 0 in
+      J.iter j (fun e ->
+          let line = J.entry_to_string e in
+          check_bool ("printable: " ^ line) true
+            (String.for_all (fun c -> Char.code c >= 0x20) line);
+          match e with
+          | J.Decision d ->
+              incr decisions;
+              Alcotest.(check (list string))
+                ("one phase field: " ^ line)
+                [ "phase=" ^ Phase.to_string (Phase.of_index d.J.d_phase) ]
+                (List.filter
+                   (String.starts_with ~prefix:"phase=")
+                   (String.split_on_char ' ' line))
+          | J.Kaudit _ -> ());
+      check_bool "the fixture holds decisions" true (!decisions > 0)
+
 let suites =
   [ ( "synth:loop",
       [ Alcotest.test_case "record -> synthesize -> lint -> load -> replay"
           `Quick test_closed_loop;
         Alcotest.test_case "byte-identical re-synthesis" `Quick
           test_byte_identical_resynthesis ] );
+    ( "synth:fixture",
+      [ Alcotest.test_case "committed recording dumps one phase per decision"
+          `Quick test_fixture_dump ] );
     ( "synth:phases",
       [ Alcotest.test_case "downward-closed guards under a phase storm" `Quick
           test_phased_guards_downward_closed ] );
