@@ -92,14 +92,14 @@ type worker = {
 }
 
 (* The memo-table key of a request under the subject's phase index: the
-   same canonical encoding the LSM hooks use. *)
-let request_args phase = function
+   same encoding the LSM hooks use. *)
+let request_key k phase = function
   | Mount { source; target; fstype; flags; _ } ->
-      Decider.mount_args ~phase ~source ~target ~fstype ~flags
+      Decider.mount_key k ~phase ~source ~target ~fstype ~flags
   | Umount { target; mounted_by; _ } ->
-      Decider.umount_args ~phase ~target ~mounted_by
-  | Bind { port; proto; exe; _ } -> Decider.bind_args ~phase ~port ~proto ~exe
-  | Ppp_ioctl { device; opt; _ } -> Decider.ppp_args ~phase ~device ~opt
+      Decider.umount_key k ~phase ~target ~mounted_by
+  | Bind { port; proto; exe; _ } -> Decider.bind_key k ~phase ~port ~proto ~exe
+  | Ppp_ioctl { device; opt; _ } -> Decider.ppp_key k ~phase ~device ~opt
 
 let of_bool b = if b then Pfm.Allow else Pfm.Deny
 
@@ -143,7 +143,7 @@ let make_worker ~record journal id snap =
   let dec = Decider.create ~cache:(DC.create ()) ~trace:(Trace.create ()) in
   Decider.set_record dec record;
   let hooks =
-    Array.map (fun k -> Decider.hook dec k ~args:request_args ~eval) kinds
+    Array.map (fun k -> Decider.hook dec k ~key:request_key ~eval) kinds
   in
   let keys =
     Array.init hook_count (fun hi ->

@@ -20,31 +20,47 @@ let deny_errno = function
 let errno kind (v : Pfm.verdict) =
   match v with Pfm.Allow -> None | Pfm.Deny | Pfm.Reject -> deny_errno kind
 
-(* --- canonical argument encodings -------------------------------------- *)
+(* --- key encoders ---------------------------------------------------------
 
-let sep = "\x1f"
+   Every field but a trailing string is self-delimiting, so each hook's
+   layout is injective.  Ints and the flags mask are zigzag varints; one
+   string goes last, unprefixed, which keeps a key no longer than a
+   separator-joined rendering of the same tuple while its strings are
+   under 16 KiB. *)
 
-let mount_args ~phase ~source ~target ~fstype ~flags =
-  String.concat sep
-    [ string_of_int phase; source; target; fstype;
-      string_of_int (Compile.flags_mask flags) ]
+let mount_key k ~phase ~source ~target ~fstype ~flags =
+  DC.Key.int k phase;
+  DC.Key.int k (Compile.flags_mask flags);
+  DC.Key.string k source;
+  DC.Key.string k fstype;
+  DC.Key.last_string k target
 
-let umount_args ~phase ~target ~mounted_by =
-  string_of_int phase ^ sep ^ target ^ sep ^ string_of_int mounted_by
+let umount_key k ~phase ~target ~mounted_by =
+  DC.Key.int k phase;
+  DC.Key.int k mounted_by;
+  DC.Key.last_string k target
 
-let bind_args ~phase ~port ~proto ~exe =
-  string_of_int phase ^ sep ^ string_of_int port ^ sep
-  ^ Protego_policy.Bindconf.proto_to_string proto ^ sep ^ exe
+let bind_key k ~phase ~port ~proto ~exe =
+  DC.Key.int k phase;
+  DC.Key.int k port;
+  DC.Key.int k
+    (match proto with
+     | Protego_policy.Bindconf.Tcp -> 0
+     | Protego_policy.Bindconf.Udp -> 1);
+  DC.Key.last_string k exe
 
-let ppp_args ~phase ~device ~opt =
-  string_of_int phase ^ sep ^ device ^ sep
-  ^ if Protego_net.Ppp.option_is_safe opt then "1" else "0"
+let ppp_key k ~phase ~device ~opt =
+  DC.Key.int k phase;
+  DC.Key.int k (if Protego_net.Ppp.option_is_safe opt then 1 else 0);
+  DC.Key.last_string k device
 
 (* The packet context is the canonical integer encoding of everything
    the chain can match on. *)
-let nf_args _ (pkt, origin) =
-  let ctx = Compile.packet_ctx pkt ~origin in
-  String.concat sep (List.map string_of_int (Array.to_list ctx.Pfm.ints))
+let nf_key k (ctx : Pfm.ctx) =
+  let ints = ctx.Pfm.ints in
+  for i = 0 to Array.length ints - 1 do
+    DC.Key.int k (Array.unsafe_get ints i)
+  done
 
 (* --- deciders and hooks ------------------------------------------------ *)
 
@@ -63,7 +79,7 @@ type stats = {
 type ('e, 'a) hook = {
   kind : kind;
   ch : DC.hook;
-  args : int -> 'a -> string;
+  encode : DC.Key.t -> int -> 'a -> unit;
   eval : 'e -> engine -> phase:int -> subject:int -> 'a -> Pfm.verdict;
   gens : int array;  (* scratch generation vector, refilled per lookup *)
   k_cache : Trace.key;
@@ -82,6 +98,7 @@ type ('e, 'a) hook = {
 type t = {
   cache : DC.t;
   trace : Trace.t;
+  key : DC.Key.t;  (* the table key of the open decision, rewritten per miss *)
   mutable traced : bool;
       (* mirror of [Trace.armed trace] (kept current via [Trace.on_arm]):
          the prologue reads it here instead of chasing into the tracer *)
@@ -100,9 +117,9 @@ type t = {
 
 let create ~cache ~trace =
   let d =
-    { cache; trace; traced = false; record = false; last_recorded = false;
-      last_engine = "pfm"; last_span = 0; p_t0 = 0; p_stamp = 0; p_gen = 0;
-      p_sub = 0; p_ph = 0 }
+    { cache; trace; key = DC.Key.create (); traced = false; record = false;
+      last_recorded = false; last_engine = "pfm"; last_span = 0; p_t0 = 0;
+      p_stamp = 0; p_gen = 0; p_sub = 0; p_ph = 0 }
   in
   (* Clearing last_span here (not per decision) keeps the unarmed hot
      path store-free: while armed every decision sets it in [conclude],
@@ -112,14 +129,14 @@ let create ~cache ~trace =
       d.last_span <- 0);
   d
 
-let hook d kind ~args ~eval =
+let hook d kind ~key ~eval =
   let name = kind_name kind in
-  let key engine = Trace.register d.trace ~hook:name ~engine in
-  let k_cache = key "cache" in
-  let k_pfm = key "pfm" in
-  let k_ref = key "ref" in
-  { kind; ch = DC.register d.cache name; args; eval; gens = [| 0 |]; k_cache;
-    k_pfm; k_ref;
+  let series engine = Trace.register d.trace ~hook:name ~engine in
+  let k_cache = series "cache" in
+  let k_pfm = series "pfm" in
+  let k_ref = series "ref" in
+  { kind; ch = DC.register d.cache name; encode = key; eval; gens = [| 0 |];
+    k_cache; k_pfm; k_ref;
     stats =
       { served = 0; served_allow = 0; served_deny = 0; evals = 0;
         eval_allow = 0; eval_deny = 0; eval_reject = 0 };
@@ -209,14 +226,17 @@ let hit d h =
 let miss d h env ~raw ~engine =
   let sp = d.traced && Trace.spans_enabled d.trace in
   let stages = if sp then [ ("slot", offset d) ] else [] in
-  (* Rendering the key costs about as much as a short program run: skip
-     it while the cache is off (find/add would ignore it anyway). *)
+  (* find/add ignore the key while the cache is off: skip encoding it. *)
   let on = DC.enabled d.cache in
-  let args = if on then h.args d.p_ph raw else "" in
+  let key = d.key in
+  if on then begin
+    DC.Key.reset key;
+    h.encode key d.p_ph raw
+  end;
   let gens = h.gens in
   gens.(0) <- d.p_gen;
   let subject = d.p_sub in
-  let found = DC.find d.cache h.ch ~subject ~args ~gens in
+  let found = DC.find d.cache h.ch ~subject ~key ~gens in
   let stages = if sp then ("table", offset d) :: stages else stages in
   let v, k, stages =
     match found with
@@ -226,7 +246,7 @@ let miss d h env ~raw ~engine =
     | None ->
         let v = h.eval env engine ~phase:d.p_ph ~subject raw in
         evaluated h.stats v;
-        DC.add d.cache h.ch ~subject ~args ~gens ~verdict:v
+        DC.add d.cache h.ch ~subject ~key ~gens ~verdict:v
           ~errno:(errno h.kind v);
         let k =
           match engine with

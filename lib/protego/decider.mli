@@ -32,29 +32,35 @@ val deny_errno : kind -> Protego_base.Errno.t option
 val errno : kind -> Pfm.verdict -> Protego_base.Errno.t option
 (** [None] for [Allow], {!deny_errno} otherwise. *)
 
-(** {1 Canonical argument encodings}
+(** {1 Table-key encoders}
 
-    The decision-cache table key of each hook's arguments under a phase
-    index, which leads.  US (unit separator) cannot appear in any path,
-    fstype or rendered integer, so the encodings are injective.  Flag
-    lists canonicalize to their bitmask; a ppp option to the one bit of
-    it the decision reads (whether it is intrinsically safe); a packet
-    to its PFM context's integer fields. *)
+    Each writes one hook's arguments, under a phase index that leads,
+    into a {!Decision_cache.Key}.  Every field but a trailing string is
+    self-delimiting, so the encodings are injective whatever bytes the
+    strings hold, and (for strings under 16 KiB) a key is never longer
+    than the same tuple joined with separators.  Flag lists canonicalize
+    to their bitmask; a ppp option to the one bit of it the decision
+    reads (whether it is intrinsically safe); a packet to its PFM
+    context's integer fields. *)
 
-val mount_args :
-  phase:int -> source:string -> target:string -> fstype:string ->
-  flags:Protego_kernel.Ktypes.mount_flag list -> string
+val mount_key :
+  Decision_cache.Key.t -> phase:int -> source:string -> target:string ->
+  fstype:string -> flags:Protego_kernel.Ktypes.mount_flag list -> unit
 
-val umount_args : phase:int -> target:string -> mounted_by:int -> string
+val umount_key :
+  Decision_cache.Key.t -> phase:int -> target:string -> mounted_by:int -> unit
 
-val bind_args :
-  phase:int -> port:int -> proto:Protego_policy.Bindconf.proto ->
-  exe:string -> string
+val bind_key :
+  Decision_cache.Key.t -> phase:int -> port:int ->
+  proto:Protego_policy.Bindconf.proto -> exe:string -> unit
 
-val ppp_args : phase:int -> device:string -> opt:Protego_net.Ppp.option_ -> string
+val ppp_key :
+  Decision_cache.Key.t -> phase:int -> device:string ->
+  opt:Protego_net.Ppp.option_ -> unit
 
-val nf_args : int -> Protego_net.Packet.t * Protego_net.Packet.origin -> string
-(** A hook [args] function as it stands: the phase is ignored. *)
+val nf_key : Decision_cache.Key.t -> Pfm.ctx -> unit
+(** The context of {!Protego_filter.Pfm_compile.packet_ctx}; no phase:
+    netfilter chains carry no phase guards. *)
 
 (** {1 Deciders and hooks} *)
 
@@ -83,12 +89,13 @@ val create : cache:Decision_cache.t -> trace:Trace.t -> t
     becomes the tracer's {!Trace.on_arm} listener).  Record mode off. *)
 
 val hook :
-  t -> kind -> args:(int -> 'a -> string) ->
+  t -> kind -> key:(Decision_cache.Key.t -> int -> 'a -> unit) ->
   eval:('e -> engine -> phase:int -> subject:int -> 'a -> Pfm.verdict) ->
   ('e, 'a) hook
 (** Register a hook: its cache-table hook and its [cache]/[pfm]/[ref]
-    latency series, in call order.  [args phase raw] renders the table
-    key; it runs only on a slot miss while the cache is enabled.
+    latency series, in call order.  [key k phase raw] encodes the table
+    key into the decider's emptied scratch key [k]; it runs only on a
+    slot miss while the cache is enabled.
     [eval env engine ~phase ~subject raw] is the hook's engine: the
     compiled program or the reference walk, as [engine] says. *)
 

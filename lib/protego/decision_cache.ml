@@ -9,26 +9,130 @@ type hook = {
   mutable h_stale : int;
 }
 
-(* Keys deliberately store the hook as its dense id: key equality is then
-   two int compares before the argument string is even looked at. *)
-type key = { k_hook : int; k_subject : int; k_args : string }
+(* --- keys ---------------------------------------------------------------- *)
+
+module Key = struct
+  type t = {
+    mutable buf : Bytes.t;
+    mutable len : int;
+    mutable stamp : int;  (* bumped by every write: see [t.m_key] *)
+  }
+
+  let create () = { buf = Bytes.create 64; len = 0; stamp = 0 }
+
+  let reset k =
+    k.len <- 0;
+    k.stamp <- k.stamp + 1
+
+  let contents k = Bytes.sub_string k.buf 0 k.len
+
+  (* Room for [n] more bytes; the buffer only ever grows, so a key
+     written once at a given size is rewritten without allocating. *)
+  let reserve k n =
+    k.stamp <- k.stamp + 1;
+    let need = k.len + n in
+    if need > Bytes.length k.buf then begin
+      let b = Bytes.create (max need (2 * Bytes.length k.buf)) in
+      Bytes.blit k.buf 0 b 0 k.len;
+      k.buf <- b
+    end
+
+  (* LEB128 over the 63 bits of [n], read as unsigned: at most 9 bytes.
+     (Loops, not local recursive functions: those would allocate a
+     closure per call.) *)
+  let uvarint k n =
+    reserve k 9;
+    let b = k.buf and i = ref k.len and n = ref n in
+    while !n land lnot 0x7f <> 0 do
+      Bytes.unsafe_set b !i (Char.unsafe_chr (!n land 0x7f lor 0x80));
+      incr i;
+      n := !n lsr 7
+    done;
+    Bytes.unsafe_set b !i (Char.unsafe_chr !n);
+    k.len <- !i + 1
+
+  (* Zigzag first, so small negative values stay short too. *)
+  let int k n = uvarint k ((n lsl 1) lxor (n asr (Sys.int_size - 1)))
+
+  let last_string k s =
+    let n = String.length s in
+    reserve k n;
+    Bytes.unsafe_blit_string s 0 k.buf k.len n;
+    k.len <- k.len + n
+
+  let string k s =
+    uvarint k (String.length s);
+    last_string k s
+
+  (* One pass over the bytes, eight at a time, then the hook and subject;
+     the final avalanche spreads every input bit into the low bits the
+     bucket index takes. *)
+  let hash k ~hid ~subject =
+    let b = k.buf and n = k.len in
+    let m = 0x1bd1e9955bd1e995 in
+    let whole = n land lnot 7 in
+    let h = ref (n * m) and i = ref 0 in
+    while !i < whole do
+      h := (!h lxor Int64.to_int (Bytes.get_int64_le b !i)) * m;
+      i := !i + 8
+    done;
+    while !i < n do
+      h := (!h lxor Char.code (Bytes.unsafe_get b !i)) * m;
+      incr i
+    done;
+    let h = (((!h lxor hid) * m) lxor subject) * m in
+    let h = h lxor (h lsr 29) in
+    let h = h * 0x2127599bf4325c37 in
+    h lxor (h lsr 32)
+
+  (* [s] (a stored key) against the key's bytes, in place. *)
+  let equal_string k s =
+    let n = k.len in
+    String.length s = n
+    &&
+    let b = k.buf and whole = n land lnot 7 in
+    let i = ref 0 in
+    while
+      !i < whole && (String.get_int64_le s !i : int64) = Bytes.get_int64_le b !i
+    do
+      i := !i + 8
+    done;
+    if !i < whole then false
+    else begin
+      while !i < n && String.unsafe_get s !i = Bytes.unsafe_get b !i do
+        incr i
+      done;
+      !i >= n
+    end
+end
+
+(* --- the table ----------------------------------------------------------- *)
 
 type entry = {
-  e_key : key;
-  e_hook : hook;
+  e_hash : int;
+  e_hid : int;
+  e_subject : int;
+  e_key : string;
   mutable e_gens : int array;
-  mutable e_verdict : Pfm.verdict;
-  mutable e_errno : Errno.t option;
-  (* intrusive LRU list, most-recent at [head] *)
-  mutable e_prev : entry option;
-  mutable e_next : entry option;
+  (* what [find] returns on a hit, built once when the verdict is stored *)
+  mutable e_found : (Pfm.verdict * Errno.t option) option;
+  (* intrusive LRU ring through the table's sentinel: [prev] is more
+     recent, [next] less *)
+  mutable e_prev : entry;
+  mutable e_next : entry;
+  mutable e_chain : entry;  (* bucket chain, ended by [nil] *)
 }
+
+let rec nil =
+  { e_hash = 0; e_hid = -1; e_subject = 0; e_key = ""; e_gens = [||];
+    e_found = None; e_prev = nil; e_next = nil; e_chain = nil }
+
+let no_key = Key.create ()
 
 type t = {
   cap : int;
-  table : (key, entry) Hashtbl.t;
-  mutable head : entry option;
-  mutable tail : entry option;
+  buckets : entry array;  (* length a power of two *)
+  lru : entry;            (* ring sentinel: [lru.e_next] is the MRU entry *)
   mutable size : int;
   mutable enabled : bool;
   (* Atomic: the dispatcher's front slots in other domains compare their
@@ -40,16 +144,29 @@ type t = {
   mutable stale : int;
   mutable evicted : int;
   mutable hooks : hook list;  (* reverse registration order *)
+  (* The last [find] that left its key absent: the key, its stamp then,
+     the hook id, subject and hash.  An [add] of the same unwritten key
+     inserts with that hash, without hashing or searching again. *)
+  mutable m_key : Key.t;
+  mutable m_stamp : int;
+  mutable m_hid : int;
+  mutable m_subject : int;
+  mutable m_hash : int;
 }
 
 let default_capacity = 1024
 
 let create ?(capacity = default_capacity) () =
   let cap = max 1 capacity in
-  { cap; table = Hashtbl.create cap; head = None; tail = None; size = 0;
-    enabled = true; epoch = Atomic.make 0; hits = 0; misses = 0; stale = 0;
-    evicted = 0;
-    hooks = [] }
+  let rec pow2 n = if n >= cap then n else pow2 (2 * n) in
+  let rec lru =
+    { e_hash = 0; e_hid = -1; e_subject = 0; e_key = ""; e_gens = [||];
+      e_found = None; e_prev = lru; e_next = lru; e_chain = nil }
+  in
+  { cap; buckets = Array.make (pow2 1) nil; lru; size = 0; enabled = true;
+    epoch = Atomic.make 0; hits = 0; misses = 0; stale = 0; evicted = 0;
+    hooks = []; m_key = no_key; m_stamp = 0; m_hid = -1; m_subject = 0;
+    m_hash = 0 }
 
 let register t name =
   match List.find_opt (fun h -> h.hname = name) t.hooks with
@@ -78,34 +195,45 @@ let stale_evictions t = t.stale
 let capacity_evictions t = t.evicted
 let hook_stats t = List.rev t.hooks
 
-(* --- LRU list ----------------------------------------------------------- *)
+(* --- LRU ring and buckets ----------------------------------------------- *)
 
-let unlink t e =
-  (match e.e_prev with
-   | Some p -> p.e_next <- e.e_next
-   | None -> t.head <- e.e_next);
-  (match e.e_next with
-   | Some n -> n.e_prev <- e.e_prev
-   | None -> t.tail <- e.e_prev);
-  e.e_prev <- None;
-  e.e_next <- None
+let unlink e =
+  e.e_prev.e_next <- e.e_next;
+  e.e_next.e_prev <- e.e_prev
 
 let push_front t e =
-  e.e_prev <- None;
-  e.e_next <- t.head;
-  (match t.head with Some h -> h.e_prev <- Some e | None -> t.tail <- Some e);
-  t.head <- Some e
+  let s = t.lru in
+  e.e_prev <- s;
+  e.e_next <- s.e_next;
+  s.e_next.e_prev <- e;
+  s.e_next <- e
 
 let touch t e =
-  match e.e_prev with
-  | None -> ()  (* already most recent *)
-  | Some _ ->
-      unlink t e;
-      push_front t e
+  if t.lru.e_next != e then begin
+    unlink e;
+    push_front t e
+  end
 
+let bucket t h = h land (Array.length t.buckets - 1)
+
+let rec lookup e h ~hid ~subject key =
+  if e == nil then nil
+  else if
+    e.e_hash = h && e.e_hid = hid && e.e_subject = subject
+    && Key.equal_string key e.e_key
+  then e
+  else lookup e.e_chain h ~hid ~subject key
+
+let rec unchain p e =
+  if p.e_chain == e then p.e_chain <- e.e_chain else unchain p.e_chain e
+
+(* Remove [e] from the LRU ring and from the bucket its stored hash
+   names. *)
 let drop t e =
-  unlink t e;
-  Hashtbl.remove t.table e.e_key;
+  unlink e;
+  let i = bucket t e.e_hash in
+  if t.buckets.(i) == e then t.buckets.(i) <- e.e_chain
+  else unchain t.buckets.(i) e;
   t.size <- t.size - 1
 
 (* --- the hot path ------------------------------------------------------- *)
@@ -114,62 +242,88 @@ let same_gens a b =
   let n = Array.length a in
   n = Array.length b
   &&
-  let rec go i = i >= n || (Array.unsafe_get a i = Array.unsafe_get b i && go (i + 1)) in
-  go 0
+  let i = ref 0 in
+  while !i < n && Array.unsafe_get a !i = Array.unsafe_get b !i do
+    incr i
+  done;
+  !i >= n
 
-let find t hook ~subject ~args ~gens =
+let missed t hook ~subject key h =
+  t.misses <- t.misses + 1;
+  hook.h_misses <- hook.h_misses + 1;
+  t.m_key <- key;
+  t.m_stamp <- key.Key.stamp;
+  t.m_hid <- hook.hid;
+  t.m_subject <- subject;
+  t.m_hash <- h
+
+let find t hook ~subject ~key ~gens =
   if not t.enabled then None
   else
-    let key = { k_hook = hook.hid; k_subject = subject; k_args = args } in
-    match Hashtbl.find_opt t.table key with
-    | Some e when same_gens e.e_gens gens ->
-        touch t e;
-        t.hits <- t.hits + 1;
-        hook.h_hits <- hook.h_hits + 1;
-        Some (e.e_verdict, e.e_errno)
-    | Some e ->
-        drop t e;
-        t.stale <- t.stale + 1;
-        hook.h_stale <- hook.h_stale + 1;
-        t.misses <- t.misses + 1;
-        hook.h_misses <- hook.h_misses + 1;
-        None
-    | None ->
-        t.misses <- t.misses + 1;
-        hook.h_misses <- hook.h_misses + 1;
-        None
+    let h = Key.hash key ~hid:hook.hid ~subject in
+    let e = lookup t.buckets.(bucket t h) h ~hid:hook.hid ~subject key in
+    if e == nil then begin
+      missed t hook ~subject key h;
+      None
+    end
+    else if same_gens e.e_gens gens then begin
+      touch t e;
+      t.hits <- t.hits + 1;
+      hook.h_hits <- hook.h_hits + 1;
+      e.e_found
+    end
+    else begin
+      drop t e;
+      t.stale <- t.stale + 1;
+      hook.h_stale <- hook.h_stale + 1;
+      missed t hook ~subject key h;
+      None
+    end
 
-let add t hook ~subject ~args ~gens ~verdict ~errno =
-  if not t.enabled then ()
-  else
-    let key = { k_hook = hook.hid; k_subject = subject; k_args = args } in
-    match Hashtbl.find_opt t.table key with
-    | Some e ->
+let insert t hook ~subject ~key h ~gens ~found =
+  if t.size >= t.cap then begin
+    let lru = t.lru.e_prev in
+    if lru != t.lru then begin
+      drop t lru;
+      t.evicted <- t.evicted + 1
+    end
+  end;
+  let i = bucket t h in
+  let e =
+    { e_hash = h; e_hid = hook.hid; e_subject = subject;
+      e_key = Key.contents key; e_gens = Array.copy gens; e_found = found;
+      e_prev = nil; e_next = nil; e_chain = t.buckets.(i) }
+  in
+  t.buckets.(i) <- e;
+  push_front t e;
+  t.size <- t.size + 1
+
+let add t hook ~subject ~key ~gens ~verdict ~errno =
+  if t.enabled then begin
+    let found = Some (verdict, errno) in
+    if
+      t.m_key == key && t.m_stamp = key.Key.stamp && t.m_hid = hook.hid
+      && t.m_subject = subject
+    then insert t hook ~subject ~key t.m_hash ~gens ~found
+    else begin
+      let h = Key.hash key ~hid:hook.hid ~subject in
+      let e = lookup t.buckets.(bucket t h) h ~hid:hook.hid ~subject key in
+      if e == nil then insert t hook ~subject ~key h ~gens ~found
+      else begin
         e.e_gens <- Array.copy gens;
-        e.e_verdict <- verdict;
-        e.e_errno <- errno;
+        e.e_found <- found;
         touch t e
-    | None ->
-        if t.size >= t.cap then (
-          match t.tail with
-          | Some lru ->
-              drop t lru;
-              t.evicted <- t.evicted + 1
-          | None -> ());
-        let e =
-          { e_key = key; e_hook = hook; e_gens = Array.copy gens;
-            e_verdict = verdict; e_errno = errno; e_prev = None; e_next = None }
-        in
-        push_front t e;
-        Hashtbl.add t.table key e;
-        t.size <- t.size + 1
+      end
+    end;
+    t.m_key <- no_key
+  end
 
 (* --- control ------------------------------------------------------------ *)
 
 let clear t =
-  Hashtbl.reset t.table;
-  t.head <- None;
-  t.tail <- None;
+  Array.fill t.buckets 0 (Array.length t.buckets) nil;
+  t.lru.e_prev <- t.lru;
+  t.lru.e_next <- t.lru;
   t.size <- 0;
   Atomic.incr t.epoch
 

@@ -2,9 +2,18 @@
     table, the middle rung of the {!Decider} ladder.
 
     A filtered hook's decision is a pure function of (policy sources it
-    reads, subject credential key, canonicalized argument tuple), so its
-    verdict is memoized — positive (Allow) and negative (Deny/Reject,
-    with the errno the hook would return) alike.
+    reads, subject credential key, argument tuple), so its verdict is
+    memoized — positive (Allow) and negative (Deny/Reject, with the errno
+    the hook would return) alike.
+
+    {b Keys are the raw arguments, encoded.}  An entry is keyed by the
+    hook, the subject and a {!Key}: the caller's argument tuple written as
+    fields (zigzag varint integers, length-prefixed strings, at most one
+    bare string last) into a scratch buffer the caller owns and reuses.  The
+    encoding is injective for a fixed field layout, so two different
+    tuples never share an entry, whatever bytes their strings hold.  A
+    lookup hashes the key once and compares stored bytes in place; only
+    an insertion copies the key into an owned string.
 
     {b Invalidation is lazy and per-source, not a global flush.}  Every
     policy source carries a generation counter ({!Policy_state.generation});
@@ -34,6 +43,30 @@ type hook = private {
     record and passes it back on every lookup so the hot path never
     resolves a hook by name. *)
 
+(** A reusable key buffer.  Writers append fields; the layout (which
+    fields, in which order) is the caller's, fixed per hook. *)
+module Key : sig
+  type t
+
+  val create : unit -> t
+
+  val reset : t -> unit
+  (** Empty the key, keeping its buffer: a key rewritten at a size it
+      has reached before does not allocate. *)
+
+  val int : t -> int -> unit
+  (** A zigzag LEB128 varint: 1 byte for [-64..63], at most 9. *)
+
+  val string : t -> string -> unit
+  (** A varint length, then the bytes. *)
+
+  val last_string : t -> string -> unit
+  (** The bytes alone: the field runs to the end of the key, so it must
+      be the last one written. *)
+
+  val contents : t -> string
+end
+
 type t
 
 val default_capacity : int
@@ -59,20 +92,23 @@ val set_enabled : t -> bool -> unit
 (** {1 The hot path} *)
 
 val find :
-  t -> hook -> subject:int -> args:string -> gens:int array ->
+  t -> hook -> subject:int -> key:Key.t -> gens:int array ->
   (Pfm.verdict * Protego_base.Errno.t option) option
 (** [Some (verdict, errno)] on a fresh hit ([errno] is the value the hook
-    returns on a denial; [None] for Allow or verdicts without an errno).
-    [None] on a miss — including a generation mismatch, which also evicts
-    the stale entry and counts under [stale].  The caller owns [gens] and
-    may reuse the array across calls; it is copied on insertion, compared
-    elementwise here. *)
+    returns on a denial; [None] for Allow or verdicts without an errno);
+    a hit allocates nothing.  [None] on a miss — including a generation
+    mismatch, which also evicts the stale entry and counts under
+    [stale].  The caller owns [key] and [gens] and may reuse both across
+    calls; they are copied on insertion, compared in place here. *)
 
 val add :
-  t -> hook -> subject:int -> args:string -> gens:int array ->
+  t -> hook -> subject:int -> key:Key.t -> gens:int array ->
   verdict:Pfm.verdict -> errno:Protego_base.Errno.t option -> unit
 (** Insert (or refresh) the memo for a decision just computed by an
-    engine.  Evicts the least-recently-used entry when at capacity. *)
+    engine.  Evicts the least-recently-used entry when at capacity.  Right
+    after a {!find} of the same, unrewritten [key] for the same hook and
+    subject missed, the insert reuses that lookup's hash and does not
+    search again. *)
 
 (** {1 Front slots}
 

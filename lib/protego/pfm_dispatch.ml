@@ -35,6 +35,21 @@ type 'k prog = {
    types: what the per-hook /proc and optimizer walks iterate over. *)
 type any_hook = Hook : ('e, 'a) Decider.hook * 'k prog -> any_hook
 
+(* A packet decision's raw arguments.  The table key and the compiled
+   program both read the packet's PFM context: whichever runs first
+   builds it, once per decision. *)
+type packet = {
+  pkt : Packet.t;
+  origin : Packet.origin;
+  mutable ctx : Pfm.ctx;  (* [no_ctx] until built *)
+}
+
+let no_ctx = { Pfm.ints = [||]; strs = [||] }
+
+let packet_ctx p =
+  if p.ctx == no_ctx then p.ctx <- Compile.packet_ctx p.pkt ~origin:p.origin;
+  p.ctx
+
 (* Last source value observed by a decision, by physical identity.  When it
    changes without a /proc write having bumped the generation (direct field
    assignment, as the bench ablations and fuzz harnesses do), the observer
@@ -53,7 +68,7 @@ type t = {
     Decider.hook;
   umount : (Policy_state.t, string * int) Decider.hook;
   bind : (Policy_state.t, string * int * Bindconf.proto) Decider.hook;
-  nf : (Netfilter.t, Packet.t * Packet.origin) Decider.hook;
+  nf : (Netfilter.t, packet) Decider.hook;
   ppp : (Policy_state.t, string * Protego_net.Ppp.option_) Decider.hook;
   hooks : (string * any_hook) list;  (* filter_stats order, by name *)
   (* physical-identity watches backing the generation counters *)
@@ -106,8 +121,8 @@ let create () =
      order of the cache_stats and latency lines. *)
   let mount =
     Decider.hook dec Decider.Mount
-      ~args:(fun phase (source, target, fstype, flags) ->
-        Decider.mount_args ~phase ~source ~target ~fstype ~flags)
+      ~key:(fun k phase (source, target, fstype, flags) ->
+        Decider.mount_key k ~phase ~source ~target ~fstype ~flags)
       ~eval:(fun st engine ~phase ~subject:_ (source, target, fstype, flags) ->
         match engine with
         | `Ref ->
@@ -121,8 +136,8 @@ let create () =
   in
   let umount =
     Decider.hook dec Decider.Umount
-      ~args:(fun phase (target, mounted_by) ->
-        Decider.umount_args ~phase ~target ~mounted_by)
+      ~key:(fun k phase (target, mounted_by) ->
+        Decider.umount_key k ~phase ~target ~mounted_by)
       ~eval:(fun st engine ~phase ~subject:ruid (target, mounted_by) ->
         match engine with
         | `Ref ->
@@ -136,8 +151,8 @@ let create () =
   in
   let bind =
     Decider.hook dec Decider.Bind
-      ~args:(fun phase (exe, port, proto) ->
-        Decider.bind_args ~phase ~port ~proto ~exe)
+      ~key:(fun k phase (exe, port, proto) ->
+        Decider.bind_key k ~phase ~port ~proto ~exe)
       ~eval:(fun st engine ~phase ~subject:uid (exe, port, proto) ->
         match engine with
         | `Ref ->
@@ -150,12 +165,13 @@ let create () =
               (Compile.bind_ctx ~phase ~port ~proto ~exe ~uid))
   in
   let nf =
-    Decider.hook dec Decider.Nf_output ~args:Decider.nf_args
-      ~eval:(fun nf engine ~phase:_ ~subject:_ (pkt, origin) ->
+    Decider.hook dec Decider.Nf_output
+      ~key:(fun k _ p -> Decider.nf_key k (packet_ctx p))
+      ~eval:(fun nf engine ~phase:_ ~subject:_ p ->
         match engine with
         | `Ref ->
             Compile.verdict_of_netfilter
-              (Netfilter.walk nf Netfilter.Output pkt ~origin)
+              (Netfilter.walk nf Netfilter.Output p.pkt ~origin:p.origin)
         | `Pfm ->
             run nf_prog
               ~same:(fun (r1, p1) (r2, p2) -> r1 == r2 && p1 = p2)
@@ -163,11 +179,11 @@ let create () =
                 ( Netfilter.rules nf Netfilter.Output,
                   Netfilter.policy nf Netfilter.Output )
               ~compile:(fun (rules, policy) -> Compile.netfilter ~rules ~policy)
-              (Compile.packet_ctx pkt ~origin))
+              (packet_ctx p))
   in
   let ppp =
     Decider.hook dec Decider.Ppp_ioctl
-      ~args:(fun phase (device, opt) -> Decider.ppp_args ~phase ~device ~opt)
+      ~key:(fun k phase (device, opt) -> Decider.ppp_key k ~phase ~device ~opt)
       ~eval:(fun st engine ~phase ~subject:_ (device, opt) ->
         match engine with
         | `Ref ->
@@ -408,8 +424,9 @@ let decide_nf_output t nf pkt ~origin =
   let gen = nf_gen t nf in
   let v =
     match Decider.probe d h ~stamp:gen ~gen ~subject:0 ~phase:0 with
-    | Some (p0, o0) when p0 == pkt && o0 = origin -> Decider.hit d h
-    | _ -> Decider.miss d h nf ~raw:(pkt, origin) ~engine:t.engine
+    | Some p when p.pkt == pkt && p.origin = origin -> Decider.hit d h
+    | _ ->
+        Decider.miss d h nf ~raw:{ pkt; origin; ctx = no_ctx } ~engine:t.engine
   in
   Compile.netfilter_of_verdict (Decider.flip d v)
 

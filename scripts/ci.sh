@@ -9,9 +9,9 @@
 #            on all four workloads).  This is the per-compiler signal
 #            job.
 #   --full   everything the fast tier skips: the bench regression gate,
-#            journal artifact verification, the cache/
-#            equivalence/plane/journal/sim stress suites, both seeded
-#            simulation sweeps, the plane scaling smoke and the
+#            a decision-cache bench smoke, journal artifact verification,
+#            the cache/equivalence/plane/journal/sim stress suites, both
+#            seeded simulation sweeps, the plane scaling smoke and the
 #            protego-synth record->synthesize->verify closed loop (fresh
 #            recording + the committed fixture pair).  Runs once, gated
 #            on the fast jobs.
@@ -107,6 +107,12 @@ full_tier() {
     ./_build/default/bin/bench_gate.exe BENCH_protego.json \
         --baseline bench/baseline.json --tolerance 3 \
         --floor filter:nf_output,opt_speedup,3
+
+    # The decision-cache table: cold miss, table hit (fresh argument
+    # copies, the path a syscall takes) and front-slot hit, by whitelist
+    # size.  A smoke run: it must complete, the numbers are informational.
+    echo "==> decision-cache bench smoke (bench/main.exe cache)"
+    ./_build/default/bench/main.exe cache
 
     # The audit bench saves the steady journal's binary image; verifying it
     # with the standalone CLI exercises the full persistence + decode +

@@ -33,23 +33,29 @@ let starts_with haystack prefix =
 
 (* --- the table itself --------------------------------------------------- *)
 
+let key s =
+  let k = DC.Key.create () in
+  DC.Key.last_string k s;
+  k
+
 let test_lru_eviction () =
   let c = DC.create ~capacity:2 () in
   let h = DC.register c "mount" in
   let gens = [| 0 |] in
-  DC.add c h ~subject:0 ~args:"a" ~gens ~verdict:Pfm.Allow ~errno:None;
-  DC.add c h ~subject:0 ~args:"b" ~gens ~verdict:Pfm.Allow ~errno:None;
+  DC.add c h ~subject:0 ~key:(key "a") ~gens ~verdict:Pfm.Allow ~errno:None;
+  DC.add c h ~subject:0 ~key:(key "b") ~gens ~verdict:Pfm.Allow ~errno:None;
   check_int "at capacity" 2 (DC.length c);
   (* A hit refreshes recency: touching "a" makes "b" the LRU victim. *)
-  check "a hits" true (DC.find c h ~subject:0 ~args:"a" ~gens <> None);
-  DC.add c h ~subject:0 ~args:"c" ~gens ~verdict:Pfm.Deny ~errno:None;
+  check "a hits" true (DC.find c h ~subject:0 ~key:(key "a") ~gens <> None);
+  DC.add c h ~subject:0 ~key:(key "c") ~gens ~verdict:Pfm.Deny ~errno:None;
   check_int "one capacity eviction" 1 (DC.capacity_evictions c);
   check_int "still at capacity" 2 (DC.length c);
-  check "b was the victim" true (DC.find c h ~subject:0 ~args:"b" ~gens = None);
-  check "a survived" true (DC.find c h ~subject:0 ~args:"a" ~gens <> None);
-  check "c resident" true (DC.find c h ~subject:0 ~args:"c" ~gens <> None);
+  check "b was the victim" true
+    (DC.find c h ~subject:0 ~key:(key "b") ~gens = None);
+  check "a survived" true (DC.find c h ~subject:0 ~key:(key "a") ~gens <> None);
+  check "c resident" true (DC.find c h ~subject:0 ~key:(key "c") ~gens <> None);
   (* Re-adding a resident key refreshes in place, no eviction. *)
-  DC.add c h ~subject:0 ~args:"a" ~gens ~verdict:Pfm.Deny ~errno:None;
+  DC.add c h ~subject:0 ~key:(key "a") ~gens ~verdict:Pfm.Deny ~errno:None;
   check_int "refresh is not an insert" 1 (DC.capacity_evictions c);
   check_int "size unchanged" 2 (DC.length c)
 
@@ -57,54 +63,55 @@ let test_negative_caching () =
   let c = DC.create () in
   let h = DC.register c "bind" in
   let gens = [| 5 |] in
-  DC.add c h ~subject:8 ~args:"k" ~gens ~verdict:Pfm.Deny
+  DC.add c h ~subject:8 ~key:(key "k") ~gens ~verdict:Pfm.Deny
     ~errno:(Some Errno.EACCES);
-  (match DC.find c h ~subject:8 ~args:"k" ~gens with
+  (match DC.find c h ~subject:8 ~key:(key "k") ~gens with
   | Some (Pfm.Deny, Some e) ->
       Alcotest.check errno "denial errno served" Errno.EACCES e
   | _ -> Alcotest.fail "negative result not cached");
-  DC.add c h ~subject:8 ~args:"ok" ~gens ~verdict:Pfm.Allow ~errno:None;
-  (match DC.find c h ~subject:8 ~args:"ok" ~gens with
+  DC.add c h ~subject:8 ~key:(key "ok") ~gens ~verdict:Pfm.Allow ~errno:None;
+  (match DC.find c h ~subject:8 ~key:(key "ok") ~gens with
   | Some (Pfm.Allow, None) -> ()
   | _ -> Alcotest.fail "positive result not cached");
   (* Subjects are part of the key. *)
   check "other subject misses" true
-    (DC.find c h ~subject:9 ~args:"k" ~gens = None)
+    (DC.find c h ~subject:9 ~key:(key "k") ~gens = None)
 
 let test_generation_staleness () =
   let c = DC.create () in
   let h = DC.register c "mount" in
-  DC.add c h ~subject:0 ~args:"k" ~gens:[| 3 |] ~verdict:Pfm.Allow ~errno:None;
+  DC.add c h ~subject:0 ~key:(key "k") ~gens:[| 3 |] ~verdict:Pfm.Allow
+    ~errno:None;
   check "fresh generation hits" true
-    (DC.find c h ~subject:0 ~args:"k" ~gens:[| 3 |] <> None);
+    (DC.find c h ~subject:0 ~key:(key "k") ~gens:[| 3 |] <> None);
   (* A bumped generation is a miss AND evicts the stale entry. *)
   check "stale generation misses" true
-    (DC.find c h ~subject:0 ~args:"k" ~gens:[| 4 |] = None);
+    (DC.find c h ~subject:0 ~key:(key "k") ~gens:[| 4 |] = None);
   check_int "stale eviction counted" 1 (DC.stale_evictions c);
   check_int "stale lookup counts as a miss" 1 (DC.misses c);
   check_int "entry gone" 0 (DC.length c);
   (* The entry was dropped, so the next lookup is a plain miss. *)
   check "second lookup plain miss" true
-    (DC.find c h ~subject:0 ~args:"k" ~gens:[| 4 |] = None);
+    (DC.find c h ~subject:0 ~key:(key "k") ~gens:[| 4 |] = None);
   check_int "no second stale eviction" 1 (DC.stale_evictions c);
   check_int "but a second miss" 2 (DC.misses c);
   (* The caller may reuse its gens array: insertion must copy it. *)
   let gens = [| 7 |] in
-  DC.add c h ~subject:0 ~args:"r" ~gens ~verdict:Pfm.Allow ~errno:None;
+  DC.add c h ~subject:0 ~key:(key "r") ~gens ~verdict:Pfm.Allow ~errno:None;
   gens.(0) <- 8;
   check "entry stamped with insertion-time gens" true
-    (DC.find c h ~subject:0 ~args:"r" ~gens:[| 7 |] <> None)
+    (DC.find c h ~subject:0 ~key:(key "r") ~gens:[| 7 |] <> None)
 
 let test_enable_off_bypass () =
   let c = DC.create () in
   let h = DC.register c "ppp_ioctl" in
   let gens = [| 0 |] in
-  DC.add c h ~subject:0 ~args:"k" ~gens ~verdict:Pfm.Allow ~errno:None;
-  ignore (DC.find c h ~subject:0 ~args:"k" ~gens);
+  DC.add c h ~subject:0 ~key:(key "k") ~gens ~verdict:Pfm.Allow ~errno:None;
+  ignore (DC.find c h ~subject:0 ~key:(key "k") ~gens);
   DC.set_enabled c false;
   check "disabled lookups miss" true
-    (DC.find c h ~subject:0 ~args:"k" ~gens = None);
-  DC.add c h ~subject:0 ~args:"new" ~gens ~verdict:Pfm.Deny ~errno:None;
+    (DC.find c h ~subject:0 ~key:(key "k") ~gens = None);
+  DC.add c h ~subject:0 ~key:(key "new") ~gens ~verdict:Pfm.Deny ~errno:None;
   (* A pure bypass: no insert, no counter movement. *)
   check_int "no insert while disabled" 1 (DC.length c);
   check_int "hits untouched" 1 (DC.hits c);
@@ -113,7 +120,7 @@ let test_enable_off_bypass () =
   (* Entries cached before the bypass are still valid afterwards: their
      generation stamps, not the toggle, decide freshness. *)
   check "entry servable after re-enable" true
-    (DC.find c h ~subject:0 ~args:"k" ~gens <> None)
+    (DC.find c h ~subject:0 ~key:(key "k") ~gens <> None)
 
 let test_register_and_reset () =
   let c = DC.create ~capacity:4 () in
@@ -122,9 +129,10 @@ let test_register_and_reset () =
   check "registration is idempotent" true (hm == hm');
   let hb = DC.register c "bind" in
   check_int "dense ids" 1 hb.DC.hid;
-  DC.add c hm ~subject:0 ~args:"x" ~gens:[| 0 |] ~verdict:Pfm.Allow ~errno:None;
-  ignore (DC.find c hm ~subject:0 ~args:"x" ~gens:[| 0 |]);
-  ignore (DC.find c hb ~subject:0 ~args:"y" ~gens:[| 0 |]);
+  DC.add c hm ~subject:0 ~key:(key "x") ~gens:[| 0 |] ~verdict:Pfm.Allow
+    ~errno:None;
+  ignore (DC.find c hm ~subject:0 ~key:(key "x") ~gens:[| 0 |]);
+  ignore (DC.find c hb ~subject:0 ~key:(key "y") ~gens:[| 0 |]);
   check_str "render"
     "cache on capacity 4 entries 1\n\
      hits 1 misses 1 stale 0 evicted 0\n\
@@ -149,6 +157,159 @@ let test_register_and_reset () =
   (match DC.handle_write c "bogus" with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "junk command accepted")
+
+(* An insert right after a miss reuses that lookup; a key rewritten or a
+   subject changed in between still lands under its own key. *)
+let test_insert_after_miss () =
+  let c = DC.create () in
+  let h = DC.register c "mount" in
+  let gens = [| 0 |] in
+  let k = DC.Key.create () in
+  let set s =
+    DC.Key.reset k;
+    DC.Key.last_string k s
+  in
+  let find ?(subject = 0) s = DC.find c h ~subject ~key:(key s) ~gens in
+  set "a";
+  check "cold miss" true (DC.find c h ~subject:0 ~key:k ~gens = None);
+  DC.add c h ~subject:0 ~key:k ~gens ~verdict:Pfm.Allow ~errno:None;
+  check "inserted under its bytes" true (find "a" = Some (Pfm.Allow, None));
+  set "b";
+  check "b misses" true (DC.find c h ~subject:0 ~key:k ~gens = None);
+  set "c";
+  DC.add c h ~subject:0 ~key:k ~gens ~verdict:Pfm.Deny ~errno:None;
+  check "rewritten key inserted as c" true (find "c" = Some (Pfm.Deny, None));
+  check "b never inserted" true (find "b" = None);
+  set "d";
+  check "d misses for subject 0" true
+    (DC.find c h ~subject:0 ~key:k ~gens = None);
+  DC.add c h ~subject:1 ~key:k ~gens ~verdict:Pfm.Allow ~errno:None;
+  check "inserted for subject 1" true (find ~subject:1 "d" <> None);
+  check "not for subject 0" true (find "d" = None);
+  (* The same key added twice is refreshed, not duplicated. *)
+  DC.add c h ~subject:1 ~key:k ~gens ~verdict:Pfm.Deny ~errno:None;
+  check "refreshed verdict" true (find ~subject:1 "d" = Some (Pfm.Deny, None));
+  check_int "three entries" 3 (DC.length c)
+
+(* Minor-heap words one call of [f] allocates, averaged over [n] calls. *)
+let words_per_call n f =
+  let before = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    f i
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let test_hit_allocates_nothing () =
+  let c = DC.create () in
+  let h = DC.register c "mount" in
+  let gens = [| 0 |] in
+  List.iter
+    (fun len ->
+      let k = key (String.make len 'x') in
+      DC.add c h ~subject:0 ~key:k ~gens ~verdict:Pfm.Allow ~errno:None;
+      let w =
+        words_per_call 1000 (fun _ ->
+            ignore (DC.find c h ~subject:0 ~key:k ~gens))
+      in
+      check (Printf.sprintf "%d-byte key: %.3f words per hit" len w) true
+        (w < 0.01))
+    [ 8; 1000 ]
+
+(* --- keys --------------------------------------------------------------- *)
+
+let encoded f =
+  let k = DC.Key.create () in
+  f k;
+  DC.Key.contents k
+
+let rec product = function
+  | [] -> [ [] ]
+  | xs :: rest ->
+      List.concat_map (fun x -> List.map (fun t -> x :: t) (product rest)) xs
+
+(* Every hook's encoding separates tuples a separator-joined rendering
+   confuses, and tuples whose fields hold varint-looking bytes; and no
+   key is longer than that rendering of the same tuple. *)
+let test_keys_injective_and_short () =
+  let module D = Protego_core.Decider in
+  let module Bindconf = Protego_policy.Bindconf in
+  let module Ppp = Protego_net.Ppp in
+  let us = "\x1f" in
+  let strs =
+    [ ""; "/dev/sdc1"; "/media/stick"; "/dev/sdc1\x1f/media/stick";
+      "/media/stick\x1f/etc"; "/etc"; "/etc\x1fext4"; "ext4"; "auto";
+      "\x01"; "\x80\x01"; String.make 200 'p' ]
+  in
+  let ints = [ 0; 1; 2; 63; 64; 1000; -1; 33434; min_int; max_int ] in
+  let check_hook name keys =
+    let n = List.length keys in
+    check_int (name ^ ": one key per tuple") n
+      (List.length (List.sort_uniq compare (List.map fst keys)));
+    List.iter
+      (fun (k, rendered) ->
+        if String.length k > String.length rendered then
+          Alcotest.failf "%s: key of %d bytes, rendering of %d" name
+            (String.length k) (String.length rendered))
+      keys
+  in
+  let i = string_of_int in
+  check_hook "mount"
+    (List.map
+       (function
+         | [ source; target; fstype ] ->
+             List.concat_map
+               (fun (phase, flags) ->
+                 let mask = Protego_filter.Pfm_compile.flags_mask flags in
+                 [ ( encoded (fun k ->
+                         D.mount_key k ~phase ~source ~target ~fstype ~flags),
+                     String.concat us
+                       [ i phase; source; target; fstype; i mask ] ) ])
+               [ (0, []); (2, [ Mf_nosuid; Mf_nodev ]) ]
+         | _ -> assert false)
+       (product [ strs; strs; strs ])
+    |> List.concat);
+  check_hook "umount"
+    (List.concat_map
+       (fun target ->
+         List.concat_map
+           (fun mounted_by ->
+             List.map
+               (fun phase ->
+                 ( encoded (fun k -> D.umount_key k ~phase ~target ~mounted_by),
+                   String.concat us [ i phase; target; i mounted_by ] ))
+               [ 0; 1; 2 ])
+           ints)
+       strs);
+  check_hook "bind"
+    (List.concat_map
+       (fun exe ->
+         List.concat_map
+           (fun port ->
+             List.map
+               (fun proto ->
+                 ( encoded (fun k -> D.bind_key k ~phase:1 ~port ~proto ~exe),
+                   String.concat us
+                     [ "1"; i port; Bindconf.proto_to_string proto; exe ] ))
+               [ Bindconf.Tcp; Bindconf.Udp ])
+           ints)
+       strs);
+  check_hook "ppp_ioctl"
+    (List.concat_map
+       (fun device ->
+         List.map
+           (fun opt ->
+             ( encoded (fun k -> D.ppp_key k ~phase:0 ~device ~opt),
+               String.concat us
+                 [ "0"; device; (if Ppp.option_is_safe opt then "1" else "0") ]
+             ))
+           [ Ppp.Accomp; Ppp.Default_route ])
+       strs);
+  check_hook "nf_output"
+    (List.map
+       (fun xs ->
+         let ctx = { Pfm.ints = Array.of_list xs; strs = [||] } in
+         (encoded (fun k -> D.nf_key k ctx), String.concat us (List.map i xs)))
+       (product [ ints; ints; [ 0; min_int ] ]))
 
 (* --- the dispatcher in front of a policy state -------------------------- *)
 
@@ -220,6 +381,98 @@ let test_dispatch_disable_bypasses () =
   check_int "no counters while disabled" 0 (DC.hits dc + DC.misses dc);
   check_int "both evals reached the filter machine" 2
     (List.assoc "mount" (PD.stats disp)).PD.evals
+
+(* A physically new string with the same bytes, as a syscall's copy from
+   user memory makes: the front slot, compared by identity, misses it. *)
+let fresh s = Bytes.to_string (Bytes.of_string s)
+
+(* Tuples packed with separators and digits, decided cold and then again
+   from the table: each must get the reference verdict both times. *)
+let test_dispatch_separator_tuples () =
+  let module Bindconf = Protego_policy.Bindconf in
+  let module Pppopts = Protego_policy.Pppopts in
+  let module Ppp = Protego_net.Ppp in
+  let st = PS.create () in
+  let rule target mode =
+    { PS.mr_source = "/dev/a"; mr_target = target; mr_fstype = "ext4";
+      mr_flags = []; mr_mode = mode; mr_phase = PS.Phase.Always }
+  in
+  st.PS.mounts <- [ rule "/m\x1f1000" `Users; rule "/m" `User ];
+  st.PS.binds <-
+    [ { Bindconf.port = 25; proto = Bindconf.Tcp; exe = "/usr/sbin/exim4";
+        owner = 8; phase = Protego_base.Phase.Always } ];
+  st.PS.ppp <-
+    { Pppopts.directives =
+        [ Pppopts.Allow_device ("/dev/ttyS0\x1f1", Protego_base.Phase.Always) ]
+    };
+  let disp = PD.create () in
+  let twice name decide oracle =
+    let expect = oracle () in
+    check (name ^ ": cold") expect (decide ());
+    check (name ^ ": cached") expect (decide ());
+    check_str (name ^ ": served by the cache") "cache"
+      (PD.decision_engine_name disp)
+  in
+  List.iter
+    (fun (target, mounted_by, ruid) ->
+      twice
+        (Printf.sprintf "umount %S %d by %d" target mounted_by ruid)
+        (fun () ->
+          PD.decide_umount disp st ~target:(fresh target) ~mounted_by ~ruid)
+        (fun () -> PS.umount_decision st ~target ~mounted_by ~ruid))
+    [ ("/m\x1f1000", 5, 7); ("/m", 1000, 7); ("/m", 7, 7); ("/m\x1f1", 0, 7);
+      ("/m\x1f1000\x1f5", 7, 7) ];
+  List.iter
+    (fun (port, exe) ->
+      twice
+        (Printf.sprintf "bind %d %S" port exe)
+        (fun () ->
+          PD.decide_bind disp st ~port ~proto:Bindconf.Tcp
+            ~exe:(fresh exe) ~uid:8)
+        (fun () ->
+          PS.bind_allowed st ~port ~proto:Bindconf.Tcp ~exe ~uid:8))
+    [ (25, "/usr/sbin/exim4"); (2, "5\x1ftcp\x1f/usr/sbin/exim4");
+      (25, "tcp\x1f/usr/sbin/exim4"); (255, "/usr/sbin/exim4") ];
+  List.iter
+    (fun (device, opt) ->
+      twice
+        (Printf.sprintf "ppp %S %s" device (Ppp.option_to_string opt))
+        (fun () ->
+          PD.decide_ppp_ioctl disp st ~device:(fresh device) ~opt)
+        (fun () -> PS.ppp_ioctl_decision st ~device ~opt))
+    [ ("/dev/ttyS0\x1f1", Ppp.Accomp); ("/dev/ttyS0", Ppp.Accomp);
+      ("/dev/ttyS0\x1f1", Ppp.Default_route);
+      ("/dev/ttyS0\x1f1\x1f1", Ppp.Accomp) ]
+
+(* A table hit does not render the arguments: with fresh copies of the
+   paths on every call the table serves, and the words allocated per
+   decision do not grow with the path. *)
+let test_dispatch_hit_no_rendering () =
+  let st = PS.create () in
+  let disp = PD.create () in
+  let n = 2000 in
+  let per_hit len =
+    let source = "/dev/" ^ String.make (len - 5) 's' in
+    let target = "/mnt/" ^ String.make (len - 5) 't' in
+    let sources = Array.init n (fun _ -> fresh source) in
+    let targets = Array.init n (fun _ -> fresh target) in
+    let decide i =
+      ignore
+        (PD.decide_mount disp st ~source:sources.(i) ~target:targets.(i)
+           ~fstype:"ext4" ~flags:[])
+    in
+    decide 0;
+    let hits = DC.hits (PD.cache disp) in
+    let w = words_per_call n decide in
+    check_int (Printf.sprintf "%d-byte paths: every call a table hit" len)
+      (hits + n) (DC.hits (PD.cache disp));
+    w
+  in
+  let short = per_hit 8 and long = per_hit 1000 in
+  Alcotest.(check (float 0.01))
+    (Printf.sprintf "words per hit: %.2f (8-byte paths) vs %.2f (1000-byte)"
+       short long)
+    short long
 
 (* --- /proc/protego/cache_stats ------------------------------------------ *)
 
@@ -375,13 +628,23 @@ let suites =
           test_generation_staleness;
         Alcotest.test_case "enable off bypass" `Quick test_enable_off_bypass;
         Alcotest.test_case "registration, render, reset" `Quick
-          test_register_and_reset ]);
+          test_register_and_reset;
+        Alcotest.test_case "insert after a miss" `Quick test_insert_after_miss;
+        Alcotest.test_case "a hit allocates nothing" `Quick
+          test_hit_allocates_nothing ]);
+    ("cache:keys",
+      [ Alcotest.test_case "injective and no longer than a rendering" `Quick
+          test_keys_injective_and_short ]);
     ("cache:dispatch",
       [ Alcotest.test_case "hit/miss flow" `Quick test_dispatch_cache_flow;
         Alcotest.test_case "reset kills the front slot" `Quick
           test_dispatch_reset_kills_front_slot;
         Alcotest.test_case "disable bypasses" `Quick
-          test_dispatch_disable_bypasses ]);
+          test_dispatch_disable_bypasses;
+        Alcotest.test_case "separator-laden tuples" `Quick
+          test_dispatch_separator_tuples;
+        Alcotest.test_case "a table hit renders nothing" `Quick
+          test_dispatch_hit_no_rendering ]);
     ("cache:proc",
       [ Alcotest.test_case "/proc/protego/cache_stats" `Quick
           test_cache_stats_proc ]);

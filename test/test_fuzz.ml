@@ -203,15 +203,19 @@ let flags_gen =
     Ktypes.[ []; [ Mf_readonly ]; [ Mf_nosuid; Mf_nodev ];
              [ Mf_readonly; Mf_nosuid; Mf_nodev ]; [ Mf_noexec ] ]
 
-let mount_rule_gen =
+let mount_rule_of ~source ~target ~fstype =
   QCheck2.Gen.(
     map
       (fun ((src, tgt), (fs, (flags, user))) ->
         { PS.mr_source = src; mr_target = tgt; mr_fstype = fs;
           mr_flags = flags; mr_mode = (if user then `User else `Users);
           mr_phase = PS.Phase.Always })
-      (pair (pair (oneofl sources) (oneofl targets))
-         (pair (oneofl fstypes) (pair flags_gen bool))))
+      (pair (pair source target) (pair fstype (pair flags_gen bool))))
+
+let mount_rule_gen =
+  QCheck2.Gen.(
+    mount_rule_of ~source:(oneofl sources) ~target:(oneofl targets)
+      ~fstype:(oneofl fstypes))
 
 let prop_pfm_mount =
   QCheck2.Test.make
@@ -257,14 +261,16 @@ let bind_ports = [ 22; 25; 80; 443; 514 ]
 let bind_exes = [ "/usr/sbin/exim4"; "/usr/sbin/sshd"; "/usr/bin/rsh" ]
 let bind_uids = [ 0; 8; 101 ]
 
-let bind_entry_gen =
+let bind_entry_of exes =
   QCheck2.Gen.(
     map
       (fun ((port, tcp), (exe, owner)) ->
         { Bindconf.port; proto = (if tcp then Bindconf.Tcp else Bindconf.Udp);
           exe; owner; phase = Protego_base.Phase.Always })
       (pair (pair (oneofl bind_ports) bool)
-         (pair (oneofl bind_exes) (oneofl bind_uids))))
+         (pair (oneofl exes) (oneofl bind_uids))))
+
+let bind_entry_gen = bind_entry_of bind_exes
 
 let prop_pfm_bind =
   QCheck2.Test.make
@@ -367,14 +373,16 @@ let ppp_opts =
     Ppp.Default_route; Ppp.Modem_line_speed 115200;
     Ppp.Modem_flow_control "rtscts" ]
 
-let ppp_directive_gen =
+let ppp_directive_of devices =
   QCheck2.Gen.(
     oneof
       [ map
           (fun d -> Pppopts.Allow_device (d, Protego_base.Phase.Always))
-          (oneofl ppp_devices);
+          (oneofl devices);
         return Pppopts.Allow_user_routes;
         map (fun o -> Pppopts.Session_option o) (oneofl ppp_opts) ])
+
+let ppp_directive_gen = ppp_directive_of ppp_devices
 
 let prop_pfm_ppp =
   QCheck2.Test.make
@@ -507,26 +515,83 @@ let cache_differential ~name ~state ~reload ~query ~decide ~oracle () =
 
 let subject_gen = QCheck2.Gen.oneofl [ 0; 1000; 1001 ]
 
-let mount_policy_gen = QCheck2.Gen.(list_size (int_bound 12) mount_rule_gen)
+(* The differential's pools are the filter pools widened with strings a
+   key that joins fields with a separator cannot tell apart: values that
+   hold the unit separator, the empty string, and values that extend one
+   another. *)
+let us = "\x1f"
+
+let cd_sources =
+  sources @ [ ""; "/dev/sdc1"; "/dev/sdc1" ^ us ^ "/media/stick" ]
+
+let cd_targets =
+  targets @ [ ""; "/etc"; "/media/stick"; "/media/stick" ^ us ^ "/etc" ]
+
+let cd_fstypes = fstypes @ [ ""; "/etc" ^ us ^ "ext4"; us ^ "ext4" ]
+
+(* The (source, target, fstype) tuples of the pools that share their
+   separator-joined rendering with another tuple.  Half the mount queries
+   are drawn from them, so two of one rendering meet under one subject
+   and flag set well inside a reload period. *)
+let colliding_mounts =
+  let rendered (s, t, f) = String.concat us [ s; t; f ] in
+  let all =
+    List.concat_map
+      (fun s ->
+        List.concat_map
+          (fun t -> List.map (fun f -> (s, t, f)) cd_fstypes)
+          cd_targets)
+      cd_sources
+  in
+  List.filter
+    (fun q -> List.exists (fun q' -> q' <> q && rendered q' = rendered q) all)
+    all
+
+(* Plain rules over the widened pools, and [auto] rules — which match
+   any fstype, so they split a colliding group — half of them on the
+   (source, target) of a colliding tuple. *)
+let cd_mount_rule_gen =
+  QCheck2.Gen.(
+    frequency
+      [ ( 1,
+          mount_rule_of ~source:(oneofl cd_sources)
+            ~target:(oneofl cd_targets) ~fstype:(oneofl cd_fstypes) );
+        ( 1,
+          bind
+            (frequency
+               [ (1, pair (oneofl cd_sources) (oneofl cd_targets));
+                 ( 1,
+                   oneofl (List.map (fun (s, t, _) -> (s, t)) colliding_mounts)
+                 ) ])
+            (fun (s, t) ->
+              mount_rule_of ~source:(return s) ~target:(return t)
+                ~fstype:(return "auto")) ) ])
+
+let mount_policy_gen = QCheck2.Gen.(list_size (int_bound 12) cd_mount_rule_gen)
 
 let mount_query_gen =
   QCheck2.Gen.(
     pair
-      (pair (oneofl sources) (oneofl targets))
-      (pair (oneofl fstypes) (pair flags_gen subject_gen)))
+      (frequency
+         [ ( 1,
+             triple (oneofl cd_sources) (oneofl cd_targets)
+               (oneofl cd_fstypes) );
+           (1, oneofl colliding_mounts) ])
+      (pair flags_gen subject_gen))
 
 let cache_diff_mount =
   cache_differential ~name:"mount" ~state:PS.create
     ~reload:(fun gen1 st -> st.PS.mounts <- gen1 mount_policy_gen)
     ~query:(fun gen1 -> gen1 mount_query_gen)
-    ~decide:(fun disp st ((source, target), (fstype, (flags, subject))) ->
+    ~decide:(fun disp st ((source, target, fstype), (flags, subject)) ->
       PD.decide_mount disp ~subject st ~source ~target ~fstype ~flags)
-    ~oracle:(fun st ((source, target), (fstype, (flags, _))) ->
+    ~oracle:(fun st ((source, target, fstype), (flags, _)) ->
       PS.mount_decision st ~source ~target ~fstype ~flags)
 
 let umount_query_gen =
   QCheck2.Gen.(
-    triple (oneofl targets) (oneofl [ 0; 1000; 1001 ]) (oneofl [ 0; 1000; 1001 ]))
+    triple (oneofl cd_targets) (oneofl [ 0; 1000; 1001 ])
+      (oneofl [ 0; 1000; 1001 ]))
 
 let cache_diff_umount =
   cache_differential ~name:"umount" ~state:PS.create
@@ -537,16 +602,21 @@ let cache_diff_umount =
     ~oracle:(fun st (target, mounted_by, ruid) ->
       PS.umount_decision st ~target ~mounted_by ~ruid)
 
+let cd_bind_exes =
+  bind_exes @ [ ""; "/usr/sbin/sshd" ^ us ^ "25"; "/usr/sbin/sshd" ^ us ]
+
 let bind_query_gen =
   QCheck2.Gen.(
     pair
       (pair (oneofl (1000 :: bind_ports)) bool)
-      (pair (oneofl bind_exes) (oneofl bind_uids)))
+      (pair (oneofl cd_bind_exes) (oneofl bind_uids)))
 
 let cache_diff_bind =
   cache_differential ~name:"bind" ~state:PS.create
     ~reload:(fun gen1 st ->
-      st.PS.binds <- gen1 QCheck2.Gen.(list_size (int_bound 10) bind_entry_gen))
+      st.PS.binds <-
+        gen1
+          QCheck2.Gen.(list_size (int_bound 10) (bind_entry_of cd_bind_exes)))
     ~query:(fun gen1 -> gen1 bind_query_gen)
     ~decide:(fun disp st ((port, tcp), (exe, uid)) ->
       let proto = if tcp then Bindconf.Tcp else Bindconf.Udp in
@@ -555,9 +625,12 @@ let cache_diff_bind =
       let proto = if tcp then Bindconf.Tcp else Bindconf.Udp in
       PS.bind_allowed st ~port ~proto ~exe ~uid)
 
+let cd_ppp_devices =
+  ppp_devices @ [ ""; "/dev/ttyS0" ^ us ^ "1"; "/dev/ttyS0" ^ us ]
+
 let ppp_query_gen =
   QCheck2.Gen.(
-    pair (pair (oneofl ("/dev/ttyS9" :: ppp_devices)) (oneofl ppp_opts))
+    pair (pair (oneofl ("/dev/ttyS9" :: cd_ppp_devices)) (oneofl ppp_opts))
       subject_gen)
 
 let cache_diff_ppp =
@@ -565,7 +638,9 @@ let cache_diff_ppp =
     ~reload:(fun gen1 st ->
       st.PS.ppp <-
         { Pppopts.directives =
-            gen1 QCheck2.Gen.(list_size (int_bound 6) ppp_directive_gen) })
+            gen1
+              QCheck2.Gen.(
+                list_size (int_bound 6) (ppp_directive_of cd_ppp_devices)) })
     ~query:(fun gen1 -> gen1 ppp_query_gen)
     ~decide:(fun disp st ((device, opt), subject) ->
       PD.decide_ppp_ioctl disp ~subject st ~device ~opt)

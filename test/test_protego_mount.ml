@@ -245,6 +245,62 @@ let test_record_mode_proc () =
         "true verdict served from the cache" (Some "cache") last.Audit.au_engine
   | [] -> Alcotest.fail "no mount audit record"
 
+(* Two mount requests whose fields differ but whose concatenations agree
+   once a unit separator is inserted between them must never share a
+   memoized verdict, in either order: the cache key is the argument
+   tuple, not a rendering of it. *)
+let test_cache_key_collision () =
+  let legit = ("/dev/sdc1", "/media/stick", "/etc\x1fext4") in
+  let attack = ("/dev/sdc1\x1f/media/stick", "/etc", "ext4") in
+  let flags = [ Mf_nosuid; Mf_nodev ] in
+  let boot () =
+    let img = Image.build Image.Protego in
+    let m = img.Image.machine in
+    let root = Image.login img "root" in
+    Syntax.expect_ok "mount point"
+      (Syscall.mkdir m root "/media/stick" 0o755);
+    Syntax.expect_ok "append auto rule"
+      (Syscall.append_file m root "/proc/protego/mount_whitelist"
+         "allow /dev/sdc1 /media/stick auto nosuid,nodev users\n");
+    (m, Image.login img "alice")
+  in
+  let mount m alice (source, target, fstype) =
+    Syscall.mount m alice ~source ~target ~fstype ~flags
+  in
+  let last_mount_record m =
+    match
+      List.rev
+        (List.filter
+           (fun (r : Audit.record) -> r.Audit.au_op = "mount")
+           (Audit.records m))
+    with
+    | r :: _ -> r
+    | [] -> Alcotest.fail "no mount audit record"
+  in
+  (* The rule allows the legitimate tuple (the VFS then refuses the odd
+     fstype), and the cached allow must not reach the attack tuple. *)
+  let m, alice = boot () in
+  Alcotest.(check (result unit errno))
+    "legitimate mount passes the hook" (Error Errno.ENODEV)
+    (mount m alice legit);
+  Alcotest.(check (result unit errno))
+    "attack denied after the legitimate mount" (Error Errno.EPERM)
+    (mount m alice attack);
+  let r = last_mount_record m in
+  check "attack audited as denied" false r.Audit.au_allowed;
+  Alcotest.(check (option string))
+    "attack decided by the engine" (Some "pfm") r.Audit.au_engine;
+  (* Reverse order: the attack's cached deny must not reach the
+     legitimate tuple. *)
+  let m, alice = boot () in
+  Alcotest.(check (result unit errno))
+    "attack denied cold" (Error Errno.EPERM) (mount m alice attack);
+  Alcotest.(check (result unit errno))
+    "legitimate mount still passes the hook" (Error Errno.ENODEV)
+    (mount m alice legit);
+  check "legitimate mount audited as allowed" true
+    (last_mount_record m).Audit.au_allowed
+
 let suites =
   [ ("protego:mount",
       [ Alcotest.test_case "whitelist allow/deny" `Quick test_whitelist_allow_deny;
@@ -255,4 +311,6 @@ let suites =
         Alcotest.test_case "/proc configuration" `Quick test_proc_interface;
         Alcotest.test_case "network filesystems" `Quick test_network_filesystems;
         Alcotest.test_case "binary equivalence" `Quick test_mount_binary_equivalence;
-        Alcotest.test_case "record mode via /proc" `Quick test_record_mode_proc ]) ]
+        Alcotest.test_case "record mode via /proc" `Quick test_record_mode_proc;
+        Alcotest.test_case "cache key collision" `Quick
+          test_cache_key_collision ]) ]
