@@ -205,13 +205,14 @@ let run_ablation () =
             mr_fstype = "ext4"; mr_flags = []; mr_mode = `Users;
             mr_phase = Protego_core.Policy_state.Phase.Always }
         in
-        st.Protego_core.Policy_state.mounts <-
-          List.init n rule
-          @ List.filter
-              (fun (r : Protego_core.Policy_state.mount_rule) ->
-                r.mr_source = "/dev/cdrom" || r.mr_source = "/dev/sdb1"
-                || r.mr_source = "fuse")
-              st.Protego_core.Policy_state.mounts
+        Protego_core.Policy_state.set st
+          (Set_mounts
+             (List.init n rule
+             @ List.filter
+                 (fun (r : Protego_core.Policy_state.mount_rule) ->
+                   r.mr_source = "/dev/cdrom" || r.mr_source = "/dev/sdb1"
+                   || r.mr_source = "fuse")
+                 st.Protego_core.Policy_state.mounts))
   in
   let alice = Image.login protego "alice" in
   let m = protego.Image.machine in
@@ -313,17 +314,20 @@ let run_filter () =
       mr_target = Printf.sprintf "/media/fake%d" i; mr_fstype = "ext4";
       mr_flags = []; mr_mode = `Users; mr_phase = PS.Phase.Always }
   in
-  st.PS.mounts <-
-    List.init 128 filler
-    @ [ { PS.mr_source = "/dev/cdrom"; mr_target = "/media/cdrom";
-          mr_fstype = "iso9660"; mr_flags = [ Protego_kernel.Ktypes.Mf_nosuid ];
-          mr_mode = `User; mr_phase = PS.Phase.Always } ];
+  PS.set st
+    (Set_mounts
+       (List.init 128 filler
+       @ [ { PS.mr_source = "/dev/cdrom"; mr_target = "/media/cdrom";
+             mr_fstype = "iso9660";
+             mr_flags = [ Protego_kernel.Ktypes.Mf_nosuid ];
+             mr_mode = `User; mr_phase = PS.Phase.Always } ]));
   (* Bind map: 512 entries, the queried port last. *)
-  st.PS.binds <-
-    List.init 512 (fun i ->
-        { Protego_policy.Bindconf.port = 200 + i;
-          proto = Protego_policy.Bindconf.Tcp; exe = "/usr/sbin/exim4";
-          owner = 0; phase = Protego_base.Phase.Always });
+  PS.set st
+    (Set_binds
+       (List.init 512 (fun i ->
+            { Protego_policy.Bindconf.port = 200 + i;
+              proto = Protego_policy.Bindconf.Tcp; exe = "/usr/sbin/exim4";
+              owner = 0; phase = Protego_base.Phase.Always })));
   (* Netfilter OUTPUT chain: 128 filler rules ahead of the defaults; the
      benched kernel-stack packet matches nothing and falls to the policy. *)
   let nf = m.Protego_kernel.Ktypes.netfilter in
@@ -458,12 +462,13 @@ let run_cache () =
   let rows =
     List.map
       (fun n ->
-        st.PS.mounts <-
-          List.init n filler
-          @ [ { PS.mr_source = "/dev/cdrom"; mr_target = "/media/cdrom";
-                mr_fstype = "iso9660";
-                mr_flags = [ Protego_kernel.Ktypes.Mf_nosuid ];
-                mr_mode = `User; mr_phase = PS.Phase.Always } ];
+        PS.set st
+          (Set_mounts
+             (List.init n filler
+             @ [ { PS.mr_source = "/dev/cdrom"; mr_target = "/media/cdrom";
+                   mr_fstype = "iso9660";
+                   mr_flags = [ Protego_kernel.Ktypes.Mf_nosuid ];
+                   mr_mode = `User; mr_phase = PS.Phase.Always } ]));
         let cache = PD.cache disp in
         (* Engines alone, cache bypassed. *)
         DC.set_enabled cache false;
@@ -845,19 +850,21 @@ let run_json ~out =
       mr_mode = `Users;
       mr_phase = PS.Phase.Always }
   in
-  st.PS.mounts <-
-    List.init 128 filler
-    @ [ { PS.mr_source = "/dev/cdrom"; mr_target = "/media/cdrom";
-          mr_fstype = "iso9660";
-          mr_flags = [ Protego_kernel.Ktypes.Mf_nosuid ];
-          mr_mode = `User;
-          mr_phase = PS.Phase.Always } ];
-  st.PS.binds <-
-    List.init 512 (fun i ->
-        { Protego_policy.Bindconf.port = 200 + i;
-          proto = Protego_policy.Bindconf.Tcp;
-          exe = "/usr/sbin/exim4";
-          owner = 0; phase = Protego_base.Phase.Always });
+  PS.set st
+    (Set_mounts
+       (List.init 128 filler
+       @ [ { PS.mr_source = "/dev/cdrom"; mr_target = "/media/cdrom";
+             mr_fstype = "iso9660";
+             mr_flags = [ Protego_kernel.Ktypes.Mf_nosuid ];
+             mr_mode = `User;
+             mr_phase = PS.Phase.Always } ]));
+  PS.set st
+    (Set_binds
+       (List.init 512 (fun i ->
+            { Protego_policy.Bindconf.port = 200 + i;
+              proto = Protego_policy.Bindconf.Tcp;
+              exe = "/usr/sbin/exim4";
+              owner = 0; phase = Protego_base.Phase.Always })));
   let nf = m.Protego_kernel.Ktypes.netfilter in
   let saved = NF.rules nf NF.Output in
   NF.flush nf NF.Output;

@@ -24,28 +24,37 @@ type t = {
   mutable forward_policy : verdict;
   mutable output_override :
     (Packet.t -> origin:Packet.origin -> verdict) option;
+  mutable generation : int;  (* bumped by every rule or policy change *)
 }
 
 let create ?(input_policy = Accept) ?(output_policy = Accept)
     ?(forward_policy = Accept) () =
   { input = []; output = []; forward = [];
-    input_policy; output_policy; forward_policy; output_override = None }
+    input_policy; output_policy; forward_policy; output_override = None;
+    generation = 0 }
 
 let set_output_override t f = t.output_override <- f
 
+let generation t = t.generation
+let bump t = t.generation <- t.generation + 1
+
 let append t chain rule =
+  bump t;
   match chain with
   | Input -> t.input <- t.input @ [ rule ]
   | Output -> t.output <- t.output @ [ rule ]
   | Forward -> t.forward <- t.forward @ [ rule ]
 
 let insert t chain rule =
+  bump t;
   match chain with
   | Input -> t.input <- rule :: t.input
   | Output -> t.output <- rule :: t.output
   | Forward -> t.forward <- rule :: t.forward
 
-let flush t = function
+let flush t chain =
+  bump t;
+  match chain with
   | Input -> t.input <- []
   | Output -> t.output <- []
   | Forward -> t.forward <- []
@@ -56,6 +65,7 @@ let rules t = function
   | Forward -> t.forward
 
 let set_policy t chain v =
+  bump t;
   match chain with
   | Input -> t.input_policy <- v
   | Output -> t.output_policy <- v

@@ -41,6 +41,11 @@ val set_policy : t -> chain -> verdict -> unit
 val policy : t -> chain -> verdict
 val rule_count : t -> int
 
+val generation : t -> int
+(** Bumped by every {!append}, {!insert}, {!flush} and {!set_policy}, on
+    any chain: the staleness stamp of verdicts cached from this table.
+    Starts at 0. *)
+
 val matches_packet : match_ -> Packet.t -> origin:Packet.origin -> bool
 
 val eval : t -> chain -> Packet.t -> origin:Packet.origin -> verdict

@@ -16,23 +16,8 @@ type t = {
   progs : progs;
 }
 
-(* The policy fields are immutable values (lists, records): aliasing them
-   into a fresh record decouples the snapshot from every future mutation
-   of the live state, which only ever replaces whole fields. *)
-let copy_state (st : PS.t) =
-  let c = PS.create () in
-  c.PS.mounts <- st.PS.mounts;
-  c.PS.binds <- st.PS.binds;
-  c.PS.delegation <- st.PS.delegation;
-  c.PS.users <- st.PS.users;
-  c.PS.groups <- st.PS.groups;
-  c.PS.ppp <- st.PS.ppp;
-  c.PS.reauth_read_prefixes <- st.PS.reauth_read_prefixes;
-  c.PS.file_acl <- st.PS.file_acl;
-  c
-
 let freeze ~epoch (st : PS.t) =
-  let frozen = copy_state st in
+  let frozen = PS.copy st in
   let gens = Array.of_list (List.map (PS.generation st) PS.sources) in
   let rules = List.map PS.filter_rule frozen.PS.mounts in
   let progs =
@@ -86,23 +71,8 @@ let current pub = Atomic.get pub.cur
    limit under reload storms. *)
 let at_epoch pub e = Hashtbl.find_opt pub.hist e
 
-(* The same discipline as the dispatcher's physical-identity watches: a
-   harness that assigns a watched field directly (bypassing the /proc
-   write path and its generation bump) must still invalidate stale
-   verdicts.  The previous snapshot aliased the field value it froze, so
-   identity against it detects exactly those unannounced replacements. *)
-let watch_parity prev (st : PS.t) ~bump =
-  let check source changed =
-    if changed && PS.generation st source = gen_for prev source then
-      if bump then PS.bump_generation st source else raise Exit
-  in
-  check PS.Mounts (st.PS.mounts != prev.frozen.PS.mounts);
-  check PS.Binds (st.PS.binds != prev.frozen.PS.binds);
-  check PS.Ppp (st.PS.ppp != prev.frozen.PS.ppp)
-
 let publish pub st =
   let prev = Atomic.get pub.cur in
-  watch_parity prev st ~bump:true;
   let next = freeze ~epoch:(prev.epoch + 1) st in
   Atomic.set pub.cur next;
   Hashtbl.replace pub.hist next.epoch next;
@@ -113,7 +83,4 @@ let publish pub st =
 
 let stale pub st =
   let prev = Atomic.get pub.cur in
-  match watch_parity prev st ~bump:false with
-  | () ->
-      List.exists (fun s -> PS.generation st s <> gen_for prev s) PS.sources
-  | exception Exit -> true
+  List.exists (fun s -> PS.generation st s <> gen_for prev s) PS.sources

@@ -33,9 +33,8 @@ type t = private {
 }
 
 val freeze : epoch:int -> PS.t -> t
-(** Copy the live state's fields (the field values are immutable, so
-    aliasing them is a deep-enough copy), snapshot the generation
-    vector, and compile the four programs. *)
+(** {!PS.copy} the live state, snapshot the generation vector, and
+    compile the four programs. *)
 
 val clone_progs : t -> progs
 (** Per-domain copies of the compiled programs: the instruction arrays
@@ -81,14 +80,13 @@ val at_epoch : pub -> int -> t option
 
 val publish : pub -> PS.t -> t
 (** Build-then-swap: freeze [st] at [epoch (current pub) + 1], then
-    atomically replace the pointer.  Returns the new snapshot.  Before
-    freezing, performs the same physical-identity watch the sequential
-    dispatcher does: a watched source (mounts, binds, ppp) whose field
-    changed identity since the previous snapshot without a generation
-    bump gets its generation bumped here, so stale per-domain cache
-    entries can never be served under the new snapshot. *)
+    atomically replace the pointer.  Returns the new snapshot.  [st] is
+    only read: a source changes only through {!PS.set}, which bumps its
+    generation, so the frozen vector stamps exactly the frozen values and
+    per-domain cache entries from older snapshots can never be served
+    under the new one. *)
 
 val stale : pub -> PS.t -> bool
 (** Would {!publish} produce a snapshot with a different generation
     vector?  True when any source generation moved since the current
-    snapshot froze, or a watched field changed physical identity. *)
+    snapshot froze. *)

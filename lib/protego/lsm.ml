@@ -403,18 +403,18 @@ let current_chains m =
      Netfilter.policy m.netfilter Netfilter.Output) ]
 
 (* A policy write passes the load-time lint gate before it sticks: lint
-   [candidate] (the live state with only the written field replaced)
-   over the written [sources], and commit it to [st] — which bumps the
-   [written] source's generation — only if the gate does not refuse.  A
+   the candidate (a copy of the live state with [update] installed) over
+   the written [sources], and [Policy_state.set] the update — which bumps
+   the written source's generation — only if the gate does not refuse.  A
    refused write (EPERM, audited: the dispatcher is in enforce mode and
    the written sources carry error-severity findings) leaves the policy
    and the generation vector untouched, so no cached decision goes
    stale.  In warn mode defective policy loads, but tagged in the audit
    log — the differential-rollout posture. *)
-let gated_load m st disp task ~file ~sources written candidate =
+let gated_load m st disp task ~file ~sources update =
   let verdict =
-    Pfm_dispatch.check_policy_load disp ~chains:(current_chains m) candidate
-      ~sources
+    Pfm_dispatch.check_policy_load disp ~chains:(current_chains m)
+      (Policy_state.candidate st update) ~sources
   in
   let describe fs =
     let errors =
@@ -430,10 +430,10 @@ let gated_load m st disp task ~file ~sources written candidate =
   in
   match verdict with
   | `Clean ->
-      Policy_state.commit st ~candidate written;
+      Policy_state.set st update;
       Ok ()
   | `Warned fs ->
-      Policy_state.commit st ~candidate written;
+      Policy_state.set st update;
       Audit.emit ~engine:(Pfm_dispatch.engine_name disp) m task
         ~op:"policy-load" ~obj:(describe fs) ~allowed:true;
       List.iter
@@ -464,8 +464,7 @@ let install_proc_files m st disp =
       match Policy_state.parse_mounts contents with
       | Ok rules ->
           gated_load m st disp t ~file:"mount_whitelist" ~sources:[ "mounts" ]
-            Policy_state.Mounts
-            { st with Policy_state.mounts = rules }
+            (Policy_state.Set_mounts rules)
       | Error msg ->
           log_dmesg m "protego: mount_whitelist rejected: %s" msg;
           Error Errno.EINVAL);
@@ -491,8 +490,7 @@ let install_proc_files m st disp =
       match Bindconf.parse contents with
       | Ok entries ->
           gated_load m st disp t ~file:"bind_map" ~sources:[ "binds" ]
-            Policy_state.Binds
-            { st with Policy_state.binds = entries }
+            (Policy_state.Set_binds entries)
       | Error msg ->
           log_dmesg m "protego: bind_map rejected: %s" msg;
           Error Errno.EINVAL);
@@ -502,8 +500,7 @@ let install_proc_files m st disp =
       match Sudoers.parse contents with
       | Ok rules ->
           gated_load m st disp t ~file:"delegation" ~sources:[ "delegation" ]
-            Policy_state.Delegation
-            { st with Policy_state.delegation = rules }
+            (Policy_state.Set_delegation rules)
       | Error msg ->
           log_dmesg m "protego: delegation rejected: %s" msg;
           Error Errno.EINVAL);
@@ -520,8 +517,7 @@ let install_proc_files m st disp =
              Bind owners are re-checked too, but by the cross-source
              PL-X002, which the gate runs on every write. *)
           gated_load m st disp t ~file:"accounts" ~sources:[ "delegation" ]
-            Policy_state.Accounts
-            { st with Policy_state.users = users; groups }
+            (Policy_state.Set_accounts (users, groups))
       | Error msg ->
           log_dmesg m "protego: accounts rejected: %s" msg;
           Error Errno.EINVAL);
@@ -536,8 +532,7 @@ let install_proc_files m st disp =
       match Pppopts.parse contents with
       | Ok policy ->
           gated_load m st disp t ~file:"ppp_policy" ~sources:[ "ppp" ]
-            Policy_state.Ppp
-            { st with Policy_state.ppp = policy }
+            (Policy_state.Set_ppp policy)
       | Error msg ->
           log_dmesg m "protego: ppp_policy rejected: %s" msg;
           Error Errno.EINVAL);

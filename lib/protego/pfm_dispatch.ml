@@ -3,7 +3,6 @@ module Compile = Protego_filter.Pfm_compile
 module Netfilter = Protego_net.Netfilter
 module Packet = Protego_net.Packet
 module Bindconf = Protego_policy.Bindconf
-module Pppopts = Protego_policy.Pppopts
 module Phase = Protego_base.Phase
 
 module Policy_lint = Protego_analysis.Policy_lint
@@ -24,7 +23,10 @@ type hook_stats = {
 
 (* One hook's compiled program, keyed on the physical identity of the
    policy source it was compiled from, with the recompiles a source change
-   forced and the bytecode instructions its runs retired. *)
+   forced and the bytecode instructions its runs retired.  The key is the
+   source value, not its generation: a bare generation bump (a reload
+   that changes no value) must stale the cached verdicts without forcing
+   a recompile. *)
 type 'k prog = {
   mutable slot : ('k * Pfm.program) option;
   mutable invalidations : int;
@@ -50,13 +52,6 @@ let packet_ctx p =
   if p.ctx == no_ctx then p.ctx <- Compile.packet_ctx p.pkt ~origin:p.origin;
   p.ctx
 
-(* Last source value observed by a decision, by physical identity.  When it
-   changes without a /proc write having bumped the generation (direct field
-   assignment, as the bench ablations and fuzz harnesses do), the observer
-   bumps the generation itself, so decision-cache entries stamped under the
-   old value can never be served. *)
-type 'k watch = { mutable seen : 'k option }
-
 type t = {
   mutable engine : engine;
   mutable lint_mode : lint_mode;
@@ -71,12 +66,6 @@ type t = {
   nf : (Netfilter.t, packet) Decider.hook;
   ppp : (Policy_state.t, string * Protego_net.Ppp.option_) Decider.hook;
   hooks : (string * any_hook) list;  (* filter_stats order, by name *)
-  (* physical-identity watches backing the generation counters *)
-  mounts_watch : Policy_state.mount_rule list watch;
-  binds_watch : Bindconf.entry list watch;
-  ppp_watch : Pppopts.t watch;
-  nf_watch : (Netfilter.rule list * Netfilter.verdict) watch;
-  mutable nf_gen : int;
   (* profile-guided recompilation: per hook the (original, optimized)
      pair currently installed, a human-readable status, the running
      count of gate rejections, and pending log lines for dmesg/audit *)
@@ -201,8 +190,6 @@ let create () =
         Hook (bind, bind_prog); Hook (nf, nf_prog); Hook (ppp, ppp_prog) ]
   in
   { engine = `Pfm; lint_mode = `Warn; dec; mount; umount; bind; nf; ppp; hooks;
-    mounts_watch = { seen = None }; binds_watch = { seen = None };
-    ppp_watch = { seen = None }; nf_watch = { seen = None }; nf_gen = 0;
     opt_installed = Hashtbl.create 8; opt_status = Hashtbl.create 8;
     opt_rejects = 0; opt_log = [] }
 
@@ -331,34 +318,6 @@ let opt_status_line t (name, Hook (_, c)) =
 
 let opt_statuses t = List.map (opt_status_line t) t.hooks
 
-(* --- generations and programs ------------------------------------------ *)
-
-(* Refresh one watched Policy_state source and return its generation. *)
-let source_gen watch st source ~key =
-  (match watch.seen with
-   | Some k when k == key -> ()
-   | Some _ ->
-       Policy_state.bump_generation st source;
-       watch.seen <- Some key
-   | None -> watch.seen <- Some key);
-  Policy_state.generation st source
-
-let mounts_gen t (st : Policy_state.t) =
-  source_gen t.mounts_watch st Policy_state.Mounts ~key:st.Policy_state.mounts
-
-(* The netfilter chain lives on the machine, not in Policy_state; its
-   generation counter is dispatcher-local. *)
-let nf_gen t nf =
-  let rules = Netfilter.rules nf Netfilter.Output in
-  let policy = Netfilter.policy nf Netfilter.Output in
-  (match t.nf_watch.seen with
-   | Some (r, p) when r == rules && p = policy -> ()
-   | Some _ ->
-       t.nf_gen <- t.nf_gen + 1;
-       t.nf_watch.seen <- Some (rules, policy)
-   | None -> t.nf_watch.seen <- Some (rules, policy));
-  t.nf_gen
-
 (* --- hook decisions ---------------------------------------------------- *)
 
 (* Callers without task context (bench, fuzz) default to [Phase.initial],
@@ -368,7 +327,7 @@ let nf_gen t nf =
 let decide_mount t ?(subject = 0) ?(phase = Phase.initial) (st : Policy_state.t)
     ~source ~target ~fstype ~flags =
   let d = t.dec and h = t.mount in
-  let gen = mounts_gen t st in
+  let gen = Policy_state.generation st Policy_state.Mounts in
   let v =
     match Decider.probe d h ~stamp:gen ~gen ~subject ~phase:(Phase.index phase) with
     | Some (sr, tg, fs, fl)
@@ -382,7 +341,7 @@ let decide_mount t ?(subject = 0) ?(phase = Phase.initial) (st : Policy_state.t)
 let decide_umount t ?(phase = Phase.initial) (st : Policy_state.t) ~target
     ~mounted_by ~ruid =
   let d = t.dec and h = t.umount in
-  let gen = mounts_gen t st in
+  let gen = Policy_state.generation st Policy_state.Mounts in
   let v =
     match
       Decider.probe d h ~stamp:gen ~gen ~subject:ruid ~phase:(Phase.index phase)
@@ -395,9 +354,7 @@ let decide_umount t ?(phase = Phase.initial) (st : Policy_state.t) ~target
 let decide_bind t ?(phase = Phase.initial) (st : Policy_state.t) ~port ~proto
     ~exe ~uid =
   let d = t.dec and h = t.bind in
-  let gen =
-    source_gen t.binds_watch st Policy_state.Binds ~key:st.Policy_state.binds
-  in
+  let gen = Policy_state.generation st Policy_state.Binds in
   let v =
     match
       Decider.probe d h ~stamp:gen ~gen ~subject:uid ~phase:(Phase.index phase)
@@ -411,7 +368,7 @@ let decide_bind t ?(phase = Phase.initial) (st : Policy_state.t) ~port ~proto
 let decide_ppp_ioctl t ?(subject = 0) ?(phase = Phase.initial)
     (st : Policy_state.t) ~device ~opt =
   let d = t.dec and h = t.ppp in
-  let gen = source_gen t.ppp_watch st Policy_state.Ppp ~key:st.Policy_state.ppp in
+  let gen = Policy_state.generation st Policy_state.Ppp in
   let v =
     match Decider.probe d h ~stamp:gen ~gen ~subject ~phase:(Phase.index phase) with
     | Some (dv, op) when dv == device && op == opt -> Decider.hit d h
@@ -421,7 +378,7 @@ let decide_ppp_ioctl t ?(subject = 0) ?(phase = Phase.initial)
 
 let decide_nf_output t nf pkt ~origin =
   let d = t.dec and h = t.nf in
-  let gen = nf_gen t nf in
+  let gen = Netfilter.generation nf in
   let v =
     match Decider.probe d h ~stamp:gen ~gen ~subject:0 ~phase:0 with
     | Some p when p.pkt == pkt && p.origin = origin -> Decider.hit d h

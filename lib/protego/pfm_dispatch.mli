@@ -9,18 +9,18 @@
     ({!Policy_state.mount_decision} and friends,
     {!Protego_net.Netfilter.walk}), kept in-tree as the
     differential-testing oracle.  Memoized verdicts are stamped with the
-    generation of the policy source the hook reads
-    ({!Policy_state.generation}); a policy reload bumps the written
-    source's generation and lazily invalidates exactly the stamped
-    entries.
+    generation of the source the hook reads ({!Policy_state.generation},
+    or {!Protego_net.Netfilter.generation} for the output chain).  A
+    source changes only through {!Policy_state.set} (or a netfilter
+    mutator), which bumps its generation, so a reload lazily invalidates
+    exactly the stamped entries.  Decisions only read generations; they
+    never write them.
 
     Program caches key on the {e physical identity} of the policy source
-    (the rule list / bind map / ppp policy record / netfilter chain).
-    Every write to the corresponding /proc/protego file installs a fresh
-    value, so the next evaluation recompiles; direct field assignment
-    (as the bench ablations do) is caught the same way — the dispatcher
-    watches each source's physical identity and bumps its generation on
-    any unannounced change, so the decision cache is invalidated too.
+    (the rule list / bind map / ppp policy record / netfilter chain), not
+    on its generation: installing a new value recompiles on the next
+    evaluation, while a bare generation bump (a reload with unchanged
+    contents) reuses the compiled program.
 
     A dispatcher serves one {!Policy_state.t} (as {!Lsm.install} wires
     it); decision-cache keys do not name the state, so sharing a

@@ -54,10 +54,17 @@ type t = {
   mutable users : account_user list;
   mutable groups : account_group list;
   mutable ppp : Protego_policy.Pppopts.t;
-  mutable reauth_read_prefixes : string list;
-  mutable file_acl : (string * string list) list;
+  reauth_read_prefixes : string list;
+  file_acl : (string * string list) list;
   generations : int Atomic.t array;
 }
+
+type update =
+  | Set_mounts of mount_rule list
+  | Set_binds of Protego_policy.Bindconf.entry list
+  | Set_delegation of Protego_policy.Sudoers.t
+  | Set_accounts of account_user list * account_group list
+  | Set_ppp of Protego_policy.Pppopts.t
 
 let create () =
   { mounts = []; binds = []; delegation = Protego_policy.Sudoers.empty;
@@ -79,16 +86,31 @@ let generation t s = Atomic.get t.generations.(source_index s)
 
 let bump_generation t s = Atomic.incr t.generations.(source_index s)
 
-let commit t ~candidate s =
-  (match s with
-   | Mounts -> t.mounts <- candidate.mounts
-   | Binds -> t.binds <- candidate.binds
-   | Delegation -> t.delegation <- candidate.delegation
-   | Accounts ->
-       t.users <- candidate.users;
-       t.groups <- candidate.groups
-   | Ppp -> t.ppp <- candidate.ppp);
-  bump_generation t s
+(* The only assignments to the policy fields: [t] is private outside this
+   module, so every change goes through [set] and bumps its source's
+   generation. *)
+let install t = function
+  | Set_mounts v -> t.mounts <- v; Mounts
+  | Set_binds v -> t.binds <- v; Binds
+  | Set_delegation v -> t.delegation <- v; Delegation
+  | Set_accounts (users, groups) ->
+      t.users <- users;
+      t.groups <- groups;
+      Accounts
+  | Set_ppp v -> t.ppp <- v; Ppp
+
+let set t u = bump_generation t (install t u)
+
+(* The field values are immutable, so aliasing them is a deep-enough copy;
+   the generation cells are fresh. *)
+let copy t =
+  let fresh g = Atomic.make (Atomic.get g) in
+  { t with generations = Array.map fresh t.generations }
+
+let candidate t u =
+  let c = copy t in
+  ignore (install c u : source);
+  c
 
 (* --- name service ---------------------------------------------------- *)
 

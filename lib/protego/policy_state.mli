@@ -63,39 +63,51 @@ type account_group = {
 type source = Mounts | Binds | Delegation | Accounts | Ppp
 (** The /proc-configurable policy sources, for generation accounting. *)
 
-type t = {
+type t = private {
   mutable mounts : mount_rule list;
   mutable binds : Protego_policy.Bindconf.entry list;
   mutable delegation : Protego_policy.Sudoers.t;
   mutable users : account_user list;
   mutable groups : account_group list;
   mutable ppp : Protego_policy.Pppopts.t;
-  mutable reauth_read_prefixes : string list;
+  reauth_read_prefixes : string list;
       (** reading files under these paths requires recent authentication *)
-  mutable file_acl : (string * string list) list;
+  file_acl : (string * string list) list;
       (** sensitive file -> binaries allowed to open it (ssh-keysign rule) *)
   generations : int Atomic.t array;
       (** per-source generation counters, indexed by {!source} — use
-          {!generation} / {!bump_generation} rather than the raw array.
-          Atomic so the multi-domain decision plane can read the vector
-          while a /proc writer bumps it; see DESIGN.md §6. *)
+          {!generation} rather than the raw array.  Atomic so the
+          multi-domain decision plane can read the vector while a /proc
+          writer bumps it; see DESIGN.md §6. *)
 }
+(** Private: fields read freely, but a policy source changes only through
+    {!set}, so its generation is the one staleness signal every cache and
+    snapshot reads. *)
+
+type update =
+  | Set_mounts of mount_rule list
+  | Set_binds of Protego_policy.Bindconf.entry list
+  | Set_delegation of Protego_policy.Sudoers.t
+  | Set_accounts of account_user list * account_group list
+  | Set_ppp of Protego_policy.Pppopts.t
+(** A new value for one source ([Set_accounts] replaces both account
+    lists). *)
 
 val create : unit -> t
 (** Empty policy plus the hard-coded defaults: reauthentication on
     [/etc/shadows/], host-key ACL for [/usr/lib/openssh/ssh-keysign].
     All generations start at 0. *)
 
-(** {1 Generations}
+(** {1 Changing the policy and generations}
 
-    Every accepted /proc/protego policy write bumps the written source's
-    generation counter (a write the load gate refuses bumps nothing; see
-    {!commit}).  The decision cache ({!Decision_cache}) stamps each memoized
-    verdict with the generation vector of the sources its hook reads, so a
-    reload lazily invalidates exactly the affected entries — no global
-    flush.  The dispatcher additionally bumps a source's generation when it
-    observes the source's physical identity change without a /proc write
-    (the bench and fuzz harnesses assign fields directly). *)
+    A source changes only through {!set}, which installs the new value
+    and bumps that source's generation counter — what every accepted
+    /proc/protego policy write does (a write the load gate refuses calls
+    nothing; see {!candidate}).  The decision cache ({!Decision_cache})
+    stamps each memoized verdict with the generation of the source its
+    hook reads, and a plane snapshot freezes the whole vector, so a
+    change lazily invalidates exactly the affected entries — no global
+    flush, and no reader ever writes the vector. *)
 
 val source_name : source -> string
 (** ["mounts"], ["binds"], ["delegation"], ["accounts"], ["ppp"]. *)
@@ -107,15 +119,23 @@ val source_index : source -> int
 (** Dense index into {!t.generations} (0..4, {!sources} order). *)
 
 val generation : t -> source -> int
-val bump_generation : t -> source -> unit
 
-val commit : t -> candidate:t -> source -> unit
-(** Install [candidate]'s value of [source] (both account lists for
-    [Accounts]) into [t] and bump that source's generation.  A /proc
-    write builds [candidate] as a copy of [t] with only the written
-    field replaced, has the load gate lint it, and commits only if the
-    gate accepts — so a refused write changes neither the policy nor the
-    generation vector. *)
+val bump_generation : t -> source -> unit
+(** A reload that changes no value: everything stamped with the old
+    generation goes stale, but the source keeps its physical identity, so
+    the dispatcher's compiled program is reused. *)
+
+val set : t -> update -> unit
+(** Install the value and bump that source's generation. *)
+
+val candidate : t -> update -> t
+(** A {!copy} of [t] with the update installed, for the load gate to lint:
+    [t] and its generation vector are untouched, and the write calls
+    {!set} only if the gate accepts. *)
+
+val copy : t -> t
+(** An independent copy: the (immutable) field values are shared, the
+    generation counters are fresh cells holding the current values. *)
 
 (** {1 Name service} *)
 

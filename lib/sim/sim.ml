@@ -316,26 +316,23 @@ let exim port proto =
     phase = Protego_base.Phase.Always }
 
 let golden_plane_setup st =
-  st.PS.mounts <- [ cdrom [] `Users ];
-  st.PS.binds <- [ exim 777 Bindconf.Tcp ];
-  PS.bump_generation st PS.Mounts;
-  PS.bump_generation st PS.Binds
+  PS.set st (PS.Set_mounts [ cdrom [] `Users ]);
+  PS.set st (PS.Set_binds [ exim 777 Bindconf.Tcp ])
 
 (* P1 adds a flag requirement (bare mount flips allow -> deny), P2 moves
    the port grant tcp -> udp, P3 drops the cdrom rule. *)
 let golden_plane_flip k st =
   match k with
   | 0 ->
-      st.PS.mounts <- [ cdrom [ Ktypes.Mf_readonly; Mf_nosuid; Mf_nodev ] `Users ];
-      PS.bump_generation st PS.Mounts;
+      PS.set st
+        (PS.Set_mounts
+           [ cdrom [ Ktypes.Mf_readonly; Mf_nosuid; Mf_nodev ] `Users ]);
       "P1"
   | 1 ->
-      st.PS.binds <- [ exim 777 Bindconf.Udp ];
-      PS.bump_generation st PS.Binds;
+      PS.set st (PS.Set_binds [ exim 777 Bindconf.Udp ]);
       "P2"
   | 2 ->
-      st.PS.mounts <- [];
-      PS.bump_generation st PS.Mounts;
+      PS.set st (PS.Set_mounts []);
       "P3"
   | _ -> invalid_arg "Sim.golden_plane_flip"
 
@@ -452,20 +449,18 @@ let run_plane sp mode =
       let flip k =
         match k mod 4 with
         | 0 ->
-            st.PS.mounts <- (match orig_mounts with [] -> [] | _ :: tl -> tl);
-            PS.bump_generation st PS.Mounts;
+            PS.set st
+              (PS.Set_mounts (match orig_mounts with [] -> [] | _ :: tl -> tl));
             "drop-mount"
         | 1 ->
-            st.PS.mounts <- orig_mounts;
-            PS.bump_generation st PS.Mounts;
+            PS.set st (PS.Set_mounts orig_mounts);
             "restore-mount"
         | 2 ->
-            st.PS.binds <- (match orig_binds with [] -> [] | _ :: tl -> tl);
-            PS.bump_generation st PS.Binds;
+            PS.set st
+              (PS.Set_binds (match orig_binds with [] -> [] | _ :: tl -> tl));
             "drop-bind"
         | _ ->
-            st.PS.binds <- orig_binds;
-            PS.bump_generation st PS.Binds;
+            PS.set st (PS.Set_binds orig_binds);
             "restore-bind"
       in
       (sched.Workload.s_requests, flip, max_int)

@@ -822,9 +822,9 @@ let write_dir dir r =
 
 let state_of r =
   let st = PS.create () in
-  st.PS.mounts <- r.r_mounts;
-  st.PS.binds <- r.r_binds;
-  st.PS.ppp <- r.r_ppp;
+  PS.set st (PS.Set_mounts r.r_mounts);
+  PS.set st (PS.Set_binds r.r_binds);
+  PS.set st (PS.Set_ppp r.r_ppp);
   st
 
 let netfilter_of r =

@@ -95,26 +95,27 @@ let install_policy spec (st : PS.t) =
             phase = Protego_base.Phase.Always })
     else []
   in
-  st.PS.mounts <-
+  let mounts =
     List.init spec.rules (fun i ->
         { PS.mr_source = rule_source i; mr_target = rule_target i;
           mr_fstype = "ext4"; mr_flags = rule_flags i; mr_mode = rule_mode i;
           mr_phase = PS.Phase.Always })
-    @ heavy_mounts;
-  st.PS.binds <-
+    @ heavy_mounts
+  and binds =
     List.init spec.rules (fun i ->
         { Bindconf.port = bind_port i; proto = bind_proto i; exe = bind_exe i;
           owner = bind_owner spec i; phase = Protego_base.Phase.Always })
-    @ heavy_binds;
-  st.PS.ppp <-
+    @ heavy_binds
+  and ppp =
     { Pppopts.directives =
         Pppopts.Session_option (Ppp.Compression "deflate")
         :: List.map
              (fun d -> Pppopts.Allow_device (d, Protego_base.Phase.Always))
-             ppp_devices };
-  PS.bump_generation st PS.Mounts;
-  PS.bump_generation st PS.Binds;
-  PS.bump_generation st PS.Ppp
+             ppp_devices }
+  in
+  PS.set st (PS.Set_mounts mounts);
+  PS.set st (PS.Set_binds binds);
+  PS.set st (PS.Set_ppp ppp)
 
 (* --- request pools ------------------------------------------------------ *)
 

@@ -315,9 +315,10 @@ let test_keys_injective_and_short () =
 
 let raw_dispatch () =
   let st = PS.create () in
-  st.PS.mounts <-
-    [ { PS.mr_source = "/dev/a"; mr_target = "/m"; mr_fstype = "ext4";
-        mr_flags = []; mr_mode = `Users; mr_phase = PS.Phase.Always } ];
+  PS.set st
+    (PS.Set_mounts
+       [ { PS.mr_source = "/dev/a"; mr_target = "/m"; mr_fstype = "ext4";
+           mr_flags = []; mr_mode = `Users; mr_phase = PS.Phase.Always } ]);
   (st, PD.create ())
 
 let test_dispatch_cache_flow () =
@@ -338,9 +339,9 @@ let test_dispatch_cache_flow () =
   check_int "two entries" 2 (DC.length dc);
   check "back to the first subject" true (decide 1);
   check_str "still cached per subject" "cache" (PD.decision_engine_name disp);
-  (* Direct field assignment (no /proc write) is caught by the dispatcher's
-     source watch: the generation bumps and nothing stale is served. *)
-  st.PS.mounts <- [];
+  (* A reload outside /proc goes through [PS.set] too: it bumps the
+     generation, so nothing stale is served. *)
+  PS.set st (PS.Set_mounts []);
   check "reload denies" true (not (decide 1));
   check_str "post-reload decision from the engine" "pfm"
     (PD.decision_engine_name disp);
@@ -397,14 +398,16 @@ let test_dispatch_separator_tuples () =
     { PS.mr_source = "/dev/a"; mr_target = target; mr_fstype = "ext4";
       mr_flags = []; mr_mode = mode; mr_phase = PS.Phase.Always }
   in
-  st.PS.mounts <- [ rule "/m\x1f1000" `Users; rule "/m" `User ];
-  st.PS.binds <-
-    [ { Bindconf.port = 25; proto = Bindconf.Tcp; exe = "/usr/sbin/exim4";
-        owner = 8; phase = Protego_base.Phase.Always } ];
-  st.PS.ppp <-
-    { Pppopts.directives =
-        [ Pppopts.Allow_device ("/dev/ttyS0\x1f1", Protego_base.Phase.Always) ]
-    };
+  PS.set st (PS.Set_mounts [ rule "/m\x1f1000" `Users; rule "/m" `User ]);
+  PS.set st
+    (PS.Set_binds
+       [ { Bindconf.port = 25; proto = Bindconf.Tcp; exe = "/usr/sbin/exim4";
+           owner = 8; phase = Protego_base.Phase.Always } ]);
+  PS.set st
+    (PS.Set_ppp
+       { Pppopts.directives =
+           [ Pppopts.Allow_device ("/dev/ttyS0\x1f1", Protego_base.Phase.Always)
+           ] });
   let disp = PD.create () in
   let twice name decide oracle =
     let expect = oracle () in

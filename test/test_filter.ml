@@ -169,6 +169,38 @@ let test_dispatch_stats_and_cache () =
        ~flags:[]);
   check_int "deny tallied" 1 (stat "mount").PD.deny
 
+(* A reload that changes no value (a bare generation bump) stales the
+   cached verdicts but must not recompile: the program slot is keyed by
+   the source's identity, not its generation. *)
+let test_bare_bump_keeps_program () =
+  let module PS = Protego_core.Policy_state in
+  let st = PS.create () in
+  PS.set st
+    (PS.Set_mounts
+       [ { PS.mr_source = "/dev/cdrom"; mr_target = "/media/cdrom";
+           mr_fstype = "iso9660"; mr_flags = []; mr_mode = `Users;
+           mr_phase = PS.Phase.Always } ]);
+  let disp = PD.create () in
+  let stat () = List.assoc "mount" (PD.stats disp) in
+  let decide () =
+    PD.decide_mount disp st ~source:"/dev/cdrom" ~target:"/media/cdrom"
+      ~fstype:"iso9660" ~flags:[]
+  in
+  check "allowed" true (decide ());
+  let prog = PD.cached_program disp "mount" in
+  PS.bump_generation st PS.Mounts;
+  check "still allowed" true (decide ());
+  check_int "the stale verdict re-ran the engine" 2 (stat ()).PD.evals;
+  check_int "no invalidations" 0 (stat ()).PD.invalidations;
+  check "same program" true
+    (match (prog, PD.cached_program disp "mount") with
+     | Some p, Some q -> p == q
+     | _ -> false);
+  (* An equal but new value does recompile. *)
+  PS.set st (PS.Set_mounts (List.map Fun.id st.PS.mounts));
+  check "allowed after set" true (decide ());
+  check_int "one invalidation" 1 (stat ()).PD.invalidations
+
 let test_filter_stats_proc () =
   let img = Image.build Image.Protego in
   let m = img.Image.machine in
@@ -223,4 +255,6 @@ let suites =
       [ Alcotest.test_case "stats and cache invalidation" `Quick
           test_dispatch_stats_and_cache;
         Alcotest.test_case "/proc/protego/filter_stats" `Quick
-          test_filter_stats_proc ]) ]
+          test_filter_stats_proc;
+        Alcotest.test_case "bare bump keeps the program" `Quick
+          test_bare_bump_keeps_program ]) ]

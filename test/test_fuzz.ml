@@ -228,7 +228,7 @@ let prop_pfm_mount =
               (pair (oneofl fstypes) flags_gen))))
     (fun (rules, queries) ->
       let st = PS.create () in
-      st.PS.mounts <- rules;
+      PS.set st (PS.Set_mounts rules);
       let prog = Compile.mount (List.map PS.filter_rule rules) in
       List.for_all
         (fun ((source, target), (fstype, flags)) ->
@@ -248,7 +248,7 @@ let prop_pfm_umount =
               (oneofl [ 0; 1000; 1001 ]))))
     (fun (rules, queries) ->
       let st = PS.create () in
-      st.PS.mounts <- rules;
+      PS.set st (PS.Set_mounts rules);
       let prog = Compile.umount (List.map PS.filter_rule rules) in
       List.for_all
         (fun (target, mounted_by, ruid) ->
@@ -283,7 +283,7 @@ let prop_pfm_bind =
               (pair (oneofl bind_exes) (oneofl bind_uids)))))
     (fun (entries, queries) ->
       let st = PS.create () in
-      st.PS.binds <- entries;
+      PS.set st (PS.Set_binds entries);
       let prog = Compile.bind entries in
       List.for_all
         (fun ((port, tcp), (exe, uid)) ->
@@ -394,7 +394,7 @@ let prop_pfm_ppp =
            (pair (oneofl ("/dev/ttyS9" :: ppp_devices)) (oneofl ppp_opts))))
     (fun (directives, queries) ->
       let st = PS.create () in
-      st.PS.ppp <- { Pppopts.directives };
+      PS.set st (PS.Set_ppp { Pppopts.directives });
       let prog = Compile.ppp_ioctl { Pppopts.directives } in
       List.for_all
         (fun (device, opt) ->
@@ -581,7 +581,7 @@ let mount_query_gen =
 
 let cache_diff_mount =
   cache_differential ~name:"mount" ~state:PS.create
-    ~reload:(fun gen1 st -> st.PS.mounts <- gen1 mount_policy_gen)
+    ~reload:(fun gen1 st -> PS.set st (PS.Set_mounts (gen1 mount_policy_gen)))
     ~query:(fun gen1 -> gen1 mount_query_gen)
     ~decide:(fun disp st ((source, target, fstype), (flags, subject)) ->
       PD.decide_mount disp ~subject st ~source ~target ~fstype ~flags)
@@ -595,7 +595,7 @@ let umount_query_gen =
 
 let cache_diff_umount =
   cache_differential ~name:"umount" ~state:PS.create
-    ~reload:(fun gen1 st -> st.PS.mounts <- gen1 mount_policy_gen)
+    ~reload:(fun gen1 st -> PS.set st (PS.Set_mounts (gen1 mount_policy_gen)))
     ~query:(fun gen1 -> gen1 umount_query_gen)
     ~decide:(fun disp st (target, mounted_by, ruid) ->
       PD.decide_umount disp st ~target ~mounted_by ~ruid)
@@ -614,9 +614,8 @@ let bind_query_gen =
 let cache_diff_bind =
   cache_differential ~name:"bind" ~state:PS.create
     ~reload:(fun gen1 st ->
-      st.PS.binds <-
-        gen1
-          QCheck2.Gen.(list_size (int_bound 10) (bind_entry_of cd_bind_exes)))
+      let entries = QCheck2.Gen.list_size (QCheck2.Gen.int_bound 10) in
+      PS.set st (PS.Set_binds (gen1 (entries (bind_entry_of cd_bind_exes)))))
     ~query:(fun gen1 -> gen1 bind_query_gen)
     ~decide:(fun disp st ((port, tcp), (exe, uid)) ->
       let proto = if tcp then Bindconf.Tcp else Bindconf.Udp in
@@ -636,11 +635,13 @@ let ppp_query_gen =
 let cache_diff_ppp =
   cache_differential ~name:"ppp_ioctl" ~state:PS.create
     ~reload:(fun gen1 st ->
-      st.PS.ppp <-
-        { Pppopts.directives =
-            gen1
-              QCheck2.Gen.(
-                list_size (int_bound 6) (ppp_directive_of cd_ppp_devices)) })
+      PS.set st
+        (PS.Set_ppp
+           { Pppopts.directives =
+               gen1
+                 QCheck2.Gen.(
+                   list_size (int_bound 6) (ppp_directive_of cd_ppp_devices))
+           }))
     ~query:(fun gen1 -> gen1 ppp_query_gen)
     ~decide:(fun disp st ((device, opt), subject) ->
       PD.decide_ppp_ioctl disp ~subject st ~device ~opt)
@@ -651,14 +652,28 @@ let nf_chain_gen =
   QCheck2.Gen.(
     pair (list_size (int_bound 8) nf_rule_gen) (oneofl nf_verdicts))
 
+(* Each reload goes through one mutator mix — a full reload (flush, policy,
+   appends), one [insert] alone, or one [set_policy] alone — so a mutator
+   that forgot to bump the table's generation would let a stale cached
+   verdict through. *)
 let cache_diff_nf =
   cache_differential ~name:"nf_output"
     ~state:(fun () -> Netfilter.create ())
     ~reload:(fun gen1 nf ->
-      let rules, policy = gen1 nf_chain_gen in
-      Netfilter.flush nf Netfilter.Output;
-      Netfilter.set_policy nf Netfilter.Output policy;
-      List.iter (Netfilter.append nf Netfilter.Output) rules)
+      let out = Netfilter.Output in
+      gen1
+        QCheck2.Gen.(
+          oneof
+            [ map
+                (fun (rules, policy) () ->
+                  Netfilter.flush nf out;
+                  Netfilter.set_policy nf out policy;
+                  List.iter (Netfilter.append nf out) rules)
+                nf_chain_gen;
+              map (fun r () -> Netfilter.insert nf out r) nf_rule_gen;
+              map (fun v () -> Netfilter.set_policy nf out v)
+                (oneofl nf_verdicts) ])
+        ())
     ~query:(fun gen1 -> gen1 nf_packet_gen)
     ~decide:(fun disp nf (pkt, origin) ->
       PD.decide_nf_output disp nf pkt ~origin)

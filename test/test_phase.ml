@@ -33,18 +33,18 @@ let contains haystack needle =
    so a phase transition flips exactly the guarded verdicts. *)
 let phased_state () =
   let st = PS.create () in
-  st.PS.mounts <-
-    [ { PS.mr_source = "/dev/install"; mr_target = "/mnt/install";
-        mr_fstype = "iso9660"; mr_flags = []; mr_mode = `Users;
-        mr_phase = Phase.Upto Phase.Setup };
-      { PS.mr_source = "/dev/cdrom"; mr_target = "/mnt/cdrom";
-        mr_fstype = "iso9660"; mr_flags = []; mr_mode = `Users;
-        mr_phase = Phase.Always } ];
-  st.PS.binds <-
-    [ { Bindconf.port = 25; proto = Bindconf.Tcp; exe = "/usr/sbin/exim4";
-        owner = 10; phase = Phase.Upto Phase.Setup } ];
-  PS.bump_generation st PS.Mounts;
-  PS.bump_generation st PS.Binds;
+  PS.set st
+    (PS.Set_mounts
+       [ { PS.mr_source = "/dev/install"; mr_target = "/mnt/install";
+           mr_fstype = "iso9660"; mr_flags = []; mr_mode = `Users;
+           mr_phase = Phase.Upto Phase.Setup };
+         { PS.mr_source = "/dev/cdrom"; mr_target = "/mnt/cdrom";
+           mr_fstype = "iso9660"; mr_flags = []; mr_mode = `Users;
+           mr_phase = Phase.Always } ]);
+  PS.set st
+    (PS.Set_binds
+       [ { Bindconf.port = 25; proto = Bindconf.Tcp; exe = "/usr/sbin/exim4";
+           owner = 10; phase = Phase.Upto Phase.Setup } ]);
   st
 
 let setup_mount subject =

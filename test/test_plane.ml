@@ -44,13 +44,13 @@ let test_freeze_publish () =
   check_int "frozen mounts gen" (PS.generation st PS.Mounts)
     (Snapshot.gen_for s0 PS.Mounts);
   check_bool "not stale at rest" false (Snapshot.stale pub st);
-  (* A /proc-style reload: replace a field, bump, republish. *)
-  st.PS.mounts <-
-    [ { PS.mr_source = "/dev/cdrom"; mr_target = "/media/cdrom";
-        mr_fstype = "iso9660"; mr_flags = []; mr_mode = `Users;
-        mr_phase = PS.Phase.Always } ];
-  PS.bump_generation st PS.Mounts;
-  check_bool "stale after bump" true (Snapshot.stale pub st);
+  (* A /proc-style reload: set a source, republish. *)
+  PS.set st
+    (PS.Set_mounts
+       [ { PS.mr_source = "/dev/cdrom"; mr_target = "/media/cdrom";
+           mr_fstype = "iso9660"; mr_flags = []; mr_mode = `Users;
+           mr_phase = PS.Phase.Always } ]);
+  check_bool "stale after set" true (Snapshot.stale pub st);
   let s1 = Snapshot.publish pub st in
   check_int "epoch advanced" 1 s1.Snapshot.epoch;
   check_bool "published pointer" true (Snapshot.current pub == s1);
@@ -65,20 +65,41 @@ let test_freeze_publish () =
     (Snapshot.ref_mount s1 ~source:"/dev/cdrom" ~target:"/media/cdrom"
        ~fstype:"iso9660" ~flags:[])
 
-let test_watch_parity () =
-  let sp = spec () in
-  let st = fresh_state sp in
+(* [PS.set] is the one way a source changes: it bumps exactly the
+   written source, which is all [Snapshot.stale] and [publish] read.  The
+   load gate's [PS.candidate] touches neither the live state nor its
+   vector. *)
+let test_set_bumps_one () =
+  let st = fresh_state (spec ()) in
   let pub = Snapshot.make st in
-  let before = PS.generation st PS.Binds in
-  (* Direct assignment without a generation bump — the harness pattern
-     the dispatcher's watches exist for. *)
-  st.PS.binds <- [];
-  check_bool "identity change is stale" true (Snapshot.stale pub st);
-  let s1 = Snapshot.publish pub st in
-  check_int "publish bumped the unannounced source" (before + 1)
-    (PS.generation st PS.Binds);
-  check_int "snapshot froze the bumped gen" (before + 1)
-    (Snapshot.gen_for s1 PS.Binds)
+  let vector () = List.map (PS.generation st) PS.sources in
+  let live = st.PS.binds in
+  let before = vector () in
+  let c = PS.candidate st (PS.Set_binds []) in
+  check_bool "candidate holds the update" true (c.PS.binds = []);
+  PS.bump_generation c PS.Binds;
+  check_bool "live value untouched" true (st.PS.binds == live);
+  check_bool "live vector untouched" true (vector () = before);
+  check_bool "not stale after candidate" false (Snapshot.stale pub st);
+  List.iter
+    (fun (update, source) ->
+      let before = vector () in
+      PS.set st update;
+      Alcotest.(check (list int))
+        (PS.source_name source ^ ": only it bumped")
+        (List.map2
+           (fun s b -> if s = source then b + 1 else b)
+           PS.sources before)
+        (vector ());
+      check_bool "stale after set" true (Snapshot.stale pub st);
+      let snap = Snapshot.publish pub st in
+      check_int "publish froze the new gen" (PS.generation st source)
+        (Snapshot.gen_for snap source);
+      check_bool "not stale after publish" false (Snapshot.stale pub st))
+    [ (PS.Set_mounts st.PS.mounts, PS.Mounts); (PS.Set_binds [], PS.Binds);
+      (PS.Set_delegation st.PS.delegation, PS.Delegation);
+      (PS.Set_accounts (st.PS.users, st.PS.groups), PS.Accounts);
+      (PS.Set_ppp st.PS.ppp, PS.Ppp) ]
 
 let test_history_bound () =
   (* The publication history is a bounded window, not an unbounded log:
@@ -250,8 +271,7 @@ let test_semantic_flip_never_torn () =
         mr_fstype = "iso9660"; mr_flags = flags; mr_mode = `Users;
         mr_phase = PS.Phase.Always } ]
   in
-  st.PS.mounts <- rule [];
-  PS.bump_generation st PS.Mounts;
+  PS.set st (PS.Set_mounts (rule []));
   let plane = Plane.create ~domains:2 st in
   let snaps = Hashtbl.create 8 in
   let remember s = Hashtbl.replace snaps s.Snapshot.epoch s in
@@ -264,8 +284,7 @@ let test_semantic_flip_never_torn () =
   in
   let reqs = Array.make 10_000 req in
   let flip flags () =
-    st.PS.mounts <- rule flags;
-    PS.bump_generation st PS.Mounts;
+    PS.set st (PS.Set_mounts (rule flags));
     remember (Plane.publish plane)
   in
   let reloads =
@@ -582,7 +601,7 @@ let test_replay_missing_epochs () =
 let suites =
   [ ("plane:snapshot",
      [ Alcotest.test_case "freeze and publish" `Quick test_freeze_publish;
-       Alcotest.test_case "watch parity" `Quick test_watch_parity;
+       Alcotest.test_case "set bumps one source" `Quick test_set_bumps_one;
        Alcotest.test_case "bounded history" `Quick test_history_bound;
        Alcotest.test_case "atomic generations" `Quick test_atomic_generations ]);
     ("plane:decide",

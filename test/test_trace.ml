@@ -422,7 +422,9 @@ let test_tracing_preserves_verdicts () =
         Trace.reset_latency tr
     | _ -> ());
     if i mod 100 = 1 then
-      st.PS.mounts <- gen1 (QCheck2.Gen.list_size (QCheck2.Gen.int_bound 12) mount_rule_gen);
+      PS.set st
+        (PS.Set_mounts
+           (gen1 QCheck2.Gen.(list_size (int_bound 12) mount_rule_gen)));
     let (source, target), (fstype, (flags, subject)) = gen1 mount_query_gen in
     let a = PD.decide_mount plain ~subject st ~source ~target ~fstype ~flags in
     let b = PD.decide_mount traced ~subject st ~source ~target ~fstype ~flags in
