@@ -660,21 +660,40 @@ let all_sources (inp : input) =
   @ List.map (fun (name, _, _) -> "netfilter:" ^ name) inp.chains
   @ match inp.ppp with Some _ -> [ "ppp" ] | None -> []
 
+type programs = {
+  mount_program : unit -> Pfm.program * (int * string) list;
+  umount_program : unit -> Pfm.program * (int * string) list;
+  bind_program : unit -> Pfm.program * (int * string) list;
+  ppp_program : unit -> Pfm.program * (int * string) list;
+}
+
+let compile_programs (inp : input) =
+  { mount_program = (fun () -> Pfm_compile.mount_notes inp.mounts);
+    umount_program = (fun () -> Pfm_compile.umount_notes inp.mounts);
+    bind_program = (fun () -> Pfm_compile.bind_notes inp.binds);
+    ppp_program =
+      (fun () ->
+        Pfm_compile.ppp_ioctl_notes
+          (Option.value inp.ppp ~default:{ Pppopts.directives = [] })) }
+
 (* One entry point for the whole lint and for the load-time gate: each source
    in [sources] gets its declarative checks, its compiled-program checks
    and its per-phase residuals; sources outside the set are not compiled
    or analysed at all.  The cross-source checks run on every call.  The
    result is the whole lint's findings for those sources, in the same
    order. *)
-let lint ?sources (inp : input) =
+let lint ?programs ?sources (inp : input) =
   let sources = match sources with Some s -> s | None -> all_sources inp in
   let part source run = if List.mem source sources then run () else [] in
+  let progs =
+    match programs with Some p -> p | None -> compile_programs inp
+  in
   let mounts () =
-    let p, notes = Pfm_compile.mount_notes inp.mounts in
+    let p, notes = progs.mount_program () in
     let mp =
       lint_program ~source:"mounts" ~notes ~entries:(List.length inp.mounts) p
     in
-    let p, notes = Pfm_compile.umount_notes inp.mounts in
+    let p, notes = progs.umount_program () in
     (* The umount program's verdict shape tracks the mount one; re-flagging
        NEVER-ALLOW here would duplicate every mounts finding. *)
     let up = lint_program ~source:"mounts" ~notes ~entries:0 p in
@@ -692,7 +711,7 @@ let lint ?sources (inp : input) =
       ]
   in
   let binds () =
-    let p, notes = Pfm_compile.bind_notes inp.binds in
+    let p, notes = progs.bind_program () in
     List.concat
       [
         lint_binds inp.binds;
@@ -711,7 +730,7 @@ let lint ?sources (inp : input) =
       inp.chains
   in
   let ppp t () =
-    let p, notes = Pfm_compile.ppp_ioctl_notes t in
+    let p, notes = progs.ppp_program () in
     List.concat
       [
         lint_ppp t;

@@ -97,7 +97,19 @@ type input = {
 
 val empty_input : input
 
-val lint : ?sources:string list -> input -> finding list
+type programs = {
+  mount_program : unit -> Pfm.program * (int * string) list;
+  umount_program : unit -> Pfm.program * (int * string) list;
+  bind_program : unit -> Pfm.program * (int * string) list;
+  ppp_program : unit -> Pfm.program * (int * string) list;
+}
+(** Where {!lint} gets the whole-source programs of an input's mounts,
+    binds and ppp policy, with their provenance notes: thunks, so only
+    the checked sources are built.  Each must return what the
+    [Pfm_compile.*_notes] compiler returns for that source of the
+    input. *)
+
+val lint : ?programs:programs -> ?sources:string list -> input -> finding list
 (** All checks over [sources], named as findings name them (["mounts"],
     ["binds"], ["delegation"], ["netfilter:<chain>"], ["ppp"]; default:
     every source [input] carries), including compiling each source and
@@ -109,7 +121,13 @@ val lint : ?sources:string list -> input -> finding list
     deterministic: by source in input order, then by rule position.
     PL-M001, PL-B001 and PL-B002 look earlier rules up through indexes,
     so the declarative checks are linear in the rule count apart from
-    the findings they emit. *)
+    the findings they emit.
+
+    [programs] (default: compile them from [input]) lets a caller that
+    already holds the compiled programs hand them over — the load gate
+    passes its program store's, so a write's one compile serves both the
+    lint and the decisions after it.  The per-phase residual programs
+    behind PFM-PHASE-DEAD are always compiled here. *)
 
 (** {2 Per-source entry points} (used by tests and the CLI) *)
 

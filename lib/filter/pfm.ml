@@ -250,6 +250,9 @@ let reset_counters p =
   Array.fill p.counters 0 (Array.length p.counters) 0;
   p.retired <- 0
 
+let clone p =
+  { p with counters = Array.make (Array.length p.counters) 0; retired = 0 }
+
 (* --- disassembly ------------------------------------------------------- *)
 
 let verdict_to_string = function

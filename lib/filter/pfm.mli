@@ -111,6 +111,13 @@ val insn_count : program -> int
 
 val reset_counters : program -> unit
 
+val clone : program -> program
+(** A copy with fresh, zeroed execution counters ([counters], [retired])
+    that shares the instruction array and dispatch tables (read-only
+    under {!eval}).  How one program is run by several evaluators — a
+    dispatcher, each plane worker — without any of them writing to
+    another's counters or to the shared original. *)
+
 (** {1 Disassembly} *)
 
 val pp_insn : Format.formatter -> insn -> unit

@@ -301,8 +301,8 @@ let reset_phases t = Array.iter (fun a -> Atomic.set a 0) t.phases
 
 let adopt w snap =
   if snap != w.w_snap then begin
-    w.w_snap <- snap;
-    w.w_progs <- Snapshot.clone_progs snap
+    w.w_progs <- Snapshot.clone_progs ~prev:(w.w_snap, w.w_progs) snap;
+    w.w_snap <- snap
   end
 
 (* Serve one request on a worker against [snap] through the worker's

@@ -1,6 +1,5 @@
 module PS = Protego_core.Policy_state
 module Pfm = Protego_filter.Pfm
-module Compile = Protego_filter.Pfm_compile
 
 type progs = {
   p_mount : Pfm.program;
@@ -16,27 +15,30 @@ type t = {
   progs : progs;
 }
 
+(* The programs come from the state's program store, so a source whose
+   value did not change since the last publish shares that snapshot's
+   program instead of recompiling it. *)
 let freeze ~epoch (st : PS.t) =
   let frozen = PS.copy st in
   let gens = Array.of_list (List.map (PS.generation st) PS.sources) in
-  let rules = List.map PS.filter_rule frozen.PS.mounts in
   let progs =
-    { p_mount = Compile.mount rules;
-      p_umount = Compile.umount rules;
-      p_bind = Compile.bind frozen.PS.binds;
-      p_ppp = Compile.ppp_ioctl frozen.PS.ppp }
+    { p_mount = PS.program frozen PS.Mount_program;
+      p_umount = PS.program frozen PS.Umount_program;
+      p_bind = PS.program frozen PS.Bind_program;
+      p_ppp = PS.program frozen PS.Ppp_program }
   in
   { epoch; gens; frozen; progs }
 
-let clone_prog (p : Pfm.program) =
-  { p with Pfm.counters = Array.make (Array.length p.Pfm.counters) 0;
-    retired = 0 }
-
-let clone_progs t =
-  { p_mount = clone_prog t.progs.p_mount;
-    p_umount = clone_prog t.progs.p_umount;
-    p_bind = clone_prog t.progs.p_bind;
-    p_ppp = clone_prog t.progs.p_ppp }
+let clone_progs ?prev t =
+  let clone get =
+    match prev with
+    | Some (s, mine) when get s.progs == get t.progs -> get mine
+    | _ -> Pfm.clone (get t.progs)
+  in
+  { p_mount = clone (fun p -> p.p_mount);
+    p_umount = clone (fun p -> p.p_umount);
+    p_bind = clone (fun p -> p.p_bind);
+    p_ppp = clone (fun p -> p.p_ppp) }
 
 let gen_for t s = t.gens.(PS.source_index s)
 
@@ -64,11 +66,12 @@ let current pub = Atomic.get pub.cur
 
 (* The history is what lets the journal replay re-evaluate an
    epoch-stamped decision against the exact policy that served it.
-   Each retained snapshot pins its frozen policy and compiled programs,
-   so the window is bounded: only the newest [hcap] epochs survive, and
-   a replay reaching further back reports the miss
-   (Replay.rp_missing_epochs) instead of growing the plane without
-   limit under reload storms. *)
+   Each retained snapshot pins its frozen state copy and the programs it
+   does not share with its neighbours — a publish after a bare reload
+   shares all four, so such an epoch costs a few words — and the window
+   is bounded: only the newest [hcap] epochs survive, and a replay
+   reaching further back reports the miss (Replay.rp_missing_epochs)
+   instead of growing the plane without limit under reload storms. *)
 let at_epoch pub e = Hashtbl.find_opt pub.hist e
 
 let publish pub st =

@@ -9,7 +9,8 @@
     [Atomic.get] ({!current}).  Readers therefore never lock, never see
     a half-updated policy, and never observe generation/rule skew: a
     snapshot's programs were compiled from exactly the rules its
-    generation vector stamps.  Memory-model details and the
+    generation vector stamps (the program store is keyed by the rule
+    values themselves).  Memory-model details and the
     linearizability claim are in DESIGN.md §6. *)
 
 module PS = Protego_core.Policy_state
@@ -29,18 +30,29 @@ type t = private {
   epoch : int;        (** publication counter, 0 for the initial snapshot *)
   gens : int array;   (** generation vector at freeze, {!PS.source_index} order *)
   frozen : PS.t;      (** private copy of the live state; never mutated *)
-  progs : progs;      (** compiled from [frozen] at freeze time *)
+  progs : progs;
+      (** the program store's programs for [frozen]'s source values
+          ({!PS.program}): a source unchanged since an earlier snapshot
+          shares that snapshot's program physically.  Shared, so never
+          evaluated in place — see {!clone_progs}. *)
 }
 
 val freeze : epoch:int -> PS.t -> t
-(** {!PS.copy} the live state, snapshot the generation vector, and
-    compile the four programs. *)
+(** {!PS.copy} the live state, snapshot the generation vector, and take
+    the four programs from the state's program store, which compiles
+    only for a source whose value changed — nothing after a bare
+    generation bump or after a gated /proc write (the gate compiled
+    it), one or two programs after a direct {!PS.set}. *)
 
-val clone_progs : t -> progs
-(** Per-domain copies of the compiled programs: the instruction arrays
-    and dispatch tables are shared (read-only under evaluation), the
-    mutable execution counters ([counters], [retired]) are fresh, so
-    domains never write to a shared program. *)
+val clone_progs : ?prev:t * progs -> t -> progs
+(** Per-domain copies of the snapshot's programs ({!Pfm.clone}): the
+    instruction arrays and dispatch tables are shared (read-only under
+    evaluation), the mutable execution counters ([counters], [retired])
+    are fresh, so domains never write to a shared program.  With
+    [~prev:(old, mine)] — the snapshot a worker served before and its
+    clones of it — a program [t] shares physically with [old] keeps the
+    worker's clone [mine], so a publish after a bare reload clones
+    nothing. *)
 
 val gen_for : t -> PS.source -> int
 (** The frozen generation of one source. *)

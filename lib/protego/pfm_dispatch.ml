@@ -21,12 +21,12 @@ type hook_stats = {
   mutable insns : int;
 }
 
-(* One hook's compiled program, keyed on the physical identity of the
-   policy source it was compiled from, with the recompiles a source change
-   forced and the bytecode instructions its runs retired.  The key is the
-   source value, not its generation: a bare generation bump (a reload
-   that changes no value) must stale the cached verdicts without forcing
-   a recompile. *)
+(* One hook's program, keyed on the physical identity of the policy
+   source it was built from, with the reloads a source change forced and
+   the bytecode instructions its runs retired.  The key is the source
+   value, not its generation: a bare generation bump (a reload that
+   changes no value) must stale the cached verdicts without touching the
+   program. *)
 type 'k prog = {
   mutable slot : ('k * Pfm.program) option;
   mutable invalidations : int;
@@ -77,26 +77,42 @@ type t = {
 
 let fresh_prog () = { slot = None; invalidations = 0; insns = 0 }
 
-(* Run the hook's program for [key], recompiling when the source changed
-   since the last compile. *)
-let run c ~same ~key ~compile ctx =
-  let p =
-    match c.slot with
-    | Some (k, p) when same k key -> p
-    | prev ->
-        if Option.is_some prev then c.invalidations <- c.invalidations + 1;
-        let p = compile key in
-        c.slot <- Some (key, p);
-        p
-  in
+let reload c key p =
+  if Option.is_some c.slot then c.invalidations <- c.invalidations + 1;
+  c.slot <- Some (key, p);
+  p
+
+let eval_counted c p ctx =
   let before = p.Pfm.retired in
   let v = Pfm.eval p ctx in
   c.insns <- c.insns + (p.Pfm.retired - before);
   v
 
-let of_bool b = if b then Pfm.Allow else Pfm.Deny
+(* A [Policy_state]-backed hook: when the source value changed since the
+   slot was filled, take a counter-fresh clone of the store's program for
+   the new value — the store, not the dispatcher, compiles. *)
+let run_stored c st kind key ctx =
+  let p =
+    match c.slot with
+    | Some (k, p) when k == key -> p
+    | _ -> reload c key (Pfm.clone (Policy_state.program st kind))
+  in
+  eval_counted c p ctx
 
-let filter_rules rules = List.map Policy_state.filter_rule rules
+(* The netfilter OUTPUT hook: its chain lives on the machine, not in
+   [Policy_state], so it keeps a lazy compile keyed by (rules identity,
+   policy). *)
+let run_nf c nf ctx =
+  let rules = Netfilter.rules nf Netfilter.Output
+  and policy = Netfilter.policy nf Netfilter.Output in
+  let p =
+    match c.slot with
+    | Some ((r, pol), p) when r == rules && pol = policy -> p
+    | _ -> reload c (rules, policy) (Compile.netfilter ~rules ~policy)
+  in
+  eval_counted c p ctx
+
+let of_bool b = if b then Pfm.Allow else Pfm.Deny
 
 let create () =
   let dec =
@@ -105,9 +121,9 @@ let create () =
   let mount_prog = fresh_prog () and umount_prog = fresh_prog () in
   let bind_prog = fresh_prog () and nf_prog = fresh_prog () in
   let ppp_prog = fresh_prog () in
-  (* Each hook's engine runs its policy source compiled (lazily) into a
-     PFM program, or the reference walk.  Registration order fixes the
-     order of the cache_stats and latency lines. *)
+  (* Each hook's engine runs its policy source's PFM program, or the
+     reference walk.  Registration order fixes the order of the
+     cache_stats and latency lines. *)
   let mount =
     Decider.hook dec Decider.Mount
       ~key:(fun k phase (source, target, fstype, flags) ->
@@ -119,8 +135,8 @@ let create () =
               (Policy_state.mount_decision ~phase:(Phase.of_index phase) st
                  ~source ~target ~fstype ~flags)
         | `Pfm ->
-            run mount_prog ~same:( == ) ~key:st.Policy_state.mounts
-              ~compile:(fun rules -> Compile.mount (filter_rules rules))
+            run_stored mount_prog st Policy_state.Mount_program
+              st.Policy_state.mounts
               (Compile.mount_ctx ~phase ~source ~target ~fstype ~flags))
   in
   let umount =
@@ -134,8 +150,8 @@ let create () =
               (Policy_state.umount_decision ~phase:(Phase.of_index phase) st
                  ~target ~mounted_by ~ruid)
         | `Pfm ->
-            run umount_prog ~same:( == ) ~key:st.Policy_state.mounts
-              ~compile:(fun rules -> Compile.umount (filter_rules rules))
+            run_stored umount_prog st Policy_state.Umount_program
+              st.Policy_state.mounts
               (Compile.umount_ctx ~phase ~target ~mounted_by ~ruid))
   in
   let bind =
@@ -149,8 +165,8 @@ let create () =
               (Policy_state.bind_allowed ~phase:(Phase.of_index phase) st ~port
                  ~proto ~exe ~uid)
         | `Pfm ->
-            run bind_prog ~same:( == ) ~key:st.Policy_state.binds
-              ~compile:Compile.bind
+            run_stored bind_prog st Policy_state.Bind_program
+              st.Policy_state.binds
               (Compile.bind_ctx ~phase ~port ~proto ~exe ~uid))
   in
   let nf =
@@ -161,14 +177,7 @@ let create () =
         | `Ref ->
             Compile.verdict_of_netfilter
               (Netfilter.walk nf Netfilter.Output p.pkt ~origin:p.origin)
-        | `Pfm ->
-            run nf_prog
-              ~same:(fun (r1, p1) (r2, p2) -> r1 == r2 && p1 = p2)
-              ~key:
-                ( Netfilter.rules nf Netfilter.Output,
-                  Netfilter.policy nf Netfilter.Output )
-              ~compile:(fun (rules, policy) -> Compile.netfilter ~rules ~policy)
-              (packet_ctx p))
+        | `Pfm -> run_nf nf_prog nf (packet_ctx p))
   in
   let ppp =
     Decider.hook dec Decider.Ppp_ioctl
@@ -180,8 +189,8 @@ let create () =
               (Policy_state.ppp_ioctl_decision ~phase:(Phase.of_index phase) st
                  ~device ~opt)
         | `Pfm ->
-            run ppp_prog ~same:( == ) ~key:st.Policy_state.ppp
-              ~compile:Compile.ppp_ioctl (Compile.ppp_ctx ~phase ~device ~opt))
+            run_stored ppp_prog st Policy_state.Ppp_program st.Policy_state.ppp
+              (Compile.ppp_ctx ~phase ~device ~opt))
   in
   let hooks =
     List.map
@@ -245,9 +254,10 @@ let drain_opt_log t =
 
 let opt_rejects t = t.opt_rejects
 
-(* Gate and install one hook's optimized program.  The cache slot keeps
-   its key, so a policy reload still recompiles from source (after which
-   the installed optimization reads as stale in {!render}).  Soundness
+(* Gate and install one hook's optimized program.  The slot keeps its
+   key, so a policy reload still replaces it with the new source's
+   program (after which the installed optimization reads as stale in
+   {!render}).  Soundness
    rests entirely on the gate: {!Pfm.verify} must accept AND
    {!Pfm_equiv.prove} must return [Equal].  A counterexample or an
    [Unknown] keeps the original program running and leaves an audit line
@@ -304,8 +314,8 @@ let deoptimize_slot t (name, Hook (_, c)) =
 let deoptimize t = List.iter (deoptimize_slot t) t.hooks
 
 (* The status {!render} shows: "active" only while the optimized program
-   is still the one the slot serves; a reload that recompiled from
-   source demotes it to stale. *)
+   is still the one the slot serves; a reload that replaced the slot's
+   program demotes it to stale. *)
 let opt_status_line t (name, Hook (_, c)) =
   ( name,
     match Hashtbl.find_opt t.opt_status name with
@@ -410,18 +420,34 @@ let lint_input ?(chains = []) (st : Policy_state.t) =
     chains;
   }
 
-let lint_report ?chains st = Policy_lint.lint (lint_input ?chains st)
+(* The whole-source programs of [st], from its program store.  [stage]:
+   [st] is a load-gate candidate whose programs go live only if
+   {!Policy_state.set} installs its value. *)
+let store_programs ?stage st =
+  let from kind () = Policy_state.compiled ?stage st kind in
+  { Policy_lint.mount_program = from Policy_state.Mount_program;
+    umount_program = from Policy_state.Umount_program;
+    bind_program = from Policy_state.Bind_program;
+    ppp_program = from Policy_state.Ppp_program }
+
+let lint_report ?chains st =
+  Policy_lint.lint ~programs:(store_programs st) (lint_input ?chains st)
 
 (* The load-time gate: lint the candidate state a /proc policy write
    would install, over the written [sources] only — each source's own
    findings plus the cross-source checks.  A delegation typo must not
    veto a bind-map install, so the gate never looks wider than the write
    at hand, and never pays for compiling the sources it leaves alone.
-   [`Refused fs] (enforce mode, error-severity findings) means the
+   The written sources' programs come from the store, staged: this is
+   the write's one compile, and {!Policy_state.set} makes them live if
+   the write is accepted.  [`Refused fs] (enforce mode, error-severity findings) means the
    caller must not install the candidate; [`Warned fs] means install but
    tag the audit trail. *)
 let check_policy_load t ?chains st ~sources =
-  let findings = Policy_lint.lint ~sources (lint_input ?chains st) in
+  let findings =
+    Policy_lint.lint ~programs:(store_programs ~stage:true st) ~sources
+      (lint_input ?chains st)
+  in
   if t.lint_mode = `Enforce && Policy_lint.has_errors findings then
     `Refused findings
   else if findings <> [] then `Warned findings

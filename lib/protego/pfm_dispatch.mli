@@ -4,8 +4,8 @@
     Each filtered hook (mount, umount, bind, netfilter output, ppp ioctl)
     asks the dispatcher for a verdict, served through one {!Decider} —
     front slot, then the {!Decision_cache} table, then the engine: under
-    [`Pfm] (the default) the hook's policy source compiled lazily into a
-    bytecode program, under [`Ref] the original list-walking decision
+    [`Pfm] (the default) the hook's policy source as a bytecode program,
+    under [`Ref] the original list-walking decision
     ({!Policy_state.mount_decision} and friends,
     {!Protego_net.Netfilter.walk}), kept in-tree as the
     differential-testing oracle.  Memoized verdicts are stamped with the
@@ -16,11 +16,19 @@
     exactly the stamped entries.  Decisions only read generations; they
     never write them.
 
-    Program caches key on the {e physical identity} of the policy source
-    (the rule list / bind map / ppp policy record / netfilter chain), not
-    on its generation: installing a new value recompiles on the next
-    evaluation, while a bare generation bump (a reload with unchanged
-    contents) reuses the compiled program.
+    Each hook keeps its program in a slot keyed on the {e physical
+    identity} of the policy source (the rule list / bind map / ppp policy
+    record / netfilter chain), not on its generation: a bare generation
+    bump (a reload with unchanged contents) keeps the program, while a
+    new value replaces it on the next evaluation.  The mount, umount,
+    bind and ppp hooks never compile: they take a counter-fresh
+    {!Protego_filter.Pfm.clone} of the state's program-store entry for
+    the new value ({!Policy_state.program}), which the load gate
+    compiled when the write was accepted.  The netfilter OUTPUT hook
+    compiles its chain lazily, keyed by (rules identity, chain policy):
+    the chain lives on the machine, not in {!Policy_state}, so the store
+    does not cover it (ROADMAP item 5, [nf_output] on the plane,
+    revisits this).
 
     A dispatcher serves one {!Policy_state.t} (as {!Lsm.install} wires
     it); decision-cache keys do not name the state, so sharing a
@@ -39,7 +47,7 @@ type hook_stats = {
   mutable allow : int;
   mutable deny : int;
   mutable reject : int;
-  mutable invalidations : int;  (** recompiles forced by a policy change *)
+  mutable invalidations : int;  (** program reloads forced by a policy change *)
   mutable insns : int;          (** bytecode instructions retired ([`Pfm] only) *)
 }
 
@@ -94,8 +102,9 @@ val stats : t -> (string * hook_stats) list
 val reset_stats : t -> unit
 
 val cached_program : t -> string -> Protego_filter.Pfm.program option
-(** The compiled program currently cached for a hook name (as listed by
-    {!stats}), if any evaluation has compiled one. *)
+(** The program currently in a hook's slot (hook names as listed by
+    {!stats}), if any evaluation has loaded one: the dispatcher's own
+    clone, or its installed optimization. *)
 
 (** {1 Profile-guided recompilation}
 
@@ -106,8 +115,9 @@ val cached_program : t -> string -> Protego_filter.Pfm.program option
     rewrite is never installed: the original program keeps serving, the
     rejection counter is bumped, and a line is queued on the opt log for
     the caller (the LSM's /proc handler) to push to dmesg/audit.  A
-    policy reload recompiles from source as usual, demoting a previously
-    installed optimization to "stale" in {!render}. *)
+    policy reload replaces the slot's program with the new source's,
+    demoting a previously installed optimization to "stale" in
+    {!render}. *)
 
 val optimize : t -> (string * string) list
 (** Per hook, in {!stats} order: what happened ("installed: ...",
@@ -172,8 +182,9 @@ val lint_report :
     (string * Protego_net.Netfilter.rule list * Protego_net.Netfilter.verdict)
     list ->
   Policy_state.t -> Protego_analysis.Policy_lint.finding list
-(** [Policy_lint.lint] over {!lint_input} — what /proc/protego/lint
-    renders. *)
+(** [Policy_lint.lint] over {!lint_input}, with the whole-source
+    programs taken from the state's program store — what
+    /proc/protego/lint renders. *)
 
 val check_policy_load :
   t ->
@@ -188,7 +199,10 @@ val check_policy_load :
     over [sources] (the sources being written) plus the cross-source
     checks — [Policy_lint.lint ~sources], which neither checks nor
     compiles the other sources, so a pre-existing defect in an unrelated
-    source never vetoes an install.  [`Refused] is only possible in
+    source never vetoes an install.  The written sources' programs come
+    from the candidate's program store, staged
+    ({!Policy_state.compiled} [~stage:true]): the write's one compile,
+    live once {!Policy_state.set} installs the value.  [`Refused] is only possible in
     [`Enforce] mode and only for error-severity findings. *)
 
 (** {1 /proc/protego/filter_stats} *)

@@ -47,6 +47,70 @@ let source_name = function
   | Accounts -> "accounts"
   | Ppp -> "ppp"
 
+(* --- the program store --------------------------------------------------
+
+   One compiled program (with its provenance notes) per program kind and
+   source value.  Every source value is immutable, so a program is a pure
+   function of the value it was compiled from, and the store keys on the
+   value's physical identity: a bare generation bump keeps the key, and
+   a key only ever maps to a program compiled from that very value, so
+   reuse is sound under ABA too. *)
+
+type program_kind = Mount_program | Umount_program | Bind_program | Ppp_program
+
+type compiled = Protego_filter.Pfm.program * (int * string) list
+
+(* One kind's programs: the newest installed value's, and the load
+   gate's candidate, held apart until {!set} installs it so that a
+   refused write never evicts the live program.  An older value's program
+   is dropped, not kept: it would pin a whole program per kind in the
+   heap to save a compile only when a source goes back to that value. *)
+type 'k shelf = {
+  build : 'k -> compiled;
+  mutable live : ('k * compiled) option;
+  mutable staged : ('k * compiled) option;
+}
+
+type store = {
+  lock : Mutex.t;
+  s_mount : mount_rule list shelf;
+  s_umount : mount_rule list shelf;
+  s_bind : Protego_policy.Bindconf.entry list shelf;
+  s_ppp : Protego_policy.Pppopts.t shelf;
+  mutable compiles : int;
+}
+
+let shelf build = { build; live = None; staged = None }
+
+let create_store () =
+  let module C = Protego_filter.Pfm_compile in
+  { lock = Mutex.create ();
+    s_mount = shelf (fun rules -> C.mount_notes (List.map filter_rule rules));
+    s_umount = shelf (fun rules -> C.umount_notes (List.map filter_rule rules));
+    s_bind = shelf (fun entries -> C.bind_notes entries);
+    s_ppp = shelf (fun policy -> C.ppp_ioctl_notes policy);
+    compiles = 0 }
+
+let fetch store sh key ~stage =
+  Mutex.protect store.lock (fun () ->
+      match (sh.live, sh.staged) with
+      | Some (k, c), _ when k == key -> c
+      | _, Some (k, c) when k == key -> c
+      | _ ->
+          store.compiles <- store.compiles + 1;
+          let e = (key, sh.build key) in
+          if stage then sh.staged <- Some e else sh.live <- Some e;
+          snd e)
+
+(* [set] installed [key]: a candidate the gate staged for it goes live. *)
+let promote store sh key =
+  Mutex.protect store.lock (fun () ->
+      match sh.staged with
+      | Some (k, _) when k == key ->
+          sh.live <- sh.staged;
+          sh.staged <- None
+      | _ -> ())
+
 type t = {
   mutable mounts : mount_rule list;
   mutable binds : Protego_policy.Bindconf.entry list;
@@ -57,6 +121,7 @@ type t = {
   reauth_read_prefixes : string list;
   file_acl : (string * string list) list;
   generations : int Atomic.t array;
+  store : store;
 }
 
 type update =
@@ -72,7 +137,8 @@ let create () =
     reauth_read_prefixes = [ "/etc/shadows/" ];
     file_acl =
       [ ("/etc/ssh/ssh_host_rsa_key", [ "/usr/lib/openssh/ssh-keysign" ]) ];
-    generations = Array.init source_count (fun _ -> Atomic.make 0) }
+    generations = Array.init source_count (fun _ -> Atomic.make 0);
+    store = create_store () }
 
 let sources = [ Mounts; Binds; Delegation; Accounts; Ppp ]
 
@@ -99,10 +165,17 @@ let install t = function
       Accounts
   | Set_ppp v -> t.ppp <- v; Ppp
 
-let set t u = bump_generation t (install t u)
+let set t u =
+  let s = t.store in
+  (match u with
+   | Set_mounts v -> promote s s.s_mount v; promote s s.s_umount v
+   | Set_binds v -> promote s s.s_bind v
+   | Set_ppp v -> promote s s.s_ppp v
+   | Set_delegation _ | Set_accounts _ -> ());
+  bump_generation t (install t u)
 
 (* The field values are immutable, so aliasing them is a deep-enough copy;
-   the generation cells are fresh. *)
+   the generation cells are fresh, and the program store is shared. *)
 let copy t =
   let fresh g = Atomic.make (Atomic.get g) in
   { t with generations = Array.map fresh t.generations }
@@ -111,6 +184,17 @@ let candidate t u =
   let c = copy t in
   ignore (install c u : source);
   c
+
+let compiled ?(stage = false) t kind =
+  let s = t.store in
+  match kind with
+  | Mount_program -> fetch s s.s_mount t.mounts ~stage
+  | Umount_program -> fetch s s.s_umount t.mounts ~stage
+  | Bind_program -> fetch s s.s_bind t.binds ~stage
+  | Ppp_program -> fetch s s.s_ppp t.ppp ~stage
+
+let program t kind = fst (compiled t kind)
+let compiles t = t.store.compiles
 
 (* --- name service ---------------------------------------------------- *)
 

@@ -63,6 +63,9 @@ type account_group = {
 type source = Mounts | Binds | Delegation | Accounts | Ppp
 (** The /proc-configurable policy sources, for generation accounting. *)
 
+type store
+(** The program store (see {!section:programs}). *)
+
 type t = private {
   mutable mounts : mount_rule list;
   mutable binds : Protego_policy.Bindconf.entry list;
@@ -79,6 +82,9 @@ type t = private {
           {!generation} rather than the raw array.  Atomic so the
           multi-domain decision plane can read the vector while a /proc
           writer bumps it; see DESIGN.md §6. *)
+  store : store;
+      (** compiled programs by source value; created by {!create},
+          shared by every {!copy} and {!candidate} *)
 }
 (** Private: fields read freely, but a policy source changes only through
     {!set}, so its generation is the one staleness signal every cache and
@@ -126,7 +132,9 @@ val bump_generation : t -> source -> unit
     the dispatcher's compiled program is reused. *)
 
 val set : t -> update -> unit
-(** Install the value and bump that source's generation. *)
+(** Install the value and bump that source's generation.  Programs the
+    load gate staged for the value ({!compiled} [~stage:true]) go live
+    in the store. *)
 
 val candidate : t -> update -> t
 (** A {!copy} of [t] with the update installed, for the load gate to lint:
@@ -134,8 +142,54 @@ val candidate : t -> update -> t
     {!set} only if the gate accepts. *)
 
 val copy : t -> t
-(** An independent copy: the (immutable) field values are shared, the
-    generation counters are fresh cells holding the current values. *)
+(** An independent copy: the (immutable) field values and the program
+    store are shared, the generation counters are fresh cells holding
+    the current values. *)
+
+(** {1:programs Compiled programs}
+
+    The compiled {!Protego_filter.Pfm} programs of the four
+    [Policy_state]-backed hooks live in one store per state lineage,
+    keyed by the {e physical identity} of the source value they were
+    compiled from.  Source values are immutable, so a program is a pure
+    function of its key: a bare {!bump_generation} keeps the key and the
+    program, and a source set back to an older value gets a program
+    compiled from that value.  Cached verdicts still go stale on any
+    bump — they are stamped by generation, not by value.
+
+    Only the store compiles these programs: the load gate, every
+    dispatcher ({!Pfm_dispatch}) and every plane snapshot take them from
+    here.  A store program is shared, so evaluators run a
+    {!Protego_filter.Pfm.clone} of it and execution counters stay per
+    evaluator.  Store operations are serialized by a mutex. *)
+
+type program_kind = Mount_program | Umount_program | Bind_program | Ppp_program
+(** [Mount_program] and [Umount_program] compile from {!t.mounts},
+    [Bind_program] from {!t.binds}, [Ppp_program] from {!t.ppp}. *)
+
+val compiled :
+  ?stage:bool -> t -> program_kind ->
+  Protego_filter.Pfm.program * (int * string) list
+(** The program compiled from [t]'s current value of the kind's source,
+    with its provenance notes ([(pc, rule text)], as the
+    [Pfm_compile.*_notes] compilers return them); compiled on a miss.
+    The store keeps one live program per kind: a lookup of another value
+    compiles it and replaces the live one.  [~stage:true] is the load
+    gate's lookup for a {!candidate}: a miss compiles into a separate
+    staged slot, which {!set} promotes when it installs that value, so a
+    refused write evicts nothing. *)
+
+val program : t -> program_kind -> Protego_filter.Pfm.program
+(** [fst (compiled t kind)]. *)
+
+val compiles : t -> int
+(** Programs the store has compiled since {!create}: one per lookup of
+    a value that is neither the kind's live nor its staged one — so 2
+    (mount and umount) for a new mount whitelist, 1 for a new bind map
+    or ppp policy, 0 for a bare {!bump_generation} or a
+    delegation/accounts change.  The
+    per-phase residual programs {!Protego_analysis.Policy_lint} builds
+    for its own checks are lint-only and not counted. *)
 
 (** {1 Name service} *)
 

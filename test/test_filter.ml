@@ -243,6 +243,107 @@ let test_filter_stats_proc () =
        (fun _ -> ())
        (Syscall.read_file m alice "/proc/protego/filter_stats"))
 
+(* --- the program store ---------------------------------------------------- *)
+
+module PS = Protego_core.Policy_state
+module Plane = Protego_plane.Plane
+
+(* A Protego image, its policy state and LSM dispatcher, and a plane
+   over the same state, each warmed so that every program of the stock
+   policy is in the store. *)
+type store_rig = {
+  m : machine;
+  root : task;
+  st : PS.t;
+  disp : PD.t;
+  plane : Plane.t;
+}
+
+(* One decision per store-backed hook, on arguments never asked before,
+   so each runs the engine. *)
+let lsm_decisions r i =
+  let dev = Printf.sprintf "/dev/probe%d" i in
+  ignore
+    (PD.decide_mount r.disp r.st ~source:dev ~target:"/media/cdrom"
+       ~fstype:"iso9660" ~flags:[]);
+  ignore (PD.decide_umount r.disp r.st ~target:dev ~mounted_by:1000 ~ruid:1000);
+  ignore
+    (PD.decide_bind r.disp r.st ~port:(600 + i) ~proto:Protego_policy.Bindconf.Tcp
+       ~exe:dev ~uid:1000);
+  ignore
+    (PD.decide_ppp_ioctl r.disp r.st ~device:dev
+       ~opt:(Protego_net.Ppp.Compression "deflate"))
+
+let store_rig () =
+  let img = Image.build Image.Protego in
+  let lsm = Option.get img.Image.protego in
+  let st = Protego_core.Lsm.state lsm in
+  let r =
+    { m = img.Image.machine; root = Image.login img "root"; st;
+      disp = Protego_core.Lsm.dispatch lsm; plane = Plane.create st }
+  in
+  lsm_decisions r 0;
+  ignore (Plane.publish r.plane);
+  r
+
+let compiles_of r f =
+  let c = PS.compiles r.st in
+  f ();
+  PS.compiles r.st - c
+
+let rewrite r file () =
+  let text = Syntax.expect_ok ("read " ^ file) (Syscall.read_file r.m r.root file) in
+  Syntax.expect_ok ("write " ^ file) (Syscall.write_file r.m r.root file text)
+
+(* Each accepted write compiles each program of its source once, in the
+   load gate; the next LSM decision and the next plane publish take the
+   programs from the store. *)
+let test_store_compiles_per_write () =
+  let r = store_rig () in
+  List.iteri
+    (fun i (what, write, expect) ->
+      let gate = compiles_of r write in
+      let decide = compiles_of r (fun () -> lsm_decisions r (i + 1)) in
+      let publish = compiles_of r (fun () -> ignore (Plane.publish r.plane)) in
+      Alcotest.(check (list int)) (what ^ ": gate, decision, publish")
+        [ expect; 0; 0 ] [ gate; decide; publish ])
+    [ ("mounts", rewrite r "/proc/protego/mount_whitelist", 2);
+      ("binds", rewrite r "/proc/protego/bind_map", 1);
+      ("ppp", rewrite r "/proc/protego/ppp_policy", 1);
+      ("bare bump", (fun () -> PS.bump_generation r.st PS.Mounts), 0);
+      ("delegation", rewrite r "/proc/protego/delegation", 0);
+      ("accounts", rewrite r "/proc/protego/accounts", 0) ];
+  (* One reload per store-backed hook, from its own write. *)
+  List.iter
+    (fun (name, s) ->
+      check_int (name ^ ": invalidations")
+        (if name = "nf_output" then 0 else 1)
+        s.PD.invalidations)
+    (PD.stats r.disp)
+
+(* The gate compiles the candidate of a write it then refuses; that
+   compile is held apart from the live programs, so the decisions and
+   publishes after any number of refusals compile nothing. *)
+let test_refused_write_keeps_programs () =
+  let r = store_rig () in
+  Syntax.expect_ok "switch to enforce"
+    (Syscall.write_file r.m r.root "/proc/protego/lint" "mode enforce\n");
+  for i = 1 to 3 do
+    Alcotest.(check (result unit errno)) "enforce mode refuses"
+      (Error Errno.EPERM)
+      (Syscall.write_file r.m r.root "/proc/protego/mount_whitelist"
+         (Printf.sprintf "allow /dev/sdb%d /mnt/usb vfat - users\n" i));
+    check_int "next decisions compile nothing" 0
+      (compiles_of r (fun () -> lsm_decisions r i));
+    check_int "next publish compiles nothing" 0
+      (compiles_of r (fun () -> ignore (Plane.publish r.plane)));
+    check_int "a fresh dispatcher finds the live programs" 0
+      (compiles_of r (fun () -> lsm_decisions { r with disp = PD.create () } i))
+  done;
+  List.iter
+    (fun (name, s) -> check_int (name ^ ": invalidations") 0 s.PD.invalidations)
+    (PD.stats r.disp)
+
 let suites =
   [ ("filter:machine",
       [ Alcotest.test_case "verifier rejects malformed programs" `Quick
@@ -257,4 +358,9 @@ let suites =
         Alcotest.test_case "/proc/protego/filter_stats" `Quick
           test_filter_stats_proc;
         Alcotest.test_case "bare bump keeps the program" `Quick
-          test_bare_bump_keeps_program ]) ]
+          test_bare_bump_keeps_program ]);
+    ("filter:store",
+      [ Alcotest.test_case "compiles per accepted write" `Quick
+          test_store_compiles_per_write;
+        Alcotest.test_case "a refused write keeps the live programs" `Quick
+          test_refused_write_keeps_programs ]) ]

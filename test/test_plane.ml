@@ -139,6 +139,123 @@ let test_atomic_generations () =
   Domain.join d2;
   check_int "no lost bumps" (2 * bumps) (PS.generation st PS.Mounts)
 
+(* --- program reuse across publishes ------------------------------------- *)
+
+let progs_list (s : Snapshot.t) =
+  let p = s.Snapshot.progs in
+  [ ("mount", p.Snapshot.p_mount); ("umount", p.Snapshot.p_umount);
+    ("bind", p.Snapshot.p_bind); ("ppp", p.Snapshot.p_ppp) ]
+
+(* Which of [b]'s programs are physically [a]'s, by hook name. *)
+let shared a b =
+  List.map2 (fun (n, p) (_, q) -> (n, p == q)) (progs_list a) (progs_list b)
+
+let check_shared what expect a b =
+  Alcotest.(check (list (pair string bool))) what expect (shared a b)
+
+(* A publish takes every program from the state's store, which compiles
+   only a source value it has not seen: after a bare bump all four
+   programs are shared with the previous snapshot, after a bind-map write
+   only the bind program is new. *)
+let test_publish_reuses_programs () =
+  let st = fresh_state (spec ()) in
+  let pub = Snapshot.make st in
+  let s0 = Snapshot.current pub in
+  let compiles = PS.compiles st in
+  PS.bump_generation st PS.Mounts;
+  PS.bump_generation st PS.Ppp;
+  let s1 = Snapshot.publish pub st in
+  check_shared "bare bump shares all four"
+    [ ("mount", true); ("umount", true); ("bind", true); ("ppp", true) ] s0 s1;
+  check_int "no compile" compiles (PS.compiles st);
+  PS.set st (PS.Set_binds (List.tl st.PS.binds));
+  let s2 = Snapshot.publish pub st in
+  check_shared "Set_binds replaces only p_bind"
+    [ ("mount", true); ("umount", true); ("bind", false); ("ppp", true) ] s1 s2;
+  check_int "one compile" (compiles + 1) (PS.compiles st)
+
+(* ABA: the mount whitelist set back to the value it had two epochs
+   ago.  The store is keyed by the value, so whichever program serves it
+   was compiled from that value, never B's; every plane verdict matches
+   the reference oracle of the live policy in every epoch. *)
+let test_aba_matches_oracle () =
+  let sp = spec () in
+  let st = fresh_state sp in
+  let plane = Plane.create st in
+  let reqs = (Workload.generate sp ~workers:1).Workload.s_requests in
+  let a = st.PS.mounts in
+  let b = List.filteri (fun i _ -> i mod 2 = 0) a in
+  let check_all epoch =
+    ignore (Plane.publish plane);
+    Array.iteri
+      (fun i req ->
+        let o = Plane.decide plane req in
+        if (o.Plane.o_verdict = Pfm.Allow) <> oracle st req then
+          Alcotest.failf "epoch %d: decision %d disagrees with the oracle"
+            epoch i)
+      reqs
+  in
+  check_all 0;
+  let p_a = (Plane.current plane).Snapshot.progs.Snapshot.p_mount in
+  PS.set st (PS.Set_mounts b);
+  check_all 1;
+  let p_b = (Plane.current plane).Snapshot.progs.Snapshot.p_mount in
+  check_bool "B has its own program" true (p_b != p_a);
+  PS.set st (PS.Set_mounts a);
+  check_all 2;
+  check_bool "A back is not served B's program" true
+    ((Plane.current plane).Snapshot.progs.Snapshot.p_mount != p_b)
+
+(* Snapshot programs are the store's, shared by every worker and by the
+   snapshots that follow: workers evaluate their own clones only. *)
+let test_workers_leave_snapshot_programs () =
+  let sp = spec () in
+  let st = fresh_state sp in
+  let plane = Plane.create ~domains:2 st in
+  let snap = Plane.current plane in
+  let sched = Workload.generate sp ~workers:2 in
+  ignore (Plane.run plane sched.Workload.s_requests : Plane.run_result);
+  let evals =
+    List.fold_left (fun n (_, h) -> n + h.Plane.ht_evals) 0 (Plane.hook_stats plane)
+  in
+  check_bool "workers evaluated programs" true (evals > 0);
+  List.iter
+    (fun (name, (p : Pfm.program)) ->
+      check_int (name ^ ": retired untouched") 0 p.Pfm.retired;
+      check_bool (name ^ ": counters untouched") true
+        (Array.for_all (( = ) 0) p.Pfm.counters))
+    (progs_list snap)
+
+(* 1,100 bare-bump publishes fill the 1,024-epoch history.  Each retained
+   epoch pins its state copy, not four fresh programs, so the live heap
+   barely grows, and decisions spread over the newest epochs still replay
+   in full. *)
+let test_bare_bump_storm_heap () =
+  let sp = { (spec ()) with Workload.rules = 64 } in
+  let st = fresh_state sp in
+  let plane = Plane.create ~domains:1 st in
+  let live_mb () =
+    Gc.full_major ();
+    float_of_int ((Gc.stat ()).Gc.live_words * (Sys.word_size / 8)) /. 1e6
+  in
+  let before = live_mb () in
+  let reload () =
+    PS.bump_generation st PS.Mounts;
+    ignore (Plane.publish plane)
+  in
+  for _ = 1 to 1_100 do reload () done;
+  let grown = live_mb () -. before in
+  if grown >= 8. then
+    Alcotest.failf "1,100 bare-bump publishes grew the live heap by %.1f MB" grown;
+  let reqs = (Workload.generate sp ~workers:1).Workload.s_requests in
+  let n = Array.length reqs in
+  let reloads = List.init 8 (fun i -> ((i + 1) * n / 9, reload)) in
+  ignore (Plane.run plane ~reloads reqs : Plane.run_result);
+  let rep = Replay.replay_run plane ~run:0 ~count:n in
+  check_int "every decision replays" n rep.Replay.rp_matched;
+  check_bool "no mismatches" true (rep.Replay.rp_mismatches = []);
+  check_bool "no missing epochs" true (rep.Replay.rp_missing_epochs = [])
+
 (* --- sequential decide vs the oracle ------------------------------------ *)
 
 let test_decide_matches_oracle () =
@@ -604,6 +721,15 @@ let suites =
        Alcotest.test_case "set bumps one source" `Quick test_set_bumps_one;
        Alcotest.test_case "bounded history" `Quick test_history_bound;
        Alcotest.test_case "atomic generations" `Quick test_atomic_generations ]);
+    ("plane:programs",
+     [ Alcotest.test_case "publish reuses unchanged programs" `Quick
+         test_publish_reuses_programs;
+       Alcotest.test_case "ABA mounts match the oracle" `Quick
+         test_aba_matches_oracle;
+       Alcotest.test_case "workers leave snapshot programs" `Quick
+         test_workers_leave_snapshot_programs;
+       Alcotest.test_case "bare-bump storm keeps the heap flat" `Quick
+         test_bare_bump_storm_heap ]);
     ("plane:decide",
      [ Alcotest.test_case "sequential decide vs oracle" `Quick
          test_decide_matches_oracle;
