@@ -1,6 +1,7 @@
 (* protego-journal: inspect and verify saved audit journals.
 
-   A plane (or the bench harness) saves its journal with Journal.save;
+   A plane, a machine's audit sink (protego-synth record --lane lsm) or
+   the bench harness saves its journal with Journal.save;
    this tool reads the file back and offers:
 
      dump FILE           one line per live record, oldest segment first
@@ -31,11 +32,12 @@ let load_or_die file =
       exit 1
 
 (* Dump filters.  An entry's hook is the request kind for decision
-   records; a kaudit record carries one only when it is an LSM
-   record-mode descriptor (op "record-<hook>").  --deny-only keeps
-   enforce-mode denials (verdict 0/2, or a disallowed kaudit);
-   --record-only keeps the permissive record-mode trail (decision
-   verdict 3, or any record-* kaudit descriptor). *)
+   records, plane or LSM; a kaudit record carries one only when it is
+   the netfilter hook's record-mode descriptor (op "record-nf").
+   --deny-only keeps enforce-mode denials (verdict 0/2, or a disallowed
+   kaudit); --record-only keeps the permissive record-mode trail
+   (decision verdict 3, any LSM decision made in record mode, or a
+   record-nf descriptor). *)
 let hook_of_entry = function
   | J.Decision d -> (
       match d.J.d_req with
@@ -43,12 +45,7 @@ let hook_of_entry = function
       | J.Umount _ -> Some "umount"
       | J.Bind _ -> Some "bind"
       | J.Ppp _ -> Some "ppp")
-  | J.Kaudit k ->
-      let prefix = "record-" in
-      let plen = String.length prefix in
-      if String.length k.J.k_op > plen && String.sub k.J.k_op 0 plen = prefix
-      then Some (String.sub k.J.k_op plen (String.length k.J.k_op - plen))
-      else None
+  | J.Kaudit k -> if k.J.k_op = "record-nf" then Some "nf" else None
 
 let entry_selected ~hook ~deny_only ~record_only e =
   (match hook with None -> true | Some h -> hook_of_entry e = Some h)
@@ -60,6 +57,7 @@ let entry_selected ~hook ~deny_only ~record_only e =
   && (not record_only
      ||
      match e with
+     | J.Decision { J.d_lsm = Some l; _ } -> l.J.l_record
      | J.Decision d -> d.J.d_verdict = 3
      | J.Kaudit _ as e -> hook_of_entry e <> None)
 
@@ -145,8 +143,8 @@ let hook_arg =
                         ("bind", "bind"); ("ppp", "ppp"); ("nf", "nf") ]))
            None
        & info [ "hook" ] ~docv:"HOOK"
-           ~doc:"Only records of this hook (decision request kind, or a \
-                 record-mode kaudit descriptor's hook).")
+           ~doc:"Only records of this hook (decision request kind, or nf \
+                 for the netfilter record-mode kaudit descriptors).")
 
 let deny_only_arg =
   Arg.(value & flag
@@ -158,7 +156,8 @@ let record_only_arg =
   Arg.(value & flag
        & info [ "record-only" ]
            ~doc:"Only the permissive record-mode trail (decision verdict \
-                 'recorded', or record-* kernel audit descriptors).")
+                 'recorded', LSM decisions made in record mode, or \
+                 record-nf kernel audit descriptors).")
 
 let dump_cmd =
   Cmd.v (Cmd.info "dump" ~doc:"Print every live record, one per line")

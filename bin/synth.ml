@@ -1,7 +1,10 @@
 (* protego-synth: the record -> generalize -> verify loop (DESIGN.md §12).
 
-     record  run a seeded deny-flood workload through the decision plane
-             in permissive record mode and save the journal
+     record  run a seeded deny-flood workload in permissive record mode
+             and save the journal: through the decision plane
+             (--lane plane, the default), or as syscalls through the LSM
+             hooks of a booted Protego image (--lane lsm), saving the
+             machine's audit journal
      emit    synthesize minimal policy sources from saved journals
      verify  re-synthesize, check the emitted directory is byte-identical
              (determinism), strict-lint the result, parse every file with
@@ -55,10 +58,18 @@ let harden_mounts requests =
       | _ -> r)
     requests
 
-let record seed requests seg_bytes segments out =
-  let spec =
-    Workload.default ~seed ~phases:[ (Workload.Deny_flood, requests) ] ()
-  in
+let record_lsm spec reqs seg_bytes segments out =
+  let module L = Protego_synth.Lsm_record in
+  match L.run ~seg_bytes ~segments spec reqs with
+  | Error msg -> die "%s" msg
+  | Ok r ->
+      J.save r.L.journal out;
+      Printf.printf
+        "protego-synth: recorded %d requests on the LSM path: %d LSM \
+         decisions, %d would-deny, journal -> %s\n%!"
+        r.L.requests r.L.decided r.L.recorded out
+
+let record_plane seed spec seg_bytes segments out =
   let st = PS.create () in
   Workload.install_policy spec st;
   let plane =
@@ -85,6 +96,18 @@ let record seed requests seg_bytes segments out =
     "protego-synth: recorded %d requests (seed %d): %d would-deny, journal \
      -> %s\n%!"
     (Array.length reqs) seed !recorded out
+
+let record seed requests seg_bytes segments out lane =
+  let spec =
+    Workload.default ~seed ~phases:[ (Workload.Deny_flood, requests) ] ()
+  in
+  match lane with
+  | `Plane -> record_plane seed spec seg_bytes segments out
+  | `Lsm ->
+      let schedule = Workload.generate spec ~workers:1 in
+      record_lsm spec
+        (harden_mounts schedule.Workload.s_requests)
+        seg_bytes segments out
 
 (* --- shared loading ------------------------------------------------------ *)
 
@@ -227,13 +250,21 @@ let budget_arg =
 let dir_arg ~doc =
   Arg.(value & opt string "synthesized" & info [ "dir"; "d" ] ~docv:"DIR" ~doc)
 
+let lane_arg =
+  Arg.(value
+       & opt (enum [ ("plane", `Plane); ("lsm", `Lsm) ]) `Plane
+       & info [ "lane" ] ~docv:"LANE"
+           ~doc:"Where the requests run: $(b,plane) (the decision plane) or \
+                 $(b,lsm) (syscalls through the LSM hooks of a booted \
+                 Protego image; subject $(i,s) runs as uid 2000+$(i,s)).")
+
 let record_cmd =
   Cmd.v
     (Cmd.info "record"
        ~doc:"Run a seeded deny-flood workload in record mode; save the journal")
     Term.(
       const record $ seed_arg $ requests_arg $ seg_bytes_arg $ segments_arg
-      $ out_journal_arg)
+      $ out_journal_arg $ lane_arg)
 
 let emit_cmd =
   Cmd.v

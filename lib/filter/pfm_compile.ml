@@ -104,11 +104,7 @@ let emit_guard_check a g ~jf =
 
 (* --- mount ------------------------------------------------------------- *)
 
-let flag_bit = function
-  | Ktypes.Mf_readonly -> 1
-  | Ktypes.Mf_nosuid -> 2
-  | Ktypes.Mf_nodev -> 4
-  | Ktypes.Mf_noexec -> 8
+let flag_bit f = 1 lsl Ktypes.mount_flag_code f
 
 let flags_mask flags = List.fold_left (fun m f -> m lor flag_bit f) 0 flags
 

@@ -47,6 +47,15 @@ and term = {
   mutable tm_padding : int;
 }
 
+(* The kernel's audit sink: a journal, its one term, the audit-view
+   records emitted and the next LSM decision seq. *)
+type sink = {
+  mutable sk_journal : t;
+  mutable sk_term : term;
+  mutable sk_emitted : int;
+  mutable sk_seq : int;
+}
+
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 
 let rec shift_of n = if n <= 1 then 0 else 1 + shift_of (n lsr 1)
@@ -296,6 +305,120 @@ let append_kaudit tm ~time ~pid ~uid ~op ~obj ~allowed ~engine ~span =
   ignore (put_str b p engine_s : int);
   finish tm ~at ~len
 
+(* LSM decision record, after the header word:
+     4  kind = 3          5  mode (bit 0: record mode was on; no other bits)
+     6  reqtag (0..3)     7  verdict (0 deny, 1 allow, 3 recorded)
+     8  engine (0 cache, 1 pfm, 2 ref)
+     9  phase ({!Protego_base.Phase.index} it was served under)
+    10  seq u32          14  subject u32   18  pid u32       22  uid u32
+    26  span u32 (0 = none)
+    30  time f64 bits
+    38  per-reqtag body (fixed fields first, then length-prefixed strings):
+          mount   38 flag count n, then n flag codes (request order),
+                     then source, target, fstype
+          umount  38 mounted_by u32, 42 target
+          bind    38 port u16, 40 proto, 41 exe
+          ppp     38 safe, 39 device
+   The run is not stored: every LSM record decodes with run {!lsm_run}
+   and the sink's own contiguous seq. *)
+
+let engine_cache = 0
+let engine_pfm = 1
+let engine_ref = 2
+let lsm_run = 0
+
+let put_lsm sk ~at ~reqtag ~time ~pid ~uid ~subject ~phase ~engine ~span
+    ~verdict ~record =
+  let tm = sk.sk_term in
+  let j = tm.tm_j in
+  let b = phys j at in
+  let o = at land j.jseg_mask in
+  put_u8 b (o + 4) 3;
+  put_u8 b (o + 5) (if record then 1 else 0);
+  put_u8 b (o + 6) reqtag;
+  put_u8 b (o + 7) verdict;
+  put_u8 b (o + 8) engine;
+  put_u8 b (o + 9) phase;
+  put_u32 b (o + 10) sk.sk_seq;
+  put_u32 b (o + 14) subject;
+  put_u32 b (o + 18) pid;
+  put_u32 b (o + 22) uid;
+  put_u32 b (o + 26) span;
+  Bytes.set_int64_le b (o + 30) (Int64.bits_of_float time);
+  (b, o)
+
+(* One LSM record: the next seq, and the view records it stands for (a
+   record-mode mount, umount or bind renders two audit lines). *)
+let sink_finish sk ~at ~len ~views =
+  finish sk.sk_term ~at ~len;
+  sk.sk_seq <- sk.sk_seq + 1;
+  sk.sk_emitted <- sk.sk_emitted + views
+
+let views_of record = if record then 2 else 1
+
+let sink_mount sk ~time ~pid ~uid ~subject ~phase ~engine ~span ~verdict
+    ~record ~source ~target ~fstype ~flags ~flag_code =
+  let n = List.length flags in
+  let n = if n > max_string then max_string else n in
+  let len =
+    rounded (39 + n + str_len source + str_len target + str_len fstype)
+  in
+  let at = claim sk.sk_term len in
+  let b, o =
+    put_lsm sk ~at ~reqtag:0 ~time ~pid ~uid ~subject ~phase ~engine ~span
+      ~verdict ~record
+  in
+  put_u8 b (o + 38) n;
+  let fl = ref flags in
+  for i = 0 to n - 1 do
+    match !fl with
+    | f :: rest ->
+        put_u8 b (o + 39 + i) (flag_code f);
+        fl := rest
+    | [] -> ()
+  done;
+  let p = put_str b (o + 39 + n) source in
+  let p = put_str b p target in
+  ignore (put_str b p fstype : int);
+  sink_finish sk ~at ~len ~views:(views_of record)
+
+let sink_umount sk ~time ~pid ~uid ~subject ~phase ~engine ~span ~verdict
+    ~record ~target ~mounted_by =
+  let len = rounded (42 + str_len target) in
+  let at = claim sk.sk_term len in
+  let b, o =
+    put_lsm sk ~at ~reqtag:1 ~time ~pid ~uid ~subject ~phase ~engine ~span
+      ~verdict ~record
+  in
+  put_u32 b (o + 38) mounted_by;
+  ignore (put_str b (o + 42) target : int);
+  sink_finish sk ~at ~len ~views:(views_of record)
+
+let sink_bind sk ~time ~pid ~uid ~subject ~phase ~engine ~span ~verdict
+    ~record ~port ~proto ~exe =
+  let len = rounded (41 + str_len exe) in
+  let at = claim sk.sk_term len in
+  let b, o =
+    put_lsm sk ~at ~reqtag:2 ~time ~pid ~uid ~subject ~phase ~engine ~span
+      ~verdict ~record
+  in
+  put_u16 b (o + 38) port;
+  put_u8 b (o + 40) proto;
+  ignore (put_str b (o + 41) exe : int);
+  sink_finish sk ~at ~len ~views:(views_of record)
+
+let sink_ppp sk ~time ~pid ~uid ~subject ~phase ~engine ~span ~verdict
+    ~device ~safe =
+  let len = rounded (39 + str_len device) in
+  let at = claim sk.sk_term len in
+  let b, o =
+    put_lsm sk ~at ~reqtag:3 ~time ~pid ~uid ~subject ~phase ~engine ~span
+      ~verdict ~record:true
+  in
+  put_u8 b (o + 38) (if safe then 1 else 0);
+  ignore (put_str b (o + 39) device : int);
+  sink_finish sk ~at ~len ~views:1
+
 (* --- decoding ----------------------------------------------------------- *)
 
 type req =
@@ -303,6 +426,16 @@ type req =
   | Umount of { target : string; mounted_by : int }
   | Bind of { port : int; proto : int; exe : string }
   | Ppp of { device : string; safe : bool }
+
+type lsm = {
+  l_time : float;
+  l_pid : int;
+  l_uid : int;
+  l_engine : int;
+  l_span : int option;
+  l_record : bool;
+  l_flags : int list;
+}
 
 type decision = {
   d_seq : int;
@@ -314,6 +447,7 @@ type decision = {
   d_errno : int;
   d_phase : int;
   d_req : req;
+  d_lsm : lsm option;
 }
 
 type kaudit = {
@@ -349,6 +483,77 @@ let get_bounded b off what max =
 (* Every record's fixed fields end within its first 32 bytes, and even
    the shortest valid record (empty strings) rounds up to 32. *)
 let min_record = 32
+
+(* The shortest LSM record (a ppp record with an empty device) rounds up
+   to 40 bytes; every reqtag's fixed fields end within it except the
+   mount flag codes, which are checked against the record end. *)
+let min_lsm_record = 40
+
+(* What a denial returned on the hook: EACCES for bind, EPERM otherwise
+   (the LSM does not store it). *)
+let lsm_errno reqtag verdict =
+  if verdict <> 0 then 0
+  else Errno.to_code (if reqtag = 2 then Errno.EACCES else Errno.EPERM)
+
+let decode_lsm b o lim len =
+  if len < min_lsm_record then
+    malformed "LSM record of %d bytes is too short" len;
+  let record = get_bounded b (o + 5) "record mode" 1 = 1 in
+  let reqtag = Bytes.get_uint8 b (o + 6) in
+  let verdict = Bytes.get_uint8 b (o + 7) in
+  (* Record mode never denies, and only record mode records. *)
+  if verdict = 2 || verdict > 3 || (verdict = 0 && record)
+     || (verdict = 3 && not record)
+  then malformed "LSM verdict %d out of range" verdict;
+  let engine = get_bounded b (o + 8) "engine" engine_ref in
+  let phase = get_bounded b (o + 9) "phase" (Phase.count - 1) in
+  let seq = get_u32 b (o + 10) in
+  let subject = get_u32 b (o + 14) in
+  let pid = get_u32 b (o + 18) in
+  let uid = get_u32 b (o + 22) in
+  let span = get_u32 b (o + 26) in
+  let time = Int64.float_of_bits (Bytes.get_int64_le b (o + 30)) in
+  let flags = ref [] in
+  let req =
+    match reqtag with
+    | 0 ->
+        let n = Bytes.get_uint8 b (o + 38) in
+        if o + 39 + n > lim then malformed "flag codes run past record end";
+        let mask = ref 0 in
+        for i = n - 1 downto 0 do
+          let c = get_bounded b (o + 39 + i) "flag code" 15 in
+          mask := !mask lor (1 lsl c);
+          flags := c :: !flags
+        done;
+        let source, p = get_str b (o + 39 + n) lim in
+        let target, p = get_str b p lim in
+        let fstype, _ = get_str b p lim in
+        Mount { source; target; fstype; flags = !mask }
+    | 1 ->
+        let mounted_by = get_u32 b (o + 38) in
+        let target, _ = get_str b (o + 42) lim in
+        Umount { target; mounted_by }
+    | 2 ->
+        let port = Bytes.get_uint16_le b (o + 38) in
+        let proto = get_bounded b (o + 40) "proto" 1 in
+        let exe, _ = get_str b (o + 41) lim in
+        Bind { port; proto; exe }
+    | 3 ->
+        if not record then malformed "LSM ppp record outside record mode";
+        let safe = get_bounded b (o + 38) "ppp safe" 1 = 1 in
+        let device, _ = get_str b (o + 39) lim in
+        Ppp { device; safe }
+    | n -> malformed "unknown reqtag %d" n
+  in
+  Decision
+    { d_seq = seq; d_run = lsm_run; d_epoch = 0; d_domain = 0;
+      d_subject = subject; d_verdict = verdict;
+      d_errno = lsm_errno reqtag verdict; d_phase = phase; d_req = req;
+      d_lsm =
+        Some
+          { l_time = time; l_pid = pid; l_uid = uid; l_engine = engine;
+            l_span = (if span = 0 then None else Some span);
+            l_record = record; l_flags = !flags } }
 
 let decode_entry j ~at ~len =
   let b = phys j at in
@@ -392,7 +597,7 @@ let decode_entry j ~at ~len =
       Decision
         { d_seq = seq; d_run = run; d_epoch = epoch; d_domain = domain;
           d_subject = subject; d_verdict = verdict; d_errno = errno;
-          d_phase = phase; d_req = req }
+          d_phase = phase; d_req = req; d_lsm = None }
   | 2 ->
       let allowed = get_bounded b (o + 5) "allowed" 1 = 1 in
       let time = Int64.float_of_bits (Bytes.get_int64_le b (o + 6)) in
@@ -410,6 +615,7 @@ let decode_entry j ~at ~len =
           k_op = op; k_obj = obj;
           k_engine = (if engine = "" then None else Some engine);
           k_span = span }
+  | 3 -> decode_lsm b o lim len
   | k -> malformed "unknown record kind %d" k
 
 (* Oldest logical segment still physically intact: the live window is
@@ -557,6 +763,14 @@ let errno_name = function
            | Some e -> Errno.to_string e
            | None -> Printf.sprintf "errno%d" c)
 
+let engine_name = function
+  | 0 -> "cache"
+  | 1 -> "pfm"
+  | 2 -> "ref"
+  | n -> Printf.sprintf "engine%d" n
+
+let proto_name p = if p = 0 then "tcp" else "udp"
+
 let entry_to_string = function
   | Decision d ->
       let req =
@@ -568,18 +782,28 @@ let entry_to_string = function
             Printf.sprintf "umount %s mounted_by=%d" target mounted_by
         | Bind { port; proto; exe } ->
             Printf.sprintf "bind port=%d proto=%s exe=%s" port
-              (if proto = 0 then "tcp" else "udp")
-              exe
+              (proto_name proto) exe
         | Ppp { device; safe } ->
             Printf.sprintf "ppp %s %s" device (if safe then "safe" else "unsafe")
       in
+      let origin =
+        match d.d_lsm with
+        | None -> ""
+        | Some l ->
+            Printf.sprintf " lsm time=%.0f pid=%d uid=%d engine=%s%s%s"
+              l.l_time l.l_pid l.l_uid (engine_name l.l_engine)
+              (match l.l_span with
+               | Some s -> " span=" ^ string_of_int s
+               | None -> "")
+              (if l.l_record then " record" else "")
+      in
       Printf.sprintf
         "decision seq=%d run=%d epoch=%d phase=%s domain=%d subject=%d \
-         verdict=%s errno=%s %s"
+         verdict=%s errno=%s %s%s"
         d.d_seq d.d_run d.d_epoch
         (Phase.to_string (Phase.of_index d.d_phase))
         d.d_domain d.d_subject
-        (verdict_name d.d_verdict) (errno_name d.d_errno) req
+        (verdict_name d.d_verdict) (errno_name d.d_errno) req origin
   | Kaudit k ->
       Printf.sprintf
         "kaudit time=%.0f pid=%d uid=%d op=%s obj=%s res=%s%s%s" k.k_time
@@ -673,24 +897,22 @@ let commit j ~at ~len ~padding = set_header j ~at ~len ~padding
 
 (* --- kernel audit sink -------------------------------------------------- *)
 
-type sink = {
-  mutable sk_journal : t;
-  mutable sk_term : term;
-  mutable sk_emitted : int;
-}
-
 let sink ?(seg_bytes = 65536) ?(segments = 16) () =
   let j = create ~seg_bytes ~segments () in
-  { sk_journal = j; sk_term = term j ~domain:0; sk_emitted = 0 }
+  { sk_journal = j; sk_term = term j ~domain:0; sk_emitted = 0; sk_seq = 0 }
 
 let sink_emit sk ~time ~pid ~uid ~op ~obj ~allowed ~engine ~span =
   sk.sk_emitted <- sk.sk_emitted + 1;
   append_kaudit sk.sk_term ~time ~pid ~uid ~op ~obj ~allowed ~engine ~span
 
-let sink_clear sk =
+let sink_clear ?seg_bytes ?segments sk =
   let j =
-    create ~seg_bytes:sk.sk_journal.jseg_bytes ~segments:sk.sk_journal.jsegs ()
+    create
+      ~seg_bytes:(Option.value seg_bytes ~default:sk.sk_journal.jseg_bytes)
+      ~segments:(Option.value segments ~default:sk.sk_journal.jsegs)
+      ()
   in
   sk.sk_journal <- j;
   sk.sk_term <- term j ~domain:0;
-  sk.sk_emitted <- 0
+  sk.sk_emitted <- 0;
+  sk.sk_seq <- 0

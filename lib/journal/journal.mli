@@ -19,12 +19,23 @@
     records still decodable is the journal's drop count, surfaced by
     {!dropped} and in {!render_stats}.
 
-    Two record kinds share the store: plane {e decision} records (one
-    per {!Protego_plane.Plane} request, stamped with run / submission
-    sequence / snapshot epoch / serving phase; the first three are what
-    let {!stitch} rebuild one total submission order from per-domain
-    terms without any merge barrier) and kernel {e kaudit} records (the
-    [Audit] ring's storage). *)
+    Three record kinds share the store (layouts: DESIGN.md §8):
+
+    {v
+    kind  written by                      decodes to
+    1     a Plane worker, per request     Decision (d_lsm = None)
+    2     Audit.emit, per kernel event    Kaudit
+    3     an LSM hook, per decided        Decision (d_lsm = Some _),
+          mount / umount / bind, and per  run lsm_run, the sink's seq
+          ppp ioctl in record mode
+    v}
+
+    Plane decision records are stamped with run / submission sequence /
+    snapshot epoch / serving phase; the first three are what let
+    {!stitch} rebuild one total submission order from per-domain terms
+    without any merge barrier.  LSM decision records carry the request's
+    raw arguments and fixed fields only; the [Audit] ring view rebuilds
+    their audit text on read. *)
 
 type t
 type term
@@ -97,6 +108,23 @@ val append_kaudit :
 (** Kernel audit record ({!Protego_kernel.Audit} storage).  [engine] is
     encoded as an inline string, [""] meaning [None]. *)
 
+(** {1 LSM decision records}
+
+    Written by the kernel audit sink's appenders ({!sink_mount} and
+    friends below).  [engine] is what served the decision: *)
+
+val engine_cache : int
+val engine_pfm : int
+val engine_ref : int
+
+val engine_name : int -> string
+(** ["cache"], ["pfm"] or ["ref"] for the three engine codes. *)
+
+val lsm_run : int
+(** The run every LSM decision record decodes with (0); its [d_seq] is
+    the sink's own count, contiguous from 0 since the sink was created
+    or last cleared. *)
+
 (** {1 Decoding} *)
 
 type req =
@@ -105,16 +133,30 @@ type req =
   | Bind of { port : int; proto : int; exe : string }
   | Ppp of { device : string; safe : bool }
 
+(** The LSM-origin fields of a kind-3 record. *)
+type lsm = {
+  l_time : float;      (** machine clock at the decision *)
+  l_pid : int;
+  l_uid : int;         (** real uid of the calling task *)
+  l_engine : int;      (** {!engine_cache}, {!engine_pfm} or {!engine_ref} *)
+  l_span : int option; (** trace span id, when spans were on *)
+  l_record : bool;     (** record mode was on *)
+  l_flags : int list;
+      (** mount only: the request's flag codes in the caller's order
+          (repeats kept; [d_req]'s mask is their union); [] otherwise *)
+}
+
 type decision = {
   d_seq : int;
   d_run : int;
-  d_epoch : int;
-  d_domain : int;
+  d_epoch : int;   (** snapshot epoch; 0 on an LSM record *)
+  d_domain : int;  (** plane worker; 0 on an LSM record *)
   d_subject : int;
   d_verdict : int;
-  d_errno : int;
+  d_errno : int;   (** on an LSM record, derived from the verdict and hook *)
   d_phase : int;  (** {!Protego_base.Phase.index} it was served under *)
   d_req : req;
+  d_lsm : lsm option;  (** [Some] exactly for a kind-3 (LSM) record *)
 }
 
 type kaudit = {
@@ -184,6 +226,9 @@ val stitch :
 val entry_to_string : entry -> string
 (** One-line rendering for the CLI ([protego-journal dump]). *)
 
+val proto_name : int -> string
+(** ["tcp"] for 0, ["udp"] otherwise. *)
+
 val verdict_name : int -> string
 (** ["deny"], ["allow"], ["reject"] or ["recorded"] for codes 0-3. *)
 
@@ -203,8 +248,11 @@ val load : string -> (t, string) result
     truncated file, or any committed record that does not decode (an
     unknown kind or reqtag, a string past the record end, an
     out-of-range verdict, proto, ppp safety bit, phase or kaudit
-    allowed bit) is an [Error].  On [Ok], {!iter}, {!entries} and {!stitch} cannot raise
-    on the image's records. *)
+    allowed bit; on an LSM record also an engine code, mode byte or
+    flag code out of range, a verdict that contradicts the record-mode
+    bit, or a ppp record outside record mode) is an [Error].  On [Ok],
+    {!iter}, {!entries} and {!stitch} cannot raise on the image's
+    records. *)
 
 (** {1 Test hooks}
 
@@ -220,7 +268,7 @@ val commit : t -> at:int -> len:int -> padding:bool -> unit
 
 (** {1 Kernel audit sink}
 
-    A journal, one term, and an emit counter bundled for
+    A journal, one term, and two counters bundled for
     {!Protego_kernel.Ktypes.machine} (which cannot depend on the kernel
     [Audit] module's own types). *)
 
@@ -228,11 +276,46 @@ type sink = {
   mutable sk_journal : t;
   mutable sk_term : term;
   mutable sk_emitted : int;
+      (** audit-view records emitted: one per kaudit record, one per LSM
+          record, plus one more for a record-mode mount, umount or bind
+          (its [record-<hook>] line) *)
+  mutable sk_seq : int;  (** the next LSM record's [d_seq] *)
 }
 
 val sink : ?seg_bytes:int -> ?segments:int -> unit -> sink
 val sink_emit :
   sink -> time:float -> pid:int -> uid:int -> op:string -> obj:string ->
   allowed:bool -> engine:string option -> span:int option -> unit
-val sink_clear : sink -> unit
-(** Fresh journal and term; the emit counter restarts at zero. *)
+
+(** The LSM decision appenders.  Each writes one kind-3 record with the
+    next seq and counts it in [sk_emitted] as above; like every
+    appender they allocate nothing.  [verdict] is 0 deny, 1 allow or 3
+    recorded; [record] says record mode was on; [span] is 0 for none;
+    [phase] and [engine] as in {!lsm}.  The ppp record is written only
+    in record mode, so it takes no [record]. *)
+
+val sink_mount :
+  sink -> time:float -> pid:int -> uid:int -> subject:int -> phase:int ->
+  engine:int -> span:int -> verdict:int -> record:bool -> source:string ->
+  target:string -> fstype:string -> flags:'f list -> flag_code:('f -> int) ->
+  unit
+(** [flag_code] maps each flag to its code, 0..15, the bit it sets in
+    the decoded mask. *)
+
+val sink_umount :
+  sink -> time:float -> pid:int -> uid:int -> subject:int -> phase:int ->
+  engine:int -> span:int -> verdict:int -> record:bool -> target:string ->
+  mounted_by:int -> unit
+
+val sink_bind :
+  sink -> time:float -> pid:int -> uid:int -> subject:int -> phase:int ->
+  engine:int -> span:int -> verdict:int -> record:bool -> port:int ->
+  proto:int -> exe:string -> unit
+
+val sink_ppp :
+  sink -> time:float -> pid:int -> uid:int -> subject:int -> phase:int ->
+  engine:int -> span:int -> verdict:int -> device:string -> safe:bool -> unit
+
+val sink_clear : ?seg_bytes:int -> ?segments:int -> sink -> unit
+(** Fresh journal and term, of the given geometry (default: the current
+    one); both counters restart at zero. *)

@@ -20,6 +20,97 @@ let emit ?engine ?span m (task : Ktypes.task) ~op ~obj ~allowed =
   J.sink_emit m.Ktypes.audit ~time:m.Ktypes.now ~pid:task.Ktypes.tpid
     ~uid:task.Ktypes.cred.Ktypes.ruid ~op ~obj ~allowed ~engine ~span
 
+(* The LSM hooks' typed decision records: the fixed fields and raw
+   arguments only.  Nothing is formatted here; {!live} rebuilds the
+   audit text on read. *)
+let phase_of (task : Ktypes.task) =
+  Protego_base.Phase.index task.Ktypes.sec.Ktypes.phase
+
+let decision_mount m (task : Ktypes.task) ~subject ~engine ~span ~verdict
+    ~record ~source ~target ~fstype ~flags =
+  J.sink_mount m.Ktypes.audit ~time:m.Ktypes.now ~pid:task.Ktypes.tpid
+    ~uid:task.Ktypes.cred.Ktypes.ruid ~subject ~phase:(phase_of task) ~engine
+    ~span ~verdict ~record ~source ~target ~fstype ~flags
+    ~flag_code:Ktypes.mount_flag_code
+
+let decision_umount m (task : Ktypes.task) ~subject ~engine ~span ~verdict
+    ~record ~target ~mounted_by =
+  J.sink_umount m.Ktypes.audit ~time:m.Ktypes.now ~pid:task.Ktypes.tpid
+    ~uid:task.Ktypes.cred.Ktypes.ruid ~subject ~phase:(phase_of task) ~engine
+    ~span ~verdict ~record ~target ~mounted_by
+
+let decision_bind m (task : Ktypes.task) ~subject ~engine ~span ~verdict
+    ~record ~port ~proto ~exe =
+  J.sink_bind m.Ktypes.audit ~time:m.Ktypes.now ~pid:task.Ktypes.tpid
+    ~uid:task.Ktypes.cred.Ktypes.ruid ~subject ~phase:(phase_of task) ~engine
+    ~span ~verdict ~record ~port ~proto ~exe
+
+let decision_ppp m (task : Ktypes.task) ~subject ~engine ~span ~verdict
+    ~device ~safe =
+  J.sink_ppp m.Ktypes.audit ~time:m.Ktypes.now ~pid:task.Ktypes.tpid
+    ~uid:task.Ktypes.cred.Ktypes.ruid ~subject ~phase:(phase_of task) ~engine
+    ~span ~verdict ~device ~safe
+
+let flags_text = function
+  | [] -> "-"
+  | codes ->
+      String.concat ","
+        (List.map
+           (fun c ->
+             match Ktypes.mount_flag_of_code c with
+             | Some f -> Ktypes.mount_flag_name f
+             | None -> "flag" ^ string_of_int c)
+           codes)
+
+(* The view records of one LSM decision, newest first onto [acc]: in
+   record mode a [record-<hook>] descriptor (a space-separated key=value
+   rendering of the arguments and serving phase), then the decision
+   line — except a ppp ioctl, which has only the descriptor. *)
+let views_of_decision (d : J.decision) (l : J.lsm) acc =
+  let line ~op ~obj ~allowed ~engine ~span =
+    { au_time = l.J.l_time; au_pid = l.J.l_pid; au_uid = l.J.l_uid; au_op = op;
+      au_obj = obj; au_allowed = allowed; au_engine = engine; au_span = span }
+  in
+  let hook, obj, desc =
+    match d.J.d_req with
+    | J.Mount { source; target; fstype; _ } ->
+        ( "mount",
+          source ^ " on " ^ target,
+          Printf.sprintf "source=%s target=%s fstype=%s flags=%s" source target
+            fstype (flags_text l.J.l_flags) )
+    | J.Umount { target; mounted_by } ->
+        ( "umount",
+          target,
+          Printf.sprintf "target=%s mounted_by=%d" target mounted_by )
+    | J.Bind { port; proto; exe } ->
+        ( "bind",
+          Printf.sprintf "port %d/%s by %s" port (J.proto_name proto) exe,
+          Printf.sprintf "port=%d proto=%s exe=%s" port (J.proto_name proto) exe
+        )
+    | J.Ppp { device; safe } ->
+        ("ppp", "", Printf.sprintf "device=%s safe=%d" device (Bool.to_int safe))
+  in
+  let acc =
+    if l.J.l_record then
+      line ~op:("record-" ^ hook)
+        ~obj:
+          (Printf.sprintf "phase=%s subject=%d verdict=%s %s"
+             (Protego_base.Phase.to_string
+                (Protego_base.Phase.of_index d.J.d_phase))
+             d.J.d_subject
+             (if d.J.d_verdict = 3 then "recorded" else "allow")
+             desc)
+        ~allowed:true ~engine:None ~span:None
+      :: acc
+    else acc
+  in
+  match d.J.d_req with
+  | J.Ppp _ -> acc
+  | J.Mount _ | J.Umount _ | J.Bind _ ->
+      line ~op:hook ~obj ~allowed:(d.J.d_verdict <> 0)
+        ~engine:(Some (J.engine_name l.J.l_engine)) ~span:l.J.l_span
+      :: acc
+
 let live m =
   let acc = ref [] in
   J.iter m.Ktypes.audit.J.sk_journal (function
@@ -29,7 +120,9 @@ let live m =
             au_op = k.J.k_op; au_obj = k.J.k_obj; au_allowed = k.J.k_allowed;
             au_engine = k.J.k_engine; au_span = k.J.k_span }
           :: !acc
-    | J.Decision _ -> ());
+    | J.Decision ({ J.d_lsm = Some l; _ } as d) ->
+        acc := views_of_decision d l !acc
+    | J.Decision { J.d_lsm = None; _ } -> ());
   List.rev !acc
 
 let rec drop k l =

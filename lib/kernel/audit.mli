@@ -36,6 +36,40 @@ val emit :
     [engine=<e>] at the end of the rendered line.  [span] is the trace
     span id of the decision and renders as [span=<n>]. *)
 
+(** {1 LSM decisions}
+
+    The filter-backed hooks write one typed decision record each
+    ({!Protego_journal.Journal.sink_mount} and friends): the task's
+    time, pid, real uid and phase, the [subject] the decision was keyed
+    on, the serving [engine] code, the [span] id (0 for none), the
+    [verdict] (0 deny, 1 allow, 3 recorded), whether [record] mode was
+    on, and the raw arguments.  Nothing is formatted on this path:
+    {!records} and {!render} rebuild each record's text — the
+    [mount]/[umount]/[bind] line with its [engine=] and [span=] tags,
+    preceded in record mode by its [record-<hook>] descriptor line.  A
+    ppp ioctl leaves a record only in record mode, and renders as its
+    descriptor alone. *)
+
+val decision_mount :
+  Ktypes.machine -> Ktypes.task -> subject:int -> engine:int -> span:int ->
+  verdict:int -> record:bool -> source:string -> target:string ->
+  fstype:string -> flags:Ktypes.mount_flag list -> unit
+
+val decision_umount :
+  Ktypes.machine -> Ktypes.task -> subject:int -> engine:int -> span:int ->
+  verdict:int -> record:bool -> target:string -> mounted_by:int -> unit
+
+val decision_bind :
+  Ktypes.machine -> Ktypes.task -> subject:int -> engine:int -> span:int ->
+  verdict:int -> record:bool -> port:int -> proto:int -> exe:string -> unit
+(** [proto] is 0 tcp, 1 udp. *)
+
+val decision_ppp :
+  Ktypes.machine -> Ktypes.task -> subject:int -> engine:int -> span:int ->
+  verdict:int -> device:string -> safe:bool -> unit
+
+(** {1 The ring view} *)
+
 val records : Ktypes.machine -> record list
 (** Oldest first. *)
 

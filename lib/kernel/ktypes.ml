@@ -70,6 +70,27 @@ type device =
 
 type mount_flag = Mf_readonly | Mf_nosuid | Mf_nodev | Mf_noexec
 
+(* A flag's code is the bit it sets in a flags mask; the name is its
+   fstab/mount_whitelist spelling. *)
+let mount_flag_code = function
+  | Mf_readonly -> 0
+  | Mf_nosuid -> 1
+  | Mf_nodev -> 2
+  | Mf_noexec -> 3
+
+let mount_flag_name = function
+  | Mf_readonly -> "ro"
+  | Mf_nosuid -> "nosuid"
+  | Mf_nodev -> "nodev"
+  | Mf_noexec -> "noexec"
+
+let mount_flag_of_code = function
+  | 0 -> Some Mf_readonly
+  | 1 -> Some Mf_nosuid
+  | 2 -> Some Mf_nodev
+  | 3 -> Some Mf_noexec
+  | _ -> None
+
 (* --- the recursive block -------------------------------------------- *)
 
 type inode = {

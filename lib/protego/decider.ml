@@ -2,6 +2,7 @@ module Pfm = Protego_filter.Pfm
 module Compile = Protego_filter.Pfm_compile
 module Errno = Protego_base.Errno
 module DC = Decision_cache
+module J = Protego_journal.Journal
 
 type kind = Mount | Umount | Bind | Nf_output | Ppp_ioctl
 
@@ -104,7 +105,7 @@ type t = {
          the prologue reads it here instead of chasing into the tracer *)
   mutable record : bool;
   mutable last_recorded : bool;
-  mutable last_engine : string;
+  mutable last_engine : int;  (* a journal engine code *)
   mutable last_span : int;
       (* 0 when none: kept unboxed so the untraced path never writes it *)
   (* the open decision, between [probe] and [hit]/[miss] *)
@@ -118,7 +119,7 @@ type t = {
 let create ~cache ~trace =
   let d =
     { cache; trace; key = DC.Key.create (); traced = false; record = false;
-      last_recorded = false; last_engine = "pfm"; last_span = 0; p_t0 = 0;
+      last_recorded = false; last_engine = J.engine_pfm; last_span = 0; p_t0 = 0;
       p_stamp = 0; p_gen = 0; p_sub = 0; p_ph = 0 }
   in
   (* Clearing last_span here (not per decision) keeps the unarmed hot
@@ -159,6 +160,7 @@ let set_record d on = d.record <- on; d.last_recorded <- false
 let last_recorded d = d.last_recorded
 let last_engine d = d.last_engine
 let last_span d = if d.last_span = 0 then None else Some d.last_span
+let last_span_id d = d.last_span
 
 let flip d v =
   let r = d.record && v <> Pfm.Allow in
@@ -214,7 +216,7 @@ let probe d h ~stamp ~gen ~subject ~phase =
 
 let hit d h =
   DC.record_hit d.cache h.ch;
-  d.last_engine <- "cache";
+  d.last_engine <- J.engine_cache;
   let v = h.s_verdict in
   served h.stats v;
   if d.traced then
@@ -241,7 +243,7 @@ let miss d h env ~raw ~engine =
   let v, k, stages =
     match found with
     | Some (v, _) ->
-        d.last_engine <- "cache";
+        d.last_engine <- J.engine_cache;
         (v, h.k_cache, stages)
     | None ->
         let v = h.eval env engine ~phase:d.p_ph ~subject raw in
@@ -250,8 +252,8 @@ let miss d h env ~raw ~engine =
           ~errno:(errno h.kind v);
         let k =
           match engine with
-          | `Pfm -> d.last_engine <- "pfm"; h.k_pfm
-          | `Ref -> d.last_engine <- "ref"; h.k_ref
+          | `Pfm -> d.last_engine <- J.engine_pfm; h.k_pfm
+          | `Ref -> d.last_engine <- J.engine_ref; h.k_ref
         in
         (v, k, if sp then ("engine", offset d) :: stages else stages)
   in

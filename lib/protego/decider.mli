@@ -141,9 +141,13 @@ val last_recorded : t -> bool
 
 (** {1 Last decision} *)
 
-val last_engine : t -> string
-(** What served the most recent decision: ["cache"], ["pfm"] or
-    ["ref"]; ["pfm"] before any. *)
+val last_engine : t -> int
+(** What served the most recent decision, as a journal engine code:
+    {!Protego_journal.Journal.engine_cache}, [engine_pfm] or
+    [engine_ref]; [engine_pfm] before any. *)
 
 val last_span : t -> int option
 (** Span id of the most recent decision; [None] when spans were off. *)
+
+val last_span_id : t -> int
+(** {!last_span} unboxed: 0 for none. *)

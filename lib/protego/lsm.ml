@@ -62,41 +62,34 @@ let default_raw_socket_rules =
 
 let stock = Security.stock_linux
 
-(* Record-mode observation trail.  While /proc/protego/record is on,
-   every filter-backed decision leaves an extra kaudit entry (op
-   ["record-<hook>"]) whose object is a canonical space-separated
-   key=value descriptor of the full decision arguments and serving
-   phase — the policy synthesizer's raw input.  [verdict=allow] marks a
-   genuine allow, [verdict=recorded] a would-deny the permissive mode
-   flipped; none of the values contain spaces. *)
-let record_verdict disp =
-  if Pfm_dispatch.last_recorded disp then "recorded" else "allow"
-
-let record_emit disp m task ~hook ~subject ~desc =
-  if Pfm_dispatch.record_mode disp then
-    Audit.emit m task ~op:("record-" ^ hook)
-      ~obj:
-        (Printf.sprintf "phase=%s subject=%d verdict=%s %s"
-           (Phase.to_string task.sec.phase) subject (record_verdict disp) desc)
-      ~allowed:true
+(* Each filter-backed decision leaves one typed LSM decision record in
+   the machine's audit journal: the fixed fields (time, pid, uid,
+   subject, serving phase, engine code, span) plus the raw arguments,
+   with nothing formatted on the hook path; {!Audit.records} rebuilds
+   the audit text on read.  Record mode (/proc/protego/record) is not a
+   second record: it is the record's verdict — 1 for a genuine allow, 3
+   for a would-deny the permissive mode flipped — plus its record-mode
+   flag, from which the read side renders the [record-<hook>]
+   descriptor line.  A ppp ioctl leaves a record only in record mode.  The netfilter OUTPUT hook still writes a
+   [record-nf] kaudit descriptor, formatted only in record mode: it has
+   no record kind yet (ROADMAP item 5). *)
+let verdict disp allowed =
+  if Pfm_dispatch.last_recorded disp then 3 else if allowed then 1 else 0
 
 let sb_mount disp st m task ~source ~target ~fstype ~flags =
   match stock.sb_mount m task ~source ~target ~fstype ~flags with
   | Ok () -> Ok ()
   | Error _ ->
       let target = Vfs.normalize ~cwd:task.cwd target in
-      let obj = source ^ " on " ^ target in
+      let subject = task.cred.ruid in
       let allowed =
-        Pfm_dispatch.decide_mount disp ~subject:task.cred.ruid
-          ~phase:task.sec.phase st ~source ~target ~fstype ~flags
+        Pfm_dispatch.decide_mount disp ~subject ~phase:task.sec.phase st
+          ~source ~target ~fstype ~flags
       in
-      record_emit disp m task ~hook:"mount" ~subject:task.cred.ruid
-        ~desc:
-          (Printf.sprintf "source=%s target=%s fstype=%s flags=%s" source
-             target fstype
-             (Policy_state.flags_to_string flags));
-      Audit.emit ~engine:(Pfm_dispatch.decision_engine_name disp)
-        ?span:(Pfm_dispatch.last_span disp) m task ~op:"mount" ~obj ~allowed;
+      Audit.decision_mount m task ~subject
+        ~engine:(Pfm_dispatch.decision_engine disp)
+        ~span:(Pfm_dispatch.last_span_id disp) ~verdict:(verdict disp allowed)
+        ~record:(Pfm_dispatch.record_mode disp) ~source ~target ~fstype ~flags;
       if allowed then Ok () else Error Errno.EPERM
 
 let sb_umount disp st m task ~target =
@@ -107,16 +100,17 @@ let sb_umount disp st m task ~target =
       match List.find_opt (fun mnt -> mnt.mnt_target = target) m.mounts with
       | None -> Error Errno.EINVAL
       | Some mnt ->
+          let subject = task.cred.ruid in
           let allowed =
             Pfm_dispatch.decide_umount disp ~phase:task.sec.phase st ~target
-              ~mounted_by:mnt.mnt_by ~ruid:task.cred.ruid
+              ~mounted_by:mnt.mnt_by ~ruid:subject
           in
-          record_emit disp m task ~hook:"umount" ~subject:task.cred.ruid
-            ~desc:
-              (Printf.sprintf "target=%s mounted_by=%d" target mnt.mnt_by);
-          Audit.emit ~engine:(Pfm_dispatch.decision_engine_name disp)
-            ?span:(Pfm_dispatch.last_span disp) m task ~op:"umount" ~obj:target
-            ~allowed;
+          Audit.decision_umount m task ~subject
+            ~engine:(Pfm_dispatch.decision_engine disp)
+            ~span:(Pfm_dispatch.last_span_id disp)
+            ~verdict:(verdict disp allowed)
+            ~record:(Pfm_dispatch.record_mode disp) ~target
+            ~mounted_by:mnt.mnt_by;
           if allowed then Ok () else Error Errno.EPERM)
 
 let socket_create _st _m _task _domain _stype _proto =
@@ -139,20 +133,17 @@ let socket_bind disp st m task sock _addr port =
     match proto with
     | None -> Error Errno.EACCES
     | Some proto ->
-        let obj =
-          Printf.sprintf "port %d/%s by %s" port
-            (Bindconf.proto_to_string proto) task.exe_path
-        in
+        let subject = task.cred.euid in
         let allowed =
           Pfm_dispatch.decide_bind disp ~phase:task.sec.phase st ~port ~proto
-            ~exe:task.exe_path ~uid:task.cred.euid
+            ~exe:task.exe_path ~uid:subject
         in
-        record_emit disp m task ~hook:"bind" ~subject:task.cred.euid
-          ~desc:
-            (Printf.sprintf "port=%d proto=%s exe=%s" port
-               (Bindconf.proto_to_string proto) task.exe_path);
-        Audit.emit ~engine:(Pfm_dispatch.decision_engine_name disp)
-          ?span:(Pfm_dispatch.last_span disp) m task ~op:"bind" ~obj ~allowed;
+        Audit.decision_bind m task ~subject
+          ~engine:(Pfm_dispatch.decision_engine disp)
+          ~span:(Pfm_dispatch.last_span_id disp) ~verdict:(verdict disp allowed)
+          ~record:(Pfm_dispatch.record_mode disp) ~port
+          ~proto:(match proto with Bindconf.Tcp -> 0 | Bindconf.Udp -> 1)
+          ~exe:task.exe_path;
         if allowed then Ok () else Error Errno.EACCES
 
 let names_for_delegation st task =
@@ -378,14 +369,17 @@ let file_ioctl disp st m task req =
           in
           match owned with Some _ -> Ok () | None -> stock_denial)
       | Ioctl_modem_config { ioctl_dev; ppp_opt } ->
+          let subject = task.cred.ruid in
           let allowed =
-            Pfm_dispatch.decide_ppp_ioctl disp ~subject:task.cred.ruid
-              ~phase:task.sec.phase st ~device:ioctl_dev ~opt:ppp_opt
+            Pfm_dispatch.decide_ppp_ioctl disp ~subject ~phase:task.sec.phase
+              st ~device:ioctl_dev ~opt:ppp_opt
           in
-          record_emit disp m task ~hook:"ppp" ~subject:task.cred.ruid
-            ~desc:
-              (Printf.sprintf "device=%s safe=%s" ioctl_dev
-                 (if Protego_net.Ppp.option_is_safe ppp_opt then "1" else "0"));
+          if Pfm_dispatch.record_mode disp then
+            Audit.decision_ppp m task ~subject
+              ~engine:(Pfm_dispatch.decision_engine disp)
+              ~span:(Pfm_dispatch.last_span_id disp)
+              ~verdict:(verdict disp allowed) ~device:ioctl_dev
+              ~safe:(Protego_net.Ppp.option_is_safe ppp_opt);
           if allowed then Ok () else Error Errno.EPERM
       | Ioctl_dm_table_status _ ->
           (* Interface redesign, not policy: the ioctl stays root-only and
@@ -699,9 +693,14 @@ let install m =
          let v = Pfm_dispatch.decide_nf_output disp m.netfilter pkt ~origin in
          (* Netfilter decisions have no task context, so the record
             trail rides on the kernel task with the origin uid in the
-            descriptor; packets carry no lifecycle phase (phase=-). *)
+            descriptor; packets carry no lifecycle phase (phase=-).
+            This is the one record-mode trail still formatted as a
+            kaudit descriptor (no nf_output record kind yet, ROADMAP
+            item 5), and only while record mode is on. *)
          (if Pfm_dispatch.record_mode disp then
-            let verdict = record_verdict disp in
+            let verdict =
+              if Pfm_dispatch.last_recorded disp then "recorded" else "allow"
+            in
             let uid =
               match origin with
               | Packet.Kernel_stack -> 0

@@ -205,7 +205,10 @@ let create () =
 let engine t = t.engine
 let set_engine t e = t.engine <- e
 let engine_name t = match t.engine with `Pfm -> "pfm" | `Ref -> "ref"
-let decision_engine_name t = Decider.last_engine t.dec
+let decision_engine t = Decider.last_engine t.dec
+
+let decision_engine_name t =
+  Protego_journal.Journal.engine_name (Decider.last_engine t.dec)
 let lint_mode t = t.lint_mode
 let set_lint_mode t m = t.lint_mode <- m
 
@@ -219,6 +222,7 @@ let lint_mode_name t =
 let cache t = Decider.cache t.dec
 let trace t = Decider.trace t.dec
 let last_span t = Decider.last_span t.dec
+let last_span_id t = Decider.last_span_id t.dec
 
 let stats t =
   List.map

@@ -61,10 +61,13 @@ val set_engine : t -> engine -> unit
 val engine_name : t -> string
 (** ["pfm"] or ["ref"] — the configured evaluation engine. *)
 
+val decision_engine : t -> int
+(** What served the most recent decision, as the journal engine code
+    the LSM decision records carry ({!Decider.last_engine}). *)
+
 val decision_engine_name : t -> string
-(** What served the most recent decision: ["cache"], ["pfm"] or ["ref"] —
-    the value audit records carry.  Before any decision, the configured
-    engine's name. *)
+(** {!decision_engine}'s name: ["cache"], ["pfm"] or ["ref"] — what the
+    audit text shows.  ["pfm"] before any decision. *)
 
 val cache : t -> Decision_cache.t
 (** The decision cache in front of both engines. *)
@@ -78,6 +81,10 @@ val trace : t -> Trace.t
 val last_span : t -> int option
 (** Span id of the most recent decision — what its audit record carries.
     [None] when spans were off for that decision. *)
+
+val last_span_id : t -> int
+(** {!last_span} unboxed, 0 for none: what an LSM decision record
+    stores. *)
 
 val lint_mode : t -> lint_mode
 val set_lint_mode : t -> lint_mode -> unit

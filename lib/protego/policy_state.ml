@@ -230,11 +230,7 @@ let group_names_of_user t name =
 
 (* --- flags ------------------------------------------------------------ *)
 
-let flag_to_string = function
-  | Ktypes.Mf_readonly -> "ro"
-  | Ktypes.Mf_nosuid -> "nosuid"
-  | Ktypes.Mf_nodev -> "nodev"
-  | Ktypes.Mf_noexec -> "noexec"
+let flag_to_string = Ktypes.mount_flag_name
 
 let flag_of_string = function
   | "ro" -> Some Ktypes.Mf_readonly

@@ -207,8 +207,8 @@ val mounts_to_string : mount_rule list -> string
 
 val flags_to_string : Ktypes.mount_flag list -> string
 (** ["-"] for the empty list, else comma-joined flag names — the
-    whitelist grammar's flag column, reused by the record-mode audit
-    descriptors and the policy synthesizer. *)
+    whitelist grammar's flag column, reused by the policy synthesizer
+    (the record-mode audit descriptors spell flags the same way). *)
 
 val flags_of_string : string -> (Ktypes.mount_flag list, string) result
 

@@ -1,0 +1,36 @@
+(** Record mode on the kernel's own path: the synthesizer's LSM lane.
+
+    Drives decision-plane requests (as {!Protego_workload.Workload}
+    generates them) through [Syscall] on a booted Protego image with
+    [/proc/protego/record] on, so each one passes the real LSM hook and
+    leaves that hook's typed decision record in the machine's audit
+    journal ({!Protego_kernel.Audit}).  {!Synth.observations} reads those
+    records like plane decision records.
+
+    A request's subject [s] runs as uid [uid_base + s] (subject 0 would
+    otherwise be root, which no hook is asked about), and so do an
+    umount's [mounted_by] and a bind map entry's owner: the relations
+    between them survive.
+    Before an umount the target is mounted, as [mounted_by], by a
+    capable helper task, so the hook sees the recorded mount owner.
+    Requests the kernel decides without the LSM (an unprivileged bind
+    port) leave no record. *)
+
+val uid_base : int
+(** 2000. *)
+
+type result = {
+  journal : Protego_journal.Journal.t;  (** the machine's audit journal *)
+  state : Protego_core.Policy_state.t;  (** the policy the hooks enforced *)
+  requests : int;  (** requests driven *)
+  decided : int;   (** LSM decision records written *)
+  recorded : int;  (** of which would-denies (verdict 3) *)
+}
+
+val run :
+  ?seg_bytes:int -> ?segments:int -> Protego_workload.Workload.spec ->
+  Protego_plane.Plane.request array -> (result, string) Stdlib.result
+(** Install the spec's policy ({!Protego_workload.Workload.install_policy},
+    bind owners shifted by [uid_base]) on a fresh image, switch record
+    mode on, and drive [requests] in order.  The audit journal is [seg_bytes] x [segments] (default
+    256 KiB x 32); [Error] if any record was lost to wraparound. *)

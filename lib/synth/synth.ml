@@ -61,10 +61,11 @@ let key_of_obs o =
   Printf.sprintf "subject=%d phase=%d %s" o.ob_subject o.ob_phase
     (desc_of_args o.ob_args)
 
-(* One raw observation out of a plane decision record: its request and
-   serving phase ({!Plane.request_of_decision}); any verdict other than
-   plain allow (deny, reject, or the record-mode code 3) counts as
-   would-deny demand. *)
+(* One raw observation out of a decision record — a plane worker's or
+   an LSM hook's: its request and serving phase
+   ({!Plane.request_of_decision}); any verdict other than plain allow
+   (deny, reject, or the record-mode code 3) counts as would-deny
+   demand. *)
 let raw_of_decision (d : Journal.decision) =
   let recorded = d.Journal.d_verdict <> 1 in
   let ph, req = Plane.request_of_decision d in
@@ -90,89 +91,41 @@ let kv_of_obj obj =
       | None -> None)
     (String.split_on_char ' ' obj)
 
-let record_prefix = "record-"
-
-let bind_proto_of_string = function
-  | "tcp" -> Some Bindconf.Tcp
-  | "udp" -> Some Bindconf.Udp
-  | _ -> None
-
-(* One raw observation out of an LSM record-mode kaudit descriptor
-   ([op=record-<hook>], [obj="phase=... subject=... verdict=... k=v ..."]).
+(* One raw observation out of the netfilter hook's record-mode kaudit
+   descriptor ([op=record-nf], [obj="phase=- subject=... verdict=...
+   proto=... dst=... ..."]): the one hook without a typed record yet.
+   Packets carry no lifecycle phase, so the observation's is 0.
    Descriptors that do not parse are skipped, not errors: the kernel
    audit stream also carries unrelated operator-initiated entries. *)
 let raw_of_kaudit (k : Journal.kaudit) =
-  let plen = String.length record_prefix in
-  if
-    String.length k.Journal.k_op <= plen
-    || String.sub k.Journal.k_op 0 plen <> record_prefix
-  then None
+  if k.Journal.k_op <> "record-nf" then None
   else
-    let hook =
-      String.sub k.Journal.k_op plen (String.length k.Journal.k_op - plen)
-    in
     let kv = kv_of_obj k.Journal.k_obj in
     let field f = List.assoc_opt f kv in
     let int_field f = Option.bind (field f) int_of_string_opt in
-    let phase =
-      match field "phase" with
-      | Some s -> (
-          match Phase.of_string s with Some p -> Phase.index p | None -> 0)
-      | None -> 0
-    in
     let subject = Option.value (int_field "subject") ~default:0 in
     let recorded = field "verdict" = Some "recorded" in
     let args =
-      match hook with
-      | "mount" -> (
-          match (field "source", field "target", field "fstype", field "flags")
-          with
-          | Some source, Some target, Some fstype, Some flags_s -> (
-              match PS.flags_of_string flags_s with
-              | Ok flags -> Some (A_mount { source; target; fstype; flags })
-              | Error _ -> None)
-          | _ -> None)
-      | "umount" -> (
-          match (field "target", int_field "mounted_by") with
-          | Some target, Some mounted_by ->
-              Some (A_umount { target; mounted_by })
-          | _ -> None)
-      | "bind" -> (
-          match (int_field "port", field "proto", field "exe") with
-          | Some port, Some proto_s, Some exe ->
-              Option.map
-                (fun proto -> A_bind { port; proto; exe })
-                (bind_proto_of_string proto_s)
-          | _ -> None)
-      | "ppp" -> (
-          match (field "device", field "safe") with
-          | Some device, Some safe_s ->
-              Some (A_ppp { device; safe = safe_s = "1" })
-          | _ -> None)
-      | "nf" -> (
-          match (field "proto", field "dst", field "origin") with
-          | Some proto_s, Some dst_s, Some origin_s -> (
-              match
-                (Packet.proto_of_string proto_s, Ipaddr.of_string dst_s)
-              with
-              | Some proto, Some dst ->
-                  let origin =
-                    match origin_s with
-                    | "raw" -> `Raw
-                    | "packet" -> `Packet
-                    | _ -> `Kernel
-                  in
-                  let dport = int_field "dport" in
-                  let icmp =
-                    Option.bind (field "icmp") (fun s ->
-                        if s = "-" then None else Packet.icmp_type_of_string s)
-                  in
-                  Some (A_nf { proto; dst; dport; origin; icmp })
-              | _ -> None)
+      match (field "proto", field "dst", field "origin") with
+      | Some proto_s, Some dst_s, Some origin_s -> (
+          match (Packet.proto_of_string proto_s, Ipaddr.of_string dst_s) with
+          | Some proto, Some dst ->
+              let origin =
+                match origin_s with
+                | "raw" -> `Raw
+                | "packet" -> `Packet
+                | _ -> `Kernel
+              in
+              let dport = int_field "dport" in
+              let icmp =
+                Option.bind (field "icmp") (fun s ->
+                    if s = "-" then None else Packet.icmp_type_of_string s)
+              in
+              Some (A_nf { proto; dst; dport; origin; icmp })
           | _ -> None)
       | _ -> None
     in
-    Option.map (fun a -> (subject, phase, recorded, a)) args
+    Option.map (fun a -> (subject, 0, recorded, a)) args
 
 let observations entries =
   let tbl = Hashtbl.create 256 in

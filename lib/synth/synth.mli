@@ -1,9 +1,12 @@
 (** Policy synthesis from recorded traffic (DESIGN.md §12).
 
-    The input is an audit journal — plane decision records (including
-    the verdict-3 "recorded" entries a permissive record-mode run
-    leaves) and/or the [record-<hook>] kaudit descriptors the LSM hooks
-    emit while [/proc/protego/record] is on.  The output is a set of
+    The input is an audit journal of decision records (including the
+    verdict-3 "recorded" entries a permissive record-mode run leaves):
+    a plane's, or a machine's, whose LSM hooks write one typed record
+    per decided mount, umount, bind and (in record mode) ppp ioctl —
+    {!Lsm_record} drives such a run — plus the [record-nf] kaudit
+    descriptors the netfilter hook emits while [/proc/protego/record] is
+    on.  The output is a set of
     minimal policy sources (mount whitelist, bind map, ppp options,
     netfilter Output chain) that
 
@@ -57,9 +60,9 @@ val desc_of_args : args -> string
 
 val observations : Journal.entry list -> obs list
 (** Aggregate journal entries into canonical observation tuples, sorted
-    by descriptor.  Decision records contribute regardless of verdict
-    (an enforce-mode deny is demand too); kaudit entries contribute only
-    the [record-<hook>] descriptors. *)
+    by descriptor.  Decision records, plane or LSM, contribute
+    regardless of verdict (an enforce-mode deny is demand too); kaudit
+    entries contribute only the [record-nf] descriptors. *)
 
 (** {1 Synthesis} *)
 

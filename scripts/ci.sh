@@ -13,8 +13,8 @@
 #            the cache/equivalence/plane/journal/sim stress suites, both
 #            seeded simulation sweeps, the plane scaling smoke and the
 #            protego-synth record->synthesize->verify closed loop (fresh
-#            recording + the committed fixture pair).  Runs once, gated
-#            on the fast jobs.
+#            plane and LSM-lane recordings + the committed fixture
+#            pair).  Runs once, gated on the fast jobs.
 #
 # With no argument both tiers run back to back (local use).
 set -eu
@@ -189,6 +189,23 @@ full_tier() {
         | tee SYNTH_protego/emit.log
     ./_build/default/bin/synth.exe verify \
         --journal SYNTH_protego/RECORD.bin --dir SYNTH_protego
+
+    # The same loop on the kernel's own path: the deny-flood runs as
+    # syscalls through the LSM hooks of a booted Protego image in record
+    # mode.  The machine's audit journal (one typed decision record per
+    # hook decision) must verify with the journal CLI (--strict: nothing
+    # dropped, seqs contiguous), then synthesize and replay with zero
+    # false denies.
+    echo "==> protego-synth LSM lane (policies land in SYNTH_lsm/)"
+    rm -rf SYNTH_lsm && mkdir SYNTH_lsm
+    ./_build/default/bin/synth.exe record --lane lsm --seed 7 \
+        --requests 5000 -o SYNTH_lsm/RECORD.bin
+    ./_build/default/bin/journal.exe verify SYNTH_lsm/RECORD.bin --strict
+    ./_build/default/bin/synth.exe emit \
+        --journal SYNTH_lsm/RECORD.bin --dir SYNTH_lsm \
+        | tee SYNTH_lsm/emit.log
+    ./_build/default/bin/synth.exe verify \
+        --journal SYNTH_lsm/RECORD.bin --dir SYNTH_lsm
 
     # The committed fixture pair: re-synthesizing the committed recorded
     # journal must reproduce the committed policy sources byte for byte

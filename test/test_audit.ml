@@ -178,6 +178,174 @@ let test_ring_bounded () =
   check "all denials" true
     (List.length (Audit.denials m) = Audit.capacity)
 
+(* The LSM hooks journal typed decision records and /proc/protego/audit
+   rebuilds their text on read.  This scenario drives every hook that
+   writes one (mount, umount, bind, the ppp ioctl), with record mode off
+   and then on, spans on for part of it, a mount whose flags come in
+   non-canonical order and with a repeat, and a record-nf descriptor
+   beside them.  The expected text pins the audit format byte for byte,
+   the SUMMARY counts included. *)
+let lsm_scenario () =
+  let img = fixture () in
+  let m = img.Image.machine in
+  let alice = Image.login img "alice" in
+  let root = Image.login img "root" in
+  let exim =
+    Machine.spawn_task m ~cred:(Cred.make ~uid:101 ~gid:101 ()) ~cwd:"/" ()
+  in
+  exim.exe_path <- "/usr/sbin/exim4";
+  let proc path v =
+    Syntax.expect_ok path (Syscall.write_file m root ("/proc/protego/" ^ path) v)
+  in
+  let mount ~source ~target ~fstype flags =
+    ignore (Syscall.mount m alice ~source ~target ~fstype ~flags)
+  in
+  let bind task stype port =
+    let fd = Syntax.expect_ok "sock" (Syscall.socket m task Af_inet stype 6) in
+    ignore (Syscall.bind m task fd Protego_net.Ipaddr.any port);
+    ignore (Syscall.close m task fd)
+  in
+  let serial =
+    Syntax.expect_ok "open serial"
+      (Syscall.open_ m alice "/dev/ttyS0" [ Syscall.O_RDWR ])
+  in
+  let ppp dev opt =
+    ignore
+      (Syscall.ioctl m alice serial
+         (Ioctl_modem_config { ioctl_dev = dev; ppp_opt = opt }))
+  in
+  let ping () =
+    let fd =
+      Syntax.expect_ok "raw" (Syscall.socket m alice Af_inet Sock_raw 1)
+    in
+    let pkt =
+      Protego_net.Packet.echo_request ~src:(Protego_net.Ipaddr.v 10 0 0 2)
+        ~dst:(Protego_net.Ipaddr.v 10 0 0 1) ~seq:1 ()
+    in
+    ignore
+      (Syscall.sendto m alice fd (Protego_net.Ipaddr.v 10 0 0 1) 0
+         (Protego_net.Packet.encode pkt));
+    ignore (Syscall.close m alice fd)
+  in
+  let round () =
+    mount ~source:"/dev/cdrom" ~target:"/media/cdrom" ~fstype:"iso9660"
+      [ Mf_readonly; Mf_nosuid; Mf_nodev ];
+    mount ~source:"/dev/sda2" ~target:"/etc/../etc" ~fstype:"ext4"
+      [ Mf_nodev; Mf_nosuid; Mf_nodev ];
+    mount ~source:"/dev/sda2" ~target:"/etc/../etc" ~fstype:"ext4"
+      [ Mf_nodev; Mf_nosuid; Mf_nodev ];
+    ignore (Syscall.umount m alice ~target:"/media/cdrom");
+    ignore (Syscall.umount m alice ~target:"/media/none");
+    bind exim Sock_stream 25;
+    bind alice Sock_stream 25;
+    bind alice Sock_dgram 53;
+    bind alice Sock_stream 8080;
+    ppp "/dev/ttyS0" (Protego_net.Ppp.Compression "deflate");
+    ppp "/dev/ttyS0" (Protego_net.Ppp.Modem_line_speed 115200);
+    ppp "/dev/ttyS9" Protego_net.Ppp.Accomp;
+    ping ()
+  in
+  round ();
+  proc "trace" "on\n";
+  round ();
+  proc "trace" "off\n";
+  proc "record" "on\n";
+  round ();
+  proc "trace" "on\n";
+  round ();
+  proc "record" "off\n";
+  round ();
+  let render () =
+    Syntax.expect_ok "render" (Syscall.read_file m root "/proc/protego/audit")
+  in
+  let text = render () in
+  (* Overflow the ring view with record mode on: each recorded mount is
+     two view records, and one more record-ppp line puts the view's
+     oldest edge between the two halves of a pair. *)
+  proc "record" "on\n";
+  for _ = 1 to 600 do
+    mount ~source:"/dev/sda2" ~target:"/etc" ~fstype:"ext4" []
+  done;
+  ppp "/dev/ttyS0" Protego_net.Ppp.Accomp;
+  let lines = String.split_on_char '\n' (render ()) in
+  (text, String.concat "\n" (List.filteri (fun i _ -> i < 2) lines @ List.filteri (fun i _ -> i >= Audit.capacity - 1) lines))
+
+let lsm_expected =
+  {|type=GRANT msg=audit(1000): pid=3 uid=1000 op=mount obj=/dev/cdrom on /media/cdrom res=success engine=pfm
+type=DENIAL msg=audit(1000): pid=3 uid=1000 op=mount obj=/dev/sda2 on /etc res=failed engine=pfm
+type=DENIAL msg=audit(1000): pid=3 uid=1000 op=mount obj=/dev/sda2 on /etc res=failed engine=cache
+type=GRANT msg=audit(1000): pid=3 uid=1000 op=umount obj=/media/cdrom res=success engine=pfm
+type=GRANT msg=audit(1000): pid=5 uid=101 op=bind obj=port 25/tcp by /usr/sbin/exim4 res=success engine=pfm
+type=DENIAL msg=audit(1000): pid=3 uid=1000 op=bind obj=port 25/tcp by /bin/sh res=failed engine=pfm
+type=DENIAL msg=audit(1000): pid=3 uid=1000 op=bind obj=port 53/udp by /bin/sh res=failed engine=pfm
+type=GRANT msg=audit(1000): pid=3 uid=1000 op=mount obj=/dev/cdrom on /media/cdrom res=success engine=cache span=1
+type=DENIAL msg=audit(1000): pid=3 uid=1000 op=mount obj=/dev/sda2 on /etc res=failed engine=cache span=2
+type=DENIAL msg=audit(1000): pid=3 uid=1000 op=mount obj=/dev/sda2 on /etc res=failed engine=cache span=3
+type=GRANT msg=audit(1000): pid=3 uid=1000 op=umount obj=/media/cdrom res=success engine=cache span=4
+type=GRANT msg=audit(1000): pid=5 uid=101 op=bind obj=port 25/tcp by /usr/sbin/exim4 res=success engine=cache span=5
+type=DENIAL msg=audit(1000): pid=3 uid=1000 op=bind obj=port 25/tcp by /bin/sh res=failed engine=cache span=6
+type=DENIAL msg=audit(1000): pid=3 uid=1000 op=bind obj=port 53/udp by /bin/sh res=failed engine=cache span=7
+type=GRANT msg=audit(1000): pid=4 uid=0 op=record-mode obj=on res=success
+type=GRANT msg=audit(1000): pid=3 uid=1000 op=record-mount obj=phase=setup subject=1000 verdict=allow source=/dev/cdrom target=/media/cdrom fstype=iso9660 flags=ro,nosuid,nodev res=success
+type=GRANT msg=audit(1000): pid=3 uid=1000 op=mount obj=/dev/cdrom on /media/cdrom res=success engine=cache
+type=GRANT msg=audit(1000): pid=3 uid=1000 op=record-mount obj=phase=setup subject=1000 verdict=recorded source=/dev/sda2 target=/etc fstype=ext4 flags=nodev,nosuid,nodev res=success
+type=GRANT msg=audit(1000): pid=3 uid=1000 op=mount obj=/dev/sda2 on /etc res=success engine=cache
+type=GRANT msg=audit(1000): pid=3 uid=1000 op=record-mount obj=phase=setup subject=1000 verdict=recorded source=/dev/sda2 target=/etc fstype=ext4 flags=nodev,nosuid,nodev res=success
+type=GRANT msg=audit(1000): pid=3 uid=1000 op=mount obj=/dev/sda2 on /etc res=success engine=cache
+type=GRANT msg=audit(1000): pid=3 uid=1000 op=record-umount obj=phase=setup subject=1000 verdict=allow target=/media/cdrom mounted_by=1000 res=success
+type=GRANT msg=audit(1000): pid=3 uid=1000 op=umount obj=/media/cdrom res=success engine=cache
+type=GRANT msg=audit(1000): pid=5 uid=101 op=record-bind obj=phase=setup subject=101 verdict=allow port=25 proto=tcp exe=/usr/sbin/exim4 res=success
+type=GRANT msg=audit(1000): pid=5 uid=101 op=bind obj=port 25/tcp by /usr/sbin/exim4 res=success engine=cache
+type=GRANT msg=audit(1000): pid=3 uid=1000 op=record-bind obj=phase=setup subject=1000 verdict=recorded port=25 proto=tcp exe=/bin/sh res=success
+type=GRANT msg=audit(1000): pid=3 uid=1000 op=bind obj=port 25/tcp by /bin/sh res=success engine=cache
+type=GRANT msg=audit(1000): pid=3 uid=1000 op=record-bind obj=phase=setup subject=1000 verdict=recorded port=53 proto=udp exe=/bin/sh res=success
+type=GRANT msg=audit(1000): pid=3 uid=1000 op=bind obj=port 53/udp by /bin/sh res=success engine=cache
+type=GRANT msg=audit(1000): pid=3 uid=1000 op=record-ppp obj=phase=setup subject=1000 verdict=allow device=/dev/ttyS0 safe=1 res=success
+type=GRANT msg=audit(1000): pid=3 uid=1000 op=record-ppp obj=phase=setup subject=1000 verdict=recorded device=/dev/ttyS0 safe=0 res=success
+type=GRANT msg=audit(1000): pid=3 uid=1000 op=record-ppp obj=phase=setup subject=1000 verdict=recorded device=/dev/ttyS9 safe=1 res=success
+type=GRANT msg=audit(1000): pid=1 uid=0 op=record-nf obj=phase=- subject=1000 verdict=allow proto=icmp dst=10.0.0.1 dport=- origin=raw icmp=echo-request res=success
+type=GRANT msg=audit(1000): pid=3 uid=1000 op=record-mount obj=phase=setup subject=1000 verdict=allow source=/dev/cdrom target=/media/cdrom fstype=iso9660 flags=ro,nosuid,nodev res=success
+type=GRANT msg=audit(1000): pid=3 uid=1000 op=mount obj=/dev/cdrom on /media/cdrom res=success engine=cache span=12
+type=GRANT msg=audit(1000): pid=3 uid=1000 op=record-mount obj=phase=setup subject=1000 verdict=recorded source=/dev/sda2 target=/etc fstype=ext4 flags=nodev,nosuid,nodev res=success
+type=GRANT msg=audit(1000): pid=3 uid=1000 op=mount obj=/dev/sda2 on /etc res=success engine=cache span=13
+type=GRANT msg=audit(1000): pid=3 uid=1000 op=record-mount obj=phase=setup subject=1000 verdict=recorded source=/dev/sda2 target=/etc fstype=ext4 flags=nodev,nosuid,nodev res=success
+type=GRANT msg=audit(1000): pid=3 uid=1000 op=mount obj=/dev/sda2 on /etc res=success engine=cache span=14
+type=GRANT msg=audit(1000): pid=3 uid=1000 op=record-umount obj=phase=setup subject=1000 verdict=allow target=/media/cdrom mounted_by=1000 res=success
+type=GRANT msg=audit(1000): pid=3 uid=1000 op=umount obj=/media/cdrom res=success engine=cache span=15
+type=GRANT msg=audit(1000): pid=5 uid=101 op=record-bind obj=phase=setup subject=101 verdict=allow port=25 proto=tcp exe=/usr/sbin/exim4 res=success
+type=GRANT msg=audit(1000): pid=5 uid=101 op=bind obj=port 25/tcp by /usr/sbin/exim4 res=success engine=cache span=16
+type=GRANT msg=audit(1000): pid=3 uid=1000 op=record-bind obj=phase=setup subject=1000 verdict=recorded port=25 proto=tcp exe=/bin/sh res=success
+type=GRANT msg=audit(1000): pid=3 uid=1000 op=bind obj=port 25/tcp by /bin/sh res=success engine=cache span=17
+type=GRANT msg=audit(1000): pid=3 uid=1000 op=record-bind obj=phase=setup subject=1000 verdict=recorded port=53 proto=udp exe=/bin/sh res=success
+type=GRANT msg=audit(1000): pid=3 uid=1000 op=bind obj=port 53/udp by /bin/sh res=success engine=cache span=18
+type=GRANT msg=audit(1000): pid=3 uid=1000 op=record-ppp obj=phase=setup subject=1000 verdict=allow device=/dev/ttyS0 safe=1 res=success
+type=GRANT msg=audit(1000): pid=3 uid=1000 op=record-ppp obj=phase=setup subject=1000 verdict=recorded device=/dev/ttyS0 safe=0 res=success
+type=GRANT msg=audit(1000): pid=3 uid=1000 op=record-ppp obj=phase=setup subject=1000 verdict=recorded device=/dev/ttyS9 safe=1 res=success
+type=GRANT msg=audit(1000): pid=1 uid=0 op=record-nf obj=phase=- subject=1000 verdict=allow proto=icmp dst=10.0.0.1 dport=- origin=raw icmp=echo-request res=success
+type=GRANT msg=audit(1000): pid=4 uid=0 op=record-mode obj=off res=success
+type=GRANT msg=audit(1000): pid=3 uid=1000 op=mount obj=/dev/cdrom on /media/cdrom res=success engine=cache span=23
+type=DENIAL msg=audit(1000): pid=3 uid=1000 op=mount obj=/dev/sda2 on /etc res=failed engine=cache span=24
+type=DENIAL msg=audit(1000): pid=3 uid=1000 op=mount obj=/dev/sda2 on /etc res=failed engine=cache span=25
+type=GRANT msg=audit(1000): pid=3 uid=1000 op=umount obj=/media/cdrom res=success engine=cache span=26
+type=GRANT msg=audit(1000): pid=5 uid=101 op=bind obj=port 25/tcp by /usr/sbin/exim4 res=success engine=cache span=27
+type=DENIAL msg=audit(1000): pid=3 uid=1000 op=bind obj=port 25/tcp by /bin/sh res=failed engine=cache span=28
+type=DENIAL msg=audit(1000): pid=3 uid=1000 op=bind obj=port 53/udp by /bin/sh res=failed engine=cache span=29
+type=SUMMARY msg=audit: records=59 dropped=0
+|}
+
+let lsm_overflow_expected =
+  {|type=GRANT msg=audit(1000): pid=3 uid=1000 op=mount obj=/dev/sda2 on /etc res=success engine=cache span=122
+type=GRANT msg=audit(1000): pid=3 uid=1000 op=record-mount obj=phase=setup subject=1000 verdict=recorded source=/dev/sda2 target=/etc fstype=ext4 flags=- res=success
+type=GRANT msg=audit(1000): pid=3 uid=1000 op=record-ppp obj=phase=setup subject=1000 verdict=allow device=/dev/ttyS0 safe=1 res=success
+type=SUMMARY msg=audit: records=1024 dropped=237
+|}
+
+let test_lsm_text () =
+  let text, overflow = lsm_scenario () in
+  Alcotest.(check string) "audit text" lsm_expected text;
+  Alcotest.(check string) "overflow edge and summary" lsm_overflow_expected
+    overflow
+
 let suites =
   [ ("audit:records",
       [ Alcotest.test_case "mount decisions" `Quick test_mount_decisions_recorded;
@@ -185,4 +353,5 @@ let suites =
         Alcotest.test_case "bind and ACL decisions" `Quick test_bind_and_acl_recorded;
         Alcotest.test_case "/proc/protego/audit" `Quick test_proc_interface;
         Alcotest.test_case "engine metadata" `Quick test_engine_metadata;
-        Alcotest.test_case "ring bound" `Quick test_ring_bounded ]) ]
+        Alcotest.test_case "ring bound" `Quick test_ring_bounded;
+        Alcotest.test_case "LSM decision text" `Quick test_lsm_text ]) ]

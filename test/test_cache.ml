@@ -484,6 +484,76 @@ let fixture () =
   img.Image.machine.password_source <- (fun _ -> None);
   img
 
+(* The LSM hooks around a warm table hit, record mode off: each writes
+   one typed decision record and formats nothing, so a call allocates a
+   small fixed number of words whatever its path lengths.  Arguments are
+   fresh copies per call, as a syscall's copy from user memory makes, so
+   the front slot misses and the table serves.  Measured: 68 words per
+   sb_umount (the path normalization and mount-table lookup), 36 per
+   socket_bind, 22 per ppp file_ioctl; the bounds leave 25% headroom.
+   Building the audit text on this path instead costs 125, 178 and 76
+   words a call. *)
+let test_hooks_format_nothing () =
+  let img = fixture () in
+  let m = img.Image.machine in
+  let lsm = Option.get img.Image.protego in
+  let disp = Protego_core.Lsm.dispatch lsm in
+  let alice = Image.login img "alice" in
+  let exim =
+    Machine.spawn_task m ~cred:(Cred.make ~uid:Image.exim_uid ~gid:Image.exim_uid ())
+      ~cwd:"/" ()
+  in
+  exim.exe_path <- "/usr/sbin/exim4";
+  Syntax.expect_ok "mount"
+    (Syscall.mount m alice ~source:"/dev/cdrom" ~target:"/media/cdrom"
+       ~fstype:"iso9660" ~flags:[ Mf_readonly; Mf_nosuid; Mf_nodev ]);
+  let sock =
+    let fd = Syntax.expect_ok "socket" (Syscall.socket m exim Af_inet Sock_stream 6) in
+    match List.assoc_opt fd exim.fds with
+    | Some { fobj = F_socket s; _ } -> s
+    | _ -> Alcotest.fail "no socket"
+  in
+  let n = 2000 in
+  let emitted () = m.audit.Protego_journal.Journal.sk_emitted in
+  let per_call name ~records f =
+    f 0;
+    let hits = DC.hits (PD.cache disp) and e0 = emitted () in
+    let w = words_per_call n f in
+    check_int (name ^ ": every call a table hit") (hits + n)
+      (DC.hits (PD.cache disp));
+    check_int (name ^ ": records written") (if records then e0 + n else e0)
+      (emitted ());
+    w
+  in
+  let bounded name w bound =
+    check (Printf.sprintf "%s: %.2f words per call <= %d" name w bound) true
+      (w <= float_of_int bound)
+  in
+  let targets = Array.init n (fun _ -> fresh "/media/cdrom") in
+  let umount =
+    per_call "sb_umount" ~records:true (fun i ->
+        ignore (m.security.sb_umount m alice ~target:targets.(i)))
+  in
+  let exes = Array.init n (fun _ -> fresh "/usr/sbin/exim4") in
+  let bind =
+    per_call "socket_bind" ~records:true (fun i ->
+        exim.exe_path <- exes.(i);
+        ignore (m.security.socket_bind m exim sock Protego_net.Ipaddr.any 25))
+  in
+  let reqs =
+    Array.init n (fun _ ->
+        Ioctl_modem_config
+          { ioctl_dev = fresh "/dev/ttyS0";
+            ppp_opt = Protego_net.Ppp.Compression (fresh "deflate") })
+  in
+  let ioctl =
+    per_call "file_ioctl" ~records:false (fun i ->
+        ignore (m.security.file_ioctl m alice reqs.(i)))
+  in
+  bounded "sb_umount" umount 85;
+  bounded "socket_bind" bind 45;
+  bounded "file_ioctl" ioctl 28
+
 let test_cache_stats_proc () =
   let img = fixture () in
   let m = img.Image.machine in
@@ -647,7 +717,9 @@ let suites =
         Alcotest.test_case "separator-laden tuples" `Quick
           test_dispatch_separator_tuples;
         Alcotest.test_case "a table hit renders nothing" `Quick
-          test_dispatch_hit_no_rendering ]);
+          test_dispatch_hit_no_rendering;
+        Alcotest.test_case "a warm LSM hook formats nothing" `Quick
+          test_hooks_format_nothing ]);
     ("cache:proc",
       [ Alcotest.test_case "/proc/protego/cache_stats" `Quick
           test_cache_stats_proc ]);

@@ -382,6 +382,116 @@ let test_load_corrupt () =
       ("phase", 3, 9, Protego_base.Phase.count, "phase 3");
       ("kaudit allowed", 4, 5, 2, "allowed 2") ]
 
+(* --- LSM decision records -------------------------------------------------- *)
+
+(* One record of each reqtag through the kernel audit sink: a mount with
+   record mode off, a recorded umount, an enforce-mode bind denial and a
+   record-mode ppp allow. *)
+let lsm_sink () =
+  let sk = J.sink ~seg_bytes:4096 ~segments:4 () in
+  J.sink_mount sk ~time:7. ~pid:3 ~uid:1000 ~subject:1000 ~phase:1
+    ~engine:J.engine_cache ~span:0 ~verdict:1 ~record:false ~source:"/dev/sdb1"
+    ~target:"/media/usb" ~fstype:"vfat"
+    ~flags:[ Mf_nodev; Mf_nosuid; Mf_nodev ]
+    ~flag_code:Ktypes.mount_flag_code;
+  J.sink_umount sk ~time:8. ~pid:3 ~uid:1000 ~subject:1000 ~phase:0
+    ~engine:J.engine_pfm ~span:12 ~verdict:3 ~record:true ~target:"/media/usb"
+    ~mounted_by:1001;
+  J.sink_bind sk ~time:9. ~pid:4 ~uid:101 ~subject:101 ~phase:2
+    ~engine:J.engine_ref ~span:0 ~verdict:0 ~record:false ~port:25 ~proto:1
+    ~exe:"/usr/sbin/exim4";
+  J.sink_ppp sk ~time:10. ~pid:3 ~uid:1000 ~subject:1000 ~phase:0
+    ~engine:J.engine_cache ~span:0 ~verdict:1 ~device:"/dev/ttyS0" ~safe:true;
+  sk
+
+let test_lsm_roundtrip () =
+  let sk = lsm_sink () in
+  check_int "one seq per record" 4 sk.J.sk_seq;
+  check_int "view records: the recorded umount counts twice" 5
+    sk.J.sk_emitted;
+  match J.entries sk.J.sk_journal with
+  | [ J.Decision m; J.Decision u; J.Decision b; J.Decision p ] ->
+      List.iteri
+        (fun i (d : J.decision) ->
+          check_bool (Printf.sprintf "record %d: seq, fixed run" i) true
+            (d.J.d_seq = i && d.J.d_run = J.lsm_run && d.J.d_lsm <> None))
+        [ m; u; b; p ];
+      (match (m.J.d_req, m.J.d_lsm) with
+      | J.Mount { source; target; fstype; flags }, Some l ->
+          check_bool "mount fields" true
+            (source = "/dev/sdb1" && target = "/media/usb" && fstype = "vfat"
+            && flags = 0x6 && m.J.d_phase = 1 && m.J.d_verdict = 1
+            && m.J.d_errno = 0);
+          check_bool "mount origin" true
+            (l.J.l_time = 7. && l.J.l_pid = 3 && l.J.l_uid = 1000
+            && l.J.l_engine = J.engine_cache && l.J.l_span = None
+            && (not l.J.l_record) && l.J.l_flags = [ 2; 1; 2 ])
+      | _ -> Alcotest.fail "mount record");
+      (match (u.J.d_req, u.J.d_lsm) with
+      | J.Umount { target; mounted_by }, Some l ->
+          check_bool "umount" true
+            (target = "/media/usb" && mounted_by = 1001 && u.J.d_verdict = 3
+            && l.J.l_record && l.J.l_span = Some 12 && l.J.l_flags = [])
+      | _ -> Alcotest.fail "umount record");
+      (match b.J.d_req with
+      | J.Bind { port; proto; exe } ->
+          check_bool "bind" true
+            (port = 25 && proto = 1 && exe = "/usr/sbin/exim4"
+            && b.J.d_errno = Errno.to_code Errno.EACCES)
+      | _ -> Alcotest.fail "bind record");
+      (match p.J.d_req with
+      | J.Ppp { device; safe } ->
+          check_bool "ppp" true (device = "/dev/ttyS0" && safe)
+      | _ -> Alcotest.fail "ppp record");
+      check_bool "dump names the origin" true
+        (contains (J.entry_to_string (J.Decision u))
+           "lsm time=8 pid=3 uid=1000 engine=pfm span=12 record")
+  | es -> Alcotest.failf "expected 4 decisions, got %d" (List.length es)
+
+(* Every out-of-range field of an LSM record, one byte flipped at a
+   time: [load] refuses the image, naming the field.  The record has no
+   allowed bit of its own: the verdict carries it, and the mode byte
+   must agree with it. *)
+let test_lsm_load_corrupt () =
+  let sk = lsm_sink () in
+  with_temp @@ fun path ->
+  J.save sk.J.sk_journal path;
+  let image = In_channel.with_open_bin path In_channel.input_all in
+  let store = String.length image - (4096 * 4) in
+  let starts = Array.make 4 store in
+  for i = 1 to 3 do
+    let prev = starts.(i - 1) in
+    starts.(i) <-
+      prev + (Int32.to_int (String.get_int32_le image prev) land 0x3FFFFFFF)
+  done;
+  (match J.load path with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "pristine image refused: %s" e);
+  List.iter
+    (fun (what, record, field, byte, expect) ->
+      let b = Bytes.of_string image in
+      Bytes.set_uint8 b (starts.(record) + field) byte;
+      write_file path (Bytes.to_string b);
+      match J.load path with
+      | Error e ->
+          check_bool (Printf.sprintf "%s: %s" what e) true (contains e expect)
+      | Ok _ -> Alcotest.failf "%s: corrupted image loaded" what)
+    [ ("reqtag", 0, 6, 4, "reqtag 4");
+      ("engine code", 0, 8, 3, "engine 3");
+      ("verdict reject", 0, 7, 2, "verdict 2");
+      ("verdict past recorded", 0, 7, 4, "verdict 4");
+      ("recorded outside record mode", 0, 7, 3, "verdict 3");
+      ("phase", 0, 9, Protego_base.Phase.count, "phase 3");
+      ("mode byte", 0, 5, 2, "record mode 2");
+      ("flag code", 0, 39, 16, "flag code 16");
+      ("flag count", 0, 38, 250, "flag codes run past record end");
+      ("record mode without its verdict", 1, 5, 0, "verdict 3");
+      ("deny in record mode", 2, 5, 1, "verdict 0");
+      ("proto", 2, 40, 2, "proto 2");
+      ("ppp safe", 3, 38, 2, "ppp safe 2");
+      ("ppp outside record mode", 3, 5, 0, "ppp record outside record mode");
+      ("string length", 3, 39, 255, "past record end") ]
+
 (* --- kernel audit ring view ---------------------------------------------- *)
 
 let fixture () =
@@ -684,6 +794,10 @@ let suites =
        Alcotest.test_case "PJRNL1 image refused" `Quick test_load_v1;
        Alcotest.test_case "corrupted record refused" `Quick
          test_load_corrupt ]);
+    ("journal:lsm",
+     [ Alcotest.test_case "LSM records round-trip" `Quick test_lsm_roundtrip;
+       Alcotest.test_case "every out-of-range LSM field refused" `Quick
+         test_lsm_load_corrupt ]);
     ("journal:kaudit",
      [ Alcotest.test_case "ring view drop counting" `Quick
          test_kernel_audit_dropped ]);

@@ -699,7 +699,8 @@ let test_replay_missing_epochs () =
       d_req =
         J.Mount
           { source = "/dev/wl1"; target = "/media/wl1"; fstype = "ext4";
-            flags = 0 } }
+            flags = 0 };
+      d_lsm = None }
   in
   (* Evict epoch 0 from the 2-deep window. *)
   for _ = 1 to 3 do

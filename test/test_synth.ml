@@ -123,6 +123,58 @@ let test_closed_loop () =
         (String.length reason > 0))
     r.Synth.r_inadmissible
 
+(* --- the LSM lane ---------------------------------------------------------- *)
+
+(* The same loop on the kernel's own path: the deny-flood's requests run
+   as syscalls through the LSM hooks in record mode, and the machine's
+   audit journal, saved and loaded back, is the synthesizer's input.
+   Every hook record carries the verdict the reference oracle gives its
+   request under the policy the hooks enforced. *)
+let test_lsm_closed_loop () =
+  let module L = Protego_synth.Lsm_record in
+  let spec =
+    Workload.default ~seed:7 ~phases:[ (Workload.Deny_flood, 3_000) ] ()
+  in
+  let reqs = harden (Workload.generate spec ~workers:1).Workload.s_requests in
+  let r =
+    match L.run spec reqs with Ok r -> r | Error e -> Alcotest.fail e
+  in
+  check_bool "hooks decided most requests" true (r.L.decided > r.L.requests / 2);
+  check_bool "would-denies recorded" true (r.L.recorded > 0);
+  let path = Filename.temp_file "lsm" ".bin" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  J.save r.L.journal path;
+  let j = match J.load path with Ok j -> j | Error e -> Alcotest.fail e in
+  let entries = J.entries j in
+  List.iter
+    (function
+      | J.Kaudit _ -> ()
+      | J.Decision d ->
+          let phase, req = Plane.request_of_decision d in
+          let phase = Phase.of_index phase and st = r.L.state in
+          let allowed =
+            match req with
+            | Plane.Mount { source; target; fstype; flags; _ } ->
+                PS.mount_decision ~phase st ~source ~target ~fstype ~flags
+            | Plane.Umount { subject; target; mounted_by } ->
+                PS.umount_decision ~phase st ~target ~mounted_by ~ruid:subject
+            | Plane.Bind { subject; port; proto; exe } ->
+                PS.bind_allowed ~phase st ~port ~proto ~exe ~uid:subject
+            | Plane.Ppp_ioctl { device; opt; _ } ->
+                PS.ppp_ioctl_decision ~phase st ~device ~opt
+          in
+          check_bool (J.entry_to_string (J.Decision d)) allowed
+            (d.J.d_verdict = 1);
+          check_bool "an LSM record, in record mode" true
+            (match d.J.d_lsm with Some l -> l.J.l_record | None -> false))
+    entries;
+  let obs = Synth.observations entries in
+  let res = Synth.synthesize obs in
+  check_bool "something synthesized" true
+    (res.Synth.r_mounts <> [] && res.Synth.r_binds <> []);
+  assert_strict_clean "LSM lane" res;
+  assert_replay_clean "LSM lane" obs res
+
 (* --- determinism --------------------------------------------------------- *)
 
 let test_byte_identical_resynthesis () =
@@ -243,7 +295,9 @@ let suites =
       [ Alcotest.test_case "record -> synthesize -> lint -> load -> replay"
           `Quick test_closed_loop;
         Alcotest.test_case "byte-identical re-synthesis" `Quick
-          test_byte_identical_resynthesis ] );
+          test_byte_identical_resynthesis;
+        Alcotest.test_case "LSM lane: record -> synthesize -> replay" `Quick
+          test_lsm_closed_loop ] );
     ( "synth:fixture",
       [ Alcotest.test_case "committed recording dumps one phase per decision"
           `Quick test_fixture_dump ] );
