@@ -31,21 +31,20 @@ let load_or_die file =
       Printf.eprintf "protego-journal: %s: %s\n%!" file msg;
       exit 1
 
-(* Dump filters.  An entry's hook is the request kind for decision
-   records, plane or LSM; a kaudit record carries one only when it is
-   the netfilter hook's record-mode descriptor (op "record-nf").
-   --deny-only keeps enforce-mode denials (verdict 0/2, or a disallowed
-   kaudit); --record-only keeps the permissive record-mode trail
-   (decision verdict 3, any LSM decision made in record mode, or a
-   record-nf descriptor). *)
+(* Dump filters.  An entry's hook is the request kind of a decision
+   record, plane or LSM; a kaudit record has none.  --deny-only keeps
+   enforce-mode denials (verdict 0/2, or a disallowed kaudit);
+   --record-only keeps the permissive record-mode trail (decision
+   verdict 3, or any LSM decision made in record mode). *)
 let hook_of_entry = function
   | J.Decision d -> (
       match d.J.d_req with
       | J.Mount _ -> Some "mount"
       | J.Umount _ -> Some "umount"
       | J.Bind _ -> Some "bind"
-      | J.Ppp _ -> Some "ppp")
-  | J.Kaudit k -> if k.J.k_op = "record-nf" then Some "nf" else None
+      | J.Ppp _ -> Some "ppp"
+      | J.Nf _ -> Some "nf")
+  | J.Kaudit _ -> None
 
 let entry_selected ~hook ~deny_only ~record_only e =
   (match hook with None -> true | Some h -> hook_of_entry e = Some h)
@@ -59,7 +58,7 @@ let entry_selected ~hook ~deny_only ~record_only e =
      match e with
      | J.Decision { J.d_lsm = Some l; _ } -> l.J.l_record
      | J.Decision d -> d.J.d_verdict = 3
-     | J.Kaudit _ as e -> hook_of_entry e <> None)
+     | J.Kaudit _ -> false)
 
 let dump file hook deny_only record_only =
   let j = load_or_die file in
@@ -143,8 +142,8 @@ let hook_arg =
                         ("bind", "bind"); ("ppp", "ppp"); ("nf", "nf") ]))
            None
        & info [ "hook" ] ~docv:"HOOK"
-           ~doc:"Only records of this hook (decision request kind, or nf \
-                 for the netfilter record-mode kaudit descriptors).")
+           ~doc:"Only decision records of this hook (nf: the netfilter \
+                 OUTPUT hook's record-mode decisions).")
 
 let deny_only_arg =
   Arg.(value & flag
@@ -156,8 +155,7 @@ let record_only_arg =
   Arg.(value & flag
        & info [ "record-only" ]
            ~doc:"Only the permissive record-mode trail (decision verdict \
-                 'recorded', LSM decisions made in record mode, or \
-                 record-nf kernel audit descriptors).")
+                 'recorded', or LSM decisions made in record mode).")
 
 let dump_cmd =
   Cmd.v (Cmd.info "dump" ~doc:"Print every live record, one per line")

@@ -1,5 +1,7 @@
 module Errno = Protego_base.Errno
 module Phase = Protego_base.Phase
+module Packet = Protego_net.Packet
+module Ipaddr = Protego_net.Ipaddr
 
 (* Record framing.  Every record is 8-byte aligned and starts with one
    little-endian 32-bit header word:
@@ -199,233 +201,15 @@ let put_u16 b off v = Bytes.set_uint16_le b off v
 let put_u32 b off v = Bytes.set_int32_le b off (Int32.of_int v)
 let get_u32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xFFFFFFFF
 
-(* Decision record, after the header word:
-     4  kind = 1          5  domain         6  reqtag (0..3)
-     7  verdict (0..3)    8  errno (0 = none)
-     9  phase ({!Protego_base.Phase.index} it was served under)
-    10  seq u32          14  run u32       18  epoch u32     22  subject u32
-    26  per-reqtag body (fixed fields first, then length-prefixed strings) *)
-
-let put_decision tm ~at ~reqtag ~seq ~run ~epoch ~phase ~subject ~verdict
-    ~errno =
-  let j = tm.tm_j in
-  let b = phys j at in
-  let o = at land j.jseg_mask in
-  put_u8 b (o + 4) 1;
-  put_u8 b (o + 5) tm.tm_domain;
-  put_u8 b (o + 6) reqtag;
-  put_u8 b (o + 7) verdict;
-  put_u8 b (o + 8) errno;
-  put_u8 b (o + 9) phase;
-  put_u32 b (o + 10) seq;
-  put_u32 b (o + 14) run;
-  put_u32 b (o + 18) epoch;
-  put_u32 b (o + 22) subject;
-  (b, o)
-
-let finish tm ~at ~len =
-  set_header tm.tm_j ~at ~len ~padding:false;
-  tm.tm_records <- tm.tm_records + 1;
-  tm.tm_bytes <- tm.tm_bytes + len
-
-let append_mount tm ~seq ~run ~epoch ~phase ~subject ~verdict ~errno ~source
-    ~target ~fstype ~flags =
-  let len =
-    rounded (28 + str_len source + str_len target + str_len fstype)
-  in
-  let at = claim tm len in
-  let b, o =
-    put_decision tm ~at ~reqtag:0 ~seq ~run ~epoch ~phase ~subject ~verdict
-      ~errno
-  in
-  put_u16 b (o + 26) flags;
-  let p = put_str b (o + 28) source in
-  let p = put_str b p target in
-  ignore (put_str b p fstype : int);
-  finish tm ~at ~len
-
-let append_umount tm ~seq ~run ~epoch ~phase ~subject ~verdict ~errno ~target
-    ~mounted_by =
-  let len = rounded (30 + str_len target) in
-  let at = claim tm len in
-  let b, o =
-    put_decision tm ~at ~reqtag:1 ~seq ~run ~epoch ~phase ~subject ~verdict
-      ~errno
-  in
-  put_u32 b (o + 26) mounted_by;
-  ignore (put_str b (o + 30) target : int);
-  finish tm ~at ~len
-
-let append_bind tm ~seq ~run ~epoch ~phase ~subject ~verdict ~errno ~port
-    ~proto ~exe =
-  let len = rounded (29 + str_len exe) in
-  let at = claim tm len in
-  let b, o =
-    put_decision tm ~at ~reqtag:2 ~seq ~run ~epoch ~phase ~subject ~verdict
-      ~errno
-  in
-  put_u16 b (o + 26) port;
-  put_u8 b (o + 28) proto;
-  ignore (put_str b (o + 29) exe : int);
-  finish tm ~at ~len
-
-let append_ppp tm ~seq ~run ~epoch ~phase ~subject ~verdict ~errno ~device
-    ~safe =
-  let len = rounded (27 + str_len device) in
-  let at = claim tm len in
-  let b, o =
-    put_decision tm ~at ~reqtag:3 ~seq ~run ~epoch ~phase ~subject ~verdict
-      ~errno
-  in
-  put_u8 b (o + 26) (if safe then 1 else 0);
-  ignore (put_str b (o + 27) device : int);
-  finish tm ~at ~len
-
-(* Kernel audit record, after the header word:
-     4  kind = 2          5  allowed
-     6  time f64 bits    14  pid u32       18  uid u32
-    22  span u32 (0xFFFFFFFF = none)
-    26  strings: op, obj, engine ("" = none) *)
-
-let append_kaudit tm ~time ~pid ~uid ~op ~obj ~allowed ~engine ~span =
-  let engine_s = match engine with Some e -> e | None -> "" in
-  let len = rounded (26 + str_len op + str_len obj + str_len engine_s) in
-  let at = claim tm len in
-  let j = tm.tm_j in
-  let b = phys j at in
-  let o = at land j.jseg_mask in
-  put_u8 b (o + 4) 2;
-  put_u8 b (o + 5) (if allowed then 1 else 0);
-  Bytes.set_int64_le b (o + 6) (Int64.bits_of_float time);
-  put_u32 b (o + 14) pid;
-  put_u32 b (o + 18) uid;
-  put_u32 b (o + 22) (match span with Some s -> s | None -> 0xFFFFFFFF);
-  let p = put_str b (o + 26) op in
-  let p = put_str b p obj in
-  ignore (put_str b p engine_s : int);
-  finish tm ~at ~len
-
-(* LSM decision record, after the header word:
-     4  kind = 3          5  mode (bit 0: record mode was on; no other bits)
-     6  reqtag (0..3)     7  verdict (0 deny, 1 allow, 3 recorded)
-     8  engine (0 cache, 1 pfm, 2 ref)
-     9  phase ({!Protego_base.Phase.index} it was served under)
-    10  seq u32          14  subject u32   18  pid u32       22  uid u32
-    26  span u32 (0 = none)
-    30  time f64 bits
-    38  per-reqtag body (fixed fields first, then length-prefixed strings):
-          mount   38 flag count n, then n flag codes (request order),
-                     then source, target, fstype
-          umount  38 mounted_by u32, 42 target
-          bind    38 port u16, 40 proto, 41 exe
-          ppp     38 safe, 39 device
-   The run is not stored: every LSM record decodes with run {!lsm_run}
-   and the sink's own contiguous seq. *)
-
-let engine_cache = 0
-let engine_pfm = 1
-let engine_ref = 2
-let lsm_run = 0
-
-let put_lsm sk ~at ~reqtag ~time ~pid ~uid ~subject ~phase ~engine ~span
-    ~verdict ~record =
-  let tm = sk.sk_term in
-  let j = tm.tm_j in
-  let b = phys j at in
-  let o = at land j.jseg_mask in
-  put_u8 b (o + 4) 3;
-  put_u8 b (o + 5) (if record then 1 else 0);
-  put_u8 b (o + 6) reqtag;
-  put_u8 b (o + 7) verdict;
-  put_u8 b (o + 8) engine;
-  put_u8 b (o + 9) phase;
-  put_u32 b (o + 10) sk.sk_seq;
-  put_u32 b (o + 14) subject;
-  put_u32 b (o + 18) pid;
-  put_u32 b (o + 22) uid;
-  put_u32 b (o + 26) span;
-  Bytes.set_int64_le b (o + 30) (Int64.bits_of_float time);
-  (b, o)
-
-(* One LSM record: the next seq, and the view records it stands for (a
-   record-mode mount, umount or bind renders two audit lines). *)
-let sink_finish sk ~at ~len ~views =
-  finish sk.sk_term ~at ~len;
-  sk.sk_seq <- sk.sk_seq + 1;
-  sk.sk_emitted <- sk.sk_emitted + views
-
-let views_of record = if record then 2 else 1
-
-let sink_mount sk ~time ~pid ~uid ~subject ~phase ~engine ~span ~verdict
-    ~record ~source ~target ~fstype ~flags ~flag_code =
-  let n = List.length flags in
-  let n = if n > max_string then max_string else n in
-  let len =
-    rounded (39 + n + str_len source + str_len target + str_len fstype)
-  in
-  let at = claim sk.sk_term len in
-  let b, o =
-    put_lsm sk ~at ~reqtag:0 ~time ~pid ~uid ~subject ~phase ~engine ~span
-      ~verdict ~record
-  in
-  put_u8 b (o + 38) n;
-  let fl = ref flags in
-  for i = 0 to n - 1 do
-    match !fl with
-    | f :: rest ->
-        put_u8 b (o + 39 + i) (flag_code f);
-        fl := rest
-    | [] -> ()
-  done;
-  let p = put_str b (o + 39 + n) source in
-  let p = put_str b p target in
-  ignore (put_str b p fstype : int);
-  sink_finish sk ~at ~len ~views:(views_of record)
-
-let sink_umount sk ~time ~pid ~uid ~subject ~phase ~engine ~span ~verdict
-    ~record ~target ~mounted_by =
-  let len = rounded (42 + str_len target) in
-  let at = claim sk.sk_term len in
-  let b, o =
-    put_lsm sk ~at ~reqtag:1 ~time ~pid ~uid ~subject ~phase ~engine ~span
-      ~verdict ~record
-  in
-  put_u32 b (o + 38) mounted_by;
-  ignore (put_str b (o + 42) target : int);
-  sink_finish sk ~at ~len ~views:(views_of record)
-
-let sink_bind sk ~time ~pid ~uid ~subject ~phase ~engine ~span ~verdict
-    ~record ~port ~proto ~exe =
-  let len = rounded (41 + str_len exe) in
-  let at = claim sk.sk_term len in
-  let b, o =
-    put_lsm sk ~at ~reqtag:2 ~time ~pid ~uid ~subject ~phase ~engine ~span
-      ~verdict ~record
-  in
-  put_u16 b (o + 38) port;
-  put_u8 b (o + 40) proto;
-  ignore (put_str b (o + 41) exe : int);
-  sink_finish sk ~at ~len ~views:(views_of record)
-
-let sink_ppp sk ~time ~pid ~uid ~subject ~phase ~engine ~span ~verdict
-    ~device ~safe =
-  let len = rounded (39 + str_len device) in
-  let at = claim sk.sk_term len in
-  let b, o =
-    put_lsm sk ~at ~reqtag:3 ~time ~pid ~uid ~subject ~phase ~engine ~span
-      ~verdict ~record:true
-  in
-  put_u8 b (o + 38) (if safe then 1 else 0);
-  ignore (put_str b (o + 39) device : int);
-  sink_finish sk ~at ~len ~views:1
-
-(* --- decoding ----------------------------------------------------------- *)
+type nf_origin = [ `Kernel | `Raw | `Packet ]
 
 type req =
   | Mount of { source : string; target : string; fstype : string; flags : int }
   | Umount of { target : string; mounted_by : int }
   | Bind of { port : int; proto : int; exe : string }
   | Ppp of { device : string; safe : bool }
+  | Nf of { origin : nf_origin; proto : Packet.proto; dst : Ipaddr.t;
+            dport : int option; icmp : Packet.icmp_type option }
 
 type lsm = {
   l_time : float;
@@ -463,10 +247,8 @@ type kaudit = {
 
 type entry = Decision of decision | Kaudit of kaudit
 
-(* The one decoder.  Every field is range-checked, so a record either
-   decodes to a value the encoders could have written or raises
-   [Failure]; {!load} runs it over the whole live window, which is what
-   keeps {!iter} total on a loaded image. *)
+(* Every field is range-checked on decode, so a record either decodes to
+   a value the encoders could have written or raises [Failure]. *)
 let malformed fmt = Printf.ksprintf (fun s -> failwith ("Journal: " ^ s)) fmt
 
 let get_str b off lim =
@@ -480,13 +262,342 @@ let get_bounded b off what max =
   if v > max then malformed "%s %d out of range" what v;
   v
 
+(* --- request bodies ------------------------------------------------------- *)
+
+(* A decision record's request body starts at [body1] in kind 1 and at
+   [body3] in kind 3, and is laid out the same way from there, so each
+   body has one size, one writer and one reader, used at either offset.
+   Only the mount prefix is per kind (kind 1 stores the flag mask, kind
+   3 the flag codes); its three strings are shared. *)
+let body1 = 26
+let body3 = 38
+
+let mount_strings_len ~source ~target ~fstype =
+  str_len source + str_len target + str_len fstype
+let put_mount_strings b o ~source ~target ~fstype =
+  let p = put_str b (put_str b o source) target in
+  ignore (put_str b p fstype : int)
+let get_mount_strings b o lim ~flags =
+  let source, p = get_str b o lim in
+  let target, p = get_str b p lim in
+  Mount { source; target; fstype = fst (get_str b p lim); flags }
+
+let umount_len target = 4 + str_len target
+let put_umount b o ~target ~mounted_by =
+  put_u32 b o mounted_by;
+  ignore (put_str b (o + 4) target : int)
+let get_umount b o lim =
+  let mounted_by = get_u32 b o in
+  Umount { target = fst (get_str b (o + 4) lim); mounted_by }
+
+let bind_len exe = 3 + str_len exe
+let put_bind b o ~port ~proto ~exe =
+  put_u16 b o port;
+  put_u8 b (o + 2) proto;
+  ignore (put_str b (o + 3) exe : int)
+let get_bind b o lim =
+  let port = Bytes.get_uint16_le b o in
+  let proto = get_bounded b (o + 2) "proto" 1 in
+  Bind { port; proto; exe = fst (get_str b (o + 3) lim) }
+
+let ppp_len device = 1 + str_len device
+let put_ppp b o ~device ~safe =
+  put_u8 b o (if safe then 1 else 0);
+  ignore (put_str b (o + 1) device : int)
+let get_ppp b o lim =
+  let safe = get_bounded b o "ppp safe" 1 = 1 in
+  Ppp { device = fst (get_str b (o + 1) lim); safe }
+
+(* The netfilter OUTPUT body (kind 3 only), fixed fields:
+     +0  origin (0 kernel, 1 raw, 2 packet)  +1  proto (0 icmp, 1 tcp,
+     +2  other protocol's number u16              2 udp, 3 other)
+     +4  destination address u32             +8  dport present (0/1)
+     +9  dport u16                          +11  ICMP type code (0xFF none)
+   A hand-built header's port or protocol number wider than 16 bits is
+   stored truncated.  Like every writer, [put_nf] allocates nothing. *)
+let nf_len = 12
+
+let put_nf b o (pkt : Packet.t) (origin : Packet.origin) =
+  put_u8 b o
+    (match origin with
+     | Packet.Kernel_stack -> 0
+     | Packet.Raw_app _ -> 1
+     | Packet.Packet_app _ -> 2);
+  let proto, num, has_port, port, icmp =
+    match pkt.Packet.transport with
+    | Packet.Icmp_msg { icmp_type; _ } ->
+        (0, 0, false, 0, Packet.icmp_type_code icmp_type)
+    | Packet.Tcp_seg { dst_port; _ } -> (1, 0, true, dst_port, 0xFF)
+    | Packet.Udp_dgram { dst_port; _ } -> (2, 0, true, dst_port, 0xFF)
+    | Packet.Raw_payload { protocol; _ } ->
+        ((match protocol with 1 -> 0 | 6 -> 1 | 17 -> 2 | _ -> 3), protocol,
+         false, 0, 0xFF)
+  in
+  put_u8 b (o + 1) proto;
+  put_u16 b (o + 2) (num land 0xFFFF);
+  Bytes.set_int32_le b (o + 4) (Ipaddr.to_int32 pkt.Packet.dst);
+  put_u8 b (o + 8) (Bool.to_int has_port);
+  put_u16 b (o + 9) (port land 0xFFFF);
+  put_u8 b (o + 11) icmp
+
+let nf_origins = [| `Kernel; `Raw; `Packet |]
+let nf_protos = [| Packet.Icmp; Packet.Tcp; Packet.Udp |]
+
+let get_nf b o lim =
+  if o + nf_len > lim then malformed "nf record runs past record end";
+  let origin = nf_origins.(get_bounded b o "nf origin" 2) in
+  let proto =
+    match get_bounded b (o + 1) "nf proto" 3 with
+    | 3 -> Packet.Other (Bytes.get_uint16_le b (o + 2))
+    | c -> nf_protos.(c)
+  in
+  let dst = Ipaddr.of_int32 (Bytes.get_int32_le b (o + 4)) in
+  let dport =
+    if get_bounded b (o + 8) "nf dport flag" 1 = 0 then None
+    else Some (Bytes.get_uint16_le b (o + 9))
+  in
+  let icmp =
+    match Bytes.get_uint8 b (o + 11) with
+    | 0xFF -> None
+    | c when Packet.icmp_type_of_code c = None ->
+        malformed "ICMP type %d out of range" c
+    | c -> Packet.icmp_type_of_code c
+  in
+  Nf { origin; proto; dst; dport; icmp }
+
+(* Decision record, after the header word:
+     4  kind = 1          5  domain         6  reqtag (0..3)
+     7  verdict (0..3)    8  errno (0 = none)
+     9  phase ({!Protego_base.Phase.index} it was served under)
+    10  seq u32          14  run u32       18  epoch u32     22  subject u32
+    26  request body: mount flags mask u16, then its strings (28); the
+        other reqtags' shared bodies *)
+
+(* The header writers return the body's offset in the segment: an int,
+   so appending allocates nothing. *)
+let put_decision tm ~at ~reqtag ~seq ~run ~epoch ~phase ~subject ~verdict
+    ~errno =
+  let j = tm.tm_j in
+  let b = phys j at in
+  let o = at land j.jseg_mask in
+  put_u8 b (o + 4) 1;
+  put_u8 b (o + 5) tm.tm_domain;
+  put_u8 b (o + 6) reqtag;
+  put_u8 b (o + 7) verdict;
+  put_u8 b (o + 8) errno;
+  put_u8 b (o + 9) phase;
+  put_u32 b (o + 10) seq;
+  put_u32 b (o + 14) run;
+  put_u32 b (o + 18) epoch;
+  put_u32 b (o + 22) subject;
+  o + body1
+
+let finish tm ~at ~len =
+  set_header tm.tm_j ~at ~len ~padding:false;
+  tm.tm_records <- tm.tm_records + 1;
+  tm.tm_bytes <- tm.tm_bytes + len
+
+let append_mount tm ~seq ~run ~epoch ~phase ~subject ~verdict ~errno ~source
+    ~target ~fstype ~flags =
+  let len = rounded (body1 + 2 + mount_strings_len ~source ~target ~fstype) in
+  let at = claim tm len in
+  let o =
+    put_decision tm ~at ~reqtag:0 ~seq ~run ~epoch ~phase ~subject ~verdict
+      ~errno
+  in
+  let b = phys tm.tm_j at in
+  put_u16 b o flags;
+  put_mount_strings b (o + 2) ~source ~target ~fstype;
+  finish tm ~at ~len
+
+let append_umount tm ~seq ~run ~epoch ~phase ~subject ~verdict ~errno ~target
+    ~mounted_by =
+  let len = rounded (body1 + umount_len target) in
+  let at = claim tm len in
+  let o =
+    put_decision tm ~at ~reqtag:1 ~seq ~run ~epoch ~phase ~subject ~verdict
+      ~errno
+  in
+  put_umount (phys tm.tm_j at) o ~target ~mounted_by;
+  finish tm ~at ~len
+
+let append_bind tm ~seq ~run ~epoch ~phase ~subject ~verdict ~errno ~port
+    ~proto ~exe =
+  let len = rounded (body1 + bind_len exe) in
+  let at = claim tm len in
+  let o =
+    put_decision tm ~at ~reqtag:2 ~seq ~run ~epoch ~phase ~subject ~verdict
+      ~errno
+  in
+  put_bind (phys tm.tm_j at) o ~port ~proto ~exe;
+  finish tm ~at ~len
+
+let append_ppp tm ~seq ~run ~epoch ~phase ~subject ~verdict ~errno ~device
+    ~safe =
+  let len = rounded (body1 + ppp_len device) in
+  let at = claim tm len in
+  let o =
+    put_decision tm ~at ~reqtag:3 ~seq ~run ~epoch ~phase ~subject ~verdict
+      ~errno
+  in
+  put_ppp (phys tm.tm_j at) o ~device ~safe;
+  finish tm ~at ~len
+
+(* Kernel audit record, after the header word:
+     4  kind = 2          5  allowed
+     6  time f64 bits    14  pid u32       18  uid u32
+    22  span u32 (0xFFFFFFFF = none)
+    26  strings: op, obj, engine ("" = none) *)
+
+let append_kaudit tm ~time ~pid ~uid ~op ~obj ~allowed ~engine ~span =
+  let engine_s = match engine with Some e -> e | None -> "" in
+  let len = rounded (26 + str_len op + str_len obj + str_len engine_s) in
+  let at = claim tm len in
+  let j = tm.tm_j in
+  let b = phys j at in
+  let o = at land j.jseg_mask in
+  put_u8 b (o + 4) 2;
+  put_u8 b (o + 5) (if allowed then 1 else 0);
+  Bytes.set_int64_le b (o + 6) (Int64.bits_of_float time);
+  put_u32 b (o + 14) pid;
+  put_u32 b (o + 18) uid;
+  put_u32 b (o + 22) (match span with Some s -> s | None -> 0xFFFFFFFF);
+  let p = put_str b (o + 26) op in
+  let p = put_str b p obj in
+  ignore (put_str b p engine_s : int);
+  finish tm ~at ~len
+
+(* LSM decision record, after the header word:
+     4  kind = 3          5  mode (bit 0: record mode was on; no other bits)
+     6  reqtag (0..4)     7  verdict (0 deny, 1 allow, 3 recorded)
+     8  engine (0 cache, 1 pfm, 2 ref)
+     9  phase ({!Protego_base.Phase.index} it was served under; 0 for nf)
+    10  seq u32          14  subject u32   18  pid u32       22  uid u32
+    26  span u32 (0 = none)
+    30  time f64 bits
+    38  request body: mount flag count n, then n flag codes (request
+        order), then its strings (39 + n); the other reqtags' shared
+        bodies; nf (reqtag 4) the netfilter body
+   The run is not stored: every LSM record decodes with run {!lsm_run}
+   and the sink's own contiguous seq. *)
+
+let engine_cache = 0
+let engine_pfm = 1
+let engine_ref = 2
+let lsm_run = 0
+
+let put_lsm sk ~at ~reqtag ~time ~pid ~uid ~subject ~phase ~engine ~span
+    ~verdict ~record =
+  let tm = sk.sk_term in
+  let j = tm.tm_j in
+  let b = phys j at in
+  let o = at land j.jseg_mask in
+  put_u8 b (o + 4) 3;
+  put_u8 b (o + 5) (if record then 1 else 0);
+  put_u8 b (o + 6) reqtag;
+  put_u8 b (o + 7) verdict;
+  put_u8 b (o + 8) engine;
+  put_u8 b (o + 9) phase;
+  put_u32 b (o + 10) sk.sk_seq;
+  put_u32 b (o + 14) subject;
+  put_u32 b (o + 18) pid;
+  put_u32 b (o + 22) uid;
+  put_u32 b (o + 26) span;
+  Bytes.set_int64_le b (o + 30) (Int64.bits_of_float time);
+  o + body3
+
+(* One LSM record: the next seq, and the view records it stands for (a
+   record-mode mount, umount or bind renders two audit lines). *)
+let sink_finish sk ~at ~len ~views =
+  finish sk.sk_term ~at ~len;
+  sk.sk_seq <- sk.sk_seq + 1;
+  sk.sk_emitted <- sk.sk_emitted + views
+
+let views_of record = if record then 2 else 1
+
+let sink_mount sk ~time ~pid ~uid ~subject ~phase ~engine ~span ~verdict
+    ~record ~source ~target ~fstype ~flags ~flag_code =
+  let n = List.length flags in
+  let n = if n > max_string then max_string else n in
+  let len =
+    rounded (body3 + 1 + n + mount_strings_len ~source ~target ~fstype)
+  in
+  let at = claim sk.sk_term len in
+  let o =
+    put_lsm sk ~at ~reqtag:0 ~time ~pid ~uid ~subject ~phase ~engine ~span
+      ~verdict ~record
+  in
+  let b = phys sk.sk_term.tm_j at in
+  put_u8 b o n;
+  let fl = ref flags in
+  for i = 1 to n do
+    match !fl with
+    | f :: rest ->
+        put_u8 b (o + i) (flag_code f);
+        fl := rest
+    | [] -> ()
+  done;
+  put_mount_strings b (o + 1 + n) ~source ~target ~fstype;
+  sink_finish sk ~at ~len ~views:(views_of record)
+
+let sink_umount sk ~time ~pid ~uid ~subject ~phase ~engine ~span ~verdict
+    ~record ~target ~mounted_by =
+  let len = rounded (body3 + umount_len target) in
+  let at = claim sk.sk_term len in
+  let o =
+    put_lsm sk ~at ~reqtag:1 ~time ~pid ~uid ~subject ~phase ~engine ~span
+      ~verdict ~record
+  in
+  put_umount (phys sk.sk_term.tm_j at) o ~target ~mounted_by;
+  sink_finish sk ~at ~len ~views:(views_of record)
+
+let sink_bind sk ~time ~pid ~uid ~subject ~phase ~engine ~span ~verdict
+    ~record ~port ~proto ~exe =
+  let len = rounded (body3 + bind_len exe) in
+  let at = claim sk.sk_term len in
+  let o =
+    put_lsm sk ~at ~reqtag:2 ~time ~pid ~uid ~subject ~phase ~engine ~span
+      ~verdict ~record
+  in
+  put_bind (phys sk.sk_term.tm_j at) o ~port ~proto ~exe;
+  sink_finish sk ~at ~len ~views:(views_of record)
+
+let sink_ppp sk ~time ~pid ~uid ~subject ~phase ~engine ~span ~verdict
+    ~device ~safe =
+  let len = rounded (body3 + ppp_len device) in
+  let at = claim sk.sk_term len in
+  let o =
+    put_lsm sk ~at ~reqtag:3 ~time ~pid ~uid ~subject ~phase ~engine ~span
+      ~verdict ~record:true
+  in
+  put_ppp (phys sk.sk_term.tm_j at) o ~device ~safe;
+  sink_finish sk ~at ~len ~views:1
+
+let sink_nf sk ~time ~pid ~uid ~engine ~span ~verdict pkt origin =
+  let len = rounded (body3 + nf_len) in
+  let at = claim sk.sk_term len in
+  let subject =
+    match origin with
+    | Packet.Kernel_stack -> 0
+    | Packet.Raw_app { uid } | Packet.Packet_app { uid } -> uid
+  in
+  let o =
+    put_lsm sk ~at ~reqtag:4 ~time ~pid ~uid ~subject ~phase:0 ~engine ~span
+      ~verdict ~record:true
+  in
+  put_nf (phys sk.sk_term.tm_j at) o pkt origin;
+  sink_finish sk ~at ~len ~views:1
+
+(* --- decoding ----------------------------------------------------------- *)
+
 (* Every record's fixed fields end within its first 32 bytes, and even
    the shortest valid record (empty strings) rounds up to 32. *)
 let min_record = 32
 
 (* The shortest LSM record (a ppp record with an empty device) rounds up
    to 40 bytes; every reqtag's fixed fields end within it except the
-   mount flag codes, which are checked against the record end. *)
+   mount flag codes and the nf body, which are checked against the
+   record end. *)
 let min_lsm_record = 40
 
 (* What a denial returned on the hook: EACCES for bind, EPERM otherwise
@@ -514,35 +625,26 @@ let decode_lsm b o lim len =
   let span = get_u32 b (o + 26) in
   let time = Int64.float_of_bits (Bytes.get_int64_le b (o + 30)) in
   let flags = ref [] in
+  let p = o + body3 in
   let req =
     match reqtag with
     | 0 ->
-        let n = Bytes.get_uint8 b (o + 38) in
-        if o + 39 + n > lim then malformed "flag codes run past record end";
+        let n = Bytes.get_uint8 b p in
+        if p + 1 + n > lim then malformed "flag codes run past record end";
         let mask = ref 0 in
-        for i = n - 1 downto 0 do
-          let c = get_bounded b (o + 39 + i) "flag code" 15 in
+        for i = n downto 1 do
+          let c = get_bounded b (p + i) "flag code" 15 in
           mask := !mask lor (1 lsl c);
           flags := c :: !flags
         done;
-        let source, p = get_str b (o + 39 + n) lim in
-        let target, p = get_str b p lim in
-        let fstype, _ = get_str b p lim in
-        Mount { source; target; fstype; flags = !mask }
-    | 1 ->
-        let mounted_by = get_u32 b (o + 38) in
-        let target, _ = get_str b (o + 42) lim in
-        Umount { target; mounted_by }
-    | 2 ->
-        let port = Bytes.get_uint16_le b (o + 38) in
-        let proto = get_bounded b (o + 40) "proto" 1 in
-        let exe, _ = get_str b (o + 41) lim in
-        Bind { port; proto; exe }
-    | 3 ->
-        if not record then malformed "LSM ppp record outside record mode";
-        let safe = get_bounded b (o + 38) "ppp safe" 1 = 1 in
-        let device, _ = get_str b (o + 39) lim in
-        Ppp { device; safe }
+        get_mount_strings b (p + 1 + n) lim ~flags:!mask
+    | 1 -> get_umount b p lim
+    | 2 -> get_bind b p lim
+    | 3 | 4 when not record ->
+        malformed "LSM %s record outside record mode"
+          (if reqtag = 3 then "ppp" else "nf")
+    | 3 -> get_ppp b p lim
+    | 4 -> get_nf b p lim
     | n -> malformed "unknown reqtag %d" n
   in
   Decision
@@ -555,6 +657,8 @@ let decode_lsm b o lim len =
             l_span = (if span = 0 then None else Some span);
             l_record = record; l_flags = !flags } }
 
+(* The one decoder: {!load} runs it over the whole live window, which is
+   what keeps {!iter} total on a loaded image. *)
 let decode_entry j ~at ~len =
   let b = phys j at in
   let o = at land j.jseg_mask in
@@ -571,27 +675,13 @@ let decode_entry j ~at ~len =
       let run = get_u32 b (o + 14) in
       let epoch = get_u32 b (o + 18) in
       let subject = get_u32 b (o + 22) in
+      let p = o + body1 in
       let req =
         match reqtag with
-        | 0 ->
-            let flags = Bytes.get_uint16_le b (o + 26) in
-            let source, p = get_str b (o + 28) lim in
-            let target, p = get_str b p lim in
-            let fstype, _ = get_str b p lim in
-            Mount { source; target; fstype; flags }
-        | 1 ->
-            let mounted_by = get_u32 b (o + 26) in
-            let target, _ = get_str b (o + 30) lim in
-            Umount { target; mounted_by }
-        | 2 ->
-            let port = Bytes.get_uint16_le b (o + 26) in
-            let proto = get_bounded b (o + 28) "proto" 1 in
-            let exe, _ = get_str b (o + 29) lim in
-            Bind { port; proto; exe }
-        | 3 ->
-            let safe = get_bounded b (o + 26) "ppp safe" 1 = 1 in
-            let device, _ = get_str b (o + 27) lim in
-            Ppp { device; safe }
+        | 0 -> get_mount_strings b (p + 2) lim ~flags:(Bytes.get_uint16_le b p)
+        | 1 -> get_umount b p lim
+        | 2 -> get_bind b p lim
+        | 3 -> get_ppp b p lim
         | n -> malformed "unknown reqtag %d" n
       in
       Decision
@@ -659,9 +749,8 @@ let entries j =
   List.rev !acc
 
 let decisions j =
-  let acc = ref [] in
-  iter j (function Decision d -> acc := d :: !acc | Kaudit _ -> ());
-  List.rev !acc
+  List.filter_map (function Decision d -> Some d | Kaudit _ -> None)
+    (entries j)
 
 let records_written j =
   List.fold_left (fun acc tm -> acc + tm.tm_records) j.jretired_records
@@ -771,6 +860,24 @@ let engine_name = function
 
 let proto_name p = if p = 0 then "tcp" else "udp"
 
+let origin_name = function
+  | `Kernel -> "kernel"
+  | `Raw -> "raw"
+  | `Packet -> "packet"
+
+let nf_fields ~origin ~proto ~dst ~dport ~icmp =
+  Printf.sprintf "proto=%s dst=%s dport=%s origin=%s icmp=%s"
+    (Packet.proto_to_string proto) (Ipaddr.to_string dst)
+    (match dport with Some p -> string_of_int p | None -> "-")
+    (origin_name origin)
+    (match icmp with Some t -> Packet.icmp_type_to_string t | None -> "-")
+
+let phase_name d =
+  match d.d_req with
+  | Nf _ -> "-"
+  | Mount _ | Umount _ | Bind _ | Ppp _ ->
+      Phase.to_string (Phase.of_index d.d_phase)
+
 let entry_to_string = function
   | Decision d ->
       let req =
@@ -785,6 +892,8 @@ let entry_to_string = function
               (proto_name proto) exe
         | Ppp { device; safe } ->
             Printf.sprintf "ppp %s %s" device (if safe then "safe" else "unsafe")
+        | Nf { origin; proto; dst; dport; icmp } ->
+            "nf " ^ nf_fields ~origin ~proto ~dst ~dport ~icmp
       in
       let origin =
         match d.d_lsm with
@@ -800,9 +909,7 @@ let entry_to_string = function
       Printf.sprintf
         "decision seq=%d run=%d epoch=%d phase=%s domain=%d subject=%d \
          verdict=%s errno=%s %s%s"
-        d.d_seq d.d_run d.d_epoch
-        (Phase.to_string (Phase.of_index d.d_phase))
-        d.d_domain d.d_subject
+        d.d_seq d.d_run d.d_epoch (phase_name d) d.d_domain d.d_subject
         (verdict_name d.d_verdict) (errno_name d.d_errno) req origin
   | Kaudit k ->
       Printf.sprintf

@@ -27,8 +27,11 @@
     2     Audit.emit, per kernel event    Kaudit
     3     an LSM hook, per decided        Decision (d_lsm = Some _),
           mount / umount / bind, and per  run lsm_run, the sink's seq
-          ppp ioctl in record mode
+          ppp ioctl and nf decision
+          in record mode
     v}
+
+    Reqtags: 0 mount, 1 umount, 2 bind, 3 ppp, 4 nf (kind 3 only).
 
     Plane decision records are stamped with run / submission sequence /
     snapshot epoch / serving phase; the first three are what let
@@ -127,11 +130,18 @@ val lsm_run : int
 
 (** {1 Decoding} *)
 
+(** Who built a packet's headers: the kernel stack or a raw/packet socket. *)
+type nf_origin = [ `Kernel | `Raw | `Packet ]
+
 type req =
   | Mount of { source : string; target : string; fstype : string; flags : int }
   | Umount of { target : string; mounted_by : int }
   | Bind of { port : int; proto : int; exe : string }
   | Ppp of { device : string; safe : bool }
+  | Nf of { origin : nf_origin; proto : Protego_net.Packet.proto;
+            dst : Protego_net.Ipaddr.t; dport : int option;
+            icmp : Protego_net.Packet.icmp_type option }
+      (** LSM only; [d_subject] is the origin's uid (0: kernel stack) *)
 
 (** The LSM-origin fields of a kind-3 record. *)
 type lsm = {
@@ -223,11 +233,23 @@ val stitch :
     number or on any missing (lost) record — the zero-lost,
     zero-duplicated guarantee is checked, not assumed. *)
 
+val phase_name : decision -> string
+(** The serving phase's name; ["-"] on an nf record (packets have none). *)
+
 val entry_to_string : entry -> string
 (** One-line rendering for the CLI ([protego-journal dump]). *)
 
 val proto_name : int -> string
 (** ["tcp"] for 0, ["udp"] otherwise. *)
+
+val origin_name : nf_origin -> string
+(** ["kernel"], ["raw"] or ["packet"]. *)
+
+val nf_fields :
+  origin:nf_origin -> proto:Protego_net.Packet.proto ->
+  dst:Protego_net.Ipaddr.t -> dport:int option ->
+  icmp:Protego_net.Packet.icmp_type option -> string
+(** ["proto=P dst=A dport=N|- origin=O icmp=T|-"], as in [record-nf]. *)
 
 val verdict_name : int -> string
 (** ["deny"], ["allow"], ["reject"] or ["recorded"] for codes 0-3. *)
@@ -250,7 +272,9 @@ val load : string -> (t, string) result
     out-of-range verdict, proto, ppp safety bit, phase or kaudit
     allowed bit; on an LSM record also an engine code, mode byte or
     flag code out of range, a verdict that contradicts the record-mode
-    bit, or a ppp record outside record mode) is an [Error].  On [Ok],
+    bit, a ppp or nf record outside record mode, or an nf origin,
+    proto code, dport flag or ICMP type code out of range) is an
+    [Error].  On [Ok],
     {!iter}, {!entries} and {!stitch} cannot raise on the image's
     records. *)
 
@@ -291,8 +315,8 @@ val sink_emit :
     next seq and counts it in [sk_emitted] as above; like every
     appender they allocate nothing.  [verdict] is 0 deny, 1 allow or 3
     recorded; [record] says record mode was on; [span] is 0 for none;
-    [phase] and [engine] as in {!lsm}.  The ppp record is written only
-    in record mode, so it takes no [record]. *)
+    [phase] and [engine] as in {!lsm}.  The ppp and nf records are
+    written only in record mode, so they take no [record]. *)
 
 val sink_mount :
   sink -> time:float -> pid:int -> uid:int -> subject:int -> phase:int ->
@@ -315,6 +339,14 @@ val sink_bind :
 val sink_ppp :
   sink -> time:float -> pid:int -> uid:int -> subject:int -> phase:int ->
   engine:int -> span:int -> verdict:int -> device:string -> safe:bool -> unit
+
+val sink_nf :
+  sink -> time:float -> pid:int -> uid:int -> engine:int -> span:int ->
+  verdict:int -> Protego_net.Packet.t -> Protego_net.Packet.origin -> unit
+(** Reqtag 4, a netfilter OUTPUT decision: the packet's origin, protocol,
+    destination, destination port and ICMP type (the port and an other
+    protocol's number stored as 16 bits); the subject is the origin's
+    uid (0 for the kernel stack) and the phase 0. *)
 
 val sink_clear : ?seg_bytes:int -> ?segments:int -> sink -> unit
 (** Fresh journal and term, of the given geometry (default: the current

@@ -16,9 +16,9 @@ let capacity = 1024
 (* Emission encodes straight into the machine's binary journal — no
    OCaml record is allocated.  The ring view below is decoded back out
    of the journal tail on demand (/proc reads, tests). *)
-let emit ?engine ?span m (task : Ktypes.task) ~op ~obj ~allowed =
+let emit ?engine m (task : Ktypes.task) ~op ~obj ~allowed =
   J.sink_emit m.Ktypes.audit ~time:m.Ktypes.now ~pid:task.Ktypes.tpid
-    ~uid:task.Ktypes.cred.Ktypes.ruid ~op ~obj ~allowed ~engine ~span
+    ~uid:task.Ktypes.cred.Ktypes.ruid ~op ~obj ~allowed ~engine ~span:None
 
 (* The LSM hooks' typed decision records: the fixed fields and raw
    arguments only.  Nothing is formatted here; {!live} rebuilds the
@@ -51,6 +51,11 @@ let decision_ppp m (task : Ktypes.task) ~subject ~engine ~span ~verdict
     ~uid:task.Ktypes.cred.Ktypes.ruid ~subject ~phase:(phase_of task) ~engine
     ~span ~verdict ~device ~safe
 
+(* The netfilter OUTPUT hook has no calling task: [task] is the kernel's. *)
+let decision_nf m (task : Ktypes.task) ~engine ~span ~verdict pkt origin =
+  J.sink_nf m.Ktypes.audit ~time:m.Ktypes.now ~pid:task.Ktypes.tpid
+    ~uid:task.Ktypes.cred.Ktypes.ruid ~engine ~span ~verdict pkt origin
+
 let flags_text = function
   | [] -> "-"
   | codes ->
@@ -65,7 +70,7 @@ let flags_text = function
 (* The view records of one LSM decision, newest first onto [acc]: in
    record mode a [record-<hook>] descriptor (a space-separated key=value
    rendering of the arguments and serving phase), then the decision
-   line — except a ppp ioctl, which has only the descriptor. *)
+   line — except a ppp ioctl or an nf decision: descriptor only. *)
 let views_of_decision (d : J.decision) (l : J.lsm) acc =
   let line ~op ~obj ~allowed ~engine ~span =
     { au_time = l.J.l_time; au_pid = l.J.l_pid; au_uid = l.J.l_uid; au_op = op;
@@ -89,15 +94,15 @@ let views_of_decision (d : J.decision) (l : J.lsm) acc =
         )
     | J.Ppp { device; safe } ->
         ("ppp", "", Printf.sprintf "device=%s safe=%d" device (Bool.to_int safe))
+    | J.Nf { origin; proto; dst; dport; icmp } ->
+        ("nf", "", J.nf_fields ~origin ~proto ~dst ~dport ~icmp)
   in
   let acc =
     if l.J.l_record then
       line ~op:("record-" ^ hook)
         ~obj:
           (Printf.sprintf "phase=%s subject=%d verdict=%s %s"
-             (Protego_base.Phase.to_string
-                (Protego_base.Phase.of_index d.J.d_phase))
-             d.J.d_subject
+             (J.phase_name d) d.J.d_subject
              (if d.J.d_verdict = 3 then "recorded" else "allow")
              desc)
         ~allowed:true ~engine:None ~span:None
@@ -105,7 +110,7 @@ let views_of_decision (d : J.decision) (l : J.lsm) acc =
     else acc
   in
   match d.J.d_req with
-  | J.Ppp _ -> acc
+  | J.Ppp _ | J.Nf _ -> acc
   | J.Mount _ | J.Umount _ | J.Bind _ ->
       line ~op:hook ~obj ~allowed:(d.J.d_verdict <> 0)
         ~engine:(Some (J.engine_name l.J.l_engine)) ~span:l.J.l_span
@@ -128,21 +133,23 @@ let live m =
 let rec drop k l =
   if k <= 0 then l else match l with [] -> [] | _ :: tl -> drop (k - 1) tl
 
-let records m =
+(* One decode of the window: the newest {!capacity} records, and the
+   count of emitted records the view no longer holds. *)
+let view m =
   let l = live m in
-  drop (List.length l - capacity) l
+  let n = List.length l in
+  (drop (n - capacity) l, max 0 (m.Ktypes.audit.J.sk_emitted - min n capacity))
 
-let dropped m =
-  let retained = min (List.length (live m)) capacity in
-  max 0 (m.Ktypes.audit.J.sk_emitted - retained)
-
+let records m = fst (view m)
+let dropped m = snd (view m)
 let denials m = List.filter (fun r -> not r.au_allowed) (records m)
 let by_engine m e = List.filter (fun r -> r.au_engine = Some e) (records m)
 let clear m = J.sink_clear m.Ktypes.audit
 
 let render m =
+  let records, dropped = view m in
   let lines =
-    records m
+    records
     |> List.map (fun r ->
            Printf.sprintf
              "type=%s msg=audit(%.0f): pid=%d uid=%d op=%s obj=%s res=%s%s"
@@ -160,7 +167,6 @@ let render m =
   in
   let summary =
     Printf.sprintf "type=SUMMARY msg=audit: records=%d dropped=%d\n"
-      (List.length (records m))
-      (dropped m)
+      (List.length records) dropped
   in
   (if lines = "" then "" else lines ^ "\n") ^ summary

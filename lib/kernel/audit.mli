@@ -29,12 +29,10 @@ type record = Ktypes.audit_record = {
 
 val emit :
   ?engine:string ->
-  ?span:int ->
   Ktypes.machine -> Ktypes.task -> op:string -> obj:string -> allowed:bool ->
   unit
 (** [engine] tags the record with the evaluating engine; it appears as
-    [engine=<e>] at the end of the rendered line.  [span] is the trace
-    span id of the decision and renders as [span=<n>]. *)
+    [engine=<e>] at the end of the rendered line. *)
 
 (** {1 LSM decisions}
 
@@ -47,8 +45,8 @@ val emit :
     {!records} and {!render} rebuild each record's text — the
     [mount]/[umount]/[bind] line with its [engine=] and [span=] tags,
     preceded in record mode by its [record-<hook>] descriptor line.  A
-    ppp ioctl leaves a record only in record mode, and renders as its
-    descriptor alone. *)
+    ppp ioctl and a netfilter OUTPUT decision leave a record only in
+    record mode, and render as their descriptor alone. *)
 
 val decision_mount :
   Ktypes.machine -> Ktypes.task -> subject:int -> engine:int -> span:int ->
@@ -67,6 +65,13 @@ val decision_bind :
 val decision_ppp :
   Ktypes.machine -> Ktypes.task -> subject:int -> engine:int -> span:int ->
   verdict:int -> device:string -> safe:bool -> unit
+
+val decision_nf :
+  Ktypes.machine -> Ktypes.task -> engine:int -> span:int -> verdict:int ->
+  Protego_net.Packet.t -> Protego_net.Packet.origin -> unit
+(** {!Protego_journal.Journal.sink_nf}.  The hook has no calling task,
+    so [task] is the kernel task; the record renders as a [record-nf]
+    descriptor with [phase=-]. *)
 
 (** {1 The ring view} *)
 

@@ -9,6 +9,9 @@
 
 type verdict = Accept | Drop | Reject
 
+val verdict_to_string : verdict -> string
+(** ["ACCEPT"], ["DROP"] or ["REJECT"]. *)
+
 type chain = Input | Output | Forward
 
 type match_ =

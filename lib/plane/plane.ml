@@ -355,20 +355,22 @@ let request_of_decision (dec : J.decision) =
     match dec.J.d_req with
     | J.Mount { source; target; fstype; flags } ->
         let flags = Compile.flags_of_mask flags in
-        Mount { subject; source; target; fstype; flags }
-    | J.Umount { target; mounted_by } -> Umount { subject; target; mounted_by }
+        Some (Mount { subject; source; target; fstype; flags })
+    | J.Umount { target; mounted_by } ->
+        Some (Umount { subject; target; mounted_by })
     | J.Bind { port; proto; exe } ->
         let proto = if proto = 1 then Bindconf.Udp else Bindconf.Tcp in
-        Bind { subject; port; proto; exe }
+        Some (Bind { subject; port; proto; exe })
     | J.Ppp { device; safe } ->
         (* The ppp decision depends only on (device, option safety); any
            option of the recorded safety class reproduces it. *)
         let opt =
           if safe then Protego_net.Ppp.Accomp else Protego_net.Ppp.Default_route
         in
-        Ppp_ioctl { subject; device; opt }
+        Some (Ppp_ioctl { subject; device; opt })
+    | J.Nf _ -> None
   in
-  (dec.J.d_phase, req)
+  Option.map (fun r -> (dec.J.d_phase, r)) req
 
 (* Claim-and-encode one decision into the worker's journal term.  The
    ppp option collapses to its safe bit, which is the only thing the
@@ -462,6 +464,7 @@ let audit_of_stitched ds =
         | J.Umount _ -> 1
         | J.Bind _ -> 2
         | J.Ppp _ -> 3
+        | J.Nf _ -> 4  (* LSM only: a plane journal holds none *)
       in
       { a_seq = dec.J.d_seq; a_hook = hook; a_subject = dec.J.d_subject;
         (* verdict 3 = "recorded": served as an allow under record mode *)
@@ -471,11 +474,6 @@ let audit_of_stitched ds =
 
 let stitch t ~run_id ~n =
   Result.map audit_of_stitched (J.stitch t.journal ~run:run_id ~base:0 ~count:n)
-
-let stitched_audit t ~run_id ~n =
-  match stitch t ~run_id ~n with
-  | Error e -> failwith ("Plane.stitched_audit: " ^ e)
-  | Ok a -> a
 
 let run t ?(collect = true) ?(reloads = []) reqs =
   if t.running then failwith "Plane.run: a run is already in flight";

@@ -160,8 +160,8 @@ val run :
     one domain the run is inline and deterministic; otherwise one
     OCaml domain is spawned per worker.  [collect:false] skips the
     outcome array and the [rr_audit] reconstruction (bench mode; the
-    journal still records every decision — use {!stitched_audit} to
-    rebuild the trail afterwards).  [reloads] are [(threshold, action)]
+    journal still records every decision — {!Replay.replay_run}
+    stitches and checks it afterwards).  [reloads] are [(threshold, action)]
     pairs: each action fires once, off the coordinating domain, as soon
     as the total completed-decision count reaches its threshold (with
     one domain: exactly at that submission index).  Actions typically
@@ -195,11 +195,13 @@ val reset_phases : t -> unit
 (** Every subject back to {!Protego_base.Phase.initial} — part of the
     ["reset"] /proc command, for between-run reuse only. *)
 
-val request_of_decision : Protego_journal.Journal.decision -> int * request
+val request_of_decision :
+  Protego_journal.Journal.decision -> (int * request) option
 (** The request a journal record encodes, and the phase index it was
     served under (the record's [d_phase] field).  A ppp record yields an
     option of its recorded safety class, which is all the decision
-    reads. *)
+    reads.  [None] for a netfilter (nf) record, which no plane request
+    encodes. *)
 
 (** {1 Reference oracles}
 
@@ -290,13 +292,6 @@ val reset_journal : t -> unit
 val snapshot_at : t -> int -> Snapshot.t option
 (** The snapshot published at a given epoch ({!Snapshot.at_epoch}) —
     what a journal replay evaluates epoch-stamped decisions against. *)
-
-val stitched_audit : t -> run_id:int -> n:int -> audit_entry array
-(** Reconstruct the audit trail of run [run_id] ([n] requests) from the
-    journal by total-order stitch.  Raises [Failure] if any record of
-    the run is missing or duplicated (e.g. after {!rotate_journal}).
-    {!run} itself never raises for wraparound loss — it degrades and
-    reports via [rr_audit_lost]. *)
 
 (** {1 Merged statistics and /proc/protego/plane} *)
 

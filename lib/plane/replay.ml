@@ -21,12 +21,20 @@ let replay ~snapshot_of_epoch (ds : J.decision array) =
   let matched = ref 0 in
   Array.iter
     (fun (dec : J.decision) ->
-      match snapshot_of_epoch dec.J.d_epoch with
-      | None ->
+      let mismatch field expected got =
+        mismatches :=
+          { mm_seq = dec.J.d_seq; mm_field = field; mm_expected = expected;
+            mm_got = got }
+          :: !mismatches
+      in
+      match
+        (snapshot_of_epoch dec.J.d_epoch, Plane.request_of_decision dec)
+      with
+      | None, _ ->
           if not (List.mem dec.J.d_epoch !missing) then
             missing := dec.J.d_epoch :: !missing
-      | Some snap ->
-          let ph, req = Plane.request_of_decision dec in
+      | Some _, None -> mismatch "request" "mount, umount, bind or ppp" "nf"
+      | Some snap, Some (ph, req) ->
           let allow =
             Plane.snapshot_oracle ~phase:(Protego_base.Phase.of_index ph) snap
               req
@@ -40,24 +48,14 @@ let replay ~snapshot_of_epoch (ds : J.decision array) =
             if allow || recorded then 0
             else Errno.to_code (Plane.request_deny_errno req)
           in
-          let ok = ref true in
-          if dec.J.d_verdict <> exp_verdict then begin
-            ok := false;
-            mismatches :=
-              { mm_seq = dec.J.d_seq; mm_field = "verdict";
-                mm_expected = J.verdict_name exp_verdict;
-                mm_got = J.verdict_name dec.J.d_verdict }
-              :: !mismatches
-          end;
-          if dec.J.d_errno <> exp_errno then begin
-            ok := false;
-            mismatches :=
-              { mm_seq = dec.J.d_seq; mm_field = "errno";
-                mm_expected = J.errno_name exp_errno;
-                mm_got = J.errno_name dec.J.d_errno }
-              :: !mismatches
-          end;
-          if !ok then incr matched)
+          if dec.J.d_verdict <> exp_verdict then
+            mismatch "verdict" (J.verdict_name exp_verdict)
+              (J.verdict_name dec.J.d_verdict);
+          if dec.J.d_errno <> exp_errno then
+            mismatch "errno" (J.errno_name exp_errno)
+              (J.errno_name dec.J.d_errno);
+          if dec.J.d_verdict = exp_verdict && dec.J.d_errno = exp_errno then
+            incr matched)
     ds;
   { rp_total = Array.length ds;
     rp_matched = !matched;

@@ -17,7 +17,7 @@ module J = Protego_journal.Journal
 
 type mismatch = {
   mm_seq : int;        (** submission index of the divergent record *)
-  mm_field : string;   (** ["verdict"] or ["errno"] *)
+  mm_field : string;   (** ["verdict"], ["errno"], ["request"] (nf) *)
   mm_expected : string;
   mm_got : string;
 }
@@ -38,7 +38,9 @@ val replay :
     ([Snapshot.ref_*]); errno expectation is the hook's deny errno
     ({!Protego_core.Decider.deny_errno}) when denied, none when
     allowed.  A record-mode record (verdict 3, "recorded": a would-deny
-    served as an allow) matches a reference denial with no errno. *)
+    served as an allow) matches a reference denial with no errno.  An
+    LSM nf record, which no plane request encodes, is a ["request"]
+    mismatch. *)
 
 val replay_run : Plane.t -> run:int -> count:int -> report
 (** Stitch run [run] ([count] requests) out of the plane's journal and

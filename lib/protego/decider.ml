@@ -82,7 +82,6 @@ type ('e, 'a) hook = {
   ch : DC.hook;
   encode : DC.Key.t -> int -> 'a -> unit;
   eval : 'e -> engine -> phase:int -> subject:int -> 'a -> Pfm.verdict;
-  gens : int array;  (* scratch generation vector, refilled per lookup *)
   k_cache : Trace.key;
   k_pfm : Trace.key;
   k_ref : Trace.key;
@@ -136,7 +135,7 @@ let hook d kind ~key ~eval =
   let k_cache = series "cache" in
   let k_pfm = series "pfm" in
   let k_ref = series "ref" in
-  { kind; ch = DC.register d.cache name; encode = key; eval; gens = [| 0 |];
+  { kind; ch = DC.register d.cache name; encode = key; eval;
     k_cache; k_pfm; k_ref;
     stats =
       { served = 0; served_allow = 0; served_deny = 0; evals = 0;
@@ -235,10 +234,8 @@ let miss d h env ~raw ~engine =
     DC.Key.reset key;
     h.encode key d.p_ph raw
   end;
-  let gens = h.gens in
-  gens.(0) <- d.p_gen;
   let subject = d.p_sub in
-  let found = DC.find d.cache h.ch ~subject ~key ~gens in
+  let found = DC.find d.cache h.ch ~subject ~key ~gen:d.p_gen in
   let stages = if sp then ("table", offset d) :: stages else stages in
   let v, k, stages =
     match found with
@@ -248,7 +245,7 @@ let miss d h env ~raw ~engine =
     | None ->
         let v = h.eval env engine ~phase:d.p_ph ~subject raw in
         evaluated h.stats v;
-        DC.add d.cache h.ch ~subject ~key ~gens ~verdict:v
+        DC.add d.cache h.ch ~subject ~key ~gen:d.p_gen ~verdict:v
           ~errno:(errno h.kind v);
         let k =
           match engine with

@@ -113,7 +113,7 @@ type entry = {
   e_hid : int;
   e_subject : int;
   e_key : string;
-  mutable e_gens : int array;
+  mutable e_gen : int;
   (* what [find] returns on a hit, built once when the verdict is stored *)
   mutable e_found : (Pfm.verdict * Errno.t option) option;
   (* intrusive LRU ring through the table's sentinel: [prev] is more
@@ -124,7 +124,7 @@ type entry = {
 }
 
 let rec nil =
-  { e_hash = 0; e_hid = -1; e_subject = 0; e_key = ""; e_gens = [||];
+  { e_hash = 0; e_hid = -1; e_subject = 0; e_key = ""; e_gen = 0;
     e_found = None; e_prev = nil; e_next = nil; e_chain = nil }
 
 let no_key = Key.create ()
@@ -160,7 +160,7 @@ let create ?(capacity = default_capacity) () =
   let cap = max 1 capacity in
   let rec pow2 n = if n >= cap then n else pow2 (2 * n) in
   let rec lru =
-    { e_hash = 0; e_hid = -1; e_subject = 0; e_key = ""; e_gens = [||];
+    { e_hash = 0; e_hid = -1; e_subject = 0; e_key = ""; e_gen = 0;
       e_found = None; e_prev = lru; e_next = lru; e_chain = nil }
   in
   { cap; buckets = Array.make (pow2 1) nil; lru; size = 0; enabled = true;
@@ -238,16 +238,6 @@ let drop t e =
 
 (* --- the hot path ------------------------------------------------------- *)
 
-let same_gens a b =
-  let n = Array.length a in
-  n = Array.length b
-  &&
-  let i = ref 0 in
-  while !i < n && Array.unsafe_get a !i = Array.unsafe_get b !i do
-    incr i
-  done;
-  !i >= n
-
 let missed t hook ~subject key h =
   t.misses <- t.misses + 1;
   hook.h_misses <- hook.h_misses + 1;
@@ -257,7 +247,7 @@ let missed t hook ~subject key h =
   t.m_subject <- subject;
   t.m_hash <- h
 
-let find t hook ~subject ~key ~gens =
+let find t hook ~subject ~key ~gen =
   if not t.enabled then None
   else
     let h = Key.hash key ~hid:hook.hid ~subject in
@@ -266,7 +256,7 @@ let find t hook ~subject ~key ~gens =
       missed t hook ~subject key h;
       None
     end
-    else if same_gens e.e_gens gens then begin
+    else if e.e_gen = gen then begin
       touch t e;
       t.hits <- t.hits + 1;
       hook.h_hits <- hook.h_hits + 1;
@@ -280,7 +270,7 @@ let find t hook ~subject ~key ~gens =
       None
     end
 
-let insert t hook ~subject ~key h ~gens ~found =
+let insert t hook ~subject ~key h ~gen ~found =
   if t.size >= t.cap then begin
     let lru = t.lru.e_prev in
     if lru != t.lru then begin
@@ -291,26 +281,26 @@ let insert t hook ~subject ~key h ~gens ~found =
   let i = bucket t h in
   let e =
     { e_hash = h; e_hid = hook.hid; e_subject = subject;
-      e_key = Key.contents key; e_gens = Array.copy gens; e_found = found;
+      e_key = Key.contents key; e_gen = gen; e_found = found;
       e_prev = nil; e_next = nil; e_chain = t.buckets.(i) }
   in
   t.buckets.(i) <- e;
   push_front t e;
   t.size <- t.size + 1
 
-let add t hook ~subject ~key ~gens ~verdict ~errno =
+let add t hook ~subject ~key ~gen ~verdict ~errno =
   if t.enabled then begin
     let found = Some (verdict, errno) in
     if
       t.m_key == key && t.m_stamp = key.Key.stamp && t.m_hid = hook.hid
       && t.m_subject = subject
-    then insert t hook ~subject ~key t.m_hash ~gens ~found
+    then insert t hook ~subject ~key t.m_hash ~gen ~found
     else begin
       let h = Key.hash key ~hid:hook.hid ~subject in
       let e = lookup t.buckets.(bucket t h) h ~hid:hook.hid ~subject key in
-      if e == nil then insert t hook ~subject ~key h ~gens ~found
+      if e == nil then insert t hook ~subject ~key h ~gen ~found
       else begin
-        e.e_gens <- Array.copy gens;
+        e.e_gen <- gen;
         e.e_found <- found;
         touch t e
       end

@@ -17,9 +17,9 @@
 
     {b Invalidation is lazy and per-source, not a global flush.}  Every
     policy source carries a generation counter ({!Policy_state.generation});
-    a cache entry is stamped with the generation vector of the sources its
-    hook reads at insertion time.  A lookup compares the entry's vector
-    against the current one and treats any mismatch as a miss, evicting the
+    a cache entry is stamped with the generation of the source its hook
+    reads at insertion time.  A lookup compares the entry's generation
+    against the current one and treats a mismatch as a miss, evicting the
     entry ("stale eviction").  A write to [/proc/protego/bind_map] thus
     invalidates only bind entries — cached mount verdicts survive — and
     nothing is scanned eagerly at reload time.
@@ -92,17 +92,18 @@ val set_enabled : t -> bool -> unit
 (** {1 The hot path} *)
 
 val find :
-  t -> hook -> subject:int -> key:Key.t -> gens:int array ->
+  t -> hook -> subject:int -> key:Key.t -> gen:int ->
   (Pfm.verdict * Protego_base.Errno.t option) option
 (** [Some (verdict, errno)] on a fresh hit ([errno] is the value the hook
     returns on a denial; [None] for Allow or verdicts without an errno);
     a hit allocates nothing.  [None] on a miss — including a generation
-    mismatch, which also evicts the stale entry and counts under
-    [stale].  The caller owns [key] and [gens] and may reuse both across
-    calls; they are copied on insertion, compared in place here. *)
+    mismatch ([gen] is not the one the entry was stamped with), which
+    also evicts the stale entry and counts under [stale].  The caller
+    owns [key] and may reuse it across calls; it is copied on insertion,
+    compared in place here. *)
 
 val add :
-  t -> hook -> subject:int -> key:Key.t -> gens:int array ->
+  t -> hook -> subject:int -> key:Key.t -> gen:int ->
   verdict:Pfm.verdict -> errno:Protego_base.Errno.t option -> unit
 (** Insert (or refresh) the memo for a decision just computed by an
     engine.  Evicts the least-recently-used entry when at capacity.  Right

@@ -70,9 +70,9 @@ let stock = Security.stock_linux
    second record: it is the record's verdict — 1 for a genuine allow, 3
    for a would-deny the permissive mode flipped — plus its record-mode
    flag, from which the read side renders the [record-<hook>]
-   descriptor line.  A ppp ioctl leaves a record only in record mode.  The netfilter OUTPUT hook still writes a
-   [record-nf] kaudit descriptor, formatted only in record mode: it has
-   no record kind yet (ROADMAP item 5). *)
+   descriptor line.  A ppp ioctl and a netfilter OUTPUT decision leave
+   a record only in record mode; the latter, with no calling task, is
+   the kernel task's, with the origin's uid as its subject. *)
 let verdict disp allowed =
   if Pfm_dispatch.last_recorded disp then 3 else if allowed then 1 else 0
 
@@ -691,49 +691,11 @@ let install m =
     (Some
        (fun pkt ~origin ->
          let v = Pfm_dispatch.decide_nf_output disp m.netfilter pkt ~origin in
-         (* Netfilter decisions have no task context, so the record
-            trail rides on the kernel task with the origin uid in the
-            descriptor; packets carry no lifecycle phase (phase=-).
-            This is the one record-mode trail still formatted as a
-            kaudit descriptor (no nf_output record kind yet, ROADMAP
-            item 5), and only while record mode is on. *)
-         (if Pfm_dispatch.record_mode disp then
-            let verdict =
-              if Pfm_dispatch.last_recorded disp then "recorded" else "allow"
-            in
-            let uid =
-              match origin with
-              | Packet.Kernel_stack -> 0
-              | Packet.Raw_app { uid } | Packet.Packet_app { uid } -> uid
-            in
-            let origin_s =
-              match origin with
-              | Packet.Kernel_stack -> "kernel"
-              | Packet.Raw_app _ -> "raw"
-              | Packet.Packet_app _ -> "packet"
-            in
-            let dport =
-              match Packet.dst_port pkt with
-              | Some p -> string_of_int p
-              | None -> "-"
-            in
-            let icmp =
-              match pkt.Packet.transport with
-              | Packet.Icmp_msg { icmp_type; _ } ->
-                  Packet.icmp_type_to_string icmp_type
-              | _ -> "-"
-            in
-            Audit.emit m (Machine.kernel_task m) ~op:"record-nf"
-              ~obj:
-                (Printf.sprintf
-                   "phase=- subject=%d verdict=%s proto=%s dst=%s dport=%s \
-                    origin=%s icmp=%s"
-                   uid verdict
-                   (Packet.proto_to_string
-                      (Packet.proto_of_transport pkt.Packet.transport))
-                   (Protego_net.Ipaddr.to_string pkt.Packet.dst)
-                   dport origin_s icmp)
-              ~allowed:true);
+         if Pfm_dispatch.record_mode disp then
+           Audit.decision_nf m (Machine.kernel_task m)
+             ~engine:(Pfm_dispatch.decision_engine disp)
+             ~span:(Pfm_dispatch.last_span_id disp) ~verdict:(verdict disp true)
+             pkt origin;
          v));
   log_dmesg m "protego: LSM active";
   { machine = m; state = st; dispatch = disp }

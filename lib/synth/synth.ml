@@ -5,14 +5,13 @@ module Netfilter = Protego_net.Netfilter
 module Packet = Protego_net.Packet
 module Ipaddr = Protego_net.Ipaddr
 module Journal = Protego_journal.Journal
-module Plane = Protego_plane.Plane
 module Lint = Protego_analysis.Policy_lint
 module Phase = Protego_base.Phase
 module Ktypes = Protego_kernel.Ktypes
 
 (* --- observations ------------------------------------------------------- *)
 
-type nf_origin = [ `Kernel | `Raw | `Packet ]
+type nf_origin = Journal.nf_origin
 
 type args =
   | A_mount of { source : string; target : string; fstype : string;
@@ -34,11 +33,6 @@ type obs = {
 let all_flags =
   [ Ktypes.Mf_readonly; Ktypes.Mf_nosuid; Ktypes.Mf_nodev; Ktypes.Mf_noexec ]
 
-let origin_name = function
-  | `Kernel -> "kernel"
-  | `Raw -> "raw"
-  | `Packet -> "packet"
-
 let desc_of_args = function
   | A_mount { source; target; fstype; flags } ->
       Printf.sprintf "mount source=%s target=%s fstype=%s flags=%s" source
@@ -51,106 +45,52 @@ let desc_of_args = function
   | A_ppp { device; safe } ->
       Printf.sprintf "ppp device=%s safe=%d" device (if safe then 1 else 0)
   | A_nf { proto; dst; dport; origin; icmp } ->
-      Printf.sprintf "nf proto=%s dst=%s dport=%s origin=%s icmp=%s"
-        (Packet.proto_to_string proto) (Ipaddr.to_string dst)
-        (match dport with Some p -> string_of_int p | None -> "-")
-        (origin_name origin)
-        (match icmp with Some t -> Packet.icmp_type_to_string t | None -> "-")
+      "nf " ^ Journal.nf_fields ~origin ~proto ~dst ~dport ~icmp
 
 let key_of_obs o =
   Printf.sprintf "subject=%d phase=%d %s" o.ob_subject o.ob_phase
     (desc_of_args o.ob_args)
 
-(* One raw observation out of a decision record — a plane worker's or
-   an LSM hook's: its request and serving phase
-   ({!Plane.request_of_decision}); any verdict other than plain allow
+(* One observation out of a decision record — a plane worker's or an
+   LSM hook's: its subject, serving phase (0 for a packet, which has
+   none) and request arguments; any verdict other than plain allow
    (deny, reject, or the record-mode code 3) counts as would-deny
    demand. *)
 let raw_of_decision (d : Journal.decision) =
-  let recorded = d.Journal.d_verdict <> 1 in
-  let ph, req = Plane.request_of_decision d in
   let args =
-    match req with
-    | Plane.Mount { source; target; fstype; flags; _ } ->
-        A_mount { source; target; fstype; flags }
-    | Plane.Umount { target; mounted_by; _ } -> A_umount { target; mounted_by }
-    | Plane.Bind { port; proto; exe; _ } -> A_bind { port; proto; exe }
-    | Plane.Ppp_ioctl { device; opt; _ } ->
-        A_ppp { device; safe = Protego_net.Ppp.option_is_safe opt }
+    match d.Journal.d_req with
+    | Journal.Mount { source; target; fstype; flags } ->
+        A_mount
+          { source; target; fstype;
+            flags = Protego_filter.Pfm_compile.flags_of_mask flags }
+    | Journal.Umount { target; mounted_by } -> A_umount { target; mounted_by }
+    | Journal.Bind { port; proto; exe } ->
+        A_bind
+          { port; proto = (if proto = 1 then Bindconf.Udp else Bindconf.Tcp);
+            exe }
+    | Journal.Ppp { device; safe } -> A_ppp { device; safe }
+    | Journal.Nf { origin; proto; dst; dport; icmp } ->
+        A_nf { proto; dst; dport; origin; icmp }
   in
-  Some (d.Journal.d_subject, ph, recorded, args)
-
-let kv_of_obj obj =
-  List.filter_map
-    (fun tok ->
-      match String.index_opt tok '=' with
-      | Some i ->
-          Some
-            ( String.sub tok 0 i,
-              String.sub tok (i + 1) (String.length tok - i - 1) )
-      | None -> None)
-    (String.split_on_char ' ' obj)
-
-(* One raw observation out of the netfilter hook's record-mode kaudit
-   descriptor ([op=record-nf], [obj="phase=- subject=... verdict=...
-   proto=... dst=... ..."]): the one hook without a typed record yet.
-   Packets carry no lifecycle phase, so the observation's is 0.
-   Descriptors that do not parse are skipped, not errors: the kernel
-   audit stream also carries unrelated operator-initiated entries. *)
-let raw_of_kaudit (k : Journal.kaudit) =
-  if k.Journal.k_op <> "record-nf" then None
-  else
-    let kv = kv_of_obj k.Journal.k_obj in
-    let field f = List.assoc_opt f kv in
-    let int_field f = Option.bind (field f) int_of_string_opt in
-    let subject = Option.value (int_field "subject") ~default:0 in
-    let recorded = field "verdict" = Some "recorded" in
-    let args =
-      match (field "proto", field "dst", field "origin") with
-      | Some proto_s, Some dst_s, Some origin_s -> (
-          match (Packet.proto_of_string proto_s, Ipaddr.of_string dst_s) with
-          | Some proto, Some dst ->
-              let origin =
-                match origin_s with
-                | "raw" -> `Raw
-                | "packet" -> `Packet
-                | _ -> `Kernel
-              in
-              let dport = int_field "dport" in
-              let icmp =
-                Option.bind (field "icmp") (fun s ->
-                    if s = "-" then None else Packet.icmp_type_of_string s)
-              in
-              Some (A_nf { proto; dst; dport; origin; icmp })
-          | _ -> None)
-      | _ -> None
-    in
-    Option.map (fun a -> (subject, 0, recorded, a)) args
+  { ob_subject = d.Journal.d_subject; ob_phase = d.Journal.d_phase;
+    ob_args = args; ob_count = 1;
+    ob_recorded = (if d.Journal.d_verdict <> 1 then 1 else 0) }
 
 let observations entries =
   let tbl = Hashtbl.create 256 in
-  let add (subject, phase, recorded, args) =
-    let o =
-      { ob_subject = subject; ob_phase = phase; ob_args = args; ob_count = 1;
-        ob_recorded = (if recorded then 1 else 0) }
-    in
-    let key = key_of_obs o in
-    match Hashtbl.find_opt tbl key with
-    | Some prev ->
-        Hashtbl.replace tbl key
-          { prev with
-            ob_count = prev.ob_count + 1;
-            ob_recorded = prev.ob_recorded + o.ob_recorded }
-    | None -> Hashtbl.add tbl key o
-  in
   List.iter
-    (fun e ->
-      let raw =
-        match e with
-        | Journal.Decision d -> raw_of_decision d
-        | Journal.Kaudit k -> raw_of_kaudit k
-      in
-      Option.iter add raw)
+    (function
+      | Journal.Kaudit _ -> ()
+      | Journal.Decision d -> (
+          let o = raw_of_decision d in
+          let key = key_of_obs o in
+          match Hashtbl.find_opt tbl key with
+          | Some prev ->
+              Hashtbl.replace tbl key
+                { prev with
+                  ob_count = prev.ob_count + 1;
+                  ob_recorded = prev.ob_recorded + o.ob_recorded }
+          | None -> Hashtbl.add tbl key o))
     entries;
   Hashtbl.fold (fun k o acc -> (k, o) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
@@ -167,27 +107,21 @@ let observations entries =
    safe (option safety is intrinsic), and so on.  Such observations are
    excluded and reported, never silently admitted. *)
 let classify o =
+  let target_ok target =
+    if
+      target = "/"
+      || List.exists (fun p -> Lint.path_under p target) Lint.sensitive_prefixes
+    then Error "target shadows a system path (PL-M004)"
+    else Ok ()
+  in
   match o.ob_args with
   | A_mount { target; flags; _ } ->
       if not (List.mem Ktypes.Mf_nosuid flags) then
         Error "requested flags lack nosuid (PL-M002)"
       else if not (List.mem Ktypes.Mf_nodev flags) then
         Error "requested flags lack nodev (PL-M003)"
-      else if
-        target = "/"
-        || List.exists
-             (fun p -> Lint.path_under p target)
-             Lint.sensitive_prefixes
-      then Error "target shadows a system path (PL-M004)"
-      else Ok ()
-  | A_umount { target; _ } ->
-      if
-        target = "/"
-        || List.exists
-             (fun p -> Lint.path_under p target)
-             Lint.sensitive_prefixes
-      then Error "target shadows a system path (PL-M004)"
-      else Ok ()
+      else target_ok target
+  | A_umount { target; _ } -> target_ok target
   | A_bind { port; _ } ->
       if port < 1 || port > 1023 then
         Error "port outside the privileged range 1-1023 (PL-B003)"
@@ -278,48 +212,23 @@ let synthesize ?(budget = 64) obs =
             false)
       obs
   in
-  let mounts =
-    List.filter_map
-      (fun o ->
-        match o.ob_args with
-        | A_mount { source; target; fstype; flags } ->
-            Some (o, source, target, fstype, flags)
-        | _ -> None)
-      adm
-  in
-  let umounts =
-    List.filter_map
-      (fun o ->
-        match o.ob_args with
-        | A_umount { target; mounted_by } -> Some (o, target, mounted_by)
-        | _ -> None)
-      adm
-  in
-  let binds =
-    List.filter_map
-      (fun o ->
-        match o.ob_args with
-        | A_bind { port; proto; exe } -> Some (o, port, proto, exe)
-        | _ -> None)
-      adm
-  in
-  let ppps =
-    List.filter_map
-      (fun o ->
-        match o.ob_args with
-        | A_ppp { device; _ } -> Some (o, device)
-        | _ -> None)
-      adm
-  in
-  let nfs =
-    List.filter_map
-      (fun o ->
-        match o.ob_args with
-        | A_nf { proto; dst; dport; origin; icmp } ->
-            Some (o, proto, dst, dport, origin, icmp)
-        | _ -> None)
-      adm
-  in
+  (* The admitted observations of each hook, in observation order. *)
+  let mounts = ref [] and umounts = ref [] and binds = ref [] in
+  let ppps = ref [] and nfs = ref [] in
+  List.iter
+    (fun o ->
+      match o.ob_args with
+      | A_mount { source; target; fstype; flags } ->
+          mounts := (o, source, target, fstype, flags) :: !mounts
+      | A_umount { target; mounted_by } ->
+          umounts := (o, target, mounted_by) :: !umounts
+      | A_bind { port; proto; exe } -> binds := (o, port, proto, exe) :: !binds
+      | A_ppp { device; _ } -> ppps := (o, device) :: !ppps
+      | A_nf { proto; dst; dport; origin; icmp } ->
+          nfs := (o, proto, dst, dport, origin, icmp) :: !nfs)
+    (List.rev adm);
+  let mounts = !mounts and umounts = !umounts and binds = !binds in
+  let ppps = !ppps and nfs = !nfs in
   (* Mounts: one rule (or one fstype family) per (source, target).  The
      required flags are the intersection of everything observed, so no
      admitted observation requests less than the rule demands — and the
@@ -566,7 +475,7 @@ let synthesize ?(budget = 64) obs =
         | `Raw -> Netfilter.Origin_raw
         | `Packet -> Netfilter.Origin_packet
       in
-      let oname = origin_name origin in
+      let oname = Journal.origin_name (origin :> nf_origin) in
       let mine =
         List.filter (fun (_, _, _, _, o, _) -> o = (origin :> nf_origin)) nfs
       in
@@ -714,10 +623,7 @@ let report r =
        (List.length r.r_binds)
        (List.length r.r_ppp.Pppopts.directives)
        (List.length r.r_nf_rules)
-       (match r.r_nf_policy with
-        | Netfilter.Accept -> "ACCEPT"
-        | Netfilter.Drop -> "DROP"
-        | Netfilter.Reject -> "REJECT"));
+       (Netfilter.verdict_to_string r.r_nf_policy));
   Buffer.add_string b "generalization steps:\n";
   List.iter
     (fun s ->
@@ -749,11 +655,7 @@ let ppp_text r = header "ppp options" ^ Pppopts.to_string r.r_ppp
 
 let chain_text r =
   header "netfilter Output chain"
-  ^ Printf.sprintf "policy %s\n"
-      (match r.r_nf_policy with
-       | Netfilter.Accept -> "ACCEPT"
-       | Netfilter.Drop -> "DROP"
-       | Netfilter.Reject -> "REJECT")
+  ^ Printf.sprintf "policy %s\n" (Netfilter.verdict_to_string r.r_nf_policy)
   ^ String.concat "\n" (List.map Netfilter.rule_to_spec r.r_nf_rules)
   ^ "\n"
 

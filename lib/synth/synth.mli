@@ -3,10 +3,9 @@
     The input is an audit journal of decision records (including the
     verdict-3 "recorded" entries a permissive record-mode run leaves):
     a plane's, or a machine's, whose LSM hooks write one typed record
-    per decided mount, umount, bind and (in record mode) ppp ioctl —
-    {!Lsm_record} drives such a run — plus the [record-nf] kaudit
-    descriptors the netfilter hook emits while [/proc/protego/record] is
-    on.  The output is a set of
+    per decided mount, umount, bind and (in record mode) ppp ioctl and
+    netfilter OUTPUT decision — {!Lsm_record} drives such a run.  The
+    output is a set of
     minimal policy sources (mount whitelist, bind map, ppp options,
     netfilter Output chain) that
 
@@ -34,7 +33,7 @@ module Journal = Protego_journal.Journal
 
 (** {1 Observations} *)
 
-type nf_origin = [ `Kernel | `Raw | `Packet ]
+type nf_origin = Journal.nf_origin
 
 type args =
   | A_mount of { source : string; target : string; fstype : string;
@@ -62,7 +61,7 @@ val observations : Journal.entry list -> obs list
 (** Aggregate journal entries into canonical observation tuples, sorted
     by descriptor.  Decision records, plane or LSM, contribute
     regardless of verdict (an enforce-mode deny is demand too); kaudit
-    entries contribute only the [record-nf] descriptors. *)
+    entries contribute nothing. *)
 
 (** {1 Synthesis} *)
 

@@ -33,3 +33,14 @@ let oracle : PS.t -> Plane.request -> bool = Plane.request_oracle
 (* The same reference verdict against a frozen snapshot. *)
 let snapshot_oracle : Snapshot.t -> Plane.request -> bool =
   Plane.snapshot_oracle
+
+(* The protego-journal binary next to the test executable's build
+   directory (the test stanza depends on it). *)
+let journal_exe () =
+  let exe =
+    Filename.concat (Filename.dirname Sys.executable_name)
+      (Filename.concat Filename.parent_dir_name
+         (Filename.concat "bin" "journal.exe"))
+  in
+  if Sys.file_exists exe then exe
+  else failwith ("protego-journal not built at " ^ exe)

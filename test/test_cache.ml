@@ -41,77 +41,78 @@ let key s =
 let test_lru_eviction () =
   let c = DC.create ~capacity:2 () in
   let h = DC.register c "mount" in
-  let gens = [| 0 |] in
-  DC.add c h ~subject:0 ~key:(key "a") ~gens ~verdict:Pfm.Allow ~errno:None;
-  DC.add c h ~subject:0 ~key:(key "b") ~gens ~verdict:Pfm.Allow ~errno:None;
+  let gen = 0 in
+  DC.add c h ~subject:0 ~key:(key "a") ~gen ~verdict:Pfm.Allow ~errno:None;
+  DC.add c h ~subject:0 ~key:(key "b") ~gen ~verdict:Pfm.Allow ~errno:None;
   check_int "at capacity" 2 (DC.length c);
   (* A hit refreshes recency: touching "a" makes "b" the LRU victim. *)
-  check "a hits" true (DC.find c h ~subject:0 ~key:(key "a") ~gens <> None);
-  DC.add c h ~subject:0 ~key:(key "c") ~gens ~verdict:Pfm.Deny ~errno:None;
+  check "a hits" true (DC.find c h ~subject:0 ~key:(key "a") ~gen <> None);
+  DC.add c h ~subject:0 ~key:(key "c") ~gen ~verdict:Pfm.Deny ~errno:None;
   check_int "one capacity eviction" 1 (DC.capacity_evictions c);
   check_int "still at capacity" 2 (DC.length c);
   check "b was the victim" true
-    (DC.find c h ~subject:0 ~key:(key "b") ~gens = None);
-  check "a survived" true (DC.find c h ~subject:0 ~key:(key "a") ~gens <> None);
-  check "c resident" true (DC.find c h ~subject:0 ~key:(key "c") ~gens <> None);
+    (DC.find c h ~subject:0 ~key:(key "b") ~gen = None);
+  check "a survived" true (DC.find c h ~subject:0 ~key:(key "a") ~gen <> None);
+  check "c resident" true (DC.find c h ~subject:0 ~key:(key "c") ~gen <> None);
   (* Re-adding a resident key refreshes in place, no eviction. *)
-  DC.add c h ~subject:0 ~key:(key "a") ~gens ~verdict:Pfm.Deny ~errno:None;
+  DC.add c h ~subject:0 ~key:(key "a") ~gen ~verdict:Pfm.Deny ~errno:None;
   check_int "refresh is not an insert" 1 (DC.capacity_evictions c);
   check_int "size unchanged" 2 (DC.length c)
 
 let test_negative_caching () =
   let c = DC.create () in
   let h = DC.register c "bind" in
-  let gens = [| 5 |] in
-  DC.add c h ~subject:8 ~key:(key "k") ~gens ~verdict:Pfm.Deny
+  let gen = 5 in
+  DC.add c h ~subject:8 ~key:(key "k") ~gen ~verdict:Pfm.Deny
     ~errno:(Some Errno.EACCES);
-  (match DC.find c h ~subject:8 ~key:(key "k") ~gens with
+  (match DC.find c h ~subject:8 ~key:(key "k") ~gen with
   | Some (Pfm.Deny, Some e) ->
       Alcotest.check errno "denial errno served" Errno.EACCES e
   | _ -> Alcotest.fail "negative result not cached");
-  DC.add c h ~subject:8 ~key:(key "ok") ~gens ~verdict:Pfm.Allow ~errno:None;
-  (match DC.find c h ~subject:8 ~key:(key "ok") ~gens with
+  DC.add c h ~subject:8 ~key:(key "ok") ~gen ~verdict:Pfm.Allow ~errno:None;
+  (match DC.find c h ~subject:8 ~key:(key "ok") ~gen with
   | Some (Pfm.Allow, None) -> ()
   | _ -> Alcotest.fail "positive result not cached");
   (* Subjects are part of the key. *)
   check "other subject misses" true
-    (DC.find c h ~subject:9 ~key:(key "k") ~gens = None)
+    (DC.find c h ~subject:9 ~key:(key "k") ~gen = None)
 
 let test_generation_staleness () =
   let c = DC.create () in
   let h = DC.register c "mount" in
-  DC.add c h ~subject:0 ~key:(key "k") ~gens:[| 3 |] ~verdict:Pfm.Allow
+  DC.add c h ~subject:0 ~key:(key "k") ~gen:3 ~verdict:Pfm.Allow
     ~errno:None;
   check "fresh generation hits" true
-    (DC.find c h ~subject:0 ~key:(key "k") ~gens:[| 3 |] <> None);
+    (DC.find c h ~subject:0 ~key:(key "k") ~gen:3 <> None);
   (* A bumped generation is a miss AND evicts the stale entry. *)
   check "stale generation misses" true
-    (DC.find c h ~subject:0 ~key:(key "k") ~gens:[| 4 |] = None);
+    (DC.find c h ~subject:0 ~key:(key "k") ~gen:4 = None);
   check_int "stale eviction counted" 1 (DC.stale_evictions c);
   check_int "stale lookup counts as a miss" 1 (DC.misses c);
   check_int "entry gone" 0 (DC.length c);
   (* The entry was dropped, so the next lookup is a plain miss. *)
   check "second lookup plain miss" true
-    (DC.find c h ~subject:0 ~key:(key "k") ~gens:[| 4 |] = None);
+    (DC.find c h ~subject:0 ~key:(key "k") ~gen:4 = None);
   check_int "no second stale eviction" 1 (DC.stale_evictions c);
   check_int "but a second miss" 2 (DC.misses c);
-  (* The caller may reuse its gens array: insertion must copy it. *)
-  let gens = [| 7 |] in
-  DC.add c h ~subject:0 ~key:(key "r") ~gens ~verdict:Pfm.Allow ~errno:None;
-  gens.(0) <- 8;
+  (* The entry keeps the generation it was inserted with. *)
+  let gen = ref 7 in
+  DC.add c h ~subject:0 ~key:(key "r") ~gen:!gen ~verdict:Pfm.Allow
+    ~errno:None;
+  gen := 8;
   check "entry stamped with insertion-time gens" true
-    (DC.find c h ~subject:0 ~key:(key "r") ~gens:[| 7 |] <> None)
+    (DC.find c h ~subject:0 ~key:(key "r") ~gen:7 <> None)
 
 let test_enable_off_bypass () =
   let c = DC.create () in
   let h = DC.register c "ppp_ioctl" in
-  let gens = [| 0 |] in
-  DC.add c h ~subject:0 ~key:(key "k") ~gens ~verdict:Pfm.Allow ~errno:None;
-  ignore (DC.find c h ~subject:0 ~key:(key "k") ~gens);
+  let gen = 0 in
+  DC.add c h ~subject:0 ~key:(key "k") ~gen ~verdict:Pfm.Allow ~errno:None;
+  ignore (DC.find c h ~subject:0 ~key:(key "k") ~gen);
   DC.set_enabled c false;
   check "disabled lookups miss" true
-    (DC.find c h ~subject:0 ~key:(key "k") ~gens = None);
-  DC.add c h ~subject:0 ~key:(key "new") ~gens ~verdict:Pfm.Deny ~errno:None;
+    (DC.find c h ~subject:0 ~key:(key "k") ~gen = None);
+  DC.add c h ~subject:0 ~key:(key "new") ~gen ~verdict:Pfm.Deny ~errno:None;
   (* A pure bypass: no insert, no counter movement. *)
   check_int "no insert while disabled" 1 (DC.length c);
   check_int "hits untouched" 1 (DC.hits c);
@@ -120,7 +121,7 @@ let test_enable_off_bypass () =
   (* Entries cached before the bypass are still valid afterwards: their
      generation stamps, not the toggle, decide freshness. *)
   check "entry servable after re-enable" true
-    (DC.find c h ~subject:0 ~key:(key "k") ~gens <> None)
+    (DC.find c h ~subject:0 ~key:(key "k") ~gen <> None)
 
 let test_register_and_reset () =
   let c = DC.create ~capacity:4 () in
@@ -129,10 +130,10 @@ let test_register_and_reset () =
   check "registration is idempotent" true (hm == hm');
   let hb = DC.register c "bind" in
   check_int "dense ids" 1 hb.DC.hid;
-  DC.add c hm ~subject:0 ~key:(key "x") ~gens:[| 0 |] ~verdict:Pfm.Allow
+  DC.add c hm ~subject:0 ~key:(key "x") ~gen:0 ~verdict:Pfm.Allow
     ~errno:None;
-  ignore (DC.find c hm ~subject:0 ~key:(key "x") ~gens:[| 0 |]);
-  ignore (DC.find c hb ~subject:0 ~key:(key "y") ~gens:[| 0 |]);
+  ignore (DC.find c hm ~subject:0 ~key:(key "x") ~gen:0);
+  ignore (DC.find c hb ~subject:0 ~key:(key "y") ~gen:0);
   check_str "render"
     "cache on capacity 4 entries 1\n\
      hits 1 misses 1 stale 0 evicted 0\n\
@@ -163,31 +164,31 @@ let test_register_and_reset () =
 let test_insert_after_miss () =
   let c = DC.create () in
   let h = DC.register c "mount" in
-  let gens = [| 0 |] in
+  let gen = 0 in
   let k = DC.Key.create () in
   let set s =
     DC.Key.reset k;
     DC.Key.last_string k s
   in
-  let find ?(subject = 0) s = DC.find c h ~subject ~key:(key s) ~gens in
+  let find ?(subject = 0) s = DC.find c h ~subject ~key:(key s) ~gen in
   set "a";
-  check "cold miss" true (DC.find c h ~subject:0 ~key:k ~gens = None);
-  DC.add c h ~subject:0 ~key:k ~gens ~verdict:Pfm.Allow ~errno:None;
+  check "cold miss" true (DC.find c h ~subject:0 ~key:k ~gen = None);
+  DC.add c h ~subject:0 ~key:k ~gen ~verdict:Pfm.Allow ~errno:None;
   check "inserted under its bytes" true (find "a" = Some (Pfm.Allow, None));
   set "b";
-  check "b misses" true (DC.find c h ~subject:0 ~key:k ~gens = None);
+  check "b misses" true (DC.find c h ~subject:0 ~key:k ~gen = None);
   set "c";
-  DC.add c h ~subject:0 ~key:k ~gens ~verdict:Pfm.Deny ~errno:None;
+  DC.add c h ~subject:0 ~key:k ~gen ~verdict:Pfm.Deny ~errno:None;
   check "rewritten key inserted as c" true (find "c" = Some (Pfm.Deny, None));
   check "b never inserted" true (find "b" = None);
   set "d";
   check "d misses for subject 0" true
-    (DC.find c h ~subject:0 ~key:k ~gens = None);
-  DC.add c h ~subject:1 ~key:k ~gens ~verdict:Pfm.Allow ~errno:None;
+    (DC.find c h ~subject:0 ~key:k ~gen = None);
+  DC.add c h ~subject:1 ~key:k ~gen ~verdict:Pfm.Allow ~errno:None;
   check "inserted for subject 1" true (find ~subject:1 "d" <> None);
   check "not for subject 0" true (find "d" = None);
   (* The same key added twice is refreshed, not duplicated. *)
-  DC.add c h ~subject:1 ~key:k ~gens ~verdict:Pfm.Deny ~errno:None;
+  DC.add c h ~subject:1 ~key:k ~gen ~verdict:Pfm.Deny ~errno:None;
   check "refreshed verdict" true (find ~subject:1 "d" = Some (Pfm.Deny, None));
   check_int "three entries" 3 (DC.length c)
 
@@ -202,14 +203,14 @@ let words_per_call n f =
 let test_hit_allocates_nothing () =
   let c = DC.create () in
   let h = DC.register c "mount" in
-  let gens = [| 0 |] in
+  let gen = 0 in
   List.iter
     (fun len ->
       let k = key (String.make len 'x') in
-      DC.add c h ~subject:0 ~key:k ~gens ~verdict:Pfm.Allow ~errno:None;
+      DC.add c h ~subject:0 ~key:k ~gen ~verdict:Pfm.Allow ~errno:None;
       let w =
         words_per_call 1000 (fun _ ->
-            ignore (DC.find c h ~subject:0 ~key:k ~gens))
+            ignore (DC.find c h ~subject:0 ~key:k ~gen))
       in
       check (Printf.sprintf "%d-byte key: %.3f words per hit" len w) true
         (w < 0.01))

@@ -309,23 +309,12 @@ let test_load_v1 () =
                  (contains e "PJRNL1")
   | Ok _ -> Alcotest.fail "a PJRNL1 image must not load"
 
-(* The protego-journal binary next to this test executable's build
-   directory (the test stanza depends on it). *)
-let journal_exe () =
-  let exe =
-    Filename.concat (Filename.dirname Sys.executable_name)
-      (Filename.concat Filename.parent_dir_name
-         (Filename.concat "bin" "journal.exe"))
-  in
-  if Sys.file_exists exe then exe
-  else Alcotest.failf "protego-journal not built at %s" exe
-
 (* Run [protego-journal dump FILE]; its exit code and stderr. *)
 let cli_dump file =
   with_temp @@ fun err ->
   let code =
     Sys.command
-      (Filename.quote_command (journal_exe ()) [ "dump"; file ]
+      (Filename.quote_command (Test_support.journal_exe ()) [ "dump"; file ]
          ~stdout:Filename.null ~stderr:err)
   in
   (code, In_channel.with_open_bin err In_channel.input_all)
@@ -385,8 +374,9 @@ let test_load_corrupt () =
 (* --- LSM decision records -------------------------------------------------- *)
 
 (* One record of each reqtag through the kernel audit sink: a mount with
-   record mode off, a recorded umount, an enforce-mode bind denial and a
-   record-mode ppp allow. *)
+   record mode off, a recorded umount, an enforce-mode bind denial, a
+   record-mode ppp allow and a record-mode nf allow (a raw traceroute
+   probe, on the kernel task). *)
 let lsm_sink () =
   let sk = J.sink ~seg_bytes:4096 ~segments:4 () in
   J.sink_mount sk ~time:7. ~pid:3 ~uid:1000 ~subject:1000 ~phase:1
@@ -402,20 +392,28 @@ let lsm_sink () =
     ~exe:"/usr/sbin/exim4";
   J.sink_ppp sk ~time:10. ~pid:3 ~uid:1000 ~subject:1000 ~phase:0
     ~engine:J.engine_cache ~span:0 ~verdict:1 ~device:"/dev/ttyS0" ~safe:true;
+  J.sink_nf sk ~time:11. ~pid:1 ~uid:0 ~engine:J.engine_pfm ~span:0 ~verdict:1
+    { Protego_net.Packet.src = Protego_net.Ipaddr.v 10 0 0 2;
+      dst = Protego_net.Ipaddr.v 10 0 0 1; ttl = 1;
+      transport =
+        Protego_net.Packet.Udp_dgram
+          { src_port = 40000; dst_port = 33434; payload = "" } }
+    (Protego_net.Packet.Raw_app { uid = 1000 });
   sk
 
 let test_lsm_roundtrip () =
   let sk = lsm_sink () in
-  check_int "one seq per record" 4 sk.J.sk_seq;
-  check_int "view records: the recorded umount counts twice" 5
+  check_int "one seq per record" 5 sk.J.sk_seq;
+  check_int "view records: the recorded umount counts twice" 6
     sk.J.sk_emitted;
   match J.entries sk.J.sk_journal with
-  | [ J.Decision m; J.Decision u; J.Decision b; J.Decision p ] ->
+  | [ J.Decision m; J.Decision u; J.Decision b; J.Decision p; J.Decision n ]
+    ->
       List.iteri
         (fun i (d : J.decision) ->
           check_bool (Printf.sprintf "record %d: seq, fixed run" i) true
             (d.J.d_seq = i && d.J.d_run = J.lsm_run && d.J.d_lsm <> None))
-        [ m; u; b; p ];
+        [ m; u; b; p; n ];
       (match (m.J.d_req, m.J.d_lsm) with
       | J.Mount { source; target; fstype; flags }, Some l ->
           check_bool "mount fields" true
@@ -443,10 +441,25 @@ let test_lsm_roundtrip () =
       | J.Ppp { device; safe } ->
           check_bool "ppp" true (device = "/dev/ttyS0" && safe)
       | _ -> Alcotest.fail "ppp record");
+      (match (n.J.d_req, n.J.d_lsm) with
+      | J.Nf { origin; proto; dst; dport; icmp }, Some l ->
+          check_bool "nf" true
+            (origin = `Raw && proto = Protego_net.Packet.Udp
+            && Protego_net.Ipaddr.to_string dst = "10.0.0.1"
+            && dport = Some 33434 && icmp = None && n.J.d_subject = 1000
+            && n.J.d_verdict = 1 && n.J.d_errno = 0 && l.J.l_record
+            && l.J.l_pid = 1 && l.J.l_uid = 0)
+      | _ -> Alcotest.fail "nf record");
+      Alcotest.(check string)
+        "nf dump line"
+        "decision seq=4 run=0 epoch=0 phase=- domain=0 subject=1000 \
+         verdict=allow errno=- nf proto=udp dst=10.0.0.1 dport=33434 \
+         origin=raw icmp=- lsm time=11 pid=1 uid=0 engine=pfm record"
+        (J.entry_to_string (J.Decision n));
       check_bool "dump names the origin" true
         (contains (J.entry_to_string (J.Decision u))
            "lsm time=8 pid=3 uid=1000 engine=pfm span=12 record")
-  | es -> Alcotest.failf "expected 4 decisions, got %d" (List.length es)
+  | es -> Alcotest.failf "expected 5 decisions, got %d" (List.length es)
 
 (* Every out-of-range field of an LSM record, one byte flipped at a
    time: [load] refuses the image, naming the field.  The record has no
@@ -458,8 +471,8 @@ let test_lsm_load_corrupt () =
   J.save sk.J.sk_journal path;
   let image = In_channel.with_open_bin path In_channel.input_all in
   let store = String.length image - (4096 * 4) in
-  let starts = Array.make 4 store in
-  for i = 1 to 3 do
+  let starts = Array.make 5 store in
+  for i = 1 to 4 do
     let prev = starts.(i - 1) in
     starts.(i) <-
       prev + (Int32.to_int (String.get_int32_le image prev) land 0x3FFFFFFF)
@@ -476,7 +489,7 @@ let test_lsm_load_corrupt () =
       | Error e ->
           check_bool (Printf.sprintf "%s: %s" what e) true (contains e expect)
       | Ok _ -> Alcotest.failf "%s: corrupted image loaded" what)
-    [ ("reqtag", 0, 6, 4, "reqtag 4");
+    [ ("reqtag", 0, 6, 5, "reqtag 5");
       ("engine code", 0, 8, 3, "engine 3");
       ("verdict reject", 0, 7, 2, "verdict 2");
       ("verdict past recorded", 0, 7, 4, "verdict 4");
@@ -490,7 +503,68 @@ let test_lsm_load_corrupt () =
       ("proto", 2, 40, 2, "proto 2");
       ("ppp safe", 3, 38, 2, "ppp safe 2");
       ("ppp outside record mode", 3, 5, 0, "ppp record outside record mode");
-      ("string length", 3, 39, 255, "past record end") ]
+      ("string length", 3, 39, 255, "past record end");
+      ("nf origin", 4, 38, 3, "nf origin 3");
+      ("nf proto code", 4, 39, 4, "nf proto 4");
+      ("nf dport flag", 4, 46, 2, "nf dport flag 2");
+      ("nf ICMP type code", 4, 49, 2, "ICMP type 2");
+      ("nf outside record mode", 4, 5, 0, "nf record outside record mode") ]
+
+(* The nf appender allocates nothing, whatever the packet's shape. *)
+let test_lsm_nf_allocates_nothing () =
+  let module P = Protego_net.Packet in
+  let sk = J.sink ~seg_bytes:4096 ~segments:4 () in
+  let pkt transport =
+    { P.src = Protego_net.Ipaddr.v 10 0 0 2;
+      dst = Protego_net.Ipaddr.v 10 0 0 1; ttl = 64; transport }
+  in
+  let pkts =
+    [| pkt (P.Icmp_msg { icmp_type = P.Echo_request; code = 0; payload = "" });
+       pkt (P.Tcp_seg { src_port = 1; dst_port = 80; syn = true; payload = "" });
+       pkt (P.Udp_dgram { src_port = 1; dst_port = 53; payload = "" });
+       pkt (P.Raw_payload { protocol = 0x0806; payload = "" }) |]
+  in
+  let origins =
+    [| P.Kernel_stack; P.Raw_app { uid = 7 }; P.Packet_app { uid = 7 } |]
+  in
+  let n = 3000 in
+  let before = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    J.sink_nf sk ~time:1. ~pid:1 ~uid:0 ~engine:J.engine_cache ~span:0
+      ~verdict:3 pkts.(i land 3) origins.(i mod 3)
+  done;
+  let w = (Gc.minor_words () -. before) /. float_of_int n in
+  check_bool (Printf.sprintf "%.3f words per nf record" w) true (w < 0.01)
+
+(* A loaded image is untrusted input: one holding an LSM nf record loads,
+   and replaying it against a plane's snapshot history reports the
+   record as a mismatch (no plane request encodes it) instead of
+   raising. *)
+let test_lsm_nf_replay () =
+  let sk = lsm_sink () in
+  with_temp @@ fun path ->
+  J.save sk.J.sk_journal path;
+  let j =
+    match J.load path with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "image with an nf record refused: %s" e
+  in
+  let nf =
+    List.filter
+      (fun (d : J.decision) ->
+        match d.J.d_req with J.Nf _ -> true | _ -> false)
+      (J.decisions j)
+  in
+  check_int "the nf record loaded" 1 (List.length nf);
+  let plane = Plane.create (PS.create ()) in
+  let rep =
+    Replay.replay ~snapshot_of_epoch:(Plane.snapshot_at plane)
+      (Array.of_list nf)
+  in
+  check_int "nothing matched" 0 rep.Replay.rp_matched;
+  match rep.Replay.rp_mismatches with
+  | [ { Replay.mm_field = "request"; mm_got = "nf"; mm_seq = 4; _ } ] -> ()
+  | _ -> Alcotest.failf "expected one request mismatch:\n%s" (Replay.render rep)
 
 (* --- kernel audit ring view ---------------------------------------------- *)
 
@@ -797,7 +871,11 @@ let suites =
     ("journal:lsm",
      [ Alcotest.test_case "LSM records round-trip" `Quick test_lsm_roundtrip;
        Alcotest.test_case "every out-of-range LSM field refused" `Quick
-         test_lsm_load_corrupt ]);
+         test_lsm_load_corrupt;
+       Alcotest.test_case "an nf record replays as a mismatch" `Quick
+         test_lsm_nf_replay;
+       Alcotest.test_case "the nf appender allocates nothing" `Quick
+         test_lsm_nf_allocates_nothing ]);
     ("journal:kaudit",
      [ Alcotest.test_case "ring view drop counting" `Quick
          test_kernel_audit_dropped ]);

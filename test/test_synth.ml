@@ -150,7 +150,11 @@ let test_lsm_closed_loop () =
     (function
       | J.Kaudit _ -> ()
       | J.Decision d ->
-          let phase, req = Plane.request_of_decision d in
+          let phase, req =
+            match Plane.request_of_decision d with
+            | Some pr -> pr
+            | None -> Alcotest.fail "no nf traffic was driven"
+          in
           let phase = Phase.of_index phase and st = r.L.state in
           let allowed =
             match req with
@@ -174,6 +178,98 @@ let test_lsm_closed_loop () =
     (res.Synth.r_mounts <> [] && res.Synth.r_binds <> []);
   assert_strict_clean "LSM lane" res;
   assert_replay_clean "LSM lane" obs res
+
+(* --- the netfilter lane ------------------------------------------------ *)
+
+(* Raw- and packet-socket traffic the default OUTPUT chain drops (raw
+   UDP outside the traceroute range, a raw TCP SYN, a non-ARP frame on
+   a packet socket), sent through [Syscall] on a booted image with
+   record mode on.  Each packet leaves exactly one typed nf record
+   (reqtag 4); `protego-journal dump --hook nf --record-only` selects
+   exactly those; and the chain synthesized from them lints
+   strict-clean and admits every flow. *)
+let test_nf_lane () =
+  let module Image = Protego_dist.Image in
+  let module Syscall = Protego_kernel.Syscall in
+  let module Packet = Protego_net.Packet in
+  let module Ipaddr = Protego_net.Ipaddr in
+  let module Syntax = Protego_base.Syntax in
+  let img = Image.build Image.Protego in
+  let m = img.Image.machine in
+  let root = Image.login img "root" in
+  let alice = Image.login img "alice" in
+  Syntax.expect_ok "record on"
+    (Syscall.write_file m root "/proc/protego/record" "on\n");
+  let dst = Ipaddr.v 10 0 0 1 in
+  let flows =
+    [ (Ktypes.Af_inet, 17,
+       Packet.Udp_dgram { src_port = 40000; dst_port = 53; payload = "" });
+      (Ktypes.Af_inet, 6,
+       Packet.Tcp_seg
+         { src_port = 40000; dst_port = 80; syn = true; payload = "" });
+      (Ktypes.Af_packet, 0x88cc,
+       Packet.Raw_payload { protocol = 0x88cc; payload = "lldp" }) ]
+  in
+  List.iter
+    (fun (domain, proto, transport) ->
+      let fd =
+        Syntax.expect_ok "socket"
+          (Syscall.socket m alice domain Ktypes.Sock_raw proto)
+      in
+      let pkt = { Packet.src = Ipaddr.v 10 0 0 2; dst; ttl = 64; transport } in
+      ignore
+        (Syntax.expect_ok "record mode lets it out"
+           (Syscall.sendto m alice fd dst 0 (Packet.encode pkt))
+          : int);
+      ignore (Syscall.close m alice fd))
+    flows;
+  let entries = J.entries m.Ktypes.audit.J.sk_journal in
+  let nf =
+    List.filter
+      (function J.Decision { J.d_req = J.Nf _; _ } -> true | _ -> false)
+      entries
+  in
+  Alcotest.(check int) "one nf record per packet" (List.length flows)
+    (List.length nf);
+  List.iter
+    (function
+      | J.Decision d ->
+          check_bool ("a recorded would-deny of uid 1000: "
+                      ^ J.entry_to_string (J.Decision d)) true
+            (d.J.d_verdict = 3 && d.J.d_subject = 1000)
+      | J.Kaudit _ -> ())
+    nf;
+  let path = Filename.temp_file "nf" ".bin" in
+  let out = Filename.temp_file "nf" ".txt" in
+  Fun.protect ~finally:(fun () -> Sys.remove path; Sys.remove out) @@ fun () ->
+  J.save m.Ktypes.audit.J.sk_journal path;
+  let code =
+    Sys.command
+      (Filename.quote_command (Test_support.journal_exe ())
+         [ "dump"; path; "--hook"; "nf"; "--record-only" ]
+         ~stdout:out)
+  in
+  Alcotest.(check int) "dump exits 0" 0 code;
+  Alcotest.(check (list string))
+    "dump --hook nf --record-only selects exactly the nf records"
+    (List.map J.entry_to_string nf)
+    (In_channel.with_open_bin out In_channel.input_lines);
+  let obs = Synth.observations entries in
+  let nf_obs =
+    List.filter
+      (fun o -> match o.Synth.ob_args with Synth.A_nf _ -> true | _ -> false)
+      obs
+  in
+  Alcotest.(check int) "one observation per flow" (List.length flows)
+    (List.length nf_obs);
+  let r = Synth.synthesize obs in
+  assert_strict_clean "nf lane" r;
+  assert_replay_clean "nf lane" obs r;
+  List.iter
+    (fun o ->
+      check_bool ("admitted: " ^ Synth.desc_of_args o.Synth.ob_args) true
+        (Synth.admits r o))
+    nf_obs
 
 (* --- determinism --------------------------------------------------------- *)
 
@@ -297,7 +393,9 @@ let suites =
         Alcotest.test_case "byte-identical re-synthesis" `Quick
           test_byte_identical_resynthesis;
         Alcotest.test_case "LSM lane: record -> synthesize -> replay" `Quick
-          test_lsm_closed_loop ] );
+          test_lsm_closed_loop;
+        Alcotest.test_case "nf lane: raw and packet sockets -> chain" `Quick
+          test_nf_lane ] );
     ( "synth:fixture",
       [ Alcotest.test_case "committed recording dumps one phase per decision"
           `Quick test_fixture_dump ] );
