@@ -280,22 +280,6 @@ let dead_pcs s =
   Array.iteri (fun pc r -> if not r then acc := pc :: !acc) s.reachable;
   List.rev !acc
 
-(* Maximal runs of consecutive unreachable slots. *)
-let dead_ranges s =
-  let n = Array.length s.reachable in
-  let ranges = ref [] and start = ref (-1) in
-  for pc = 0 to n - 1 do
-    if not s.reachable.(pc) then begin
-      if !start < 0 then start := pc
-    end
-    else if !start >= 0 then begin
-      ranges := (!start, pc - 1) :: !ranges;
-      start := -1
-    end
-  done;
-  if !start >= 0 then ranges := (!start, n - 1) :: !ranges;
-  List.rev !ranges
-
 (* --- provenance notes --------------------------------------------------- *)
 
 (* Notes mark where a declarative rule's code begins; a note's extent
@@ -512,5 +496,3 @@ let pp_summary ppf s =
       Format.fprintf ppf "const branch at %d: always %b@," pc dir)
     s.const_branches;
   Format.fprintf ppf "@]"
-
-let summary_to_string s = Format.asprintf "%a" pp_summary s

@@ -79,9 +79,6 @@ val always_allows : summary -> bool
 (** Definite: no input makes the program return [Deny] or [Reject]. *)
 
 val dead_pcs : summary -> int list
-val dead_ranges : summary -> (int * int) list
-(** Maximal runs of consecutive unreachable slots, as inclusive
-    [(first, last)] pairs. *)
 
 (** {1 Provenance}
 
@@ -103,6 +100,3 @@ val dead_notes : notes:(int * string) list -> summary -> (int * string) list
 (** {1 Reports} *)
 
 val pp_summary : Format.formatter -> summary -> unit
-val summary_to_string : summary -> string
-(** Disassembly annotated with reachability ([X] marks dead slots) and
-    constant branches. *)

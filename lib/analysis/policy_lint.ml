@@ -761,14 +761,6 @@ let lint ?programs ?sources (inp : input) =
 
 (* --- reporting ---------------------------------------------------------- *)
 
-let max_severity findings =
-  List.fold_left
-    (fun acc f ->
-      match acc with
-      | Some s when severity_rank s >= severity_rank f.severity -> acc
-      | _ -> Some f.severity)
-    None findings
-
 let has_errors findings = List.exists (fun f -> f.severity = Error) findings
 
 let render findings =

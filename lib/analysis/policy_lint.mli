@@ -150,7 +150,6 @@ val lint_program :
 
 (** {2 Reporting} *)
 
-val max_severity : finding list -> severity option
 val has_errors : finding list -> bool
 
 val render : finding list -> string

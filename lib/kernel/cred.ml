@@ -2,7 +2,6 @@ open Protego_base
 open Ktypes
 
 let root_uid = 0
-let root_gid = 0
 
 let make ?(groups = []) ?caps ~uid ~gid () =
   let caps =

@@ -3,7 +3,6 @@
 open Protego_base
 
 val root_uid : Ktypes.uid
-val root_gid : Ktypes.gid
 
 val make :
   ?groups:Ktypes.gid list -> ?caps:Cap.Set.t -> uid:Ktypes.uid ->

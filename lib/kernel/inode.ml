@@ -27,6 +27,5 @@ let write_all inode s =
 
 let append_data inode s = Buffer.add_string inode.data s
 let size inode = Buffer.length inode.data
-let is_dir inode = inode.kind = Dir
 let is_reg inode = inode.kind = Reg
 let same a b = a == b

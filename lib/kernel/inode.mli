@@ -20,7 +20,6 @@ val write_all : Ktypes.inode -> string -> unit
 val append_data : Ktypes.inode -> string -> unit
 val size : Ktypes.inode -> int
 
-val is_dir : Ktypes.inode -> bool
 val is_reg : Ktypes.inode -> bool
 val same : Ktypes.inode -> Ktypes.inode -> bool
 (** Physical identity — inode numbers are unique per machine but mounts

@@ -46,8 +46,6 @@ let getgid task = task.cred.rgid
 let getegid task = task.cred.egid
 let getgroups task = task.cred.groups
 let getpid task = trap (); task.tpid
-let capget task = task.cred.caps
-
 let apply_full_setuid task target =
   let c = task.cred in
   c.ruid <- target;
@@ -433,14 +431,6 @@ let symlink m task ~target ~linkpath =
       post_fs_event m abs Ev_create;
       Ok ())
   | Error _ as e -> e |> Result.map (fun _ -> ())
-
-let readlink m task path =
-  trap ();
-  let ( let* ) = Result.bind in
-  let* inode = Vfs.resolve_no_follow m task path in
-  match inode.kind with
-  | Symlink target -> Ok target
-  | Reg | Dir | Chardev _ | Blockdev _ | Fifo -> Error Errno.EINVAL
 
 let readdir m task path =
   trap ();

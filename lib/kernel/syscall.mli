@@ -58,8 +58,6 @@ val seteuid :
 val setgroups :
   Ktypes.machine -> Ktypes.task -> Ktypes.gid list -> (unit, Errno.t) result
 
-val capget : Ktypes.task -> Cap.Set.t
-
 (** {1 Files} *)
 
 val open_ :
@@ -91,7 +89,6 @@ val rename :
 val symlink :
   Ktypes.machine -> Ktypes.task -> target:string -> linkpath:string ->
   (unit, Errno.t) result
-val readlink : Ktypes.machine -> Ktypes.task -> string -> (string, Errno.t) result
 val readdir :
   Ktypes.machine -> Ktypes.task -> string -> (string list, Errno.t) result
 val chdir : Ktypes.machine -> Ktypes.task -> string -> (unit, Errno.t) result

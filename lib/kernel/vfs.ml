@@ -55,8 +55,6 @@ let mount_at_in mounts inode =
   (* Later entries are more recent mounts; the last one covering wins. *)
   top None mounts
 
-let mount_at m inode = mount_at_in m.mounts inode
-
 let redirect_in mounts inode =
   let rec follow inode depth =
     if depth > 16 then inode

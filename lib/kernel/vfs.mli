@@ -43,9 +43,6 @@ val redirect_mount : Ktypes.machine -> Ktypes.inode -> Ktypes.inode
 (** Follow the initial-namespace mount table: if a mount covers this inode,
     return the mounted root (iterated, for stacked mounts). *)
 
-val mount_at : Ktypes.machine -> Ktypes.inode -> Ktypes.mount_record option
-(** The topmost mount covering exactly this inode, if any. *)
-
 val mounts_of : Ktypes.machine -> Ktypes.task -> Ktypes.mount_record list
 (** The mount table the task sees: its private copy when it unshared the
     mount namespace, the machine's otherwise. *)

@@ -76,9 +76,6 @@ let policy t = function
   | Output -> t.output_policy
   | Forward -> t.forward_policy
 
-let rule_count t =
-  List.length t.input + List.length t.output + List.length t.forward
-
 let origin_uid = function
   | Packet.Kernel_stack -> None
   | Packet.Raw_app { uid } | Packet.Packet_app { uid } -> Some uid
@@ -150,8 +147,6 @@ let rule_to_spec r =
   let matches = List.map match_to_spec r.matches in
   let base = String.concat " " (matches @ [ "-j"; verdict_to_string r.target ]) in
   if String.equal r.comment "" then base else base ^ " # " ^ r.comment
-
-let pp_rule ppf r = Format.pp_print_string ppf (rule_to_spec r)
 
 let parse_port_range s =
   match String.index_opt s ':' with

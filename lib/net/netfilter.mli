@@ -42,7 +42,6 @@ val flush : t -> chain -> unit
 val rules : t -> chain -> rule list
 val set_policy : t -> chain -> verdict -> unit
 val policy : t -> chain -> verdict
-val rule_count : t -> int
 
 val generation : t -> int
 (** Bumped by every {!append}, {!insert}, {!flush} and {!set_policy}, on
@@ -67,7 +66,6 @@ val set_output_override :
     filter-machine dispatcher here so the egress hot path runs compiled
     programs; the override must be behaviourally identical to {!walk}. *)
 
-val pp_rule : Format.formatter -> rule -> unit
 val rule_to_spec : rule -> string
 (** iptables-save-like one-line form, parseable by {!rule_of_spec}. *)
 

@@ -126,6 +126,13 @@ let split_n s n =
   in
   if String.length s = 0 then [] else go 0 n []
 
+(* Ports and a raw protocol number are 16-bit on the wire: a header
+   field outside 0..65535 is malformed, not a large port. *)
+let u16 s =
+  match int_of_string_opt s with
+  | Some n when n >= 0 && n <= 0xFFFF -> Some n
+  | Some _ | None -> None
+
 let decode s =
   match split_n s 5 with
   | [ "ip4"; src_s; dst_s; ttl_s; rest ] -> (
@@ -141,20 +148,20 @@ let decode s =
                 | _, _ -> None)
             | [ "tcp"; sp; dp; syn ] -> (
                 (* syn field itself contains "syn|payload" split; re-split. *)
-                match (int_of_string_opt sp, int_of_string_opt dp, split_n syn 2) with
+                match (u16 sp, u16 dp, split_n syn 2) with
                 | Some src_port, Some dst_port, [ syn_s; payload ] -> (
                     match int_of_string_opt syn_s with
                     | Some f -> Some (Tcp_seg { src_port; dst_port; syn = f <> 0; payload })
                     | None -> None)
                 | _, _, _ -> None)
             | [ "udp"; sp; dp; payload ] -> (
-                match (int_of_string_opt sp, int_of_string_opt dp) with
+                match (u16 sp, u16 dp) with
                 | Some src_port, Some dst_port ->
                     Some (Udp_dgram { src_port; dst_port; payload })
                 | _, _ -> None)
             | "raw" :: proto :: rest_fields -> (
                 let payload = String.concat "|" rest_fields in
-                match int_of_string_opt proto with
+                match u16 proto with
                 | Some protocol -> Some (Raw_payload { protocol; payload })
                 | None -> None)
             | _ -> None

@@ -55,7 +55,11 @@ val src_port : t -> int option
 (** Wire form: a length-prefixed byte encoding, used by the raw socket path
     so applications really do construct headers themselves. *)
 val encode : t -> string
+
 val decode : string -> t option
+(** [None] for a malformed header, including a TCP/UDP port or a raw
+    protocol number outside 0..65535 (a raw socket's [sendto] then
+    returns EINVAL). *)
 
 val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool

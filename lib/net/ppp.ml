@@ -66,10 +66,3 @@ let establish t ~local_ip ~remote_ip =
   run ()
 
 let is_up t = t.phase = Running
-
-let phase_to_string = function
-  | Dead -> "dead"
-  | Establish -> "establish"
-  | Authenticate -> "authenticate"
-  | Network -> "network"
-  | Running -> "running"

@@ -41,4 +41,3 @@ val establish : t -> local_ip:Ipaddr.t -> remote_ip:Ipaddr.t -> unit
 (** Drive the link all the way to [Running] with negotiated addresses. *)
 
 val is_up : t -> bool
-val phase_to_string : phase -> string

@@ -9,44 +9,13 @@ module Errno = Protego_base.Errno
 module Phase = Protego_base.Phase
 module J = Protego_journal.Journal
 
-type request =
-  | Mount of {
-      subject : int;
-      source : string;
-      target : string;
-      fstype : string;
-      flags : Protego_kernel.Ktypes.mount_flag list;
-    }
-  | Umount of { subject : int; target : string; mounted_by : int }
-  | Bind of {
-      subject : int;
-      port : int;
-      proto : Bindconf.proto;
-      exe : string;
-    }
-  | Ppp_ioctl of { subject : int; device : string; opt : Protego_net.Ppp.option_ }
+module Request = Protego_core.Request
+include Request.Value
 
-let hook_count = 4
-
-let hook_index = function
-  | Mount _ -> 0
-  | Umount _ -> 1
-  | Bind _ -> 2
-  | Ppp_ioctl _ -> 3
-
-let kinds = Decider.[| Mount; Umount; Bind; Ppp_ioctl |]
-
-let hook_name hi = Decider.kind_name kinds.(hi)
-
-let subject_of = function
-  | Mount { subject; _ } | Umount { subject; _ } | Bind { subject; _ }
-  | Ppp_ioctl { subject; _ } ->
-      subject
-
-(* Generation-vector source backing each hook, as a snapshot gens index
-   ({!PS.source_index} order): mount/umount read the mount whitelist,
-   bind the bind map, ppp_ioctl the ppp policy. *)
-let gens_index = [| 0; 0; 1; 4 |]
+let hook_count = Request.count
+let hook_index = Request.index
+let hook_name hi = Decider.kind_name (Request.kind_of_index hi)
+let subject_of = Request.subject
 
 type outcome = {
   o_verdict : Pfm.verdict;
@@ -91,59 +60,30 @@ type worker = {
   w_keys : Trace.key array;        (* per hook, engine "plane" *)
 }
 
-(* The memo-table key of a request under the subject's phase index: the
-   same encoding the LSM hooks use. *)
-let request_key k phase = function
-  | Mount { source; target; fstype; flags; _ } ->
-      Decider.mount_key k ~phase ~source ~target ~fstype ~flags
-  | Umount { target; mounted_by; _ } ->
-      Decider.umount_key k ~phase ~target ~mounted_by
-  | Bind { port; proto; exe; _ } -> Decider.bind_key k ~phase ~port ~proto ~exe
-  | Ppp_ioctl { device; opt; _ } -> Decider.ppp_key k ~phase ~device ~opt
+let request_oracle = Request.oracle
+let snapshot_oracle ?phase snap = Request.oracle ?phase snap.Snapshot.frozen
+let request_deny_errno = Request.deny_errno
 
-let of_bool b = if b then Pfm.Allow else Pfm.Deny
-
-let request_oracle ?phase (st : PS.t) = function
-  | Mount { source; target; fstype; flags; _ } ->
-      PS.mount_decision ?phase st ~source ~target ~fstype ~flags
-  | Umount { subject; target; mounted_by } ->
-      PS.umount_decision ?phase st ~target ~mounted_by ~ruid:subject
-  | Bind { subject; port; proto; exe } ->
-      PS.bind_allowed ?phase st ~port ~proto ~exe ~uid:subject
-  | Ppp_ioctl { device; opt; _ } ->
-      PS.ppp_ioctl_decision ?phase st ~device ~opt
-
-let snapshot_oracle ?phase snap = request_oracle ?phase snap.Snapshot.frozen
-
-(* Plane hooks all carry a deny errno (only nf_output lacks one). *)
-let request_deny_errno req =
-  Option.get (Decider.deny_errno kinds.(hook_index req))
-
-(* A worker's engine, evaluated against the snapshot it adopted for the
-   decision ([decide_with] adopts before the ladder runs). *)
-let eval w engine ~phase ~subject:_ req =
-  match engine with
-  | `Ref -> of_bool (snapshot_oracle ~phase:(Phase.of_index phase) w.w_snap req)
-  | `Pfm -> (
-      let progs = w.w_progs in
-      match req with
-      | Mount { source; target; fstype; flags; _ } ->
-          Pfm.eval progs.Snapshot.p_mount
-            (Compile.mount_ctx ~phase ~source ~target ~fstype ~flags)
-      | Umount { subject; target; mounted_by } ->
-          Pfm.eval progs.Snapshot.p_umount
-            (Compile.umount_ctx ~phase ~target ~mounted_by ~ruid:subject)
-      | Bind { subject; port; proto; exe } ->
-          Pfm.eval progs.Snapshot.p_bind
-            (Compile.bind_ctx ~phase ~port ~proto ~exe ~uid:subject)
-      | Ppp_ioctl { device; opt; _ } ->
-          Pfm.eval progs.Snapshot.p_ppp (Compile.ppp_ctx ~phase ~device ~opt))
+(* Each hook's source, as its index in a snapshot's generation vector. *)
+let gens_index =
+  Array.init hook_count (fun hi -> PS.source_index (Request.source_of_index hi))
 
 let make_worker ~record journal id snap =
   let dec = Decider.create ~cache:(DC.create ()) ~trace:(Trace.create ()) in
   Decider.set_record dec record;
+  (* The shared engine against the snapshot the worker adopted for the
+     decision ([decide_with] adopts before the ladder runs), on the
+     worker's own clones of that snapshot's programs: never the policy
+     state's program store, which a worker serving an older snapshot
+     would make compile that older value and evict the live program. *)
+  let eval =
+    Request.eval
+      ~state:(fun w -> w.w_snap.Snapshot.frozen)
+      ~run:(fun w kind ctx -> Pfm.eval (Snapshot.program w.w_progs kind) ctx)
+  in
   let hooks =
-    Array.map (fun k -> Decider.hook dec k ~key:request_key ~eval) kinds
+    Array.init hook_count (fun hi ->
+        Decider.hook dec (Request.kind_of_index hi) ~key:Request.key ~eval)
   in
   let keys =
     Array.init hook_count (fun hi ->
@@ -310,19 +250,21 @@ let adopt w snap =
    epoch implies the same generation vector: epochs only ever move by
    publication) and keyed on the request by physical identity; the memo
    table is stamped with the snapshot's generation of the hook's source.
-   [ph] is the subject's phase index, read once before the ladder: it
+   The subject's phase index [ph] is read once before the ladder: it
    keys the slot and the memo args, and selects the per-phase ladder
    inside the compiled programs (the leading dispatch field of the
    ctx). *)
-let decide_with w engine snap req ~ph =
+let decide_with t w engine snap req =
   adopt w snap;
+  let subject = subject_of req in
+  let ph = Atomic.get (phase_slot t subject) in
   let hi = hook_index req in
   let d = w.w_dec and h = w.w_hooks.(hi) in
   let epoch = snap.Snapshot.epoch in
   let v =
     match
       Decider.probe d h ~stamp:epoch ~gen:snap.Snapshot.gens.(gens_index.(hi))
-        ~subject:(subject_of req) ~phase:ph
+        ~subject ~phase:ph
     with
     | Some r when r == req -> Decider.hit d h
     | _ -> Decider.miss d h w ~raw:req ~engine
@@ -330,11 +272,8 @@ let decide_with w engine snap req ~ph =
   { o_verdict = v; o_errno = Decider.errno (Decider.kind h) v; o_epoch = epoch;
     o_phase = ph }
 
-let request_phase t req =
-  Atomic.get (phase_slot t (subject_of req))
-
 let decide_one t w engine req =
-  decide_with w engine (Snapshot.current t.pub) req ~ph:(request_phase t req)
+  decide_with t w engine (Snapshot.current t.pub) req
 
 let decide t req =
   ignore (refresh t);
@@ -736,7 +675,7 @@ let worker_of t i =
 let decide_on t ~worker req = decide_one t (worker_of t worker) t.engine req
 
 let decide_against t ~worker snap req =
-  decide_with (worker_of t worker) t.engine snap req ~ph:(request_phase t req)
+  decide_with t (worker_of t worker) t.engine snap req
 
 let journal_decision t ~worker ~run ~seq req o =
   journal_append (worker_of t worker).w_term ~run ~seq req o

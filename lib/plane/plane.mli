@@ -29,36 +29,24 @@
 module PS = Protego_core.Policy_state
 module Pfm = Protego_filter.Pfm
 
-(** One decision request.  Arguments mirror the LSM hook signatures; the
-    [subject] is the caller's uid (ruid for umount).  Requests are
-    compared by physical identity on the front-slot fast path, so
-    generators should intern and reuse request values. *)
-type request =
-  | Mount of {
-      subject : int;
-      source : string;
-      target : string;
-      fstype : string;
-      flags : Protego_kernel.Ktypes.mount_flag list;
-    }
-  | Umount of { subject : int; target : string; mounted_by : int }
-  | Bind of {
-      subject : int;
-      port : int;
-      proto : Protego_policy.Bindconf.proto;
-      exe : string;
-    }
-  | Ppp_ioctl of { subject : int; device : string; opt : Protego_net.Ppp.option_ }
+(** {1 Requests}
 
-val hook_count : int
-(** 4: mount, umount, bind, ppp_ioctl. *)
+    The plane decides {!Protego_core.Request.t} values, re-exported here
+    with their constructors ([Plane.Mount {...}] and friends).  Their
+    table key, PFM context and reference verdict are
+    {!Protego_core.Request}'s, shared with the LSM dispatcher: a worker
+    registers its four hooks with {!Protego_core.Request.key} and
+    {!Protego_core.Request.eval}, and differs only in where the program
+    comes from — its clones of its snapshot's programs
+    ({!Snapshot.clone_progs}), never the policy state's program store. *)
+
+include module type of struct include Protego_core.Request.Value end
 
 val hook_index : request -> int
-val hook_name : int -> string
 
 val subject_of : request -> int
-(** The request's subject uid — the identity the per-subject lifecycle
-    phase table is keyed by. *)
+(** {!Protego_core.Request.index} and [subject] (the key of the
+    per-subject phase table). *)
 
 type outcome = {
   o_verdict : Pfm.verdict;
@@ -203,24 +191,20 @@ val request_of_decision :
     reads.  [None] for a netfilter (nf) record, which no plane request
     encodes. *)
 
-(** {1 Reference oracles}
-
-    The list-walking reference semantics over a whole {!request} — the
-    per-hook decision procedures bundled behind the request variant, for
-    differential tests and the simulator's property checker. *)
+(** {1 Reference oracles} *)
 
 val request_oracle : ?phase:Protego_base.Phase.t -> PS.t -> request -> bool
-(** Evaluate the request against the {e live} state; [?phase] filters
-    rules to those active in the subject's lifecycle phase. *)
+(** {!Protego_core.Request.oracle}: the request against the {e live}
+    state; [?phase] filters rules to those active in the subject's
+    lifecycle phase. *)
 
 val snapshot_oracle :
   ?phase:Protego_base.Phase.t -> Snapshot.t -> request -> bool
-(** Evaluate the request against a frozen snapshot — what
+(** The same oracle against a frozen snapshot — what
     [always (verdict = snapshot_at(epoch) oracle verdict)] checks. *)
 
 val request_deny_errno : request -> Protego_base.Errno.t
-(** The errno a denial of this request carries:
-    {!Protego_core.Decider.deny_errno} of its hook. *)
+(** {!Protego_core.Request.deny_errno}. *)
 
 (** {1 Simulation hooks}
 

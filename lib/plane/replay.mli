@@ -35,8 +35,8 @@ val replay :
   snapshot_of_epoch:(int -> Snapshot.t option) -> J.decision array -> report
 (** Re-evaluate every decision against the snapshot its epoch stamp
     names.  Verdict expectation comes from the reference oracle
-    ([Snapshot.ref_*]); errno expectation is the hook's deny errno
-    ({!Protego_core.Decider.deny_errno}) when denied, none when
+    ({!Plane.snapshot_oracle}); errno expectation is the request's deny
+    errno ({!Protego_core.Request.deny_errno}) when denied, none when
     allowed.  A record-mode record (verdict 3, "recorded": a would-deny
     served as an allow) matches a reference denial with no errno.  An
     LSM nf record, which no plane request encodes, is a ["request"]

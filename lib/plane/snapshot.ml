@@ -15,36 +15,32 @@ type t = {
   progs : progs;
 }
 
+let program progs = function
+  | PS.Mount_program -> progs.p_mount
+  | PS.Umount_program -> progs.p_umount
+  | PS.Bind_program -> progs.p_bind
+  | PS.Ppp_program -> progs.p_ppp
+
+let of_kinds f =
+  { p_mount = f PS.Mount_program; p_umount = f PS.Umount_program;
+    p_bind = f PS.Bind_program; p_ppp = f PS.Ppp_program }
+
 (* The programs come from the state's program store, so a source whose
    value did not change since the last publish shares that snapshot's
    program instead of recompiling it. *)
 let freeze ~epoch (st : PS.t) =
   let frozen = PS.copy st in
   let gens = Array.of_list (List.map (PS.generation st) PS.sources) in
-  let progs =
-    { p_mount = PS.program frozen PS.Mount_program;
-      p_umount = PS.program frozen PS.Umount_program;
-      p_bind = PS.program frozen PS.Bind_program;
-      p_ppp = PS.program frozen PS.Ppp_program }
-  in
-  { epoch; gens; frozen; progs }
+  { epoch; gens; frozen; progs = of_kinds (PS.program frozen) }
 
 let clone_progs ?prev t =
-  let clone get =
-    match prev with
-    | Some (s, mine) when get s.progs == get t.progs -> get mine
-    | _ -> Pfm.clone (get t.progs)
-  in
-  { p_mount = clone (fun p -> p.p_mount);
-    p_umount = clone (fun p -> p.p_umount);
-    p_bind = clone (fun p -> p.p_bind);
-    p_ppp = clone (fun p -> p.p_ppp) }
+  of_kinds (fun kind ->
+      let p = program t.progs kind in
+      match prev with
+      | Some (s, mine) when program s.progs kind == p -> program mine kind
+      | _ -> Pfm.clone p)
 
 let gen_for t s = t.gens.(PS.source_index s)
-
-let ref_mount ?phase t ~source ~target ~fstype ~flags =
-  PS.mount_decision ?phase t.frozen ~source ~target ~fstype ~flags
-
 
 (* --- publication -------------------------------------------------------- *)
 

@@ -54,15 +54,12 @@ val clone_progs : ?prev:t * progs -> t -> progs
     worker's clone [mine], so a publish after a bare reload clones
     nothing. *)
 
+val program : progs -> PS.program_kind -> Pfm.program
+(** One program of a set, by the kind that decides a request
+    ({!Protego_core.Request.program_kind}). *)
+
 val gen_for : t -> PS.source -> int
 (** The frozen generation of one source. *)
-
-val ref_mount :
-  ?phase:Protego_base.Phase.t -> t -> source:string -> target:string ->
-  fstype:string -> flags:Protego_kernel.Ktypes.mount_flag list -> bool
-(** The reference mount decision against the frozen state
-    ({!PS.mount_decision}); {!Plane.snapshot_oracle} covers every plane
-    hook. *)
 
 (** {1 Publication} *)
 

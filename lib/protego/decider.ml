@@ -21,42 +21,11 @@ let deny_errno = function
 let errno kind (v : Pfm.verdict) =
   match v with Pfm.Allow -> None | Pfm.Deny | Pfm.Reject -> deny_errno kind
 
-(* --- key encoders ---------------------------------------------------------
+(* --- the packet key -----------------------------------------------------
 
-   Every field but a trailing string is self-delimiting, so each hook's
-   layout is injective.  Ints and the flags mask are zigzag varints; one
-   string goes last, unprefixed, which keeps a key no longer than a
-   separator-joined rendering of the same tuple while its strings are
-   under 16 KiB. *)
-
-let mount_key k ~phase ~source ~target ~fstype ~flags =
-  DC.Key.int k phase;
-  DC.Key.int k (Compile.flags_mask flags);
-  DC.Key.string k source;
-  DC.Key.string k fstype;
-  DC.Key.last_string k target
-
-let umount_key k ~phase ~target ~mounted_by =
-  DC.Key.int k phase;
-  DC.Key.int k mounted_by;
-  DC.Key.last_string k target
-
-let bind_key k ~phase ~port ~proto ~exe =
-  DC.Key.int k phase;
-  DC.Key.int k port;
-  DC.Key.int k
-    (match proto with
-     | Protego_policy.Bindconf.Tcp -> 0
-     | Protego_policy.Bindconf.Udp -> 1);
-  DC.Key.last_string k exe
-
-let ppp_key k ~phase ~device ~opt =
-  DC.Key.int k phase;
-  DC.Key.int k (if Protego_net.Ppp.option_is_safe opt then 1 else 0);
-  DC.Key.last_string k device
-
-(* The packet context is the canonical integer encoding of everything
-   the chain can match on. *)
+   The request hooks' keys are {!Request.key}.  The packet context is
+   the canonical integer encoding of everything the chain can match on;
+   ints are zigzag varints, so the layout is injective. *)
 let nf_key k (ctx : Pfm.ctx) =
   let ints = ctx.Pfm.ints in
   for i = 0 to Array.length ints - 1 do
@@ -81,7 +50,7 @@ type ('e, 'a) hook = {
   kind : kind;
   ch : DC.hook;
   encode : DC.Key.t -> int -> 'a -> unit;
-  eval : 'e -> engine -> phase:int -> subject:int -> 'a -> Pfm.verdict;
+  eval : 'e -> engine -> phase:int -> 'a -> Pfm.verdict;
   k_cache : Trace.key;
   k_pfm : Trace.key;
   k_ref : Trace.key;
@@ -243,7 +212,7 @@ let miss d h env ~raw ~engine =
         d.last_engine <- J.engine_cache;
         (v, h.k_cache, stages)
     | None ->
-        let v = h.eval env engine ~phase:d.p_ph ~subject raw in
+        let v = h.eval env engine ~phase:d.p_ph raw in
         evaluated h.stats v;
         DC.add d.cache h.ch ~subject ~key ~gen:d.p_gen ~verdict:v
           ~errno:(errno h.kind v);

@@ -1,7 +1,9 @@
 (** The decision ladder — front slot, then {!Decision_cache} table, then
     engine — in the one implementation every filtered decision runs
     through: the LSM hooks ({!Pfm_dispatch}) and every decision-plane
-    worker alike.
+    worker alike.  Below it, both paths register the four policy-state
+    hooks with the same key and engine over one {!Request.t}; only the
+    packet hook has its own ({!nf_key}).
 
     The slot is compared by {e physical} identity of the raw arguments
     (sound: they are immutable) and stamped with the cache epoch plus
@@ -32,35 +34,10 @@ val deny_errno : kind -> Protego_base.Errno.t option
 val errno : kind -> Pfm.verdict -> Protego_base.Errno.t option
 (** [None] for [Allow], {!deny_errno} otherwise. *)
 
-(** {1 Table-key encoders}
-
-    Each writes one hook's arguments, under a phase index that leads,
-    into a {!Decision_cache.Key}.  Every field but a trailing string is
-    self-delimiting, so the encodings are injective whatever bytes the
-    strings hold, and (for strings under 16 KiB) a key is never longer
-    than the same tuple joined with separators.  Flag lists canonicalize
-    to their bitmask; a ppp option to the one bit of it the decision
-    reads (whether it is intrinsically safe); a packet to its PFM
-    context's integer fields. *)
-
-val mount_key :
-  Decision_cache.Key.t -> phase:int -> source:string -> target:string ->
-  fstype:string -> flags:Protego_kernel.Ktypes.mount_flag list -> unit
-
-val umount_key :
-  Decision_cache.Key.t -> phase:int -> target:string -> mounted_by:int -> unit
-
-val bind_key :
-  Decision_cache.Key.t -> phase:int -> port:int ->
-  proto:Protego_policy.Bindconf.proto -> exe:string -> unit
-
-val ppp_key :
-  Decision_cache.Key.t -> phase:int -> device:string ->
-  opt:Protego_net.Ppp.option_ -> unit
-
 val nf_key : Decision_cache.Key.t -> Pfm.ctx -> unit
-(** The context of {!Protego_filter.Pfm_compile.packet_ctx}; no phase:
-    netfilter chains carry no phase guards. *)
+(** The packet hook's table key: the integer fields of its
+    {!Protego_filter.Pfm_compile.packet_ctx}, no phase (chains carry no
+    phase guards). *)
 
 (** {1 Deciders and hooks} *)
 
@@ -90,14 +67,16 @@ val create : cache:Decision_cache.t -> trace:Trace.t -> t
 
 val hook :
   t -> kind -> key:(Decision_cache.Key.t -> int -> 'a -> unit) ->
-  eval:('e -> engine -> phase:int -> subject:int -> 'a -> Pfm.verdict) ->
+  eval:('e -> engine -> phase:int -> 'a -> Pfm.verdict) ->
   ('e, 'a) hook
 (** Register a hook: its cache-table hook and its [cache]/[pfm]/[ref]
     latency series, in call order.  [key k phase raw] encodes the table
     key into the decider's emptied scratch key [k]; it runs only on a
     slot miss while the cache is enabled.
-    [eval env engine ~phase ~subject raw] is the hook's engine: the
-    compiled program or the reference walk, as [engine] says. *)
+    [eval env engine ~phase raw] is the hook's engine: the compiled
+    program or the reference walk, as [engine] says.  The subject keys
+    the cache and the slot only: an engine that reads it finds it in
+    [raw] (a {!Request.t} carries its own). *)
 
 val cache : t -> Decision_cache.t
 val trace : t -> Trace.t

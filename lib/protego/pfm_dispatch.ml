@@ -2,7 +2,6 @@ module Pfm = Protego_filter.Pfm
 module Compile = Protego_filter.Pfm_compile
 module Netfilter = Protego_net.Netfilter
 module Packet = Protego_net.Packet
-module Bindconf = Protego_policy.Bindconf
 module Phase = Protego_base.Phase
 
 module Policy_lint = Protego_analysis.Policy_lint
@@ -21,12 +20,12 @@ type hook_stats = {
   mutable insns : int;
 }
 
-(* One hook's program, keyed on the physical identity of the policy
-   source it was built from, with the reloads a source change forced and
-   the bytecode instructions its runs retired.  The key is the source
-   value, not its generation: a bare generation bump (a reload that
-   changes no value) must stale the cached verdicts without touching the
-   program. *)
+(* One hook's program, keyed on the physical identity of what it was
+   built from (a request hook: the store's program for the source value;
+   the packet hook: the chain), with the reloads a source change forced
+   and the bytecode instructions its runs retired.  The key is not the
+   generation: a bare generation bump (a reload that changes no value)
+   must stale the cached verdicts without touching the program. *)
 type 'k prog = {
   mutable slot : ('k * Pfm.program) option;
   mutable invalidations : int;
@@ -56,15 +55,10 @@ type t = {
   mutable engine : engine;
   mutable lint_mode : lint_mode;
   dec : Decider.t;
-  (* the ladder's hooks, keyed by their raw argument tuples *)
-  mount :
-    ( Policy_state.t,
-      string * string * string * Protego_kernel.Ktypes.mount_flag list )
-    Decider.hook;
-  umount : (Policy_state.t, string * int) Decider.hook;
-  bind : (Policy_state.t, string * int * Bindconf.proto) Decider.hook;
+  (* the ladder's hooks: the four request hooks by {!Request.index}, and
+     the packet hook *)
+  reqs : (Policy_state.t, Request.t) Decider.hook array;
   nf : (Netfilter.t, packet) Decider.hook;
-  ppp : (Policy_state.t, string * Protego_net.Ppp.option_) Decider.hook;
   hooks : (string * any_hook) list;  (* filter_stats order, by name *)
   (* profile-guided recompilation: per hook the (original, optimized)
      pair currently installed, a human-readable status, the running
@@ -88,14 +82,15 @@ let eval_counted c p ctx =
   c.insns <- c.insns + (p.Pfm.retired - before);
   v
 
-(* A [Policy_state]-backed hook: when the source value changed since the
-   slot was filled, take a counter-fresh clone of the store's program for
-   the new value — the store, not the dispatcher, compiles. *)
-let run_stored c st kind key ctx =
+(* A request hook: when the store's program for the live source value
+   is not the one the slot was filled from (the value changed), take a
+   counter-fresh clone of it — the store, not the dispatcher, compiles. *)
+let run_stored c st kind ctx =
+  let orig = Policy_state.program st kind in
   let p =
     match c.slot with
-    | Some (k, p) when k == key -> p
-    | _ -> reload c key (Pfm.clone (Policy_state.program st kind))
+    | Some (k, p) when k == orig -> p
+    | _ -> reload c orig (Pfm.clone orig)
   in
   eval_counted c p ctx
 
@@ -112,93 +107,42 @@ let run_nf c nf ctx =
   in
   eval_counted c p ctx
 
-let of_bool b = if b then Pfm.Allow else Pfm.Deny
-
 let create () =
   let dec =
     Decider.create ~cache:(Decision_cache.create ()) ~trace:(Trace.create ())
   in
-  let mount_prog = fresh_prog () and umount_prog = fresh_prog () in
-  let bind_prog = fresh_prog () and nf_prog = fresh_prog () in
-  let ppp_prog = fresh_prog () in
-  (* Each hook's engine runs its policy source's PFM program, or the
-     reference walk.  Registration order fixes the order of the
-     cache_stats and latency lines. *)
-  let mount =
-    Decider.hook dec Decider.Mount
-      ~key:(fun k phase (source, target, fstype, flags) ->
-        Decider.mount_key k ~phase ~source ~target ~fstype ~flags)
-      ~eval:(fun st engine ~phase ~subject:_ (source, target, fstype, flags) ->
-        match engine with
-        | `Ref ->
-            of_bool
-              (Policy_state.mount_decision ~phase:(Phase.of_index phase) st
-                 ~source ~target ~fstype ~flags)
-        | `Pfm ->
-            run_stored mount_prog st Policy_state.Mount_program
-              st.Policy_state.mounts
-              (Compile.mount_ctx ~phase ~source ~target ~fstype ~flags))
+  let progs = Array.init Request.count (fun _ -> fresh_prog ()) in
+  (* The request hooks share one key and one engine ({!Request.eval});
+     the program is a clone of the store's, per hook. *)
+  let request i =
+    Decider.hook dec (Request.kind_of_index i) ~key:Request.key
+      ~eval:(Request.eval ~state:Fun.id ~run:(run_stored progs.(i)))
   in
-  let umount =
-    Decider.hook dec Decider.Umount
-      ~key:(fun k phase (target, mounted_by) ->
-        Decider.umount_key k ~phase ~target ~mounted_by)
-      ~eval:(fun st engine ~phase ~subject:ruid (target, mounted_by) ->
-        match engine with
-        | `Ref ->
-            of_bool
-              (Policy_state.umount_decision ~phase:(Phase.of_index phase) st
-                 ~target ~mounted_by ~ruid)
-        | `Pfm ->
-            run_stored umount_prog st Policy_state.Umount_program
-              st.Policy_state.mounts
-              (Compile.umount_ctx ~phase ~target ~mounted_by ~ruid))
-  in
-  let bind =
-    Decider.hook dec Decider.Bind
-      ~key:(fun k phase (exe, port, proto) ->
-        Decider.bind_key k ~phase ~port ~proto ~exe)
-      ~eval:(fun st engine ~phase ~subject:uid (exe, port, proto) ->
-        match engine with
-        | `Ref ->
-            of_bool
-              (Policy_state.bind_allowed ~phase:(Phase.of_index phase) st ~port
-                 ~proto ~exe ~uid)
-        | `Pfm ->
-            run_stored bind_prog st Policy_state.Bind_program
-              st.Policy_state.binds
-              (Compile.bind_ctx ~phase ~port ~proto ~exe ~uid))
-  in
+  (* Registration order fixes the order of the cache_stats and latency
+     lines: mount, umount, bind, nf_output, ppp_ioctl. *)
+  let mount = request 0 in
+  let umount = request 1 in
+  let bind = request 2 in
+  let nf_prog = fresh_prog () in
   let nf =
     Decider.hook dec Decider.Nf_output
       ~key:(fun k _ p -> Decider.nf_key k (packet_ctx p))
-      ~eval:(fun nf engine ~phase:_ ~subject:_ p ->
+      ~eval:(fun nf engine ~phase:_ p ->
         match engine with
         | `Ref ->
             Compile.verdict_of_netfilter
               (Netfilter.walk nf Netfilter.Output p.pkt ~origin:p.origin)
         | `Pfm -> run_nf nf_prog nf (packet_ctx p))
   in
-  let ppp =
-    Decider.hook dec Decider.Ppp_ioctl
-      ~key:(fun k phase (device, opt) -> Decider.ppp_key k ~phase ~device ~opt)
-      ~eval:(fun st engine ~phase ~subject:_ (device, opt) ->
-        match engine with
-        | `Ref ->
-            of_bool
-              (Policy_state.ppp_ioctl_decision ~phase:(Phase.of_index phase) st
-                 ~device ~opt)
-        | `Pfm ->
-            run_stored ppp_prog st Policy_state.Ppp_program st.Policy_state.ppp
-              (Compile.ppp_ctx ~phase ~device ~opt))
-  in
+  let ppp = request 3 in
+  let reqs = [| mount; umount; bind; ppp |] in
   let hooks =
     List.map
       (fun (Hook (h, _) as hp) -> (Decider.kind_name (Decider.kind h), hp))
-      [ Hook (mount, mount_prog); Hook (umount, umount_prog);
-        Hook (bind, bind_prog); Hook (nf, nf_prog); Hook (ppp, ppp_prog) ]
+      [ Hook (mount, progs.(0)); Hook (umount, progs.(1));
+        Hook (bind, progs.(2)); Hook (nf, nf_prog); Hook (ppp, progs.(3)) ]
   in
-  { engine = `Pfm; lint_mode = `Warn; dec; mount; umount; bind; nf; ppp; hooks;
+  { engine = `Pfm; lint_mode = `Warn; dec; reqs; nf; hooks;
     opt_installed = Hashtbl.create 8; opt_status = Hashtbl.create 8;
     opt_rejects = 0; opt_log = [] }
 
@@ -336,59 +280,60 @@ let opt_statuses t = List.map (opt_status_line t) t.hooks
 
 (* Callers without task context (bench, fuzz) default to [Phase.initial],
    which is verdict-neutral for unphased policies.  Each decision serves
-   [Decider.flip] of the ladder's true verdict. *)
+   [Decider.flip] of the ladder's true verdict.  The slot holds the
+   request that filled it and is compared by physical identity: the
+   labelled entry points compare the arguments and build a request only
+   on a slot miss. *)
 
-let decide_mount t ?(subject = 0) ?(phase = Phase.initial) (st : Policy_state.t)
-    ~source ~target ~fstype ~flags =
-  let d = t.dec and h = t.mount in
-  let gen = Policy_state.generation st Policy_state.Mounts in
-  let v =
-    match Decider.probe d h ~stamp:gen ~gen ~subject ~phase:(Phase.index phase) with
-    | Some (sr, tg, fs, fl)
-      when sr == source && tg == target && fs == fstype && fl == flags ->
-        Decider.hit d h
-    | _ ->
-        Decider.miss d h st ~raw:(source, target, fstype, flags) ~engine:t.engine
-  in
-  Decider.flip d v = Pfm.Allow
+(* The ladder on request hook [i]: [probe] opens the decision and
+   returns the slot's request when it is fresh; [hit] serves the slot,
+   [miss] the table or the engine. *)
+let probe t i st source ~subject ~phase =
+  let gen = Policy_state.generation st source in
+  Decider.probe t.dec t.reqs.(i) ~stamp:gen ~gen ~subject
+    ~phase:(Phase.index phase)
 
-let decide_umount t ?(phase = Phase.initial) (st : Policy_state.t) ~target
-    ~mounted_by ~ruid =
-  let d = t.dec and h = t.umount in
-  let gen = Policy_state.generation st Policy_state.Mounts in
-  let v =
-    match
-      Decider.probe d h ~stamp:gen ~gen ~subject:ruid ~phase:(Phase.index phase)
-    with
-    | Some (tg, mb) when tg == target && mb = mounted_by -> Decider.hit d h
-    | _ -> Decider.miss d h st ~raw:(target, mounted_by) ~engine:t.engine
-  in
-  Decider.flip d v = Pfm.Allow
+let hit t i = Decider.flip t.dec (Decider.hit t.dec t.reqs.(i)) = Pfm.Allow
 
-let decide_bind t ?(phase = Phase.initial) (st : Policy_state.t) ~port ~proto
-    ~exe ~uid =
-  let d = t.dec and h = t.bind in
-  let gen = Policy_state.generation st Policy_state.Binds in
-  let v =
-    match
-      Decider.probe d h ~stamp:gen ~gen ~subject:uid ~phase:(Phase.index phase)
-    with
-    | Some (e, po, pr) when e == exe && po = port && pr = proto ->
-        Decider.hit d h
-    | _ -> Decider.miss d h st ~raw:(exe, port, proto) ~engine:t.engine
-  in
-  Decider.flip d v = Pfm.Allow
+let miss t i st req =
+  let v = Decider.miss t.dec t.reqs.(i) st ~raw:req ~engine:t.engine in
+  Decider.flip t.dec v = Pfm.Allow
 
-let decide_ppp_ioctl t ?(subject = 0) ?(phase = Phase.initial)
-    (st : Policy_state.t) ~device ~opt =
-  let d = t.dec and h = t.ppp in
-  let gen = Policy_state.generation st Policy_state.Ppp in
-  let v =
-    match Decider.probe d h ~stamp:gen ~gen ~subject ~phase:(Phase.index phase) with
-    | Some (dv, op) when dv == device && op == opt -> Decider.hit d h
-    | _ -> Decider.miss d h st ~raw:(device, opt) ~engine:t.engine
-  in
-  Decider.flip d v = Pfm.Allow
+let decide t ?(phase = Phase.initial) st req =
+  let i = Request.index req in
+  let subject = Request.subject req in
+  match probe t i st (Request.source_of_index i) ~subject ~phase with
+  | Some r when r == req -> hit t i
+  | _ -> miss t i st req
+
+let decide_mount t ?(subject = 0) ?(phase = Phase.initial) st ~source ~target
+    ~fstype ~flags =
+  match probe t 0 st Policy_state.Mounts ~subject ~phase with
+  | Some (Request.Mount r)
+    when r.source == source && r.target == target && r.fstype == fstype
+         && r.flags == flags ->
+      hit t 0
+  | _ -> miss t 0 st (Request.Mount { subject; source; target; fstype; flags })
+
+let decide_umount t ?(phase = Phase.initial) st ~target ~mounted_by ~ruid =
+  match probe t 1 st Policy_state.Mounts ~subject:ruid ~phase with
+  | Some (Request.Umount r) when r.target == target && r.mounted_by = mounted_by
+    ->
+      hit t 1
+  | _ -> miss t 1 st (Request.Umount { subject = ruid; target; mounted_by })
+
+let decide_bind t ?(phase = Phase.initial) st ~port ~proto ~exe ~uid =
+  match probe t 2 st Policy_state.Binds ~subject:uid ~phase with
+  | Some (Request.Bind r) when r.exe == exe && r.port = port && r.proto = proto
+    ->
+      hit t 2
+  | _ -> miss t 2 st (Request.Bind { subject = uid; port; proto; exe })
+
+let decide_ppp_ioctl t ?(subject = 0) ?(phase = Phase.initial) st ~device ~opt =
+  match probe t 3 st Policy_state.Ppp ~subject ~phase with
+  | Some (Request.Ppp_ioctl r) when r.device == device && r.opt == opt ->
+      hit t 3
+  | _ -> miss t 3 st (Request.Ppp_ioctl { subject; device; opt })
 
 let decide_nf_output t nf pkt ~origin =
   let d = t.dec and h = t.nf in

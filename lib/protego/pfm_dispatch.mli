@@ -5,30 +5,31 @@
     asks the dispatcher for a verdict, served through one {!Decider} —
     front slot, then the {!Decision_cache} table, then the engine: under
     [`Pfm] (the default) the hook's policy source as a bytecode program,
-    under [`Ref] the original list-walking decision
-    ({!Policy_state.mount_decision} and friends,
+    under [`Ref] the original list-walking decision ({!Request.oracle},
     {!Protego_net.Netfilter.walk}), kept in-tree as the
     differential-testing oracle.  Memoized verdicts are stamped with the
-    generation of the source the hook reads ({!Policy_state.generation},
-    or {!Protego_net.Netfilter.generation} for the output chain).  A
+    generation of the source the hook reads ({!Request.source}, or
+    {!Protego_net.Netfilter.generation} for the output chain).  A
     source changes only through {!Policy_state.set} (or a netfilter
     mutator), which bumps its generation, so a reload lazily invalidates
     exactly the stamped entries.  Decisions only read generations; they
     never write them.
 
-    Each hook keeps its program in a slot keyed on the {e physical
-    identity} of the policy source (the rule list / bind map / ppp policy
-    record / netfilter chain), not on its generation: a bare generation
-    bump (a reload with unchanged contents) keeps the program, while a
-    new value replaces it on the next evaluation.  The mount, umount,
-    bind and ppp hooks never compile: they take a counter-fresh
-    {!Protego_filter.Pfm.clone} of the state's program-store entry for
-    the new value ({!Policy_state.program}), which the load gate
-    compiled when the write was accepted.  The netfilter OUTPUT hook
-    compiles its chain lazily, keyed by (rules identity, chain policy):
-    the chain lives on the machine, not in {!Policy_state}, so the store
-    does not cover it (ROADMAP item 5, [nf_output] on the plane,
-    revisits this).
+    The four [Policy_state]-backed hooks decide a {!Request.t}: they are
+    registered with {!Request.key} and {!Request.eval}, the same key and
+    engine every decision-plane worker registers, so the two paths share
+    everything below the ladder but where the program comes from.  Here
+    each hook keeps a counter-fresh {!Protego_filter.Pfm.clone} of the
+    state's program-store entry for the live source value
+    ({!Policy_state.program}), keyed on that entry's {e physical
+    identity}, not on the source's generation: a bare generation bump (a
+    reload with unchanged contents) keeps the program, while a new value
+    replaces it on the next evaluation.  These hooks never compile: the
+    load gate compiled the value when the write was accepted.  The
+    netfilter OUTPUT hook compiles its chain lazily, keyed by (rules
+    identity, chain policy): the chain lives on the machine, not in
+    {!Policy_state}, so the store does not cover it (ROADMAP item 5,
+    [nf_output] on the plane, revisits this).
 
     A dispatcher serves one {!Policy_state.t} (as {!Lsm.install} wires
     it); decision-cache keys do not name the state, so sharing a
@@ -142,6 +143,12 @@ val drain_opt_log : t -> string list
 
 (** {1 Hook decisions} *)
 
+val decide :
+  t -> ?phase:Protego_base.Phase.t -> Policy_state.t -> Request.t -> bool
+(** Serve a ready request (its [subject] is the cache subject), with the
+    front slot compared by physical identity of the request, as a plane
+    worker does: reuse request values to hit it.  [phase] as below. *)
+
 val decide_mount :
   t -> ?subject:int -> ?phase:Protego_base.Phase.t -> Policy_state.t ->
   source:string -> target:string ->
@@ -215,17 +222,26 @@ val check_policy_load :
 (** {1 /proc/protego/filter_stats} *)
 
 val render : t -> string
-(** The grammar documented in {!Policy_state}: an [engine] header line,
-    one [hook] line per filtered hook, one [opt <hook> <status>] line
-    per hook ("none", "active: ...", "rejected: ...", or "stale (policy
-    changed)"), and a closing [opt_rejects <n>] line. *)
+(** The file's text:
+    {v
+    engine <pfm|ref>
+    hook <name> evals <n> allow <n> deny <n> reject <n> invalidations <n> insns <n>
+    opt <name> <status>
+    opt_rejects <n>
+    v}
+    with one [hook] and one [opt] line per filtered hook, in {!stats}
+    order ([mount], [umount], [bind], [nf_output], [ppp_ioctl]).  An
+    [opt] status is ["none"], ["active: ..."], ["rejected: ..."] or
+    ["stale (policy changed)"]. *)
 
 val handle_write : t -> string -> (unit, string) result
-(** ["reset"], ["engine pfm"], ["engine ref"], ["optimize"],
-    ["deoptimize"]; anything else errors.  ["optimize"] returns [Ok]
-    even when rewrites are rejected by the proof gate — rejections are
-    reported through {!render} and {!drain_opt_log}, not as write
-    errors. *)
+(** A write to the file: ["engine pfm"] or ["engine ref"] selects the
+    evaluating engine, ["reset"] zeroes every hook counter,
+    ["optimize"] runs {!optimize}, ["deoptimize"] runs {!deoptimize};
+    anything else is an [Error] (EINVAL from the /proc handler).
+    ["optimize"] returns [Ok] even when rewrites are rejected by the
+    proof gate — rejections are reported through {!render} and
+    {!drain_opt_log}, not as write errors. *)
 
 (** {1 /proc/protego/cache_stats} *)
 
@@ -242,8 +258,9 @@ val render_trace : t -> string
 (** {!Trace.render_trace} of the dispatcher's tracer. *)
 
 val handle_trace_write : t -> string -> (unit, string) result
-(** ["on"], ["off"], ["reset"], ["capacity <n>"]; anything else
-    errors. *)
+(** {!Trace.handle_trace_write}: ["on"], ["off"], ["reset"],
+    ["capacity <n>"] ([n] at most {!Trace.max_span_capacity}); anything
+    else errors. *)
 
 (** {1 /proc/protego/latency} *)
 

@@ -91,16 +91,22 @@ let create_store () =
     s_ppp = shelf (fun policy -> C.ppp_ioctl_notes policy);
     compiles = 0 }
 
+(* A hit on the live entry takes no lock (the dispatcher looks its
+   program up on every engine run): an entry is immutable once written,
+   and a racing writer only replaces it with another value's. *)
 let fetch store sh key ~stage =
-  Mutex.protect store.lock (fun () ->
-      match (sh.live, sh.staged) with
-      | Some (k, c), _ when k == key -> c
-      | _, Some (k, c) when k == key -> c
-      | _ ->
-          store.compiles <- store.compiles + 1;
-          let e = (key, sh.build key) in
-          if stage then sh.staged <- Some e else sh.live <- Some e;
-          snd e)
+  match sh.live with
+  | Some (k, c) when k == key -> c
+  | _ ->
+      Mutex.protect store.lock (fun () ->
+          match (sh.live, sh.staged) with
+          | Some (k, c), _ when k == key -> c
+          | _, Some (k, c) when k == key -> c
+          | _ ->
+              store.compiles <- store.compiles + 1;
+              let e = (key, sh.build key) in
+              if stage then sh.staged <- Some e else sh.live <- Some e;
+              snd e)
 
 (* [set] installed [key]: a candidate the gate staged for it goes live. *)
 let promote store sh key =
@@ -198,17 +204,9 @@ let compiles t = t.store.compiles
 
 (* --- name service ---------------------------------------------------- *)
 
-let uid_of_name t name =
-  List.find_opt (fun u -> u.au_name = name) t.users
-  |> Option.map (fun u -> u.au_uid)
-
 let name_of_uid t uid =
   List.find_opt (fun u -> u.au_uid = uid) t.users
   |> Option.map (fun u -> u.au_name)
-
-let gid_of_group t name =
-  List.find_opt (fun g -> g.ag_name = name) t.groups
-  |> Option.map (fun g -> g.ag_gid)
 
 let group_of_gid t gid = List.find_opt (fun g -> g.ag_gid = gid) t.groups
 

@@ -15,16 +15,8 @@
     Policies that take no parameters (raw-socket marking, the shadow-read
     reauthentication rule, the ssh host key ACL) are hard-coded here.
 
-    A fifth file, [filter_stats], exposes the filter-machine dispatcher
-    (see {!Pfm_dispatch}).  Reading it yields:
-    {v
-    engine <pfm|ref>
-    hook <name> evals <n> allow <n> deny <n> reject <n> invalidations <n> insns <n>
-    v}
-    with one [hook] line per filtered hook ([mount], [umount], [bind],
-    [nf_output], [ppp_ioctl]).  Writing ["engine pfm"] or ["engine ref"]
-    selects the evaluating engine, writing ["reset"] zeroes every counter,
-    and anything else is [EINVAL]. *)
+    The filter-machine dispatcher's file, [filter_stats], is documented
+    with {!Pfm_dispatch.render} and {!Pfm_dispatch.handle_write}. *)
 
 open Protego_kernel
 
@@ -161,7 +153,8 @@ val copy : t -> t
     dispatcher ({!Pfm_dispatch}) and every plane snapshot take them from
     here.  A store program is shared, so evaluators run a
     {!Protego_filter.Pfm.clone} of it and execution counters stay per
-    evaluator.  Store operations are serialized by a mutex. *)
+    evaluator.  Store updates are serialized by a mutex; a lookup that
+    hits the live program takes no lock. *)
 
 type program_kind = Mount_program | Umount_program | Bind_program | Ppp_program
 (** [Mount_program] and [Umount_program] compile from {!t.mounts},
@@ -193,9 +186,7 @@ val compiles : t -> int
 
 (** {1 Name service} *)
 
-val uid_of_name : t -> string -> int option
 val name_of_uid : t -> int -> string option
-val gid_of_group : t -> string -> int option
 val group_of_gid : t -> int -> account_group option
 val group_names_of_user : t -> string -> string list
 (** Primary + supplementary group names. *)

@@ -1,0 +1,92 @@
+(** One policy-state request and everything derived from it: what the
+    four [Policy_state]-backed hooks (mount, umount, bind, ppp ioctl)
+    decide, on either path.  The LSM dispatcher ({!Pfm_dispatch}) and
+    every decision-plane worker ([Protego_plane.Plane]) register their
+    {!Decider} hooks with {!key} and {!eval}, so a hook's table key, PFM
+    context and reference verdict are written once, here.  The netfilter
+    OUTPUT hook decides a packet against the machine's chain instead. *)
+
+module Pfm = Protego_filter.Pfm
+
+(** The constructors, in a module of their own so that
+    [Protego_plane.Plane] re-exports them by [include].  Arguments mirror
+    the LSM hook signatures; [subject] is the caller's uid (ruid for
+    umount).  A front slot compares requests by physical identity, so
+    generators should intern and reuse request values. *)
+module Value : sig
+  type request =
+    | Mount of {
+        subject : int;
+        source : string;
+        target : string;
+        fstype : string;
+        flags : Protego_kernel.Ktypes.mount_flag list;
+      }
+    | Umount of { subject : int; target : string; mounted_by : int }
+    | Bind of {
+        subject : int;
+        port : int;
+        proto : Protego_policy.Bindconf.proto;
+        exe : string;
+      }
+    | Ppp_ioctl of {
+        subject : int;
+        device : string;
+        opt : Protego_net.Ppp.option_;
+      }
+end
+
+include module type of struct include Value end
+
+type t = request
+
+val count : int
+(** 4 request hooks. *)
+
+val index : t -> int
+(** 0 mount, 1 umount, 2 bind, 3 ppp_ioctl. *)
+
+val kind_of_index : int -> Decider.kind
+
+val subject : t -> int
+(** The cache subject, and the key of the plane's phase table. *)
+
+val source_of_index : int -> Policy_state.source
+(** The source whose generation stamps the hook's cached verdicts:
+    [Mounts] (mount, umount), [Binds] or [Ppp]. *)
+
+val program_kind : t -> Policy_state.program_kind
+
+val deny_errno : t -> Protego_base.Errno.t
+(** {!Decider.deny_errno} of the hook: every request hook has one. *)
+
+val key : Decision_cache.Key.t -> int -> t -> unit
+(** [key k phase req]: the table key, phase index first, into [k].  All
+    fields but a trailing string are self-delimiting varints, so the
+    encoding is injective, and for strings under 16 KiB it is no longer
+    than the fields joined with separators.  The table keys the subject
+    itself; flags canonicalize to their mask, a ppp option to its
+    intrinsic-safety bit (all the decision reads). *)
+
+val ctx : phase:int -> t -> Pfm.ctx
+(** The PFM context ({!Protego_filter.Pfm_compile.mount_ctx} and
+    friends) for the program of {!program_kind}. *)
+
+val oracle : ?phase:Protego_base.Phase.t -> Policy_state.t -> t -> bool
+(** The reference verdict: {!Policy_state.mount_decision} and friends.
+    [?phase] keeps only rules active in that lifecycle phase. *)
+
+val eval :
+  state:('e -> Policy_state.t) ->
+  run:('e -> Policy_state.program_kind -> Pfm.ctx -> Pfm.verdict) ->
+  'e -> Decider.engine -> phase:int -> t -> Pfm.verdict
+(** A request hook's engine, for {!Decider.hook}'s [~eval]: [`Ref] runs
+    the {!oracle} over [state env], [`Pfm] runs [run env kind ctx] on
+    the request's {!program_kind} and {!ctx}.
+
+    [run] is where the program comes from, and that stays per path on
+    purpose.  The dispatcher clones the program store's program for the
+    live source value ({!Policy_state.program}).  A plane worker runs its
+    clones of its snapshot's programs and must never read the store: a
+    worker serving an older snapshot would make the store compile that
+    value under its mutex and evict the live program. *)

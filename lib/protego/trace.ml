@@ -2,6 +2,7 @@ module Pfm = Protego_filter.Pfm
 module Errno = Protego_base.Errno
 
 let default_span_capacity = 256
+let max_span_capacity = 65_536
 let bucket_count = 63
 
 type key = {
@@ -40,8 +41,10 @@ type t = {
 
 let null_clock () = 0
 
+let clamp_capacity n = max 1 (min max_span_capacity n)
+
 let create ?(span_capacity = default_span_capacity) () =
-  let span_capacity = max 1 span_capacity in
+  let span_capacity = clamp_capacity span_capacity in
   { clock = null_clock; has_clock = false; spans_on = false; armed = false;
     ring = Array.make span_capacity None; ring_pos = 0; ring_len = 0;
     next_id = 1; keys_rev = []; arm_listener = ignore }
@@ -149,7 +152,7 @@ let set_spans t on =
 let span_capacity t = Array.length t.ring
 
 let set_span_capacity t n =
-  t.ring <- Array.make (max 1 n) None;
+  t.ring <- Array.make (clamp_capacity n) None;
   t.ring_pos <- 0;
   t.ring_len <- 0
 
@@ -224,9 +227,13 @@ let handle_trace_write t contents =
       | Some i when String.sub cmd 0 i = "capacity" -> (
           let arg = String.trim (String.sub cmd i (String.length cmd - i)) in
           match int_of_string_opt arg with
-          | Some n when n >= 1 -> set_span_capacity t n; Ok ()
+          | Some n when n >= 1 && n <= max_span_capacity ->
+              set_span_capacity t n;
+              Ok ()
           | Some _ | None ->
-              Error ("trace: capacity wants a positive integer: " ^ arg))
+              Error
+                (Printf.sprintf "trace: capacity wants an integer in 1..%d: %s"
+                   max_span_capacity arg))
       | _ -> Error ("trace: unknown command: " ^ cmd))
 
 let render_latency t =

@@ -34,6 +34,9 @@ val create : ?span_capacity:int -> unit -> t
 val default_span_capacity : int
 (** 256 spans. *)
 
+val max_span_capacity : int
+(** 65,536: the largest ring a [capacity] write may ask for. *)
+
 (** {1 Clock}
 
     The tracer reads time through a pluggable nanosecond clock.  The
@@ -133,7 +136,7 @@ val set_spans : t -> bool -> unit
 val span_capacity : t -> int
 val set_span_capacity : t -> int -> unit
 (** Reallocate the ring (existing spans are dropped; ids keep
-    counting).  Clamped to [>= 1]. *)
+    counting).  Clamped to [1..max_span_capacity]. *)
 
 val record_span :
   t -> hook:string -> engine:string -> verdict:Pfm.verdict ->
@@ -159,8 +162,9 @@ val render_trace : t -> string
     spans oldest first. *)
 
 val handle_trace_write : t -> string -> (unit, string) result
-(** ["on"], ["off"], ["reset"], ["capacity <n>"]; anything else
-    errors. *)
+(** ["on"], ["off"], ["reset"], ["capacity <n>"] with [n] in
+    [1..max_span_capacity]; anything else errors (EINVAL from the /proc
+    handler). *)
 
 (** {1 /proc/protego/latency} *)
 

@@ -11,11 +11,6 @@ type t = {
   mutable self_writes : string list;  (* paths we write; ignore their events *)
 }
 
-let watched_paths =
-  [ "/etc/fstab"; "/etc/sudoers"; "/etc/sudoers.d/"; "/etc/polkit-1/";
-    "/etc/bind"; "/etc/ppp/options"; "/etc/passwds/"; "/etc/groups/";
-    "/etc/shadows/" ]
-
 let has_prefix ~prefix s =
   String.length s >= String.length prefix
   && String.sub s 0 (String.length prefix) = prefix

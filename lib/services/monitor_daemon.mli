@@ -24,6 +24,3 @@ val step : t -> int
     daemon's own writes are ignored. *)
 
 val sync_all : t -> unit
-
-val watched_paths : string list
-(** Path prefixes the daemon reacts to. *)

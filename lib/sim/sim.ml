@@ -778,16 +778,6 @@ let opkt dport =
 
 let oprobe_ports = [ 7; 22; 40000; 40031; 40063; 41000 ]
 
-let pd_decide disp st = function
-  | Plane.Mount { subject; source; target; fstype; flags } ->
-      PD.decide_mount disp ~subject st ~source ~target ~fstype ~flags
-  | Plane.Umount { subject; target; mounted_by } ->
-      PD.decide_umount disp st ~target ~mounted_by ~ruid:subject
-  | Plane.Bind { subject; port; proto; exe } ->
-      PD.decide_bind disp st ~port ~proto ~exe ~uid:subject
-  | Plane.Ppp_ioctl { subject; device; opt } ->
-      PD.decide_ppp_ioctl disp ~subject st ~device ~opt
-
 let run_opt sp mode =
   let disp = PD.create () in
   let events = ref [] in
@@ -912,7 +902,7 @@ let run_opt sp mode =
     let seq = !next in
     incr next;
     let req = requests.(seq) in
-    let ok = pd_decide disp st req = Plane.request_oracle st req in
+    let ok = PD.decide disp st req = Plane.request_oracle st req in
     emit (E_pd { pd_seq = seq; pd_ok = ok })
   in
   let opt_enabled () =

@@ -51,4 +51,3 @@ let table ?title ~header ~align rows =
   Buffer.contents buf
 
 let fmt_pct v = Printf.sprintf "%.2f" v
-let fmt_f2 v = Printf.sprintf "%.2f" v

@@ -10,5 +10,3 @@ val table :
 
 val fmt_pct : float -> string
 (** Two-decimal percentage, e.g. "99.99". *)
-
-val fmt_f2 : float -> string

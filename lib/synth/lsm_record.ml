@@ -7,12 +7,32 @@ module Plane = Protego_plane.Plane
 module Workload = Protego_workload.Workload
 module Bindconf = Protego_policy.Bindconf
 module PS = Protego_core.Policy_state
+module Packet = Protego_net.Packet
+module Ipaddr = Protego_net.Ipaddr
 
 let uid_base = 2000
+
+(* Raw- and packet-socket traffic each subject sends after its requests:
+   raw UDP outside the traceroute range (33434-33534), a raw TCP SYN and
+   a non-ARP frame on a packet socket. *)
+let nf_battery =
+  let pkt transport =
+    { Packet.src = Ipaddr.v 10 0 0 2; dst = Ipaddr.v 10 0 0 1; ttl = 64;
+      transport }
+  in
+  [ (Af_inet, 17,
+     pkt (Packet.Udp_dgram { src_port = 40000; dst_port = 53; payload = "" }));
+    (Af_inet, 6,
+     pkt
+       (Packet.Tcp_seg
+          { src_port = 40000; dst_port = 80; syn = true; payload = "" }));
+    (Af_packet, 0x88cc,
+     pkt (Packet.Raw_payload { protocol = 0x88cc; payload = "lldp" })) ]
 
 type result = {
   journal : J.t;
   state : PS.t;
+  netfilter : Protego_net.Netfilter.t;
   requests : int;
   decided : int;
   recorded : int;
@@ -38,6 +58,7 @@ let run ?(seg_bytes = 262144) ?(segments = 32) spec requests =
     Machine.spawn_task m ~cred:(Cred.make ?caps ~uid ~gid:uid ()) ~cwd:"/" ()
   in
   let tasks = Hashtbl.create 32 and helpers = Hashtbl.create 32 in
+  let seen = ref [] in
   let memo tbl key make =
     match Hashtbl.find_opt tbl key with
     | Some v -> v
@@ -49,6 +70,7 @@ let run ?(seg_bytes = 262144) ?(segments = 32) spec requests =
   (* A subject's task and its descriptor on /dev/ppp. *)
   let subject s =
     memo tasks s (fun () ->
+        seen := s :: !seen;
         let task = spawn (uid_base + s) in
         let fd =
           Syntax.expect_ok "open /dev/ppp"
@@ -100,6 +122,20 @@ let run ?(seg_bytes = 262144) ?(segments = 32) spec requests =
             (Syscall.ioctl m task fd
                (Ioctl_modem_config { ioctl_dev = device; ppp_opt = opt })))
     requests;
+  (* The nf battery, per subject in order of first appearance. *)
+  List.iter
+    (fun s ->
+      let task, _ = subject s in
+      List.iter
+        (fun (domain, proto, (pkt : Packet.t)) ->
+          let fd =
+            Syntax.expect_ok "raw socket"
+              (Syscall.socket m task domain Sock_raw proto)
+          in
+          ignore (Syscall.sendto m task fd pkt.dst 0 (Packet.encode pkt));
+          ignore (Syscall.close m task fd))
+        nf_battery)
+    (List.rev !seen);
   let journal = m.audit.J.sk_journal in
   let dropped = J.dropped journal in
   if dropped > 0 then
@@ -115,6 +151,7 @@ let run ?(seg_bytes = 262144) ?(segments = 32) spec requests =
           if d.J.d_verdict = 3 then incr recorded
       | J.Kaudit _ -> ());
     Ok
-      { journal; state = st; requests = Array.length requests; decided = !decided;
+      { journal; state = st; netfilter = m.netfilter;
+        requests = Array.length requests; decided = !decided;
         recorded = !recorded }
   end

@@ -1,4 +1,3 @@
-open Protego_base
 open Protego_kernel
 module Pwdb = Protego_policy.Pwdb
 
@@ -32,5 +31,3 @@ let getgrnam m task name = Pwdb.lookup_group (group_entries m task) name
 let getgrgid m task gid = Pwdb.lookup_gid (group_entries m task) gid
 
 let read_password m task = m.Ktypes.password_source task.Ktypes.cred.Ktypes.ruid
-
-let errno_exit (_ : Errno.t) = 1

@@ -43,7 +43,3 @@ val getgrgid :
 val read_password : Ktypes.machine -> Ktypes.task -> string option
 (** Prompt on the controlling terminal (simulated by
     [machine.password_source] keyed by the task's real uid). *)
-
-val errno_exit : Errno.t -> int
-(** Conventional exit status for a failed system call (1, or 2 for usage
-    errors — here always 1; kept as a function for uniformity). *)

@@ -10,8 +10,9 @@
 #            job.
 #   --full   everything the fast tier skips: the bench regression gate,
 #            a decision-cache bench smoke, journal artifact verification,
-#            the cache/equivalence/plane/journal/sim stress suites, both
-#            seeded simulation sweeps, the plane scaling smoke and the
+#            the cache/equivalence/plane/journal/sim stress suites, the
+#            three seeded simulation sweeps (plane, phase and dispatcher
+#            lanes), the plane scaling smoke and the
 #            protego-synth record->synthesize->verify closed loop (fresh
 #            plane and LSM-lane recordings + the committed fixture
 #            pair).  Runs once, gated on the fast jobs.
@@ -170,6 +171,14 @@ full_tier() {
     echo "==> phase-lane simulation sweep (200 seeds, phases=on)"
     ./_build/default/bin/sim.exe sweep \
         --spec 'lane=plane,workers=3,steps=120,reloads=4,phases=on' \
+        --seeds 200 --out SIM_failure.txt
+
+    # The dispatcher lane: the generated workload through the LSM-side
+    # dispatcher (Pfm_dispatch) with optimize/deoptimize toggles, every
+    # verdict checked against the live policy-state oracle.
+    echo "==> dispatcher-lane simulation sweep (200 seeds, lane=opt)"
+    ./_build/default/bin/sim.exe sweep \
+        --spec 'lane=opt,steps=120,opts=4' \
         --seeds 200 --out SIM_failure.txt
 
     echo "==> decision-plane scaling smoke (numbers land in PLANE_scaling.txt)"

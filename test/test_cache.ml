@@ -233,6 +233,7 @@ let rec product = function
    key is longer than that rendering of the same tuple. *)
 let test_keys_injective_and_short () =
   let module D = Protego_core.Decider in
+  let module R = Protego_core.Request in
   let module Bindconf = Protego_policy.Bindconf in
   let module Ppp = Protego_net.Ppp in
   let us = "\x1f" in
@@ -262,7 +263,9 @@ let test_keys_injective_and_short () =
                (fun (phase, flags) ->
                  let mask = Protego_filter.Pfm_compile.flags_mask flags in
                  [ ( encoded (fun k ->
-                         D.mount_key k ~phase ~source ~target ~fstype ~flags),
+                         R.key k phase
+                           (R.Mount
+                              { subject = 0; source; target; fstype; flags })),
                      String.concat us
                        [ i phase; source; target; fstype; i mask ] ) ])
                [ (0, []); (2, [ Mf_nosuid; Mf_nodev ]) ]
@@ -276,7 +279,9 @@ let test_keys_injective_and_short () =
            (fun mounted_by ->
              List.map
                (fun phase ->
-                 ( encoded (fun k -> D.umount_key k ~phase ~target ~mounted_by),
+                 ( encoded (fun k ->
+                       R.key k phase
+                         (R.Umount { subject = 0; target; mounted_by })),
                    String.concat us [ i phase; target; i mounted_by ] ))
                [ 0; 1; 2 ])
            ints)
@@ -288,7 +293,8 @@ let test_keys_injective_and_short () =
            (fun port ->
              List.map
                (fun proto ->
-                 ( encoded (fun k -> D.bind_key k ~phase:1 ~port ~proto ~exe),
+                 ( encoded (fun k ->
+                       R.key k 1 (R.Bind { subject = 0; port; proto; exe })),
                    String.concat us
                      [ "1"; i port; Bindconf.proto_to_string proto; exe ] ))
                [ Bindconf.Tcp; Bindconf.Udp ])
@@ -299,7 +305,8 @@ let test_keys_injective_and_short () =
        (fun device ->
          List.map
            (fun opt ->
-             ( encoded (fun k -> D.ppp_key k ~phase:0 ~device ~opt),
+             ( encoded (fun k ->
+                 R.key k 0 (R.Ppp_ioctl { subject = 0; device; opt })),
                String.concat us
                  [ "0"; device; (if Ppp.option_is_safe opt then "1" else "0") ]
              ))

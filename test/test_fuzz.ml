@@ -51,6 +51,41 @@ let prop_proc_fuzz =
       | Error _ -> true
       | Ok () -> false)
 
+(* The command files take the same hostile writes: each returns [Ok] or
+   a typed errno and never raises.  The words reach every command's
+   argument, including a trace ring capacity below, at and far beyond
+   [Trace.max_span_capacity] (never a mid-size one, which would allocate
+   a large ring). *)
+let command_junk_gen =
+  let numbers =
+    [ "1"; "65537"; "4611686018427387903"; "99999999999999999999" ]
+  in
+  QCheck2.Gen.(
+    oneof
+      [ string_size ~gen:printable (int_bound 60);
+        map (fun n -> "capacity " ^ n) (oneofl numbers);
+        map (String.concat " ")
+          (list_size (int_bound 4)
+             (oneofl
+                ([ "capacity"; "-1"; "on"; "off"; "reset"; "engine"; "pfm";
+                   "ref"; "enable"; "mode"; "warn"; "enforce"; "pid"; "steady";
+                   "setup"; "optimize"; "deoptimize"; "\n" ]
+                @ numbers))) ])
+
+let prop_command_fuzz =
+  QCheck2.Test.make ~name:"protego /proc command files survive hostile writes"
+    ~count:40 command_junk_gen (fun junk ->
+      let img = Image.build Image.Protego in
+      let m = img.Image.machine in
+      let root = Image.login img "root" in
+      List.iter
+        (fun file ->
+          match Syscall.write_file m root ("/proc/protego/" ^ file) junk with
+          | Ok () | Error (_ : Protego_base.Errno.t) -> ())
+        [ "trace"; "latency"; "cache_stats"; "filter_stats"; "lint"; "record";
+          "phase"; "audit" ];
+      true)
+
 (* Netfilter: eval equals a reference first-match-wins implementation. *)
 let match_gen =
   QCheck2.Gen.oneofl
@@ -684,7 +719,8 @@ let suites =
   [ ("fuzz:properties",
       List.map
         (QCheck_alcotest.to_alcotest ~long:false)
-        [ prop_proc_fuzz; prop_netfilter_first_match; prop_rule_spec_roundtrip;
+        [ prop_proc_fuzz; prop_command_fuzz; prop_netfilter_first_match;
+          prop_rule_spec_roundtrip;
           prop_sudoers_roundtrip; prop_resolve_normalized ]);
     ("fuzz:filter-differential",
       List.map

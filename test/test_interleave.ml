@@ -232,16 +232,6 @@ let test_opt_interleavings () =
 
 (* --- Opt_storm: scheduled recompile toggles under a full workload ------- *)
 
-let pd_decide disp st = function
-  | Plane.Mount { subject; source; target; fstype; flags } ->
-      PD.decide_mount disp ~subject st ~source ~target ~fstype ~flags
-  | Plane.Umount { subject; target; mounted_by } ->
-      PD.decide_umount disp st ~target ~mounted_by ~ruid:subject
-  | Plane.Bind { subject; port; proto; exe } ->
-      PD.decide_bind disp st ~port ~proto ~exe ~uid:subject
-  | Plane.Ppp_ioctl { subject; device; opt } ->
-      PD.decide_ppp_ioctl disp ~subject st ~device ~opt
-
 (* An [Opt_storm] phase alternates optimize / deoptimize every [period]
    requests while the whole generated workload flows through the
    sequential dispatcher: every verdict, before, between and after
@@ -281,7 +271,7 @@ let test_opt_storm_schedule () =
             | Ok () -> ()
             | Error e -> Alcotest.failf "toggle at %d: %s" i e)
        | _ -> ());
-      if pd_decide disp st req <> Test_support.oracle st req then
+      if PD.decide disp st req <> Test_support.oracle st req then
         Alcotest.failf "opt storm verdict diverged from oracle at request %d" i)
     sched.Workload.s_requests;
   check "all toggles consumed" true (!toggles = []);

@@ -56,14 +56,20 @@ let test_freeze_publish () =
   check_bool "published pointer" true (Snapshot.current pub == s1);
   (* The old snapshot is immutable: it still answers with the old policy. *)
   check_bool "old snapshot, old verdict" true
-    (Snapshot.ref_mount s0 ~source:"/dev/wl1" ~target:"/media/wl1"
-       ~fstype:"ext4" ~flags:[]);
+    (Plane.snapshot_oracle s0
+       (Plane.Mount
+          { subject = 0; source = "/dev/wl1"; target = "/media/wl1";
+            fstype = "ext4"; flags = [] }));
   check_bool "old snapshot misses new rule" false
-    (Snapshot.ref_mount s0 ~source:"/dev/cdrom" ~target:"/media/cdrom"
-       ~fstype:"iso9660" ~flags:[]);
+    (Plane.snapshot_oracle s0
+       (Plane.Mount
+          { subject = 0; source = "/dev/cdrom"; target = "/media/cdrom";
+            fstype = "iso9660"; flags = [] }));
   check_bool "new snapshot, new verdict" true
-    (Snapshot.ref_mount s1 ~source:"/dev/cdrom" ~target:"/media/cdrom"
-       ~fstype:"iso9660" ~flags:[])
+    (Plane.snapshot_oracle s1
+       (Plane.Mount
+          { subject = 0; source = "/dev/cdrom"; target = "/media/cdrom";
+            fstype = "iso9660"; flags = [] }))
 
 (* [PS.set] is the one way a source changes: it bumps exactly the
    written source, which is all [Snapshot.stale] and [publish] read.  The

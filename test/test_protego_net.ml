@@ -276,13 +276,68 @@ let test_network_tools_equivalence () =
   in
   check "tools behave identically" true (drive Image.Linux = drive Image.Protego)
 
+(* A raw socket's hand-built header is range-checked before any hook
+   sees it: a port or a raw protocol number outside 0..65535 is EINVAL
+   and, in record mode, leaves no nf record; 65535 is a port and its
+   record reads 65535. *)
+let test_header_ranges () =
+  let module J = Protego_journal.Journal in
+  let img = Image.build Image.Protego in
+  let m = img.Image.machine in
+  let root = Image.login img "root" in
+  let alice = Image.login img "alice" in
+  Syntax.expect_ok "record on"
+    (Syscall.write_file m root "/proc/protego/record" "on\n");
+  let dst = Ipaddr.v 10 0 0 1 in
+  let send domain proto transport =
+    let fd =
+      Syntax.expect_ok "raw socket"
+        (Syscall.socket m alice domain Sock_raw proto)
+    in
+    let pkt = { Packet.src = Ipaddr.v 10 0 0 2; dst; ttl = 64; transport } in
+    let r = Syscall.sendto m alice fd dst 0 (Packet.encode pkt) in
+    ignore (Syscall.close m alice fd);
+    Result.map (fun _ -> ()) r
+  in
+  let nf_dports () =
+    List.filter_map
+      (function
+        | J.Decision { J.d_req = J.Nf { dport; _ }; _ } -> Some dport
+        | J.Decision _ | J.Kaudit _ -> None)
+      (J.entries m.audit.J.sk_journal)
+  in
+  let tcp dst_port =
+    Packet.Tcp_seg { src_port = 40000; dst_port; syn = true; payload = "" }
+  in
+  let udp dst_port =
+    Packet.Udp_dgram { src_port = 40000; dst_port; payload = "" }
+  in
+  List.iter
+    (fun (what, domain, proto, transport) ->
+      Alcotest.(check (result unit errno)) what (Error Errno.EINVAL)
+        (send domain proto transport))
+    [ ("tcp port 70000", Af_inet, 6, tcp 70000);
+      ("tcp port -1", Af_inet, 6, tcp (-1));
+      ("udp port 70000", Af_inet, 17, udp 70000);
+      ("udp port -1", Af_inet, 17, udp (-1));
+      ("raw protocol 70000", Af_packet, 0x88cc,
+       Packet.Raw_payload { protocol = 70000; payload = "" }) ];
+  Alcotest.(check int) "no nf record for a refused header" 0
+    (List.length (nf_dports ()));
+  Alcotest.(check (result unit errno)) "tcp port 65535" (Ok ())
+    (send Af_inet 6 (tcp 65535));
+  Alcotest.(check (list (option int))) "its record reads 65535" [ Some 65535 ]
+    (nf_dports ())
+
 let suites =
   [ ("protego:rawsock",
       [ Alcotest.test_case "marking" `Quick test_raw_socket_marking;
         Alcotest.test_case "linux denies raw" `Quick test_raw_linux_denied;
         Alcotest.test_case "netfilter origin rules" `Quick test_netfilter_policy;
         Alcotest.test_case "admin retunes rules" `Quick test_admin_can_retune_rules;
-        Alcotest.test_case "iptables end-to-end" `Quick test_iptables_binary ]);
+        Alcotest.test_case "iptables end-to-end" `Quick test_iptables_binary;
+        Alcotest.test_case "header ports and protocol range-checked" `Quick
+          test_header_ranges ]);
     ("protego:bind", [ Alcotest.test_case "port map" `Quick test_bind_policy ]);
     ("protego:ppp",
       [ Alcotest.test_case "route policy" `Quick test_route_policy;

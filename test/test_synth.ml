@@ -129,7 +129,9 @@ let test_closed_loop () =
    as syscalls through the LSM hooks in record mode, and the machine's
    audit journal, saved and loaded back, is the synthesizer's input.
    Every hook record carries the verdict the reference oracle gives its
-   request under the policy the hooks enforced. *)
+   request under the policy the hooks enforced, and every nf record (the
+   recorder's raw- and packet-socket battery) the verdict of the chain
+   in force. *)
 let test_lsm_closed_loop () =
   let module L = Protego_synth.Lsm_record in
   let spec =
@@ -146,36 +148,54 @@ let test_lsm_closed_loop () =
   J.save r.L.journal path;
   let j = match J.load path with Ok j -> j | Error e -> Alcotest.fail e in
   let entries = J.entries j in
+  let nf_records = ref 0 in
   List.iter
     (function
       | J.Kaudit _ -> ()
       | J.Decision d ->
-          let phase, req =
-            match Plane.request_of_decision d with
-            | Some pr -> pr
-            | None -> Alcotest.fail "no nf traffic was driven"
-          in
-          let phase = Phase.of_index phase and st = r.L.state in
           let allowed =
-            match req with
-            | Plane.Mount { source; target; fstype; flags; _ } ->
-                PS.mount_decision ~phase st ~source ~target ~fstype ~flags
-            | Plane.Umount { subject; target; mounted_by } ->
-                PS.umount_decision ~phase st ~target ~mounted_by ~ruid:subject
-            | Plane.Bind { subject; port; proto; exe } ->
-                PS.bind_allowed ~phase st ~port ~proto ~exe ~uid:subject
-            | Plane.Ppp_ioctl { device; opt; _ } ->
-                PS.ppp_ioctl_decision ~phase st ~device ~opt
+            match (Plane.request_of_decision d, d.J.d_req) with
+            | Some (phase, req), _ ->
+                Plane.request_oracle ~phase:(Phase.of_index phase) r.L.state req
+            | None, J.Nf { origin; proto; dport; _ } ->
+                (* The battery packet the record describes, against the
+                   chain in force. *)
+                incr nf_records;
+                let module Packet = Protego_net.Packet in
+                let module Netfilter = Protego_net.Netfilter in
+                let pkt =
+                  match
+                    List.find_opt
+                      (fun (_, _, (p : Packet.t)) ->
+                        Packet.proto_of_transport p.Packet.transport = proto
+                        && Packet.dst_port p = dport)
+                      L.nf_battery
+                  with
+                  | Some (_, _, p) -> p
+                  | None -> Alcotest.fail "an nf record outside the battery"
+                in
+                let uid = d.J.d_subject in
+                let origin =
+                  match origin with
+                  | `Kernel -> Packet.Kernel_stack
+                  | `Raw -> Packet.Raw_app { uid }
+                  | `Packet -> Packet.Packet_app { uid }
+                in
+                Netfilter.walk r.L.netfilter Netfilter.Output pkt ~origin
+                = Netfilter.Accept
+            | None, _ -> Alcotest.fail "an undecodable hook record"
           in
           check_bool (J.entry_to_string (J.Decision d)) allowed
             (d.J.d_verdict = 1);
           check_bool "an LSM record, in record mode" true
             (match d.J.d_lsm with Some l -> l.J.l_record | None -> false))
     entries;
+  check_bool "nf traffic driven" true (!nf_records > 0);
   let obs = Synth.observations entries in
   let res = Synth.synthesize obs in
   check_bool "something synthesized" true
-    (res.Synth.r_mounts <> [] && res.Synth.r_binds <> []);
+    (res.Synth.r_mounts <> [] && res.Synth.r_binds <> []
+     && res.Synth.r_nf_rules <> []);
   assert_strict_clean "LSM lane" res;
   assert_replay_clean "LSM lane" obs res
 
