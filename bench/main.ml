@@ -10,6 +10,7 @@
 
 module Study = Protego_study
 module Image = Protego_dist.Image
+module Phase = Protego_base.Phase
 
 let section title =
   Printf.printf "\n================ %s ================\n%!" title
@@ -350,13 +351,13 @@ let run_filter () =
   in
   let decide_mount () =
     ignore
-      (PD.decide_mount disp st ~source:"/dev/cdrom" ~target:"/media/cdrom"
-         ~fstype:"iso9660" ~flags)
+      (PD.decide_mount disp ~subject:0 ~phase:Phase.initial st
+         ~source:"/dev/cdrom" ~target:"/media/cdrom" ~fstype:"iso9660" ~flags)
   in
   let decide_bind () =
     ignore
-      (PD.decide_bind disp st ~port:711 ~proto:Protego_policy.Bindconf.Tcp
-         ~exe:"/usr/sbin/exim4" ~uid:0)
+      (PD.decide_bind disp ~phase:Phase.initial st ~port:711
+         ~proto:Protego_policy.Bindconf.Tcp ~exe:"/usr/sbin/exim4" ~uid:0)
   in
   let decide_nf () =
     ignore (PD.decide_nf_output disp nf pkt ~origin:Protego_net.Packet.Kernel_stack)
@@ -455,8 +456,8 @@ let run_cache () =
   in
   let decide () =
     ignore
-      (PD.decide_mount disp st ~source:"/dev/cdrom" ~target:"/media/cdrom"
-         ~fstype:"iso9660" ~flags)
+      (PD.decide_mount disp ~subject:0 ~phase:Phase.initial st
+         ~source:"/dev/cdrom" ~target:"/media/cdrom" ~fstype:"iso9660" ~flags)
   in
   let speedup_128 = ref nan in
   let rows =
@@ -497,8 +498,9 @@ let run_cache () =
           Harness.measure_ns (Printf.sprintf "cache:%d:table" n) (fun () ->
               i := (!i + 1) land 63;
               ignore
-                (PD.decide_mount disp st ~source:sources.(!i)
-                   ~target:targets.(!i) ~fstype:"iso9660" ~flags))
+                (PD.decide_mount disp ~subject:0 ~phase:Phase.initial st
+                   ~source:sources.(!i) ~target:targets.(!i) ~fstype:"iso9660"
+                   ~flags))
         in
         (* Warm: the same strings every call, served by the front slot. *)
         decide ();
@@ -888,13 +890,13 @@ let run_json ~out =
   in
   let decide_mount () =
     ignore
-      (PD.decide_mount disp st ~source:"/dev/cdrom" ~target:"/media/cdrom"
-         ~fstype:"iso9660" ~flags)
+      (PD.decide_mount disp ~subject:0 ~phase:Phase.initial st
+         ~source:"/dev/cdrom" ~target:"/media/cdrom" ~fstype:"iso9660" ~flags)
   in
   let decide_bind () =
     ignore
-      (PD.decide_bind disp st ~port:711 ~proto:Protego_policy.Bindconf.Tcp
-         ~exe:"/usr/sbin/exim4" ~uid:0)
+      (PD.decide_bind disp ~phase:Phase.initial st ~port:711
+         ~proto:Protego_policy.Bindconf.Tcp ~exe:"/usr/sbin/exim4" ~uid:0)
   in
   let decide_nf () =
     ignore

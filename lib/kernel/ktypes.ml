@@ -315,6 +315,12 @@ let find_task m pid = List.assoc_opt pid m.tasks
 let log_dmesg m fmt =
   Printf.ksprintf (fun s -> m.dmesg <- s :: m.dmesg) fmt
 
+(* [log_dmesg_concat m parts] appends the concatenation of [parts] as
+   one dmesg line: the text a [log_dmesg] format would build, with one
+   allocation for the line and none for a format.  For the lines a warm
+   syscall writes on every call (mount, umount). *)
+let log_dmesg_concat m parts = m.dmesg <- String.concat "" parts :: m.dmesg
+
 let console m fmt =
   Printf.ksprintf (fun s -> m.console <- s :: m.console) fmt
 

@@ -540,9 +540,8 @@ let mount_in_private_ns m task private_mounts ~source ~target ~fstype ~flags =
         let ( let* ) = Result.bind in
         let* covered = Vfs.resolve m task target_abs in
         if covered.kind <> Dir then Error Errno.ENOTDIR
-        else if
-          List.exists (fun mnt -> mnt.mnt_target = target_abs) private_mounts
-        then Error Errno.EBUSY
+        else if Vfs.mounted_at private_mounts target_abs != [] then
+          Error Errno.EBUSY
         else begin
           let tree_root = Inode.alloc m ~kind:Dir ~mode:0o755 ~uid:task.cred.fsuid ~gid:task.cred.egid in
           task.mntns <-
@@ -569,8 +568,7 @@ let mount m task ~source ~target ~fstype ~flags =
       let ( let* ) = Result.bind in
       let* covered = Vfs.resolve m task target_abs in
       if covered.kind <> Dir then Error Errno.ENOTDIR
-      else if List.exists (fun mnt -> mnt.mnt_target = target_abs) m.mounts then
-        Error Errno.EBUSY
+      else if Vfs.mounted_at m.mounts target_abs != [] then Error Errno.EBUSY
       else
         let* tree_root =
           match fstype with
@@ -628,33 +626,39 @@ let mount m task ~source ~target ~fstype ~flags =
           @ [ { mnt_source = source; mnt_target = target_abs; mnt_fstype = fstype;
                 mnt_flags = flags; mnt_root = tree_root; mnt_covered = covered;
                 mnt_by = task.cred.ruid } ];
-        log_dmesg m "mount: %s on %s type %s (uid %d)" source target_abs fstype
-          task.cred.ruid;
+        log_dmesg_concat m
+          [ "mount: "; source; " on "; target_abs; " type "; fstype; " (uid ";
+            string_of_int task.cred.ruid; ")" ];
         Ok ())
 
 let umount m task ~target =
   trap ();
   match task.mntns with
   | Some private_mounts ->
-      let target_abs = Vfs.normalize ~cwd:task.cwd target in
       if not task.userns then Error Errno.EPERM
-      else if List.exists (fun mnt -> mnt.mnt_target = target_abs) private_mounts
-      then begin
-        task.mntns <-
-          Some (List.filter (fun mnt -> mnt.mnt_target <> target_abs) private_mounts);
-        Ok ()
-      end
-      else Error Errno.EINVAL
+      else
+        let kept =
+          Vfs.unmount private_mounts (Vfs.normalize ~cwd:task.cwd target)
+        in
+        if kept == private_mounts then Error Errno.EINVAL
+        else begin
+          task.mntns <- Some kept;
+          Ok ()
+        end
   | None ->
   match m.security.sb_umount m task ~target with
   | Error _ as e -> e
   | Ok () ->
       let target_abs = Vfs.normalize ~cwd:task.cwd target in
-      if List.exists (fun mnt -> mnt.mnt_target = target_abs) m.mounts then (
-        m.mounts <- List.filter (fun mnt -> mnt.mnt_target <> target_abs) m.mounts;
-        log_dmesg m "umount: %s (uid %d)" target_abs task.cred.ruid;
-        Ok ())
-      else Error Errno.EINVAL
+      let kept = Vfs.unmount m.mounts target_abs in
+      if kept == m.mounts then Error Errno.EINVAL
+      else begin
+        m.mounts <- kept;
+        log_dmesg_concat m
+          [ "umount: "; target_abs; " (uid "; string_of_int task.cred.ruid;
+            ")" ];
+        Ok ()
+      end
 
 (* --- sockets -------------------------------------------------------- *)
 

@@ -4,16 +4,47 @@ open Ktypes
 let split_path path =
   String.split_on_char '/' path |> List.filter (fun c -> c <> "" && c <> ".")
 
+(* Canonical: absolute, with no empty, "." or ".." component and no
+   trailing slash ("/" itself is canonical).  One scan that allocates
+   nothing; a component that only starts with dots (".b", "..b") is an
+   ordinary one. *)
+let is_canonical path =
+  let n = String.length path in
+  n > 0
+  && String.unsafe_get path 0 = '/'
+  && (n = 1
+     || String.unsafe_get path (n - 1) <> '/'
+        &&
+        let ok = ref true and i = ref 0 in
+        (* [!i] is a '/' that is not the last byte: a component follows *)
+        while !ok && !i < n do
+          let c = !i + 1 in
+          let j = ref c in
+          while !j < n && String.unsafe_get path !j <> '/' do incr j done;
+          let len = !j - c in
+          if
+            len = 0
+            || String.unsafe_get path c = '.'
+               && (len = 1 || (len = 2 && String.unsafe_get path (c + 1) = '.'))
+          then ok := false;
+          i := !j
+        done;
+        !ok)
+
 let normalize ~cwd path =
-  let absolute = if String.length path > 0 && path.[0] = '/' then path else cwd ^ "/" ^ path in
-  let components = split_path absolute in
-  let rec squeeze acc = function
-    | [] -> List.rev acc
-    | ".." :: rest -> (
-        match acc with [] -> squeeze [] rest | _ :: tl -> squeeze tl rest)
-    | c :: rest -> squeeze (c :: acc) rest
-  in
-  "/" ^ String.concat "/" (squeeze [] components)
+  if is_canonical path then path
+  else
+    let absolute =
+      if String.length path > 0 && path.[0] = '/' then path
+      else cwd ^ "/" ^ path
+    in
+    let rec squeeze acc = function
+      | [] -> List.rev acc
+      | ".." :: rest -> (
+          match acc with [] -> squeeze [] rest | _ :: tl -> squeeze tl rest)
+      | c :: rest -> squeeze (c :: acc) rest
+    in
+    "/" ^ String.concat "/" (squeeze [] (split_path absolute))
 
 let dac_permits (cred : cred) inode access =
   let who =
@@ -45,6 +76,22 @@ let may_access m task ~path inode access =
 (* A task in a private mount namespace sees its own (copied) mount list. *)
 let mounts_of m task =
   match task.mntns with Some mounts -> mounts | None -> m.mounts
+
+let rec mounted_at mounts target =
+  match mounts with
+  | [] -> mounts
+  | mnt :: rest ->
+      if String.equal mnt.mnt_target target then mounts
+      else mounted_at rest target
+
+let rec unmount mounts target =
+  match mounts with
+  | [] -> mounts
+  | mnt :: rest ->
+      if String.equal mnt.mnt_target target then rest
+      else
+        let kept = unmount rest target in
+        if kept == rest then mounts else mnt :: kept
 
 let mount_at_in mounts inode =
   let rec top best = function
@@ -115,25 +162,27 @@ let resolve_gen m task ~follow_last path =
     walk root "/" components links_left ~follow_last
   in
   let abs = if String.length path > 0 && path.[0] = '/' then path else task.cwd ^ "/" ^ path in
-  if abs = "/" || split_path abs = [] then Ok (redirect_in mounts m.root)
-  else restart abs [] max_links ~follow_last
+  let root = redirect_in mounts m.root in
+  match split_path abs with
+  | [] -> Ok root
+  | components -> walk root "/" components max_links ~follow_last
 
 let resolve m task path = resolve_gen m task ~follow_last:true path
 let resolve_no_follow m task path = resolve_gen m task ~follow_last:false path
 
+(* [abs] is canonical, so its last component follows its last slash and
+   its parent is what precedes it. *)
 let resolve_parent m task path =
   let abs = normalize ~cwd:task.cwd path in
-  match split_path abs with
-  | [] -> Error Errno.EINVAL
-  | components -> (
-      let name = List.nth components (List.length components - 1) in
-      let parent_path =
-        "/" ^ String.concat "/" (List.filteri (fun i _ -> i < List.length components - 1) components)
-      in
-      match resolve m task parent_path with
-      | Ok dir when dir.kind = Dir -> Ok (dir, name)
-      | Ok _ -> Error Errno.ENOTDIR
-      | Error _ as e -> e)
+  let slash = String.rindex abs '/' in
+  if slash = String.length abs - 1 then Error Errno.EINVAL (* "/" *)
+  else
+    let name = String.sub abs (slash + 1) (String.length abs - slash - 1) in
+    let parent_path = if slash = 0 then "/" else String.sub abs 0 slash in
+    match resolve m task parent_path with
+    | Ok dir when dir.kind = Dir -> Ok (dir, name)
+    | Ok _ -> Error Errno.ENOTDIR
+    | Error _ as e -> e
 
 let path_of_inode m target =
   let rec search dir path =

@@ -9,7 +9,12 @@ open Protego_base
 
 val normalize : cwd:string -> string -> string
 (** Make a path absolute against [cwd] and squeeze [.] / [..] / duplicate
-    slashes lexically (used for canonical policy paths). *)
+    slashes lexically (used for canonical policy paths).  A path that is
+    already canonical (absolute, with no empty, [.] or [..] component
+    and no trailing slash) comes back as the argument itself, not a
+    copy, after one scan that allocates nothing: callers must not expect
+    a fresh string.  Strings are immutable, so comparing the result by
+    physical identity (the dispatcher's front slot does) stays sound. *)
 
 val split_path : string -> string list
 (** Path components, no empties. *)
@@ -46,6 +51,19 @@ val redirect_mount : Ktypes.machine -> Ktypes.inode -> Ktypes.inode
 val mounts_of : Ktypes.machine -> Ktypes.task -> Ktypes.mount_record list
 (** The mount table the task sees: its private copy when it unshared the
     mount namespace, the machine's otherwise. *)
+
+val mounted_at :
+  Ktypes.mount_record list -> string -> Ktypes.mount_record list
+(** [mounted_at mounts target]: the table from its first entry mounted
+    at [target] on, [[]] when nothing is mounted there.  Match the head
+    for the entry, or compare with [!= []] for a membership test; the
+    lookup allocates nothing. *)
+
+val unmount : Ktypes.mount_record list -> string -> Ktypes.mount_record list
+(** [unmount mounts target]: [mounts] without its first entry mounted at
+    [target], in one pass that copies only the entries ahead of it and
+    shares the rest.  Nothing is mounted there exactly when the result
+    is [mounts] itself ([==]). *)
 
 val path_of_inode : Ktypes.machine -> Ktypes.inode -> string option
 (** Reverse lookup for diagnostics (walks the tree; O(n)). *)

@@ -97,9 +97,9 @@ let sb_umount disp st m task ~target =
   | Ok () -> Ok ()
   | Error _ -> (
       let target = Vfs.normalize ~cwd:task.cwd target in
-      match List.find_opt (fun mnt -> mnt.mnt_target = target) m.mounts with
-      | None -> Error Errno.EINVAL
-      | Some mnt ->
+      match Vfs.mounted_at m.mounts target with
+      | [] -> Error Errno.EINVAL
+      | mnt :: _ ->
           let subject = task.cred.ruid in
           let allowed =
             Pfm_dispatch.decide_umount disp ~phase:task.sec.phase st ~target
@@ -668,20 +668,32 @@ let install_netfilter_rules m =
 let install m =
   let st = Policy_state.create () in
   let disp = Pfm_dispatch.create () in
+  (* Each hook takes all its arguments at once: a [fun m task -> f st m
+     task] would return a fresh partial application on every call. *)
   let ops =
     { stock with
       lsm_name = "protego";
-      sb_mount = (fun m task -> sb_mount disp st m task);
-      sb_umount = (fun m task -> sb_umount disp st m task);
+      sb_mount =
+        (fun m task ~source ~target ~fstype ~flags ->
+          sb_mount disp st m task ~source ~target ~fstype ~flags);
+      sb_umount = (fun m task ~target -> sb_umount disp st m task ~target);
       socket_create = socket_create st;
-      socket_bind = (fun m task -> socket_bind disp st m task);
+      socket_bind =
+        (fun m task sock addr port ->
+          socket_bind disp st m task sock addr port);
       socket_sendmsg = stock.socket_sendmsg;
-      task_fix_setuid = (fun m task -> task_fix_setuid st m task);
-      task_fix_setgid = (fun m task -> task_fix_setgid st m task);
-      bprm_check = (fun m task -> bprm_check st m task);
-      inode_permission = (fun m task -> inode_permission st m task);
-      file_open = (fun m task -> file_open st m task);
-      file_ioctl = (fun m task -> file_ioctl disp st m task) }
+      task_fix_setuid =
+        (fun m task ~target -> task_fix_setuid st m task ~target);
+      task_fix_setgid =
+        (fun m task ~target -> task_fix_setgid st m task ~target);
+      bprm_check =
+        (fun m task ~path ~argv inode ->
+          bprm_check st m task ~path ~argv inode);
+      inode_permission =
+        (fun m task ~path inode access ->
+          inode_permission st m task ~path inode access);
+      file_open = (fun m task ~path file -> file_open st m task ~path file);
+      file_ioctl = (fun m task req -> file_ioctl disp st m task req) }
   in
   m.security <- ops;
   install_proc_files m st disp;

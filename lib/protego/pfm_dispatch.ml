@@ -278,12 +278,12 @@ let opt_statuses t = List.map (opt_status_line t) t.hooks
 
 (* --- hook decisions ---------------------------------------------------- *)
 
-(* Callers without task context (bench, fuzz) default to [Phase.initial],
-   which is verdict-neutral for unphased policies.  Each decision serves
-   [Decider.flip] of the ladder's true verdict.  The slot holds the
-   request that filled it and is compared by physical identity: the
-   labelled entry points compare the arguments and build a request only
-   on a slot miss. *)
+(* Callers without task context (bench, fuzz) pass [Phase.initial] (the
+   default of {!decide}), which is verdict-neutral for unphased
+   policies.  Each decision serves [Decider.flip] of the ladder's true
+   verdict.  The slot holds the request that filled it and is compared
+   by physical identity: the labelled entry points compare the arguments
+   and build a request only on a slot miss. *)
 
 (* The ladder on request hook [i]: [probe] opens the decision and
    returns the slot's request when it is fresh; [hit] serves the slot,
@@ -306,8 +306,7 @@ let decide t ?(phase = Phase.initial) st req =
   | Some r when r == req -> hit t i
   | _ -> miss t i st req
 
-let decide_mount t ?(subject = 0) ?(phase = Phase.initial) st ~source ~target
-    ~fstype ~flags =
+let decide_mount t ~subject ~phase st ~source ~target ~fstype ~flags =
   match probe t 0 st Policy_state.Mounts ~subject ~phase with
   | Some (Request.Mount r)
     when r.source == source && r.target == target && r.fstype == fstype
@@ -315,21 +314,21 @@ let decide_mount t ?(subject = 0) ?(phase = Phase.initial) st ~source ~target
       hit t 0
   | _ -> miss t 0 st (Request.Mount { subject; source; target; fstype; flags })
 
-let decide_umount t ?(phase = Phase.initial) st ~target ~mounted_by ~ruid =
+let decide_umount t ~phase st ~target ~mounted_by ~ruid =
   match probe t 1 st Policy_state.Mounts ~subject:ruid ~phase with
   | Some (Request.Umount r) when r.target == target && r.mounted_by = mounted_by
     ->
       hit t 1
   | _ -> miss t 1 st (Request.Umount { subject = ruid; target; mounted_by })
 
-let decide_bind t ?(phase = Phase.initial) st ~port ~proto ~exe ~uid =
+let decide_bind t ~phase st ~port ~proto ~exe ~uid =
   match probe t 2 st Policy_state.Binds ~subject:uid ~phase with
   | Some (Request.Bind r) when r.exe == exe && r.port = port && r.proto = proto
     ->
       hit t 2
   | _ -> miss t 2 st (Request.Bind { subject = uid; port; proto; exe })
 
-let decide_ppp_ioctl t ?(subject = 0) ?(phase = Phase.initial) st ~device ~opt =
+let decide_ppp_ioctl t ~subject ~phase st ~device ~opt =
   match probe t 3 st Policy_state.Ppp ~subject ~phase with
   | Some (Request.Ppp_ioctl r) when r.device == device && r.opt == opt ->
       hit t 3

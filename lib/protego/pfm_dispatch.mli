@@ -150,29 +150,33 @@ val decide :
     worker does: reuse request values to hit it.  [phase] as below. *)
 
 val decide_mount :
-  t -> ?subject:int -> ?phase:Protego_base.Phase.t -> Policy_state.t ->
+  t -> subject:int -> phase:Protego_base.Phase.t -> Policy_state.t ->
   source:string -> target:string ->
   fstype:string -> flags:Protego_kernel.Ktypes.mount_flag list -> bool
-(** [subject] is the caller's credential key (real uid) for the cache key;
-    the mount verdict itself is subject-independent, so it defaults to 0
-    for callers without task context (bench, fuzz).  [phase] is the
-    caller's lifecycle phase (default {!Protego_base.Phase.initial},
+(** The LSM hooks' entry points.  Their labels are required, not
+    optional: dune's dev profile compiles with [-opaque], so an optional
+    argument would box a [Some] on every hook call.
+
+    [subject] is the caller's credential key (real uid) for the cache
+    key; the mount verdict itself is subject-independent, so callers
+    without task context (bench, fuzz) pass 0.  [phase] is the caller's
+    lifecycle phase ({!Protego_base.Phase.initial} without task context,
     verdict-neutral for unphased policies); here and below it keys the
     ladder and rides into the PFM context / reference oracle so
     phase-guarded rules see it. *)
 
 val decide_umount :
-  t -> ?phase:Protego_base.Phase.t -> Policy_state.t -> target:string ->
+  t -> phase:Protego_base.Phase.t -> Policy_state.t -> target:string ->
   mounted_by:int -> ruid:int -> bool
 (** [ruid] doubles as the cache subject. *)
 
 val decide_bind :
-  t -> ?phase:Protego_base.Phase.t -> Policy_state.t -> port:int ->
+  t -> phase:Protego_base.Phase.t -> Policy_state.t -> port:int ->
   proto:Protego_policy.Bindconf.proto -> exe:string -> uid:int -> bool
 (** [uid] doubles as the cache subject. *)
 
 val decide_ppp_ioctl :
-  t -> ?subject:int -> ?phase:Protego_base.Phase.t -> Policy_state.t ->
+  t -> subject:int -> phase:Protego_base.Phase.t -> Policy_state.t ->
   device:string -> opt:Protego_net.Ppp.option_ -> bool
 
 val decide_nf_output :

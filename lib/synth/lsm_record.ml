@@ -90,12 +90,12 @@ let run ?(seg_bytes = 262144) ?(segments = 32) spec requests =
         (Syscall.mount m helper ~source:"none" ~target ~fstype:"tmpfs"
            ~flags:[])
     in
-    match List.find_opt (fun mnt -> mnt.mnt_target = target) m.mounts with
-    | Some mnt when mnt.mnt_by = uid -> ()
-    | Some _ ->
+    match Vfs.mounted_at m.mounts target with
+    | mnt :: _ when mnt.mnt_by = uid -> ()
+    | _ :: _ ->
         ignore (Syscall.umount m root ~target);
         mount ()
-    | None -> mount ()
+    | [] -> mount ()
   in
   Array.iter
     (fun (req : Plane.request) ->

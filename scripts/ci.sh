@@ -87,6 +87,19 @@ fast_tier() {
     # declared metric goes missing.
     echo "==> lsmbench smoke (outcome oracle on all four workloads)"
     python3 lsmbench/run.py --smoke
+
+    # Where the linker placed Syscall.trap, the loop every syscall runs:
+    # lsm-* numbers move with its offset mod 64, so each bench log records
+    # it.  Informational only; never fails the job.
+    echo "==> Syscall.trap layout in lsmbench/suite.exe"
+    trap_addr=$(nm _build/default/lsmbench/suite.exe 2>/dev/null \
+        | sed -n 's/^\([0-9a-f]*\) T camlProtego_kernel__Syscall\.trap_[0-9]*$/\1/p' \
+        | head -n 1) || true
+    if [ -n "$trap_addr" ]; then
+        echo "Syscall.trap at 0x$trap_addr, offset $((0x$trap_addr % 64)) mod 64"
+    else
+        echo "Syscall.trap: symbol not found (no nm, or a stripped binary)"
+    fi
 }
 
 full_tier() {

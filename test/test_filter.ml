@@ -183,8 +183,8 @@ let test_bare_bump_keeps_program () =
   let disp = PD.create () in
   let stat () = List.assoc "mount" (PD.stats disp) in
   let decide () =
-    PD.decide_mount disp st ~source:"/dev/cdrom" ~target:"/media/cdrom"
-      ~fstype:"iso9660" ~flags:[]
+    PD.decide_mount disp ~subject:0 ~phase:Phase.initial st ~source:"/dev/cdrom"
+      ~target:"/media/cdrom" ~fstype:"iso9660" ~flags:[]
   in
   check "allowed" true (decide ());
   let prog = PD.cached_program disp "mount" in
@@ -264,14 +264,16 @@ type store_rig = {
 let lsm_decisions r i =
   let dev = Printf.sprintf "/dev/probe%d" i in
   ignore
-    (PD.decide_mount r.disp r.st ~source:dev ~target:"/media/cdrom"
-       ~fstype:"iso9660" ~flags:[]);
-  ignore (PD.decide_umount r.disp r.st ~target:dev ~mounted_by:1000 ~ruid:1000);
+    (PD.decide_mount r.disp ~subject:0 ~phase:Phase.initial r.st ~source:dev
+       ~target:"/media/cdrom" ~fstype:"iso9660" ~flags:[]);
   ignore
-    (PD.decide_bind r.disp r.st ~port:(600 + i) ~proto:Protego_policy.Bindconf.Tcp
-       ~exe:dev ~uid:1000);
+    (PD.decide_umount r.disp ~phase:Phase.initial r.st ~target:dev
+       ~mounted_by:1000 ~ruid:1000);
   ignore
-    (PD.decide_ppp_ioctl r.disp r.st ~device:dev
+    (PD.decide_bind r.disp ~phase:Phase.initial r.st ~port:(600 + i)
+       ~proto:Protego_policy.Bindconf.Tcp ~exe:dev ~uid:1000);
+  ignore
+    (PD.decide_ppp_ioctl r.disp ~subject:0 ~phase:Phase.initial r.st ~device:dev
        ~opt:(Protego_net.Ppp.Compression "deflate"))
 
 let store_rig () =

@@ -216,6 +216,62 @@ let prop_resolve_normalized =
           match via_norm with Ok b -> Inode.same a b | Error _ -> false)
       | Error _ -> true)
 
+(* [Vfs.normalize] before canonical paths passed through: the oracle for
+   the property below. *)
+let normalize_reference ~cwd path =
+  let absolute =
+    if String.length path > 0 && path.[0] = '/' then path else cwd ^ "/" ^ path
+  in
+  let components =
+    String.split_on_char '/' absolute
+    |> List.filter (fun c -> c <> "" && c <> ".")
+  in
+  let rec squeeze acc = function
+    | [] -> List.rev acc
+    | ".." :: rest -> (
+        match acc with [] -> squeeze [] rest | _ :: tl -> squeeze tl rest)
+    | c :: rest -> squeeze (c :: acc) rest
+  in
+  "/" ^ String.concat "/" (squeeze [] components)
+
+let canonical path =
+  path = "/"
+  || String.length path > 1
+     && path.[0] = '/'
+     && path.[String.length path - 1] <> '/'
+     && List.for_all
+          (fun c -> c <> "" && c <> "." && c <> "..")
+          (String.split_on_char '/'
+             (String.sub path 1 (String.length path - 1)))
+
+(* Paths glued from separators, dot names and plain names (so runs of
+   slashes, trailing slashes, "." / ".." and names that merely start
+   with dots all occur), plus canonical paths built component-wise, so
+   the pass-through is exercised as often as the full algorithm. *)
+let prop_normalize_reference =
+  let glued =
+    QCheck2.Gen.(
+      map (String.concat "")
+        (list_size (int_bound 10)
+           (oneofl [ "/"; "."; ".."; ".b"; "..b"; "a"; "b" ])))
+  in
+  let built =
+    QCheck2.Gen.(
+      map
+        (fun cs -> "/" ^ String.concat "/" cs)
+        (list_size (int_bound 5) (oneofl [ ".b"; "..b"; "a"; "b"; "..."; "a." ])))
+  in
+  QCheck2.Test.make
+    ~name:"vfs: normalize equals the reference, is canonical and passes canonical paths through"
+    ~count:2000
+    QCheck2.Gen.(pair (oneof [ glued; built ]) (oneof [ glued; built ]))
+    (fun (path, cwd) ->
+      let n = Vfs.normalize ~cwd path in
+      n = normalize_reference ~cwd path
+      && canonical n
+      && Vfs.normalize ~cwd:"/elsewhere" n == n
+      && ((not (canonical path)) || n == path))
+
 (* --- filter machine: compiled programs vs the list-walking reference ----
    Differential fuzz for every compiled hook: 500 random policies x 20
    random argument tuples = 10k decisions per hook, compiled verdict ==
@@ -225,6 +281,7 @@ let prop_resolve_normalized =
 module Pfm = Protego_filter.Pfm
 module Compile = Protego_filter.Pfm_compile
 module PS = Protego_core.Policy_state
+module Phase = Protego_base.Phase
 module Bindconf = Protego_policy.Bindconf
 module Pppopts = Protego_policy.Pppopts
 module Ppp = Protego_net.Ppp
@@ -619,7 +676,8 @@ let cache_diff_mount =
     ~reload:(fun gen1 st -> PS.set st (PS.Set_mounts (gen1 mount_policy_gen)))
     ~query:(fun gen1 -> gen1 mount_query_gen)
     ~decide:(fun disp st ((source, target, fstype), (flags, subject)) ->
-      PD.decide_mount disp ~subject st ~source ~target ~fstype ~flags)
+      PD.decide_mount disp ~subject ~phase:Phase.initial st ~source ~target
+        ~fstype ~flags)
     ~oracle:(fun st ((source, target, fstype), (flags, _)) ->
       PS.mount_decision st ~source ~target ~fstype ~flags)
 
@@ -633,7 +691,7 @@ let cache_diff_umount =
     ~reload:(fun gen1 st -> PS.set st (PS.Set_mounts (gen1 mount_policy_gen)))
     ~query:(fun gen1 -> gen1 umount_query_gen)
     ~decide:(fun disp st (target, mounted_by, ruid) ->
-      PD.decide_umount disp st ~target ~mounted_by ~ruid)
+      PD.decide_umount disp ~phase:Phase.initial st ~target ~mounted_by ~ruid)
     ~oracle:(fun st (target, mounted_by, ruid) ->
       PS.umount_decision st ~target ~mounted_by ~ruid)
 
@@ -654,7 +712,7 @@ let cache_diff_bind =
     ~query:(fun gen1 -> gen1 bind_query_gen)
     ~decide:(fun disp st ((port, tcp), (exe, uid)) ->
       let proto = if tcp then Bindconf.Tcp else Bindconf.Udp in
-      PD.decide_bind disp st ~port ~proto ~exe ~uid)
+      PD.decide_bind disp ~phase:Phase.initial st ~port ~proto ~exe ~uid)
     ~oracle:(fun st ((port, tcp), (exe, uid)) ->
       let proto = if tcp then Bindconf.Tcp else Bindconf.Udp in
       PS.bind_allowed st ~port ~proto ~exe ~uid)
@@ -679,7 +737,7 @@ let cache_diff_ppp =
            }))
     ~query:(fun gen1 -> gen1 ppp_query_gen)
     ~decide:(fun disp st ((device, opt), subject) ->
-      PD.decide_ppp_ioctl disp ~subject st ~device ~opt)
+      PD.decide_ppp_ioctl disp ~subject ~phase:Phase.initial st ~device ~opt)
     ~oracle:(fun st ((device, opt), _) ->
       PS.ppp_ioctl_decision st ~device ~opt)
 
@@ -721,7 +779,8 @@ let suites =
         (QCheck_alcotest.to_alcotest ~long:false)
         [ prop_proc_fuzz; prop_command_fuzz; prop_netfilter_first_match;
           prop_rule_spec_roundtrip;
-          prop_sudoers_roundtrip; prop_resolve_normalized ]);
+          prop_sudoers_roundtrip; prop_resolve_normalized;
+          prop_normalize_reference ]);
     ("fuzz:filter-differential",
       List.map
         (QCheck_alcotest.to_alcotest ~long:false)

@@ -71,8 +71,8 @@ let probe ~schedule ~at st disp =
           ~fstype:"iso9660" ~flags
       in
       let ask () =
-        PD.decide_mount disp ~subject:1000 st ~source:"/dev/cdrom"
-          ~target:"/media/cdrom" ~fstype:"iso9660" ~flags
+        PD.decide_mount disp ~subject:1000 ~phase:Phase.initial st
+          ~source:"/dev/cdrom" ~target:"/media/cdrom" ~fstype:"iso9660" ~flags
       in
       check (where ("mount " ^ label)) oracle (ask ());
       (* The repeat is served from memo state when warm; it must still
@@ -85,7 +85,8 @@ let probe ~schedule ~at st disp =
         PS.bind_allowed st ~port:777 ~proto ~exe:"/usr/sbin/exim4" ~uid:0
       in
       let ask () =
-        PD.decide_bind disp st ~port:777 ~proto ~exe:"/usr/sbin/exim4" ~uid:0
+        PD.decide_bind disp ~phase:Phase.initial st ~port:777 ~proto
+          ~exe:"/usr/sbin/exim4" ~uid:0
       in
       check (where ("bind " ^ label)) oracle (ask ());
       check (where ("bind " ^ label ^ " repeat")) oracle (ask ()))

@@ -301,6 +301,40 @@ let test_cache_key_collision () =
   check "legitimate mount audited as allowed" true
     (last_mount_record m).Audit.au_allowed
 
+(* The kernel's mount and umount lines in dmesg, byte for byte: the
+   mount line names the source as given and the canonical target, a
+   relative target resolves against the caller's cwd, and a target
+   with doubled or trailing slashes logs its canonical form. *)
+let test_dmesg_lines () =
+  let img = Image.build Image.Protego in
+  let m = img.Image.machine in
+  let alice = Image.login img "alice" in
+  let root = Image.login img "root" in
+  let before = List.length (Machine.dmesg m) in
+  alice.cwd <- "/media";
+  Syntax.expect_ok "relative mount"
+    (Syscall.mount m alice ~source:"/dev/cdrom" ~target:"cdrom"
+       ~fstype:"iso9660" ~flags:user_flags);
+  Syntax.expect_ok "relative umount" (Syscall.umount m alice ~target:"cdrom");
+  Syntax.expect_ok "non-canonical mount"
+    (Syscall.mount m alice ~source:"/dev/cdrom" ~target:"/media//cdrom/"
+       ~fstype:"iso9660" ~flags:user_flags);
+  Syntax.expect_ok "non-canonical umount"
+    (Syscall.umount m alice ~target:"/media/./cdrom/");
+  Syntax.expect_ok "root mount"
+    (Syscall.mount m root ~source:"none" ~target:"/mnt/secure/../secure"
+       ~fstype:"tmpfs" ~flags:[]);
+  Syntax.expect_ok "root umount" (Syscall.umount m root ~target:"/mnt/secure");
+  Alcotest.(check (list string))
+    "dmesg lines"
+    [ "mount: /dev/cdrom on /media/cdrom type iso9660 (uid 1000)";
+      "umount: /media/cdrom (uid 1000)";
+      "mount: /dev/cdrom on /media/cdrom type iso9660 (uid 1000)";
+      "umount: /media/cdrom (uid 1000)";
+      "mount: none on /mnt/secure type tmpfs (uid 0)";
+      "umount: /mnt/secure (uid 0)" ]
+    (List.filteri (fun i _ -> i >= before) (Machine.dmesg m))
+
 let suites =
   [ ("protego:mount",
       [ Alcotest.test_case "whitelist allow/deny" `Quick test_whitelist_allow_deny;
@@ -313,4 +347,6 @@ let suites =
         Alcotest.test_case "binary equivalence" `Quick test_mount_binary_equivalence;
         Alcotest.test_case "record mode via /proc" `Quick test_record_mode_proc;
         Alcotest.test_case "cache key collision" `Quick
-          test_cache_key_collision ]) ]
+          test_cache_key_collision;
+        Alcotest.test_case "dmesg mount/umount lines" `Quick
+          test_dmesg_lines ]) ]

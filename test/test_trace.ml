@@ -426,8 +426,12 @@ let test_tracing_preserves_verdicts () =
         (PS.Set_mounts
            (gen1 QCheck2.Gen.(list_size (int_bound 12) mount_rule_gen)));
     let (source, target), (fstype, (flags, subject)) = gen1 mount_query_gen in
-    let a = PD.decide_mount plain ~subject st ~source ~target ~fstype ~flags in
-    let b = PD.decide_mount traced ~subject st ~source ~target ~fstype ~flags in
+    let decide d =
+      PD.decide_mount d ~subject ~phase:Phase.initial st ~source ~target ~fstype
+        ~flags
+    in
+    let a = decide plain in
+    let b = decide traced in
     let expect = PS.mount_decision st ~source ~target ~fstype ~flags in
     if a <> expect then
       Alcotest.failf "step %d: untraced dispatcher differs from the oracle" i;

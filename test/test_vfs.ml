@@ -36,7 +36,16 @@ let test_normalize () =
   check_str "dotdot past root" "/" (Vfs.normalize ~cwd:"/" "/../..");
   check_str "dots and slashes" "/a/c" (Vfs.normalize ~cwd:"/" "//a/./b/../c/");
   check_str "root" "/" (Vfs.normalize ~cwd:"/" "/");
-  check_str "cwd only" "/x/y" (Vfs.normalize ~cwd:"/x/y" ".")
+  check_str "cwd only" "/x/y" (Vfs.normalize ~cwd:"/x/y" ".");
+  check_str "trailing slash" "/a" (Vfs.normalize ~cwd:"/x" "/a/");
+  check_str "double slash" "/a/b" (Vfs.normalize ~cwd:"/x" "/a//b");
+  check_str "root dot" "/" (Vfs.normalize ~cwd:"/x" "/.");
+  check_str "dot name" "/a/.b" (Vfs.normalize ~cwd:"/x" "/a/.b");
+  check_str "dot-dot name" "/a/..b" (Vfs.normalize ~cwd:"/x" "/a/..b");
+  (* A canonical path comes back as itself, not a copy. *)
+  List.iter
+    (fun p -> check ("passes through " ^ p) true (Vfs.normalize ~cwd:"/x" p == p))
+    [ "/"; "/a"; "/a/b"; "/a/.b"; "/a/..b"; "/a/b." ]
 
 let prop_normalize_idempotent =
   QCheck2.Test.make ~name:"vfs: normalize is idempotent" ~count:300
