@@ -11,6 +11,15 @@ val alloc :
 (** Allocate a fresh inode with the machine's next inode number. *)
 
 val lookup_child : Ktypes.inode -> string -> Ktypes.inode option
+
+val lookup_sub :
+  Ktypes.inode -> string -> pos:int -> len:int ->
+  (string * Ktypes.inode) list
+(** [lookup_sub dir s ~pos ~len]: [dir]'s entries from the first one
+    named [String.sub s pos len] on, [[]] when there is none.  The name
+    is compared in place, so the lookup allocates nothing; match the
+    head for the child. *)
+
 val add_child : Ktypes.inode -> string -> Ktypes.inode -> unit
 val remove_child : Ktypes.inode -> string -> bool
 val child_names : Ktypes.inode -> string list

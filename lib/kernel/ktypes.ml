@@ -91,6 +91,14 @@ let mount_flag_of_code = function
   | 3 -> Some Mf_noexec
   | _ -> None
 
+(* A kernel log line.  The mount and umount lines, which a warm syscall
+   writes on every call, are stored typed and formatted only when the
+   log is read ([Machine.dmesg]); every other line is [Text]. *)
+type dmesg_line =
+  | Text of string
+  | Mount of { source : string; target : string; fstype : string; uid : uid }
+  | Umount of { target : string; uid : uid }
+
 (* --- the recursive block -------------------------------------------- *)
 
 type inode = {
@@ -291,7 +299,7 @@ and machine = {
   devices : (string, device) Hashtbl.t;
   mutable security : security_ops;
   programs : (string, program) Hashtbl.t;
-  mutable dmesg : string list;               (* newest first *)
+  mutable dmesg : dmesg_line list;           (* newest first *)
   fs_events : fs_event Queue.t;              (* inotify-like feed *)
   mutable auth_agent : (machine -> task -> uid -> bool) option;
   mutable password_source : uid -> string option;
@@ -313,13 +321,7 @@ and program =
 let find_task m pid = List.assoc_opt pid m.tasks
 
 let log_dmesg m fmt =
-  Printf.ksprintf (fun s -> m.dmesg <- s :: m.dmesg) fmt
-
-(* [log_dmesg_concat m parts] appends the concatenation of [parts] as
-   one dmesg line: the text a [log_dmesg] format would build, with one
-   allocation for the line and none for a format.  For the lines a warm
-   syscall writes on every call (mount, umount). *)
-let log_dmesg_concat m parts = m.dmesg <- String.concat "" parts :: m.dmesg
+  Printf.ksprintf (fun s -> m.dmesg <- Text s :: m.dmesg) fmt
 
 let console m fmt =
   Printf.ksprintf (fun s -> m.console <- s :: m.console) fmt

@@ -143,4 +143,10 @@ let kernel_task m =
       assert (t.tpid = 1);
       t
 
-let dmesg m = List.rev m.dmesg
+let render_dmesg = function
+  | Text s -> s
+  | Mount { source; target; fstype; uid } ->
+      Printf.sprintf "mount: %s on %s type %s (uid %d)" source target fstype uid
+  | Umount { target; uid } -> Printf.sprintf "umount: %s (uid %d)" target uid
+
+let dmesg m = List.rev_map render_dmesg m.dmesg

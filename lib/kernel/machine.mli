@@ -76,4 +76,6 @@ val kernel_task : Ktypes.machine -> Ktypes.task
     construction and trusted services run as this task. *)
 
 val dmesg : Ktypes.machine -> string list
-(** Kernel log, oldest first. *)
+(** Kernel log, oldest first.  The lines are rendered here, on read: the
+    kernel stores its mount and umount lines typed
+    ({!Ktypes.dmesg_line}) and formats nothing when it logs them. *)

@@ -9,16 +9,10 @@ module Route = Protego_net.Route
    counterpart of Syscall.trap for the network path.  Without it the
    netfilter rule scan would be measured against a near-zero base cost and
    overheads would look inflated relative to the paper's. *)
-let packet_work_iterations = ref 2500
-
-let packet_work () =
-  let acc = ref 0 in
-  for i = 1 to !packet_work_iterations do
-    acc := !acc + i
-  done;
-  ignore (Sys.opaque_identity !acc)
-
-let set_packet_work_iterations n = packet_work_iterations := max 0 n
+let packet_work_hops_of iterations = max 0 iterations * 66 / 100
+let packet_work_hops = ref (packet_work_hops_of 2500)
+let packet_work () = Cost.chain !packet_work_hops
+let set_packet_work_iterations n = packet_work_hops := packet_work_hops_of n
 
 let fresh_socket m task domain stype proto =
   let id = m.next_sock in

@@ -26,17 +26,13 @@ type stat_info = {
    user/kernel mode switch the simulator otherwise lacks.  Without it, the
    few-nanosecond cost of an LSM hook would be measured against an
    unrealistically cheap baseline and overheads would look inflated
-   (DESIGN.md, Table 5 notes).  Tests may zero it. *)
-let trap_iterations = ref 400
-
-let trap () =
-  let acc = ref 0 in
-  for i = 1 to !trap_iterations do
-    acc := !acc + i
-  done;
-  ignore (Sys.opaque_identity !acc)
-
-let set_trap_iterations n = trap_iterations := max 0 n
+   (DESIGN.md, Table 5 notes).  Tests may zero it.  An iteration is
+   40/100 of a {!Cost.chain} hop: the hop count that makes 400
+   iterations cost what the former 400-iteration add loop cost. *)
+let trap_hops_of iterations = max 0 iterations * 40 / 100
+let trap_hops = ref (trap_hops_of 400)
+let trap () = Cost.chain !trap_hops
+let set_trap_iterations n = trap_hops := trap_hops_of n
 
 (* --- identity ------------------------------------------------------- *)
 
@@ -502,29 +498,34 @@ let pipe _m task =
 
 (* --- mounts --------------------------------------------------------- *)
 
+(* One media file at [path] under [dir]: the directories on the way are
+   looked up or made, and the last component becomes a regular file
+   (added beside any entry of the same name). *)
+let rec place_media_file m dir path i contents =
+  let n = String.length path in
+  let i = Vfs.next_component path i in
+  if i < n then
+    let j = Vfs.component_end path i in
+    if Vfs.next_component path j >= n then begin
+      let f = Inode.alloc m ~kind:Reg ~mode:0o644 ~uid:0 ~gid:0 in
+      Inode.write_all f contents;
+      Inode.add_child dir (String.sub path i (j - i)) f
+    end
+    else
+      let sub =
+        match Inode.lookup_sub dir path ~pos:i ~len:(j - i) with
+        | (_, d) :: _ -> d
+        | [] ->
+            let d = Inode.alloc m ~kind:Dir ~mode:0o755 ~uid:0 ~gid:0 in
+            Inode.add_child dir (String.sub path i (j - i)) d;
+            d
+      in
+      place_media_file m sub path j contents
+
 let build_tree_from_media m (media : media) =
   let root = Inode.alloc m ~kind:Dir ~mode:0o755 ~uid:0 ~gid:0 in
   List.iter
-    (fun (path, contents) ->
-      let components = Vfs.split_path path in
-      let rec place dir = function
-        | [] -> ()
-        | [ name ] ->
-            let f = Inode.alloc m ~kind:Reg ~mode:0o644 ~uid:0 ~gid:0 in
-            Inode.write_all f contents;
-            Inode.add_child dir name f
-        | name :: rest ->
-            let sub =
-              match Inode.lookup_child dir name with
-              | Some d -> d
-              | None ->
-                  let d = Inode.alloc m ~kind:Dir ~mode:0o755 ~uid:0 ~gid:0 in
-                  Inode.add_child dir name d;
-                  d
-            in
-            place sub rest
-      in
-      place root components)
+    (fun (path, contents) -> place_media_file m root path 0 contents)
     media.media_files;
   root
 
@@ -555,6 +556,59 @@ let mount_in_private_ns m task private_mounts ~source ~target ~fstype ~flags =
         end
     | _ -> Error Errno.EPERM
 
+(* The tree a new mount shows: empty for the synthetic filesystems, the
+   share's listing for nfs/cifs, the medium for a block device. *)
+let mounted_tree m task ~source ~fstype =
+  match fstype with
+  | "tmpfs" | "proc" | "sysfs" | "fuse" ->
+      Ok (Inode.alloc m ~kind:Dir ~mode:0o755 ~uid:0 ~gid:0)
+  | "nfs" | "cifs" -> (
+      (* source is "<server>:/<export>" (nfs) or "//server/share"
+         (cifs); the share's listing comes from the remote host. *)
+      let server_s, export =
+        if fstype = "cifs" && String.length source > 2
+           && String.sub source 0 2 = "//"
+        then
+          let rest = String.sub source 2 (String.length source - 2) in
+          match String.index_opt rest '/' with
+          | Some i ->
+              ( String.sub rest 0 i,
+                String.sub rest i (String.length rest - i) )
+          | None -> (rest, "/")
+        else
+          match String.index_opt source ':' with
+          | Some i ->
+              ( String.sub source 0 i,
+                String.sub source (i + 1) (String.length source - i - 1) )
+          | None -> (source, "/")
+      in
+      match Ipaddr.of_string server_s with
+      | None -> Error Errno.EHOSTUNREACH
+      | Some addr -> (
+          match
+            List.find_opt
+              (fun rh -> Ipaddr.equal rh.rh_addr addr)
+              m.remote_hosts
+          with
+          | None -> Error Errno.EHOSTUNREACH
+          | Some rh -> (
+              match List.assoc_opt export rh.rh_exports with
+              | Some files ->
+                  Ok
+                    (build_tree_from_media m
+                       { media_fstype = fstype; media_files = files })
+              | None -> Error Errno.ENOENT)))
+  | _ -> (
+      let src_abs = Vfs.normalize ~cwd:task.cwd source in
+      match Hashtbl.find_opt m.devices src_abs with
+      | Some (Dev_block { media = Some media }) ->
+          if media.media_fstype = fstype || fstype = "auto" then
+            Ok (build_tree_from_media m media)
+          else Error Errno.EINVAL
+      | Some (Dev_block { media = None }) -> Error Errno.ENXIO
+      | Some _ -> Error Errno.ENODEV
+      | None -> Error Errno.ENODEV)
+
 let mount m task ~source ~target ~fstype ~flags =
   trap ();
   match task.mntns with
@@ -565,71 +619,24 @@ let mount m task ~source ~target ~fstype ~flags =
   | Error _ as e -> e
   | Ok () -> (
       let target_abs = Vfs.normalize ~cwd:task.cwd target in
-      let ( let* ) = Result.bind in
-      let* covered = Vfs.resolve m task target_abs in
-      if covered.kind <> Dir then Error Errno.ENOTDIR
-      else if Vfs.mounted_at m.mounts target_abs != [] then Error Errno.EBUSY
-      else
-        let* tree_root =
-          match fstype with
-          | "tmpfs" | "proc" | "sysfs" | "fuse" ->
-              Ok (Inode.alloc m ~kind:Dir ~mode:0o755 ~uid:0 ~gid:0)
-          | "nfs" | "cifs" -> (
-              (* source is "<server>:/<export>" (nfs) or "//server/share"
-                 (cifs); the share's listing comes from the remote host. *)
-              let server_s, export =
-                if fstype = "cifs" && String.length source > 2
-                   && String.sub source 0 2 = "//"
-                then
-                  let rest = String.sub source 2 (String.length source - 2) in
-                  match String.index_opt rest '/' with
-                  | Some i ->
-                      ( String.sub rest 0 i,
-                        String.sub rest i (String.length rest - i) )
-                  | None -> (rest, "/")
-                else
-                  match String.index_opt source ':' with
-                  | Some i ->
-                      ( String.sub source 0 i,
-                        String.sub source (i + 1) (String.length source - i - 1) )
-                  | None -> (source, "/")
-              in
-              match Ipaddr.of_string server_s with
-              | None -> Error Errno.EHOSTUNREACH
-              | Some addr -> (
-                  match
-                    List.find_opt
-                      (fun rh -> Ipaddr.equal rh.rh_addr addr)
-                      m.remote_hosts
-                  with
-                  | None -> Error Errno.EHOSTUNREACH
-                  | Some rh -> (
-                      match List.assoc_opt export rh.rh_exports with
-                      | Some files ->
-                          Ok
-                            (build_tree_from_media m
-                               { media_fstype = fstype; media_files = files })
-                      | None -> Error Errno.ENOENT)))
-          | _ -> (
-              let src_abs = Vfs.normalize ~cwd:task.cwd source in
-              match Hashtbl.find_opt m.devices src_abs with
-              | Some (Dev_block { media = Some media }) ->
-                  if media.media_fstype = fstype || fstype = "auto" then
-                    Ok (build_tree_from_media m media)
-                  else Error Errno.EINVAL
-              | Some (Dev_block { media = None }) -> Error Errno.ENXIO
-              | Some _ -> Error Errno.ENODEV
-              | None -> Error Errno.ENODEV)
-        in
-        m.mounts <-
-          m.mounts
-          @ [ { mnt_source = source; mnt_target = target_abs; mnt_fstype = fstype;
-                mnt_flags = flags; mnt_root = tree_root; mnt_covered = covered;
-                mnt_by = task.cred.ruid } ];
-        log_dmesg_concat m
-          [ "mount: "; source; " on "; target_abs; " type "; fstype; " (uid ";
-            string_of_int task.cred.ruid; ")" ];
-        Ok ())
+      match Vfs.resolve m task target_abs with
+      | Error e -> Error e
+      | Ok covered when covered.kind <> Dir -> Error Errno.ENOTDIR
+      | Ok _ when Vfs.mounted_at m.mounts target_abs != [] -> Error Errno.EBUSY
+      | Ok covered -> (
+          match mounted_tree m task ~source ~fstype with
+          | Error e -> Error e
+          | Ok tree_root ->
+              m.mounts <-
+                m.mounts
+                @ [ { mnt_source = source; mnt_target = target_abs;
+                      mnt_fstype = fstype; mnt_flags = flags;
+                      mnt_root = tree_root; mnt_covered = covered;
+                      mnt_by = task.cred.ruid } ];
+              m.dmesg <-
+                Mount { source; target = target_abs; fstype; uid = task.cred.ruid }
+                :: m.dmesg;
+              Ok ()))
 
 let umount m task ~target =
   trap ();
@@ -654,9 +661,7 @@ let umount m task ~target =
       if kept == m.mounts then Error Errno.EINVAL
       else begin
         m.mounts <- kept;
-        log_dmesg_concat m
-          [ "umount: "; target_abs; " (uid "; string_of_int task.cred.ruid;
-            ")" ];
+        m.dmesg <- Umount { target = target_abs; uid = task.cred.ruid } :: m.dmesg;
         Ok ()
       end
 

@@ -46,10 +46,14 @@ let normalize ~cwd path =
     in
     "/" ^ String.concat "/" (squeeze [] (split_path absolute))
 
+let rec mem_gid (gid : gid) = function
+  | [] -> false
+  | g :: rest -> g = gid || mem_gid gid rest
+
 let dac_permits (cred : cred) inode access =
   let who =
     if cred.fsuid = inode.iuid then `Owner
-    else if cred.egid = inode.igid || List.mem inode.igid cred.groups then `Group
+    else if cred.egid = inode.igid || mem_gid inode.igid cred.groups then `Group
     else `Other
   in
   Mode.permits inode.mode ~who access
@@ -93,79 +97,97 @@ let rec unmount mounts target =
         let kept = unmount rest target in
         if kept == rest then mounts else mnt :: kept
 
-let mount_at_in mounts inode =
-  let rec top best = function
-    | [] -> best
-    | mnt :: rest ->
-        if Inode.same mnt.mnt_covered inode then top (Some mnt) rest else top best rest
-  in
-  (* Later entries are more recent mounts; the last one covering wins. *)
-  top None mounts
+(* The root of the last (most recent) entry of [mounts] covering
+   [inode], or [best] when none does. *)
+let rec covering_root mounts inode best =
+  match mounts with
+  | [] -> best
+  | mnt :: rest ->
+      covering_root rest inode
+        (if Inode.same mnt.mnt_covered inode then mnt.mnt_root else best)
 
-let redirect_in mounts inode =
-  let rec follow inode depth =
-    if depth > 16 then inode
-    else
-      match mount_at_in mounts inode with
-      | Some mnt -> follow mnt.mnt_root (depth + 1)
-      | None -> inode
-  in
-  follow inode 0
+let rec redirect_from mounts inode depth =
+  if depth > 16 then inode
+  else
+    let root = covering_root mounts inode inode in
+    if root == inode then inode else redirect_from mounts root (depth + 1)
 
+let redirect_in mounts inode = redirect_from mounts inode 0
 let redirect_mount m inode = redirect_in m.mounts inode
 
-(* Walk components from the root.  Carries the (lexical) directory path for
-   symlink restarts and LSM hooks. *)
-let resolve_gen m task ~follow_last path =
-  let mounts = mounts_of m task in
-  let max_links = 40 in
-  let rec walk dir dir_path components links_left ~follow_last =
-    if links_left < 0 then Error Errno.ELOOP
+(* The component scan shared by the walk and [Syscall]'s media trees:
+   [next_component s i] is the first index at or after [i] where a
+   component of [s] starts, past '/' separators and "." components
+   ([String.length s] when none is left); [component_end s i] is the
+   index just past the component starting at [i]. *)
+let rec next_component s i =
+  let n = String.length s in
+  if i >= n then n
+  else
+    match String.unsafe_get s i with
+    | '/' -> next_component s (i + 1)
+    | '.' when i + 1 = n || String.unsafe_get s (i + 1) = '/' ->
+        next_component s (i + 1)
+    | _ -> i
+
+let component_end s i =
+  let n = String.length s in
+  let j = ref i in
+  while !j < n && String.unsafe_get s !j <> '/' do incr j done;
+  !j
+
+(* The walk reads the absolute path [s] by index: [dir] is what the
+   components before [i] resolved to.  It builds no string until a
+   symlink or ".." needs the lexical directory path, which is the
+   walked prefix normalized (a walked ".." always restarts, so the
+   prefix holds none); a restart walks [prefix ^ rest-of-s] from the
+   root.  Checks, in order per component: ENOTDIR, search permission,
+   then the lookup. *)
+let rec walk m task mounts ~follow_last s i dir links =
+  let i = next_component s i in
+  let n = String.length s in
+  if i >= n then Ok dir
+  else
+    let j = component_end s i in
+    if dir.kind <> Dir then Error Errno.ENOTDIR
+    else if not (dac_or_capable m task dir Mode.X) then Error Errno.EACCES
+    else if j - i = 2 && String.unsafe_get s i = '.' && String.unsafe_get s (i + 1) = '.'
+    then
+      (* Lexical parent: the prefix through the "..", normalized. *)
+      restart m task mounts ~follow_last
+        (normalize ~cwd:"/" (String.sub s 0 j) ^ String.sub s j (n - j))
+        links
     else
-      match components with
-      | [] -> Ok dir
-      | name :: rest -> (
-          if dir.kind <> Dir then Error Errno.ENOTDIR
-          else if not (dac_or_capable m task dir Mode.X) then Error Errno.EACCES
-          else
-            let child =
-              if name = ".." then
-                (* Lexical parent: re-resolve the parent path. *)
-                None
-              else Inode.lookup_child dir name
-            in
-            if name = ".." then
-              let parent_path = normalize ~cwd:"/" (dir_path ^ "/..") in
-              restart parent_path rest links_left ~follow_last
-            else
-              match child with
-              | None -> Error Errno.ENOENT
-              | Some inode -> (
-                  let inode = redirect_in mounts inode in
-                  let here = dir_path ^ (if dir_path = "/" then "" else "/") ^ name in
-                  match inode.kind with
-                  | Symlink target when rest <> [] || follow_last ->
-                      let base =
-                        if String.length target > 0 && target.[0] = '/' then target
-                        else dir_path ^ "/" ^ target
-                      in
-                      let new_path =
-                        normalize ~cwd:"/" (base ^ "/" ^ String.concat "/" rest)
-                      in
-                      restart new_path [] (links_left - 1) ~follow_last
-                  | Symlink _ | Reg | Dir | Chardev _ | Blockdev _ | Fifo ->
-                      if rest = [] then Ok inode
-                      else walk inode here rest links_left ~follow_last))
-  and restart path extra links_left ~follow_last =
-    let components = split_path path @ extra in
-    let root = redirect_in mounts m.root in
-    walk root "/" components links_left ~follow_last
+      match Inode.lookup_sub dir s ~pos:i ~len:(j - i) with
+      | [] -> Error Errno.ENOENT
+      | (_, child) :: _ -> (
+          let inode = redirect_in mounts child in
+          let last = next_component s j >= n in
+          match inode.kind with
+          | Symlink target when (not last) || follow_last ->
+              let links = links - 1 in
+              if links < 0 then Error Errno.ELOOP
+              else
+                let base =
+                  if String.length target > 0 && target.[0] = '/' then target
+                  else normalize ~cwd:"/" (String.sub s 0 i) ^ "/" ^ target
+                in
+                restart m task mounts ~follow_last
+                  (normalize ~cwd:"/" (base ^ String.sub s j (n - j)))
+                  links
+          | Symlink _ | Reg | Dir | Chardev _ | Blockdev _ | Fifo ->
+              if last then Ok inode
+              else walk m task mounts ~follow_last s j inode links)
+
+and restart m task mounts ~follow_last s links =
+  walk m task mounts ~follow_last s 0 (redirect_in mounts m.root) links
+
+let resolve_gen m task ~follow_last path =
+  let abs =
+    if String.length path > 0 && path.[0] = '/' then path
+    else task.cwd ^ "/" ^ path
   in
-  let abs = if String.length path > 0 && path.[0] = '/' then path else task.cwd ^ "/" ^ path in
-  let root = redirect_in mounts m.root in
-  match split_path abs with
-  | [] -> Ok root
-  | components -> walk root "/" components max_links ~follow_last
+  restart m task (mounts_of m task) ~follow_last abs 40 (* the ELOOP bound *)
 
 let resolve m task path = resolve_gen m task ~follow_last:true path
 let resolve_no_follow m task path = resolve_gen m task ~follow_last:false path

@@ -19,6 +19,16 @@ val normalize : cwd:string -> string -> string
 val split_path : string -> string list
 (** Path components, no empties. *)
 
+val next_component : string -> int -> int
+(** [next_component s i]: the first index at or after [i] where a
+    component of [s] starts, past ['/'] separators and [.] components
+    ([String.length s] when none is left).  The index scan {!resolve}
+    walks with, in place of {!split_path}; allocates nothing. *)
+
+val component_end : string -> int -> int
+(** [component_end s i]: the index just past the component that starts
+    at [i] (the next ['/'], or [String.length s]). *)
+
 val dac_permits : Ktypes.cred -> Ktypes.inode -> Mode.access -> bool
 (** Pure DAC decision: owner / group / other class selection by fsuid,
     fsgid and supplementary groups. *)
@@ -32,11 +42,22 @@ val may_access :
 val resolve :
   Ktypes.machine -> Ktypes.task -> string -> (Ktypes.inode, Errno.t) result
 (** Resolve to an inode, following symlinks and mounts; checks search
-    permission on every directory traversed. *)
+    permission on every directory traversed.  Per component, in order:
+    [ENOTDIR] if the directory reached is not one, [EACCES] without
+    search permission on it, then the lookup ([ENOENT]).  [..] is
+    lexical: the walk restarts from the root at the normalized prefix
+    through it.  A symlink restarts the walk at its target (relative to
+    the directory that holds it) followed by the rest of the path,
+    normalized; the 41st symlink followed fails with [ELOOP].
+
+    The walk reads the path by index and matches directory entries in
+    place, so through plain directories it allocates only its result;
+    a string is built only when a symlink or [..] restarts it. *)
 
 val resolve_no_follow :
   Ktypes.machine -> Ktypes.task -> string -> (Ktypes.inode, Errno.t) result
-(** Like {!resolve} but does not follow a symlink in the final component. *)
+(** Like {!resolve} but does not follow a symlink in the final component
+    (the last one that is not empty or [.]). *)
 
 val resolve_parent :
   Ktypes.machine -> Ktypes.task -> string ->

@@ -88,18 +88,22 @@ fast_tier() {
     echo "==> lsmbench smoke (outcome oracle on all four workloads)"
     python3 lsmbench/run.py --smoke
 
-    # Where the linker placed Syscall.trap, the loop every syscall runs:
-    # lsm-* numbers move with its offset mod 64, so each bench log records
-    # it.  Informational only; never fails the job.
-    echo "==> Syscall.trap layout in lsmbench/suite.exe"
-    trap_addr=$(nm _build/default/lsmbench/suite.exe 2>/dev/null \
-        | sed -n 's/^\([0-9a-f]*\) T camlProtego_kernel__Syscall\.trap_[0-9]*$/\1/p' \
-        | head -n 1) || true
-    if [ -n "$trap_addr" ]; then
-        echo "Syscall.trap at 0x$trap_addr, offset $((0x$trap_addr % 64)) mod 64"
-    else
-        echo "Syscall.trap: symbol not found (no nm, or a stripped binary)"
-    fi
+    # Where the linker placed the modelled-cost code: Syscall.trap runs
+    # at every syscall, Netstack.packet_work at every packet, and both
+    # spend their time in Cost.chain.  The chain's cost should not move
+    # with its offset mod 64 (the former add loops' did), so each bench
+    # log records all three.  Informational only; never fails the job.
+    echo "==> modelled-cost layout in lsmbench/suite.exe"
+    for sym in Syscall.trap Netstack.packet_work Cost.chain; do
+        addr=$(nm _build/default/lsmbench/suite.exe 2>/dev/null \
+            | sed -n "s/^\([0-9a-f]*\) T camlProtego_kernel__${sym}_[0-9]*\$/\1/p" \
+            | head -n 1) || true
+        if [ -n "$addr" ]; then
+            echo "$sym at 0x$addr, offset $((0x$addr % 64)) mod 64"
+        else
+            echo "$sym: symbol not found (no nm, or a stripped binary)"
+        fi
+    done
 }
 
 full_tier() {

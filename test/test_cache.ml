@@ -581,6 +581,37 @@ let test_hooks_format_nothing () =
   bounded "socket_bind" bind 9;
   bounded "file_ioctl" ioctl 8
 
+(* A warm mount+umount pair through the syscalls, each hook a table hit
+   (fresh argument copies, as in the test above), record mode off.
+   Measured: 220 words per pair.  Where they go: the mounted medium's
+   fresh inode tree (175: five inodes with their buffers, four names,
+   the entry lists), the two hooks (14, see above), the mount record
+   and its table cell (11), the typed dmesg lines and their cells
+   (8 + 6), and three result boxes (the walk's [Ok], the device table's
+   [Some], the tree's [Ok]).  The walk itself allocates nothing else.
+   The bound leaves 25% headroom. *)
+let test_mount_pair_budget () =
+  let img = fixture () in
+  let m = img.Image.machine in
+  let disp = Protego_core.Lsm.dispatch (Option.get img.Image.protego) in
+  let alice = Image.login img "alice" in
+  let n = 2000 in
+  let targets = Array.init n (fun _ -> fresh "/media/cdrom") in
+  let sources = Array.init n (fun _ -> fresh "/dev/cdrom") in
+  let fstypes = Array.init n (fun _ -> fresh "iso9660") in
+  let flags = [ Mf_readonly; Mf_nosuid; Mf_nodev ] in
+  let pair i =
+    Syntax.expect_ok "mount"
+      (Syscall.mount m alice ~source:sources.(i) ~target:targets.(i)
+         ~fstype:fstypes.(i) ~flags);
+    Syntax.expect_ok "umount" (Syscall.umount m alice ~target:targets.(i))
+  in
+  pair 0;
+  let hits = DC.hits (PD.cache disp) in
+  let w = words_per_call n pair in
+  check_int "every hook a table hit" (hits + (2 * n)) (DC.hits (PD.cache disp));
+  check (Printf.sprintf "%.2f words per mount+umount <= 275" w) true (w <= 275.)
+
 let test_cache_stats_proc () =
   let img = fixture () in
   let m = img.Image.machine in
@@ -746,7 +777,9 @@ let suites =
         Alcotest.test_case "a table hit renders nothing" `Quick
           test_dispatch_hit_no_rendering;
         Alcotest.test_case "a warm LSM hook formats nothing" `Quick
-          test_hooks_format_nothing ]);
+          test_hooks_format_nothing;
+        Alcotest.test_case "a warm mount+umount pair's words" `Quick
+          test_mount_pair_budget ]);
     ("cache:proc",
       [ Alcotest.test_case "/proc/protego/cache_stats" `Quick
           test_cache_stats_proc ]);

@@ -272,6 +272,187 @@ let prop_normalize_reference =
       && Vfs.normalize ~cwd:"/elsewhere" n == n
       && ((not (canonical path)) || n == path))
 
+(* The path walk before it read the path by index: the oracle for the
+   property below.  Split into a component list, a lexical directory
+   path per component, [List.assoc_opt] lookups, and restarts through
+   [split_path restart @ rest]. *)
+module Walk_reference = struct
+  open Ktypes
+
+  let split_path path =
+    String.split_on_char '/' path |> List.filter (fun c -> c <> "" && c <> ".")
+
+  let dac_or_capable m task inode access =
+    if Vfs.dac_permits task.cred inode access then true
+    else
+      match access with
+      | Protego_base.Mode.R | Protego_base.Mode.W ->
+          m.security.capable m task Protego_base.Cap.CAP_DAC_OVERRIDE
+          || access = Protego_base.Mode.R
+             && m.security.capable m task Protego_base.Cap.CAP_DAC_READ_SEARCH
+      | Protego_base.Mode.X ->
+          (inode.kind = Dir || inode.mode land 0o111 <> 0)
+          && m.security.capable m task Protego_base.Cap.CAP_DAC_OVERRIDE
+
+  let redirect_in mounts inode =
+    let mount_at inode =
+      List.fold_left
+        (fun best mnt -> if mnt.mnt_covered == inode then Some mnt else best)
+        None mounts
+    in
+    let rec follow inode depth =
+      if depth > 16 then inode
+      else
+        match mount_at inode with
+        | Some mnt -> follow mnt.mnt_root (depth + 1)
+        | None -> inode
+    in
+    follow inode 0
+
+  let resolve_gen m task ~follow_last path =
+    let mounts = Vfs.mounts_of m task in
+    let rec walk dir dir_path components links_left =
+      if links_left < 0 then Error Protego_base.Errno.ELOOP
+      else
+        match components with
+        | [] -> Ok dir
+        | name :: rest -> (
+            if dir.kind <> Dir then Error Protego_base.Errno.ENOTDIR
+            else if not (dac_or_capable m task dir Protego_base.Mode.X) then
+              Error Protego_base.Errno.EACCES
+            else if name = ".." then
+              let parent_path = normalize_reference ~cwd:"/" (dir_path ^ "/..") in
+              restart parent_path rest links_left
+            else
+              match List.assoc_opt name dir.children with
+              | None -> Error Protego_base.Errno.ENOENT
+              | Some inode -> (
+                  let inode = redirect_in mounts inode in
+                  let here =
+                    dir_path ^ (if dir_path = "/" then "" else "/") ^ name
+                  in
+                  match inode.kind with
+                  | Symlink target when rest <> [] || follow_last ->
+                      let base =
+                        if String.length target > 0 && target.[0] = '/' then
+                          target
+                        else dir_path ^ "/" ^ target
+                      in
+                      let new_path =
+                        normalize_reference ~cwd:"/"
+                          (base ^ "/" ^ String.concat "/" rest)
+                      in
+                      restart new_path [] (links_left - 1)
+                  | _ -> if rest = [] then Ok inode else walk inode here rest links_left))
+    and restart path extra links_left =
+      walk (redirect_in mounts m.root) "/" (split_path path @ extra) links_left
+    in
+    let abs =
+      if String.length path > 0 && path.[0] = '/' then path
+      else task.cwd ^ "/" ^ path
+    in
+    match split_path abs with
+    | [] -> Ok (redirect_in mounts m.root)
+    | components -> walk (redirect_in mounts m.root) "/" components 40
+end
+
+(* Random trees: a subset of plain directories, a file, a mode-0700
+   directory (with an entry), a directory that a tmpfs mount may cover,
+   and up to five symlinks with relative or absolute targets (so chains
+   and loops occur) in any of those directories, the mount's root
+   included.  Paths are glued from "/", "//", ".", "..", ".b", names and
+   symlink names, absolute or relative to a cwd, and resolved by root and
+   by an unprivileged task: the walk and the reference must return the
+   same inode ([==]) or the same errno, with and without following the
+   last symlink. *)
+let prop_resolve_reference =
+  let open QCheck2.Gen in
+  let name = oneofl [ "a"; "b"; "c"; ".b"; "f"; "s"; "m"; "y"; "l"; "k"; "missing" ] in
+  let component = oneof [ name; oneofl [ "."; ".."; "l"; "k" ] ] in
+  let glued =
+    map2
+      (fun lead parts ->
+        lead ^ String.concat "" (List.map (fun (sep, c) -> sep ^ c) parts))
+      (oneofl [ "/"; "//"; "" ])
+      (list_size (int_bound 6) (pair (oneofl [ "/"; "//"; "/./" ]) component))
+  in
+  let path =
+    map3
+      (fun p trail relative ->
+        let p = p ^ trail in
+        if relative && String.length p > 0 && p.[0] = '/' then
+          String.sub p 1 (String.length p - 1)
+        else p)
+      glued (oneofl [ ""; ""; "/"; "/." ]) bool
+  in
+  let target =
+    map2
+      (fun absolute cs -> (if absolute then "/" else "") ^ String.concat "/" cs)
+      bool (list_size (int_range 0 4) component)
+  in
+  let symlink =
+    triple (oneofl [ "/"; "/a"; "/a/b"; "/s"; "/m"; "/c" ]) (oneofl [ "l"; "k"; "j" ]) target
+  in
+  let tree =
+    quad (list_repeat 4 bool) bool (list_size (int_bound 5) symlink)
+      (oneofl [ "/"; "/a"; "/a/b"; "/m" ])
+  in
+  QCheck2.Test.make ~name:"vfs: resolve equals the reference walk" ~count:1500
+    (pair tree (list_size (int_range 1 6) path))
+    (fun ((dirs, mounted, links, cwd), paths) ->
+      let m = Machine.create () in
+      let kt = Machine.kernel_task m in
+      let mkdir ?(mode = 0o755) p = ignore (Machine.mkdir_p m kt p ~mode ()) in
+      List.iteri
+        (fun i on -> if on then mkdir (List.nth [ "/a/b"; "/b"; "/c"; "/.b" ] i))
+        dirs;
+      mkdir "/a";
+      mkdir "/m/x";
+      mkdir ~mode:0o700 "/s";
+      ignore (Machine.write_file m kt ~path:"/s/f" "secret");
+      ignore (Machine.write_file m kt ~path:"/a/f" "file");
+      if mounted then begin
+        let covered = Result.get_ok (Vfs.resolve m kt "/m") in
+        let root = Inode.alloc m ~kind:Ktypes.Dir ~mode:0o755 ~uid:0 ~gid:0 in
+        Inode.add_child root "y" (Inode.alloc m ~kind:Ktypes.Dir ~mode:0o755 ~uid:0 ~gid:0);
+        m.Ktypes.mounts <-
+          [ { Ktypes.mnt_source = "tmpfs"; mnt_target = "/m"; mnt_fstype = "tmpfs";
+              mnt_flags = []; mnt_root = root; mnt_covered = covered; mnt_by = 0 } ]
+      end;
+      (* Resolve every directory first: a symlink added below may shadow
+         the path to the next one. *)
+      let placed =
+        List.filter_map
+          (fun (dir, name, target) ->
+            match Vfs.resolve m kt dir with
+            | Ok d when d.Ktypes.kind = Ktypes.Dir -> Some (d, name, target)
+            | _ -> None)
+          links
+      in
+      List.iter
+        (fun (d, name, target) ->
+          Inode.add_child d name
+            (Inode.alloc m ~kind:(Ktypes.Symlink target) ~mode:0o777 ~uid:0 ~gid:0))
+        placed;
+      let alice = Machine.spawn_task m ~cred:(Cred.make ~uid:1000 ~gid:1000 ()) ~cwd () in
+      let root = Machine.spawn_task m ~cred:(Cred.make ~uid:0 ~gid:0 ()) ~cwd () in
+      let same a b =
+        match (a, b) with
+        | Ok x, Ok y -> x == y
+        | Error e, Error e' -> e = e'
+        | _ -> false
+      in
+      List.for_all
+        (fun task ->
+          List.for_all
+            (fun p ->
+              same (Vfs.resolve m task p)
+                (Walk_reference.resolve_gen m task ~follow_last:true p)
+              && same (Vfs.resolve_no_follow m task p)
+                   (Walk_reference.resolve_gen m task ~follow_last:false p))
+            paths)
+        [ alice; root ])
+
 (* --- filter machine: compiled programs vs the list-walking reference ----
    Differential fuzz for every compiled hook: 500 random policies x 20
    random argument tuples = 10k decisions per hook, compiled verdict ==
@@ -780,7 +961,7 @@ let suites =
         [ prop_proc_fuzz; prop_command_fuzz; prop_netfilter_first_match;
           prop_rule_spec_roundtrip;
           prop_sudoers_roundtrip; prop_resolve_normalized;
-          prop_normalize_reference ]);
+          prop_normalize_reference; prop_resolve_reference ]);
     ("fuzz:filter-differential",
       List.map
         (QCheck_alcotest.to_alcotest ~long:false)

@@ -335,6 +335,30 @@ let test_dmesg_lines () =
       "umount: /mnt/secure (uid 0)" ]
     (List.filteri (fun i _ -> i >= before) (Machine.dmesg m))
 
+(* The kernel stores its mount and umount lines typed and every other
+   line as text; [Machine.dmesg] renders them on read in the order they
+   were logged. *)
+let test_dmesg_mixed_order () =
+  let img = Image.build Image.Protego in
+  let m = img.Image.machine in
+  let alice = Image.login img "alice" in
+  let root = Image.login img "root" in
+  let before = List.length (Machine.dmesg m) in
+  Syntax.expect_ok "alice mounts"
+    (Syscall.mount m alice ~source:"/dev/cdrom" ~target:"/media/cdrom"
+       ~fstype:"iso9660" ~flags:user_flags);
+  Syntax.expect_ok "record on"
+    (Syscall.write_file m root "/proc/protego/record" "on");
+  Syntax.expect_ok "root mounts"
+    (Syscall.mount m root ~source:"none" ~target:"/mnt/secure" ~fstype:"tmpfs"
+       ~flags:[]);
+  Alcotest.(check (list string))
+    "dmesg lines"
+    [ "mount: /dev/cdrom on /media/cdrom type iso9660 (uid 1000)";
+      "protego: record mode on";
+      "mount: none on /mnt/secure type tmpfs (uid 0)" ]
+    (List.filteri (fun i _ -> i >= before) (Machine.dmesg m))
+
 let suites =
   [ ("protego:mount",
       [ Alcotest.test_case "whitelist allow/deny" `Quick test_whitelist_allow_deny;
@@ -349,4 +373,6 @@ let suites =
         Alcotest.test_case "cache key collision" `Quick
           test_cache_key_collision;
         Alcotest.test_case "dmesg mount/umount lines" `Quick
-          test_dmesg_lines ]) ]
+          test_dmesg_lines;
+        Alcotest.test_case "dmesg keeps text between mount lines" `Quick
+          test_dmesg_mixed_order ]) ]

@@ -94,6 +94,19 @@ let test_symlinks () =
   Alcotest.(check (result unit errno))
     "ELOOP" (Error Errno.ELOOP)
     (Result.map (fun _ -> ()) (Vfs.resolve m kt "/etc/loop-a"));
+  (* The ELOOP bound: 40 symlinks are followed, the 41st is not. *)
+  for i = 0 to 40 do
+    let target = if i = 40 then "/etc/motd" else Printf.sprintf "chain-%d" (i + 1) in
+    Syntax.expect_ok "chain"
+      (Syscall.symlink m kt ~target ~linkpath:(Printf.sprintf "/etc/chain-%d" i))
+  done;
+  check "40 links followed" true
+    (match Vfs.resolve m kt "/etc/chain-1" with
+    | Ok i -> Inode.is_reg i
+    | Error _ -> false);
+  Alcotest.(check (result unit errno))
+    "41 links: ELOOP" (Error Errno.ELOOP)
+    (Result.map (fun _ -> ()) (Vfs.resolve m kt "/etc/chain-0"));
   (* lstat sees the link itself *)
   check "no-follow sees link" true
     (match Vfs.resolve_no_follow m kt "/etc/motd-link" with
