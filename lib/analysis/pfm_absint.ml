@@ -467,10 +467,16 @@ let analyze ?(max_disjuncts = default_max_disjuncts) (p : Pfm.program) =
     | [] -> None
     | st :: rest -> Some (List.fold_left join_state st rest)
   in
+  (* Filled in place, not with [Array.map]: the runtime empties the
+     minor heap before it makes an array over 256 words from a young
+     value, so mapping a large program's states would force a
+     collection on every policy write. *)
+  let state_at = Array.make n None in
+  Array.iteri (fun pc ds -> state_at.(pc) <- joined ds) states;
   {
     program = p;
     reachable = Array.map (fun ds -> ds <> []) states;
-    state_at = Array.map joined states;
+    state_at;
     allow_reachable = !allow;
     deny_reachable = !deny;
     reject_reachable = !reject;

@@ -2,11 +2,9 @@
     user/kernel mode switch ({!Syscall}'s trap at every syscall entry)
     and the per-packet protocol work ({!Netstack}).
 
-    The former model was a busy loop of adds, which ran at the pace of
-    the CPU's front end and so cost up to 1.8x more or less depending on
-    where the linker placed it (its offset mod 64).  A dependent-load
-    chain is bound by L1 latency instead, so a build that only moves
-    code elsewhere compares the same cost model. *)
+    It is a chain of dependent loads, bound by L1 load latency rather
+    than by the CPU's front end, so its cost does not depend on where
+    the linker places its code. *)
 
 val chain : int -> unit
 (** [chain hops] runs [hops] dependent loads (none when [hops <= 0]);

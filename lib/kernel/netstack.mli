@@ -12,7 +12,7 @@ val set_packet_work_iterations : int -> unit
     that models protocol work the simulator otherwise lacks.  Default
     2500 iterations.  One iteration is 0.66 of a {!Cost.chain} hop (a
     dependent L1 load), about 1.5 ns on a 2-core x86-64 development
-    host, so the default costs about 3.9 µs there whatever the code's
+    host, so the default costs about 3.7 µs there whatever the code's
     placement.  Negative counts as 0. *)
 
 val create_socket :

@@ -27,8 +27,7 @@ type stat_info = {
    few-nanosecond cost of an LSM hook would be measured against an
    unrealistically cheap baseline and overheads would look inflated
    (DESIGN.md, Table 5 notes).  Tests may zero it.  An iteration is
-   40/100 of a {!Cost.chain} hop: the hop count that makes 400
-   iterations cost what the former 400-iteration add loop cost. *)
+   40/100 of a {!Cost.chain} hop. *)
 let trap_hops_of iterations = max 0 iterations * 40 / 100
 let trap_hops = ref (trap_hops_of 400)
 let trap () = Cost.chain !trap_hops

@@ -31,8 +31,8 @@ val set_trap_iterations : int -> unit
 (** Calibrate (or zero, for unit tests) the fixed syscall-entry cost that
     models the user/kernel mode switch.  Default 400 iterations.  One
     iteration is 0.4 of a {!Cost.chain} hop (a dependent L1 load), about
-    0.9 ns on a 2-core x86-64 development host, so the default costs
-    about 365 ns there whatever the code's placement.  Negative counts
+    0.85 ns on a 2-core x86-64 development host, so the default costs
+    about 340 ns there whatever the code's placement.  Negative counts
     as 0. *)
 
 (** {1 Identity} *)

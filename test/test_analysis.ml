@@ -575,13 +575,40 @@ let prop_indexed_binds =
       only [ "PL-B001"; "PL-B002" ] (Lint.lint_binds entries)
       = quadratic_binds entries)
 
+(* The load gate analyzes every written policy's program.  The analysis
+   of a 64-rule mount program (over 256 instructions, so its per-pc
+   arrays live in the major heap) must allocate only into the nursery:
+   seeding such an array with a young value makes the runtime empty the
+   minor heap first, which every policy write would pay. *)
+let test_absint_no_forced_collection () =
+  let rule i =
+    { Compile.fm_source = Printf.sprintf "/dev/sd%d" i;
+      fm_target = Printf.sprintf "/media/m%d" i; fm_fstype = "vfat";
+      fm_flags = [ Ktypes.Mf_nosuid; Ktypes.Mf_nodev ]; fm_user_only = true;
+      fm_phase = Compile.Phase.Always }
+  in
+  let p = Compile.mount (List.init 64 rule) in
+  check "program over 256 instructions" true (Array.length p.Pfm.insns > 256);
+  ignore (Absint.analyze p);
+  Gc.minor ();
+  let c0 = (Gc.quick_stat ()).Gc.minor_collections in
+  let s = Absint.analyze p in
+  let c1 = (Gc.quick_stat ()).Gc.minor_collections in
+  Alcotest.(check int) "no minor collection" c0 c1;
+  check "a state exactly at the reachable pcs" true
+    (Array.for_all2
+       (fun r st -> r = Option.is_some st)
+       s.Absint.reachable s.Absint.state_at)
+
 let suites =
   [ ("analysis:absint",
       [ Alcotest.test_case "domain algebra" `Quick test_domains;
         Alcotest.test_case "dead code and const branches" `Quick
           test_absint_dead;
         Alcotest.test_case "dead code attributed to notes" `Quick
-          test_absint_dead_notes ]);
+          test_absint_dead_notes;
+        Alcotest.test_case "a large program's analysis collects nothing"
+          `Quick test_absint_no_forced_collection ]);
     ("analysis:verifier",
       [ Alcotest.test_case "verify_all reports every error" `Quick
           test_verify_all ]);
