@@ -13,9 +13,7 @@ module Request = Protego_core.Request
 include Request.Value
 
 let hook_count = Request.count
-let hook_index = Request.index
 let hook_name hi = Decider.kind_name (Request.kind_of_index hi)
-let subject_of = Request.subject
 
 type outcome = {
   o_verdict : Pfm.verdict;
@@ -59,10 +57,6 @@ type worker = {
   mutable w_sample : int;          (* latency sampling phase counter *)
   w_keys : Trace.key array;        (* per hook, engine "plane" *)
 }
-
-let request_oracle = Request.oracle
-let snapshot_oracle ?phase snap = Request.oracle ?phase snap.Snapshot.frozen
-let request_deny_errno = Request.deny_errno
 
 (* Each hook's source, as its index in a snapshot's generation vector. *)
 let gens_index =
@@ -256,9 +250,9 @@ let adopt w snap =
    ctx). *)
 let decide_with t w engine snap req =
   adopt w snap;
-  let subject = subject_of req in
+  let subject = Request.subject req in
   let ph = Atomic.get (phase_slot t subject) in
-  let hi = hook_index req in
+  let hi = Request.index req in
   let d = w.w_dec and h = w.w_hooks.(hi) in
   let epoch = snap.Snapshot.epoch in
   let v =
@@ -284,32 +278,6 @@ let decide t req =
 (* Worker [w] of [d] owns exactly the sequence numbers congruent to
    [w] mod [d]. *)
 let slice_len n d w = if w >= n then 0 else ((n - w - 1) / d) + 1
-
-(* Decode a record back into the request it journaled and the phase
-   index it was served under, so a decision journaled across a phase
-   transition replays against the phase that actually served it. *)
-let request_of_decision (dec : J.decision) =
-  let subject = dec.J.d_subject in
-  let req =
-    match dec.J.d_req with
-    | J.Mount { source; target; fstype; flags } ->
-        let flags = Compile.flags_of_mask flags in
-        Some (Mount { subject; source; target; fstype; flags })
-    | J.Umount { target; mounted_by } ->
-        Some (Umount { subject; target; mounted_by })
-    | J.Bind { port; proto; exe } ->
-        let proto = if proto = 1 then Bindconf.Udp else Bindconf.Tcp in
-        Some (Bind { subject; port; proto; exe })
-    | J.Ppp { device; safe } ->
-        (* The ppp decision depends only on (device, option safety); any
-           option of the recorded safety class reproduces it. *)
-        let opt =
-          if safe then Protego_net.Ppp.Accomp else Protego_net.Ppp.Default_route
-        in
-        Some (Ppp_ioctl { subject; device; opt })
-    | J.Nf _ -> None
-  in
-  Option.map (fun r -> (dec.J.d_phase, r)) req
 
 (* Claim-and-encode one decision into the worker's journal term.  The
    ppp option collapses to its safe bit, which is the only thing the
@@ -362,7 +330,7 @@ let worker_slice t w reqs ~start ~stop ~d ~engine ~clock ~collect ~outcomes
         | Some c when w.w_sample land 63 = 0 ->
             let s0 = c () in
             let o = decide_one t w engine req in
-            Trace.observe w.w_keys.(hook_index req) ~ns:(c () - s0);
+            Trace.observe w.w_keys.(Request.index req) ~ns:(c () - s0);
             o
         | _ -> decide_one t w engine req
       in

@@ -38,15 +38,17 @@ module Pfm = Protego_filter.Pfm
     registers its four hooks with {!Protego_core.Request.key} and
     {!Protego_core.Request.eval}, and differs only in where the program
     comes from — its clones of its snapshot's programs
-    ({!Snapshot.clone_progs}), never the policy state's program store. *)
+    ({!Snapshot.clone_progs}), never the policy state's program store.
+
+    The reference oracle lives there too: a decision served against a
+    snapshot must agree with {!Protego_core.Request.oracle} over the
+    snapshot's [frozen] state, under the outcome's [o_phase].  A
+    journaled decision decodes back into its request with
+    {!Protego_core.Request.of_journal}, and
+    {!Protego_core.Request.expected} gives the verdict and errno its
+    record must carry. *)
 
 include module type of struct include Protego_core.Request.Value end
-
-val hook_index : request -> int
-
-val subject_of : request -> int
-(** {!Protego_core.Request.index} and [subject] (the key of the
-    per-subject phase table). *)
 
 type outcome = {
   o_verdict : Pfm.verdict;
@@ -59,7 +61,7 @@ type outcome = {
 
 type audit_entry = {
   a_seq : int;  (** submission index of the request *)
-  a_hook : int;  (** {!hook_index} *)
+  a_hook : int;  (** {!Protego_core.Request.index} *)
   a_subject : int;
   a_allowed : bool;
   a_epoch : int;
@@ -182,29 +184,6 @@ val set_subject_phase :
 val reset_phases : t -> unit
 (** Every subject back to {!Protego_base.Phase.initial} — part of the
     ["reset"] /proc command, for between-run reuse only. *)
-
-val request_of_decision :
-  Protego_journal.Journal.decision -> (int * request) option
-(** The request a journal record encodes, and the phase index it was
-    served under (the record's [d_phase] field).  A ppp record yields an
-    option of its recorded safety class, which is all the decision
-    reads.  [None] for a netfilter (nf) record, which no plane request
-    encodes. *)
-
-(** {1 Reference oracles} *)
-
-val request_oracle : ?phase:Protego_base.Phase.t -> PS.t -> request -> bool
-(** {!Protego_core.Request.oracle}: the request against the {e live}
-    state; [?phase] filters rules to those active in the subject's
-    lifecycle phase. *)
-
-val snapshot_oracle :
-  ?phase:Protego_base.Phase.t -> Snapshot.t -> request -> bool
-(** The same oracle against a frozen snapshot — what
-    [always (verdict = snapshot_at(epoch) oracle verdict)] checks. *)
-
-val request_deny_errno : request -> Protego_base.Errno.t
-(** {!Protego_core.Request.deny_errno}. *)
 
 (** {1 Simulation hooks}
 

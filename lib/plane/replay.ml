@@ -1,5 +1,5 @@
 module J = Protego_journal.Journal
-module Errno = Protego_base.Errno
+module Request = Protego_core.Request
 
 type mismatch = {
   mm_seq : int;
@@ -27,35 +27,26 @@ let replay ~snapshot_of_epoch (ds : J.decision array) =
             mm_got = got }
           :: !mismatches
       in
-      match
-        (snapshot_of_epoch dec.J.d_epoch, Plane.request_of_decision dec)
-      with
-      | None, _ ->
+      match snapshot_of_epoch dec.J.d_epoch with
+      | None ->
           if not (List.mem dec.J.d_epoch !missing) then
             missing := dec.J.d_epoch :: !missing
-      | Some _, None -> mismatch "request" "mount, umount, bind or ppp" "nf"
-      | Some snap, Some (ph, req) ->
-          let allow =
-            Plane.snapshot_oracle ~phase:(Protego_base.Phase.of_index ph) snap
-              req
-          in
-          (* A record-mode run journals a would-deny as verdict 3
-             ("recorded"), served as an allow: it matches a reference
-             denial, with no errno. *)
-          let recorded = dec.J.d_verdict = 3 in
-          let exp_verdict = if allow then 1 else if recorded then 3 else 0 in
-          let exp_errno =
-            if allow || recorded then 0
-            else Errno.to_code (Plane.request_deny_errno req)
-          in
-          if dec.J.d_verdict <> exp_verdict then
-            mismatch "verdict" (J.verdict_name exp_verdict)
-              (J.verdict_name dec.J.d_verdict);
-          if dec.J.d_errno <> exp_errno then
-            mismatch "errno" (J.errno_name exp_errno)
-              (J.errno_name dec.J.d_errno);
-          if dec.J.d_verdict = exp_verdict && dec.J.d_errno = exp_errno then
-            incr matched)
+      | Some snap -> (
+          match Request.of_journal ~subject:dec.J.d_subject dec.J.d_req with
+          | None -> mismatch "request" "mount, umount, bind or ppp" "nf"
+          | Some req ->
+              let exp_verdict, exp_errno =
+                Request.expected snap.Snapshot.frozen ~phase:dec.J.d_phase
+                  ~recorded:(dec.J.d_verdict = 3) req
+              in
+              if dec.J.d_verdict <> exp_verdict then
+                mismatch "verdict" (J.verdict_name exp_verdict)
+                  (J.verdict_name dec.J.d_verdict);
+              if dec.J.d_errno <> exp_errno then
+                mismatch "errno" (J.errno_name exp_errno)
+                  (J.errno_name dec.J.d_errno);
+              if dec.J.d_verdict = exp_verdict && dec.J.d_errno = exp_errno
+              then incr matched))
     ds;
   { rp_total = Array.length ds;
     rp_matched = !matched;

@@ -34,13 +34,12 @@ type report = {
 val replay :
   snapshot_of_epoch:(int -> Snapshot.t option) -> J.decision array -> report
 (** Re-evaluate every decision against the snapshot its epoch stamp
-    names.  Verdict expectation comes from the reference oracle
-    ({!Plane.snapshot_oracle}); errno expectation is the request's deny
-    errno ({!Protego_core.Request.deny_errno}) when denied, none when
-    allowed.  A record-mode record (verdict 3, "recorded": a would-deny
-    served as an allow) matches a reference denial with no errno.  An
-    LSM nf record, which no plane request encodes, is a ["request"]
-    mismatch. *)
+    names: the record decodes with {!Protego_core.Request.of_journal},
+    and {!Protego_core.Request.expected} over the snapshot's frozen
+    state, under the record's phase, gives the verdict and errno it
+    must carry (a record-mode record, verdict 3, matches a reference
+    denial with no errno).  An LSM nf record, which decodes to no
+    request, is a ["request"] mismatch. *)
 
 val replay_run : Plane.t -> run:int -> count:int -> report
 (** Stitch run [run] ([count] requests) out of the plane's journal and

@@ -3,6 +3,7 @@ module Compile = Protego_filter.Pfm_compile
 module Phase = Protego_base.Phase
 module PS = Policy_state
 module Key = Decision_cache.Key
+module J = Protego_journal.Journal
 
 module Value = struct
   type request =
@@ -107,3 +108,28 @@ let eval ~state ~run env (engine : Decider.engine) ~phase req =
       if oracle ~phase:(Phase.of_index phase) (state env) req then Pfm.Allow
       else Pfm.Deny
   | `Pfm -> run env (program_kind req) (ctx ~phase req)
+
+(* The one decoder; see the interface for the two lossy steps. *)
+let of_journal ~subject = function
+  | J.Mount { source; target; fstype; flags } ->
+      let flags = Compile.flags_of_mask flags in
+      Some (Mount { subject; source; target; fstype; flags })
+  | J.Umount { target; mounted_by } ->
+      Some (Umount { subject; target; mounted_by })
+  | J.Bind { port; proto; exe } ->
+      let proto =
+        if proto = 1 then Protego_policy.Bindconf.Udp
+        else Protego_policy.Bindconf.Tcp
+      in
+      Some (Bind { subject; port; proto; exe })
+  | J.Ppp { device; safe } ->
+      let opt =
+        if safe then Protego_net.Ppp.Accomp else Protego_net.Ppp.Default_route
+      in
+      Some (Ppp_ioctl { subject; device; opt })
+  | J.Nf _ -> None
+
+let expected st ~phase ~recorded req =
+  if oracle ~phase:(Phase.of_index phase) st req then (1, 0)
+  else if recorded then (3, 0)
+  else (0, Protego_base.Errno.to_code (deny_errno req))

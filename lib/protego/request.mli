@@ -74,7 +74,10 @@ val ctx : phase:int -> t -> Pfm.ctx
 
 val oracle : ?phase:Protego_base.Phase.t -> Policy_state.t -> t -> bool
 (** The reference verdict: {!Policy_state.mount_decision} and friends.
-    [?phase] keeps only rules active in that lifecycle phase. *)
+    [?phase] keeps only rules active in that lifecycle phase.  This is
+    the one caller of those four decision procedures in [lib/]
+    ([scripts/ci.sh --fast] greps for another); replay, the simulator,
+    the synthesizer's verify and the tests all judge a request here. *)
 
 val eval :
   state:('e -> Policy_state.t) ->
@@ -90,3 +93,41 @@ val eval :
     clones of its snapshot's programs and must never read the store: a
     worker serving an older snapshot would make the store compile that
     value under its mutex and evict the live program. *)
+
+(** {1 Journal records} *)
+
+val of_journal : subject:int -> Protego_journal.Journal.req -> t option
+(** The request a journal record encodes, [subject] being the record's
+    [d_subject]; the serving phase is the record's [d_phase].  This is
+    the only decoder from the journal's wire request to a request:
+    replay (and the simulator's replay property through it), the
+    synthesizer and the tests call it.  [None] only for [Nf], a packet,
+    which is not a request.
+
+    Two steps lose information, and neither changes what the request
+    decides:
+    - {b Mount flags.}  A record stores their mask (a plane record the
+      mask itself; an LSM record its flag codes, whose union [d_req]
+      carries).  The request gets {!Protego_filter.Pfm_compile.
+      flags_of_mask} of it: each flag once, in the canonical order
+      readonly, nosuid, nodev, noexec.  The caller's order and repeats
+      are gone; the {!key} (the mask) and the {!oracle} (set inclusion
+      against a rule's required flags) read only the set.
+    - {b The ppp option.}  A record stores only its intrinsic-safety bit.
+      The request gets a representative of that class:
+      [Ppp.Accomp] if safe, [Ppp.Default_route] if not.  The {!key} and
+      the {!oracle} read only that bit.
+
+    A bind record's protocol code 1 is UDP, anything else TCP. *)
+
+val expected :
+  Policy_state.t -> phase:int -> recorded:bool -> t -> int * int
+(** [expected st ~phase ~recorded req]: the journal verdict and errno
+    codes a decision of [req] served under phase index [phase] must
+    carry, by the {!oracle} over [st] (a snapshot's [frozen] state, for
+    a plane decision).  An allow is [(1, 0)].  A denial is [(0, errno)]
+    with the hook's {!deny_errno}, unless [recorded]: record mode serves
+    a would-deny as an allow and journals it as verdict 3 ("recorded")
+    with no errno, so a recorded denial is [(3, 0)].  Replay, the
+    simulator's verdict property and the interleaving tests judge a
+    decision with it. *)

@@ -4,9 +4,9 @@
    over the stitched event/journal trace. *)
 
 module Plane = Protego_plane.Plane
+module Request = Protego_core.Request
 module Snapshot = Protego_plane.Snapshot
 module Replay = Protego_plane.Replay
-module Errno = Protego_base.Errno
 module J = Protego_journal.Journal
 
 type outcome = Holds | Violated of { at : int; why : string }
@@ -112,18 +112,11 @@ let verdict_matches_epoch =
               match Plane.snapshot_at plane d.d_epoch with
               | None -> false
               | Some snap ->
-                  let req = ctx.Sim.x_requests.(d.d_seq) in
-                  let expect =
-                    Plane.snapshot_oracle
-                      ~phase:(Protego_base.Phase.of_index d.d_phase) snap req
+                  let verdict, errno =
+                    Request.expected snap.Snapshot.frozen ~phase:d.d_phase
+                      ~recorded:(d.d_verdict = 3) ctx.Sim.x_requests.(d.d_seq)
                   in
-                  let allowed = d.d_verdict = 1 in
-                  let errno_ok =
-                    if allowed then d.d_errno = 0
-                    else
-                      d.d_errno = Errno.to_code (Plane.request_deny_errno req)
-                  in
-                  allowed = expect && errno_ok))
+                  d.d_verdict = verdict && d.d_errno = errno))
       | _ -> true)
     ~why:(fun _ e ->
       match e with
@@ -351,7 +344,7 @@ let phase_consistent =
       | Sim.E_phase h ->
           Ok ((h.h_subject, h.h_to) :: List.remove_assoc h.h_subject phases)
       | Sim.E_decide d ->
-          let subject = Plane.subject_of ctx.Sim.x_requests.(d.d_seq) in
+          let subject = Request.subject ctx.Sim.x_requests.(d.d_seq) in
           let cur =
             match List.assoc_opt subject phases with Some p -> p | None -> 0
           in

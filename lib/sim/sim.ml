@@ -7,6 +7,7 @@
 
 module PS = Protego_core.Policy_state
 module PD = Protego_core.Pfm_dispatch
+module Request = Protego_core.Request
 module Plane = Protego_plane.Plane
 module Snapshot = Protego_plane.Snapshot
 module J = Protego_journal.Journal
@@ -499,7 +500,7 @@ let run_plane sp mode =
       else Plane.decide_on plane ~worker:w.pw_id req
     in
     let live_ok =
-      Plane.request_oracle ~phase:(Phase.of_index o.Plane.o_phase) st req
+      Request.oracle ~phase:(Phase.of_index o.Plane.o_phase) st req
       = (o.Plane.o_verdict = Pfm.Allow)
     in
     let journaled, torn =
@@ -525,7 +526,7 @@ let run_plane sp mode =
     in
     emit
       (E_decide
-         { d_worker = w.pw_id; d_seq = seq; d_hook = Plane.hook_index req;
+         { d_worker = w.pw_id; d_seq = seq; d_hook = Request.index req;
            d_verdict = verdict_code o.Plane.o_verdict;
            d_errno = errno_code o.Plane.o_errno; d_epoch = o.Plane.o_epoch;
            d_phase = o.Plane.o_phase; d_live_ok = live_ok;
@@ -814,10 +815,18 @@ let run_opt sp mode =
   let opts_done = ref 0 in
   let deopt = ref false in
   let probes_done = ref 0 in
-  let emit_opt label installed =
-    (* staleness is sampled {e before} the action: an optimize that
-       finds its previous install demoted records the race. *)
+  (* One optimizer step: staleness is sampled {e before} [act] (an
+     optimize that finds its previous install demoted records the
+     race), then [act] runs, the names it installed are kept, and each
+     must be proved in the drained optimizer log.  An edit or a
+     deoptimize acts first and steps with no action. *)
+  let opt_step label act =
     let stale = contains (PD.render disp) "stale" in
+    let installed =
+      List.filter_map
+        (fun (n, s) -> if starts_with "installed" s then Some n else None)
+        (act ())
+    in
     let logs = PD.drain_opt_log disp in
     let proved =
       List.for_all
@@ -828,59 +837,28 @@ let run_opt sp mode =
     emit (E_opt { t_label = label; t_installed = installed; t_stale = stale;
                   t_proved = proved })
   in
+  let no_action () = [] in
   let do_opt () =
     if golden then
       match !plan with
       | [] -> ()
       | `Optimize label :: rest ->
           plan := rest;
-          let stale = contains (PD.render disp) "stale" in
-          let results = PD.optimize disp in
-          let installed =
-            List.filter_map
-              (fun (n, s) -> if starts_with "installed" s then Some n else None)
-              results
-          in
-          let logs = PD.drain_opt_log disp in
-          let proved =
-            List.for_all
-              (fun n ->
-                List.exists
-                  (fun l -> contains l ("opt " ^ n ^ " installed"))
-                  logs)
-              installed
-          in
-          emit (E_opt { t_label = label; t_installed = installed;
-                        t_stale = stale; t_proved = proved })
+          opt_step label (fun () -> PD.optimize disp)
       | `Edit label :: rest ->
           plan := rest;
           Netfilter.insert nf Netfilter.Output edit_rule;
-          emit_opt label []
+          opt_step label no_action
     else begin
       incr opts_done;
       if !deopt then begin
         deopt := false;
         PD.deoptimize disp;
-        emit_opt "deoptimize" []
+        opt_step "deoptimize" no_action
       end
       else begin
         deopt := true;
-        let stale = contains (PD.render disp) "stale" in
-        let results = PD.optimize disp in
-        let installed =
-          List.filter_map
-            (fun (n, s) -> if starts_with "installed" s then Some n else None)
-            results
-        in
-        let logs = PD.drain_opt_log disp in
-        let proved =
-          List.for_all
-            (fun n ->
-              List.exists (fun l -> contains l ("opt " ^ n ^ " installed")) logs)
-            installed
-        in
-        emit (E_opt { t_label = "optimize"; t_installed = installed;
-                      t_stale = stale; t_proved = proved })
+        opt_step "optimize" (fun () -> PD.optimize disp)
       end
     end
   in
@@ -902,7 +880,7 @@ let run_opt sp mode =
     let seq = !next in
     incr next;
     let req = requests.(seq) in
-    let ok = PD.decide disp st req = Plane.request_oracle st req in
+    let ok = PD.decide disp st req = Request.oracle st req in
     emit (E_pd { pd_seq = seq; pd_ok = ok })
   in
   let opt_enabled () =

@@ -111,7 +111,7 @@ type event =
   | E_decide of {
       d_worker : int;
       d_seq : int;        (** submission index into the request array *)
-      d_hook : int;       (** {!Plane.hook_index} *)
+      d_hook : int;       (** {!Protego_core.Request.index} *)
       d_verdict : int;    (** 0 deny / 1 allow / 2 reject *)
       d_errno : int;      (** 0 for none *)
       d_epoch : int;      (** snapshot epoch that served the decision *)

@@ -8,73 +8,43 @@ module Journal = Protego_journal.Journal
 module Lint = Protego_analysis.Policy_lint
 module Phase = Protego_base.Phase
 module Ktypes = Protego_kernel.Ktypes
+module Request = Protego_core.Request
 
 (* --- observations ------------------------------------------------------- *)
-
-type nf_origin = Journal.nf_origin
-
-type args =
-  | A_mount of { source : string; target : string; fstype : string;
-                 flags : Ktypes.mount_flag list }
-  | A_umount of { target : string; mounted_by : int }
-  | A_bind of { port : int; proto : Bindconf.proto; exe : string }
-  | A_ppp of { device : string; safe : bool }
-  | A_nf of { proto : Packet.proto; dst : Ipaddr.t; dport : int option;
-              origin : nf_origin; icmp : Packet.icmp_type option }
 
 type obs = {
   ob_subject : int;
   ob_phase : int;
-  ob_args : args;
+  ob_req : Journal.req;
   ob_count : int;
   ob_recorded : int;
 }
 
+(* The typed request of a policy-hook observation, through the one
+   journal decoder; [None] for a packet. *)
+let request o = Request.of_journal ~subject:o.ob_subject o.ob_req
+
 let all_flags =
   [ Ktypes.Mf_readonly; Ktypes.Mf_nosuid; Ktypes.Mf_nodev; Ktypes.Mf_noexec ]
 
-let desc_of_args = function
-  | A_mount { source; target; fstype; flags } ->
+let desc_of_req = function
+  | Journal.Mount { source; target; fstype; flags } ->
       Printf.sprintf "mount source=%s target=%s fstype=%s flags=%s" source
-        target fstype (PS.flags_to_string flags)
-  | A_umount { target; mounted_by } ->
+        target fstype
+        (PS.flags_to_string (Protego_filter.Pfm_compile.flags_of_mask flags))
+  | Journal.Umount { target; mounted_by } ->
       Printf.sprintf "umount target=%s mounted_by=%d" target mounted_by
-  | A_bind { port; proto; exe } ->
+  | Journal.Bind { port; proto; exe } ->
       Printf.sprintf "bind port=%d proto=%s exe=%s" port
-        (Bindconf.proto_to_string proto) exe
-  | A_ppp { device; safe } ->
+        (Journal.proto_name proto) exe
+  | Journal.Ppp { device; safe } ->
       Printf.sprintf "ppp device=%s safe=%d" device (if safe then 1 else 0)
-  | A_nf { proto; dst; dport; origin; icmp } ->
+  | Journal.Nf { origin; proto; dst; dport; icmp } ->
       "nf " ^ Journal.nf_fields ~origin ~proto ~dst ~dport ~icmp
 
 let key_of_obs o =
   Printf.sprintf "subject=%d phase=%d %s" o.ob_subject o.ob_phase
-    (desc_of_args o.ob_args)
-
-(* One observation out of a decision record — a plane worker's or an
-   LSM hook's: its subject, serving phase (0 for a packet, which has
-   none) and request arguments; any verdict other than plain allow
-   (deny, reject, or the record-mode code 3) counts as would-deny
-   demand. *)
-let raw_of_decision (d : Journal.decision) =
-  let args =
-    match d.Journal.d_req with
-    | Journal.Mount { source; target; fstype; flags } ->
-        A_mount
-          { source; target; fstype;
-            flags = Protego_filter.Pfm_compile.flags_of_mask flags }
-    | Journal.Umount { target; mounted_by } -> A_umount { target; mounted_by }
-    | Journal.Bind { port; proto; exe } ->
-        A_bind
-          { port; proto = (if proto = 1 then Bindconf.Udp else Bindconf.Tcp);
-            exe }
-    | Journal.Ppp { device; safe } -> A_ppp { device; safe }
-    | Journal.Nf { origin; proto; dst; dport; icmp } ->
-        A_nf { proto; dst; dport; origin; icmp }
-  in
-  { ob_subject = d.Journal.d_subject; ob_phase = d.Journal.d_phase;
-    ob_args = args; ob_count = 1;
-    ob_recorded = (if d.Journal.d_verdict <> 1 then 1 else 0) }
+    (desc_of_req o.ob_req)
 
 let observations entries =
   let tbl = Hashtbl.create 256 in
@@ -82,7 +52,15 @@ let observations entries =
     (function
       | Journal.Kaudit _ -> ()
       | Journal.Decision d -> (
-          let o = raw_of_decision d in
+          (* A plane worker's or an LSM hook's record: its subject,
+             serving phase (0 for a packet, which has none) and request;
+             any verdict other than plain allow (deny, reject, or the
+             record-mode code 3) counts as would-deny demand. *)
+          let o =
+            { ob_subject = d.Journal.d_subject; ob_phase = d.Journal.d_phase;
+              ob_req = d.Journal.d_req; ob_count = 1;
+              ob_recorded = (if d.Journal.d_verdict <> 1 then 1 else 0) }
+          in
           let key = key_of_obs o in
           match Hashtbl.find_opt tbl key with
           | Some prev ->
@@ -114,24 +92,25 @@ let classify o =
     then Error "target shadows a system path (PL-M004)"
     else Ok ()
   in
-  match o.ob_args with
-  | A_mount { target; flags; _ } ->
+  match request o with
+  | Some (Request.Mount { target; flags; _ }) ->
       if not (List.mem Ktypes.Mf_nosuid flags) then
         Error "requested flags lack nosuid (PL-M002)"
       else if not (List.mem Ktypes.Mf_nodev flags) then
         Error "requested flags lack nodev (PL-M003)"
       else target_ok target
-  | A_umount { target; _ } -> target_ok target
-  | A_bind { port; _ } ->
+  | Some (Request.Umount { target; _ }) -> target_ok target
+  | Some (Request.Bind { port; _ }) ->
       if port < 1 || port > 1023 then
         Error "port outside the privileged range 1-1023 (PL-B003)"
       else Ok ()
-  | A_ppp { device; safe } ->
-      if not safe then Error "unsafe session option (no policy admits it)"
+  | Some (Request.Ppp_ioctl { device; opt; _ }) ->
+      if not (Protego_net.Ppp.option_is_safe opt) then
+        Error "unsafe session option (no policy admits it)"
       else if not (Lint.path_under "/dev" device) then
         Error "device not under /dev (PL-P002)"
       else Ok ()
-  | A_nf _ -> Ok ()
+  | None -> Ok ()
 
 (* --- synthesis ---------------------------------------------------------- *)
 
@@ -156,6 +135,7 @@ type result = {
 let fstype_universe = 12      (* distinct user-mountable fstypes modeled *)
 let device_minor_space = 32   (* serial minors behind one device stem *)
 let cidr24_space = 256
+let port_space = 65536
 
 (* Downward-closed by construction: [phase<=max-observed], widening to
    [Always] when the tuple was seen through the final phase.  PL-PH001
@@ -217,15 +197,18 @@ let synthesize ?(budget = 64) obs =
   let ppps = ref [] and nfs = ref [] in
   List.iter
     (fun o ->
-      match o.ob_args with
-      | A_mount { source; target; fstype; flags } ->
+      match (request o, o.ob_req) with
+      | Some (Request.Mount { source; target; fstype; flags; _ }), _ ->
           mounts := (o, source, target, fstype, flags) :: !mounts
-      | A_umount { target; mounted_by } ->
+      | Some (Request.Umount { target; mounted_by; _ }), _ ->
           umounts := (o, target, mounted_by) :: !umounts
-      | A_bind { port; proto; exe } -> binds := (o, port, proto, exe) :: !binds
-      | A_ppp { device; _ } -> ppps := (o, device) :: !ppps
-      | A_nf { proto; dst; dport; origin; icmp } ->
-          nfs := (o, proto, dst, dport, origin, icmp) :: !nfs)
+      | Some (Request.Bind { port; proto; exe; _ }), _ ->
+          binds := (o, port, proto, exe) :: !binds
+      | Some (Request.Ppp_ioctl { device; _ }), _ ->
+          ppps := (o, device) :: !ppps
+      | None, Journal.Nf { proto; dst; dport; origin; icmp } ->
+          nfs := (o, proto, dst, dport, origin, icmp) :: !nfs
+      | None, _ -> () (* only a packet decodes to no request *))
     (List.rev adm);
   let mounts = !mounts and umounts = !umounts and binds = !binds in
   let ppps = !ppps and nfs = !nfs in
@@ -475,10 +458,9 @@ let synthesize ?(budget = 64) obs =
         | `Raw -> Netfilter.Origin_raw
         | `Packet -> Netfilter.Origin_packet
       in
-      let oname = Journal.origin_name (origin :> nf_origin) in
-      let mine =
-        List.filter (fun (_, _, _, _, o, _) -> o = (origin :> nf_origin)) nfs
-      in
+      let origin = (origin :> Journal.nf_origin) in
+      let oname = Journal.origin_name origin in
+      let mine = List.filter (fun (_, _, _, _, o, _) -> o = origin) nfs in
       if mine <> [] then begin
         (* icmp: one rule per observed type, an untyped catch-all last *)
         let icmps =
@@ -499,44 +481,72 @@ let synthesize ?(budget = 64) obs =
           emit_rule
             [ om; Netfilter.Proto Packet.Icmp ]
             (Printf.sprintf "synth %s icmp" oname);
-        (* tcp/udp: destination folding and port ranges under budget *)
+        (* tcp/udp: destination folding and port ranges under budget.  A
+           portless observation is a raw socket's hand-built payload:
+           only a rule with no port match admits it, and that rule
+           admits every port of its destinations too, so it costs the
+           unobserved rest of the port space or is excluded. *)
         List.iter
           (fun proto ->
             let grp = List.filter (fun (_, p, _, _, _, _) -> p = proto) mine in
+            let pname = Packet.proto_to_string proto in
+            let portless, ported =
+              List.partition (fun (_, _, _, dp, _, _) -> dp = None) grp
+            in
+            let ports =
+              List.sort_uniq compare
+                (List.filter_map (fun (_, _, _, dp, _, _) -> dp) ported)
+            in
+            let any_port =
+              portless <> []
+              && try_step
+                   (Printf.sprintf
+                      "nf %s %s dport any: %d portless payload(s)" oname pname
+                      (List.length portless))
+                   (port_space - List.length ports)
+            in
+            if not any_port then
+              List.iter
+                (fun (o, _, _, _, _, _) ->
+                  mark o
+                    (Printf.sprintf
+                       "portless %s payload: a rule that admits it admits \
+                        every port, beyond the false-allow budget (budget)"
+                       pname))
+                portless;
+            let grp = if any_port then grp else ported in
             if grp <> [] then begin
-              let pname = Packet.proto_to_string proto in
-              let ports =
-                List.sort_uniq compare
-                  (List.filter_map (fun (_, _, _, dp, _, _) -> dp) grp)
-              in
-              let ranges =
-                match ports with
-                | [] -> [ (0, 65535) ]
-                | [ p ] -> [ (p, p) ]
-                | ps ->
-                    let lo = List.hd ps in
-                    let hi = List.nth ps (List.length ps - 1) in
-                    let span = hi - lo + 1 in
-                    let cost = span - List.length ps in
-                    if
-                      cost > 0
-                      && try_step
-                           (Printf.sprintf
-                              "nf %s %s dport %d-%d: range over %d observed \
-                               ports"
-                              oname pname lo hi (List.length ps))
-                           cost
-                    then [ (lo, hi) ]
-                    else
-                      (* consecutive observed ports merge for free *)
-                      let rec runs acc cur = function
-                        | [] -> List.rev (cur :: acc)
-                        | p :: rest ->
-                            let l, h = cur in
-                            if p = h + 1 then runs acc (l, p) rest
-                            else runs (cur :: acc) (p, p) rest
-                      in
-                      runs [] (List.hd ps, List.hd ps) (List.tl ps)
+              let port_matches =
+                if any_port then [ [] ]
+                else
+                  List.map
+                    (fun (lo, hi) -> [ Netfilter.Dst_port { lo; hi } ])
+                    (match ports with
+                     | [] | [ _ ] -> List.map (fun p -> (p, p)) ports
+                     | ps ->
+                         let lo = List.hd ps in
+                         let hi = List.nth ps (List.length ps - 1) in
+                         let span = hi - lo + 1 in
+                         let cost = span - List.length ps in
+                         if
+                           cost > 0
+                           && try_step
+                                (Printf.sprintf
+                                   "nf %s %s dport %d-%d: range over %d \
+                                    observed ports"
+                                   oname pname lo hi (List.length ps))
+                                cost
+                         then [ (lo, hi) ]
+                         else
+                           (* consecutive observed ports merge for free *)
+                           let rec runs acc cur = function
+                             | [] -> List.rev (cur :: acc)
+                             | p :: rest ->
+                                 let l, h = cur in
+                                 if p = h + 1 then runs acc (l, p) rest
+                                 else runs (cur :: acc) (p, p) rest
+                           in
+                           runs [] (List.hd ps, List.hd ps) (List.tl ps))
               in
               let dsts =
                 List.sort_uniq Ipaddr.compare
@@ -566,12 +576,11 @@ let synthesize ?(budget = 64) obs =
               List.iter
                 (fun c ->
                   List.iter
-                    (fun (lo, hi) ->
+                    (fun pm ->
                       emit_rule
-                        [ om; Netfilter.Proto proto; Netfilter.Dst c;
-                          Netfilter.Dst_port { lo; hi } ]
+                        ([ om; Netfilter.Proto proto; Netfilter.Dst c ] @ pm)
                         (Printf.sprintf "synth %s %s" oname pname))
-                    ranges)
+                    port_matches)
                 dst_cidrs
             end)
           [ Packet.Tcp; Packet.Udp ];
@@ -688,40 +697,38 @@ let netfilter_of r =
   List.iter (Netfilter.append nf Netfilter.Output) r.r_nf_rules;
   nf
 
-(* Rebuild a packet from an observed descriptor.  The source address is
-   immaterial: no synthesized rule matches on [Src]. *)
+(* Rebuild the packet an nf record describes.  A record with neither an
+   ICMP type nor a port is a raw socket's hand-built payload, and stays
+   one: a rule that matches on a port never admits it.  The source
+   address is immaterial: no synthesized rule matches on [Src]. *)
 let packet_of ~proto ~dst ~dport ~icmp =
   let transport =
     match (proto, icmp, dport) with
     | Packet.Icmp, Some t, _ ->
         Packet.Icmp_msg { icmp_type = t; code = 0; payload = "" }
-    | Packet.Icmp, None, _ ->
-        Packet.Icmp_msg
-          { icmp_type = Packet.Echo_request; code = 0; payload = "" }
-    | Packet.Tcp, _, p ->
+    | Packet.Tcp, _, Some p ->
         Packet.Tcp_seg
-          { src_port = 40000; dst_port = Option.value p ~default:0;
-            syn = false; payload = "" }
-    | Packet.Udp, _, p ->
-        Packet.Udp_dgram
-          { src_port = 40000; dst_port = Option.value p ~default:0;
-            payload = "" }
-    | Packet.Other n, _, _ -> Packet.Raw_payload { protocol = n; payload = "" }
+          { src_port = 40000; dst_port = p; syn = false; payload = "" }
+    | Packet.Udp, _, Some p ->
+        Packet.Udp_dgram { src_port = 40000; dst_port = p; payload = "" }
+    | (Packet.Icmp | Packet.Tcp | Packet.Udp | Packet.Other _), _, _ ->
+        let protocol =
+          match proto with
+          | Packet.Icmp -> 1
+          | Packet.Tcp -> 6
+          | Packet.Udp -> 17
+          | Packet.Other n -> n
+        in
+        Packet.Raw_payload { protocol; payload = "" }
   in
   { Packet.src = Ipaddr.any; dst; ttl = 64; transport }
 
-let admits_with st nf o =
-  let phase = Phase.of_index o.ob_phase in
-  match o.ob_args with
-  | A_mount { source; target; fstype; flags } ->
-      PS.mount_decision ~phase st ~source ~target ~fstype ~flags
-  | A_umount { target; mounted_by } ->
-      PS.umount_decision ~phase st ~target ~mounted_by ~ruid:o.ob_subject
-  | A_bind { port; proto; exe } ->
-      PS.bind_allowed ~phase st ~port ~proto ~exe ~uid:o.ob_subject
-  | A_ppp { device; safe } ->
-      safe && Pppopts.device_allowed ~phase st.PS.ppp device
-  | A_nf { proto; dst; dport; origin; icmp } ->
+(* An observation against the synthesized policy: a policy-hook request
+   through the one reference oracle, a packet through the chain walk. *)
+let judge st nf o =
+  match (request o, o.ob_req) with
+  | Some req, _ -> Request.oracle ~phase:(Phase.of_index o.ob_phase) st req
+  | None, Journal.Nf { proto; dst; dport; origin; icmp } ->
       let pkt = packet_of ~proto ~dst ~dport ~icmp in
       let porigin =
         match origin with
@@ -730,8 +737,9 @@ let admits_with st nf o =
         | `Packet -> Packet.Packet_app { uid = o.ob_subject }
       in
       Netfilter.walk nf Netfilter.Output pkt ~origin:porigin = Netfilter.Accept
+  | None, _ -> false
 
-let admits r o = admits_with (state_of r) (netfilter_of r) o
+let admits r o = judge (state_of r) (netfilter_of r) o
 
 let verify obs r =
   let st = state_of r in
@@ -742,7 +750,7 @@ let verify obs r =
       let expected =
         not (List.exists (fun (k, _) -> k = key) r.r_inadmissible)
       in
-      let got = admits_with st nf o in
+      let got = judge st nf o in
       if got = expected then None
       else
         Some

@@ -15,9 +15,10 @@
       are reported as inadmissible with the lint code that forces the
       exclusion, never silently admitted);
     - stay inside a {b false-allow budget}: every generalization step
-      (fstype wildcard, device glob, port range, CIDR block) carries a
-      measured admitted-but-unobserved volume and is applied only while
-      the running total fits the budget;
+      (fstype wildcard, device glob, port range, CIDR block, the
+      any-port rule a raw socket's portless TCP/UDP payload needs)
+      carries a measured admitted-but-unobserved volume and is applied
+      only while the running total fits the budget;
     - carry {b downward-closed phase guards} ([phase<=p] for the widest
       observed phase, [Always] when observed through the final phase) —
       PL-PH001 cannot fire on synthesized output by construction;
@@ -28,32 +29,23 @@ module PS = Protego_core.Policy_state
 module Bindconf = Protego_policy.Bindconf
 module Pppopts = Protego_policy.Pppopts
 module Netfilter = Protego_net.Netfilter
-module Packet = Protego_net.Packet
 module Journal = Protego_journal.Journal
 
 (** {1 Observations} *)
 
-type nf_origin = Journal.nf_origin
-
-type args =
-  | A_mount of { source : string; target : string; fstype : string;
-                 flags : Protego_kernel.Ktypes.mount_flag list }
-  | A_umount of { target : string; mounted_by : int }
-  | A_bind of { port : int; proto : Bindconf.proto; exe : string }
-  | A_ppp of { device : string; safe : bool }
-  | A_nf of { proto : Packet.proto; dst : Protego_net.Ipaddr.t;
-              dport : int option; origin : nf_origin;
-              icmp : Packet.icmp_type option }
-
 type obs = {
-  ob_subject : int;
+  ob_subject : int;      (** the record's [d_subject] *)
   ob_phase : int;        (** widest phase index this tuple was seen in *)
-  ob_args : args;
+  ob_req : Journal.req;
+      (** the journal's own request, all five hooks.  Typed fields and
+          verdicts come through the one decoder,
+          {!Protego_core.Request.of_journal} (with [ob_subject]); an nf
+          request is a packet and decodes to none. *)
   ob_count : int;        (** occurrences *)
   ob_recorded : int;     (** of which were would-denies (recorded/denied) *)
 }
 
-val desc_of_args : args -> string
+val desc_of_req : Journal.req -> string
 (** Canonical one-line [hook key=value ...] rendering (stable sort key
     and report line). *)
 
@@ -110,9 +102,13 @@ val write_dir : string -> result -> unit
 
 val admits : result -> obs -> bool
 (** Replay one observation against the synthesized policy itself, via
-    the same reference oracles enforcement uses
-    ({!PS.mount_decision} & friends with the observation's phase;
-    {!Netfilter.walk} on a packet rebuilt from the descriptor). *)
+    the reference oracle enforcement uses: a policy-hook request
+    decoded by {!Protego_core.Request.of_journal} goes to
+    {!Protego_core.Request.oracle} under the observation's phase; an nf
+    observation is the packet its record describes, walked through
+    the synthesized chain ({!Netfilter.walk}).  A raw socket's portless
+    TCP/UDP payload is rebuilt as that payload, so a rule that matches
+    on a port does not admit it. *)
 
 val verify : obs list -> result -> (string * string) list
 (** The closed-loop check: for every observation, the synthesized

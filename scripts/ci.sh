@@ -3,11 +3,12 @@
 #
 # Usage: scripts/ci.sh [--fast|--full]   (from the repository root)
 #
-#   --fast   build + full unit/property suite + strict policy lint
-#            (including the phased examples and the deliberate-loosening
-#            rejection check) + the lsmbench smoke run (outcome oracle
-#            on all four workloads).  This is the per-compiler signal
-#            job.
+#   --fast   build + full unit/property suite + the one-oracle grep (no
+#            policy-state decision called outside Request.oracle in
+#            lib/) + strict policy lint (including the phased examples
+#            and the deliberate-loosening rejection check) + the
+#            lsmbench smoke run (outcome oracle on all four workloads).
+#            This is the per-compiler signal job.
 #   --full   everything the fast tier skips: the bench regression gate,
 #            a decision-cache bench smoke, journal artifact verification,
 #            the cache/equivalence/plane/journal/sim stress suites, the
@@ -42,6 +43,27 @@ fast_tier() {
 
     echo "==> dune runtest"
     dune runtest
+
+    # One reference oracle for the four policy-state hooks: in lib/, only
+    # Request.oracle may call the decision procedures Policy_state
+    # defines.  A second caller is a copy of the oracle that can drift
+    # from it.  lsmbench/ keeps its own oracle on purpose and is not
+    # searched.
+    echo "==> one reference oracle (Request.oracle) in lib/"
+    copies=$(find lib -name '*.ml' | sort | xargs awk '
+        FNR == 1 { in_oracle = 0 }
+        /^let / {
+            in_oracle = (FILENAME == "lib/protego/request.ml" && $2 == "oracle")
+        }
+        /(^|[^A-Za-z0-9_])(mount_decision|umount_decision|bind_allowed|ppp_ioctl_decision)([^A-Za-z0-9_]|$)/ {
+            if (FILENAME == "lib/protego/policy_state.ml" && /^let /) next
+            if (!in_oracle) print FILENAME ":" FNR ": " $0
+        }')
+    if [ -n "$copies" ]; then
+        echo "$copies"
+        echo "CI: a policy-state decision is called outside Request.oracle" >&2
+        exit 1
+    fi
 
     # --prove runs the symbolic equivalence prover over every compilable
     # source: each production compiler's output must be proven equal to the

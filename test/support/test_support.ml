@@ -6,6 +6,7 @@
 module PS = Protego_core.Policy_state
 module Plane = Protego_plane.Plane
 module Snapshot = Protego_plane.Snapshot
+module Request = Protego_core.Request
 
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
@@ -28,11 +29,11 @@ let counter_clock ?(step = 10) () =
 (* The uncached, unsnapshotted reference verdict straight off the live
    policy state — what every plane decision must agree with as long as
    reloads are semantics-preserving. *)
-let oracle : PS.t -> Plane.request -> bool = Plane.request_oracle
+let oracle : PS.t -> Plane.request -> bool = Request.oracle
 
 (* The same reference verdict against a frozen snapshot. *)
-let snapshot_oracle : Snapshot.t -> Plane.request -> bool =
-  Plane.snapshot_oracle
+let snapshot_oracle (snap : Snapshot.t) : Plane.request -> bool =
+  Request.oracle snap.Snapshot.frozen
 
 (* The protego-journal binary next to the test executable's build
    directory (the test stanza depends on it). *)

@@ -26,6 +26,7 @@ module PD = Protego_core.Pfm_dispatch
 module PS = Protego_core.Policy_state
 module Bindconf = Protego_policy.Bindconf
 module Plane = Protego_plane.Plane
+module Request = Protego_core.Request
 module Workload = Protego_workload.Workload
 module Sim = Protego_sim.Sim
 module Prop = Protego_sim.Prop
@@ -163,17 +164,15 @@ let parity_walk name ctx =
           if label <> m_label then
             Alcotest.failf "%s: flip %d is %s, trace says %s" name (!flips - 1)
               label m_label
-      | Sim.E_decide { d_seq; d_verdict; d_errno; _ } ->
+      | Sim.E_decide { d_seq; d_verdict; d_errno; d_phase; _ } ->
           incr decides;
-          let req = ctx.Sim.x_requests.(d_seq) in
-          let expect = Test_support.oracle scratch req in
-          if (d_verdict = 1) <> expect then
-            Alcotest.failf "%s: seq %d verdict %d, legacy oracle says %b" name
-              d_seq d_verdict expect;
-          let expect_errno =
-            if expect then 0
-            else Errno.to_code (Plane.request_deny_errno req)
+          let expect_verdict, expect_errno =
+            Request.expected scratch ~phase:d_phase
+              ~recorded:(d_verdict = 3) ctx.Sim.x_requests.(d_seq)
           in
+          if d_verdict <> expect_verdict then
+            Alcotest.failf "%s: seq %d verdict %d, legacy oracle says %d" name
+              d_seq d_verdict expect_verdict;
           if d_errno <> expect_errno then
             Alcotest.failf "%s: seq %d errno %d, legacy harness says %d" name
               d_seq d_errno expect_errno

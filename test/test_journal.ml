@@ -848,6 +848,137 @@ let test_proc_journal () =
   | Error Protego_base.Errno.EACCES -> ()
   | _ -> Alcotest.fail "journal vnode must be root-only"
 
+(* --- decode: a journaled request decodes to the same request ---------- *)
+
+(* Every request the plane journals decodes, through the one decoder
+   ([Request.of_journal]), to a request with the same hook, subject and
+   serving phase, the same table key bytes and the same reference
+   verdict.  The generator draws all four hooks, several subjects and
+   phases, safe and unsafe ppp options and mount flags in any order
+   with repeats: the two steps the decoder loses information on (the
+   ppp option collapses to its safety class, the flags to their mask)
+   must lose nothing a decision reads.  The policy has phase-guarded
+   rules, so the verdicts vary with the phase as well. *)
+module Request = Protego_core.Request
+module Phase = Protego_base.Phase
+
+let decode_policy () =
+  let st = PS.create () in
+  PS.set st
+    (PS.Set_mounts
+       [ { PS.mr_source = "/dev/sr0"; mr_target = "/media/cdrom";
+           mr_fstype = "iso9660"; mr_flags = [ Mf_nosuid; Mf_nodev ];
+           mr_mode = `Users; mr_phase = Phase.Always };
+         { PS.mr_source = "/dev/sdb1"; mr_target = "/media/usb";
+           mr_fstype = "auto"; mr_flags = [ Mf_nosuid ]; mr_mode = `User;
+           mr_phase = Phase.Upto Phase.Serving } ]);
+  PS.set st
+    (PS.Set_binds
+       [ { Protego_policy.Bindconf.port = 80; proto = Protego_policy.Bindconf.Tcp;
+           exe = "/usr/sbin/httpd"; owner = 1; phase = Phase.Always };
+         { Protego_policy.Bindconf.port = 53; proto = Protego_policy.Bindconf.Udp;
+           exe = "/usr/sbin/named"; owner = 2;
+           phase = Phase.Upto Phase.Setup } ]);
+  PS.set st
+    (PS.Set_ppp
+       { Protego_policy.Pppopts.directives =
+           [ Protego_policy.Pppopts.Allow_device ("/dev/ttyS*", Phase.Always);
+             Protego_policy.Pppopts.Allow_device
+               ("/dev/ttyUSB0", Phase.Upto Phase.Serving) ] });
+  st
+
+let gen_request =
+  let open QCheck2.Gen in
+  let subject = int_bound 3 in
+  let mount =
+    map3
+      (fun subject (source, target) (fstype, flags) ->
+        Plane.Mount { subject; source; target; fstype; flags })
+      subject
+      (oneofl
+         [ ("/dev/sr0", "/media/cdrom"); ("/dev/sdb1", "/media/usb");
+           ("/dev/sdc", "/mnt") ])
+      (pair
+         (oneofl [ "iso9660"; "ext4"; "vfat" ])
+         (list_size (int_bound 6)
+            (oneofl [ Mf_readonly; Mf_nosuid; Mf_nodev; Mf_noexec ])))
+  in
+  let umount =
+    map3
+      (fun subject target mounted_by ->
+        Plane.Umount { subject; target; mounted_by })
+      subject
+      (oneofl [ "/media/cdrom"; "/media/usb"; "/mnt" ])
+      (int_bound 3)
+  in
+  let bind =
+    map3
+      (fun subject (port, proto) exe -> Plane.Bind { subject; port; proto; exe })
+      subject
+      (pair (oneofl [ 53; 80; 443 ])
+         (oneofl Protego_policy.Bindconf.[ Tcp; Udp ]))
+      (oneofl [ "/usr/sbin/httpd"; "/usr/sbin/named" ])
+  in
+  let ppp =
+    map3
+      (fun subject device opt -> Plane.Ppp_ioctl { subject; device; opt })
+      subject
+      (oneofl [ "/dev/ttyS0"; "/dev/ttyS1"; "/dev/ttyUSB0"; "/dev/null" ])
+      (oneofl
+         Protego_net.Ppp.
+           [ Compression "deflate"; Async_map 0; Mru 1500; Accomp;
+             Default_route; Modem_line_speed 115200;
+             Modem_flow_control "crtscts" ])
+  in
+  pair (oneof [ mount; umount; bind; ppp ]) (int_bound (Phase.count - 1))
+
+let key_bytes phase req =
+  let k = Protego_core.Decision_cache.Key.create () in
+  Request.key k phase req;
+  Protego_core.Decision_cache.Key.contents k
+
+let prop_decode_roundtrip =
+  QCheck2.Test.make
+    ~name:
+      "journal: a journaled request decodes to the same hook, subject, \
+       phase, key and verdict"
+    ~count:100
+    QCheck2.Gen.(list_size (int_range 1 24) gen_request)
+    (fun reqs ->
+      let st = decode_policy () in
+      let plane =
+        Plane.create ~journal_seg_bytes:4096 ~journal_segments:4 st
+      in
+      let run = Plane.sim_begin plane in
+      List.iteri
+        (fun seq (req, phase) ->
+          let allow = Request.oracle ~phase:(Phase.of_index phase) st req in
+          let o =
+            { Plane.o_verdict = (if allow then Pfm.Allow else Pfm.Deny);
+              o_errno = (if allow then None else Some (Request.deny_errno req));
+              o_epoch = 0; o_phase = phase }
+          in
+          Plane.journal_decision plane ~worker:0 ~run ~seq req o)
+        reqs;
+      Plane.sim_end plane;
+      match
+        J.stitch (Plane.journal plane) ~run ~base:0 ~count:(List.length reqs)
+      with
+      | Error e -> QCheck2.Test.fail_reportf "stitch: %s" e
+      | Ok ds ->
+          List.for_all2
+            (fun (req, phase) (d : J.decision) ->
+              match Request.of_journal ~subject:d.J.d_subject d.J.d_req with
+              | None -> QCheck2.Test.fail_report "a request decoded to none"
+              | Some got ->
+                  Request.index got = Request.index req
+                  && Request.subject got = Request.subject req
+                  && d.J.d_phase = phase
+                  && key_bytes phase got = key_bytes phase req
+                  && Request.oracle ~phase:(Phase.of_index phase) st got
+                     = Request.oracle ~phase:(Phase.of_index phase) st req)
+            reqs (Array.to_list ds))
+
 let suites =
   [ ("journal:core",
      [ Alcotest.test_case "encode/decode roundtrip" `Quick test_roundtrip;
@@ -889,5 +1020,6 @@ let suites =
        Alcotest.test_case "set_domains retires terms" `Quick
          test_set_domains_retires_terms;
        Alcotest.test_case "rotation" `Quick test_rotation ]);
+    ("journal:decode", [ QCheck_alcotest.to_alcotest ~long:false prop_decode_roundtrip ]);
     ("journal:proc",
      [ Alcotest.test_case "/proc/protego/journal" `Quick test_proc_journal ]) ]

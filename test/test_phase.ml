@@ -11,6 +11,7 @@ module PS = Protego_core.Policy_state
 module Pfm = Protego_filter.Pfm
 module Bindconf = Protego_policy.Bindconf
 module Plane = Protego_plane.Plane
+module Request = Protego_core.Request
 module Snapshot = Protego_plane.Snapshot
 module Replay = Protego_plane.Replay
 module J = Protego_journal.Journal
@@ -128,14 +129,14 @@ let run_transition_batch ~domains ~n =
   Array.iteri
     (fun i (o : Plane.outcome) ->
       let req = requests.(i) in
-      let subject = Plane.subject_of req in
+      let subject = Request.subject req in
       seen.(subject).(o.Plane.o_phase) <- seen.(subject).(o.Plane.o_phase) + 1;
       match Plane.snapshot_at plane o.Plane.o_epoch with
       | None -> Alcotest.failf "outcome %d names a lost epoch" i
       | Some snap ->
           let expect =
-            Plane.snapshot_oracle ~phase:(Phase.of_index o.Plane.o_phase) snap
-              req
+            Request.oracle ~phase:(Phase.of_index o.Plane.o_phase)
+              snap.Snapshot.frozen req
           in
           if expect <> allowed o then
             Alcotest.failf "outcome %d diverges from its phase-stamped oracle"

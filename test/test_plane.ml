@@ -9,6 +9,7 @@ module PS = Protego_core.Policy_state
 module Pfm = Protego_filter.Pfm
 module Snapshot = Protego_plane.Snapshot
 module Plane = Protego_plane.Plane
+module Request = Protego_core.Request
 module Replay = Protego_plane.Replay
 module Workload = Protego_workload.Workload
 module Prng = Protego_workload.Prng
@@ -56,17 +57,17 @@ let test_freeze_publish () =
   check_bool "published pointer" true (Snapshot.current pub == s1);
   (* The old snapshot is immutable: it still answers with the old policy. *)
   check_bool "old snapshot, old verdict" true
-    (Plane.snapshot_oracle s0
+    (snapshot_oracle s0
        (Plane.Mount
           { subject = 0; source = "/dev/wl1"; target = "/media/wl1";
             fstype = "ext4"; flags = [] }));
   check_bool "old snapshot misses new rule" false
-    (Plane.snapshot_oracle s0
+    (snapshot_oracle s0
        (Plane.Mount
           { subject = 0; source = "/dev/cdrom"; target = "/media/cdrom";
             fstype = "iso9660"; flags = [] }));
   check_bool "new snapshot, new verdict" true
-    (Plane.snapshot_oracle s1
+    (snapshot_oracle s1
        (Plane.Mount
           { subject = 0; source = "/dev/cdrom"; target = "/media/cdrom";
             fstype = "iso9660"; flags = [] }))
@@ -369,7 +370,7 @@ let test_differential_domains () =
     (fun i (a : Plane.audit_entry) ->
       if a.Plane.a_seq <> i then Alcotest.failf "audit seq hole at %d" i;
       let req = sched.Workload.s_requests.(i) in
-      if a.Plane.a_hook <> Plane.hook_index req then
+      if a.Plane.a_hook <> Request.index req then
         Alcotest.failf "audit hook mismatch at %d" i;
       if
         a.Plane.a_allowed

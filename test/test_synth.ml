@@ -12,6 +12,7 @@ module Pppopts = Protego_policy.Pppopts
 module Compile = Protego_filter.Pfm_compile
 module Lint = Protego_analysis.Policy_lint
 module Plane = Protego_plane.Plane
+module Request = Protego_core.Request
 module Workload = Protego_workload.Workload
 module J = Protego_journal.Journal
 module Synth = Protego_synth.Synth
@@ -154,9 +155,12 @@ let test_lsm_closed_loop () =
       | J.Kaudit _ -> ()
       | J.Decision d ->
           let allowed =
-            match (Plane.request_of_decision d, d.J.d_req) with
-            | Some (phase, req), _ ->
-                Plane.request_oracle ~phase:(Phase.of_index phase) r.L.state req
+            match
+              (Request.of_journal ~subject:d.J.d_subject d.J.d_req, d.J.d_req)
+            with
+            | Some req, _ ->
+                Request.oracle ~phase:(Phase.of_index d.J.d_phase) r.L.state
+                  req
             | None, J.Nf { origin; proto; dport; _ } ->
                 (* The battery packet the record describes, against the
                    chain in force. *)
@@ -277,7 +281,7 @@ let test_nf_lane () =
   let obs = Synth.observations entries in
   let nf_obs =
     List.filter
-      (fun o -> match o.Synth.ob_args with Synth.A_nf _ -> true | _ -> false)
+      (fun o -> match o.Synth.ob_req with J.Nf _ -> true | _ -> false)
       obs
   in
   Alcotest.(check int) "one observation per flow" (List.length flows)
@@ -287,9 +291,88 @@ let test_nf_lane () =
   assert_replay_clean "nf lane" obs r;
   List.iter
     (fun o ->
-      check_bool ("admitted: " ^ Synth.desc_of_args o.Synth.ob_args) true
+      check_bool ("admitted: " ^ Synth.desc_of_req o.Synth.ob_req) true
         (Synth.admits r o))
     nf_obs
+
+(* A raw socket's hand-built TCP or UDP payload has no port: its nf
+   record says proto tcp/udp with no dport.  Only a rule with no port
+   match admits such a packet, and that rule admits every port of its
+   destination too, so synthesis either pays the unobserved port space
+   from the budget or excludes the observation.  Verify rebuilds the
+   payload itself, so a chain that matches only on ports cannot pass
+   for one that admits it: the packet actually sent gets exactly the
+   verdict the synthesized chain claims for it. *)
+let test_nf_portless () =
+  let module Image = Protego_dist.Image in
+  let module Syscall = Protego_kernel.Syscall in
+  let module Packet = Protego_net.Packet in
+  let module Ipaddr = Protego_net.Ipaddr in
+  let module Netfilter = Protego_net.Netfilter in
+  let module Syntax = Protego_base.Syntax in
+  let img = Image.build Image.Protego in
+  let m = img.Image.machine in
+  let root = Image.login img "root" in
+  let alice = Image.login img "alice" in
+  Syntax.expect_ok "record on"
+    (Syscall.write_file m root "/proc/protego/record" "on\n");
+  let dst = Ipaddr.v 10 0 0 1 in
+  let sent =
+    List.map
+      (fun protocol ->
+        let fd =
+          Syntax.expect_ok "socket"
+            (Syscall.socket m alice Ktypes.Af_inet Ktypes.Sock_raw protocol)
+        in
+        let pkt =
+          { Packet.src = Ipaddr.v 10 0 0 2; dst; ttl = 64;
+            transport = Packet.Raw_payload { protocol; payload = "x" } }
+        in
+        ignore
+          (Syntax.expect_ok "record mode lets it out"
+             (Syscall.sendto m alice fd dst 0 (Packet.encode pkt))
+            : int);
+        ignore (Syscall.close m alice fd);
+        pkt)
+      [ 6; 17 ]
+  in
+  let obs = Synth.observations (J.entries m.Ktypes.audit.J.sk_journal) in
+  let obs_of (pkt : Packet.t) =
+    List.find
+      (fun o ->
+        match o.Synth.ob_req with
+        | J.Nf { proto; dport; _ } ->
+            proto = Packet.proto_of_transport pkt.Packet.transport
+            && dport = None
+        | _ -> false)
+      obs
+  in
+  List.iter
+    (fun (budget, admitted) ->
+      let what = Printf.sprintf "budget %d" budget in
+      let r = Synth.synthesize ~budget obs in
+      assert_strict_clean what r;
+      assert_replay_clean what obs r;
+      let chain = Netfilter.create () in
+      Netfilter.set_policy chain Netfilter.Output r.Synth.r_nf_policy;
+      List.iter (Netfilter.append chain Netfilter.Output) r.Synth.r_nf_rules;
+      List.iter
+        (fun pkt ->
+          let desc = Synth.desc_of_req (obs_of pkt).Synth.ob_req in
+          check_bool
+            (Printf.sprintf "%s: the sent payload's verdict: %s" what desc)
+            admitted
+            (Netfilter.walk chain Netfilter.Output pkt
+               ~origin:(Packet.Raw_app { uid = 1000 })
+             = Netfilter.Accept);
+          check_bool
+            (Printf.sprintf "%s: excluded iff not admitted: %s" what desc)
+            (not admitted)
+            (List.exists
+               (fun (key, _) -> String.ends_with ~suffix:desc key)
+               r.Synth.r_inadmissible))
+        sent)
+    [ (64, false); (2 * 65536, true) ]
 
 (* --- determinism --------------------------------------------------------- *)
 
@@ -415,7 +498,10 @@ let suites =
         Alcotest.test_case "LSM lane: record -> synthesize -> replay" `Quick
           test_lsm_closed_loop;
         Alcotest.test_case "nf lane: raw and packet sockets -> chain" `Quick
-          test_nf_lane ] );
+          test_nf_lane;
+        Alcotest.test_case "nf lane: a portless raw payload gets the verdict \
+                            verify claims" `Quick
+          test_nf_portless ] );
     ( "synth:fixture",
       [ Alcotest.test_case "committed recording dumps one phase per decision"
           `Quick test_fixture_dump ] );
