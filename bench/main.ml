@@ -380,12 +380,10 @@ let run_filter () =
     (* Profile-guided recompilation: the pfm run above warmed the
        instruction counters; every rewrite is gated on verify + an
        equivalence proof before it is installed. *)
-    ignore (PD.optimize disp : (string * string) list);
-    ignore (PD.drain_opt_log disp : string list);
+    ignore (PD.optimize disp : (string * PD.outcome) list);
     for _ = 1 to 64 do f () done;
     let opt_ns = Harness.measure_ns (name ^ ":opt") f in
-    PD.deoptimize disp;
-    ignore (PD.drain_opt_log disp : string list);
+    ignore (PD.deoptimize disp : (string * PD.outcome) list);
     PD.set_engine disp `Ref;
     for _ = 1 to 64 do f () done;
     let ref_ns = Harness.measure_ns (name ^ ":ref") f in
@@ -412,9 +410,9 @@ let run_filter () =
        rows);
   Printf.printf "\nProfile-guided recompilation (verify + prove gated):\n";
   List.iter
-    (fun (hook, status) -> Printf.printf "  %-10s %s\n" hook status)
+    (fun (hook, o) ->
+      Printf.printf "  %-10s %s\n" hook (PD.outcome_to_string o))
     (PD.optimize disp);
-  ignore (PD.drain_opt_log disp : string list);
   Printf.printf "\nCompiled program sizes:\n";
   List.iter
     (fun name ->
@@ -521,7 +519,7 @@ let run_cache () =
        rows);
   Printf.printf "\nwarm hit vs compiled pfm at 128 rules: %.2fx\n" !speedup_128;
   Printf.printf "\n/proc/protego/cache_stats after the runs:\n%s%!"
-    (PD.render_cache disp)
+    (DC.render (PD.cache disp))
 
 (* --- policy-lint analysis cost (extension) ------------------------------- *)
 
@@ -918,12 +916,10 @@ let run_json ~out =
     let ref_ns, pfm_ns = engine_pair name f in
     (* Optimized engine: recompile from the profile the pfm run just
        warmed; each rewrite is verify + prove gated before install. *)
-    ignore (PD.optimize disp : (string * string) list);
-    ignore (PD.drain_opt_log disp : string list);
+    ignore (PD.optimize disp : (string * PD.outcome) list);
     for _ = 1 to 64 do f () done;
     let opt_ns = Harness.measure_ns (name ^ ":opt") f in
-    PD.deoptimize disp;
-    ignore (PD.drain_opt_log disp : string list);
+    ignore (PD.deoptimize disp : (string * PD.outcome) list);
     ( pfm_ns,
       { BR.sc_name = "filter:" ^ name;
         sc_metrics =

@@ -22,17 +22,9 @@ type outcome = {
   o_phase : int;
 }
 
-type audit_entry = {
-  a_seq : int;
-  a_hook : int;
-  a_subject : int;
-  a_allowed : bool;
-  a_epoch : int;
-}
-
 type run_result = {
   rr_outcomes : outcome array;
-  rr_audit : audit_entry array;
+  rr_audit : J.decision array;
   rr_audit_lost : string option;
   rr_wall_ns : int;
   rr_min_op_ns : float array;
@@ -358,30 +350,6 @@ let worker_slice t w reqs ~start ~stop ~d ~engine ~clock ~collect ~outcomes
     Atomic.set w.w_completed (base + !done_)
   done
 
-(* Rebuild the submission-ordered audit view from the journal: stitch
-   the run's records by their sequence stamps (zero lost, zero
-   duplicated — checked, not assumed) and decode each into an audit
-   entry. *)
-let audit_of_stitched ds =
-  Array.map
-    (fun (dec : J.decision) ->
-      let hook =
-        match dec.J.d_req with
-        | J.Mount _ -> 0
-        | J.Umount _ -> 1
-        | J.Bind _ -> 2
-        | J.Ppp _ -> 3
-        | J.Nf _ -> 4  (* LSM only: a plane journal holds none *)
-      in
-      { a_seq = dec.J.d_seq; a_hook = hook; a_subject = dec.J.d_subject;
-        (* verdict 3 = "recorded": served as an allow under record mode *)
-        a_allowed = (dec.J.d_verdict = 1 || dec.J.d_verdict = 3);
-        a_epoch = dec.J.d_epoch })
-    ds
-
-let stitch t ~run_id ~n =
-  Result.map audit_of_stitched (J.stitch t.journal ~run:run_id ~base:0 ~count:n)
-
 let run t ?(collect = true) ?(reloads = []) reqs =
   if t.running then failwith "Plane.run: a run is already in flight";
   ignore (refresh t);
@@ -460,7 +428,9 @@ let run t ?(collect = true) ?(reloads = []) reqs =
     | _ when not collect -> ([||], None)
     | `Off -> ([||], None)
     | `Journal -> (
-        match stitch t ~run_id ~n with
+        (* the run's records in submission order: zero lost, zero
+           duplicated — checked by the stitch, not assumed *)
+        match J.stitch t.journal ~run:run_id ~base:0 ~count:n with
         | Ok a -> (a, None)
         | Error e when J.dropped t.journal > 0 -> ([||], Some e)
         | Error e -> failwith ("Plane.run: " ^ e))

@@ -59,21 +59,15 @@ type outcome = {
           the decision was served under *)
 }
 
-type audit_entry = {
-  a_seq : int;  (** submission index of the request *)
-  a_hook : int;  (** {!Protego_core.Request.index} *)
-  a_subject : int;
-  a_allowed : bool;
-  a_epoch : int;
-}
-
 type run_result = {
   rr_outcomes : outcome array;
       (** one per request, submission order; [[||]] when collection was
           disabled *)
-  rr_audit : audit_entry array;
-      (** the run's journal trail, stitched: strictly ascending
-          [a_seq] = 0..n-1; [[||]] with audit off, without collection,
+  rr_audit : Protego_journal.Journal.decision array;
+      (** the run's journal trail, {!Protego_journal.Journal.stitch}ed:
+          strictly ascending [d_seq] = 0..n-1 (the submission index);
+          decode a request with {!Protego_core.Request.of_journal}.
+          [[||]] with audit off, without collection,
           or when the trail degraded (see [rr_audit_lost]) *)
   rr_audit_lost : string option;
       (** [Some reason] when the run's journaled trail could not be

@@ -340,10 +340,7 @@ let file_open st m task ~path file =
       if Policy_state.needs_reauth_to_read st path then file.cloexec <- true;
       Ok ()
 
-let is_ppp_device dev =
-  let prefix = "ppp" in
-  String.length dev >= String.length prefix
-  && String.sub dev 0 (String.length prefix) = prefix
+let is_ppp_device dev = String.starts_with ~prefix:"ppp" dev
 
 let file_ioctl disp st m task req =
   match stock.file_ioctl m task req with
@@ -606,43 +603,47 @@ let install_proc_files m st disp =
     ~read:(fun _m _t -> Ok (Pfm_dispatch.render disp))
     ~write:(fun m t contents ->
       match Pfm_dispatch.handle_write disp contents with
-      | Ok () ->
-          (* optimize/deoptimize queue install/reject/revert lines; a
-             rejected rewrite is an audited event, not a write error *)
-          let rejected line =
-            let pat = " rejected: " and n = String.length line in
-            let pn = String.length pat in
-            let rec scan i =
-              i + pn <= n && (String.sub line i pn = pat || scan (i + 1))
-            in
-            scan 0
-          in
+      | Ok outcomes ->
+          (* an install, a rejection or a revert is logged and audited;
+             a rejected rewrite is an audited denial, not a write error *)
           List.iter
-            (fun line ->
-              log_dmesg m "protego: %s" line;
-              Audit.emit ~engine:(Pfm_dispatch.engine_name disp) m t
-                ~op:"filter-opt" ~obj:line ~allowed:(not (rejected line)))
-            (Pfm_dispatch.drain_opt_log disp);
+            (fun (hook, o) ->
+              match Pfm_dispatch.audited o with
+              | None -> ()
+              | Some allowed ->
+                  let line =
+                    "opt " ^ hook ^ " " ^ Pfm_dispatch.outcome_to_string o
+                  in
+                  log_dmesg m "protego: %s" line;
+                  Audit.emit ~engine:(Pfm_dispatch.engine_name disp) m t
+                    ~op:"filter-opt" ~obj:line ~allowed)
+            outcomes;
           Ok ()
       | Error msg ->
           log_dmesg m "protego: %s" msg;
           Error Errno.EINVAL);
   (* The dispatcher's counter files: the render on read, the handler's
      commands on write (EINVAL plus a dmesg line on a bad one). *)
+  let cache = Pfm_dispatch.cache disp and trace = Pfm_dispatch.trace disp in
   List.iter
     (fun (name, render, handle) ->
       add ("/proc/protego/" ^ name)
-        ~read:(fun _m _t -> Ok (render disp))
+        ~read:(fun _m _t -> Ok (render ()))
         ~write:(fun m _t contents ->
-          match handle disp contents with
+          match handle contents with
           | Ok () -> Ok ()
           | Error msg ->
               log_dmesg m "protego: %s" msg;
               Error Errno.EINVAL))
-    Pfm_dispatch.
-      [ ("cache_stats", render_cache, handle_cache_write);
-        ("trace", render_trace, handle_trace_write);
-        ("latency", render_latency, handle_latency_write) ]
+    [ ( "cache_stats",
+        (fun () -> Decision_cache.render cache),
+        Decision_cache.handle_write cache );
+      ( "trace",
+        (fun () -> Trace.render_trace trace),
+        Trace.handle_trace_write trace );
+      ( "latency",
+        (fun () -> Trace.render_latency trace),
+        Trace.handle_latency_write trace ) ]
 
 let install_sysfs_dm_files m =
   let kt = Machine.kernel_task m in

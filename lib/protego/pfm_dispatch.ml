@@ -20,16 +20,34 @@ type hook_stats = {
   mutable insns : int;
 }
 
+type status =
+  | Inactive
+  | Active of Pfm_opt.report
+  | Refused of string
+  | Stale
+
+type outcome =
+  | Installed of { replaced : Pfm.program; report : Pfm_opt.report }
+  | Already_installed
+  | No_rewrite
+  | Rejected of string
+  | Skipped
+  | Reverted
+
 (* One hook's program, keyed on the physical identity of what it was
    built from (a request hook: the store's program for the source value;
    the packet hook: the chain), with the reloads a source change forced
    and the bytecode instructions its runs retired.  The key is not the
    generation: a bare generation bump (a reload that changes no value)
-   must stale the cached verdicts without touching the program. *)
+   must stale the cached verdicts without touching the program.  The
+   optimizer's state rides along: the (original, optimized) pair it
+   installed, and the last gate result ([status], never [Stale]). *)
 type 'k prog = {
   mutable slot : ('k * Pfm.program) option;
   mutable invalidations : int;
   mutable insns : int;
+  mutable installed : (Pfm.program * Pfm.program) option;
+  mutable status : status;
 }
 
 (* A hook's ladder and its program, whatever their argument and source
@@ -60,16 +78,12 @@ type t = {
   reqs : (Policy_state.t, Request.t) Decider.hook array;
   nf : (Netfilter.t, packet) Decider.hook;
   hooks : (string * any_hook) list;  (* filter_stats order, by name *)
-  (* profile-guided recompilation: per hook the (original, optimized)
-     pair currently installed, a human-readable status, the running
-     count of gate rejections, and pending log lines for dmesg/audit *)
-  opt_installed : (string, Pfm.program * Pfm.program) Hashtbl.t;
-  opt_status : (string, string) Hashtbl.t;
-  mutable opt_rejects : int;
-  mutable opt_log : string list; (* newest first *)
+  mutable opt_rejects : int;  (* gate rejections since [create] *)
 }
 
-let fresh_prog () = { slot = None; invalidations = 0; insns = 0 }
+let fresh_prog () =
+  { slot = None; invalidations = 0; insns = 0; installed = None;
+    status = Inactive }
 
 let reload c key p =
   if Option.is_some c.slot then c.invalidations <- c.invalidations + 1;
@@ -142,9 +156,7 @@ let create () =
       [ Hook (mount, progs.(0)); Hook (umount, progs.(1));
         Hook (bind, progs.(2)); Hook (nf, nf_prog); Hook (ppp, progs.(3)) ]
   in
-  { engine = `Pfm; lint_mode = `Warn; dec; reqs; nf; hooks;
-    opt_installed = Hashtbl.create 8; opt_status = Hashtbl.create 8;
-    opt_rejects = 0; opt_log = [] }
+  { engine = `Pfm; lint_mode = `Warn; dec; reqs; nf; hooks; opt_rejects = 0 }
 
 let engine t = t.engine
 let set_engine t e = t.engine <- e
@@ -193,42 +205,53 @@ let cached_program t name =
 
 (* --- profile-guided recompilation --------------------------------------- *)
 
-let log_opt t line = t.opt_log <- line :: t.opt_log
-
-let drain_opt_log t =
-  let l = List.rev t.opt_log in
-  t.opt_log <- [];
-  l
-
 let opt_rejects t = t.opt_rejects
+
+let outcome_to_string = function
+  | Installed { report; _ } -> "installed: " ^ Pfm_opt.report_to_string report
+  | Already_installed -> "unchanged: optimization already installed"
+  | No_rewrite -> "unchanged: no profitable rewrite"
+  | Rejected reason -> "rejected: " ^ reason
+  | Skipped -> "skipped: no compiled program"
+  | Reverted -> "reverted"
+
+let audited = function
+  | Installed _ | Reverted -> Some true
+  | Rejected _ -> Some false
+  | Already_installed | No_rewrite | Skipped -> None
+
+let status_to_string = function
+  | Inactive -> "none"
+  | Active report -> "active: " ^ Pfm_opt.report_to_string report
+  | Refused reason -> "rejected: " ^ reason
+  | Stale -> "stale (policy changed)"
+
+(* The slot still serves the optimization installed in it. *)
+let serving c =
+  match c.installed, c.slot with
+  | Some (_, q), Some (_, cur) -> q == cur
+  | _ -> false
 
 (* Gate and install one hook's optimized program.  The slot keeps its
    key, so a policy reload still replaces it with the new source's
    program (after which the installed optimization reads as stale in
-   {!render}).  Soundness
-   rests entirely on the gate: {!Pfm.verify} must accept AND
-   {!Pfm_equiv.prove} must return [Equal].  A counterexample or an
-   [Unknown] keeps the original program running and leaves an audit line
-   — "trust me" never installs. *)
+   {!statuses}).  Soundness rests entirely on the gate: {!Pfm.verify}
+   must accept AND {!Pfm_equiv.prove} must return [Equal].  A
+   counterexample or an [Unknown] keeps the original program running
+   and is reported as [Rejected] — "trust me" never installs. *)
 let optimize_slot t (name, Hook (_, c)) =
-  match c.slot with
-  | None -> (name, "skipped: no compiled program")
-  | Some (key, p) ->
-      let already =
-        match Hashtbl.find_opt t.opt_installed name with
-        | Some (_, q) -> q == p
-        | None -> false
-      in
-      if already then (name, "unchanged: optimization already installed")
-      else begin
+  ( name,
+    match c.slot with
+    | None -> Skipped
+    | Some _ when serving c -> Already_installed
+    | Some (key, p) -> (
         match Pfm_opt.optimize p with
-        | None -> (name, "unchanged: no profitable rewrite")
-        | Some (q, rep) -> (
+        | None -> No_rewrite
+        | Some (q, report) -> (
             let reject reason =
               t.opt_rejects <- t.opt_rejects + 1;
-              Hashtbl.replace t.opt_status name ("rejected: " ^ reason);
-              log_opt t (Printf.sprintf "opt %s rejected: %s" name reason);
-              (name, "rejected: " ^ reason)
+              c.status <- Refused reason;
+              Rejected reason
             in
             match Pfm.verify q with
             | Error e -> reject ("verify: " ^ Pfm.verify_error_to_string e)
@@ -236,45 +259,40 @@ let optimize_slot t (name, Hook (_, c)) =
                 match Pfm_equiv.prove p q with
                 | Pfm_equiv.Equal ->
                     c.slot <- Some (key, q);
-                    Hashtbl.replace t.opt_installed name (p, q);
-                    let d = Pfm_opt.report_to_string rep in
-                    Hashtbl.replace t.opt_status name ("active: " ^ d);
-                    log_opt t (Printf.sprintf "opt %s installed: %s" name d);
-                    (name, "installed: " ^ d)
+                    c.installed <- Some (p, q);
+                    c.status <- Active report;
+                    Installed { replaced = p; report }
                 | Pfm_equiv.Not_equal _ as r ->
                     reject ("refuted: " ^ Pfm_equiv.result_to_string r)
-                | Pfm_equiv.Unknown m -> reject ("unproven: " ^ m)))
-      end
+                | Pfm_equiv.Unknown m -> reject ("unproven: " ^ m)))) )
 
 let optimize t = List.map (optimize_slot t) t.hooks
 
-let deoptimize_slot t (name, Hook (_, c)) =
-  match Hashtbl.find_opt t.opt_installed name with
-  | None -> ()
-  | Some (orig, q) ->
-      (match c.slot with
-       | Some (key, cur) when cur == q -> c.slot <- Some (key, orig)
-       | _ -> () (* policy changed since: slot already holds fresh code *));
-      Hashtbl.remove t.opt_installed name;
-      Hashtbl.remove t.opt_status name;
-      log_opt t (Printf.sprintf "opt %s reverted" name)
+let deoptimize t =
+  List.filter_map
+    (fun (name, Hook (_, c)) ->
+      match c.installed with
+      | None -> None
+      | Some (orig, _) ->
+          (* after a policy change the slot already holds fresh code *)
+          (match c.slot with
+           | Some (key, _) when serving c -> c.slot <- Some (key, orig)
+           | _ -> ());
+          c.installed <- None;
+          c.status <- Inactive;
+          Some (name, Reverted))
+    t.hooks
 
-let deoptimize t = List.iter (deoptimize_slot t) t.hooks
-
-(* The status {!render} shows: "active" only while the optimized program
-   is still the one the slot serves; a reload that replaced the slot's
-   program demotes it to stale. *)
-let opt_status_line t (name, Hook (_, c)) =
-  ( name,
-    match Hashtbl.find_opt t.opt_status name with
-    | None -> "none"
-    | Some s -> (
-        match Hashtbl.find_opt t.opt_installed name, c.slot with
-        | Some (_, q), Some (_, cur) when cur == q -> s
-        | Some _, _ -> "stale (policy changed)"
-        | None, _ -> s) )
-
-let opt_statuses t = List.map (opt_status_line t) t.hooks
+(* The stored status, unless the slot no longer serves the installed
+   program: a reload that replaced it demotes the hook to [Stale],
+   whatever the gate said since. *)
+let statuses t =
+  List.map
+    (fun (name, Hook (_, c)) ->
+      ( name,
+        if Option.is_some c.installed && not (serving c) then Stale
+        else c.status ))
+    t.hooks
 
 (* --- hook decisions ---------------------------------------------------- *)
 
@@ -417,34 +435,19 @@ let render t =
     (stats t);
   List.iter
     (fun (name, status) ->
-      Buffer.add_string b (Printf.sprintf "opt %s %s\n" name status))
-    (opt_statuses t);
+      Buffer.add_string b
+        (Printf.sprintf "opt %s %s\n" name (status_to_string status)))
+    (statuses t);
   Buffer.add_string b (Printf.sprintf "opt_rejects %d\n" t.opt_rejects);
   Buffer.contents b
 
 let handle_write t contents =
   match String.trim contents with
-  | "reset" -> reset_stats t; Ok ()
-  | "engine pfm" -> t.engine <- `Pfm; Ok ()
-  | "engine ref" -> t.engine <- `Ref; Ok ()
-  | "optimize" ->
-      (* Gate rejections are not write errors: the original program
-         keeps serving and the rejection is audited via the opt log. *)
-      ignore (optimize t : (string * string) list);
-      Ok ()
-  | "deoptimize" -> deoptimize t; Ok ()
+  | "reset" -> reset_stats t; Ok []
+  | "engine pfm" -> t.engine <- `Pfm; Ok []
+  | "engine ref" -> t.engine <- `Ref; Ok []
+  (* Gate rejections are not write errors: the original program keeps
+     serving and the rejection is among the outcomes. *)
+  | "optimize" -> Ok (optimize t)
+  | "deoptimize" -> Ok (deoptimize t)
   | other -> Error ("filter_stats: unknown command: " ^ other)
-
-(* --- /proc/protego/cache_stats ------------------------------------------ *)
-
-let render_cache t = Decision_cache.render (cache t)
-let handle_cache_write t contents = Decision_cache.handle_write (cache t) contents
-
-(* --- /proc/protego/trace and /proc/protego/latency ---------------------- *)
-
-let render_trace t = Trace.render_trace (trace t)
-let handle_trace_write t contents = Trace.handle_trace_write (trace t) contents
-let render_latency t = Trace.render_latency (trace t)
-
-let handle_latency_write t contents =
-  Trace.handle_latency_write (trace t) contents

@@ -119,27 +119,64 @@ val cached_program : t -> string -> Protego_filter.Pfm.program option
     [optimize] runs {!Protego_filter.Pfm_opt.optimize} over every hook's
     cached program and gates each rewrite on {!Protego_filter.Pfm.verify}
     {e and} a {!Protego_analysis.Pfm_equiv.prove} equivalence proof
-    before installing it in the program cache.  A refuted or unproven
-    rewrite is never installed: the original program keeps serving, the
-    rejection counter is bumped, and a line is queued on the opt log for
-    the caller (the LSM's /proc handler) to push to dmesg/audit.  A
-    policy reload replaces the slot's program with the new source's,
-    demoting a previously installed optimization to "stale" in
-    {!render}. *)
+    before installing it in the hook's program slot.  A refuted or
+    unproven rewrite is never installed: the original program keeps
+    serving and the rejection counter is bumped.  Each hook's slot
+    carries the optimizer's state — the (original, optimized) pair it
+    installed and the last gate result — and every call reports typed
+    per-hook {!outcome}s; the text forms come only from
+    {!outcome_to_string} and {!status_to_string}.  A policy reload
+    replaces the slot's program with the new source's, demoting a
+    previously installed optimization to {!Stale}. *)
 
-val optimize : t -> (string * string) list
-(** Per hook, in {!stats} order: what happened ("installed: ...",
-    "unchanged: ...", "rejected: ...", "skipped: no compiled program"). *)
+type status =
+  | Inactive  (** ["none"] *)
+  | Active of Protego_filter.Pfm_opt.report  (** ["active: <report>"] *)
+  | Refused of string  (** ["rejected: <reason>"]: the gate's last word *)
+  | Stale
+      (** ["stale (policy changed)"]: a reload replaced the program an
+          installed rewrite was built from.  Derived from the slot, never
+          stored; it shadows a later rejection until {!deoptimize}. *)
 
-val deoptimize : t -> unit
+type outcome =
+  | Installed of {
+      replaced : Protego_filter.Pfm.program;
+          (** the program the rewrite replaced, proved equal to it *)
+      report : Protego_filter.Pfm_opt.report;
+    }  (** ["installed: <report>"] *)
+  | Already_installed  (** ["unchanged: optimization already installed"] *)
+  | No_rewrite  (** ["unchanged: no profitable rewrite"] *)
+  | Rejected of string
+      (** ["rejected: <reason>"]: [verify: ...], [refuted: ...] or
+          [unproven: ...] *)
+  | Skipped  (** ["skipped: no compiled program"] *)
+  | Reverted  (** ["reverted"]: {!deoptimize} removed an install *)
+
+val outcome_to_string : outcome -> string
+(** The texts above; prefixed with ["opt <hook> "], the dmesg and audit
+    line of an {!audited} outcome. *)
+
+val audited : outcome -> bool option
+(** The audit result of an outcome the kernel logs ([false] only for
+    [Rejected]); [None] for one that changes nothing. *)
+
+val status_to_string : status -> string
+(** The texts above: the tail of a {!render} [opt] line. *)
+
+val optimize : t -> (string * outcome) list
+(** Per hook, in {!stats} order. *)
+
+val deoptimize : t -> (string * outcome) list
 (** Restore every hook whose slot still serves an installed optimized
-    program back to its original compiled program. *)
+    program back to its original compiled program, and forget every
+    install; one [Reverted] per hook that had one, in {!stats} order. *)
+
+val statuses : t -> (string * status) list
+(** Per hook, in {!stats} order: what the [opt] lines of {!render}
+    show. *)
 
 val opt_rejects : t -> int
 (** Rewrites the verify/prove gate has refused since [create]. *)
-
-val drain_opt_log : t -> string list
-(** Pending install/reject/revert lines, oldest first; clears the log. *)
 
 (** {1 Hook decisions} *)
 
@@ -234,43 +271,15 @@ val render : t -> string
     opt_rejects <n>
     v}
     with one [hook] and one [opt] line per filtered hook, in {!stats}
-    order ([mount], [umount], [bind], [nf_output], [ppp_ioctl]).  An
-    [opt] status is ["none"], ["active: ..."], ["rejected: ..."] or
-    ["stale (policy changed)"]. *)
+    order ([mount], [umount], [bind], [nf_output], [ppp_ioctl]); an
+    [opt] line's status is {!status_to_string} of {!statuses}. *)
 
-val handle_write : t -> string -> (unit, string) result
+val handle_write : t -> string -> ((string * outcome) list, string) result
 (** A write to the file: ["engine pfm"] or ["engine ref"] selects the
-    evaluating engine, ["reset"] zeroes every hook counter,
-    ["optimize"] runs {!optimize}, ["deoptimize"] runs {!deoptimize};
-    anything else is an [Error] (EINVAL from the /proc handler).
-    ["optimize"] returns [Ok] even when rewrites are rejected by the
-    proof gate — rejections are reported through {!render} and
-    {!drain_opt_log}, not as write errors. *)
-
-(** {1 /proc/protego/cache_stats} *)
-
-val render_cache : t -> string
-(** {!Decision_cache.render} of the dispatcher's cache; hook lines come
-    out in the {!stats} order. *)
-
-val handle_cache_write : t -> string -> (unit, string) result
-(** ["enable on"], ["enable off"], ["reset"]; anything else errors. *)
-
-(** {1 /proc/protego/trace} *)
-
-val render_trace : t -> string
-(** {!Trace.render_trace} of the dispatcher's tracer. *)
-
-val handle_trace_write : t -> string -> (unit, string) result
-(** {!Trace.handle_trace_write}: ["on"], ["off"], ["reset"],
-    ["capacity <n>"] ([n] at most {!Trace.max_span_capacity}); anything
-    else errors. *)
-
-(** {1 /proc/protego/latency} *)
-
-val render_latency : t -> string
-(** {!Trace.render_latency}: one line per (hook, engine) pair with
-    p50/p90/p99 and max. *)
-
-val handle_latency_write : t -> string -> (unit, string) result
-(** ["reset"]; anything else errors. *)
+    evaluating engine, ["reset"] zeroes every hook counter (both return
+    no outcomes), ["optimize"] runs {!optimize}, ["deoptimize"] runs
+    {!deoptimize} and returns their outcomes; anything else is an
+    [Error] (EINVAL from the /proc handler).  ["optimize"] returns [Ok]
+    even when rewrites are rejected by the proof gate: a rejection is
+    an outcome, shown by {!render} and audited by the caller, not a
+    write error. *)

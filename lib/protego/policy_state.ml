@@ -391,13 +391,7 @@ let file_acl_allows t ~path ~exe =
   | Some allowed -> Some (List.mem exe allowed)
   | None -> None
 
-(* Allocation-free prefix test: this runs on every file open. *)
-let has_prefix ~prefix s =
-  let plen = String.length prefix in
-  String.length s >= plen
-  &&
-  let rec go i = i >= plen || (s.[i] = prefix.[i] && go (i + 1)) in
-  go 0
-
 let needs_reauth_to_read t path =
-  List.exists (fun prefix -> has_prefix ~prefix path) t.reauth_read_prefixes
+  List.exists
+    (fun prefix -> String.starts_with ~prefix path)
+    t.reauth_read_prefixes

@@ -11,10 +11,6 @@ type t = {
   mutable self_writes : string list;  (* paths we write; ignore their events *)
 }
 
-let has_prefix ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
 let flag_to_opt = function
   | Mf_readonly -> "ro"
   | Mf_nosuid -> "nosuid"
@@ -216,15 +212,15 @@ let relevant_sync t path =
   else if path = "/etc/fstab" then Some sync_fstab
   else if
     path = "/etc/sudoers"
-    || has_prefix ~prefix:"/etc/sudoers.d/" path
-    || has_prefix ~prefix:"/etc/polkit-1/" path
+    || String.starts_with ~prefix:"/etc/sudoers.d/" path
+    || String.starts_with ~prefix:"/etc/polkit-1/" path
   then Some sync_sudoers
   else if path = "/etc/bind" then Some sync_bind
   else if path = "/etc/ppp/options" then Some sync_ppp
   else if
-    has_prefix ~prefix:"/etc/passwds/" path
-    || has_prefix ~prefix:"/etc/groups/" path
-    || has_prefix ~prefix:"/etc/shadows/" path
+    String.starts_with ~prefix:"/etc/passwds/" path
+    || String.starts_with ~prefix:"/etc/groups/" path
+    || String.starts_with ~prefix:"/etc/shadows/" path
   then Some sync_accounts
   else None
 

@@ -417,15 +417,17 @@ let pd_oracle =
             p.pd_seq
       | _ -> "")
 
-(* always (opt install => prior Equal proof): every installed rewrite
-   carried a matching install line from the proof-gated log. *)
+(* always (opt install => Equal proof): the program every install left
+   serving proves equal to the one it replaced, re-checked by the sim. *)
 let opt_proof_gated =
   always "opt-proof-gated" ~applies:opt_lane
     (fun _ e -> match e with Sim.E_opt o -> o.t_proved | _ -> true)
     ~why:(fun _ e ->
       match e with
       | Sim.E_opt o ->
-          Printf.sprintf "opt %s installed a rewrite without a proof log line"
+          Printf.sprintf
+            "opt %s installed a rewrite not proved equal to the program it \
+             replaced"
             o.t_label
       | _ -> "")
 

@@ -12,6 +12,7 @@ module Plane = Protego_plane.Plane
 module Snapshot = Protego_plane.Snapshot
 module J = Protego_journal.Journal
 module Pfm = Protego_filter.Pfm
+module Pfm_equiv = Protego_analysis.Pfm_equiv
 module Errno = Protego_base.Errno
 module Prng = Protego_workload.Prng
 module Workload = Protego_workload.Workload
@@ -747,15 +748,6 @@ let run_plane sp mode =
 
 (* --- opt lane ----------------------------------------------------------- *)
 
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
-
-let starts_with prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
 (* 64 singleton-port accepts over a Drop policy: the eq-cascade shape
    the switch conversion targets, so optimize really installs. *)
 let ofiller_rules =
@@ -817,25 +809,33 @@ let run_opt sp mode =
   let probes_done = ref 0 in
   (* One optimizer step: staleness is sampled {e before} [act] (an
      optimize that finds its previous install demoted records the
-     race), then [act] runs, the names it installed are kept, and each
-     must be proved in the drained optimizer log.  An edit or a
-     deoptimize acts first and steps with no action. *)
+     race), then [act] runs and the hooks it installed are kept.  Each
+     install is proved again here: the program the hook now serves must
+     be [Equal] to the one it replaced.  An edit or a deoptimize acts
+     first and steps with no action. *)
   let opt_step label act =
-    let stale = contains (PD.render disp) "stale" in
-    let installed =
+    let stale =
+      List.exists (function _, PD.Stale -> true | _ -> false)
+        (PD.statuses disp)
+    in
+    let installs =
       List.filter_map
-        (fun (n, s) -> if starts_with "installed" s then Some n else None)
+        (fun (n, o) ->
+          match o with
+          | PD.Installed { replaced; _ } -> Some (n, replaced)
+          | _ -> None)
         (act ())
     in
-    let logs = PD.drain_opt_log disp in
     let proved =
       List.for_all
-        (fun n ->
-          List.exists (fun l -> contains l ("opt " ^ n ^ " installed")) logs)
-        installed
+        (fun (n, replaced) ->
+          match PD.cached_program disp n with
+          | Some served -> Pfm_equiv.prove replaced served = Pfm_equiv.Equal
+          | None -> false)
+        installs
     in
-    emit (E_opt { t_label = label; t_installed = installed; t_stale = stale;
-                  t_proved = proved })
+    emit (E_opt { t_label = label; t_installed = List.map fst installs;
+                  t_stale = stale; t_proved = proved })
   in
   let no_action () = [] in
   let do_opt () =
@@ -853,7 +853,7 @@ let run_opt sp mode =
       incr opts_done;
       if !deopt then begin
         deopt := false;
-        PD.deoptimize disp;
+        ignore (PD.deoptimize disp : (string * PD.outcome) list);
         opt_step "deoptimize" no_action
       end
       else begin
@@ -937,7 +937,6 @@ let run_opt sp mode =
       done);
   (* Whatever the order, the settled chain must decide identically. *)
   if golden then do_probe ();
-  ignore (PD.drain_opt_log disp : string list);
   { x_spec = sp; x_script = List.rev !script_acc;
     x_trace = Array.of_list (List.rev !events); x_plane = None; x_run = 0;
     x_requests = requests; x_journal = []; x_dropped = 0 }

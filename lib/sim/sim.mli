@@ -134,7 +134,11 @@ type event =
       t_label : string;           (** O1/E2/O3, optimize, deoptimize *)
       t_installed : string list;  (** hooks whose rewrite was installed *)
       t_stale : bool;   (** a previously installed rewrite was stale *)
-      t_proved : bool;  (** every install had a matching proof log line *)
+      t_proved : bool;
+          (** the sim re-proved every install:
+              {!Protego_analysis.Pfm_equiv.prove} of the program each
+              hook now serves against the one its rewrite replaced
+              returned [Equal] *)
     }
   | E_nf of { n_port : int; n_ok : bool }   (** probe vs Netfilter.walk *)
   | E_pd of { pd_seq : int; pd_ok : bool }  (** dispatcher vs live oracle *)

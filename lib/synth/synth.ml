@@ -481,11 +481,14 @@ let synthesize ?(budget = 64) obs =
           emit_rule
             [ om; Netfilter.Proto Packet.Icmp ]
             (Printf.sprintf "synth %s icmp" oname);
-        (* tcp/udp: destination folding and port ranges under budget.  A
+        (* tcp/udp: ports are grouped by destination, so a rule admits
+           only its own destination's observed ports; port ranges and
+           destination folding are generalizations under budget.  A
            portless observation is a raw socket's hand-built payload:
            only a rule with no port match admits it, and that rule
            admits every port of its destinations too, so it costs the
-           unobserved rest of the port space or is excluded. *)
+           unobserved rest of each destination's port space or is
+           excluded. *)
         List.iter
           (fun proto ->
             let grp = List.filter (fun (_, p, _, _, _, _) -> p = proto) mine in
@@ -493,9 +496,16 @@ let synthesize ?(budget = 64) obs =
             let portless, ported =
               List.partition (fun (_, _, _, dp, _, _) -> dp = None) grp
             in
-            let ports =
+            let dsts_of g =
+              List.sort_uniq Ipaddr.compare
+                (List.map (fun (_, _, d, _, _, _) -> d) g)
+            in
+            let ports_at d =
               List.sort_uniq compare
-                (List.filter_map (fun (_, _, _, dp, _, _) -> dp) ported)
+                (List.filter_map
+                   (fun (_, _, d', dp, _, _) ->
+                     if Ipaddr.equal d d' then dp else None)
+                   ported)
             in
             let any_port =
               portless <> []
@@ -503,7 +513,9 @@ let synthesize ?(budget = 64) obs =
                    (Printf.sprintf
                       "nf %s %s dport any: %d portless payload(s)" oname pname
                       (List.length portless))
-                   (port_space - List.length ports)
+                   (List.fold_left
+                      (fun acc d -> acc + port_space - List.length (ports_at d))
+                      0 (dsts_of grp))
             in
             if not any_port then
               List.iter
@@ -514,75 +526,82 @@ let synthesize ?(budget = 64) obs =
                         every port, beyond the false-allow budget (budget)"
                        pname))
                 portless;
-            let grp = if any_port then grp else ported in
-            if grp <> [] then begin
-              let port_matches =
-                if any_port then [ [] ]
-                else
-                  List.map
-                    (fun (lo, hi) -> [ Netfilter.Dst_port { lo; hi } ])
-                    (match ports with
-                     | [] | [ _ ] -> List.map (fun p -> (p, p)) ports
-                     | ps ->
-                         let lo = List.hd ps in
-                         let hi = List.nth ps (List.length ps - 1) in
-                         let span = hi - lo + 1 in
-                         let cost = span - List.length ps in
-                         if
-                           cost > 0
-                           && try_step
-                                (Printf.sprintf
-                                   "nf %s %s dport %d-%d: range over %d \
-                                    observed ports"
-                                   oname pname lo hi (List.length ps))
-                                cost
-                         then [ (lo, hi) ]
-                         else
-                           (* consecutive observed ports merge for free *)
-                           let rec runs acc cur = function
-                             | [] -> List.rev (cur :: acc)
-                             | p :: rest ->
-                                 let l, h = cur in
-                                 if p = h + 1 then runs acc (l, p) rest
-                                 else runs (cur :: acc) (p, p) rest
-                           in
-                           runs [] (List.hd ps, List.hd ps) (List.tl ps))
-              in
-              let dsts =
-                List.sort_uniq Ipaddr.compare
-                  (List.map (fun (_, _, d, _, _, _) -> d) grp)
-              in
-              let dst_cidrs =
-                match dsts with
-                | [ d ] -> [ Ipaddr.Cidr.make d 32 ]
-                | ds ->
-                    let c24s =
-                      List.sort_uniq compare
-                        (List.map
-                           (fun d ->
-                             Ipaddr.Cidr.to_string (Ipaddr.Cidr.make d 24))
-                           ds)
+            (* One destination's port ranges: its observed ports, merged
+               when consecutive (free) or spanned by one range (the
+               unobserved ports in between, from the budget). *)
+            let port_ranges d =
+              match ports_at d with
+              | ([] | [ _ ]) as ps -> List.map (fun p -> (p, p)) ps
+              | ps ->
+                  let lo = List.hd ps in
+                  let hi = List.nth ps (List.length ps - 1) in
+                  let span = hi - lo + 1 in
+                  let cost = span - List.length ps in
+                  if
+                    cost > 0
+                    && try_step
+                         (Printf.sprintf
+                            "nf %s %s %s dport %d-%d: range over %d \
+                             observed ports"
+                            oname pname (Ipaddr.to_string d) lo hi
+                            (List.length ps))
+                         cost
+                  then [ (lo, hi) ]
+                  else
+                    let rec runs acc cur = function
+                      | [] -> List.rev (cur :: acc)
+                      | p :: rest ->
+                          let l, h = cur in
+                          if p = h + 1 then runs acc (l, p) rest
+                          else runs (cur :: acc) (p, p) rest
                     in
-                    if
-                      List.length c24s = 1
-                      && try_step
-                           (Printf.sprintf
-                              "nf %s %s dst %s: /24 over %d observed hosts"
-                              oname pname (List.hd c24s) (List.length ds))
-                           (max 0 (cidr24_space - List.length ds))
-                    then [ Ipaddr.Cidr.make (List.hd ds) 24 ]
-                    else List.map (fun d -> Ipaddr.Cidr.make d 32) ds
-              in
-              List.iter
-                (fun c ->
-                  List.iter
-                    (fun pm ->
-                      emit_rule
-                        ([ om; Netfilter.Proto proto; Netfilter.Dst c ] @ pm)
-                        (Printf.sprintf "synth %s %s" oname pname))
-                    port_matches)
-                dst_cidrs
-            end)
+                    runs [] (List.hd ps, List.hd ps) (List.tl ps)
+            in
+            let dsts = dsts_of (if any_port then grp else ported) in
+            (* (ports admitted, port matches) per destination *)
+            let per_dst =
+              List.map
+                (fun d ->
+                  if any_port then (d, port_space, [ [] ])
+                  else
+                    let rs = port_ranges d in
+                    ( d,
+                      List.fold_left (fun a (lo, hi) -> a + hi - lo + 1) 0 rs,
+                      List.map
+                        (fun (lo, hi) -> [ Netfilter.Dst_port { lo; hi } ])
+                        rs ))
+                dsts
+            in
+            (* Hosts of one /24 that admit the same ports fold into one
+               block; every unobserved host admits all of those ports. *)
+            let blocks =
+              match per_dst with
+              | (d0, width, pms) :: (_ :: _ as rest)
+                when List.for_all
+                       (fun (d, _, pms') ->
+                         pms' = pms && Ipaddr.Cidr.(mem d (make d0 24)))
+                       rest
+                     && try_step
+                          (Printf.sprintf
+                             "nf %s %s dst %s: /24 over %d observed hosts" oname
+                             pname
+                             (Ipaddr.Cidr.to_string (Ipaddr.Cidr.make d0 24))
+                             (List.length dsts))
+                          (max 0 (cidr24_space - List.length dsts) * width) ->
+                  [ (Ipaddr.Cidr.make d0 24, pms) ]
+              | _ ->
+                  List.map (fun (d, _, pms) -> (Ipaddr.Cidr.make d 32, pms))
+                    per_dst
+            in
+            List.iter
+              (fun (c, pms) ->
+                List.iter
+                  (fun pm ->
+                    emit_rule
+                      ([ om; Netfilter.Proto proto; Netfilter.Dst c ] @ pm)
+                      (Printf.sprintf "synth %s %s" oname pname))
+                  pms)
+              blocks)
           [ Packet.Tcp; Packet.Udp ];
         (* other protocols: exact *)
         List.iter

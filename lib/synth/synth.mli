@@ -18,7 +18,9 @@
       (fstype wildcard, device glob, port range, CIDR block, the
       any-port rule a raw socket's portless TCP/UDP payload needs)
       carries a measured admitted-but-unobserved volume and is applied
-      only while the running total fits the budget;
+      only while the running total fits the budget (netfilter ports are
+      grouped by destination, so every admitted (destination, port)
+      pair is observed or counted in an applied step);
     - carry {b downward-closed phase guards} ([phase<=p] for the widest
       observed phase, [Always] when observed through the final phase) —
       PL-PH001 cannot fire on synthesized output by construction;

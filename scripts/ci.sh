@@ -126,6 +126,15 @@ fast_tier() {
             echo "$sym: symbol not found (no nm, or a stripped binary)"
         fi
     done
+
+    # Source size per top-level directory, so a change's line delta is
+    # on record in its CI log.  Informational only; never fails the job.
+    echo "==> *.ml/*.mli line counts"
+    for dir in lib bin bench lsmbench test; do
+        lines=$(find "$dir" \( -name '*.ml' -o -name '*.mli' \) -exec cat {} + \
+            2>/dev/null | wc -l) || true
+        echo "$dir: ${lines:-?} lines"
+    done
 }
 
 full_tier() {

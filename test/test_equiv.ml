@@ -335,12 +335,16 @@ let test_dispatch_gate () =
   let probes = [ 7; 22; 40000; 40063; 1023; 515 ] in
   DC.set_enabled (PD.cache disp) false;
   let before = List.map decide probes in
-  (match PD.handle_write disp "optimize" with
-   | Ok () -> ()
-   | Error e -> Alcotest.fail ("optimize write refused: " ^ e));
-  let log = PD.drain_opt_log disp in
-  Alcotest.(check bool) "install logged" true
-    (List.exists (fun l -> contains l "opt nf_output installed:") log);
+  let write cmd =
+    match PD.handle_write disp cmd with
+    | Ok outcomes -> outcomes
+    | Error e -> Alcotest.fail (cmd ^ " write refused: " ^ e)
+  in
+  let outcomes = write "optimize" in
+  Alcotest.(check bool) "install reported" true
+    (match List.assoc "nf_output" outcomes with
+     | PD.Installed _ -> true
+     | _ -> false);
   Alcotest.(check bool) "status active" true
     (contains (PD.render disp) "opt nf_output active:");
   let after = List.map decide probes in
@@ -357,6 +361,13 @@ let test_dispatch_gate () =
                ~origin:Packet.Kernel_stack))
     probes after;
   Alcotest.(check int) "no rejects" 0 (PD.opt_rejects disp);
+  (* No chain here makes the gate refuse a rewrite; what a refusal
+     reports is pinned on the value the kernel's writer reads. *)
+  let refusal = PD.Rejected "unproven: budget" in
+  Alcotest.(check string) "a rejection's text" "rejected: unproven: budget"
+    (PD.outcome_to_string refusal);
+  Alcotest.(check (option bool)) "a rejection is audited as a denial"
+    (Some false) (PD.audited refusal);
   (* A policy reload must demote the installed optimization to stale. *)
   Netfilter.flush nf Netfilter.Output;
   List.iter (Netfilter.append nf Netfilter.Output) (nf_filler_rules 64);
@@ -364,15 +375,9 @@ let test_dispatch_gate () =
   Alcotest.(check bool) "stale after reload" true
     (contains (PD.render disp) "opt nf_output stale (policy changed)");
   (* Re-optimize the fresh compile, then deoptimize back to the original. *)
-  (match PD.handle_write disp "optimize" with
-   | Ok () -> ()
-   | Error e -> Alcotest.fail ("re-optimize write refused: " ^ e));
-  (match PD.handle_write disp "deoptimize" with
-   | Ok () -> ()
-   | Error e -> Alcotest.fail ("deoptimize write refused: " ^ e));
-  let log = PD.drain_opt_log disp in
-  Alcotest.(check bool) "revert logged" true
-    (List.exists (fun l -> contains l "opt nf_output reverted") log);
+  ignore (write "optimize" : (string * PD.outcome) list);
+  Alcotest.(check bool) "revert reported" true
+    (List.assoc_opt "nf_output" (write "deoptimize") = Some PD.Reverted);
   Alcotest.(check bool) "status none after revert" true
     (contains (PD.render disp) "opt nf_output none");
   let restored = List.map decide probes in

@@ -243,6 +243,121 @@ let test_filter_stats_proc () =
        (fun _ -> ())
        (Syscall.read_file m alice "/proc/protego/filter_stats"))
 
+(* The optimizer through the kernel: [/proc/protego/filter_stats]
+   writes only, over an unprivileged raw socket's OUTPUT chain heated by
+   [sendto].  Each step pins the file's text, the [protego: opt] dmesg
+   lines and the [op=filter-opt] audit records the write left. *)
+let test_filter_opt_kernel_path () =
+  let module Netfilter = Protego_net.Netfilter in
+  let module Packet = Protego_net.Packet in
+  let module Ipaddr = Protego_net.Ipaddr in
+  let img = Image.build Image.Protego in
+  let m = img.Image.machine in
+  let root = Image.login img "root" in
+  let alice = Image.login img "alice" in
+  let nf = m.netfilter in
+  Netfilter.flush nf Netfilter.Output;
+  Netfilter.set_policy nf Netfilter.Output Netfilter.Drop;
+  for i = 0 to 63 do
+    Netfilter.append nf Netfilter.Output
+      { Netfilter.matches =
+          [ Netfilter.Dst_port { lo = 40000 + i; hi = 40000 + i };
+            Netfilter.Proto Packet.Tcp ];
+        target = Netfilter.Accept; comment = "" }
+  done;
+  let fd =
+    Syntax.expect_ok "raw socket" (Syscall.socket m alice Af_inet Sock_raw 6)
+  in
+  let dst = Ipaddr.v 10 0 0 1 in
+  let send dport =
+    let pkt =
+      { Packet.src = Ipaddr.v 10 0 0 2; dst; ttl = 64;
+        transport =
+          Packet.Tcp_seg
+            { src_port = 5000; dst_port = dport; syn = false; payload = "" } }
+    in
+    ignore (Syscall.sendto m alice fd dst 0 (Packet.encode pkt))
+  in
+  let heat () = for d = 1 to 300 do send d done in
+  let write cmd =
+    Syntax.expect_ok cmd
+      (Syscall.write_file m root "/proc/protego/filter_stats" (cmd ^ "\n"))
+  in
+  let since seen lines =
+    let fresh = List.filteri (fun i _ -> i >= !seen) lines in
+    seen := List.length lines;
+    fresh
+  in
+  let dmesg_seen = ref 0 and audit_seen = ref 0 in
+  let stats nf_line status =
+    String.concat ""
+      [ "engine pfm\n";
+        "hook mount evals 0 allow 0 deny 0 reject 0 invalidations 0 insns 0\n";
+        "hook umount evals 0 allow 0 deny 0 reject 0 invalidations 0 insns 0\n";
+        "hook bind evals 0 allow 0 deny 0 reject 0 invalidations 0 insns 0\n";
+        "hook nf_output " ^ nf_line ^ "\n";
+        "hook ppp_ioctl evals 0 allow 0 deny 0 reject 0 invalidations 0 \
+         insns 0\n";
+        "opt mount none\nopt umount none\nopt bind none\n";
+        "opt nf_output " ^ status ^ "\n";
+        "opt ppp_ioctl none\nopt_rejects 0\n" ]
+  in
+  let step label act ~nf_line ~status ~logged =
+    act ();
+    Alcotest.(check string) (label ^ ": filter_stats") (stats nf_line status)
+      (Syntax.expect_ok "read"
+         (Syscall.read_file m root "/proc/protego/filter_stats"));
+    Alcotest.(check (list string)) (label ^ ": dmesg")
+      (List.map (fun l -> "protego: " ^ l) logged)
+      (since dmesg_seen
+         (List.filter (String.starts_with ~prefix:"protego: opt")
+            (Machine.dmesg m)));
+    Alcotest.(check (list string)) (label ^ ": audit")
+      (List.map
+         (fun l ->
+           "type=GRANT msg=audit(1000): pid=3 uid=0 op=filter-opt obj=" ^ l
+           ^ " res=success engine=pfm")
+         logged)
+      (since audit_seen
+         (List.filter
+            (fun l -> contains l "op=filter-opt")
+            (String.split_on_char '\n'
+               (Syntax.expect_ok "audit"
+                  (Syscall.read_file m root "/proc/protego/audit")))))
+  in
+  let first = "321 -> 195 insns; eq-switch (field 4, 64 keys)"
+  and second = "324 -> 196 insns; eq-switch (field 4, 65 keys)" in
+  let heated = "evals 300 allow 0 deny 300 reject 0 invalidations 0 insns 38700"
+  and edited = "evals 301 allow 1 deny 300 reject 0 invalidations 1 insns 38703"
+  and reheated =
+    "evals 600 allow 1 deny 599 reject 0 invalidations 1 insns 39600"
+  in
+  heat ();
+  step "optimize" (fun () -> write "optimize") ~nf_line:heated
+    ~status:("active: " ^ first)
+    ~logged:[ "opt nf_output installed: " ^ first ];
+  step "optimize again" (fun () -> write "optimize") ~nf_line:heated
+    ~status:("active: " ^ first) ~logged:[];
+  (* A chain edit: the next packet reloads the slot, demoting the
+     install. *)
+  step "edit"
+    (fun () ->
+      Netfilter.insert nf Netfilter.Output
+        { Netfilter.matches = [ Netfilter.Dst_port { lo = 7; hi = 7 } ];
+          target = Netfilter.Accept; comment = "" };
+      send 7)
+    ~nf_line:edited ~status:"stale (policy changed)" ~logged:[];
+  step "optimize the edited chain" (fun () -> write "optimize")
+    ~nf_line:edited ~status:("active: " ^ second)
+    ~logged:[ "opt nf_output installed: " ^ second ];
+  step "reheat and optimize"
+    (fun () -> heat (); write "optimize")
+    ~nf_line:reheated ~status:("active: " ^ second) ~logged:[];
+  step "deoptimize" (fun () -> write "deoptimize") ~nf_line:reheated
+    ~status:"none" ~logged:[ "opt nf_output reverted" ];
+  step "deoptimize again" (fun () -> write "deoptimize") ~nf_line:reheated
+    ~status:"none" ~logged:[]
+
 (* --- the program store ---------------------------------------------------- *)
 
 module PS = Protego_core.Policy_state
@@ -359,6 +474,8 @@ let suites =
           test_dispatch_stats_and_cache;
         Alcotest.test_case "/proc/protego/filter_stats" `Quick
           test_filter_stats_proc;
+        Alcotest.test_case "filter_stats optimizer: text, dmesg and audit"
+          `Quick test_filter_opt_kernel_path;
         Alcotest.test_case "bare bump keeps the program" `Quick
           test_bare_bump_keeps_program ]);
     ("filter:store",

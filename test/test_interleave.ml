@@ -268,14 +268,13 @@ let test_opt_storm_schedule () =
            let cmd = if !deopt then "deoptimize" else "optimize" in
            deopt := not !deopt;
            (match PD.handle_write disp cmd with
-            | Ok () -> ()
+            | Ok (_ : (string * PD.outcome) list) -> ()
             | Error e -> Alcotest.failf "toggle at %d: %s" i e)
        | _ -> ());
       if PD.decide disp st req <> Test_support.oracle st req then
         Alcotest.failf "opt storm verdict diverged from oracle at request %d" i)
     sched.Workload.s_requests;
-  check "all toggles consumed" true (!toggles = []);
-  ignore (PD.drain_opt_log disp : string list)
+  check "all toggles consumed" true (!toggles = [])
 
 let suites =
   [ ("cache:interleave",

@@ -654,8 +654,8 @@ let test_replay_differential () =
   let rr = run_with_reloads plane sched in
   check_int "audit complete" n (Array.length rr.Plane.rr_audit);
   Array.iteri
-    (fun i (a : Plane.audit_entry) ->
-      if a.Plane.a_seq <> i then Alcotest.failf "audit seq hole at %d" i)
+    (fun i (a : J.decision) ->
+      if a.J.d_seq <> i then Alcotest.failf "audit seq hole at %d" i)
     rr.Plane.rr_audit;
   (* Stitch the run straight out of the journal and check it against
      the fixed-policy oracle (storm reloads preserve semantics). *)

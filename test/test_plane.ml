@@ -367,13 +367,15 @@ let test_differential_domains () =
   (* Audit-spool integrity: exactly one record per request, in order. *)
   check_int "audit count" n (Array.length rr_par.Plane.rr_audit);
   Array.iteri
-    (fun i (a : Plane.audit_entry) ->
-      if a.Plane.a_seq <> i then Alcotest.failf "audit seq hole at %d" i;
+    (fun i (a : J.decision) ->
+      if a.J.d_seq <> i then Alcotest.failf "audit seq hole at %d" i;
       let req = sched.Workload.s_requests.(i) in
-      if a.Plane.a_hook <> Request.index req then
-        Alcotest.failf "audit hook mismatch at %d" i;
+      (match Request.of_journal ~subject:a.J.d_subject a.J.d_req with
+       | Some r when Request.index r = Request.index req -> ()
+       | _ -> Alcotest.failf "audit hook mismatch at %d" i);
+      (* verdict 3 = "recorded": served as an allow under record mode *)
       if
-        a.Plane.a_allowed
+        (a.J.d_verdict = 1 || a.J.d_verdict = 3)
         <> (rr_par.Plane.rr_outcomes.(i).Plane.o_verdict = Pfm.Allow)
       then Alcotest.failf "audit verdict mismatch at %d" i)
     rr_par.Plane.rr_audit;
@@ -430,8 +432,8 @@ let test_semantic_flip_never_torn () =
     rr.Plane.rr_outcomes;
   (* Audit epochs agree with outcome epochs. *)
   Array.iteri
-    (fun i (a : Plane.audit_entry) ->
-      if a.Plane.a_epoch <> rr.Plane.rr_outcomes.(i).Plane.o_epoch then
+    (fun i (a : J.decision) ->
+      if a.J.d_epoch <> rr.Plane.rr_outcomes.(i).Plane.o_epoch then
         Alcotest.failf "audit epoch mismatch at %d" i)
     rr.Plane.rr_audit
 

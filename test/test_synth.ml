@@ -456,6 +456,72 @@ let prop_budget =
       && r.Synth.r_used <= r.Synth.r_budget
       && r.Synth.r_budget = budget)
 
+(* At budget 0 no generalization is paid for, so the synthesized chain
+   admits an observed destination x observed port pair exactly when
+   that pair was observed: ports seen at one destination open nothing
+   at another. *)
+let prop_nf_pairs =
+  let module Packet = Protego_net.Packet in
+  let module Ipaddr = Protego_net.Ipaddr in
+  let module Netfilter = Protego_net.Netfilter in
+  let dsts =
+    [| Ipaddr.v 10 0 0 1; Ipaddr.v 10 0 0 9; Ipaddr.v 192 168 7 9;
+       Ipaddr.v 8 8 8 8 |]
+  and ports = [| 22; 53; 54; 80; 8080; 8081 |] in
+  QCheck2.Test.make
+    ~name:
+      "synth: at budget 0 the chain admits exactly the observed \
+       (destination, port) pairs"
+    ~count:200
+    ~print:
+      QCheck2.Print.(
+        pair
+          (fun p -> Packet.proto_to_string p)
+          (list (pair int int)))
+    QCheck2.Gen.(
+      pair (oneofl [ Packet.Tcp; Packet.Udp ])
+        (list_size (int_range 1 8) (pair (int_bound 3) (int_bound 5))))
+    (fun (proto, flows) ->
+      let obs =
+        List.map
+          (fun (d, p) ->
+            { Synth.ob_subject = 1000; ob_phase = 0;
+              ob_req =
+                J.Nf
+                  { origin = `Raw; proto; dst = dsts.(d);
+                    dport = Some ports.(p); icmp = None };
+              ob_count = 1; ob_recorded = 1 })
+          (List.sort_uniq compare flows)
+      in
+      let r = Synth.synthesize ~budget:0 obs in
+      let chain = Netfilter.create () in
+      Netfilter.set_policy chain Netfilter.Output r.Synth.r_nf_policy;
+      List.iter (Netfilter.append chain Netfilter.Output) r.Synth.r_nf_rules;
+      let accepts d p =
+        let transport =
+          match proto with
+          | Packet.Udp ->
+              Packet.Udp_dgram
+                { src_port = 5000; dst_port = ports.(p); payload = "" }
+          | _ ->
+              Packet.Tcp_seg
+                { src_port = 5000; dst_port = ports.(p); syn = false;
+                  payload = "" }
+        in
+        Netfilter.walk chain Netfilter.Output
+          { Packet.src = Ipaddr.v 10 0 0 2; dst = dsts.(d); ttl = 64;
+            transport }
+          ~origin:(Packet.Raw_app { uid = 1000 })
+        = Netfilter.Accept
+      in
+      let seen f = List.sort_uniq compare (List.map f flows) in
+      List.for_all
+        (fun d ->
+          List.for_all
+            (fun p -> accepts d p = List.mem (d, p) flows)
+            (seen snd))
+        (seen fst))
+
 (* --- the committed fixture ----------------------------------------------- *)
 
 (* dune runtest runs us in test/ (the stanza depends on the fixture);
@@ -509,4 +575,5 @@ let suites =
       [ Alcotest.test_case "downward-closed guards under a phase storm" `Quick
           test_phased_guards_downward_closed ] );
     ( "synth:properties",
-      [ QCheck_alcotest.to_alcotest ~long:false prop_budget ] ) ]
+      [ QCheck_alcotest.to_alcotest ~long:false prop_budget;
+        QCheck_alcotest.to_alcotest ~long:false prop_nf_pairs ] ) ]
