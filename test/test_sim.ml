@@ -93,6 +93,67 @@ let test_spec_roundtrip () =
    | Error _ -> ()
    | Ok _ -> Alcotest.fail "junk action token accepted")
 
+(* Traces pinned across versions: fixtures/sim/digests.txt holds the
+   digest of each seeded run's trace and script, one line per
+   (spec, seed), and each fixtures/sim/*.trace file one run in full.
+   fixtures/sim/gen.ml writes them. *)
+
+let sim_fixtures_dir =
+  List.find Sys.file_exists
+    [ Filename.concat "fixtures" "sim";
+      Filename.concat "test" (Filename.concat "fixtures" "sim") ]
+
+let read_lines path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () ->
+      String.split_on_char '\n' (really_input_string ic (in_channel_length ic)))
+
+let fixture_spec s =
+  match Sim.spec_of_string s with
+  | Ok sp -> sp
+  | Error e -> Alcotest.failf "fixture spec %s: %s" s e
+
+let test_pinned_traces () =
+  let digests =
+    List.filter (( <> ) "")
+      (read_lines (Filename.concat sim_fixtures_dir "digests.txt"))
+  in
+  check_int "240 pinned (spec, seed) runs" 240 (List.length digests);
+  List.iter
+    (fun line ->
+      match String.index_opt line ' ' with
+      | None -> Alcotest.failf "bad digest line %S" line
+      | Some i ->
+          let spec = String.sub line (i + 1) (String.length line - i - 1) in
+          let ctx = Sim.run (fixture_spec spec) Sim.Seeded in
+          check_string ("digest of " ^ spec) (String.sub line 0 i)
+            (Digest.to_hex
+               (Digest.string
+                  (Sim.trace_to_string ctx ^ "\n"
+                  ^ Sim.script_to_string ctx.Sim.x_script))))
+    digests;
+  let traces =
+    List.filter
+      (fun f -> Filename.check_suffix f ".trace")
+      (Array.to_list (Sys.readdir sim_fixtures_dir))
+  in
+  check_bool "full traces present" true (List.length traces >= 5);
+  List.iter
+    (fun f ->
+      match read_lines (Filename.concat sim_fixtures_dir f) with
+      | spec :: script :: trace ->
+          let spec = String.sub spec 5 (String.length spec - 5) in
+          let ctx = Sim.run (fixture_spec spec) Sim.Seeded in
+          check_string (f ^ ": script") script
+            ("script " ^ Sim.script_to_string ctx.Sim.x_script);
+          check_string (f ^ ": trace")
+            (String.concat "\n" trace)
+            (Sim.trace_to_string ctx ^ "\n")
+      | _ -> Alcotest.failf "%s: truncated trace fixture" f)
+    traces
+
 (* --- sim:sweep — seeded schedules against the property registry --------- *)
 
 let sweep name sp ~from ~seeds =
@@ -304,7 +365,9 @@ let suites =
        Alcotest.test_case "scripted replay reproduces the seeded run" `Quick
          test_scripted_replay_matches_seeded;
        Alcotest.test_case "spec and script codecs round-trip" `Quick
-         test_spec_roundtrip ]);
+         test_spec_roundtrip;
+       Alcotest.test_case "traces match the pinned fixture" `Quick
+         test_pinned_traces ]);
     ("sim:sweep",
      [ Alcotest.test_case "plane steady, 150 seeds" `Quick
          test_sweep_plane_steady;
