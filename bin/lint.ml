@@ -60,15 +60,7 @@ let whitelist_rules path =
 
 let load_accounts path =
   let users, groups = load "accounts" path Policy_state.parse_accounts in
-  { Lint.user_names =
-      List.map
-        (fun (u : Policy_state.account_user) ->
-          (u.Policy_state.au_name, u.Policy_state.au_uid))
-        users;
-    group_names =
-      List.map
-        (fun (g : Policy_state.account_group) -> g.Policy_state.ag_name)
-        groups }
+  Protego_core.Pfm_dispatch.lint_accounts users groups
 
 let load_chain spec =
   match String.index_opt spec '=' with

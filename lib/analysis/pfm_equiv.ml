@@ -36,10 +36,6 @@ let verdict_name = function
   | Pfm.Deny -> "deny"
   | Pfm.Reject -> "reject"
 
-let has_prefix ~prefix s =
-  let lp = String.length prefix in
-  String.length s >= lp && String.sub s 0 lp = prefix
-
 (* ------------------------------------------------------------------ *)
 (* Per-field constraints                                              *)
 (* ------------------------------------------------------------------ *)
@@ -85,8 +81,8 @@ let icon_mem c v = iv_mem v c.ib && icon_lits_mem c v
 
 let scon_mem c s =
   sv_mem s c.sb
-  && has_prefix ~prefix:c.pre s
-  && List.for_all (fun p -> not (has_prefix ~prefix:p s)) c.npre
+  && String.starts_with ~prefix:c.pre s
+  && List.for_all (fun p -> not (String.starts_with ~prefix:p s)) c.npre
 
 (* Emptiness-aware normalization.  None = definitely no concrete value
    satisfies the constraint.  Small ranges collapse to exact sets. *)
@@ -138,7 +134,7 @@ let norm_icon c =
 let norm_scon c =
   (* every value has prefix c.pre; a forbidden prefix of c.pre (or "")
      therefore empties the constraint *)
-  if List.exists (fun p -> has_prefix ~prefix:p c.pre) c.npre then None
+  if List.exists (fun p -> String.starts_with ~prefix:p c.pre) c.npre then None
   else
     match c.sb with
     | A.Sbot -> None
@@ -327,8 +323,8 @@ let refine_str_cond st f cond pol =
   | Pfm.Str_eq s, false ->
       fin (norm_scon { c with sb = A.smeet c.sb (A.Snot (A.SSet.singleton s)) })
   | Pfm.Str_prefix p, true ->
-      if has_prefix ~prefix:c.pre p then fin (norm_scon { c with pre = p })
-      else if has_prefix ~prefix:p c.pre then fin (norm_scon c)
+      if String.starts_with ~prefix:c.pre p then fin (norm_scon { c with pre = p })
+      else if String.starts_with ~prefix:p c.pre then fin (norm_scon c)
       else None
   | Pfm.Str_prefix p, false ->
       if p = "" then None

@@ -99,6 +99,10 @@ val verify_all : program -> (unit, verify_error list) result
 
 val verify_error_to_string : verify_error -> string
 
+val successors : int -> insn -> int list
+(** [successors pc insn]: the program counters control can reach next
+    from [insn] at [pc], jump offsets resolved ([Ret] has none). *)
+
 (** {1 Evaluation} *)
 
 val eval : program -> ctx -> verdict

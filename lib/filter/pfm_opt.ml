@@ -109,23 +109,12 @@ let encode ~name ~n_int_fields ~n_str_fields items =
 (* CFG helpers                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let successors insns pc =
-  match insns.(pc) with
-  | Pfm.Ld_int _ | Pfm.Ld_str _ -> [ pc + 1 ]
-  | Pfm.Jmp d -> [ pc + 1 + d ]
-  | Pfm.Jif (_, jt, jf) -> [ pc + 1 + jt; pc + 1 + jf ]
-  | Pfm.Iswitch { tbl; default } ->
-      (pc + 1 + default) :: Hashtbl.fold (fun _ d acc -> (pc + 1 + d) :: acc) tbl []
-  | Pfm.Sswitch { tbl; default } ->
-      (pc + 1 + default) :: Hashtbl.fold (fun _ d acc -> (pc + 1 + d) :: acc) tbl []
-  | Pfm.Ret _ -> []
-
 let compute_preds insns =
   let n = Array.length insns in
   let p = Array.make n [] in
   for pc = 0 to n - 1 do
     List.iter (fun s -> if s >= 0 && s < n then p.(s) <- pc :: p.(s))
-      (successors insns pc)
+      (Pfm.successors pc insns.(pc))
   done;
   p
 

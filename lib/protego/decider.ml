@@ -208,14 +208,13 @@ let miss d h env ~raw ~engine =
   let stages = if sp then ("table", offset d) :: stages else stages in
   let v, k, stages =
     match found with
-    | Some (v, _) ->
+    | Some v ->
         d.last_engine <- J.engine_cache;
         (v, h.k_cache, stages)
     | None ->
         let v = h.eval env engine ~phase:d.p_ph raw in
         evaluated h.stats v;
-        DC.add d.cache h.ch ~subject ~key ~gen:d.p_gen ~verdict:v
-          ~errno:(errno h.kind v);
+        DC.add d.cache h.ch ~subject ~key ~gen:d.p_gen ~verdict:v;
         let k =
           match engine with
           | `Pfm -> d.last_engine <- J.engine_pfm; h.k_pfm

@@ -115,7 +115,7 @@ type entry = {
   e_key : string;
   mutable e_gen : int;
   (* what [find] returns on a hit, built once when the verdict is stored *)
-  mutable e_found : (Pfm.verdict * Errno.t option) option;
+  mutable e_found : Pfm.verdict option;
   (* intrusive LRU ring through the table's sentinel: [prev] is more
      recent, [next] less *)
   mutable e_prev : entry;
@@ -288,9 +288,9 @@ let insert t hook ~subject ~key h ~gen ~found =
   push_front t e;
   t.size <- t.size + 1
 
-let add t hook ~subject ~key ~gen ~verdict ~errno =
+let add t hook ~subject ~key ~gen ~verdict =
   if t.enabled then begin
-    let found = Some (verdict, errno) in
+    let found = Some verdict in
     if
       t.m_key == key && t.m_stamp = key.Key.stamp && t.m_hid = hook.hid
       && t.m_subject = subject

@@ -3,8 +3,8 @@
 
     A filtered hook's decision is a pure function of (policy sources it
     reads, subject credential key, argument tuple), so its verdict is
-    memoized — positive (Allow) and negative (Deny/Reject, with the errno
-    the hook would return) alike.
+    memoized — positive (Allow) and negative (Deny/Reject) alike.  Only
+    the verdict is stored: the hook derives its errno from it.
 
     {b Keys are the raw arguments, encoded.}  An entry is keyed by the
     hook, the subject and a {!Key}: the caller's argument tuple written as
@@ -93,10 +93,9 @@ val set_enabled : t -> bool -> unit
 
 val find :
   t -> hook -> subject:int -> key:Key.t -> gen:int ->
-  (Pfm.verdict * Protego_base.Errno.t option) option
-(** [Some (verdict, errno)] on a fresh hit ([errno] is the value the hook
-    returns on a denial; [None] for Allow or verdicts without an errno);
-    a hit allocates nothing.  [None] on a miss — including a generation
+  Pfm.verdict option
+(** [Some verdict] on a fresh hit; a hit allocates nothing.  The cache
+    keeps no errno: the hook derives it from the verdict.  [None] on a miss — including a generation
     mismatch ([gen] is not the one the entry was stamped with), which
     also evicts the stale entry and counts under [stale].  The caller
     owns [key] and may reuse it across calls; it is copied on insertion,
@@ -104,7 +103,7 @@ val find :
 
 val add :
   t -> hook -> subject:int -> key:Key.t -> gen:int ->
-  verdict:Pfm.verdict -> errno:Protego_base.Errno.t option -> unit
+  verdict:Pfm.verdict -> unit
 (** Insert (or refresh) the memo for a decision just computed by an
     engine.  Evicts the least-recently-used entry when at capacity.  Right
     after a {!find} of the same, unrewritten [key] for the same hook and

@@ -365,23 +365,22 @@ let decide_nf_output t nf pkt ~origin =
 
 (* --- load-time policy lint --------------------------------------------- *)
 
+let lint_accounts users groups =
+  { Policy_lint.user_names =
+      List.map
+        (fun (u : Policy_state.account_user) ->
+          (u.Policy_state.au_name, u.Policy_state.au_uid))
+        users;
+    group_names =
+      List.map (fun (g : Policy_state.account_group) -> g.Policy_state.ag_name)
+        groups }
+
 let lint_input ?(chains = []) (st : Policy_state.t) =
   {
     Policy_lint.mounts = List.map Policy_state.filter_rule st.Policy_state.mounts;
     binds = st.Policy_state.binds;
     delegation = st.Policy_state.delegation;
-    accounts =
-      {
-        Policy_lint.user_names =
-          List.map
-            (fun (u : Policy_state.account_user) ->
-              (u.Policy_state.au_name, u.Policy_state.au_uid))
-            st.Policy_state.users;
-        group_names =
-          List.map
-            (fun (g : Policy_state.account_group) -> g.Policy_state.ag_name)
-            st.Policy_state.groups;
-      };
+    accounts = lint_accounts st.Policy_state.users st.Policy_state.groups;
     ppp = Some st.Policy_state.ppp;
     chains;
   }

@@ -223,6 +223,12 @@ val decide_nf_output :
 
 (** {1 Load-time policy lint} *)
 
+val lint_accounts :
+  Policy_state.account_user list -> Policy_state.account_group list ->
+  Protego_analysis.Policy_lint.accounts
+(** The lint engine's view of the accounts source: user names with
+    their uids, and group names. *)
+
 val lint_input :
   ?chains:
     (string * Protego_net.Netfilter.rule list * Protego_net.Netfilter.verdict)

@@ -409,6 +409,67 @@ let golden_opt_scripts =
          in
          (name, script))
 
+(* --- the scheduler --------------------------------------------------------
+
+   One driver runs every lane.  A lane supplies two functions:
+   - [ready a] is [Some run] when action [a] can run now, [run] being
+     its effect.  The guard reads lane state only: a budget that only
+     seeded runs keep is not part of it.
+   - [offers ()] lists what a seeded run may draw next: a weight and a
+     generator that draws the action's target from the stream, built
+     over [ready] with {!offer} and {!offer_any}, so nothing is offered
+     that cannot run.  Seeded budgets (the fault pool, the golden opt
+     lane's probe cap) live here, spent by the generator ({!spending}).
+   [Scripted] runs each action that is ready and skips the rest;
+   [Seeded] draws an offer by weight and runs it until nothing is
+   offered.  Both record exactly the actions that ran, so a recorded
+   script replays its run. *)
+
+let drive sp mode ~ready ~offers =
+  let ran = ref [] in
+  let step a =
+    match ready a with
+    | Some run ->
+        run ();
+        ran := a :: !ran;
+        true
+    | None -> false
+  in
+  (match mode with
+  | Scripted script -> List.iter (fun a -> ignore (step a : bool)) script
+  | Seeded ->
+      let rng = Prng.create sp.sp_seed in
+      let rec pick r = function
+        | [] -> assert false
+        | (w, gen) :: rest -> if r < w then gen else pick (r - w) rest
+      in
+      let rec loop () =
+        (* walked last-listed first: the order the pinned traces hold *)
+        match List.rev (offers ()) with
+        | [] -> ()
+        | offered ->
+            let total = List.fold_left (fun acc (w, _) -> acc + w) 0 offered in
+            let a = pick (Prng.int rng total) offered rng in
+            if not (step a) then
+              invalid_arg ("Sim.drive: offered " ^ action_to_string a);
+            loop ()
+      in
+      loop ());
+  List.rev !ran
+
+(* [a] with weight [w] if it can run now. *)
+let offer ready w a = if Option.is_some (ready a) then [ (w, fun _ -> a) ] else []
+
+(* A uniform draw among the [acts] that can run now, with weight [w]. *)
+let offer_any ready w acts =
+  match List.filter (fun a -> Option.is_some (ready a)) acts with
+  | [] -> []
+  | elig -> [ (w, fun rng -> List.nth elig (Prng.int rng (List.length elig))) ]
+
+(* The offers, each spending a seeded budget when drawn. *)
+let spending spend =
+  List.map (fun (w, gen) -> (w, fun rng -> spend (); gen rng))
+
 (* --- plane lane --------------------------------------------------------- *)
 
 let verdict_code = function Pfm.Allow -> 1 | Pfm.Deny -> 0 | Pfm.Reject -> 2
@@ -485,13 +546,20 @@ let run_plane sp mode =
   in
   let events = ref [] in
   let emit e = events := e :: !events in
-  let script_acc = ref [] in
-  let record a = script_acc := a :: !script_acc in
   let reload_done = ref 0 in
   let reload_cap = min sp.sp_reloads flip_count in
   let pending = ref false in
   let journal_dead = ref false in
   let can_decide w = w.pw_alive && w.pw_next < nreq in
+  (* A journal append that overruns kills the journal for the run. *)
+  let journal w ~seq req o =
+    match Plane.journal_decision plane ~worker:w.pw_id ~run:run_id ~seq req o with
+    | () -> true
+    | exception Failure _ ->
+        journal_dead := true;
+        emit (E_overrun { o_worker = w.pw_id });
+        false
+  in
   let do_decide ?(stale = false) ?(crash = false) w =
     let seq = w.pw_next in
     let req = requests.(seq) in
@@ -513,17 +581,11 @@ let run_plane sp mode =
         (false, true)
       end
       else if !journal_dead then (false, false)
-      else
-        match
-          Plane.journal_decision plane ~worker:w.pw_id ~run:run_id ~seq req o
-        with
-        | () ->
-            w.pw_last <- Some (seq, req, o);
-            (true, false)
-        | exception Failure _ ->
-            journal_dead := true;
-            emit (E_overrun { o_worker = w.pw_id });
-            (false, false)
+      else if journal w ~seq req o then begin
+        w.pw_last <- Some (seq, req, o);
+        (true, false)
+      end
+      else (false, false)
     in
     emit
       (E_decide
@@ -534,34 +596,17 @@ let run_plane sp mode =
            d_journaled = journaled; d_stale = stale; d_torn = torn });
     if crash then emit (E_crash { c_worker = w.pw_id })
   in
-  let do_reload kind =
-    let k = !reload_done in
-    incr reload_done;
-    let label = flip k in
-    emit (E_mutate { m_label = label });
-    match kind with
-    | `Now ->
-        let snap = Plane.publish plane in
-        emit (E_publish { p_epoch = snap.Snapshot.epoch })
-    | `Dropped -> ()
-    | `Delayed -> pending := true
-  in
-  let do_flush () =
-    pending := false;
+  let publish () =
     let snap = Plane.publish plane in
     emit (E_publish { p_epoch = snap.Snapshot.epoch })
   in
-  let do_dup w =
-    match w.pw_last with
-    | Some (seq, req, o) when not !journal_dead -> (
-        match
-          Plane.journal_decision plane ~worker:w.pw_id ~run:run_id ~seq req o
-        with
-        | () -> emit (E_dup { u_worker = w.pw_id; u_seq = seq })
-        | exception Failure _ ->
-            journal_dead := true;
-            emit (E_overrun { o_worker = w.pw_id }))
-    | _ -> ()
+  let mutate () =
+    let k = !reload_done in
+    incr reload_done;
+    emit (E_mutate { m_label = flip k })
+  in
+  let do_dup w (seq, req, o) =
+    if journal w ~seq req o then emit (E_dup { u_worker = w.pw_id; u_seq = seq })
   in
   (* Lifecycle steps target the generated workload's subject space;
      golden fixtures predate phases and never step. *)
@@ -573,9 +618,6 @@ let run_plane sp mode =
     s >= 0 && s < nsubjects
     && not
          (Phase.equal (Plane.subject_phase plane ~subject:s) Phase.final)
-  in
-  let phase_subjects () =
-    List.filter can_phase (List.init nsubjects (fun s -> s))
   in
   let do_phase s =
     let cur = Plane.subject_phase plane ~subject:s in
@@ -605,130 +647,68 @@ let run_plane sp mode =
     emit (E_flood { f_bytes = J.tail j - t0; f_overrun = !overrun });
     if !overrun then emit (E_overrun { o_worker = -1 })
   in
-  (match mode with
-  | Scripted script ->
-      List.iter
-        (fun a ->
-          let ok w = w >= 0 && w < workers in
-          match a with
-          | Decide w when ok w && can_decide pws.(w) ->
-              do_decide pws.(w);
-              record a
-          | Reload when !reload_done < reload_cap && not !pending ->
-              do_reload `Now;
-              record a
-          | Reload_dropped when !reload_done < reload_cap && not !pending ->
-              do_reload `Dropped;
-              record a
-          | Reload_delayed when !reload_done < reload_cap && not !pending ->
-              do_reload `Delayed;
-              record a
-          | Flush when !pending ->
-              do_flush ();
-              record a
-          | Crash w when ok w && can_decide pws.(w) ->
-              do_decide ~crash:true pws.(w);
-              record a
-          | Stale w when ok w && can_decide pws.(w) ->
-              do_decide ~stale:true pws.(w);
-              record a
-          | Dup w when ok w && pws.(w).pw_last <> None && not !journal_dead ->
-              do_dup pws.(w);
-              record a
-          | Flood when flood_term <> None && not !journal_dead ->
-              do_flood (Option.get flood_term);
-              record a
-          | Phase_step s when can_phase s ->
-              do_phase s;
-              record a
-          | Decide _ | Reload | Reload_dropped | Reload_delayed | Flush
-          | Crash _ | Stale _ | Dup _ | Flood | Opt | Probe | Phase_step _ ->
-              (* inexecutable here: skipped, and not recorded *)
-              ())
-        script
-  | Seeded ->
-      let rng = Prng.create sp.sp_seed in
-      let fault_pool =
-        ref
-          (List.concat_map (fun (k, n) -> List.init n (fun _ -> k)) sp.sp_faults)
-      in
-      let eligible pred =
-        Array.to_list pws |> List.filter pred
-      in
-      let fault_enabled = function
-        | F_crash | F_stale -> eligible can_decide <> []
-        | F_dup ->
-            (not !journal_dead)
-            && eligible (fun w -> w.pw_last <> None) <> []
-        | F_drop | F_delay -> !reload_done < reload_cap && not !pending
-        | F_wrap -> flood_term <> None && not !journal_dead
-      in
-      let pick_target pred =
-        let elig = eligible pred in
-        List.nth elig (Prng.int rng (List.length elig))
-      in
-      let continue = ref true in
-      while !continue do
-        let cands = ref [] in
-        let add w tag = cands := (w, tag) :: !cands in
-        List.iteri
-          (fun i k -> if fault_enabled k then add 1 (`Fault (i, k)))
-          !fault_pool;
-        if !pending then add 3 `Flush;
-        if !reload_done < reload_cap && not !pending then add 2 `Reload;
-        if phase_subjects () <> [] then add 2 `Phase;
-        Array.iter (fun w -> if can_decide w then add 8 (`Dec w)) pws;
-        let cands = !cands in
-        let total = List.fold_left (fun a (w, _) -> a + w) 0 cands in
-        if total = 0 then continue := false
-        else begin
-          let r = Prng.int rng total in
-          let rec pick acc = function
-            | [] -> assert false
-            | (w, tag) :: rest ->
-                if r < acc + w then tag else pick (acc + w) rest
-          in
-          match pick 0 cands with
-          | `Dec w ->
-              do_decide w;
-              record (Decide w.pw_id)
-          | `Reload ->
-              do_reload `Now;
-              record Reload
-          | `Flush ->
-              do_flush ();
-              record Flush
-          | `Phase ->
-              let elig = phase_subjects () in
-              let s = List.nth elig (Prng.int rng (List.length elig)) in
-              do_phase s;
-              record (Phase_step s)
-          | `Fault (i, k) ->
-              fault_pool := List.filteri (fun j _ -> j <> i) !fault_pool;
-              (match k with
-              | F_crash ->
-                  let w = pick_target can_decide in
-                  do_decide ~crash:true w;
-                  record (Crash w.pw_id)
-              | F_stale ->
-                  let w = pick_target can_decide in
-                  do_decide ~stale:true w;
-                  record (Stale w.pw_id)
-              | F_dup ->
-                  let w = pick_target (fun w -> w.pw_last <> None) in
-                  do_dup w;
-                  record (Dup w.pw_id)
-              | F_drop ->
-                  do_reload `Dropped;
-                  record Reload_dropped
-              | F_delay ->
-                  do_reload `Delayed;
-                  record Reload_delayed
-              | F_wrap ->
-                  do_flood (Option.get flood_term);
-                  record Flood)
-        end
-      done);
+  let worker w = if w >= 0 && w < workers then Some pws.(w) else None in
+  let deciding w =
+    match worker w with Some w when can_decide w -> Some w | _ -> None
+  in
+  let reloadable () = !reload_done < reload_cap && not !pending in
+  let ready = function
+    | Decide w -> Option.map (fun w () -> do_decide w) (deciding w)
+    | Crash w -> Option.map (fun w () -> do_decide ~crash:true w) (deciding w)
+    | Stale w -> Option.map (fun w () -> do_decide ~stale:true w) (deciding w)
+    | Dup w when not !journal_dead -> (
+        match worker w with
+        | Some ({ pw_last = Some last; _ } as w) -> Some (fun () -> do_dup w last)
+        | _ -> None)
+    | Reload when reloadable () ->
+        Some
+          (fun () ->
+            mutate ();
+            publish ())
+    | Reload_dropped when reloadable () -> Some mutate
+    | Reload_delayed when reloadable () ->
+        Some
+          (fun () ->
+            mutate ();
+            pending := true)
+    | Flush when !pending ->
+        Some
+          (fun () ->
+            pending := false;
+            publish ())
+    | Flood when not !journal_dead -> Option.map (fun t () -> do_flood t) flood_term
+    | Phase_step s when can_phase s -> Some (fun () -> do_phase s)
+    | Dup _ | Reload | Reload_dropped | Reload_delayed | Flush | Flood | Opt
+    | Probe | Phase_step _ ->
+        None
+  in
+  let offer = offer ready and offer_any = offer_any ready in
+  let each_worker mk = List.init workers mk in
+  (* Each injected fault instance is offered until it is drawn once. *)
+  let faults =
+    ref (List.concat_map (fun (k, n) -> List.init n (fun _ -> k)) sp.sp_faults)
+  in
+  let offer_fault = function
+    | F_crash -> offer_any 1 (each_worker (fun w -> Crash w))
+    | F_stale -> offer_any 1 (each_worker (fun w -> Stale w))
+    | F_dup -> offer_any 1 (each_worker (fun w -> Dup w))
+    | F_drop -> offer 1 Reload_dropped
+    | F_delay -> offer 1 Reload_delayed
+    | F_wrap -> offer 1 Flood
+  in
+  let offers () =
+    List.concat
+      (List.mapi
+         (fun i k ->
+           spending
+             (fun () -> faults := List.filteri (fun j _ -> j <> i) !faults)
+             (offer_fault k))
+         !faults
+      @ [ offer 3 Flush; offer 2 Reload;
+          offer_any 2 (List.init nsubjects (fun s -> Phase_step s)) ]
+      @ each_worker (fun w -> offer 8 (Decide w)))
+  in
+  let script = drive sp mode ~ready ~offers in
   (* The settle battery: in golden mode the scripts drive only the three
      interleaved batteries; whatever remains is decided in order on
      worker 0, mirroring the legacy harness's final probe pass. *)
@@ -741,7 +721,7 @@ let run_plane sp mode =
   Plane.sim_end plane;
   let j = Plane.journal plane in
   let jds = List.filter (fun d -> d.J.d_run = run_id) (J.decisions j) in
-  { x_spec = sp; x_script = List.rev !script_acc;
+  { x_spec = sp; x_script = script;
     x_trace = Array.of_list (List.rev !events); x_plane = Some plane;
     x_run = run_id; x_requests = requests; x_journal = jds;
     x_dropped = J.dropped j }
@@ -775,8 +755,6 @@ let run_opt sp mode =
   let disp = PD.create () in
   let events = ref [] in
   let emit e = events := e :: !events in
-  let script_acc = ref [] in
-  let record a = script_acc := a :: !script_acc in
   (* Golden: the optimizer-gate interleaving fixture over the netfilter
      chain.  Non-golden: a generated workload through the sequential
      dispatcher with optimize/deoptimize toggles. *)
@@ -806,7 +784,6 @@ let run_opt sp mode =
   let plan = ref (if golden then [ `Optimize "O1"; `Edit "E2"; `Optimize "O3" ] else []) in
   let opts_done = ref 0 in
   let deopt = ref false in
-  let probes_done = ref 0 in
   (* One optimizer step: staleness is sampled {e before} [act] (an
      optimize that finds its previous install demoted records the
      race), then [act] runs and the hooks it installed are kept.  Each
@@ -839,28 +816,22 @@ let run_opt sp mode =
   in
   let no_action () = [] in
   let do_opt () =
-    if golden then
-      match !plan with
-      | [] -> ()
-      | `Optimize label :: rest ->
-          plan := rest;
-          opt_step label (fun () -> PD.optimize disp)
-      | `Edit label :: rest ->
-          plan := rest;
-          Netfilter.insert nf Netfilter.Output edit_rule;
-          opt_step label no_action
-    else begin
-      incr opts_done;
-      if !deopt then begin
-        deopt := false;
-        ignore (PD.deoptimize disp : (string * PD.outcome) list);
-        opt_step "deoptimize" no_action
-      end
-      else begin
-        deopt := true;
-        opt_step "optimize" (fun () -> PD.optimize disp)
-      end
-    end
+    match !plan with
+    | `Optimize label :: rest ->
+        plan := rest;
+        opt_step label (fun () -> PD.optimize disp)
+    | `Edit label :: rest ->
+        plan := rest;
+        Netfilter.insert nf Netfilter.Output edit_rule;
+        opt_step label no_action
+    | [] ->
+        incr opts_done;
+        deopt := not !deopt;
+        if !deopt then opt_step "optimize" (fun () -> PD.optimize disp)
+        else begin
+          ignore (PD.deoptimize disp : (string * PD.outcome) list);
+          opt_step "deoptimize" no_action
+        end
   in
   let do_probe () =
     List.iter
@@ -883,61 +854,26 @@ let run_opt sp mode =
     let ok = PD.decide disp st req = Request.oracle st req in
     emit (E_pd { pd_seq = seq; pd_ok = ok })
   in
-  let opt_enabled () =
-    if golden then !plan <> [] else !opts_done < sp.sp_opts
+  let ready = function
+    | Opt when if golden then !plan <> [] else !opts_done < sp.sp_opts ->
+        Some do_opt
+    | Probe when golden -> Some do_probe
+    | Decide 0 when (not golden) && !next < nreq -> Some do_pd
+    | _ -> None
   in
-  (match mode with
-  | Scripted script ->
-      List.iter
-        (fun a ->
-          match a with
-          | Opt when opt_enabled () ->
-              do_opt ();
-              record a
-          | Probe when golden ->
-              incr probes_done;
-              do_probe ();
-              record a
-          | Decide 0 when (not golden) && !next < nreq ->
-              do_pd ();
-              record a
-          | _ -> ())
-        script
-  | Seeded ->
-      let rng = Prng.create sp.sp_seed in
-      let continue = ref true in
-      while !continue do
-        let cands = ref [] in
-        let add w tag = cands := (w, tag) :: !cands in
-        if opt_enabled () then add 1 `Opt;
-        if golden && !probes_done < 3 then add 4 `Probe;
-        if (not golden) && !next < nreq then add 8 `Pd;
-        let cands = !cands in
-        let total = List.fold_left (fun a (w, _) -> a + w) 0 cands in
-        if total = 0 then continue := false
-        else begin
-          let r = Prng.int rng total in
-          let rec pick acc = function
-            | [] -> assert false
-            | (w, tag) :: rest ->
-                if r < acc + w then tag else pick (acc + w) rest
-          in
-          match pick 0 cands with
-          | `Opt ->
-              do_opt ();
-              record Opt
-          | `Probe ->
-              incr probes_done;
-              do_probe ();
-              record Probe
-          | `Pd ->
-              do_pd ();
-              record (Decide 0)
-        end
-      done);
+  (* A seeded golden run probes at most 3 times. *)
+  let probes = ref 0 in
+  let offers () =
+    List.concat
+      [ offer ready 1 Opt;
+        (if !probes < 3 then spending (fun () -> incr probes) (offer ready 4 Probe)
+         else []);
+        offer ready 8 (Decide 0) ]
+  in
+  let script = drive sp mode ~ready ~offers in
   (* Whatever the order, the settled chain must decide identically. *)
   if golden then do_probe ();
-  { x_spec = sp; x_script = List.rev !script_acc;
+  { x_spec = sp; x_script = script;
     x_trace = Array.of_list (List.rev !events); x_plane = None; x_run = 0;
     x_requests = requests; x_journal = []; x_dropped = 0 }
 

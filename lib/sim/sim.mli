@@ -73,7 +73,8 @@ val has_fault : fault_kind -> spec -> bool
     executed; a scripted run executes the script verbatim, silently
     skipping actions that are not executable at their position (dead
     worker, exhausted budget, ...) — skipped actions are not recorded,
-    so the recorded script of any run replays identically. *)
+    so the recorded script of any run replays identically (see
+    {!mode}). *)
 
 type action =
   | Decide of int      (** worker [w] serves its next request *)
@@ -160,6 +161,21 @@ val trace_to_string : ctx -> string
 (** One {!event_to_string} line per event — the bit-replayability
     witness: equal strings iff equal traces. *)
 
+(** How {!run} chooses actions.  One driver serves both modes and
+    every lane; a lane gives it, per action, one guard and one effect,
+    and the guard reads lane state only.
+    - [Scripted script] steps each action of [script] in order: one
+      whose guard holds runs, any other is skipped.  No seeded budget
+      applies: a script may inject any fault, or probe the golden opt
+      lane, as often as its guards allow.
+    - [Seeded] draws from the lane's weighted offers with the
+      [sp_seed] stream until none is left.  Only actions whose guard
+      holds are offered, so each draw runs.  Seeded-only budgets live
+      in the offers: the spec's fault instances (each offered until
+      drawn once) and the golden opt lane's 3 probes.
+    Both record exactly the actions that ran, in order ([x_script]);
+    replaying that record as [Scripted] meets the same guards in the
+    same states and reproduces the trace. *)
 type mode = Seeded | Scripted of action list
 
 val run : spec -> mode -> ctx

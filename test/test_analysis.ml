@@ -200,12 +200,7 @@ let fixture_input base exts =
            parsed (file "accounts")
              (PS.parse_accounts (read_fixture (file "accounts")))
          in
-         { Lint.user_names =
-             List.map
-               (fun (u : PS.account_user) -> (u.PS.au_name, u.PS.au_uid))
-               users;
-           group_names =
-             List.map (fun (g : PS.account_group) -> g.PS.ag_name) groups }
+         Protego_core.Pfm_dispatch.lint_accounts users groups
        else Lint.no_accounts);
     ppp =
       (if has "ppp" then

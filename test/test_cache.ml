@@ -42,12 +42,12 @@ let test_lru_eviction () =
   let c = DC.create ~capacity:2 () in
   let h = DC.register c "mount" in
   let gen = 0 in
-  DC.add c h ~subject:0 ~key:(key "a") ~gen ~verdict:Pfm.Allow ~errno:None;
-  DC.add c h ~subject:0 ~key:(key "b") ~gen ~verdict:Pfm.Allow ~errno:None;
+  DC.add c h ~subject:0 ~key:(key "a") ~gen ~verdict:Pfm.Allow;
+  DC.add c h ~subject:0 ~key:(key "b") ~gen ~verdict:Pfm.Allow;
   check_int "at capacity" 2 (DC.length c);
   (* A hit refreshes recency: touching "a" makes "b" the LRU victim. *)
   check "a hits" true (DC.find c h ~subject:0 ~key:(key "a") ~gen <> None);
-  DC.add c h ~subject:0 ~key:(key "c") ~gen ~verdict:Pfm.Deny ~errno:None;
+  DC.add c h ~subject:0 ~key:(key "c") ~gen ~verdict:Pfm.Deny;
   check_int "one capacity eviction" 1 (DC.capacity_evictions c);
   check_int "still at capacity" 2 (DC.length c);
   check "b was the victim" true
@@ -55,7 +55,7 @@ let test_lru_eviction () =
   check "a survived" true (DC.find c h ~subject:0 ~key:(key "a") ~gen <> None);
   check "c resident" true (DC.find c h ~subject:0 ~key:(key "c") ~gen <> None);
   (* Re-adding a resident key refreshes in place, no eviction. *)
-  DC.add c h ~subject:0 ~key:(key "a") ~gen ~verdict:Pfm.Deny ~errno:None;
+  DC.add c h ~subject:0 ~key:(key "a") ~gen ~verdict:Pfm.Deny;
   check_int "refresh is not an insert" 1 (DC.capacity_evictions c);
   check_int "size unchanged" 2 (DC.length c)
 
@@ -63,15 +63,13 @@ let test_negative_caching () =
   let c = DC.create () in
   let h = DC.register c "bind" in
   let gen = 5 in
-  DC.add c h ~subject:8 ~key:(key "k") ~gen ~verdict:Pfm.Deny
-    ~errno:(Some Errno.EACCES);
+  DC.add c h ~subject:8 ~key:(key "k") ~gen ~verdict:Pfm.Deny;
   (match DC.find c h ~subject:8 ~key:(key "k") ~gen with
-  | Some (Pfm.Deny, Some e) ->
-      Alcotest.check errno "denial errno served" Errno.EACCES e
+  | Some Pfm.Deny -> ()
   | _ -> Alcotest.fail "negative result not cached");
-  DC.add c h ~subject:8 ~key:(key "ok") ~gen ~verdict:Pfm.Allow ~errno:None;
+  DC.add c h ~subject:8 ~key:(key "ok") ~gen ~verdict:Pfm.Allow;
   (match DC.find c h ~subject:8 ~key:(key "ok") ~gen with
-  | Some (Pfm.Allow, None) -> ()
+  | Some Pfm.Allow -> ()
   | _ -> Alcotest.fail "positive result not cached");
   (* Subjects are part of the key. *)
   check "other subject misses" true
@@ -80,8 +78,7 @@ let test_negative_caching () =
 let test_generation_staleness () =
   let c = DC.create () in
   let h = DC.register c "mount" in
-  DC.add c h ~subject:0 ~key:(key "k") ~gen:3 ~verdict:Pfm.Allow
-    ~errno:None;
+  DC.add c h ~subject:0 ~key:(key "k") ~gen:3 ~verdict:Pfm.Allow;
   check "fresh generation hits" true
     (DC.find c h ~subject:0 ~key:(key "k") ~gen:3 <> None);
   (* A bumped generation is a miss AND evicts the stale entry. *)
@@ -97,8 +94,7 @@ let test_generation_staleness () =
   check_int "but a second miss" 2 (DC.misses c);
   (* The entry keeps the generation it was inserted with. *)
   let gen = ref 7 in
-  DC.add c h ~subject:0 ~key:(key "r") ~gen:!gen ~verdict:Pfm.Allow
-    ~errno:None;
+  DC.add c h ~subject:0 ~key:(key "r") ~gen:!gen ~verdict:Pfm.Allow;
   gen := 8;
   check "entry stamped with insertion-time gens" true
     (DC.find c h ~subject:0 ~key:(key "r") ~gen:7 <> None)
@@ -107,12 +103,12 @@ let test_enable_off_bypass () =
   let c = DC.create () in
   let h = DC.register c "ppp_ioctl" in
   let gen = 0 in
-  DC.add c h ~subject:0 ~key:(key "k") ~gen ~verdict:Pfm.Allow ~errno:None;
+  DC.add c h ~subject:0 ~key:(key "k") ~gen ~verdict:Pfm.Allow;
   ignore (DC.find c h ~subject:0 ~key:(key "k") ~gen);
   DC.set_enabled c false;
   check "disabled lookups miss" true
     (DC.find c h ~subject:0 ~key:(key "k") ~gen = None);
-  DC.add c h ~subject:0 ~key:(key "new") ~gen ~verdict:Pfm.Deny ~errno:None;
+  DC.add c h ~subject:0 ~key:(key "new") ~gen ~verdict:Pfm.Deny;
   (* A pure bypass: no insert, no counter movement. *)
   check_int "no insert while disabled" 1 (DC.length c);
   check_int "hits untouched" 1 (DC.hits c);
@@ -130,8 +126,7 @@ let test_register_and_reset () =
   check "registration is idempotent" true (hm == hm');
   let hb = DC.register c "bind" in
   check_int "dense ids" 1 hb.DC.hid;
-  DC.add c hm ~subject:0 ~key:(key "x") ~gen:0 ~verdict:Pfm.Allow
-    ~errno:None;
+  DC.add c hm ~subject:0 ~key:(key "x") ~gen:0 ~verdict:Pfm.Allow;
   ignore (DC.find c hm ~subject:0 ~key:(key "x") ~gen:0);
   ignore (DC.find c hb ~subject:0 ~key:(key "y") ~gen:0);
   check_str "render"
@@ -173,23 +168,23 @@ let test_insert_after_miss () =
   let find ?(subject = 0) s = DC.find c h ~subject ~key:(key s) ~gen in
   set "a";
   check "cold miss" true (DC.find c h ~subject:0 ~key:k ~gen = None);
-  DC.add c h ~subject:0 ~key:k ~gen ~verdict:Pfm.Allow ~errno:None;
-  check "inserted under its bytes" true (find "a" = Some (Pfm.Allow, None));
+  DC.add c h ~subject:0 ~key:k ~gen ~verdict:Pfm.Allow;
+  check "inserted under its bytes" true (find "a" = Some Pfm.Allow);
   set "b";
   check "b misses" true (DC.find c h ~subject:0 ~key:k ~gen = None);
   set "c";
-  DC.add c h ~subject:0 ~key:k ~gen ~verdict:Pfm.Deny ~errno:None;
-  check "rewritten key inserted as c" true (find "c" = Some (Pfm.Deny, None));
+  DC.add c h ~subject:0 ~key:k ~gen ~verdict:Pfm.Deny;
+  check "rewritten key inserted as c" true (find "c" = Some Pfm.Deny);
   check "b never inserted" true (find "b" = None);
   set "d";
   check "d misses for subject 0" true
     (DC.find c h ~subject:0 ~key:k ~gen = None);
-  DC.add c h ~subject:1 ~key:k ~gen ~verdict:Pfm.Allow ~errno:None;
+  DC.add c h ~subject:1 ~key:k ~gen ~verdict:Pfm.Allow;
   check "inserted for subject 1" true (find ~subject:1 "d" <> None);
   check "not for subject 0" true (find "d" = None);
   (* The same key added twice is refreshed, not duplicated. *)
-  DC.add c h ~subject:1 ~key:k ~gen ~verdict:Pfm.Deny ~errno:None;
-  check "refreshed verdict" true (find ~subject:1 "d" = Some (Pfm.Deny, None));
+  DC.add c h ~subject:1 ~key:k ~gen ~verdict:Pfm.Deny;
+  check "refreshed verdict" true (find ~subject:1 "d" = Some Pfm.Deny);
   check_int "three entries" 3 (DC.length c)
 
 (* Minor-heap words one call of [f] allocates, averaged over [n] calls. *)
@@ -207,7 +202,7 @@ let test_hit_allocates_nothing () =
   List.iter
     (fun len ->
       let k = key (String.make len 'x') in
-      DC.add c h ~subject:0 ~key:k ~gen ~verdict:Pfm.Allow ~errno:None;
+      DC.add c h ~subject:0 ~key:k ~gen ~verdict:Pfm.Allow;
       let w =
         words_per_call 1000 (fun _ ->
             ignore (DC.find c h ~subject:0 ~key:k ~gen))
@@ -612,6 +607,28 @@ let test_mount_pair_budget () =
   check_int "every hook a table hit" (hits + (2 * n)) (DC.hits (PD.cache disp));
   check (Printf.sprintf "%.2f words per mount+umount <= 275" w) true (w <= 275.)
 
+(* The table stores verdicts only; a denial served from it still
+   returns the hook's errno.  Fresh argument copies make the front slot
+   miss, so each repeat is a table hit. *)
+let test_repeated_denial_errno () =
+  let img = fixture () in
+  let m = img.Image.machine in
+  let cache = PD.cache (Protego_core.Lsm.dispatch (Option.get img.Image.protego)) in
+  let alice = Image.login img "alice" in
+  let fd = Syntax.expect_ok "socket" (Syscall.socket m alice Af_inet Sock_stream 6) in
+  let hits = DC.hits cache in
+  for i = 1 to 2 do
+    alice.exe_path <- fresh "/bin/sh";
+    Alcotest.(check (result unit errno))
+      (Printf.sprintf "bind %d: EACCES" i) (Error Errno.EACCES)
+      (Syscall.bind m alice fd Protego_net.Ipaddr.any 25);
+    Alcotest.(check (result unit errno))
+      (Printf.sprintf "mount %d: EPERM" i) (Error Errno.EPERM)
+      (Syscall.mount m alice ~source:(fresh "/dev/sda2") ~target:(fresh "/etc")
+         ~fstype:(fresh "ext4") ~flags:[])
+  done;
+  check_int "each repeat a table hit" (hits + 2) (DC.hits cache)
+
 let test_cache_stats_proc () =
   let img = fixture () in
   let m = img.Image.machine in
@@ -779,7 +796,9 @@ let suites =
         Alcotest.test_case "a warm LSM hook formats nothing" `Quick
           test_hooks_format_nothing;
         Alcotest.test_case "a warm mount+umount pair's words" `Quick
-          test_mount_pair_budget ]);
+          test_mount_pair_budget;
+        Alcotest.test_case "a repeated denial keeps its errno" `Quick
+          test_repeated_denial_errno ]);
     ("cache:proc",
       [ Alcotest.test_case "/proc/protego/cache_stats" `Quick
           test_cache_stats_proc ]);

@@ -120,7 +120,8 @@ let test_pinned_traces () =
     List.filter (( <> ) "")
       (read_lines (Filename.concat sim_fixtures_dir "digests.txt"))
   in
-  check_int "240 pinned (spec, seed) runs" 240 (List.length digests);
+  check_bool "at least 12 specs x 20 seeds pinned" true
+    (List.length digests >= 240);
   List.iter
     (fun line ->
       match String.index_opt line ' ' with
