@@ -259,7 +259,6 @@ let with_asv st v =
 type summary = {
   program : Pfm.program;
   reachable : bool array;
-  state_at : state option array;  (* joined state on entry to each slot *)
   allow_reachable : bool;
   deny_reachable : bool;
   reject_reachable : bool;
@@ -304,19 +303,6 @@ let attribute ~notes pc =
     None notes
   |> Option.map snd
 
-(* Rules whose every instruction is unreachable: definitely dead. *)
-let dead_notes ~notes s =
-  let n = Array.length s.reachable in
-  note_ranges ~notes n
-  |> List.filter (fun (lo, hi, _) ->
-         lo <= hi
-         && (let all_dead = ref true in
-             for pc = lo to hi do
-               if s.reachable.(pc) then all_dead := false
-             done;
-             !all_dead))
-  |> List.map (fun (lo, _, text) -> (lo, text))
-
 (* --- the interpreter ---------------------------------------------------- *)
 
 (* The first-match compilation pattern makes merge points inherently
@@ -326,51 +312,76 @@ let dead_notes ~notes s =
    (path-sensitivity over the DAG) and only joins when a point exceeds
    [max_disjuncts] — joining is pure precision loss, never unsoundness.
    That bound keeps the whole pass O(n · max_disjuncts · fields): the
-   program is a DAG, so each (pc, disjunct) is processed once. *)
+   program is a DAG, so each (pc, disjunct) is processed once.
+
+   A [Ret] has no successor, so a state arriving there is never read:
+   the edge marks the pc reachable and raises its verdict's flag, and
+   the state is dropped.  Only branching and loading pcs hold
+   disjuncts, and each pc's list is released once the pc is processed. *)
 let default_max_disjuncts = 64
 
 let analyze ?(max_disjuncts = default_max_disjuncts) (p : Pfm.program) =
   let n = Array.length p.insns in
   let states : state list array = Array.make n [] in
+  let count = Array.make n 0 in
+  let reachable = Array.make n false in
   let allow = ref false and deny = ref false and reject = ref false in
   let const_branches = ref [] in
   let propagate pc st =
     (* Only valid forward edges; program order stays topological. *)
-    if pc < n then
-      match states.(pc) with
-      | old when List.length old < max_disjuncts -> states.(pc) <- st :: old
-      | last :: rest -> states.(pc) <- join_state last st :: rest
-      | [] -> states.(pc) <- [ st ]
+    if pc < n then begin
+      reachable.(pc) <- true;
+      match p.insns.(pc) with
+      | Pfm.Ret Pfm.Allow -> allow := true
+      | Pfm.Ret Pfm.Deny -> deny := true
+      | Pfm.Ret Pfm.Reject -> reject := true
+      | _ -> (
+          match states.(pc) with
+          | last :: rest when count.(pc) >= max_disjuncts ->
+              states.(pc) <- join_state last st :: rest
+          | old ->
+              states.(pc) <- st :: old;
+              count.(pc) <- count.(pc) + 1)
+    end
   in
   if n > 0 then
-    states.(0) <-
-      [
-        {
-          fi = Array.make p.n_int_fields itop;
-          fs = Array.make p.n_str_fields stop;
-          ai = Iset (ISet.singleton 0);
-          asv = Sset (SSet.singleton "");
-          src_i = None;
-          src_s = None;
-        };
-      ];
+    propagate 0
+      {
+        fi = Array.make p.n_int_fields itop;
+        fs = Array.make p.n_str_fields stop;
+        ai = Iset (ISet.singleton 0);
+        asv = Sset (SSet.singleton "");
+        src_i = None;
+        src_s = None;
+      };
   for pc = 0 to n - 1 do
     let disjuncts = states.(pc) in
-    List.iter
-      (fun st ->
-        match p.insns.(pc) with
-        | Pfm.Ld_int f ->
-            let ok = f >= 0 && f < p.n_int_fields in
+    states.(pc) <- [];
+    match p.insns.(pc) with
+    | Pfm.Ld_int f ->
+        let ok = f >= 0 && f < p.n_int_fields in
+        List.iter
+          (fun st ->
             propagate (pc + 1)
               { st with ai = (if ok then st.fi.(f) else itop);
-                        src_i = (if ok then Some f else None) }
-        | Pfm.Ld_str f ->
-            let ok = f >= 0 && f < p.n_str_fields in
+                        src_i = (if ok then Some f else None) })
+          disjuncts
+    | Pfm.Ld_str f ->
+        let ok = f >= 0 && f < p.n_str_fields in
+        List.iter
+          (fun st ->
             propagate (pc + 1)
               { st with asv = (if ok then st.fs.(f) else stop);
-                        src_s = (if ok then Some f else None) }
-        | Pfm.Jmp d -> if d >= 0 then propagate (pc + 1 + d) st
-        | Pfm.Jif (c, jt, jf) ->
+                        src_s = (if ok then Some f else None) })
+          disjuncts
+    | Pfm.Jmp d -> if d >= 0 then List.iter (propagate (pc + 1 + d)) disjuncts
+    | Pfm.Jif (c, jt, jf) ->
+        (* A branch is constant only if every disjunct reaching it has
+           the same single feasible side: each in isolation may look
+           constant while the outcomes differ. *)
+        let only_t = ref 0 and only_f = ref 0 in
+        List.iter
+          (fun st ->
             let feas_t, feas_f =
               match c with
               | Pfm.Str_eq _ | Pfm.Str_prefix _ ->
@@ -397,13 +408,21 @@ let analyze ?(max_disjuncts = default_max_disjuncts) (p : Pfm.program) =
                     if f = Ibot then None else Some (with_ai st f) )
             in
             (match (feas_t, feas_f) with
-            | Some _, None -> const_branches := (pc, true) :: !const_branches
-            | None, Some _ -> const_branches := (pc, false) :: !const_branches
+            | Some _, None -> incr only_t
+            | None, Some _ -> incr only_f
             | _ -> ());
             Option.iter (fun s -> if jt >= 0 then propagate (pc + 1 + jt) s) feas_t;
-            Option.iter (fun s -> if jf >= 0 then propagate (pc + 1 + jf) s) feas_f
-        | Pfm.Iswitch { tbl; default } ->
-            let keys = Hashtbl.fold (fun k _ a -> ISet.add k a) tbl ISet.empty in
+            Option.iter (fun s -> if jf >= 0 then propagate (pc + 1 + jf) s) feas_f)
+          disjuncts;
+        let reached = count.(pc) in
+        if reached > 0 && !only_t = reached then
+          const_branches := (pc, true) :: !const_branches
+        else if reached > 0 && !only_f = reached then
+          const_branches := (pc, false) :: !const_branches
+    | Pfm.Iswitch { tbl; default } ->
+        let keys = Hashtbl.fold (fun k _ a -> ISet.add k a) tbl ISet.empty in
+        List.iter
+          (fun st ->
             Hashtbl.iter
               (fun k d ->
                 if d >= 0 then
@@ -413,11 +432,12 @@ let analyze ?(max_disjuncts = default_max_disjuncts) (p : Pfm.program) =
             if default >= 0 then begin
               let v = imeet st.ai (Inot keys) in
               if v <> Ibot then propagate (pc + 1 + default) (with_ai st v)
-            end
-        | Pfm.Sswitch { tbl; default } ->
-            let keys =
-              Hashtbl.fold (fun k _ a -> SSet.add k a) tbl SSet.empty
-            in
+            end)
+          disjuncts
+    | Pfm.Sswitch { tbl; default } ->
+        let keys = Hashtbl.fold (fun k _ a -> SSet.add k a) tbl SSet.empty in
+        List.iter
+          (fun st ->
             Hashtbl.iter
               (fun k d ->
                 if d >= 0 then
@@ -427,60 +447,17 @@ let analyze ?(max_disjuncts = default_max_disjuncts) (p : Pfm.program) =
             if default >= 0 then begin
               let v = smeet st.asv (Snot keys) in
               if v <> Sbot then propagate (pc + 1 + default) (with_asv st v)
-            end
-        | Pfm.Ret Pfm.Allow -> allow := true
-        | Pfm.Ret Pfm.Deny -> deny := true
-        | Pfm.Ret Pfm.Reject -> reject := true)
-      disjuncts
+            end)
+          disjuncts
+    | Pfm.Ret _ -> ()
   done;
-  (* A Jif several disjuncts flow through may look constant from each in
-     isolation while the outcomes differ; a branch is constant only if
-     every disjunct agreed on the same single feasible side. *)
-  let const_branches =
-    let tbl = Hashtbl.create 16 in
-    List.iter
-      (fun (pc, dir) ->
-        match Hashtbl.find_opt tbl pc with
-        | None -> Hashtbl.replace tbl pc (Some dir)
-        | Some (Some d) when d = dir -> ()
-        | Some _ -> Hashtbl.replace tbl pc None)
-      !const_branches;
-    (* Feasible-on-both-sides disjuncts never entered the list at all:
-       require the recorded votes to cover every disjunct that reached
-       the pc. *)
-    let votes = Hashtbl.create 16 in
-    List.iter
-      (fun (pc, _) ->
-        Hashtbl.replace votes pc
-          (1 + Option.value ~default:0 (Hashtbl.find_opt votes pc)))
-      !const_branches;
-    Hashtbl.fold
-      (fun pc dir acc ->
-        match dir with
-        | Some d when Hashtbl.find votes pc = List.length states.(pc) ->
-            (pc, d) :: acc
-        | _ -> acc)
-      tbl []
-    |> List.sort compare
-  in
-  let joined = function
-    | [] -> None
-    | st :: rest -> Some (List.fold_left join_state st rest)
-  in
-  (* Filled in place, not with [Array.map]: the runtime empties the
-     minor heap before it makes an array over 256 words from a young
-     value, so mapping a large program's states would force a
-     collection on every policy write. *)
-  let state_at = Array.make n None in
-  Array.iteri (fun pc ds -> state_at.(pc) <- joined ds) states;
   {
     program = p;
-    reachable = Array.map (fun ds -> ds <> []) states;
-    state_at;
+    reachable;
     allow_reachable = !allow;
     deny_reachable = !deny;
     reject_reachable = !reject;
-    const_branches;
+    const_branches = List.rev !const_branches;
   }
 
 (* --- reports ------------------------------------------------------------ *)

@@ -38,22 +38,15 @@ val smeet : sv -> sv -> sv
 val iv_to_string : iv -> string
 val sv_to_string : sv -> string
 
-(** Abstract machine state at a program point. *)
-type state = {
-  fi : iv array;
-  fs : sv array;
-  ai : iv;
-  asv : sv;
-  src_i : int option;     (** field the int accumulator aliases *)
-  src_s : int option;
-}
-
 (** {1 Analysis} *)
 
+(** What the analysis keeps: facts, not per-pc abstract states (a
+    pc's disjuncts are released once it is processed, and a [Ret] pc
+    never holds any — an edge into it only marks it reachable and its
+    verdict reachable). *)
 type summary = {
   program : Pfm.program;
   reachable : bool array;
-  state_at : state option array;
   allow_reachable : bool;
   deny_reachable : bool;
   reject_reachable : bool;
@@ -68,7 +61,8 @@ val analyze : ?max_disjuncts:int -> Pfm.program -> summary
     First-match compilation makes merge points disjunctive ("some
     earlier test failed"), so the analysis is path-sensitive up to
     [max_disjuncts] states per program point (default 64); beyond that
-    it joins, losing precision but never soundness. *)
+    it joins, losing precision but never soundness.  Verdict ([Ret])
+    points have no successor and keep no states, so they never join. *)
 
 val verdict_reachable : summary -> Pfm.verdict -> bool
 
@@ -92,10 +86,6 @@ val note_ranges : notes:(int * string) list -> int -> (int * int * string) list
 
 val attribute : notes:(int * string) list -> int -> string option
 (** The note owning [pc], if any. *)
-
-val dead_notes : notes:(int * string) list -> summary -> (int * string) list
-(** Rules whose {e every} instruction is unreachable — definitely dead
-    under the soundness argument above.  [(start pc, rule text)]. *)
 
 (** {1 Reports} *)
 

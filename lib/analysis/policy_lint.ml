@@ -116,11 +116,14 @@ let phase_mask g =
     (fun m p -> if Phase.active g p then m lor (1 lsl Phase.index p) else m)
     0 Phase.all
 
+(* The per-source lints below format a rule's locus and text only when
+   the rule yields a finding: a clean policy write formats nothing. *)
 let lint_mounts rules =
   let fs = ref [] in
-  let f code severity locus fmt =
+  let f code severity j fmt =
     Printf.ksprintf
       (fun message ->
+        let locus = "rule " ^ string_of_int j in
         fs := { code; severity; source = "mounts"; locus; message } :: !fs)
       fmt
   in
@@ -133,11 +136,10 @@ let lint_mounts rules =
   let earlier = Hashtbl.create (Array.length arr) in
   Array.iteri
     (fun j r ->
-      let locus = Printf.sprintf "rule %d" j in
-      let text = Pfm_compile.mount_rule_text r in
+      let text () = Pfm_compile.mount_rule_text r in
       check_guard
-        (fun m -> f "PL-PH001" Error locus "%s" m)
-        (fun () -> Printf.sprintf "`%s'" text) r.Pfm_compile.fm_phase;
+        (fun m -> f "PL-PH001" Error j "%s" m)
+        (fun () -> "`" ^ text () ^ "'") r.Pfm_compile.fm_phase;
       (* PL-M001: an earlier first-match rule fires on every request this
          one would, so this one never takes effect (its flag requirement
          in particular is silently replaced by the earlier rule's). *)
@@ -154,10 +156,10 @@ let lint_mounts rules =
            bucket
        with
        | Some (_, _, i) ->
-           f "PL-M001" Warning locus
+           f "PL-M001" Warning j
              "shadowed by rule %d: first match decides, so `%s' never \
               takes effect%s"
-             i text
+             i (text ())
              (if arr.(i).Pfm_compile.fm_flags <> r.Pfm_compile.fm_flags then
                 " (and the rules require different mount flags)"
               else "")
@@ -175,15 +177,15 @@ let lint_mounts rules =
          re-opens the setuid hole the whitelist exists to close; without
          nodev it hands out device nodes. *)
       if not (List.mem Ktypes.Mf_nosuid r.Pfm_compile.fm_flags) then
-        f "PL-M002" Error locus
+        f "PL-M002" Error j
           "`%s' lacks nosuid: a user-controlled filesystem may carry \
            setuid binaries"
-          text;
+          (text ());
       if not (List.mem Ktypes.Mf_nodev r.Pfm_compile.fm_flags) then
-        f "PL-M003" Warning locus
+        f "PL-M003" Warning j
           "`%s' lacks nodev: a user-controlled filesystem may carry \
            device nodes"
-          text;
+          (text ());
       (* PL-M004: mounting over system paths hides or replaces them. *)
       if
         r.Pfm_compile.fm_target = "/"
@@ -191,7 +193,7 @@ let lint_mounts rules =
              (fun p -> path_under p r.Pfm_compile.fm_target)
              sensitive_prefixes
       then
-        f "PL-M004" Warning locus "target %s shadows a system path"
+        f "PL-M004" Warning j "target %s shadows a system path"
           r.Pfm_compile.fm_target)
     arr;
   List.rev !fs
@@ -200,9 +202,10 @@ let lint_mounts rules =
 
 let lint_binds entries =
   let fs = ref [] in
-  let f code severity locus fmt =
+  let f code severity j fmt =
     Printf.ksprintf
       (fun message ->
+        let locus = "entry " ^ string_of_int j in
         fs := { code; severity; source = "binds"; locus; message } :: !fs)
       fmt
   in
@@ -211,9 +214,8 @@ let lint_binds entries =
   let by_port = Hashtbl.create (List.length entries) in
   List.iteri
     (fun j (e : Bindconf.entry) ->
-      let locus = Printf.sprintf "entry %d" j in
       check_guard
-        (fun m -> f "PL-PH001" Error locus "%s" m)
+        (fun m -> f "PL-PH001" Error j "%s" m)
         (fun () ->
           Printf.sprintf "entry %d/%s" e.port (Bindconf.proto_to_string e.proto))
         e.Bindconf.phase;
@@ -232,7 +234,7 @@ let lint_binds entries =
            earlier
        with
        | Some (i, d) ->
-           f "PL-B001" Error locus
+           f "PL-B001" Error j
              "duplicate %d/%s: entry %d (%s uid %d) already claims it, \
               this entry never takes effect"
              e.port
@@ -244,7 +246,7 @@ let lint_binds entries =
       List.iter
         (fun (i, (d : Bindconf.entry)) ->
           if d.Bindconf.proto <> e.proto && d.Bindconf.exe <> e.exe then
-            f "PL-B002" Warning locus
+            f "PL-B002" Warning j
               "port %d maps to %s (%s) but to %s (%s) in entry %d" e.port
               e.exe
               (Bindconf.proto_to_string e.proto)
@@ -256,7 +258,7 @@ let lint_binds entries =
       (* PL-B003: the kernel consults the bind map only for ports below
          1024; anything else here is inert. *)
       if e.port < 1 || e.port >= 1024 then
-        f "PL-B003" Warning locus
+        f "PL-B003" Warning j
           "port %d is outside the privileged range [1,1023]; the entry \
            has no effect"
           e.port)

@@ -133,10 +133,6 @@ val lint : ?programs:programs -> ?sources:string list -> input -> finding list
 
 val lint_mounts : Pfm_compile.mount_rule list -> finding list
 val lint_binds : Bindconf.entry list -> finding list
-val lint_delegation : Sudoers.t -> accounts -> finding list
-val lint_chain :
-  string -> Netfilter.rule list -> Netfilter.verdict -> finding list
-val lint_ppp : Pppopts.t -> finding list
 
 val lint_program :
   source:string -> ?notes:(int * string) list -> ?entries:int ->

@@ -84,14 +84,16 @@ let successors pc insn =
       :: Hashtbl.fold (fun _ d acc -> (pc + 1 + d) :: acc) tbl []
   | Ret _ -> []
 
-let jump_offsets = function
-  | Jmp d -> [ d ]
-  | Jif (_, jt, jf) -> [ jt; jf ]
-  | Iswitch { tbl; default } ->
-      default :: Hashtbl.fold (fun _ d acc -> d :: acc) tbl []
-  | Sswitch { tbl; default } ->
-      default :: Hashtbl.fold (fun _ d acc -> d :: acc) tbl []
-  | Ld_int _ | Ld_str _ | Ret _ -> []
+(* Fold [f] over the instruction's relative control offsets, a load's
+   fall-through counting as offset 0 ([Ret] has none).  The verifier
+   walks edges with it rather than building [successors] lists. *)
+let fold_offsets f acc = function
+  | Ld_int _ | Ld_str _ -> f acc 0
+  | Jmp d -> f acc d
+  | Jif (_, jt, jf) -> f (f acc jt) jf
+  | Iswitch { tbl; default } -> Hashtbl.fold (fun _ d acc -> f acc d) tbl (f acc default)
+  | Sswitch { tbl; default } -> Hashtbl.fold (fun _ d acc -> f acc d) tbl (f acc default)
+  | Ret _ -> acc
 
 (* The verifier runs two passes and collects *every* error it finds (the
    lint CLI wants complete diagnostics, not just the first problem):
@@ -121,9 +123,9 @@ let verify_all p =
     (* Pass 1: local validity of operands at every slot. *)
     for pc = 0 to n - 1 do
       let insn = p.insns.(pc) in
-      if List.exists (fun d -> d < 0) (jump_offsets insn) then
+      if fold_offsets (fun bad d -> bad || d < 0) false insn then
         err (Backward_jump pc)
-      else if List.exists (fun s -> s >= n) (successors pc insn) then
+      else if fold_offsets (fun bad d -> bad || pc + 1 + d >= n) false insn then
         if
           (* A load whose fall-through is the end of the program is a
              missing verdict, not a bad jump. *)
@@ -144,9 +146,10 @@ let verify_all p =
     let int_ok = Array.make n false in
     let str_ok = Array.make n false in
     reach.(0) <- true;
-    let merge ~from pc (i, s) =
+    let merge ~from i s () d =
       (* Propagate only along valid forward in-range edges; invalid edges
          were already reported by pass 1. *)
+      let pc = from + 1 + d in
       if pc > from && pc < n then
         if reach.(pc) then begin
           int_ok.(pc) <- int_ok.(pc) && i;
@@ -170,13 +173,9 @@ let verify_all p =
         | Iswitch _ when not int_ok.(pc) -> err (Int_acc_unset pc)
         | Sswitch _ when not str_ok.(pc) -> err (Str_acc_unset pc)
         | _ -> ());
-        let out =
-          match insn with
-          | Ld_int _ -> (true, str_ok.(pc))
-          | Ld_str _ -> (int_ok.(pc), true)
-          | _ -> (int_ok.(pc), str_ok.(pc))
-        in
-        List.iter (fun s -> merge ~from:pc s out) (successors pc insn)
+        let i = int_ok.(pc) || (match insn with Ld_int _ -> true | _ -> false)
+        and s = str_ok.(pc) || (match insn with Ld_str _ -> true | _ -> false) in
+        fold_offsets (merge ~from:pc i s) () insn
       end
     done;
     match List.rev !errs with [] -> Ok () | es -> Error es
@@ -311,41 +310,48 @@ let disassemble p =
 module Asm = struct
   type label = int
 
+  (* Instructions are counted as they are pushed, so a label or a note
+     is bound to its address on the spot and takes no item. *)
   type aitem =
     | A_insn of insn                      (* no label operands *)
     | A_jmp of label
     | A_jif of cond * label * label
     | A_iswitch of (int * label) list * label
     | A_sswitch of (string * label) list * label
-    | A_label of label
-    | A_note of string                    (* provenance marker, occupies no space *)
 
   type t = {
     mutable items : aitem list;           (* reversed *)
+    mutable n : int;                      (* instructions pushed *)
     mutable next_label : int;
-    placed : (label, unit) Hashtbl.t;
-    mutable resolved_notes : (int * string) list;  (* set by [assemble] *)
+    mutable addr : int array;             (* by label; -1 until placed *)
+    mutable notes : (int * string) list;  (* reversed *)
   }
 
   let create () =
-    { items = []; next_label = 0; placed = Hashtbl.create 16;
-      resolved_notes = [] }
+    { items = []; n = 0; next_label = 0; addr = Array.make 16 (-1); notes = [] }
 
   let fresh_label t =
     let l = t.next_label in
     t.next_label <- l + 1;
     l
 
-  let push t item = t.items <- item :: t.items
+  let push t item =
+    t.items <- item :: t.items;
+    t.n <- t.n + 1
 
   let place t l =
-    if Hashtbl.mem t.placed l then
+    let len = Array.length t.addr in
+    if l >= len then begin
+      let grown = Array.make (max (2 * len) (l + 1)) (-1) in
+      Array.blit t.addr 0 grown 0 len;
+      t.addr <- grown
+    end;
+    if t.addr.(l) >= 0 then
       invalid_arg (Printf.sprintf "Pfm.Asm.place: label %d placed twice" l);
-    Hashtbl.replace t.placed l ();
-    push t (A_label l)
+    t.addr.(l) <- t.n
 
-  let note t s = push t (A_note s)
-  let notes t = t.resolved_notes
+  let note t s = t.notes <- (t.n, s) :: t.notes
+  let notes t = List.rev t.notes
   let ld_int t f = push t (A_insn (Ld_int f))
   let ld_str t f = push t (A_insn (Ld_str f))
   let jmp t l = push t (A_jmp l)
@@ -355,52 +361,31 @@ module Asm = struct
   let ret t v = push t (A_insn (Ret v))
 
   let assemble t ~name ~n_int_fields ~n_str_fields =
-    let items = List.rev t.items in
-    (* Address assignment: labels and notes occupy no space. *)
-    let addr = Hashtbl.create 16 in
-    let notes = ref [] in
-    let n =
-      List.fold_left
-        (fun pc item ->
-          match item with
-          | A_label l ->
-              Hashtbl.replace addr l pc;
-              pc
-          | A_note s ->
-              notes := (pc, s) :: !notes;
-              pc
-          | A_insn _ | A_jmp _ | A_jif _ | A_iswitch _ | A_sswitch _ -> pc + 1)
-        0 items
-    in
-    t.resolved_notes <- List.rev !notes;
     let resolve pc l =
-      match Hashtbl.find_opt addr l with
-      | Some a -> a - (pc + 1)
-      | None ->
-          invalid_arg (Printf.sprintf "Pfm.Asm.assemble: unplaced label %d" l)
+      if l < Array.length t.addr && t.addr.(l) >= 0 then t.addr.(l) - (pc + 1)
+      else invalid_arg (Printf.sprintf "Pfm.Asm.assemble: unplaced label %d" l)
     in
+    let switch pc cases =
+      let tbl = Hashtbl.create (List.length cases * 2) in
+      List.iter (fun (k, l) -> Hashtbl.replace tbl k (resolve pc l)) cases;
+      tbl
+    in
+    let n = t.n in
     let insns = Array.make n (Ret Deny) in
-    let pc = ref 0 in
-    List.iter
-      (fun item ->
-        let emit i =
-          insns.(!pc) <- i;
-          incr pc
-        in
-        match item with
-        | A_label _ | A_note _ -> ()
-        | A_insn i -> emit i
-        | A_jmp l -> emit (Jmp (resolve !pc l))
-        | A_jif (c, jt, jf) -> emit (Jif (c, resolve !pc jt, resolve !pc jf))
-        | A_iswitch (cases, default) ->
-            let tbl = Hashtbl.create (List.length cases * 2) in
-            List.iter (fun (k, l) -> Hashtbl.replace tbl k (resolve !pc l)) cases;
-            emit (Iswitch { tbl; default = resolve !pc default })
-        | A_sswitch (cases, default) ->
-            let tbl = Hashtbl.create (List.length cases * 2) in
-            List.iter (fun (k, l) -> Hashtbl.replace tbl k (resolve !pc l)) cases;
-            emit (Sswitch { tbl; default = resolve !pc default }))
-      items;
+    (* The items are newest first: fill the program from its end. *)
+    List.iteri
+      (fun i item ->
+        let pc = n - 1 - i in
+        insns.(pc) <-
+          (match item with
+          | A_insn insn -> insn
+          | A_jmp l -> Jmp (resolve pc l)
+          | A_jif (c, jt, jf) -> Jif (c, resolve pc jt, resolve pc jf)
+          | A_iswitch (cases, default) ->
+              Iswitch { tbl = switch pc cases; default = resolve pc default }
+          | A_sswitch (cases, default) ->
+              Sswitch { tbl = switch pc cases; default = resolve pc default }))
+      t.items;
     { pname = name; n_int_fields; n_str_fields; insns;
       counters = Array.make n 0; retired = 0 }
 end

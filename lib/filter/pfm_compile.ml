@@ -118,11 +118,14 @@ let s_target = 1
 let s_fstype = 2
 let i_flags = 1
 
+(* Provenance notes are built on every policy write: [String.concat],
+   not [Printf], keeps that cheap. *)
 let mount_rule_text r =
-  Printf.sprintf "allow %s %s %s%s" r.fm_source r.fm_target r.fm_fstype
-    (match r.fm_phase with
-    | Phase.Always -> ""
-    | g -> " " ^ Phase.guard_to_string g)
+  String.concat " "
+    ("allow" :: r.fm_source :: r.fm_target :: r.fm_fstype
+     :: (match r.fm_phase with
+        | Phase.Always -> []
+        | g -> [ Phase.guard_to_string g ]))
 
 let mount_phased rules =
   List.exists (fun r -> r.fm_phase <> Phase.Always) rules
@@ -159,7 +162,9 @@ let mount_notes ?phase rules =
           let n = List.length rs in
           List.iteri
             (fun i (idx, r) ->
-              Asm.note a (Printf.sprintf "rule %d: %s" idx (mount_rule_text r));
+              Asm.note a
+                (String.concat ""
+                   [ "rule "; string_of_int idx; ": "; mount_rule_text r ]);
               let l_next =
                 if i = n - 1 then l_deny else Asm.fresh_label a
               in
@@ -194,7 +199,7 @@ let mount_notes ?phase rules =
     let indexed = List.mapi (fun i r -> (i, r)) rules in
     if phased then
       emit_phase_dispatch a ~l_deny ~emit_for_phase:(fun p ->
-          Asm.note a (Printf.sprintf "phase %s:" (Phase.to_string p));
+          Asm.note a ("phase " ^ Phase.to_string p ^ ":");
           match
             List.filter (fun (_, r) -> Phase.active r.fm_phase p) indexed
           with
@@ -247,8 +252,10 @@ let umount_notes ?phase rules =
       List.iter
         (fun (_, lbl, r) ->
           Asm.place a lbl;
-          Asm.note a (Printf.sprintf "target %s (%s)" r.fm_target
-                        (if r.fm_user_only then "user" else "users"));
+          Asm.note a
+            (String.concat ""
+               [ "target "; r.fm_target;
+                 (if r.fm_user_only then " (user)" else " (users)") ]);
           if r.fm_user_only then begin
             Asm.ld_int a i_mounted_by;
             Asm.jif a (Pfm.Eq_field i_ruid) ~jt:l_allow ~jf:l_deny
@@ -258,7 +265,7 @@ let umount_notes ?phase rules =
     in
     if phased then
       emit_phase_dispatch a ~l_deny ~emit_for_phase:(fun p ->
-          Asm.note a (Printf.sprintf "phase %s:" (Phase.to_string p));
+          Asm.note a ("phase " ^ Phase.to_string p ^ ":");
           match List.filter (fun r -> Phase.active r.fm_phase p) rules with
           | [] -> Asm.jmp a l_deny
           | active -> emit_ladder active)
@@ -317,8 +324,10 @@ let bind_notes ?phase entries =
           List.iteri
             (fun i ((idx, e) : int * Bindconf.entry) ->
               Asm.note a
-                (Printf.sprintf "entry %d: %d %s %s %d" idx e.port
-                   (Bindconf.proto_to_string e.proto) e.exe e.owner);
+                (String.concat ""
+                   [ "entry "; string_of_int idx; ": "; string_of_int e.port;
+                     " "; Bindconf.proto_to_string e.proto; " "; e.exe; " ";
+                     string_of_int e.owner ]);
               let l_next = if i = n - 1 then l_deny else Asm.fresh_label a in
               Asm.ld_int a i_proto;
               check a (Pfm.Eq (bind_proto_code e.proto)) ~jf:l_next;
@@ -335,7 +344,7 @@ let bind_notes ?phase entries =
     let indexed = List.mapi (fun i e -> (i, e)) entries in
     if phased then
       emit_phase_dispatch a ~l_deny ~emit_for_phase:(fun p ->
-          Asm.note a (Printf.sprintf "phase %s:" (Phase.to_string p));
+          Asm.note a ("phase " ^ Phase.to_string p ^ ":");
           match
             List.filter
               (fun ((_, e) : int * Bindconf.entry) -> Phase.active e.phase p)
@@ -429,14 +438,15 @@ let netfilter_notes ~rules ~policy =
   let rec emit i = function
     | [] ->
         Asm.note a
-          (Printf.sprintf "chain policy %s"
-             (match policy with
+          ("chain policy "
+          ^ (match policy with
              | Netfilter.Accept -> "ACCEPT"
              | Netfilter.Drop -> "DROP"
              | Netfilter.Reject -> "REJECT"));
         Asm.ret a (verdict_of_netfilter policy)
     | (r : Netfilter.rule) :: rest ->
-        Asm.note a (Printf.sprintf "rule %d: %s" i (Netfilter.rule_to_spec r));
+        Asm.note a
+          (String.concat "" [ "rule "; string_of_int i; ": "; Netfilter.rule_to_spec r ]);
         if List.for_all match_is_trivial r.matches then
           (* A match-anything rule terminates the walk; later rules are
              dead code the verifier would (rightly) reject. *)
@@ -514,9 +524,7 @@ let ppp_ioctl_notes ?phase (policy : Pppopts.t) =
     let l_safe = Asm.fresh_label a in
     let l_allow = Asm.fresh_label a and l_deny = Asm.fresh_label a in
     let emit_switch devices =
-      Asm.note a
-        (Printf.sprintf "allow-device %s"
-           (String.concat "," (List.map fst devices)));
+      Asm.note a ("allow-device " ^ String.concat "," (List.map fst devices));
       (* Exact entries go through the string switch; glob entries
          ([/dev/ttyS*]) fall out of its default into a prefix-check
          chain.  Every match lands on the same safe-bit check, so the
@@ -560,7 +568,7 @@ let ppp_ioctl_notes ?phase (policy : Pppopts.t) =
     in
     if phased then
       emit_phase_dispatch a ~l_deny ~emit_for_phase:(fun p ->
-          Asm.note a (Printf.sprintf "phase %s:" (Phase.to_string p));
+          Asm.note a ("phase " ^ Phase.to_string p ^ ":");
           match List.filter (fun (_, g) -> Phase.active g p) devices with
           | [] -> Asm.jmp a l_deny
           | active -> emit_switch active)

@@ -15,6 +15,8 @@ let proto_of_string = function "tcp" -> Some Tcp | "udp" -> Some Udp | _ -> None
 
 let parse_gen ~strict contents =
   let lines = String.split_on_char '\n' contents in
+  (* (port, proto) pairs already claimed: the strict duplicate check. *)
+  let claimed = Hashtbl.create 64 in
   let rec go acc = function
     | [] -> Ok (List.rev acc)
     | line :: rest -> (
@@ -33,11 +35,12 @@ let parse_gen ~strict contents =
             | Some port, Some proto, Some owner ->
                 if strict && (port < 1 || port >= 1024) then
                   Error ("bind: port out of privileged range: " ^ line)
-                else if
-                  strict
-                  && List.exists (fun e -> e.port = port && e.proto = proto) acc
-                then Error (Printf.sprintf "bind: duplicate port %d" port)
-                else go ({ port; proto; exe; owner; phase } :: acc) rest
+                else if strict && Hashtbl.mem claimed (port, proto) then
+                  Error (Printf.sprintf "bind: duplicate port %d" port)
+                else begin
+                  if strict then Hashtbl.replace claimed (port, proto) ();
+                  go ({ port; proto; exe; owner; phase } :: acc) rest
+                end
             | _, _, _ -> Error ("bind: malformed line: " ^ line)
           in
           match fields with

@@ -110,20 +110,30 @@ fast_tier() {
     echo "==> lsmbench smoke (outcome oracle on all four workloads)"
     python3 lsmbench/run.py --smoke
 
-    # Where the linker placed the modelled-cost code: Syscall.trap runs
-    # at every syscall, Netstack.packet_work at every packet, and both
-    # spend their time in Cost.chain.  The chain's cost should not move
-    # with its offset mod 64 (the former add loops' did), so each bench
-    # log records all three.  Informational only; never fails the job.
-    echo "==> modelled-cost layout in lsmbench/suite.exe"
-    for sym in Syscall.trap Netstack.packet_work Cost.chain; do
+    # Where the linker placed the hot code: Syscall.trap runs at every
+    # syscall, Netstack.packet_work at every packet, and both spend their
+    # time in Cost.chain, whose cost should not move with its offset mod
+    # 64 (the former add loops' did).  Pfm.eval (with Pfm.step, its
+    # interpreter loop), Decider.probe, Plane.decide_with and the Lsm
+    # hook entries are the rest of the measured paths; their speed still
+    # moves with their offset, so a change that resizes code linked
+    # before them can move benchmarks that run none of it.  Each bench
+    # log records every offset.
+    # Informational only; never fails the job.
+    echo "==> hot-symbol layout in lsmbench/suite.exe"
+    for sym in kernel:Syscall.trap kernel:Netstack.packet_work kernel:Cost.chain \
+            filter:Pfm.eval filter:Pfm.step core:Decider.probe \
+            plane:Plane.decide_with core:Lsm.sb_mount core:Lsm.sb_umount \
+            core:Lsm.socket_bind core:Lsm.file_ioctl; do
+        lib=${sym%%:*}
+        name=${sym#*:}
         addr=$(nm _build/default/lsmbench/suite.exe 2>/dev/null \
-            | sed -n "s/^\([0-9a-f]*\) T camlProtego_kernel__${sym}_[0-9]*\$/\1/p" \
+            | sed -n "s/^\([0-9a-f]*\) T camlProtego_${lib}__${name}_[0-9]*\$/\1/p" \
             | head -n 1) || true
         if [ -n "$addr" ]; then
-            echo "$sym at 0x$addr, offset $((0x$addr % 64)) mod 64"
+            echo "$name at 0x$addr, offset $((0x$addr % 64)) mod 64"
         else
-            echo "$sym: symbol not found (no nm, or a stripped binary)"
+            echo "$name: symbol not found (no nm, or a stripped binary)"
         fi
     done
 

@@ -748,6 +748,363 @@ let prop_absint_sound_bind =
         queries
       && counters_within_reachability prog s)
 
+(* --- abstract interpretation: the analysis before verdict pcs stopped
+   holding states ------------------------------------------------------
+
+   The interpreter as it was when every pc, [Ret]s included, kept up to
+   [max_disjuncts] states and joined past the cap, with the constant
+   branches voted through two tables afterwards: the oracle for the
+   property below.  The domain operations it shares are the exposed
+   ones; the refinements are copied with it. *)
+module Absint_reference = struct
+  open Absint
+
+  let itop = Inot ISet.empty
+  let stop = Snot SSet.empty
+
+  let inorm = function
+    | Iset s when ISet.is_empty s -> Ibot
+    | Irange (lo, hi) when lo > hi -> Ibot
+    | v -> v
+
+  let snorm = function Sset s when SSet.is_empty s -> Sbot | v -> v
+
+  let isingleton = function
+    | Iset s when ISet.cardinal s = 1 -> Some (ISet.min_elt s)
+    | Irange (lo, hi) when lo = hi -> Some lo
+    | _ -> None
+
+  let concrete_int_cond c x =
+    match c with
+    | Pfm.Eq imm -> x = imm
+    | Pfm.Ge imm -> x >= imm
+    | Pfm.Le imm -> x <= imm
+    | Pfm.In_range (lo, hi) -> x >= lo && x <= hi
+    | Pfm.All_bits imm -> x land imm = imm
+    | Pfm.Masked_eq { mask; value } -> x land mask = value
+    | Pfm.Eq_field _ | Pfm.Str_eq _ | Pfm.Str_prefix _ -> assert false
+
+  let irefine v c taken =
+    match v with
+    | Ibot -> Ibot
+    | Iset s -> inorm (Iset (ISet.filter (fun x -> concrete_int_cond c x = taken) s))
+    | (Irange _ | Inot _) as v -> (
+        match (c, taken) with
+        | Pfm.Eq imm, true -> imeet v (Iset (ISet.singleton imm))
+        | Pfm.Eq imm, false -> imeet v (Inot (ISet.singleton imm))
+        | Pfm.Ge imm, true -> imeet v (Irange (imm, max_int))
+        | Pfm.Ge imm, false -> imeet v (Irange (min_int, imm - 1))
+        | Pfm.Le imm, true -> imeet v (Irange (min_int, imm))
+        | Pfm.Le imm, false -> imeet v (Irange (imm + 1, max_int))
+        | Pfm.In_range (lo, hi), true -> imeet v (Irange (lo, hi))
+        | Pfm.In_range (lo, hi), false ->
+            if lo = min_int then imeet v (Irange (hi + 1, max_int))
+            else if hi = max_int then imeet v (Irange (min_int, lo - 1))
+            else if hi - lo >= 0 && hi - lo < 64 then
+              imeet v
+                (Inot (ISet.of_list (List.init (hi - lo + 1) (fun i -> lo + i))))
+            else v
+        | Pfm.All_bits imm, true when imm <> 0 -> v
+        | Pfm.All_bits 0, false -> Ibot
+        | Pfm.All_bits _, _ -> v
+        | Pfm.Masked_eq { mask = 0; value }, taken ->
+            if (0 = value) = taken then v else Ibot
+        | Pfm.Masked_eq _, _ -> v
+        | (Pfm.Eq_field _ | Pfm.Str_eq _ | Pfm.Str_prefix _), _ -> v)
+
+  let srefine v c taken =
+    match v with
+    | Sbot -> Sbot
+    | Sset s ->
+        let keep x =
+          match c with
+          | Pfm.Str_eq imm -> String.equal x imm = taken
+          | Pfm.Str_prefix p ->
+              (String.length x >= String.length p
+              && String.sub x 0 (String.length p) = p)
+              = taken
+          | _ -> true
+        in
+        snorm (Sset (SSet.filter keep s))
+    | Snot _ as v -> (
+        match (c, taken) with
+        | Pfm.Str_eq imm, true -> smeet v (Sset (SSet.singleton imm))
+        | Pfm.Str_eq imm, false -> smeet v (Snot (SSet.singleton imm))
+        | Pfm.Str_prefix "", false -> Sbot
+        | _ -> v)
+
+  type state = {
+    fi : iv array;
+    fs : sv array;
+    ai : iv;
+    asv : sv;
+    src_i : int option;
+    src_s : int option;
+  }
+
+  let join_state a b =
+    {
+      fi = Array.map2 ijoin a.fi b.fi;
+      fs = Array.map2 sjoin a.fs b.fs;
+      ai = ijoin a.ai b.ai;
+      asv = sjoin a.asv b.asv;
+      src_i = (if a.src_i = b.src_i then a.src_i else None);
+      src_s = (if a.src_s = b.src_s then a.src_s else None);
+    }
+
+  let with_ai st v =
+    let fi =
+      match st.src_i with
+      | Some f ->
+          let fi = Array.copy st.fi in
+          fi.(f) <- v;
+          fi
+      | None -> st.fi
+    in
+    { st with ai = v; fi }
+
+  let with_asv st v =
+    let fs =
+      match st.src_s with
+      | Some f ->
+          let fs = Array.copy st.fs in
+          fs.(f) <- v;
+          fs
+      | None -> st.fs
+    in
+    { st with asv = v; fs }
+
+  (* [(reachable, (allow, deny, reject), const_branches)] *)
+  let analyze ~max_disjuncts (p : Pfm.program) =
+    let n = Array.length p.insns in
+    let states : state list array = Array.make n [] in
+    let allow = ref false and deny = ref false and reject = ref false in
+    let const_branches = ref [] in
+    let propagate pc st =
+      if pc < n then
+        match states.(pc) with
+        | old when List.length old < max_disjuncts -> states.(pc) <- st :: old
+        | last :: rest -> states.(pc) <- join_state last st :: rest
+        | [] -> states.(pc) <- [ st ]
+    in
+    if n > 0 then
+      states.(0) <-
+        [
+          {
+            fi = Array.make p.n_int_fields itop;
+            fs = Array.make p.n_str_fields stop;
+            ai = Iset (ISet.singleton 0);
+            asv = Sset (SSet.singleton "");
+            src_i = None;
+            src_s = None;
+          };
+        ];
+    for pc = 0 to n - 1 do
+      List.iter
+        (fun st ->
+          match p.insns.(pc) with
+          | Pfm.Ld_int f ->
+              let ok = f >= 0 && f < p.n_int_fields in
+              propagate (pc + 1)
+                { st with ai = (if ok then st.fi.(f) else itop);
+                          src_i = (if ok then Some f else None) }
+          | Pfm.Ld_str f ->
+              let ok = f >= 0 && f < p.n_str_fields in
+              propagate (pc + 1)
+                { st with asv = (if ok then st.fs.(f) else stop);
+                          src_s = (if ok then Some f else None) }
+          | Pfm.Jmp d -> if d >= 0 then propagate (pc + 1 + d) st
+          | Pfm.Jif (c, jt, jf) ->
+              let feas_t, feas_f =
+                match c with
+                | Pfm.Str_eq _ | Pfm.Str_prefix _ ->
+                    let t = srefine st.asv c true and f = srefine st.asv c false in
+                    ( (if t = Sbot then None else Some (with_asv st t)),
+                      if f = Sbot then None else Some (with_asv st f) )
+                | Pfm.Eq_field f ->
+                    let fv =
+                      if f >= 0 && f < p.n_int_fields then st.fi.(f) else itop
+                    in
+                    let both = imeet st.ai fv in
+                    let t = if both = Ibot then None else Some (with_ai st both) in
+                    let fl =
+                      match (isingleton st.ai, isingleton fv) with
+                      | Some a, Some b when a = b -> None
+                      | _ -> Some st
+                    in
+                    (t, fl)
+                | _ ->
+                    let t = irefine st.ai c true and f = irefine st.ai c false in
+                    ( (if t = Ibot then None else Some (with_ai st t)),
+                      if f = Ibot then None else Some (with_ai st f) )
+              in
+              (match (feas_t, feas_f) with
+              | Some _, None -> const_branches := (pc, true) :: !const_branches
+              | None, Some _ -> const_branches := (pc, false) :: !const_branches
+              | _ -> ());
+              Option.iter (fun s -> if jt >= 0 then propagate (pc + 1 + jt) s) feas_t;
+              Option.iter (fun s -> if jf >= 0 then propagate (pc + 1 + jf) s) feas_f
+          | Pfm.Iswitch { tbl; default } ->
+              let keys = Hashtbl.fold (fun k _ a -> ISet.add k a) tbl ISet.empty in
+              Hashtbl.iter
+                (fun k d ->
+                  if d >= 0 then
+                    let v = imeet st.ai (Iset (ISet.singleton k)) in
+                    if v <> Ibot then propagate (pc + 1 + d) (with_ai st v))
+                tbl;
+              if default >= 0 then begin
+                let v = imeet st.ai (Inot keys) in
+                if v <> Ibot then propagate (pc + 1 + default) (with_ai st v)
+              end
+          | Pfm.Sswitch { tbl; default } ->
+              let keys =
+                Hashtbl.fold (fun k _ a -> SSet.add k a) tbl SSet.empty
+              in
+              Hashtbl.iter
+                (fun k d ->
+                  if d >= 0 then
+                    let v = smeet st.asv (Sset (SSet.singleton k)) in
+                    if v <> Sbot then propagate (pc + 1 + d) (with_asv st v))
+                tbl;
+              if default >= 0 then begin
+                let v = smeet st.asv (Snot keys) in
+                if v <> Sbot then propagate (pc + 1 + default) (with_asv st v)
+              end
+          | Pfm.Ret Pfm.Allow -> allow := true
+          | Pfm.Ret Pfm.Deny -> deny := true
+          | Pfm.Ret Pfm.Reject -> reject := true)
+        states.(pc)
+    done;
+    let const_branches =
+      let tbl = Hashtbl.create 16 in
+      List.iter
+        (fun (pc, dir) ->
+          match Hashtbl.find_opt tbl pc with
+          | None -> Hashtbl.replace tbl pc (Some dir)
+          | Some (Some d) when d = dir -> ()
+          | Some _ -> Hashtbl.replace tbl pc None)
+        !const_branches;
+      let votes = Hashtbl.create 16 in
+      List.iter
+        (fun (pc, _) ->
+          Hashtbl.replace votes pc
+            (1 + Option.value ~default:0 (Hashtbl.find_opt votes pc)))
+        !const_branches;
+      Hashtbl.fold
+        (fun pc dir acc ->
+          match dir with
+          | Some d when Hashtbl.find votes pc = List.length states.(pc) ->
+              (pc, d) :: acc
+          | _ -> acc)
+        tbl []
+      |> List.sort compare
+    in
+    ( Array.map (fun ds -> ds <> []) states,
+      (!allow, !deny, !reject),
+      const_branches )
+end
+
+let absint_agrees ?(max_disjuncts = 64) p =
+  let s = Absint.analyze ~max_disjuncts p in
+  Absint_reference.analyze ~max_disjuncts p
+  = ( s.Absint.reachable,
+      (s.Absint.allow_reachable, s.Absint.deny_reachable, s.Absint.reject_reachable),
+      s.Absint.const_branches )
+
+(* Garbage programs too: backward and out-of-range offsets, fields past
+   the context, and small caps so joins happen at branching pcs. *)
+let absint_program_gen =
+  let open QCheck2.Gen in
+  let off = int_range (-1) 6 in
+  let small = int_range (-2) 4 in
+  let str = oneofl [ ""; "a"; "ab"; "b" ] in
+  let cond =
+    oneof
+      [ map (fun k -> Pfm.Eq k) small; map (fun k -> Pfm.Ge k) small;
+        map (fun k -> Pfm.Le k) small;
+        map2 (fun lo w -> Pfm.In_range (lo, lo + w)) small (int_bound 3);
+        map (fun k -> Pfm.All_bits k) (int_bound 3);
+        map2 (fun mask value -> Pfm.Masked_eq { mask; value })
+          (int_bound 3) (int_bound 3);
+        map (fun f -> Pfm.Eq_field f) (int_range (-1) 2);
+        map (fun s -> Pfm.Str_eq s) str; map (fun s -> Pfm.Str_prefix s) str ]
+  in
+  let table key =
+    map
+      (fun cases ->
+        let tbl = Hashtbl.create 4 in
+        List.iter (fun (k, d) -> Hashtbl.replace tbl k d) cases;
+        tbl)
+      (list_size (int_bound 3) (pair key off))
+  in
+  let insn =
+    frequency
+      [ (3, map (fun f -> Pfm.Ld_int f) (int_range (-1) 2));
+        (2, map (fun f -> Pfm.Ld_str f) (int_range (-1) 1));
+        (1, map (fun d -> Pfm.Jmp d) off);
+        (5, map3 (fun c jt jf -> Pfm.Jif (c, jt, jf)) cond off off);
+        (1, map2 (fun tbl default -> Pfm.Iswitch { tbl; default }) (table small) off);
+        (1, map2 (fun tbl default -> Pfm.Sswitch { tbl; default }) (table str) off);
+        (3, map (fun v -> Pfm.Ret v) (oneofl [ Pfm.Allow; Pfm.Deny; Pfm.Reject ])) ]
+  in
+  map
+    (fun ((ni, ns), insns) ->
+      { Pfm.pname = "random"; n_int_fields = ni; n_str_fields = ns;
+        insns = Array.of_list insns; counters = Array.make (List.length insns) 0;
+        retired = 0 })
+    (pair (pair (int_bound 2) (int_bound 1)) (list_size (int_range 1 24) insn))
+
+let prop_absint_reference_random =
+  QCheck2.Test.make
+    ~name:"absint: random programs analyze as the reference interpreter"
+    ~count:1000
+    QCheck2.Gen.(pair absint_program_gen (oneofl [ 0; 1; 2; 3; 64 ]))
+    (fun (p, max_disjuncts) -> absint_agrees ~max_disjuncts p)
+
+let guard_gen =
+  QCheck2.Gen.(
+    oneof
+      [ return Phase.Always;
+        map (fun q -> Phase.Upto q) (oneofl Phase.all);
+        map (fun q -> Phase.Exactly q) (oneofl Phase.all);
+        map (fun q -> Phase.From q) (oneofl Phase.all) ])
+
+let fm_rule_gen =
+  QCheck2.Gen.(
+    map
+      (fun ((src, tgt), ((fs, flags), (user, phase))) ->
+        { Compile.fm_source = src; fm_target = tgt; fm_fstype = fs;
+          fm_flags = flags; fm_user_only = user; fm_phase = phase })
+      (pair
+         (pair (oneofl sources) (oneofl targets))
+         (pair (pair (oneofl fstypes) flags_gen) (pair bool guard_gen))))
+
+let guarded_bind_entry_gen =
+  QCheck2.Gen.map2
+    (fun (e : Bindconf.entry) phase -> { e with phase })
+    bind_entry_gen guard_gen
+
+(* Compiled policies from small pools, so duplicate rules, "auto"
+   fstypes and phase guards all occur: the full program and every
+   phase's residual, with the default cap and a small one. *)
+let prop_absint_reference_policies =
+  QCheck2.Test.make
+    ~name:"absint: compiled mount/umount/bind policies analyze as the reference interpreter"
+    ~count:300
+    QCheck2.Gen.(
+      triple (list_size (int_bound 12) fm_rule_gen)
+        (list_size (int_bound 10) guarded_bind_entry_gen)
+        (oneofl [ 2; 64 ]))
+    (fun (rules, entries, max_disjuncts) ->
+      let programs phase =
+        [ Compile.mount ?phase rules; Compile.umount ?phase rules;
+          Compile.bind ?phase entries ]
+      in
+      List.for_all (absint_agrees ~max_disjuncts)
+        (List.concat_map programs
+           (None :: List.map Option.some Phase.all)
+        @ [ Compile.mount_linear rules; Compile.bind_linear entries ]))
+
 (* --- decision cache: cached == engine == reference under reloads --------
    10k random decisions per hook, driven through the dispatcher with the
    cache enabled, with a policy reload every ~100 decisions.  At every
@@ -961,7 +1318,8 @@ let suites =
         [ prop_proc_fuzz; prop_command_fuzz; prop_netfilter_first_match;
           prop_rule_spec_roundtrip;
           prop_sudoers_roundtrip; prop_resolve_normalized;
-          prop_normalize_reference; prop_resolve_reference ]);
+          prop_normalize_reference; prop_resolve_reference;
+          prop_absint_reference_random; prop_absint_reference_policies ]);
     ("fuzz:filter-differential",
       List.map
         (QCheck_alcotest.to_alcotest ~long:false)

@@ -215,6 +215,22 @@ let test_bindconf () =
   let printed = Bindconf.to_string entries in
   check "roundtrip" true (Result.get_ok (Bindconf.parse printed) = entries)
 
+(* The strict parser keys duplicates by (port, proto): one port may
+   carry a tcp and a udp entry, and of several repeats the first one in
+   file order is the one reported. *)
+let test_bindconf_duplicates () =
+  Alcotest.(check (result int string))
+    "tcp and udp on one port are not duplicates" (Ok 2)
+    (Result.map List.length
+       (Bindconf.parse "25 tcp /a 1\n25 udp /b 2\n"));
+  let text = "25 tcp /a 1\n25 udp /b 2\n53 udp /c 3\n53 udp /d 4\n25 tcp /e 5\n" in
+  Alcotest.(check (result int string))
+    "the first repeat is reported" (Error "bind: duplicate port 53")
+    (Result.map List.length (Bindconf.parse text));
+  Alcotest.(check (result int string))
+    "the lax parser keeps every entry" (Ok 5)
+    (Result.map List.length (Bindconf.parse_lax text))
+
 (* --- ppp options ----------------------------------------------------------------- *)
 
 let test_pppopts () =
@@ -305,7 +321,10 @@ let suites =
         Alcotest.test_case "allowed binaries" `Quick test_sudoers_allowed_binaries;
         Alcotest.test_case "roundtrip" `Quick test_sudoers_roundtrip;
         Alcotest.test_case "merge and tags" `Quick test_sudoers_merge_and_tags ]);
-    ("policy:bind", [ Alcotest.test_case "bind map" `Quick test_bindconf ]);
+    ("policy:bind",
+      [ Alcotest.test_case "bind map" `Quick test_bindconf;
+        Alcotest.test_case "duplicates by port and proto" `Quick
+          test_bindconf_duplicates ]);
     ("policy:ppp", [ Alcotest.test_case "options" `Quick test_pppopts ]);
     ("policy:pwdb",
       [ Alcotest.test_case "passwd records" `Quick test_pwdb_passwd;
