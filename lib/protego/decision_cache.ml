@@ -1,5 +1,4 @@
 module Pfm = Protego_filter.Pfm
-module Errno = Protego_base.Errno
 
 type hook = {
   hid : int;
@@ -85,21 +84,21 @@ module Key = struct
     let h = h * 0x2127599bf4325c37 in
     h lxor (h lsr 32)
 
-  (* [s] (a stored key) against the key's bytes, in place. *)
-  let equal_string k s =
-    let n = k.len in
-    String.length s = n
+  (* The first [n] bytes of [b] (a slot's buffer, which may be longer)
+     against the key's bytes, in place. *)
+  let equal_prefix k b n =
+    n = k.len
     &&
-    let b = k.buf and whole = n land lnot 7 in
+    let kb = k.buf and whole = n land lnot 7 in
     let i = ref 0 in
     while
-      !i < whole && (String.get_int64_le s !i : int64) = Bytes.get_int64_le b !i
+      !i < whole && (Bytes.get_int64_le b !i : int64) = Bytes.get_int64_le kb !i
     do
       i := !i + 8
     done;
     if !i < whole then false
     else begin
-      while !i < n && String.unsafe_get s !i = Bytes.unsafe_get b !i do
+      while !i < n && Bytes.unsafe_get b !i = Bytes.unsafe_get kb !i do
         incr i
       done;
       !i >= n
@@ -108,36 +107,32 @@ end
 
 (* --- the table ----------------------------------------------------------- *)
 
-type entry = {
-  e_hash : int;
-  e_hid : int;
-  e_subject : int;
-  e_key : string;
-  mutable e_gen : int;
-  (* what [find] returns on a hit, built once when the verdict is stored *)
-  mutable e_found : Pfm.verdict option;
-  (* intrusive LRU ring through the table's sentinel: [prev] is more
-     recent, [next] less *)
-  mutable e_prev : entry;
-  mutable e_next : entry;
-  mutable e_chain : entry;  (* bucket chain, ended by [nil] *)
-}
-
-let rec nil =
-  { e_hash = 0; e_hid = -1; e_subject = 0; e_key = ""; e_gen = 0;
-    e_found = None; e_prev = nil; e_next = nil; e_chain = nil }
-
-let no_key = Key.create ()
+(* Entries live in slots of parallel arrays: an insert fills ints in arrays
+   that exist already and a hit rewrites ints only, so neither allocates or
+   pays the write barrier.  Slot 0 is the LRU ring's sentinel ([s_next.(0)]
+   is the most recent slot).  [s_chain] links a bucket's slots (to -1) and
+   the free list.  A slot's key buffer is reused with it; only a longer key
+   allocates.  The arrays double on demand up to [cap + 1] slots, and the
+   bucket heads with them. *)
 
 type t = {
   cap : int;
-  buckets : entry array;  (* length a power of two *)
-  lru : entry;            (* ring sentinel: [lru.e_next] is the MRU entry *)
+  mutable heads : int array;  (* a bucket's first slot, or -1; length 2^k *)
+  mutable s_hash : int array;
+  mutable s_hid : int array;
+  mutable s_subject : int array;
+  mutable s_gen : int array;
+  mutable s_verdict : int array;  (* [code] of the verdict *)
+  mutable s_prev : int array;     (* more recent *)
+  mutable s_next : int array;     (* less recent *)
+  mutable s_chain : int array;
+  mutable s_key : Bytes.t array;
+  mutable s_klen : int array;
+  mutable used : int;  (* slots [0, used) have been handed out *)
+  mutable free : int;  (* the free list's first slot, or -1 *)
   mutable size : int;
   mutable enabled : bool;
-  (* Atomic: the dispatcher's front slots in other domains compare their
-     stamped epoch against this on every decision, while [clear] bumps it
-     from whichever domain serviced the /proc write. *)
+  (* Atomic: the one field another domain may read. *)
   epoch : int Atomic.t;
   mutable hits : int;
   mutable misses : int;
@@ -154,19 +149,24 @@ type t = {
   mutable m_hash : int;
 }
 
+let no_key = Key.create ()
+
+(* What [find] returns, one value per verdict. *)
+let found = [| Some Pfm.Allow; Some Pfm.Deny; Some Pfm.Reject |]
+let code = function Pfm.Allow -> 0 | Pfm.Deny -> 1 | Pfm.Reject -> 2
+
 let default_capacity = 1024
 
+(* Just the sentinel: a table no hook ever fills stays a few words. *)
 let create ?(capacity = default_capacity) () =
-  let cap = max 1 capacity in
-  let rec pow2 n = if n >= cap then n else pow2 (2 * n) in
-  let rec lru =
-    { e_hash = 0; e_hid = -1; e_subject = 0; e_key = ""; e_gen = 0;
-      e_found = None; e_prev = lru; e_next = lru; e_chain = nil }
-  in
-  { cap; buckets = Array.make (pow2 1) nil; lru; size = 0; enabled = true;
-    epoch = Atomic.make 0; hits = 0; misses = 0; stale = 0; evicted = 0;
-    hooks = []; m_key = no_key; m_stamp = 0; m_hid = -1; m_subject = 0;
-    m_hash = 0 }
+  let ints () = Array.make 1 0 in
+  { cap = max 1 capacity; heads = Array.make 1 (-1); s_hash = ints ();
+    s_hid = ints (); s_subject = ints (); s_gen = ints ();
+    s_verdict = ints (); s_prev = ints (); s_next = ints ();
+    s_chain = ints (); s_key = Array.make 1 Bytes.empty; s_klen = ints ();
+    used = 1; free = -1; size = 0; enabled = true; epoch = Atomic.make 0;
+    hits = 0; misses = 0; stale = 0; evicted = 0; hooks = [];
+    m_key = no_key; m_stamp = 0; m_hid = -1; m_subject = 0; m_hash = 0 }
 
 let register t name =
   match List.find_opt (fun h -> h.hname = name) t.hooks with
@@ -195,45 +195,81 @@ let stale_evictions t = t.stale
 let capacity_evictions t = t.evicted
 let hook_stats t = List.rev t.hooks
 
-(* --- LRU ring and buckets ----------------------------------------------- *)
+(* --- slots, LRU ring and buckets ---------------------------------------- *)
 
-let unlink e =
-  e.e_prev.e_next <- e.e_next;
-  e.e_next.e_prev <- e.e_prev
+let bucket t h = h land (Array.length t.heads - 1)
 
-let push_front t e =
-  let s = t.lru in
-  e.e_prev <- s;
-  e.e_next <- s.e_next;
-  s.e_next.e_prev <- e;
-  s.e_next <- e
+let grow t =
+  let n = min (t.cap + 1) (2 * Array.length t.s_hash) in
+  let extend a x =
+    Array.init n (fun i -> if i < Array.length a then a.(i) else x)
+  in
+  t.s_hash <- extend t.s_hash 0;
+  t.s_hid <- extend t.s_hid 0;
+  t.s_subject <- extend t.s_subject 0;
+  t.s_gen <- extend t.s_gen 0;
+  t.s_verdict <- extend t.s_verdict 0;
+  t.s_prev <- extend t.s_prev 0;
+  t.s_next <- extend t.s_next 0;
+  t.s_chain <- extend t.s_chain 0;
+  t.s_key <- extend t.s_key Bytes.empty;
+  t.s_klen <- extend t.s_klen 0;
+  (* Every slot is live here: rebucket them over as many heads as the
+     grown arrays can fill. *)
+  let rec pow2 k = if k >= n - 1 then k else pow2 (2 * k) in
+  t.heads <- Array.make (pow2 1) (-1);
+  let s = ref t.s_next.(0) in
+  while !s <> 0 do
+    let i = bucket t t.s_hash.(!s) in
+    t.s_chain.(!s) <- t.heads.(i);
+    t.heads.(i) <- !s;
+    s := t.s_next.(!s)
+  done
 
-let touch t e =
-  if t.lru.e_next != e then begin
-    unlink e;
-    push_front t e
+let unlink t s =
+  t.s_next.(t.s_prev.(s)) <- t.s_next.(s);
+  t.s_prev.(t.s_next.(s)) <- t.s_prev.(s)
+
+let push_front t s =
+  let first = t.s_next.(0) in
+  t.s_prev.(s) <- 0;
+  t.s_next.(s) <- first;
+  t.s_prev.(first) <- s;
+  t.s_next.(0) <- s
+
+let touch t s =
+  if t.s_next.(0) <> s then begin
+    unlink t s;
+    push_front t s
   end
 
-let bucket t h = h land (Array.length t.buckets - 1)
+(* The slot holding the key, or -1. *)
+let lookup t h ~hid ~subject key =
+  let s = ref t.heads.(bucket t h) in
+  while
+    !s >= 0
+    && not
+         (t.s_hash.(!s) = h && t.s_hid.(!s) = hid
+         && t.s_subject.(!s) = subject
+         && Key.equal_prefix key t.s_key.(!s) t.s_klen.(!s))
+  do
+    s := t.s_chain.(!s)
+  done;
+  !s
 
-let rec lookup e h ~hid ~subject key =
-  if e == nil then nil
-  else if
-    e.e_hash = h && e.e_hid = hid && e.e_subject = subject
-    && Key.equal_string key e.e_key
-  then e
-  else lookup e.e_chain h ~hid ~subject key
-
-let rec unchain p e =
-  if p.e_chain == e then p.e_chain <- e.e_chain else unchain p.e_chain e
-
-(* Remove [e] from the LRU ring and from the bucket its stored hash
-   names. *)
-let drop t e =
-  unlink e;
-  let i = bucket t e.e_hash in
-  if t.buckets.(i) == e then t.buckets.(i) <- e.e_chain
-  else unchain t.buckets.(i) e;
+(* Remove slot [s] from the LRU ring and from the bucket its stored hash
+   names, and free it. *)
+let drop t s =
+  unlink t s;
+  let i = bucket t t.s_hash.(s) in
+  if t.heads.(i) = s then t.heads.(i) <- t.s_chain.(s)
+  else begin
+    let p = ref t.heads.(i) in
+    while t.s_chain.(!p) <> s do p := t.s_chain.(!p) done;
+    t.s_chain.(!p) <- t.s_chain.(s)
+  end;
+  t.s_chain.(s) <- t.free;
+  t.free <- s;
   t.size <- t.size - 1
 
 (* --- the hot path ------------------------------------------------------- *)
@@ -251,58 +287,69 @@ let find t hook ~subject ~key ~gen =
   if not t.enabled then None
   else
     let h = Key.hash key ~hid:hook.hid ~subject in
-    let e = lookup t.buckets.(bucket t h) h ~hid:hook.hid ~subject key in
-    if e == nil then begin
+    let s = lookup t h ~hid:hook.hid ~subject key in
+    if s < 0 then begin
       missed t hook ~subject key h;
       None
     end
-    else if e.e_gen = gen then begin
-      touch t e;
+    else if t.s_gen.(s) = gen then begin
+      touch t s;
       t.hits <- t.hits + 1;
       hook.h_hits <- hook.h_hits + 1;
-      e.e_found
+      found.(t.s_verdict.(s))
     end
     else begin
-      drop t e;
+      drop t s;
       t.stale <- t.stale + 1;
       hook.h_stale <- hook.h_stale + 1;
       missed t hook ~subject key h;
       None
     end
 
-let insert t hook ~subject ~key h ~gen ~found =
+let insert t hook ~subject ~key h ~gen ~verdict =
   if t.size >= t.cap then begin
-    let lru = t.lru.e_prev in
-    if lru != t.lru then begin
-      drop t lru;
-      t.evicted <- t.evicted + 1
-    end
+    drop t t.s_prev.(0);
+    t.evicted <- t.evicted + 1
   end;
+  (* A freed slot, else the next unused one, which below capacity is
+     within [cap + 1]. *)
+  let s = if t.free >= 0 then t.free else t.used in
+  if s = t.free then t.free <- t.s_chain.(s)
+  else begin
+    if s = Array.length t.s_hash then grow t;
+    t.used <- s + 1
+  end;
+  let n = key.Key.len in
+  if Bytes.length t.s_key.(s) < n then
+    (* [n lor 7] bytes fill the words [n] would take anyway *)
+    t.s_key.(s) <- Bytes.create (n lor 7);
+  Bytes.blit key.Key.buf 0 t.s_key.(s) 0 n;
+  t.s_klen.(s) <- n;
+  t.s_hash.(s) <- h;
+  t.s_hid.(s) <- hook.hid;
+  t.s_subject.(s) <- subject;
+  t.s_gen.(s) <- gen;
+  t.s_verdict.(s) <- code verdict;
   let i = bucket t h in
-  let e =
-    { e_hash = h; e_hid = hook.hid; e_subject = subject;
-      e_key = Key.contents key; e_gen = gen; e_found = found;
-      e_prev = nil; e_next = nil; e_chain = t.buckets.(i) }
-  in
-  t.buckets.(i) <- e;
-  push_front t e;
+  t.s_chain.(s) <- t.heads.(i);
+  t.heads.(i) <- s;
+  push_front t s;
   t.size <- t.size + 1
 
 let add t hook ~subject ~key ~gen ~verdict =
   if t.enabled then begin
-    let found = Some verdict in
     if
       t.m_key == key && t.m_stamp = key.Key.stamp && t.m_hid = hook.hid
       && t.m_subject = subject
-    then insert t hook ~subject ~key t.m_hash ~gen ~found
+    then insert t hook ~subject ~key t.m_hash ~gen ~verdict
     else begin
       let h = Key.hash key ~hid:hook.hid ~subject in
-      let e = lookup t.buckets.(bucket t h) h ~hid:hook.hid ~subject key in
-      if e == nil then insert t hook ~subject ~key h ~gen ~found
+      let s = lookup t h ~hid:hook.hid ~subject key in
+      if s < 0 then insert t hook ~subject ~key h ~gen ~verdict
       else begin
-        e.e_gen <- gen;
-        e.e_found <- found;
-        touch t e
+        t.s_gen.(s) <- gen;
+        t.s_verdict.(s) <- code verdict;
+        touch t s
       end
     end;
     t.m_key <- no_key
@@ -311,9 +358,11 @@ let add t hook ~subject ~key ~gen ~verdict =
 (* --- control ------------------------------------------------------------ *)
 
 let clear t =
-  Array.fill t.buckets 0 (Array.length t.buckets) nil;
-  t.lru.e_prev <- t.lru;
-  t.lru.e_next <- t.lru;
+  Array.fill t.heads 0 (Array.length t.heads) (-1);
+  t.s_prev.(0) <- 0;
+  t.s_next.(0) <- 0;
+  t.used <- 1;
+  t.free <- -1;
   t.size <- 0;
   Atomic.incr t.epoch
 

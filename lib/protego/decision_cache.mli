@@ -12,8 +12,14 @@
     bare string last) into a scratch buffer the caller owns and reuses.  The
     encoding is injective for a fixed field layout, so two different
     tuples never share an entry, whatever bytes their strings hold.  A
-    lookup hashes the key once and compares stored bytes in place; only
-    an insertion copies the key into an owned string.
+    lookup hashes the key once and compares stored bytes in place.
+
+    {b Entries are slots in parallel arrays.}  Int arrays hold each
+    slot's hash, hook id, subject, generation, verdict code, LRU links
+    and bucket chain; each slot owns a key buffer, which an insert reuses
+    and replaces only for a longer key than it has held.  So a hit and a
+    steady-state insert allocate nothing.  A new table holds no slots;
+    the arrays and the bucket heads grow by doubling up to the capacity.
 
     {b Invalidation is lazy and per-source, not a global flush.}  Every
     policy source carries a generation counter ({!Policy_state.generation});
@@ -26,6 +32,12 @@
 
     Capacity is fixed at creation; when full, the least-recently-used entry
     is evicted ("capacity eviction").  A hit refreshes recency.
+
+    {b One owner domain.}  A table belongs to one domain: the LSM
+    dispatcher's, or one plane worker's.  Only that domain looks up,
+    inserts or clears; {!epoch} is the one value another domain may read, and
+    the counters are read elsewhere only while the owner is idle (a
+    plane's stats between runs).
 
     The table is observable and controllable through
     [/proc/protego/cache_stats] (see {!render} / {!handle_write}). *)

@@ -201,25 +201,16 @@ val flags_to_string : Ktypes.mount_flag list -> string
     whitelist grammar's flag column, reused by the policy synthesizer
     (the record-mode audit descriptors spell flags the same way). *)
 
-val flags_of_string : string -> (Ktypes.mount_flag list, string) result
-
 val parse_accounts :
   string -> (account_user list * account_group list, string) result
 val accounts_to_string : account_user list -> account_group list -> string
 
-(** {1 Queries used by the LSM hooks} *)
+(** {1 Queries used by the LSM hooks}
 
-val find_mount_rule :
-  ?phase:Protego_base.Phase.t ->
-  t -> source:string -> target:string -> fstype:string -> mount_rule option
-(** With [?phase], rules whose guard is inactive in that phase are
+    With [?phase], rules whose guard is inactive in that phase are
     skipped — the same residual walk the compiled per-phase ladders
     perform.  Without it, guards are ignored.  All the queries and
     oracles below treat [?phase] identically. *)
-
-val flags_satisfy :
-  requested:Ktypes.mount_flag list -> required:Ktypes.mount_flag list -> bool
-(** The caller must request at least every flag the rule demands. *)
 
 val bind_allowed :
   ?phase:Protego_base.Phase.t ->

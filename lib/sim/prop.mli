@@ -33,12 +33,6 @@ val always_fold :
 (** The fold is hidden behind the closure, so properties with state
     (last published epoch, pending-mutation count) stay declarative. *)
 
-val leads_to :
-  string -> applies:(Sim.spec -> bool) -> trigger:(Sim.event -> bool) ->
-  ack:(Sim.event -> bool) -> why:string -> t
-(** [always (trigger => eventually ack)]: violated at the first trigger
-    left unacked at the end of the trace. *)
-
 (** {1 The registry}
 
     Plane lane: ["epoch-monotone"], ["verdict-matches-epoch"],

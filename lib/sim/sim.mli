@@ -203,7 +203,3 @@ val golden_plane_setup : PS.t -> unit
 
 val golden_plane_flip : int -> PS.t -> string
 (** Apply golden reload [k] (0..2) and return its label (P1/P2/P3). *)
-
-val golden_battery : unit -> Plane.request array
-(** One 8-probe battery: mount bare x2, mount full-flags x2, bind tcp
-    x2, bind udp x2 — interned values, asked twice each. *)

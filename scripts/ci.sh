@@ -114,8 +114,9 @@ fast_tier() {
     # syscall, Netstack.packet_work at every packet, and both spend their
     # time in Cost.chain, whose cost should not move with its offset mod
     # 64 (the former add loops' did).  Pfm.eval (with Pfm.step, its
-    # interpreter loop), Decider.probe, Plane.decide_with and the Lsm
-    # hook entries are the rest of the measured paths; their speed still
+    # interpreter loop), Decider.probe, Decision_cache.find and .add,
+    # Plane.decide_with and the Lsm hook entries are the rest of the
+    # measured paths; their speed still
     # moves with their offset, so a change that resizes code linked
     # before them can move benchmarks that run none of it.  Each bench
     # log records every offset.
@@ -123,6 +124,7 @@ fast_tier() {
     echo "==> hot-symbol layout in lsmbench/suite.exe"
     for sym in kernel:Syscall.trap kernel:Netstack.packet_work kernel:Cost.chain \
             filter:Pfm.eval filter:Pfm.step core:Decider.probe \
+            core:Decision_cache.find core:Decision_cache.add \
             plane:Plane.decide_with core:Lsm.sb_mount core:Lsm.sb_umount \
             core:Lsm.socket_bind core:Lsm.file_ioctl; do
         lib=${sym%%:*}

@@ -211,6 +211,185 @@ let test_hit_allocates_nothing () =
         (w < 0.01))
     [ 8; 1000 ]
 
+(* Inserts into a full table, each with its capacity eviction, allocate
+   nothing once every slot's key buffer has held a key as long: half go
+   through a missed [find] (the insert reuses its hash), half straight
+   to [add]. *)
+let test_full_insert_allocates_nothing () =
+  let cap = 64 in
+  let c = DC.create ~capacity:cap () in
+  let h = DC.register c "mount" in
+  let k = DC.Key.create () in
+  let long = String.make 40 'x' and short = String.make 24 'y' in
+  let insert i s =
+    DC.Key.reset k;
+    DC.Key.int k i;
+    DC.Key.last_string k s;
+    if i land 1 = 1 || DC.find c h ~subject:0 ~key:k ~gen:0 = None then
+      DC.add c h ~subject:0 ~key:k ~gen:0 ~verdict:Pfm.Deny
+  in
+  for i = 0 to (2 * cap) - 1 do
+    insert i long
+  done;
+  let n = 1000 in
+  let evicted = DC.capacity_evictions c in
+  let before = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    insert (1_000_000 + i) short
+  done;
+  let words = Gc.minor_words () -. before in
+  check_int "every insert evicted" n (DC.capacity_evictions c - evicted);
+  check_int "still full" cap (DC.length c);
+  check (Printf.sprintf "%.0f words over %d inserts" words n) true
+    (words = 0.)
+
+(* --- the table against a model ------------------------------------------ *)
+
+(* A naive LRU the table must agree with: an association list, most recent
+   first, of (hook, subject, key) to (gen, verdict), and the counters. *)
+type model = {
+  cap : int;
+  mutable entries : ((int * int * string) * (int * Pfm.verdict)) list;
+  mutable hits : int;
+  mutable misses : int;
+  mutable stale : int;
+  mutable evicted : int;
+  per_hook : (int * int * int) array;  (* hits, misses, stale *)
+}
+
+let model_count m hid ~hit ~stale =
+  let a, b, c = m.per_hook.(hid) in
+  if hit then begin
+    m.hits <- m.hits + 1;
+    m.per_hook.(hid) <- (a + 1, b, c)
+  end
+  else begin
+    m.misses <- m.misses + 1;
+    if stale then m.stale <- m.stale + 1;
+    m.per_hook.(hid) <- (a, b + 1, if stale then c + 1 else c)
+  end
+
+let model_find m hid subject key gen =
+  let k = (hid, subject, key) in
+  let rest = List.remove_assoc k m.entries in
+  match List.assoc_opt k m.entries with
+  | Some (g, v) when g = gen ->
+      m.entries <- (k, (g, v)) :: rest;
+      model_count m hid ~hit:true ~stale:false;
+      Some v
+  | Some _ ->
+      m.entries <- rest;
+      model_count m hid ~hit:false ~stale:true;
+      None
+  | None ->
+      model_count m hid ~hit:false ~stale:false;
+      None
+
+let model_add m hid subject key gen v =
+  let k = (hid, subject, key) in
+  let rest = List.remove_assoc k m.entries in
+  let rest =
+    if List.mem_assoc k m.entries || List.length rest < m.cap then rest
+    else begin
+      m.evicted <- m.evicted + 1;
+      List.filteri (fun i _ -> i < m.cap - 1) rest
+    end
+  in
+  m.entries <- (k, (gen, v)) :: rest
+
+let model_render m names =
+  Printf.sprintf "cache on capacity %d entries %d\n" m.cap
+    (List.length m.entries)
+  ^ Printf.sprintf "hits %d misses %d stale %d evicted %d\n" m.hits m.misses
+      m.stale m.evicted
+  ^ String.concat ""
+      (List.mapi
+         (fun i name ->
+           let a, b, c = m.per_hook.(i) in
+           Printf.sprintf "hook %s hits %d misses %d stale %d\n" name a b c)
+         names)
+
+(* Random runs of find, add, find-then-add, generation bumps, clear and
+   reset.  Capacities 1, 2, 3, 16 and 17 meet the table's growth (its
+   slots double up to capacity + 1, rebucketed each time) and eviction
+   at capacity; keys of 0 to 30 bytes, some prefixes of others, land in
+   slots whose reused buffers hold longer keys. *)
+let test_model () =
+  let names = [ "mount"; "bind" ] in
+  let keys =
+    List.concat_map
+      (fun ch -> List.map (fun n -> String.make n ch) [ 0; 1; 3; 7; 8; 9; 15; 16; 17; 30 ])
+      [ 'a'; 'b' ]
+    |> Array.of_list
+  in
+  List.iter
+    (fun cap ->
+      for seed = 0 to 39 do
+        let rand = Random.State.make [| 0xDC; cap; seed |] in
+        let c = DC.create ~capacity:cap () in
+        let hooks = Array.of_list (List.map (DC.register c) names) in
+        let m =
+          { cap; entries = []; hits = 0; misses = 0; stale = 0; evicted = 0;
+            per_hook = Array.make 2 (0, 0, 0) }
+        in
+        let gens = [| 0; 0 |] in
+        let k = DC.Key.create () in
+        let verdicts = [| Pfm.Allow; Pfm.Deny; Pfm.Reject |] in
+        for step = 1 to 300 do
+          let where = Printf.sprintf "cap %d seed %d step %d" cap seed step in
+          let hid = Random.State.int rand 2 in
+          let subject = Random.State.int rand 3 in
+          let key = keys.(Random.State.int rand (Array.length keys)) in
+          let v = verdicts.(Random.State.int rand 3) in
+          let write () =
+            DC.Key.reset k;
+            DC.Key.last_string k key
+          in
+          let find () =
+            write ();
+            let got = DC.find c hooks.(hid) ~subject ~key:k ~gen:gens.(hid) in
+            let want = model_find m hid subject key gens.(hid) in
+            check (where ^ ": find") true (got = want);
+            got
+          in
+          let add () =
+            DC.add c hooks.(hid) ~subject ~key:k ~gen:gens.(hid) ~verdict:v;
+            model_add m hid subject key gens.(hid) v
+          in
+          (match Random.State.int rand 20 with
+          | 0 -> gens.(hid) <- gens.(hid) + 1
+          | 1 ->
+              DC.clear c;
+              m.entries <- []
+          | 2 ->
+              DC.reset c;
+              m.entries <- [];
+              m.hits <- 0;
+              m.misses <- 0;
+              m.stale <- 0;
+              m.evicted <- 0;
+              Array.fill m.per_hook 0 2 (0, 0, 0)
+          | 3 | 4 | 5 | 6 | 7 | 8 ->
+              write ();
+              add ()
+          | 9 | 10 | 11 | 12 | 13 -> if find () = None then add ()
+          | _ -> ignore (find ()));
+          check_int (where ^ ": length") (List.length m.entries) (DC.length c);
+          check_int (where ^ ": hits") m.hits (DC.hits c);
+          check_int (where ^ ": misses") m.misses (DC.misses c);
+          check_int (where ^ ": stale") m.stale (DC.stale_evictions c);
+          check_int (where ^ ": evicted") m.evicted (DC.capacity_evictions c);
+          List.iter2
+            (fun h (hits, misses, stale) ->
+              check_int (where ^ ": hook hits") hits h.DC.h_hits;
+              check_int (where ^ ": hook misses") misses h.DC.h_misses;
+              check_int (where ^ ": hook stale") stale h.DC.h_stale)
+            (DC.hook_stats c) (Array.to_list m.per_hook);
+          check_str (where ^ ": render") (model_render m names) (DC.render c)
+        done
+      done)
+    [ 1; 2; 3; 16; 17 ]
+
 (* --- keys --------------------------------------------------------------- *)
 
 let encoded f =
@@ -779,7 +958,10 @@ let suites =
           test_register_and_reset;
         Alcotest.test_case "insert after a miss" `Quick test_insert_after_miss;
         Alcotest.test_case "a hit allocates nothing" `Quick
-          test_hit_allocates_nothing ]);
+          test_hit_allocates_nothing;
+        Alcotest.test_case "an insert into a full table allocates nothing"
+          `Quick test_full_insert_allocates_nothing;
+        Alcotest.test_case "agrees with a naive LRU model" `Quick test_model ]);
     ("cache:keys",
       [ Alcotest.test_case "injective and no longer than a rendering" `Quick
           test_keys_injective_and_short ]);
