@@ -11,6 +11,7 @@
 module Study = Protego_study
 module Image = Protego_dist.Image
 module Phase = Protego_base.Phase
+module Request = Protego_core.Request
 
 let section title =
   Printf.printf "\n================ %s ================\n%!" title
@@ -349,16 +350,19 @@ let run_filter () =
         Protego_net.Packet.Udp_dgram
           { src_port = 5353; dst_port = 7; payload = "x" } }
   in
-  let decide_mount () =
-    ignore
-      (PD.decide_mount disp ~subject:0 ~phase:Phase.initial st
-         ~source:"/dev/cdrom" ~target:"/media/cdrom" ~fstype:"iso9660" ~flags)
+  (* One interned request per hook: repeats are served by the front slot. *)
+  let mount =
+    Request.Mount
+      { subject = 0; source = "/dev/cdrom"; target = "/media/cdrom";
+        fstype = "iso9660"; flags }
   in
-  let decide_bind () =
-    ignore
-      (PD.decide_bind disp ~phase:Phase.initial st ~port:711
-         ~proto:Protego_policy.Bindconf.Tcp ~exe:"/usr/sbin/exim4" ~uid:0)
+  let bind =
+    Request.Bind
+      { subject = 0; port = 711; proto = Protego_policy.Bindconf.Tcp;
+        exe = "/usr/sbin/exim4" }
   in
+  let decide_mount () = ignore (PD.decide disp ~phase:Phase.initial st mount) in
+  let decide_bind () = ignore (PD.decide disp ~phase:Phase.initial st bind) in
   let decide_nf () =
     ignore (PD.decide_nf_output disp nf pkt ~origin:Protego_net.Packet.Kernel_stack)
   in
@@ -452,11 +456,12 @@ let run_cache () =
       mr_target = Printf.sprintf "/media/fake%d" i; mr_fstype = "ext4";
       mr_flags = []; mr_mode = `Users; mr_phase = PS.Phase.Always }
   in
-  let decide () =
-    ignore
-      (PD.decide_mount disp ~subject:0 ~phase:Phase.initial st
-         ~source:"/dev/cdrom" ~target:"/media/cdrom" ~fstype:"iso9660" ~flags)
+  let mount =
+    Request.Mount
+      { subject = 0; source = "/dev/cdrom"; target = "/media/cdrom";
+        fstype = "iso9660"; flags }
   in
+  let decide () = ignore (PD.decide disp ~phase:Phase.initial st mount) in
   let speedup_128 = ref nan in
   let rows =
     List.map
@@ -496,11 +501,12 @@ let run_cache () =
           Harness.measure_ns (Printf.sprintf "cache:%d:table" n) (fun () ->
               i := (!i + 1) land 63;
               ignore
-                (PD.decide_mount disp ~subject:0 ~phase:Phase.initial st
-                   ~source:sources.(!i) ~target:targets.(!i) ~fstype:"iso9660"
-                   ~flags))
+                (PD.decide disp ~phase:Phase.initial st
+                   (Request.Mount
+                      { subject = 0; source = sources.(!i);
+                        target = targets.(!i); fstype = "iso9660"; flags })))
         in
-        (* Warm: the same strings every call, served by the front slot. *)
+        (* Warm: the same request every call, served by the front slot. *)
         decide ();
         let warm_ns = Harness.measure_ns (Printf.sprintf "cache:%d:warm" n) decide in
         let speedup = pfm_ns /. warm_ns in
@@ -886,16 +892,19 @@ let run_json ~out =
         Protego_net.Packet.Udp_dgram
           { src_port = 5353; dst_port = 7; payload = "x" } }
   in
-  let decide_mount () =
-    ignore
-      (PD.decide_mount disp ~subject:0 ~phase:Phase.initial st
-         ~source:"/dev/cdrom" ~target:"/media/cdrom" ~fstype:"iso9660" ~flags)
+  (* One interned request per hook: repeats are served by the front slot. *)
+  let mount =
+    Request.Mount
+      { subject = 0; source = "/dev/cdrom"; target = "/media/cdrom";
+        fstype = "iso9660"; flags }
   in
-  let decide_bind () =
-    ignore
-      (PD.decide_bind disp ~phase:Phase.initial st ~port:711
-         ~proto:Protego_policy.Bindconf.Tcp ~exe:"/usr/sbin/exim4" ~uid:0)
+  let bind =
+    Request.Bind
+      { subject = 0; port = 711; proto = Protego_policy.Bindconf.Tcp;
+        exe = "/usr/sbin/exim4" }
   in
+  let decide_mount () = ignore (PD.decide disp ~phase:Phase.initial st mount) in
+  let decide_bind () = ignore (PD.decide disp ~phase:Phase.initial st bind) in
   let decide_nf () =
     ignore
       (PD.decide_nf_output disp nf pkt ~origin:Protego_net.Packet.Kernel_stack)

@@ -459,23 +459,3 @@ let analyze ?(max_disjuncts = default_max_disjuncts) (p : Pfm.program) =
     reject_reachable = !reject;
     const_branches = List.rev !const_branches;
   }
-
-(* --- reports ------------------------------------------------------------ *)
-
-let pp_summary ppf s =
-  let p = s.program in
-  Format.fprintf ppf "@[<v># %s: %d insns, %d dead, allow=%b deny=%b reject=%b@,"
-    p.Pfm.pname (Array.length p.Pfm.insns)
-    (List.length (dead_pcs s))
-    s.allow_reachable s.deny_reachable s.reject_reachable;
-  Array.iteri
-    (fun pc insn ->
-      Format.fprintf ppf "%4d: %c %s@," pc
-        (if s.reachable.(pc) then ' ' else 'X')
-        (Format.asprintf "%a" Pfm.pp_insn insn))
-    p.Pfm.insns;
-  List.iter
-    (fun (pc, dir) ->
-      Format.fprintf ppf "const branch at %d: always %b@," pc dir)
-    s.const_branches;
-  Format.fprintf ppf "@]"

@@ -86,7 +86,3 @@ val note_ranges : notes:(int * string) list -> int -> (int * int * string) list
 
 val attribute : notes:(int * string) list -> int -> string option
 (** The note owning [pc], if any. *)
-
-(** {1 Reports} *)
-
-val pp_summary : Format.formatter -> summary -> unit

@@ -29,8 +29,6 @@ let severity_to_string = function
   | Warning -> "warning"
   | Error -> "error"
 
-let severity_rank = function Info -> 0 | Warning -> 1 | Error -> 2
-
 type finding = {
   code : string;
   severity : severity;

@@ -61,7 +61,6 @@ module Netfilter = Protego_net.Netfilter
 type severity = Info | Warning | Error
 
 val severity_to_string : severity -> string
-val severity_rank : severity -> int
 
 type finding = {
   code : string;

@@ -7,12 +7,10 @@
 type t = int
 (** Octal permission bits, e.g. [0o4755]. *)
 
-(** [s_isuid] = 0o4000 (the setuid bit), [s_isgid] = 0o2000,
-    [s_isvtx] = 0o1000 (sticky). *)
+(** [s_isuid] = 0o4000 (the setuid bit), [s_isgid] = 0o2000. *)
 
 val s_isuid : t
 val s_isgid : t
-val s_isvtx : t
 
 (** Access classes requested by a permission check. *)
 type access = R | W | X

@@ -20,38 +20,10 @@ let emit ?engine m (task : Ktypes.task) ~op ~obj ~allowed =
   J.sink_emit m.Ktypes.audit ~time:m.Ktypes.now ~pid:task.Ktypes.tpid
     ~uid:task.Ktypes.cred.Ktypes.ruid ~op ~obj ~allowed ~engine ~span:None
 
-(* The LSM hooks' typed decision records: the fixed fields and raw
-   arguments only.  Nothing is formatted here; {!live} rebuilds the
-   audit text on read. *)
-let phase_of (task : Ktypes.task) =
-  Protego_base.Phase.index task.Ktypes.sec.Ktypes.phase
-
-let decision_mount m (task : Ktypes.task) ~subject ~engine ~span ~verdict
-    ~record ~source ~target ~fstype ~flags =
-  J.sink_mount m.Ktypes.audit ~time:m.Ktypes.now ~pid:task.Ktypes.tpid
-    ~uid:task.Ktypes.cred.Ktypes.ruid ~subject ~phase:(phase_of task) ~engine
-    ~span ~verdict ~record ~source ~target ~fstype ~flags
-    ~flag_code:Ktypes.mount_flag_code
-
-let decision_umount m (task : Ktypes.task) ~subject ~engine ~span ~verdict
-    ~record ~target ~mounted_by =
-  J.sink_umount m.Ktypes.audit ~time:m.Ktypes.now ~pid:task.Ktypes.tpid
-    ~uid:task.Ktypes.cred.Ktypes.ruid ~subject ~phase:(phase_of task) ~engine
-    ~span ~verdict ~record ~target ~mounted_by
-
-let decision_bind m (task : Ktypes.task) ~subject ~engine ~span ~verdict
-    ~record ~port ~proto ~exe =
-  J.sink_bind m.Ktypes.audit ~time:m.Ktypes.now ~pid:task.Ktypes.tpid
-    ~uid:task.Ktypes.cred.Ktypes.ruid ~subject ~phase:(phase_of task) ~engine
-    ~span ~verdict ~record ~port ~proto ~exe
-
-let decision_ppp m (task : Ktypes.task) ~subject ~engine ~span ~verdict
-    ~device ~safe =
-  J.sink_ppp m.Ktypes.audit ~time:m.Ktypes.now ~pid:task.Ktypes.tpid
-    ~uid:task.Ktypes.cred.Ktypes.ruid ~subject ~phase:(phase_of task) ~engine
-    ~span ~verdict ~device ~safe
-
-(* The netfilter OUTPUT hook has no calling task: [task] is the kernel's. *)
+(* The netfilter OUTPUT hook's typed decision record (the request
+   hooks write theirs through [Protego_core.Request.sink]).  Nothing is
+   formatted here; {!live} rebuilds the audit text on read.  The hook
+   has no calling task: [task] is the kernel's. *)
 let decision_nf m (task : Ktypes.task) ~engine ~span ~verdict pkt origin =
   J.sink_nf m.Ktypes.audit ~time:m.Ktypes.now ~pid:task.Ktypes.tpid
     ~uid:task.Ktypes.cred.Ktypes.ruid ~engine ~span ~verdict pkt origin

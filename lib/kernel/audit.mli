@@ -36,42 +36,27 @@ val emit :
 
 (** {1 LSM decisions}
 
-    The filter-backed hooks write one typed decision record each
-    ({!Protego_journal.Journal.sink_mount} and friends): the task's
-    time, pid, real uid and phase, the [subject] the decision was keyed
-    on, the serving [engine] code, the [span] id (0 for none), the
-    [verdict] (0 deny, 1 allow, 3 recorded), whether [record] mode was
-    on, and the raw arguments.  Nothing is formatted on this path:
-    {!records} and {!render} rebuild each record's text — the
-    [mount]/[umount]/[bind] line with its [engine=] and [span=] tags,
-    preceded in record mode by its [record-<hook>] descriptor line.  A
-    ppp ioctl and a netfilter OUTPUT decision leave a record only in
-    record mode, and render as their descriptor alone. *)
-
-val decision_mount :
-  Ktypes.machine -> Ktypes.task -> subject:int -> engine:int -> span:int ->
-  verdict:int -> record:bool -> source:string -> target:string ->
-  fstype:string -> flags:Ktypes.mount_flag list -> unit
-
-val decision_umount :
-  Ktypes.machine -> Ktypes.task -> subject:int -> engine:int -> span:int ->
-  verdict:int -> record:bool -> target:string -> mounted_by:int -> unit
-
-val decision_bind :
-  Ktypes.machine -> Ktypes.task -> subject:int -> engine:int -> span:int ->
-  verdict:int -> record:bool -> port:int -> proto:int -> exe:string -> unit
-(** [proto] is 0 tcp, 1 udp. *)
-
-val decision_ppp :
-  Ktypes.machine -> Ktypes.task -> subject:int -> engine:int -> span:int ->
-  verdict:int -> device:string -> safe:bool -> unit
+    The filter-backed hooks write one typed kind-3 decision record each
+    through the encoder beside the request decoder
+    ([Protego_core.Request.sink], over
+    {!Protego_journal.Journal.sink_mount} and friends): the task's time,
+    pid, real uid and phase, the subject the decision was keyed on, the
+    serving engine code, the span id (0 for none), the verdict (0 deny,
+    1 allow, 3 recorded), whether record mode was on, and the raw
+    arguments.  Nothing is formatted on this path: {!records} and
+    {!render} rebuild each record's text — the [mount]/[umount]/[bind]
+    line with its [engine=] and [span=] tags, preceded in record mode by
+    its [record-<hook>] descriptor line.  A ppp ioctl and a netfilter
+    OUTPUT decision leave a record only in record mode, and render as
+    their descriptor alone. *)
 
 val decision_nf :
   Ktypes.machine -> Ktypes.task -> engine:int -> span:int -> verdict:int ->
   Protego_net.Packet.t -> Protego_net.Packet.origin -> unit
 (** {!Protego_journal.Journal.sink_nf}.  The hook has no calling task,
     so [task] is the kernel task; the record renders as a [record-nf]
-    descriptor with [phase=-]. *)
+    descriptor with [phase=-].  A packet is not a request, so this
+    hook keeps its own writer. *)
 
 (** {1 The ring view} *)
 

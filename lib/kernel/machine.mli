@@ -17,10 +17,6 @@ val spawn_task :
 
 val remove_task : Ktypes.machine -> Ktypes.task -> unit
 
-val register_program : Ktypes.machine -> string -> Ktypes.program -> unit
-(** Associate an implementation with a program key (canonical binary path);
-    install the inode separately via {!install_binary}. *)
-
 val install_binary :
   Ktypes.machine -> Ktypes.task -> path:string -> ?mode:Mode.t ->
   ?uid:Ktypes.uid -> ?gid:Ktypes.gid -> Ktypes.program ->
@@ -28,10 +24,6 @@ val install_binary :
 (** Create the file at [path] (parents must exist), mark it executable with
     [mode] (default [0o755]), and register its implementation under the
     canonical path. *)
-
-val register_device : Ktypes.machine -> string -> Ktypes.device -> unit
-(** Register a device payload under a /dev path (inode created separately,
-    or via {!mkdev}). *)
 
 val mkdev :
   Ktypes.machine -> Ktypes.task -> path:string -> ?mode:Mode.t ->

@@ -3,8 +3,6 @@ module DC = Protego_core.Decision_cache
 module Decider = Protego_core.Decider
 module Trace = Protego_core.Trace
 module Pfm = Protego_filter.Pfm
-module Compile = Protego_filter.Pfm_compile
-module Bindconf = Protego_policy.Bindconf
 module Errno = Protego_base.Errno
 module Phase = Protego_base.Phase
 module J = Protego_journal.Journal
@@ -248,12 +246,8 @@ let decide_with t w engine snap req =
   let d = w.w_dec and h = w.w_hooks.(hi) in
   let epoch = snap.Snapshot.epoch in
   let v =
-    match
-      Decider.probe d h ~stamp:epoch ~gen:snap.Snapshot.gens.(gens_index.(hi))
-        ~subject ~phase:ph
-    with
-    | Some r when r == req -> Decider.hit d h
-    | _ -> Decider.miss d h w ~raw:req ~engine
+    Decider.decide d h w ~stamp:epoch ~gen:snap.Snapshot.gens.(gens_index.(hi))
+      ~subject ~phase:ph ~engine req
   in
   { o_verdict = v; o_errno = Decider.errno (Decider.kind h) v; o_epoch = epoch;
     o_phase = ph }
@@ -271,31 +265,17 @@ let decide t req =
    [w] mod [d]. *)
 let slice_len n d w = if w >= n then 0 else ((n - w - 1) / d) + 1
 
-(* Claim-and-encode one decision into the worker's journal term.  The
-   ppp option collapses to its safe bit, which is the only thing the
-   decision depends on; the flags list collapses to the compiled mask. *)
-let journal_append ?(recorded = false) term ~run ~seq req (o : outcome) =
+(* An outcome's journal codes; a decision that record mode flipped is
+   journaled as verdict 3 ("recorded") with no errno. *)
+let journal_append term ~run ~seq ~recorded req (o : outcome) =
   let verdict =
     if recorded then 3
     else
       match o.o_verdict with Pfm.Allow -> 1 | Pfm.Deny -> 0 | Pfm.Reject -> 2
   in
   let errno = match o.o_errno with None -> 0 | Some e -> Errno.to_code e in
-  let epoch = o.o_epoch and phase = o.o_phase in
-  match req with
-  | Mount { subject; source; target; fstype; flags } ->
-      J.append_mount term ~seq ~run ~epoch ~phase ~subject ~verdict ~errno
-        ~source ~target ~fstype ~flags:(Compile.flags_mask flags)
-  | Umount { subject; target; mounted_by } ->
-      J.append_umount term ~seq ~run ~epoch ~phase ~subject ~verdict ~errno
-        ~target ~mounted_by
-  | Bind { subject; port; proto; exe } ->
-      J.append_bind term ~seq ~run ~epoch ~phase ~subject ~verdict ~errno ~port
-        ~proto:(match proto with Bindconf.Tcp -> 0 | Bindconf.Udp -> 1)
-        ~exe
-  | Ppp_ioctl { subject; device; opt } ->
-      J.append_ppp term ~seq ~run ~epoch ~phase ~subject ~verdict ~errno ~device
-        ~safe:(Protego_net.Ppp.option_is_safe opt)
+  Request.append term ~seq ~run ~epoch:o.o_epoch ~phase:o.o_phase ~verdict
+    ~errno req
 
 (* --- the run loop ------------------------------------------------------- *)
 
@@ -338,7 +318,7 @@ let worker_slice t w reqs ~start ~stop ~d ~engine ~clock ~collect ~outcomes
       if collect then outcomes.(!i) <- o;
       (match mode with
        | `Off -> ()
-       | `Journal -> journal_append ~recorded w.w_term ~run:run_id ~seq:!i req o);
+       | `Journal -> journal_append w.w_term ~run:run_id ~seq:!i ~recorded req o);
       i := !i + d
     done;
     (match clock with
@@ -616,6 +596,6 @@ let decide_against t ~worker snap req =
   decide_with t (worker_of t worker) t.engine snap req
 
 let journal_decision t ~worker ~run ~seq req o =
-  journal_append (worker_of t worker).w_term ~run ~seq req o
+  journal_append (worker_of t worker).w_term ~run ~seq ~recorded:false req o
 
 let worker_term t i = (worker_of t i).w_term

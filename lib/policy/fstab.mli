@@ -13,13 +13,9 @@ type entry = {
   fs_passno : int;
 }
 
-val parse_line : string -> (entry option, string) result
-(** [Ok None] on blank/comment lines. *)
-
 val parse : string -> (entry list, string) result
 (** Parse a whole file; reports the first malformed line. *)
 
-val to_line : entry -> string
 val to_string : entry list -> string
 
 val user_mountable : entry -> bool

@@ -80,5 +80,4 @@ val aggregate_tags :
     it; SETENV likewise.  Used when the command is not yet known (pending
     setuid-on-exec). *)
 
-val rule_to_line : rule -> string
 val to_string : t -> string

@@ -67,7 +67,7 @@ type ('e, 'a) hook = {
 type t = {
   cache : DC.t;
   trace : Trace.t;
-  key : DC.Key.t;  (* the table key of the open decision, rewritten per miss *)
+  key : DC.Key.t;  (* the table key of a decision, rewritten per slot miss *)
   mutable traced : bool;
       (* mirror of [Trace.armed trace] (kept current via [Trace.on_arm]):
          the prologue reads it here instead of chasing into the tracer *)
@@ -76,19 +76,12 @@ type t = {
   mutable last_engine : int;  (* a journal engine code *)
   mutable last_span : int;
       (* 0 when none: kept unboxed so the untraced path never writes it *)
-  (* the open decision, between [probe] and [hit]/[miss] *)
-  mutable p_t0 : int;
-  mutable p_stamp : int;
-  mutable p_gen : int;
-  mutable p_sub : int;
-  mutable p_ph : int;
 }
 
 let create ~cache ~trace =
   let d =
     { cache; trace; key = DC.Key.create (); traced = false; record = false;
-      last_recorded = false; last_engine = J.engine_pfm; last_span = 0; p_t0 = 0;
-      p_stamp = 0; p_gen = 0; p_sub = 0; p_ph = 0 }
+      last_recorded = false; last_engine = J.engine_pfm; last_span = 0 }
   in
   (* Clearing last_span here (not per decision) keeps the unarmed hot
      path store-free: while armed every decision sets it in [conclude],
@@ -153,83 +146,81 @@ let evaluated s (v : Pfm.verdict) =
 (* Close out a traced decision: the serving engine's histogram always sees
    the latency; a span is recorded only when spans are on ([stages] is
    oldest-first by then). *)
-let conclude d h k ~stages v =
+let conclude d h k ~t0 ~gen ~stages v =
   let tr = d.trace in
-  let t0 = d.p_t0 in
   let fin = Trace.now tr in
   Trace.observe k ~ns:(fin - t0);
   d.last_span <-
     (match
        Trace.record_span tr ~hook:k.Trace.k_hook ~engine:k.Trace.k_engine
-         ~verdict:v ~errno:(errno h.kind v) ~gen:d.p_gen
-         ~epoch:(DC.epoch d.cache) ~start:t0 ~finish:fin ~stages
+         ~verdict:v ~errno:(errno h.kind v) ~gen ~epoch:(DC.epoch d.cache)
+         ~start:t0 ~finish:fin ~stages
      with
      | Some id -> id
      | None -> 0)
 
-let offset d = Trace.now d.trace - d.p_t0
+let since d t0 = Trace.now d.trace - t0
 
-let probe d h ~stamp ~gen ~subject ~phase =
-  d.p_t0 <- (if d.traced then Trace.now d.trace else 0);
-  d.p_stamp <- stamp;
-  d.p_gen <- gen;
-  d.p_sub <- subject;
-  d.p_ph <- phase;
-  if
-    DC.enabled d.cache
-    && h.s_epoch = DC.epoch d.cache
-    && h.s_stamp = stamp && h.s_sub = subject && h.s_ph = phase
-  then h.s_raw
-  else None
-
-let hit d h =
-  DC.record_hit d.cache h.ch;
-  d.last_engine <- J.engine_cache;
-  let v = h.s_verdict in
-  served h.stats v;
-  if d.traced then
-    conclude d h h.k_cache
-      ~stages:(if Trace.spans_enabled d.trace then [ ("slot", offset d) ] else [])
-      v;
-  v
-
-let miss d h env ~raw ~engine =
+(* The slot, then the table, then the engine.  The slot serves when it
+   is fresh for these scalars and holds [raw] itself; a stage is
+   recorded as each rung is passed. *)
+let decide d h env ~stamp ~gen ~subject ~phase ~engine raw =
+  let t0 = if d.traced then Trace.now d.trace else 0 in
+  let c = d.cache in
+  let on = DC.enabled c in
   let sp = d.traced && Trace.spans_enabled d.trace in
-  let stages = if sp then [ ("slot", offset d) ] else [] in
-  (* find/add ignore the key while the cache is off: skip encoding it. *)
-  let on = DC.enabled d.cache in
-  let key = d.key in
-  if on then begin
-    DC.Key.reset key;
-    h.encode key d.p_ph raw
-  end;
-  let subject = d.p_sub in
-  let found = DC.find d.cache h.ch ~subject ~key ~gen:d.p_gen in
-  let stages = if sp then ("table", offset d) :: stages else stages in
-  let v, k, stages =
-    match found with
-    | Some v ->
-        d.last_engine <- J.engine_cache;
-        (v, h.k_cache, stages)
-    | None ->
-        let v = h.eval env engine ~phase:d.p_ph raw in
-        evaluated h.stats v;
-        DC.add d.cache h.ch ~subject ~key ~gen:d.p_gen ~verdict:v;
-        let k =
-          match engine with
-          | `Pfm -> d.last_engine <- J.engine_pfm; h.k_pfm
-          | `Ref -> d.last_engine <- J.engine_ref; h.k_ref
-        in
-        (v, k, if sp then ("engine", offset d) :: stages else stages)
-  in
-  if on then begin
-    h.s_epoch <- DC.epoch d.cache;
-    h.s_stamp <- d.p_stamp;
-    h.s_sub <- subject;
-    h.s_ph <- d.p_ph;
-    h.s_raw <- Some raw;
-    h.s_verdict <- v
-  end;
-  served h.stats v;
-  if d.traced then conclude d h k ~stages:(List.rev stages) v;
-  v
+  if
+    on && h.s_epoch = DC.epoch c && h.s_stamp = stamp && h.s_sub = subject
+    && h.s_ph = phase
+    && (match h.s_raw with Some r -> r == raw | None -> false)
+  then begin
+    DC.record_hit c h.ch;
+    d.last_engine <- J.engine_cache;
+    let v = h.s_verdict in
+    served h.stats v;
+    if d.traced then
+      conclude d h h.k_cache ~t0 ~gen
+        ~stages:(if sp then [ ("slot", since d t0) ] else [])
+        v;
+    v
+  end
+  else begin
+    let stages = if sp then [ ("slot", since d t0) ] else [] in
+    (* find/add ignore the key while the cache is off: skip encoding it. *)
+    let key = d.key in
+    if on then begin
+      DC.Key.reset key;
+      h.encode key phase raw
+    end;
+    let found = DC.find c h.ch ~subject ~key ~gen in
+    let stages = if sp then ("table", since d t0) :: stages else stages in
+    let v, k, stages =
+      match found with
+      | Some v ->
+          d.last_engine <- J.engine_cache;
+          (v, h.k_cache, stages)
+      | None ->
+          let v = h.eval env engine ~phase raw in
+          evaluated h.stats v;
+          DC.add c h.ch ~subject ~key ~gen ~verdict:v;
+          let k =
+            match engine with
+            | `Pfm -> d.last_engine <- J.engine_pfm; h.k_pfm
+            | `Ref -> d.last_engine <- J.engine_ref; h.k_ref
+          in
+          (v, k, if sp then ("engine", since d t0) :: stages else stages)
+    in
+    (* A bypassed decision never refills the slot, so it is never
+       replayed after re-enabling. *)
+    if on then begin
+      h.s_epoch <- DC.epoch c;
+      h.s_stamp <- stamp;
+      h.s_sub <- subject;
+      h.s_ph <- phase;
+      h.s_raw <- Some raw;
+      h.s_verdict <- v
+    end;
+    served h.stats v;
+    if d.traced then conclude d h k ~t0 ~gen ~stages:(List.rev stages) v;
+    v
+  end

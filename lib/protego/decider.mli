@@ -1,20 +1,22 @@
 (** The decision ladder — front slot, then {!Decision_cache} table, then
-    engine — in the one implementation every filtered decision runs
-    through: the LSM hooks ({!Pfm_dispatch}) and every decision-plane
-    worker alike.  Below it, both paths register the four policy-state
-    hooks with the same key and engine over one {!Request.t}; only the
-    packet hook has its own ({!nf_key}).
+    engine — in one call ({!decide}), the one implementation every
+    filtered decision runs through: the LSM hooks ({!Pfm_dispatch}) and
+    every decision-plane worker alike.  Below it, both paths register
+    the four policy-state hooks with the same key and engine over one
+    {!Request.t}; only the packet hook has its own ({!nf_key}).
 
-    The slot is compared by {e physical} identity of the raw arguments
-    (sound: they are immutable) and stamped with the cache epoch plus
-    one caller-supplied [stamp]: the source generation on the LSM path,
-    the snapshot epoch on a plane worker.  Table entries are stamped
-    with the source generation [gen].  The caller's lifecycle phase
-    index keys both, so a phase transition strands exactly the
-    transitioning subject's cached verdicts.  Caches and slots hold only
-    {e true} verdicts; record mode flips a would-deny afterwards
-    ({!flip}).  A decider is single-threaded: each plane worker owns
-    one. *)
+    The slot is compared by {e physical} identity of the raw value
+    (sound: it is immutable), so only a caller that reuses its values
+    hits it: a plane generator interns its requests, while an LSM hook
+    builds a fresh request from each syscall's arguments and is served
+    by the table.  The slot is stamped with the cache epoch plus one
+    caller-supplied [stamp]: the source generation on the LSM path, the
+    snapshot epoch on a plane worker.  Table entries are stamped with
+    the source generation [gen].  The caller's lifecycle phase index
+    keys both, so a phase transition strands exactly the transitioning
+    subject's cached verdicts.  Caches and slots hold only {e true}
+    verdicts; record mode flips a would-deny afterwards ({!flip}).  A
+    decider is single-threaded: each plane worker owns one. *)
 
 module Pfm = Protego_filter.Pfm
 
@@ -89,22 +91,21 @@ val hits : ('e, 'a) hook -> int
 
 (** {1 The ladder} *)
 
-val probe :
-  t -> ('e, 'a) hook -> stamp:int -> gen:int -> subject:int -> phase:int ->
-  'a option
-(** Open a decision: start its clock (while traced), remember its
-    scalars for the {!hit} or {!miss} that must follow, and return the
-    slot's raw arguments when the slot is fresh for them — cache
-    enabled, same cache epoch, [stamp], [subject] and [phase]. *)
-
-val hit : t -> ('e, 'a) hook -> Pfm.verdict
-(** Serve the probed slot (counted as a cache hit). *)
-
-val miss : t -> ('e, 'a) hook -> 'e -> raw:'a -> engine:engine -> Pfm.verdict
-(** Serve the probed decision off the table, or else by running the
-    hook's engine in the given environment, memoizing the result; then
-    refill the slot with [raw] (skipped while the cache is disabled, so a
-    bypassed decision is never replayed after re-enabling). *)
+val decide :
+  t -> ('e, 'a) hook -> 'e -> stamp:int -> gen:int -> subject:int ->
+  phase:int -> engine:engine -> 'a -> Pfm.verdict
+(** [decide d h env ~stamp ~gen ~subject ~phase ~engine raw]: the true
+    verdict for [raw], served by the first rung that has it.
+    - {b Slot}: the slot holds [raw] itself (physical identity) and is
+      fresh: cache enabled, same cache epoch, [stamp], [subject] and
+      [phase].  Counted as a cache hit.
+    - {b Table}: an entry for the hook's key of [raw] under [subject],
+      stamped [gen].
+    - {b Engine}: the hook's engine in [env], memoized in the table.
+    A table or engine decision refills the slot with [raw], except while
+    the cache is disabled, so a bypassed decision is never replayed
+    after re-enabling.  A traced decision's span carries a stage per
+    rung passed: [slot], then [table], then [engine]. *)
 
 (** {1 Record mode} *)
 

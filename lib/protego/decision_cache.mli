@@ -81,11 +81,9 @@ end
 
 type t
 
-val default_capacity : int
-(** 1024 entries. *)
-
 val create : ?capacity:int -> unit -> t
-(** Enabled, empty, zeroed stats.  [capacity] is clamped to [>= 1]. *)
+(** Enabled, empty, zeroed stats.  [capacity] (default 1024 entries) is
+    clamped to [>= 1]. *)
 
 val register : t -> string -> hook
 (** Register a hook name (idempotent: re-registering returns the existing

@@ -16,6 +16,10 @@ type t = {
 let state t = t.state
 let dispatch t = t.dispatch
 
+(* True if the task's real uid authenticated within the delegation
+   timeout; otherwise invokes the trusted authentication agent (if
+   registered), which prompts on the task's terminal and updates
+   [cred.last_auth]. *)
 let ensure_recent_auth m (st : Policy_state.t) task =
   let timeout = st.delegation.Sudoers.timestamp_timeout in
   let task_fresh =
@@ -39,6 +43,10 @@ let ensure_recent_auth m (st : Policy_state.t) task =
   | Some agent -> agent m task task.cred.ruid
   | None -> false
 
+(* The hard-coded whitelist of safe packets from unprivileged raw/packet
+   sockets, derived from the studied setuid binaries: ICMP echo and
+   timestamp probes, traceroute UDP probes, ARP — then a terminal DROP
+   for everything else of raw origin. *)
 let default_raw_socket_rules =
   let rule matches target comment = { Netfilter.matches; target; comment } in
   [ rule [ Netfilter.Origin_raw; Netfilter.Proto Packet.Icmp;
@@ -76,21 +84,29 @@ let stock = Security.stock_linux
 let verdict disp allowed =
   if Pfm_dispatch.last_recorded disp then 3 else if allowed then 1 else 0
 
+(* A request hook's one step once the stock check has failed: decide
+   [req] and leave its record (a ppp ioctl's only in record mode). *)
+let decide disp st m task req =
+  let allowed = Pfm_dispatch.decide disp ~phase:task.sec.phase st req in
+  let record = Pfm_dispatch.record_mode disp in
+  (match req with
+   | Request.Ppp_ioctl _ when not record -> ()
+   | _ ->
+       Request.sink m.audit ~time:m.now ~pid:task.tpid ~uid:task.cred.ruid
+         ~phase:(Phase.index task.sec.phase)
+         ~engine:(Pfm_dispatch.decision_engine disp)
+         ~span:(Pfm_dispatch.last_span_id disp) ~verdict:(verdict disp allowed)
+         ~record req);
+  allowed
+
 let sb_mount disp st m task ~source ~target ~fstype ~flags =
   match stock.sb_mount m task ~source ~target ~fstype ~flags with
   | Ok () -> Ok ()
   | Error _ ->
       let target = Vfs.normalize ~cwd:task.cwd target in
       let subject = task.cred.ruid in
-      let allowed =
-        Pfm_dispatch.decide_mount disp ~subject ~phase:task.sec.phase st
-          ~source ~target ~fstype ~flags
-      in
-      Audit.decision_mount m task ~subject
-        ~engine:(Pfm_dispatch.decision_engine disp)
-        ~span:(Pfm_dispatch.last_span_id disp) ~verdict:(verdict disp allowed)
-        ~record:(Pfm_dispatch.record_mode disp) ~source ~target ~fstype ~flags;
-      if allowed then Ok () else Error Errno.EPERM
+      let req = Request.Mount { subject; source; target; fstype; flags } in
+      if decide disp st m task req then Ok () else Error Errno.EPERM
 
 let sb_umount disp st m task ~target =
   match stock.sb_umount m task ~target with
@@ -100,18 +116,11 @@ let sb_umount disp st m task ~target =
       match Vfs.mounted_at m.mounts target with
       | [] -> Error Errno.EINVAL
       | mnt :: _ ->
-          let subject = task.cred.ruid in
-          let allowed =
-            Pfm_dispatch.decide_umount disp ~phase:task.sec.phase st ~target
-              ~mounted_by:mnt.mnt_by ~ruid:subject
+          let req =
+            Request.Umount
+              { subject = task.cred.ruid; target; mounted_by = mnt.mnt_by }
           in
-          Audit.decision_umount m task ~subject
-            ~engine:(Pfm_dispatch.decision_engine disp)
-            ~span:(Pfm_dispatch.last_span_id disp)
-            ~verdict:(verdict disp allowed)
-            ~record:(Pfm_dispatch.record_mode disp) ~target
-            ~mounted_by:mnt.mnt_by;
-          if allowed then Ok () else Error Errno.EPERM)
+          if decide disp st m task req then Ok () else Error Errno.EPERM)
 
 let socket_create _st _m _task _domain _stype _proto =
   (* Raw and packet sockets no longer require CAP_NET_RAW; Netstack marks
@@ -133,18 +142,11 @@ let socket_bind disp st m task sock _addr port =
     match proto with
     | None -> Error Errno.EACCES
     | Some proto ->
-        let subject = task.cred.euid in
-        let allowed =
-          Pfm_dispatch.decide_bind disp ~phase:task.sec.phase st ~port ~proto
-            ~exe:task.exe_path ~uid:subject
+        let req =
+          Request.Bind
+            { subject = task.cred.euid; port; proto; exe = task.exe_path }
         in
-        Audit.decision_bind m task ~subject
-          ~engine:(Pfm_dispatch.decision_engine disp)
-          ~span:(Pfm_dispatch.last_span_id disp) ~verdict:(verdict disp allowed)
-          ~record:(Pfm_dispatch.record_mode disp) ~port
-          ~proto:(match proto with Bindconf.Tcp -> 0 | Bindconf.Udp -> 1)
-          ~exe:task.exe_path;
-        if allowed then Ok () else Error Errno.EACCES
+        if decide disp st m task req then Ok () else Error Errno.EACCES
 
 let names_for_delegation st task =
   match Policy_state.name_of_uid st task.cred.ruid with
@@ -366,18 +368,11 @@ let file_ioctl disp st m task req =
           in
           match owned with Some _ -> Ok () | None -> stock_denial)
       | Ioctl_modem_config { ioctl_dev; ppp_opt } ->
-          let subject = task.cred.ruid in
-          let allowed =
-            Pfm_dispatch.decide_ppp_ioctl disp ~subject ~phase:task.sec.phase
-              st ~device:ioctl_dev ~opt:ppp_opt
+          let req =
+            Request.Ppp_ioctl
+              { subject = task.cred.ruid; device = ioctl_dev; opt = ppp_opt }
           in
-          if Pfm_dispatch.record_mode disp then
-            Audit.decision_ppp m task ~subject
-              ~engine:(Pfm_dispatch.decision_engine disp)
-              ~span:(Pfm_dispatch.last_span_id disp)
-              ~verdict:(verdict disp allowed) ~device:ioctl_dev
-              ~safe:(Protego_net.Ppp.option_is_safe ppp_opt);
-          if allowed then Ok () else Error Errno.EPERM
+          if decide disp st m task req then Ok () else Error Errno.EPERM
       | Ioctl_dm_table_status _ ->
           (* Interface redesign, not policy: the ioctl stays root-only and
              unprivileged readers use /sys (§4.1). *)

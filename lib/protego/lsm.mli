@@ -46,15 +46,3 @@ val install : Ktypes.machine -> t
 
 val state : t -> Policy_state.t
 val dispatch : t -> Pfm_dispatch.t
-
-val ensure_recent_auth : Ktypes.machine -> Policy_state.t -> Ktypes.task -> bool
-(** True if the task's real uid authenticated within the delegation
-    timeout; otherwise invokes the trusted authentication agent (if
-    registered), which prompts on the task's terminal and updates
-    [cred.last_auth]. *)
-
-val default_raw_socket_rules : Protego_net.Netfilter.rule list
-(** The hard-coded whitelist of safe packets from unprivileged raw/packet
-    sockets, derived from the studied setuid binaries: ICMP echo and
-    timestamp probes, traceroute UDP probes, ARP — then a terminal DROP for
-    everything else of raw origin. *)

@@ -165,7 +165,6 @@ let decision_engine t = Decider.last_engine t.dec
 
 let decision_engine_name t =
   Protego_journal.Journal.engine_name (Decider.last_engine t.dec)
-let lint_mode t = t.lint_mode
 let set_lint_mode t m = t.lint_mode <- m
 
 let record_mode t = Decider.record t.dec
@@ -296,72 +295,24 @@ let statuses t =
 
 (* --- hook decisions ---------------------------------------------------- *)
 
-(* Callers without task context (bench, fuzz) pass [Phase.initial] (the
-   default of {!decide}), which is verdict-neutral for unphased
-   policies.  Each decision serves [Decider.flip] of the ladder's true
-   verdict.  The slot holds the request that filled it and is compared
-   by physical identity: the labelled entry points compare the arguments
-   and build a request only on a slot miss. *)
-
-(* The ladder on request hook [i]: [probe] opens the decision and
-   returns the slot's request when it is fresh; [hit] serves the slot,
-   [miss] the table or the engine. *)
-let probe t i st source ~subject ~phase =
-  let gen = Policy_state.generation st source in
-  Decider.probe t.dec t.reqs.(i) ~stamp:gen ~gen ~subject
-    ~phase:(Phase.index phase)
-
-let hit t i = Decider.flip t.dec (Decider.hit t.dec t.reqs.(i)) = Pfm.Allow
-
-let miss t i st req =
-  let v = Decider.miss t.dec t.reqs.(i) st ~raw:req ~engine:t.engine in
+(* Each decision serves [Decider.flip] of the ladder's true verdict. *)
+let decide t ~phase st req =
+  let i = Request.index req in
+  let gen = Policy_state.generation st (Request.source_of_index i) in
+  let v =
+    Decider.decide t.dec t.reqs.(i) st ~stamp:gen ~gen
+      ~subject:(Request.subject req) ~phase:(Phase.index phase) ~engine:t.engine
+      req
+  in
   Decider.flip t.dec v = Pfm.Allow
 
-let decide t ?(phase = Phase.initial) st req =
-  let i = Request.index req in
-  let subject = Request.subject req in
-  match probe t i st (Request.source_of_index i) ~subject ~phase with
-  | Some r when r == req -> hit t i
-  | _ -> miss t i st req
-
-let decide_mount t ~subject ~phase st ~source ~target ~fstype ~flags =
-  match probe t 0 st Policy_state.Mounts ~subject ~phase with
-  | Some (Request.Mount r)
-    when r.source == source && r.target == target && r.fstype == fstype
-         && r.flags == flags ->
-      hit t 0
-  | _ -> miss t 0 st (Request.Mount { subject; source; target; fstype; flags })
-
-let decide_umount t ~phase st ~target ~mounted_by ~ruid =
-  match probe t 1 st Policy_state.Mounts ~subject:ruid ~phase with
-  | Some (Request.Umount r) when r.target == target && r.mounted_by = mounted_by
-    ->
-      hit t 1
-  | _ -> miss t 1 st (Request.Umount { subject = ruid; target; mounted_by })
-
-let decide_bind t ~phase st ~port ~proto ~exe ~uid =
-  match probe t 2 st Policy_state.Binds ~subject:uid ~phase with
-  | Some (Request.Bind r) when r.exe == exe && r.port = port && r.proto = proto
-    ->
-      hit t 2
-  | _ -> miss t 2 st (Request.Bind { subject = uid; port; proto; exe })
-
-let decide_ppp_ioctl t ~subject ~phase st ~device ~opt =
-  match probe t 3 st Policy_state.Ppp ~subject ~phase with
-  | Some (Request.Ppp_ioctl r) when r.device == device && r.opt == opt ->
-      hit t 3
-  | _ -> miss t 3 st (Request.Ppp_ioctl { subject; device; opt })
-
 let decide_nf_output t nf pkt ~origin =
-  let d = t.dec and h = t.nf in
   let gen = Netfilter.generation nf in
   let v =
-    match Decider.probe d h ~stamp:gen ~gen ~subject:0 ~phase:0 with
-    | Some p when p.pkt == pkt && p.origin = origin -> Decider.hit d h
-    | _ ->
-        Decider.miss d h nf ~raw:{ pkt; origin; ctx = no_ctx } ~engine:t.engine
+    Decider.decide t.dec t.nf nf ~stamp:gen ~gen ~subject:0 ~phase:0
+      ~engine:t.engine { pkt; origin; ctx = no_ctx }
   in
-  Compile.netfilter_of_verdict (Decider.flip d v)
+  Compile.netfilter_of_verdict (Decider.flip t.dec v)
 
 (* --- load-time policy lint --------------------------------------------- *)
 

@@ -87,7 +87,6 @@ val last_span_id : t -> int
 (** {!last_span} unboxed, 0 for none: what an LSM decision record
     stores. *)
 
-val lint_mode : t -> lint_mode
 val set_lint_mode : t -> lint_mode -> unit
 val lint_mode_name : t -> string
 (** ["warn"] or ["enforce"]. *)
@@ -101,7 +100,7 @@ val set_record : t -> bool -> unit
     entry carrying the full canonical arguments. *)
 
 val last_recorded : t -> bool
-(** The most recent decide_* call was a would-deny flipped to allow by
+(** The most recent decision was a would-deny flipped to allow by
     record mode.  [false] after any genuine allow or deny. *)
 
 val stats : t -> (string * hook_stats) list
@@ -181,40 +180,21 @@ val opt_rejects : t -> int
 (** {1 Hook decisions} *)
 
 val decide :
-  t -> ?phase:Protego_base.Phase.t -> Policy_state.t -> Request.t -> bool
-(** Serve a ready request (its [subject] is the cache subject), with the
-    front slot compared by physical identity of the request, as a plane
-    worker does: reuse request values to hit it.  [phase] as below. *)
+  t -> phase:Protego_base.Phase.t -> Policy_state.t -> Request.t -> bool
+(** The mount, umount, bind and ppp ioctl hooks' one entry point: serve
+    [req] through the ladder ({!Decider.decide}), its [subject] being the
+    cache subject, and return the served verdict (record mode's flip
+    applied).  [phase] is the caller's lifecycle phase
+    ({!Protego_base.Phase.initial} without task context, verdict-neutral
+    for unphased policies); it keys the ladder and rides into the PFM
+    context / reference oracle so phase-guarded rules see it.  It is
+    required, not optional: dune's dev profile compiles with [-opaque],
+    so an optional argument would box a [Some] on every hook call.
 
-val decide_mount :
-  t -> subject:int -> phase:Protego_base.Phase.t -> Policy_state.t ->
-  source:string -> target:string ->
-  fstype:string -> flags:Protego_kernel.Ktypes.mount_flag list -> bool
-(** The LSM hooks' entry points.  Their labels are required, not
-    optional: dune's dev profile compiles with [-opaque], so an optional
-    argument would box a [Some] on every hook call.
-
-    [subject] is the caller's credential key (real uid) for the cache
-    key; the mount verdict itself is subject-independent, so callers
-    without task context (bench, fuzz) pass 0.  [phase] is the caller's
-    lifecycle phase ({!Protego_base.Phase.initial} without task context,
-    verdict-neutral for unphased policies); here and below it keys the
-    ladder and rides into the PFM context / reference oracle so
-    phase-guarded rules see it. *)
-
-val decide_umount :
-  t -> phase:Protego_base.Phase.t -> Policy_state.t -> target:string ->
-  mounted_by:int -> ruid:int -> bool
-(** [ruid] doubles as the cache subject. *)
-
-val decide_bind :
-  t -> phase:Protego_base.Phase.t -> Policy_state.t -> port:int ->
-  proto:Protego_policy.Bindconf.proto -> exe:string -> uid:int -> bool
-(** [uid] doubles as the cache subject. *)
-
-val decide_ppp_ioctl :
-  t -> subject:int -> phase:Protego_base.Phase.t -> Policy_state.t ->
-  device:string -> opt:Protego_net.Ppp.option_ -> bool
+    The front slot compares requests by physical identity: a caller that
+    reuses a request value hits it, while the LSM hooks, which build a
+    fresh request from each syscall's arguments, are served by the
+    table. *)
 
 val decide_nf_output :
   t -> Protego_net.Netfilter.t -> Protego_net.Packet.t ->

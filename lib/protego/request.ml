@@ -59,6 +59,12 @@ let program_kind = function
 
 let deny_errno r = Option.get (Decider.deny_errno kinds.(index r))
 
+(* A bind's protocol code in the table key and both journal record
+   kinds. *)
+let proto_code = function
+  | Protego_policy.Bindconf.Tcp -> 0
+  | Protego_policy.Bindconf.Udp -> 1
+
 (* One string goes last, unprefixed: see the interface. *)
 let key k phase r =
   Key.int k phase;
@@ -73,10 +79,7 @@ let key k phase r =
       Key.last_string k target
   | Bind { port; proto; exe; _ } ->
       Key.int k port;
-      Key.int k
-        (match proto with
-         | Protego_policy.Bindconf.Tcp -> 0
-         | Protego_policy.Bindconf.Udp -> 1);
+      Key.int k (proto_code proto);
       Key.last_string k exe
   | Ppp_ioctl { device; opt; _ } ->
       Key.int k (if Protego_net.Ppp.option_is_safe opt then 1 else 0);
@@ -108,6 +111,37 @@ let eval ~state ~run env (engine : Decider.engine) ~phase req =
       if oracle ~phase:(Phase.of_index phase) (state env) req then Pfm.Allow
       else Pfm.Deny
   | `Pfm -> run env (program_kind req) (ctx ~phase req)
+
+(* --- journal records ----------------------------------------------------- *)
+
+let append term ~seq ~run ~epoch ~phase ~verdict ~errno = function
+  | Mount { subject; source; target; fstype; flags } ->
+      J.append_mount term ~seq ~run ~epoch ~phase ~subject ~verdict ~errno
+        ~source ~target ~fstype ~flags:(Compile.flags_mask flags)
+  | Umount { subject; target; mounted_by } ->
+      J.append_umount term ~seq ~run ~epoch ~phase ~subject ~verdict ~errno
+        ~target ~mounted_by
+  | Bind { subject; port; proto; exe } ->
+      J.append_bind term ~seq ~run ~epoch ~phase ~subject ~verdict ~errno ~port
+        ~proto:(proto_code proto) ~exe
+  | Ppp_ioctl { subject; device; opt } ->
+      J.append_ppp term ~seq ~run ~epoch ~phase ~subject ~verdict ~errno ~device
+        ~safe:(Protego_net.Ppp.option_is_safe opt)
+
+let sink sk ~time ~pid ~uid ~phase ~engine ~span ~verdict ~record = function
+  | Mount { subject; source; target; fstype; flags } ->
+      J.sink_mount sk ~time ~pid ~uid ~subject ~phase ~engine ~span ~verdict
+        ~record ~source ~target ~fstype ~flags
+        ~flag_code:Protego_kernel.Ktypes.mount_flag_code
+  | Umount { subject; target; mounted_by } ->
+      J.sink_umount sk ~time ~pid ~uid ~subject ~phase ~engine ~span ~verdict
+        ~record ~target ~mounted_by
+  | Bind { subject; port; proto; exe } ->
+      J.sink_bind sk ~time ~pid ~uid ~subject ~phase ~engine ~span ~verdict
+        ~record ~port ~proto:(proto_code proto) ~exe
+  | Ppp_ioctl { subject; device; opt } ->
+      J.sink_ppp sk ~time ~pid ~uid ~subject ~phase ~engine ~span ~verdict
+        ~device ~safe:(Protego_net.Ppp.option_is_safe opt)
 
 (* The one decoder; see the interface for the two lossy steps. *)
 let of_journal ~subject = function

@@ -3,8 +3,9 @@
     decide, on either path.  The LSM dispatcher ({!Pfm_dispatch}) and
     every decision-plane worker ([Protego_plane.Plane]) register their
     {!Decider} hooks with {!key} and {!eval}, so a hook's table key, PFM
-    context and reference verdict are written once, here.  The netfilter
-    OUTPUT hook decides a packet against the machine's chain instead. *)
+    context, reference verdict and journal records are written once,
+    here.  The netfilter OUTPUT hook decides a packet against the
+    machine's chain instead. *)
 
 module Pfm = Protego_filter.Pfm
 
@@ -94,7 +95,35 @@ val eval :
     worker serving an older snapshot would make the store compile that
     value under its mutex and evict the live program. *)
 
-(** {1 Journal records} *)
+(** {1 Journal records}
+
+    The two encoders and the one decoder of a request's journal records
+    sit together here, so what a record stores and what it decodes to
+    are written side by side.  Both encoders store the same lossy codes
+    as {!key}: a mount's flag mask (a kind-3 record its flag codes, in
+    the caller's order), a bind's protocol code (0 tcp, 1 udp) and a ppp
+    option's intrinsic-safety bit.  Neither allocates. *)
+
+val append :
+  Protego_journal.Journal.term -> seq:int -> run:int -> epoch:int ->
+  phase:int -> verdict:int -> errno:int -> t -> unit
+(** A kind-1 (decision-plane) record of a decision of [req] into a
+    worker's journal term: {!Protego_journal.Journal.append_mount} and
+    friends.  [verdict] and [errno] are journal codes (0 deny, 1 allow,
+    2 reject, 3 recorded; 0 for no errno). *)
+
+val sink :
+  Protego_journal.Journal.sink -> time:float -> pid:int -> uid:int ->
+  phase:int -> engine:int -> span:int -> verdict:int -> record:bool -> t ->
+  unit
+(** A kind-3 (LSM) record of a hook's decision of [req] into the
+    kernel audit sink: {!Protego_journal.Journal.sink_mount} and
+    friends, for the calling task's [time], [pid], real [uid] and
+    [phase] index, the serving [engine] code, the [span] id (0 for
+    none), the [verdict] (0 deny, 1 allow, 3 recorded) and whether
+    [record] mode was on.  A ppp record ignores [record]: the hook
+    writes one only in record mode, and the record says so. *)
+
 
 val of_journal : subject:int -> Protego_journal.Journal.req -> t option
 (** The request a journal record encodes, [subject] being the record's

@@ -23,4 +23,3 @@ val step : t -> int
     Returns the number of sync actions performed.  Events caused by the
     daemon's own writes are ignored. *)
 
-val sync_all : t -> unit

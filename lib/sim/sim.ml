@@ -851,7 +851,9 @@ let run_opt sp mode =
     let seq = !next in
     incr next;
     let req = requests.(seq) in
-    let ok = PD.decide disp st req = Request.oracle st req in
+    let ok =
+      PD.decide disp ~phase:Phase.initial st req = Request.oracle st req
+    in
     emit (E_pd { pd_seq = seq; pd_ok = ok })
   in
   let ready = function

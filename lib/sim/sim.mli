@@ -92,11 +92,9 @@ type action =
       (** advance subject [s]'s lifecycle phase one step forward
           (plane lane, [sp_phases] specs only) *)
 
-val action_to_string : action -> string
-(** [d<w>], [r], [r-], [r+], [f], [c<w>], [s<w>], [u<w>], [w], [o],
-    [p], [h<s>]. *)
-
 val action_of_string : string -> (action, string) result
+(** One script token: [d<w>], [r], [r-], [r+], [f], [c<w>], [s<w>],
+    [u<w>], [w], [o], [p], [h<s>]. *)
 
 val script_to_string : action list -> string
 (** Dot-joined tokens; the empty script renders as ["-"]. *)
@@ -144,8 +142,6 @@ type event =
   | E_nf of { n_port : int; n_ok : bool }   (** probe vs Netfilter.walk *)
   | E_pd of { pd_seq : int; pd_ok : bool }  (** dispatcher vs live oracle *)
 
-val event_to_string : event -> string
-
 type ctx = {
   x_spec : spec;
   x_script : action list;  (** the actions actually executed, in order *)
@@ -158,7 +154,7 @@ type ctx = {
 }
 
 val trace_to_string : ctx -> string
-(** One {!event_to_string} line per event — the bit-replayability
+(** One line per event — the bit-replayability
     witness: equal strings iff equal traces. *)
 
 (** How {!run} chooses actions.  One driver serves both modes and

@@ -5,7 +5,8 @@
 #
 #   --fast   build + full unit/property suite + the one-oracle grep (no
 #            policy-state decision called outside Request.oracle in
-#            lib/) + strict policy lint (including the phased examples
+#            lib/) + the one-encoder grep (no request record written
+#            outside Request.append/sink in lib/) + strict policy lint (including the phased examples
 #            and the deliberate-loosening rejection check) + the
 #            lsmbench smoke run (outcome oracle on all four workloads).
 #            This is the per-compiler signal job.
@@ -65,6 +66,22 @@ fast_tier() {
         exit 1
     fi
 
+    # One request encoder: in lib/, only Request.append (kind-1 plane
+    # records) and Request.sink (kind-3 LSM records) may call the
+    # journal's per-hook request appenders, so what a record stores is
+    # written beside Request.of_journal, the one decoder.  Journal's own
+    # definitions are not calls.
+    echo "==> one request encoder (Request.append, Request.sink) in lib/"
+    copies=$(find lib -name '*.ml' | sort | xargs grep -nE \
+            '(^|[^A-Za-z0-9_])(append|sink)_(mount|umount|bind|ppp)([^A-Za-z0-9_]|$)' \
+        | grep -v '^lib/protego/request\.ml:' \
+        | grep -vE '^lib/journal/journal\.ml:[0-9]+:let ') || true
+    if [ -n "$copies" ]; then
+        echo "$copies"
+        echo "CI: a request record is encoded outside Request.append/Request.sink" >&2
+        exit 1
+    fi
+
     # --prove runs the symbolic equivalence prover over every compilable
     # source: each production compiler's output must be proven equal to the
     # naive linear compilation.  Under --strict an Unknown (not just a
@@ -114,7 +131,7 @@ fast_tier() {
     # syscall, Netstack.packet_work at every packet, and both spend their
     # time in Cost.chain, whose cost should not move with its offset mod
     # 64 (the former add loops' did).  Pfm.eval (with Pfm.step, its
-    # interpreter loop), Decider.probe, Decision_cache.find and .add,
+    # interpreter loop), Decider.decide, Decision_cache.find and .add,
     # Plane.decide_with and the Lsm hook entries are the rest of the
     # measured paths; their speed still
     # moves with their offset, so a change that resizes code linked
@@ -123,7 +140,7 @@ fast_tier() {
     # Informational only; never fails the job.
     echo "==> hot-symbol layout in lsmbench/suite.exe"
     for sym in kernel:Syscall.trap kernel:Netstack.packet_work kernel:Cost.chain \
-            filter:Pfm.eval filter:Pfm.step core:Decider.probe \
+            filter:Pfm.eval filter:Pfm.step core:Decider.decide \
             core:Decision_cache.find core:Decision_cache.add \
             plane:Plane.decide_with core:Lsm.sb_mount core:Lsm.sb_umount \
             core:Lsm.socket_bind core:Lsm.file_ioctl; do

@@ -9,6 +9,7 @@ open Ktypes
 module Image = Protego_dist.Image
 module Pfm = Protego_filter.Pfm
 module PD = Protego_core.Pfm_dispatch
+module Request = Protego_core.Request
 module PS = Protego_core.Policy_state
 module DC = Protego_core.Decision_cache
 
@@ -507,8 +508,10 @@ let test_dispatch_cache_flow () =
   let st, disp = raw_dispatch () in
   let dc = PD.cache disp in
   let decide subject =
-    PD.decide_mount disp ~subject ~phase:Phase.initial st ~source:"/dev/a"
-      ~target:"/m" ~fstype:"ext4" ~flags:[]
+    PD.decide disp ~phase:Phase.initial st
+      (Request.Mount
+         { subject; source = "/dev/a"; target = "/m"; fstype = "ext4";
+           flags = [] })
   in
   check "allowed" true (decide 1);
   check_str "first decision from the engine" "pfm" (PD.decision_engine_name disp);
@@ -534,8 +537,10 @@ let test_dispatch_reset_kills_front_slot () =
   let st, disp = raw_dispatch () in
   let dc = PD.cache disp in
   let decide () =
-    PD.decide_mount disp ~subject:0 ~phase:Phase.initial st ~source:"/dev/a"
-      ~target:"/m" ~fstype:"ext4" ~flags:[]
+    PD.decide disp ~phase:Phase.initial st
+      (Request.Mount
+         { subject = 0; source = "/dev/a"; target = "/m"; fstype = "ext4";
+           flags = [] })
   in
   ignore (decide ());
   ignore (decide ());
@@ -553,8 +558,10 @@ let test_dispatch_disable_bypasses () =
   let st, disp = raw_dispatch () in
   let dc = PD.cache disp in
   let decide () =
-    PD.decide_mount disp ~subject:0 ~phase:Phase.initial st ~source:"/dev/a"
-      ~target:"/m" ~fstype:"ext4" ~flags:[]
+    PD.decide disp ~phase:Phase.initial st
+      (Request.Mount
+         { subject = 0; source = "/dev/a"; target = "/m"; fstype = "ext4";
+           flags = [] })
   in
   DC.set_enabled dc false;
   ignore (decide ());
@@ -603,8 +610,8 @@ let test_dispatch_separator_tuples () =
       twice
         (Printf.sprintf "umount %S %d by %d" target mounted_by ruid)
         (fun () ->
-          PD.decide_umount disp ~phase:Phase.initial st ~target:(fresh target)
-            ~mounted_by ~ruid)
+          PD.decide disp ~phase:Phase.initial st
+            (Request.Umount { subject = ruid; target = fresh target; mounted_by }))
         (fun () -> PS.umount_decision st ~target ~mounted_by ~ruid))
     [ ("/m\x1f1000", 5, 7); ("/m", 1000, 7); ("/m", 7, 7); ("/m\x1f1", 0, 7);
       ("/m\x1f1000\x1f5", 7, 7) ];
@@ -613,8 +620,9 @@ let test_dispatch_separator_tuples () =
       twice
         (Printf.sprintf "bind %d %S" port exe)
         (fun () ->
-          PD.decide_bind disp ~phase:Phase.initial st ~port ~proto:Bindconf.Tcp
-            ~exe:(fresh exe) ~uid:8)
+          PD.decide disp ~phase:Phase.initial st
+            (Request.Bind
+               { subject = 8; port; proto = Bindconf.Tcp; exe = fresh exe }))
         (fun () ->
           PS.bind_allowed st ~port ~proto:Bindconf.Tcp ~exe ~uid:8))
     [ (25, "/usr/sbin/exim4"); (2, "5\x1ftcp\x1f/usr/sbin/exim4");
@@ -624,8 +632,8 @@ let test_dispatch_separator_tuples () =
       twice
         (Printf.sprintf "ppp %S %s" device (Ppp.option_to_string opt))
         (fun () ->
-          PD.decide_ppp_ioctl disp ~subject:0 ~phase:Phase.initial st
-            ~device:(fresh device) ~opt)
+          PD.decide disp ~phase:Phase.initial st
+            (Request.Ppp_ioctl { subject = 0; device = fresh device; opt }))
         (fun () -> PS.ppp_ioctl_decision st ~device ~opt))
     [ ("/dev/ttyS0\x1f1", Ppp.Accomp); ("/dev/ttyS0", Ppp.Accomp);
       ("/dev/ttyS0\x1f1", Ppp.Default_route);
@@ -645,8 +653,10 @@ let test_dispatch_hit_no_rendering () =
     let targets = Array.init n (fun _ -> fresh target) in
     let decide i =
       ignore
-        (PD.decide_mount disp ~subject:0 ~phase:Phase.initial st
-           ~source:sources.(i) ~target:targets.(i) ~fstype:"ext4" ~flags:[])
+        (PD.decide disp ~phase:Phase.initial st
+           (Request.Mount
+              { subject = 0; source = sources.(i); target = targets.(i);
+                fstype = "ext4"; flags = [] }))
     in
     decide 0;
     let hits = DC.hits (PD.cache disp) in

@@ -8,6 +8,7 @@ open Ktypes
 module Image = Protego_dist.Image
 module Pfm = Protego_filter.Pfm
 module PD = Protego_core.Pfm_dispatch
+module Request = Protego_core.Request
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -183,8 +184,10 @@ let test_bare_bump_keeps_program () =
   let disp = PD.create () in
   let stat () = List.assoc "mount" (PD.stats disp) in
   let decide () =
-    PD.decide_mount disp ~subject:0 ~phase:Phase.initial st ~source:"/dev/cdrom"
-      ~target:"/media/cdrom" ~fstype:"iso9660" ~flags:[]
+    PD.decide disp ~phase:Phase.initial st
+      (Request.Mount
+         { subject = 0; source = "/dev/cdrom"; target = "/media/cdrom";
+           fstype = "iso9660"; flags = [] })
   in
   check "allowed" true (decide ());
   let prog = PD.cached_program disp "mount" in
@@ -378,18 +381,18 @@ type store_rig = {
    so each runs the engine. *)
 let lsm_decisions r i =
   let dev = Printf.sprintf "/dev/probe%d" i in
-  ignore
-    (PD.decide_mount r.disp ~subject:0 ~phase:Phase.initial r.st ~source:dev
-       ~target:"/media/cdrom" ~fstype:"iso9660" ~flags:[]);
-  ignore
-    (PD.decide_umount r.disp ~phase:Phase.initial r.st ~target:dev
-       ~mounted_by:1000 ~ruid:1000);
-  ignore
-    (PD.decide_bind r.disp ~phase:Phase.initial r.st ~port:(600 + i)
-       ~proto:Protego_policy.Bindconf.Tcp ~exe:dev ~uid:1000);
-  ignore
-    (PD.decide_ppp_ioctl r.disp ~subject:0 ~phase:Phase.initial r.st ~device:dev
-       ~opt:(Protego_net.Ppp.Compression "deflate"))
+  List.iter
+    (fun req -> ignore (PD.decide r.disp ~phase:Phase.initial r.st req))
+    [ Request.Mount
+        { subject = 0; source = dev; target = "/media/cdrom";
+          fstype = "iso9660"; flags = [] };
+      Request.Umount { subject = 1000; target = dev; mounted_by = 1000 };
+      Request.Bind
+        { subject = 1000; port = 600 + i; proto = Protego_policy.Bindconf.Tcp;
+          exe = dev };
+      Request.Ppp_ioctl
+        { subject = 0; device = dev;
+          opt = Protego_net.Ppp.Compression "deflate" } ]
 
 let store_rig () =
   let img = Image.build Image.Protego in

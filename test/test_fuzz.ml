@@ -1115,6 +1115,7 @@ let prop_absint_reference_policies =
    QCheck generators directly. *)
 
 module PD = Protego_core.Pfm_dispatch
+module Request = Protego_core.Request
 module DC = Protego_core.Decision_cache
 
 let decisions_per_hook = 10_000
@@ -1214,8 +1215,8 @@ let cache_diff_mount =
     ~reload:(fun gen1 st -> PS.set st (PS.Set_mounts (gen1 mount_policy_gen)))
     ~query:(fun gen1 -> gen1 mount_query_gen)
     ~decide:(fun disp st ((source, target, fstype), (flags, subject)) ->
-      PD.decide_mount disp ~subject ~phase:Phase.initial st ~source ~target
-        ~fstype ~flags)
+      PD.decide disp ~phase:Phase.initial st
+        (Request.Mount { subject; source; target; fstype; flags }))
     ~oracle:(fun st ((source, target, fstype), (flags, _)) ->
       PS.mount_decision st ~source ~target ~fstype ~flags)
 
@@ -1229,7 +1230,8 @@ let cache_diff_umount =
     ~reload:(fun gen1 st -> PS.set st (PS.Set_mounts (gen1 mount_policy_gen)))
     ~query:(fun gen1 -> gen1 umount_query_gen)
     ~decide:(fun disp st (target, mounted_by, ruid) ->
-      PD.decide_umount disp ~phase:Phase.initial st ~target ~mounted_by ~ruid)
+      PD.decide disp ~phase:Phase.initial st
+        (Request.Umount { subject = ruid; target; mounted_by }))
     ~oracle:(fun st (target, mounted_by, ruid) ->
       PS.umount_decision st ~target ~mounted_by ~ruid)
 
@@ -1250,7 +1252,8 @@ let cache_diff_bind =
     ~query:(fun gen1 -> gen1 bind_query_gen)
     ~decide:(fun disp st ((port, tcp), (exe, uid)) ->
       let proto = if tcp then Bindconf.Tcp else Bindconf.Udp in
-      PD.decide_bind disp ~phase:Phase.initial st ~port ~proto ~exe ~uid)
+      PD.decide disp ~phase:Phase.initial st
+        (Request.Bind { subject = uid; port; proto; exe }))
     ~oracle:(fun st ((port, tcp), (exe, uid)) ->
       let proto = if tcp then Bindconf.Tcp else Bindconf.Udp in
       PS.bind_allowed st ~port ~proto ~exe ~uid)
@@ -1275,7 +1278,8 @@ let cache_diff_ppp =
            }))
     ~query:(fun gen1 -> gen1 ppp_query_gen)
     ~decide:(fun disp st ((device, opt), subject) ->
-      PD.decide_ppp_ioctl disp ~subject ~phase:Phase.initial st ~device ~opt)
+      PD.decide disp ~phase:Phase.initial st
+        (Request.Ppp_ioctl { subject; device; opt }))
     ~oracle:(fun st ((device, opt), _) ->
       PS.ppp_ioctl_decision st ~device ~opt)
 

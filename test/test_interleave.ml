@@ -72,8 +72,10 @@ let probe ~schedule ~at st disp =
           ~fstype:"iso9660" ~flags
       in
       let ask () =
-        PD.decide_mount disp ~subject:1000 ~phase:Phase.initial st
-          ~source:"/dev/cdrom" ~target:"/media/cdrom" ~fstype:"iso9660" ~flags
+        PD.decide disp ~phase:Phase.initial st
+          (Request.Mount
+             { subject = 1000; source = "/dev/cdrom"; target = "/media/cdrom";
+               fstype = "iso9660"; flags })
       in
       check (where ("mount " ^ label)) oracle (ask ());
       (* The repeat is served from memo state when warm; it must still
@@ -86,8 +88,9 @@ let probe ~schedule ~at st disp =
         PS.bind_allowed st ~port:777 ~proto ~exe:"/usr/sbin/exim4" ~uid:0
       in
       let ask () =
-        PD.decide_bind disp ~phase:Phase.initial st ~port:777 ~proto
-          ~exe:"/usr/sbin/exim4" ~uid:0
+        PD.decide disp ~phase:Phase.initial st
+          (Request.Bind
+             { subject = 0; port = 777; proto; exe = "/usr/sbin/exim4" })
       in
       check (where ("bind " ^ label)) oracle (ask ());
       check (where ("bind " ^ label ^ " repeat")) oracle (ask ()))
@@ -271,7 +274,8 @@ let test_opt_storm_schedule () =
             | Ok (_ : (string * PD.outcome) list) -> ()
             | Error e -> Alcotest.failf "toggle at %d: %s" i e)
        | _ -> ());
-      if PD.decide disp st req <> Test_support.oracle st req then
+      if PD.decide disp ~phase:Phase.initial st req <> Test_support.oracle st req
+      then
         Alcotest.failf "opt storm verdict diverged from oracle at request %d" i)
     sched.Workload.s_requests;
   check "all toggles consumed" true (!toggles = [])

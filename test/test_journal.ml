@@ -937,6 +937,9 @@ let key_bytes phase req =
   Request.key k phase req;
   Protego_core.Decision_cache.Key.contents k
 
+(* Each generated request is journaled three ways, through the two
+   encoders beside [Request.of_journal]: a plane (kind-1) record, and
+   LSM (kind-3) records with record mode off and on. *)
 let prop_decode_roundtrip =
   QCheck2.Test.make
     ~name:
@@ -946,13 +949,16 @@ let prop_decode_roundtrip =
     QCheck2.Gen.(list_size (int_range 1 24) gen_request)
     (fun reqs ->
       let st = decode_policy () in
+      let allows (req, phase) =
+        Request.oracle ~phase:(Phase.of_index phase) st req
+      in
       let plane =
         Plane.create ~journal_seg_bytes:4096 ~journal_segments:4 st
       in
       let run = Plane.sim_begin plane in
       List.iteri
-        (fun seq (req, phase) ->
-          let allow = Request.oracle ~phase:(Phase.of_index phase) st req in
+        (fun seq ((req, phase) as r) ->
+          let allow = allows r in
           let o =
             { Plane.o_verdict = (if allow then Pfm.Allow else Pfm.Deny);
               o_errno = (if allow then None else Some (Request.deny_errno req));
@@ -961,23 +967,54 @@ let prop_decode_roundtrip =
           Plane.journal_decision plane ~worker:0 ~run ~seq req o)
         reqs;
       Plane.sim_end plane;
-      match
-        J.stitch (Plane.journal plane) ~run ~base:0 ~count:(List.length reqs)
-      with
-      | Error e -> QCheck2.Test.fail_reportf "stitch: %s" e
-      | Ok ds ->
-          List.for_all2
-            (fun (req, phase) (d : J.decision) ->
-              match Request.of_journal ~subject:d.J.d_subject d.J.d_req with
-              | None -> QCheck2.Test.fail_report "a request decoded to none"
-              | Some got ->
-                  Request.index got = Request.index req
-                  && Request.subject got = Request.subject req
-                  && d.J.d_phase = phase
-                  && key_bytes phase got = key_bytes phase req
-                  && Request.oracle ~phase:(Phase.of_index phase) st got
-                     = Request.oracle ~phase:(Phase.of_index phase) st req)
-            reqs (Array.to_list ds))
+      let plane_ds =
+        match
+          J.stitch (Plane.journal plane) ~run ~base:0 ~count:(List.length reqs)
+        with
+        | Error e -> QCheck2.Test.fail_reportf "stitch: %s" e
+        | Ok ds -> Array.to_list ds
+      in
+      (* The same requests as the LSM hooks record them: a would-deny is
+         verdict 0, or 3 ("recorded") in record mode, and a ppp ioctl
+         leaves a record only in record mode. *)
+      let lsm record =
+        let sk = J.sink () in
+        let written =
+          List.filter
+            (function Plane.Ppp_ioctl _, _ -> record | _ -> true)
+            reqs
+        in
+        List.iter
+          (fun ((req, phase) as r) ->
+            let verdict = if allows r then 1 else if record then 3 else 0 in
+            Request.sink sk ~time:0. ~pid:1 ~uid:(Request.subject req) ~phase
+              ~engine:J.engine_pfm ~span:0 ~verdict ~record req)
+          written;
+        (written, J.decisions sk.J.sk_journal)
+      in
+      List.for_all
+        (fun (reqs, ds) ->
+          List.length ds = List.length reqs
+          && List.for_all2
+               (fun (req, phase) (d : J.decision) ->
+                 match Request.of_journal ~subject:d.J.d_subject d.J.d_req with
+                 | None -> QCheck2.Test.fail_report "a request decoded to none"
+                 | Some got ->
+                     Request.index got = Request.index req
+                     && Request.subject got = Request.subject req
+                     && d.J.d_phase = phase
+                     && key_bytes phase got = key_bytes phase req
+                     && allows (got, phase) = allows (req, phase)
+                     && Request.expected st ~phase
+                          ~recorded:(d.J.d_verdict = 3) got
+                        = (d.J.d_verdict, d.J.d_errno)
+                     &&
+                     match req, d.J.d_lsm with
+                     | Plane.Mount { flags; _ }, Some l ->
+                         l.J.l_flags = List.map mount_flag_code flags
+                     | _ -> true)
+               reqs ds)
+        [ (reqs, plane_ds); lsm false; lsm true ])
 
 let suites =
   [ ("journal:core",

@@ -9,6 +9,7 @@ open Protego_kernel
 module Image = Protego_dist.Image
 module Pfm = Protego_filter.Pfm
 module PD = Protego_core.Pfm_dispatch
+module Request = Protego_core.Request
 module PS = Protego_core.Policy_state
 module Trace = Protego_core.Trace
 
@@ -427,8 +428,8 @@ let test_tracing_preserves_verdicts () =
            (gen1 QCheck2.Gen.(list_size (int_bound 12) mount_rule_gen)));
     let (source, target), (fstype, (flags, subject)) = gen1 mount_query_gen in
     let decide d =
-      PD.decide_mount d ~subject ~phase:Phase.initial st ~source ~target ~fstype
-        ~flags
+      PD.decide d ~phase:Phase.initial st
+        (Request.Mount { subject; source; target; fstype; flags })
     in
     let a = decide plain in
     let b = decide traced in
