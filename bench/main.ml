@@ -289,6 +289,52 @@ let run_ablation () =
        ~align:Study.Report.[ R; R ]
        nf_rows)
 
+(* --- the packet hook's decision table ------------------------------------ *)
+
+module NF = Protego_net.Netfilter
+
+(* [n] OUTPUT filler rules, TCP to ports no benched packet uses. *)
+let nf_fillers n =
+  List.init n (fun i ->
+      { NF.matches =
+          [ NF.Dst_port { lo = 40001 + i; hi = 40001 + i };
+            NF.Proto Protego_net.Packet.Tcp ];
+        target = NF.Accept; comment = "filler" })
+
+(* A kernel-stack UDP packet that matches no filler. *)
+let bench_packet =
+  { Protego_net.Packet.src = Protego_net.Ipaddr.v 10 0 0 1;
+    dst = Protego_net.Ipaddr.v 10 0 0 7; ttl = 64;
+    transport =
+      Protego_net.Packet.Udp_dgram
+        { src_port = 5353; dst_port = 7; payload = "x" } }
+
+let nf_decide disp nf pkt =
+  Protego_core.Pfm_dispatch.decide_nf_output disp nf pkt
+    ~origin:Protego_net.Packet.Kernel_stack
+
+(* A cold decision (an INPUT policy write bumps the netfilter generation
+   and keeps the OUTPUT program, so every lookup finds its entry stale)
+   and a table hit (a fresh copy of the packet record on every call, as
+   the syscall path decodes one), with the cache enabled. *)
+let nf_cache_costs ~name disp nf =
+  let decide () = ignore (nf_decide disp nf bench_packet) in
+  decide ();
+  let cold_ns =
+    Harness.measure_ns ("cache:" ^ name ^ ":cold") (fun () ->
+        NF.set_policy nf NF.Input (NF.policy nf NF.Input);
+        decide ())
+  in
+  decide ();
+  let copies = Array.init 64 (fun _ -> { bench_packet with ttl = 64 }) in
+  let i = ref 0 in
+  let hit_ns =
+    Harness.measure_ns ("cache:" ^ name ^ ":hit") (fun () ->
+        i := (!i + 1) land 63;
+        ignore (nf_decide disp nf copies.(!i)))
+  in
+  (cold_ns, hit_ns)
+
 (* Filter machine: per-decision cost of the compiled bytecode programs vs
    the list-walking reference, on adversarial policies (the matching entry
    last, the worst case for the linear reference scan). *)
@@ -350,7 +396,7 @@ let run_filter () =
         Protego_net.Packet.Udp_dgram
           { src_port = 5353; dst_port = 7; payload = "x" } }
   in
-  (* One interned request per hook: repeats are served by the front slot. *)
+  (* One request per hook, decided by its engine on every call. *)
   let mount =
     Request.Mount
       { subject = 0; source = "/dev/cdrom"; target = "/media/cdrom";
@@ -430,17 +476,16 @@ let run_filter () =
     (PD.render disp)
 
 (* Decision cache: cold-miss vs hit latency in front of the compiled
-   engine, on growing mount whitelists (matching rule kept last).  "cold"
-   forces a stale generation before every lookup, so each iteration pays
-   miss + engine + re-insert.  "table hit" passes fresh copies of the
-   paths on every call, as a syscall's copy from user memory does, so
-   the front slot never matches and the memo table serves: the hit a
-   mount syscall takes.  "warm hit" repeats the same physical strings,
-   which only the front slot serves. *)
+   netfilter OUTPUT chain, the one hook with a table, on growing chains
+   (the benched packet matches no filler and falls to the stock rules).
+   "cold" bumps the netfilter generation before every decision (an INPUT
+   policy write, so the OUTPUT program is kept), so each iteration pays
+   a stale lookup + engine + re-insert.  "table hit" passes a fresh
+   packet record on every call, as the syscall path decodes one from the
+   user's buffer: the hit a sendto takes. *)
 let run_cache () =
-  section "Decision cache: cold vs warm decision latency";
+  section "Decision cache: cold vs warm packet decision latency";
   let module PD = Protego_core.Pfm_dispatch in
-  let module PS = Protego_core.Policy_state in
   let module DC = Protego_core.Decision_cache in
   let protego = Harness.prepared_image Image.Protego in
   let lsm =
@@ -448,32 +493,16 @@ let run_cache () =
     | Some l -> l
     | None -> die "cache bench: Protego image has no LSM"
   in
-  let st = Protego_core.Lsm.state lsm in
   let disp = Protego_core.Lsm.dispatch lsm in
-  let flags = Protego_kernel.Ktypes.[ Mf_readonly; Mf_nosuid; Mf_nodev ] in
-  let filler i =
-    { PS.mr_source = Printf.sprintf "/dev/fake%d" i;
-      mr_target = Printf.sprintf "/media/fake%d" i; mr_fstype = "ext4";
-      mr_flags = []; mr_mode = `Users; mr_phase = PS.Phase.Always }
-  in
-  let mount =
-    Request.Mount
-      { subject = 0; source = "/dev/cdrom"; target = "/media/cdrom";
-        fstype = "iso9660"; flags }
-  in
-  let decide () = ignore (PD.decide disp ~phase:Phase.initial st mount) in
-  let speedup_128 = ref nan in
+  let nf = protego.Image.machine.Protego_kernel.Ktypes.netfilter in
+  let stock = NF.rules nf NF.Output in
   let rows =
     List.map
       (fun n ->
-        PS.set st
-          (Set_mounts
-             (List.init n filler
-             @ [ { PS.mr_source = "/dev/cdrom"; mr_target = "/media/cdrom";
-                   mr_fstype = "iso9660";
-                   mr_flags = [ Protego_kernel.Ktypes.Mf_nosuid ];
-                   mr_mode = `User; mr_phase = PS.Phase.Always } ]));
+        NF.flush nf NF.Output;
+        List.iter (NF.append nf NF.Output) (nf_fillers n @ stock);
         let cache = PD.cache disp in
+        let decide () = ignore (nf_decide disp nf bench_packet) in
         (* Engines alone, cache bypassed. *)
         DC.set_enabled cache false;
         PD.set_engine disp `Ref;
@@ -482,48 +511,20 @@ let run_cache () =
         PD.set_engine disp `Pfm;
         for _ = 1 to 64 do decide () done;
         let pfm_ns = Harness.measure_ns (Printf.sprintf "cache:%d:pfm" n) decide in
-        (* Cold: every lookup finds its entry stale and re-runs the engine. *)
         DC.set_enabled cache true;
-        decide ();
-        let cold_ns =
-          Harness.measure_ns (Printf.sprintf "cache:%d:cold" n) (fun () ->
-              PS.bump_generation st PS.Mounts;
-              decide ())
-        in
-        decide ();
-        (* Table hit: consecutive calls get physically distinct copies. *)
-        let copies s =
-          Array.init 64 (fun _ -> String.init (String.length s) (String.get s))
-        in
-        let sources = copies "/dev/cdrom" and targets = copies "/media/cdrom" in
-        let i = ref 0 in
-        let table_ns =
-          Harness.measure_ns (Printf.sprintf "cache:%d:table" n) (fun () ->
-              i := (!i + 1) land 63;
-              ignore
-                (PD.decide disp ~phase:Phase.initial st
-                   (Request.Mount
-                      { subject = 0; source = sources.(!i);
-                        target = targets.(!i); fstype = "iso9660"; flags })))
-        in
-        (* Warm: the same request every call, served by the front slot. *)
-        decide ();
-        let warm_ns = Harness.measure_ns (Printf.sprintf "cache:%d:warm" n) decide in
-        let speedup = pfm_ns /. warm_ns in
-        if n = 128 then speedup_128 := speedup;
+        let cold_ns, hit_ns = nf_cache_costs ~name:(string_of_int n) disp nf in
         [ string_of_int n; fmt_ns ref_ns; fmt_ns pfm_ns; fmt_ns cold_ns;
-          fmt_ns table_ns; fmt_ns warm_ns; Printf.sprintf "%.2fx" speedup ])
+          fmt_ns hit_ns; Printf.sprintf "%.2fx" (pfm_ns /. hit_ns) ])
       [ 32; 128; 512 ]
   in
+  NF.flush nf NF.Output;
+  List.iter (NF.append nf NF.Output) stock;
   print_string
     (Study.Report.table
-       ~title:"mount decision cost by whitelist size (matching rule last)"
-       ~header:
-         [ "rules"; "ref"; "pfm"; "cold miss"; "table hit"; "warm hit";
-           "warm vs pfm" ]
-       ~align:Study.Report.[ R; R; R; R; R; R; R ]
+       ~title:"nf_output decision cost by chain size (fillers ahead of the stock rules)"
+       ~header:[ "rules"; "ref"; "pfm"; "cold miss"; "table hit"; "hit vs pfm" ]
+       ~align:Study.Report.[ R; R; R; R; R; R ]
        rows);
-  Printf.printf "\nwarm hit vs compiled pfm at 128 rules: %.2fx\n" !speedup_128;
   Printf.printf "\n/proc/protego/cache_stats after the runs:\n%s%!"
     (DC.render (PD.cache disp))
 
@@ -628,7 +629,7 @@ let run_lint () =
 (* One plane scaling measurement per domain count: a fresh policy state
    with the workload generator's synthetic policy, a closed-loop steady
    zipfian schedule split across [d] simulated callers, one warm pass to
-   fill the per-worker caches and front slots, then a timed pass.
+   load each worker's programs, then a timed pass.
 
    Two readings per row:
 
@@ -892,7 +893,7 @@ let run_json ~out =
         Protego_net.Packet.Udp_dgram
           { src_port = 5353; dst_port = 7; payload = "x" } }
   in
-  (* One interned request per hook: repeats are served by the front slot. *)
+  (* One request per hook, decided by its engine on every call. *)
   let mount =
     Request.Mount
       { subject = 0; source = "/dev/cdrom"; target = "/media/cdrom";
@@ -936,25 +937,19 @@ let run_json ~out =
             ("speedup", ref_ns /. pfm_ns);
             ("opt_speedup", ref_ns /. opt_ns) ] } )
   in
-  let mount_pfm_ns, filter_mount = filter_scenario "mount" decide_mount in
+  let _, filter_mount = filter_scenario "mount" decide_mount in
   let _, filter_bind = filter_scenario "bind" decide_bind in
-  let _, filter_nf = filter_scenario "nf_output" decide_nf in
-  (* Cache cold-miss vs warm-hit on the mount decision. *)
+  let nf_pfm_ns, filter_nf = filter_scenario "nf_output" decide_nf in
+  (* The packet hook's table, the only one: cold miss vs table hit on
+     the 128-rule chain.  (The request hooks decide with their engine;
+     filter:mount's pfm_ns gates the mount decision.) *)
   DC.set_enabled cache true;
-  decide_mount ();
-  let cold_ns =
-    Harness.measure_ns "json:cache:cold" (fun () ->
-        PS.bump_generation st PS.Mounts;
-        decide_mount ())
-  in
-  decide_mount ();
-  let warm_ns = Harness.measure_ns "json:cache:warm" decide_mount in
+  let cold_ns, hit_ns = nf_cache_costs ~name:"json" disp nf in
   let cache_scenario =
-    { BR.sc_name = "cache:mount";
+    { BR.sc_name = "cache:nf_output";
       sc_metrics =
-        [ ("cold_ns", cold_ns); ("warm_ns", warm_ns);
-          ("pfm_ns", mount_pfm_ns); ("warm_vs_pfm", mount_pfm_ns /. warm_ns) ]
-    }
+        [ ("cold_ns", cold_ns); ("hit_ns", hit_ns); ("pfm_ns", nf_pfm_ns);
+          ("hit_vs_pfm", nf_pfm_ns /. hit_ns) ] }
   in
   (* Load-time lint gate cost on the loaded policy. *)
   let lint_ns =

@@ -190,13 +190,13 @@ let verify p =
 (* --- evaluation -------------------------------------------------------- *)
 
 (* Allocation-free prefix test (the shadow-file rule runs it on every
-   open). *)
+   open): a top-level loop, as a local one would allocate its closure. *)
+let rec prefix_from ~prefix s i =
+  i >= String.length prefix
+  || (s.[i] = prefix.[i] && prefix_from ~prefix s (i + 1))
+
 let has_prefix ~prefix s =
-  let plen = String.length prefix in
-  String.length s >= plen
-  &&
-  let rec go i = i >= plen || (s.[i] = prefix.[i] && go (i + 1)) in
-  go 0
+  String.length s >= String.length prefix && prefix_from ~prefix s 0
 
 let eval_cond c acc_i acc_s (ctx : ctx) =
   match c with
@@ -210,6 +210,32 @@ let eval_cond c acc_i acc_s (ctx : ctx) =
   | Str_eq imm -> String.equal acc_s imm
   | Str_prefix prefix -> has_prefix ~prefix acc_s
 
+(* The interpreter loop, top-level so that an evaluation allocates no
+   closure for it.  A switch looks its key up with [Hashtbl.find], not
+   [find_opt], whose [Some] would be an evaluation's one allocation. *)
+let rec step p (ctx : ctx) counters insns pc acc_i acc_s steps =
+  counters.(pc) <- counters.(pc) + 1;
+  match insns.(pc) with
+  | Ld_int f -> step p ctx counters insns (pc + 1) ctx.ints.(f) acc_s (steps + 1)
+  | Ld_str f -> step p ctx counters insns (pc + 1) acc_i ctx.strs.(f) (steps + 1)
+  | Jmp d -> step p ctx counters insns (pc + 1 + d) acc_i acc_s (steps + 1)
+  | Jif (c, jt, jf) ->
+      let d = if eval_cond c acc_i acc_s ctx then jt else jf in
+      step p ctx counters insns (pc + 1 + d) acc_i acc_s (steps + 1)
+  | Iswitch { tbl; default } ->
+      let d =
+        match Hashtbl.find tbl acc_i with d -> d | exception Not_found -> default
+      in
+      step p ctx counters insns (pc + 1 + d) acc_i acc_s (steps + 1)
+  | Sswitch { tbl; default } ->
+      let d =
+        match Hashtbl.find tbl acc_s with d -> d | exception Not_found -> default
+      in
+      step p ctx counters insns (pc + 1 + d) acc_i acc_s (steps + 1)
+  | Ret v ->
+      p.retired <- p.retired + steps + 1;
+      v
+
 let eval p ctx =
   if
     Array.length ctx.ints < p.n_int_fields
@@ -217,31 +243,7 @@ let eval p ctx =
   then
     invalid_arg
       (Printf.sprintf "Pfm.eval: context too narrow for program %s" p.pname);
-  let counters = p.counters and insns = p.insns in
-  let rec step pc acc_i acc_s steps =
-    counters.(pc) <- counters.(pc) + 1;
-    match insns.(pc) with
-    | Ld_int f -> step (pc + 1) ctx.ints.(f) acc_s (steps + 1)
-    | Ld_str f -> step (pc + 1) acc_i ctx.strs.(f) (steps + 1)
-    | Jmp d -> step (pc + 1 + d) acc_i acc_s (steps + 1)
-    | Jif (c, jt, jf) ->
-        let d = if eval_cond c acc_i acc_s ctx then jt else jf in
-        step (pc + 1 + d) acc_i acc_s (steps + 1)
-    | Iswitch { tbl; default } ->
-        let d =
-          match Hashtbl.find_opt tbl acc_i with Some d -> d | None -> default
-        in
-        step (pc + 1 + d) acc_i acc_s (steps + 1)
-    | Sswitch { tbl; default } ->
-        let d =
-          match Hashtbl.find_opt tbl acc_s with Some d -> d | None -> default
-        in
-        step (pc + 1 + d) acc_i acc_s (steps + 1)
-    | Ret v ->
-        p.retired <- p.retired + steps + 1;
-        v
-  in
-  step 0 0 "" 0
+  step p ctx p.counters p.insns 0 0 "" 0
 
 let insn_count p = Array.fold_left ( + ) 0 p.counters
 

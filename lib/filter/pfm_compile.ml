@@ -216,9 +216,17 @@ let mount_notes ?phase rules =
 
 let mount ?phase rules = fst (mount_notes ?phase rules)
 
+let mount_into (c : Pfm.ctx) ~phase ~source ~target ~fstype ~flags =
+  c.ints.(i_phase) <- phase;
+  c.ints.(i_flags) <- flags_mask flags;
+  c.strs.(s_source) <- source;
+  c.strs.(s_target) <- target;
+  c.strs.(s_fstype) <- fstype
+
 let mount_ctx ~phase ~source ~target ~fstype ~flags =
-  { Pfm.ints = [| phase; flags_mask flags |];
-    strs = [| source; target; fstype |] }
+  let c = { Pfm.ints = Array.make 2 0; strs = Array.make 3 "" } in
+  mount_into c ~phase ~source ~target ~fstype ~flags;
+  c
 
 (* --- umount ------------------------------------------------------------ *)
 
@@ -280,8 +288,16 @@ let umount_notes ?phase rules =
 
 let umount ?phase rules = fst (umount_notes ?phase rules)
 
+let umount_into (c : Pfm.ctx) ~phase ~target ~mounted_by ~ruid =
+  c.ints.(i_phase) <- phase;
+  c.ints.(i_mounted_by) <- mounted_by;
+  c.ints.(i_ruid) <- ruid;
+  c.strs.(u_target) <- target
+
 let umount_ctx ~phase ~target ~mounted_by ~ruid =
-  { Pfm.ints = [| phase; mounted_by; ruid |]; strs = [| target |] }
+  let c = { Pfm.ints = Array.make 3 0; strs = Array.make 1 "" } in
+  umount_into c ~phase ~target ~mounted_by ~ruid;
+  c
 
 (* --- bind -------------------------------------------------------------- *)
 
@@ -363,8 +379,17 @@ let bind_notes ?phase entries =
 
 let bind ?phase entries = fst (bind_notes ?phase entries)
 
+let bind_into (c : Pfm.ctx) ~phase ~port ~proto ~exe ~uid =
+  c.ints.(i_phase) <- phase;
+  c.ints.(i_port) <- port;
+  c.ints.(i_proto) <- bind_proto_code proto;
+  c.ints.(i_uid) <- uid;
+  c.strs.(b_exe) <- exe
+
 let bind_ctx ~phase ~port ~proto ~exe ~uid =
-  { Pfm.ints = [| phase; port; bind_proto_code proto; uid |]; strs = [| exe |] }
+  let c = { Pfm.ints = Array.make 4 0; strs = Array.make 1 "" } in
+  bind_into c ~phase ~port ~proto ~exe ~uid;
+  c
 
 (* --- netfilter --------------------------------------------------------- *)
 
@@ -588,9 +613,15 @@ let ppp_ioctl_notes ?phase (policy : Pppopts.t) =
 
 let ppp_ioctl ?phase policy = fst (ppp_ioctl_notes ?phase policy)
 
+let ppp_into (c : Pfm.ctx) ~phase ~device ~opt =
+  c.ints.(i_phase) <- phase;
+  c.ints.(i_safe) <- (if Ppp.option_is_safe opt then 1 else 0);
+  c.strs.(p_device) <- device
+
 let ppp_ctx ~phase ~device ~opt =
-  { Pfm.ints = [| phase; (if Ppp.option_is_safe opt then 1 else 0) |];
-    strs = [| device |] }
+  let c = { Pfm.ints = Array.make 2 0; strs = Array.make 1 "" } in
+  ppp_into c ~phase ~device ~opt;
+  c
 
 (* --- reference (linear) compilers --------------------------------------
 

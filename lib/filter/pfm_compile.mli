@@ -87,6 +87,14 @@ val mount_ctx :
   phase:int -> source:string -> target:string -> fstype:string ->
   flags:Ktypes.mount_flag list -> Pfm.ctx
 
+val mount_into :
+  Pfm.ctx -> phase:int -> source:string -> target:string -> fstype:string ->
+  flags:Ktypes.mount_flag list -> unit
+(** Rewrite a context {!mount_ctx} built, in place: an evaluator that
+    keeps one context per hook refills it per decision and allocates
+    nothing.  Each request hook's builder has such an [*_into]
+    sibling. *)
+
 val umount : ?phase:Phase.t -> mount_rule list -> Pfm.program
 (** Hash-dispatches on the mount target; [`Users] rules allow anyone,
     [`User] rules require the caller to be the mounting user. *)
@@ -96,6 +104,9 @@ val umount_notes :
 
 val umount_ctx :
   phase:int -> target:string -> mounted_by:int -> ruid:int -> Pfm.ctx
+
+val umount_into :
+  Pfm.ctx -> phase:int -> target:string -> mounted_by:int -> ruid:int -> unit
 
 (** {1 Bind map} *)
 
@@ -109,6 +120,10 @@ val bind_notes :
 val bind_ctx :
   phase:int -> port:int -> proto:Bindconf.proto -> exe:string -> uid:int ->
   Pfm.ctx
+
+val bind_into :
+  Pfm.ctx -> phase:int -> port:int -> proto:Bindconf.proto -> exe:string ->
+  uid:int -> unit
 
 (** {1 Netfilter chains} *)
 
@@ -138,6 +153,9 @@ val ppp_ioctl_notes :
   ?phase:Phase.t -> Pppopts.t -> Pfm.program * (int * string) list
 
 val ppp_ctx : phase:int -> device:string -> opt:Protego_net.Ppp.option_ -> Pfm.ctx
+
+val ppp_into :
+  Pfm.ctx -> phase:int -> device:string -> opt:Protego_net.Ppp.option_ -> unit
 
 (** {1 Reference (linear) compilers}
 

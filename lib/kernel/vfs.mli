@@ -13,8 +13,7 @@ val normalize : cwd:string -> string -> string
     already canonical (absolute, with no empty, [.] or [..] component
     and no trailing slash) comes back as the argument itself, not a
     copy, after one scan that allocates nothing: callers must not expect
-    a fresh string.  Strings are immutable, so comparing the result by
-    physical identity (the dispatcher's front slot does) stays sound. *)
+    a fresh string. *)
 
 val split_path : string -> string list
 (** Path components, no empties. *)

@@ -1,5 +1,4 @@
 module PS = Protego_core.Policy_state
-module DC = Protego_core.Decision_cache
 module Decider = Protego_core.Decider
 module Trace = Protego_core.Trace
 module Pfm = Protego_filter.Pfm
@@ -53,7 +52,7 @@ let gens_index =
   Array.init hook_count (fun hi -> PS.source_index (Request.source_of_index hi))
 
 let make_worker ~record journal id snap =
-  let dec = Decider.create ~cache:(DC.create ()) ~trace:(Trace.create ()) in
+  let dec = Decider.create ~trace:(Trace.create ()) in
   Decider.set_record dec record;
   (* The shared engine against the snapshot the worker adopted for the
      decision ([decide_with] adopts before the ladder runs), on the
@@ -67,7 +66,7 @@ let make_worker ~record journal id snap =
   in
   let hooks =
     Array.init hook_count (fun hi ->
-        Decider.hook dec (Request.kind_of_index hi) ~key:Request.key ~eval)
+        Decider.hook dec (Request.kind_of_index hi) eval)
   in
   let keys =
     Array.init hook_count (fun hi ->
@@ -230,27 +229,22 @@ let adopt w snap =
   end
 
 (* Serve one request on a worker against [snap] through the worker's
-   decider.  The front slot is stamped with the snapshot epoch (same
-   epoch implies the same generation vector: epochs only ever move by
-   publication) and keyed on the request by physical identity; the memo
-   table is stamped with the snapshot's generation of the hook's source.
-   The subject's phase index [ph] is read once before the ladder: it
-   keys the slot and the memo args, and selects the per-phase ladder
-   inside the compiled programs (the leading dispatch field of the
-   ctx). *)
+   decider, which runs the hook's engine: a worker keeps no table.  The
+   subject's phase index [ph] is read once before the ladder: it selects
+   the per-phase ladder inside the compiled programs (the leading
+   dispatch field of the ctx). *)
 let decide_with t w engine snap req =
   adopt w snap;
   let subject = Request.subject req in
   let ph = Atomic.get (phase_slot t subject) in
   let hi = Request.index req in
-  let d = w.w_dec and h = w.w_hooks.(hi) in
-  let epoch = snap.Snapshot.epoch in
+  let h = w.w_hooks.(hi) in
   let v =
-    Decider.decide d h w ~stamp:epoch ~gen:snap.Snapshot.gens.(gens_index.(hi))
+    Decider.decide w.w_dec h w ~gen:snap.Snapshot.gens.(gens_index.(hi))
       ~subject ~phase:ph ~engine req
   in
-  { o_verdict = v; o_errno = Decider.errno (Decider.kind h) v; o_epoch = epoch;
-    o_phase = ph }
+  { o_verdict = v; o_errno = Decider.errno (Decider.kind h) v;
+    o_epoch = snap.Snapshot.epoch; o_phase = ph }
 
 let decide_one t w engine req =
   decide_with t w engine (Snapshot.current t.pub) req
@@ -307,7 +301,7 @@ let worker_slice t w reqs ~start ~stop ~d ~engine ~clock ~collect ~outcomes
         | _ -> decide_one t w engine req
       in
       w.w_sample <- w.w_sample + 1;
-      (* Record mode: the ladder cached the true verdict; a would-deny
+      (* Record mode: the ladder returned the true verdict; a would-deny
          is served as Allow while the journal keeps the distinct
          "recorded" tag. *)
       let served = Decider.flip w.w_dec o.o_verdict in
@@ -428,18 +422,21 @@ type hook_totals = {
   ht_hits : int;
 }
 
+(* A worker keeps no table: every decision is an engine evaluation, and
+   no hit is ever counted. *)
 let hook_stats t =
   List.init hook_count (fun hi ->
       let sum f =
-        Array.fold_left (fun acc w -> acc + f w.w_hooks.(hi)) 0 t.workers
+        Array.fold_left
+          (fun acc w -> acc + f (Decider.stats w.w_hooks.(hi)))
+          0 t.workers
       in
-      let stat f = sum (fun h -> f (Decider.stats h)) in
+      let evals = sum (fun s -> s.Decider.evals) in
       ( hook_name hi,
-        { ht_decisions = stat (fun s -> s.Decider.served);
-          ht_allow = stat (fun s -> s.Decider.served_allow);
-          ht_deny = stat (fun s -> s.Decider.served_deny);
-          ht_evals = stat (fun s -> s.Decider.evals);
-          ht_hits = sum Decider.hits } ))
+        { ht_decisions = evals;
+          ht_allow = sum (fun s -> s.Decider.allow);
+          ht_deny = sum (fun s -> s.Decider.deny + s.Decider.reject);
+          ht_evals = evals; ht_hits = 0 } ))
 
 let engine_name t = match t.engine with `Pfm -> "pfm" | `Ref -> "ref"
 
@@ -460,22 +457,17 @@ let render t =
     (Printf.sprintf "record %s\n" (if record_mode t then "on" else "off"));
   Array.iter
     (fun w ->
-      let sum f =
-        Array.fold_left (fun acc h -> acc + f (Decider.stats h)) 0 w.w_hooks
-      in
-      let c = Decider.cache w.w_dec in
       Buffer.add_string b
-        (Printf.sprintf "worker %d decisions %d evals %d hits %d misses %d stale %d\n"
-           w.w_id
-           (sum (fun s -> s.Decider.served))
-           (sum (fun s -> s.Decider.evals))
-           (DC.hits c) (DC.misses c) (DC.stale_evictions c)))
+        (Printf.sprintf "worker %d decisions %d\n" w.w_id
+           (Array.fold_left
+              (fun acc h -> acc + (Decider.stats h).Decider.evals)
+              0 w.w_hooks)))
     t.workers;
   List.iter
     (fun (name, ht) ->
       Buffer.add_string b
-        (Printf.sprintf "hook %s decisions %d allow %d deny %d evals %d hits %d\n"
-           name ht.ht_decisions ht.ht_allow ht.ht_deny ht.ht_evals ht.ht_hits))
+        (Printf.sprintf "hook %s decisions %d allow %d deny %d\n" name
+           ht.ht_decisions ht.ht_allow ht.ht_deny))
     (hook_stats t);
   for hi = 0 to hook_count - 1 do
     let k =

@@ -5,12 +5,14 @@
     caller at a time over global mutable state.  A real LSM answers the
     same hooks concurrently from every CPU; this module is that shape on
     OCaml 5 Domains.  Each worker domain owns one
-    {!Protego_core.Decider} — the same front slot -> decision cache ->
-    engine ladder the LSM hooks run, here with the front slot stamped by
-    the snapshot epoch — plus private compiled programs (counters and
-    all), private latency histograms and a private journal term, so the
-    warm path shares {e nothing} writable between domains.  The only cross-domain communication on a decision
-    is one [Atomic.get] of the current {!Snapshot.t}.  Policy changes
+    {!Protego_core.Decider} — the same ladder the LSM hooks run, which
+    for these four request hooks is the compiled engine alone (no hook
+    keeps a front slot, and a worker builds no decision table) — plus
+    private compiled programs (counters and all), private latency
+    histograms and a private journal term, so the warm path shares
+    {e nothing} writable between domains.  The only cross-domain
+    communication on a decision is one [Atomic.get] of the current
+    {!Snapshot.t}.  Policy changes
     build a new snapshot off to the side and swap the pointer
     ({!publish}); in-flight decisions finish against whichever snapshot
     they acquired, so every verdict is consistent with exactly one
@@ -33,11 +35,10 @@ module Pfm = Protego_filter.Pfm
 
     The plane decides {!Protego_core.Request.t} values, re-exported here
     with their constructors ([Plane.Mount {...}] and friends).  Their
-    table key, PFM context and reference verdict are
-    {!Protego_core.Request}'s, shared with the LSM dispatcher: a worker
-    registers its four hooks with {!Protego_core.Request.key} and
-    {!Protego_core.Request.eval}, and differs only in where the program
-    comes from — its clones of its snapshot's programs
+    PFM context and reference verdict are {!Protego_core.Request}'s,
+    shared with the LSM dispatcher: a worker registers its four hooks
+    with {!Protego_core.Request.eval} and no table, and differs only in
+    where the program comes from — its clones of its snapshot's programs
     ({!Snapshot.clone_progs}), never the policy state's program store.
 
     The reference oracle lives there too: a decision served against a
@@ -108,7 +109,7 @@ val plane_max_domains : t -> int
 val domains : t -> int
 val set_domains : t -> int -> unit
 (** Clamped to [1..plane_max_domains]; workers are recreated (their
-    caches and counters reset) and the replaced workers' journal terms
+    counters reset) and the replaced workers' journal terms
     are retired (padded out and deregistered), so repeated domain
     changes neither inflate journal stats nor pin half-filled
     segments.  Raises [Invalid_argument] while a run (real or
@@ -158,11 +159,10 @@ val runs : t -> int
 
     The plane's analogue of the LSM's per-task phase
     (DESIGN.md §11): a fixed table of atomics indexed
-    [subject mod phase_slots], read once per decision.  The phase keys
-    the front slot and the memo-table args and selects the per-phase
-    ladder in the compiled programs, so a transition strands exactly
-    the transitioning subject's cached verdicts — no flush, no epoch
-    bump. *)
+    [subject mod phase_slots], read once per decision.  The phase
+    selects the per-phase ladder in the compiled programs, so a
+    transition changes exactly the transitioning subject's verdicts on
+    its next decision — no flush, no epoch bump. *)
 
 val subject_phase : t -> subject:int -> Protego_base.Phase.t
 
@@ -255,9 +255,11 @@ val snapshot_at : t -> int -> Snapshot.t option
 type hook_totals = {
   ht_decisions : int;
   ht_allow : int;
-  ht_deny : int;
-  ht_evals : int;  (** engine evaluations (cache misses) *)
-  ht_hits : int;   (** decision-cache + front-slot hits *)
+  ht_deny : int;  (** deny + reject *)
+  ht_evals : int;
+      (** engine evaluations: every decision, as a worker keeps no
+          table *)
+  ht_hits : int;  (** table hits: always 0, as a worker keeps no table *)
 }
 
 val hook_stats : t -> (string * hook_totals) list
@@ -267,8 +269,8 @@ val render : t -> string
 (** {v
     plane domains <d> engine <pfm|ref> epoch <e> runs <n>
     audit mode <m> records <n> live <n> dropped <n> rotations <n>
-    worker <i> decisions <n> evals <n> hits <n> misses <n> stale <n>
-    hook <name> decisions <n> allow <n> deny <n> evals <n> hits <n>
+    worker <i> decisions <n>
+    hook <name> decisions <n> allow <n> deny <n>
     latency hook <name> count <n> p50 <ns> p90 <ns> p99 <ns>
     v}
     [latency] lines only for hooks with sampled observations (needs a
@@ -279,8 +281,8 @@ val handle_write : t -> string -> (unit, string) result
 (** ["domains <n>"], ["engine pfm|ref"], ["publish"],
     ["audit off|journal"],
     ["phase <subject> setup|serving|steady"] (tighten-only; loosening
-    errors), ["reset"] (zero counters, drop caches, phases back to
-    initial, fresh journal); anything else errors. *)
+    errors), ["reset"] (fresh workers with zeroed counters, phases back
+    to initial, fresh journal); anything else errors. *)
 
 val render_journal : t -> string
 (** The /proc/protego/journal read image: a

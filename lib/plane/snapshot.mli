@@ -91,9 +91,7 @@ val publish : pub -> PS.t -> t
 (** Build-then-swap: freeze [st] at [epoch (current pub) + 1], then
     atomically replace the pointer.  Returns the new snapshot.  [st] is
     only read: a source changes only through {!PS.set}, which bumps its
-    generation, so the frozen vector stamps exactly the frozen values and
-    per-domain cache entries from older snapshots can never be served
-    under the new one. *)
+    generation, so the frozen vector stamps exactly the frozen values. *)
 
 val stale : pub -> PS.t -> bool
 (** Would {!publish} produce a snapshot with a different generation

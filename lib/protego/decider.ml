@@ -23,9 +23,9 @@ let errno kind (v : Pfm.verdict) =
 
 (* --- the packet key -----------------------------------------------------
 
-   The request hooks' keys are {!Request.key}.  The packet context is
-   the canonical integer encoding of everything the chain can match on;
-   ints are zigzag varints, so the layout is injective. *)
+   The packet context is the canonical integer encoding of everything
+   the chain can match on; ints are zigzag varints, so the layout is
+   injective. *)
 let nf_key k (ctx : Pfm.ctx) =
   let ints = ctx.Pfm.ints in
   for i = 0 to Array.length ints - 1 do
@@ -37,37 +37,34 @@ let nf_key k (ctx : Pfm.ctx) =
 type engine = [ `Pfm | `Ref ]
 
 type stats = {
-  mutable served : int;
-  mutable served_allow : int;
-  mutable served_deny : int;
   mutable evals : int;
-  mutable eval_allow : int;
-  mutable eval_deny : int;
-  mutable eval_reject : int;
+  mutable allow : int;
+  mutable deny : int;
+  mutable reject : int;
+}
+
+(* A hook's table: the cache, its per-hook line, the key encoder, the
+   scratch key it writes each decision into, and the latency series of
+   the decisions the table serves. *)
+type 'a table = {
+  cache : DC.t;
+  ch : DC.hook;
+  encode : DC.Key.t -> int -> 'a -> unit;
+  key : DC.Key.t;
+  k_cache : Trace.key;
 }
 
 type ('e, 'a) hook = {
   kind : kind;
-  ch : DC.hook;
-  encode : DC.Key.t -> int -> 'a -> unit;
+  table : 'a table option;
   eval : 'e -> engine -> phase:int -> 'a -> Pfm.verdict;
-  k_cache : Trace.key;
   k_pfm : Trace.key;
   k_ref : Trace.key;
   stats : stats;
-  (* the front slot *)
-  mutable s_epoch : int;  (* decision-cache epoch; -1: never filled *)
-  mutable s_stamp : int;
-  mutable s_sub : int;
-  mutable s_ph : int;
-  mutable s_raw : 'a option;
-  mutable s_verdict : Pfm.verdict;
 }
 
 type t = {
-  cache : DC.t;
   trace : Trace.t;
-  key : DC.Key.t;  (* the table key of a decision, rewritten per slot miss *)
   mutable traced : bool;
       (* mirror of [Trace.armed trace] (kept current via [Trace.on_arm]):
          the prologue reads it here instead of chasing into the tracer *)
@@ -78,10 +75,10 @@ type t = {
       (* 0 when none: kept unboxed so the untraced path never writes it *)
 }
 
-let create ~cache ~trace =
+let create ~trace =
   let d =
-    { cache; trace; key = DC.Key.create (); traced = false; record = false;
-      last_recorded = false; last_engine = J.engine_pfm; last_span = 0 }
+    { trace; traced = false; record = false; last_recorded = false;
+      last_engine = J.engine_pfm; last_span = 0 }
   in
   (* Clearing last_span here (not per decision) keeps the unarmed hot
      path store-free: while armed every decision sets it in [conclude],
@@ -91,30 +88,29 @@ let create ~cache ~trace =
       d.last_span <- 0);
   d
 
-let hook d kind ~key ~eval =
+let hook d kind ?table eval =
   let name = kind_name kind in
   let series engine = Trace.register d.trace ~hook:name ~engine in
-  let k_cache = series "cache" in
+  let table =
+    Option.map
+      (fun (cache, encode) ->
+        let k_cache = series "cache" in
+        { cache; ch = DC.register cache name; encode; key = DC.Key.create ();
+          k_cache })
+      table
+  in
   let k_pfm = series "pfm" in
   let k_ref = series "ref" in
-  { kind; ch = DC.register d.cache name; encode = key; eval;
-    k_cache; k_pfm; k_ref;
-    stats =
-      { served = 0; served_allow = 0; served_deny = 0; evals = 0;
-        eval_allow = 0; eval_deny = 0; eval_reject = 0 };
-    s_epoch = -1; s_stamp = 0; s_sub = 0; s_ph = 0; s_raw = None;
-    s_verdict = Pfm.Deny }
+  { kind; table; eval; k_pfm; k_ref;
+    stats = { evals = 0; allow = 0; deny = 0; reject = 0 } }
 
-let cache d = d.cache
 let trace d = d.trace
 let kind h = h.kind
 let stats h = h.stats
-let hits h = h.ch.DC.h_hits
 
 let reset_stats h =
   let s = h.stats in
-  s.served <- 0; s.served_allow <- 0; s.served_deny <- 0; s.evals <- 0;
-  s.eval_allow <- 0; s.eval_deny <- 0; s.eval_reject <- 0
+  s.evals <- 0; s.allow <- 0; s.deny <- 0; s.reject <- 0
 
 let record d = d.record
 let set_record d on = d.record <- on; d.last_recorded <- false
@@ -130,18 +126,19 @@ let flip d v =
 
 (* --- the ladder --------------------------------------------------------- *)
 
-let served s (v : Pfm.verdict) =
-  s.served <- s.served + 1;
-  match v with
-  | Pfm.Allow -> s.served_allow <- s.served_allow + 1
-  | Pfm.Deny | Pfm.Reject -> s.served_deny <- s.served_deny + 1
-
-let evaluated s (v : Pfm.verdict) =
+(* The engine rung: evaluate, count, and name the engine that served. *)
+let run d h env engine ~phase raw =
+  let v = h.eval env engine ~phase raw in
+  let s = h.stats in
   s.evals <- s.evals + 1;
-  match v with
-  | Pfm.Allow -> s.eval_allow <- s.eval_allow + 1
-  | Pfm.Deny -> s.eval_deny <- s.eval_deny + 1
-  | Pfm.Reject -> s.eval_reject <- s.eval_reject + 1
+  (match v with
+   | Pfm.Allow -> s.allow <- s.allow + 1
+   | Pfm.Deny -> s.deny <- s.deny + 1
+   | Pfm.Reject -> s.reject <- s.reject + 1);
+  (match engine with
+   | `Pfm -> d.last_engine <- J.engine_pfm
+   | `Ref -> d.last_engine <- J.engine_ref);
+  v
 
 (* Close out a traced decision: the serving engine's histogram always sees
    the latency; a span is recorded only when spans are on ([stages] is
@@ -150,77 +147,64 @@ let conclude d h k ~t0 ~gen ~stages v =
   let tr = d.trace in
   let fin = Trace.now tr in
   Trace.observe k ~ns:(fin - t0);
+  let epoch = match h.table with Some tb -> DC.epoch tb.cache | None -> 0 in
   d.last_span <-
     (match
        Trace.record_span tr ~hook:k.Trace.k_hook ~engine:k.Trace.k_engine
-         ~verdict:v ~errno:(errno h.kind v) ~gen ~epoch:(DC.epoch d.cache)
-         ~start:t0 ~finish:fin ~stages
+         ~verdict:v ~errno:(errno h.kind v) ~gen ~epoch ~start:t0 ~finish:fin
+         ~stages
      with
      | Some id -> id
      | None -> 0)
 
 let since d t0 = Trace.now d.trace - t0
 
-(* The slot, then the table, then the engine.  The slot serves when it
-   is fresh for these scalars and holds [raw] itself; a stage is
-   recorded as each rung is passed. *)
-let decide d h env ~stamp ~gen ~subject ~phase ~engine raw =
+(* The whole ladder, for a traced decision or a hook with a table.  No
+   hook has a front slot, and a hook without a table has no table rung:
+   a rung a hook lacks is marked zero-width at the decision's start, so
+   every span carries [slot], [table] and [engine] marks in that order. *)
+let ladder d h env ~gen ~subject ~phase ~engine raw =
   let t0 = if d.traced then Trace.now d.trace else 0 in
-  let c = d.cache in
-  let on = DC.enabled c in
   let sp = d.traced && Trace.spans_enabled d.trace in
-  if
-    on && h.s_epoch = DC.epoch c && h.s_stamp = stamp && h.s_sub = subject
-    && h.s_ph = phase
-    && (match h.s_raw with Some r -> r == raw | None -> false)
-  then begin
-    DC.record_hit c h.ch;
-    d.last_engine <- J.engine_cache;
-    let v = h.s_verdict in
-    served h.stats v;
-    if d.traced then
-      conclude d h h.k_cache ~t0 ~gen
-        ~stages:(if sp then [ ("slot", since d t0) ] else [])
-        v;
-    v
-  end
-  else begin
-    let stages = if sp then [ ("slot", since d t0) ] else [] in
-    (* find/add ignore the key while the cache is off: skip encoding it. *)
-    let key = d.key in
-    if on then begin
-      DC.Key.reset key;
-      h.encode key phase raw
-    end;
-    let found = DC.find c h.ch ~subject ~key ~gen in
-    let stages = if sp then ("table", since d t0) :: stages else stages in
-    let v, k, stages =
-      match found with
-      | Some v ->
-          d.last_engine <- J.engine_cache;
-          (v, h.k_cache, stages)
-      | None ->
-          let v = h.eval env engine ~phase raw in
-          evaluated h.stats v;
-          DC.add c h.ch ~subject ~key ~gen ~verdict:v;
-          let k =
-            match engine with
-            | `Pfm -> d.last_engine <- J.engine_pfm; h.k_pfm
-            | `Ref -> d.last_engine <- J.engine_ref; h.k_ref
-          in
-          (v, k, if sp then ("engine", since d t0) :: stages else stages)
-    in
-    (* A bypassed decision never refills the slot, so it is never
-       replayed after re-enabling. *)
-    if on then begin
-      h.s_epoch <- DC.epoch c;
-      h.s_stamp <- stamp;
-      h.s_sub <- subject;
-      h.s_ph <- phase;
-      h.s_raw <- Some raw;
-      h.s_verdict <- v
-    end;
-    served h.stats v;
-    if d.traced then conclude d h k ~t0 ~gen ~stages:(List.rev stages) v;
-    v
-  end
+  let found =
+    match h.table with
+    | None -> None
+    | Some tb ->
+        (* find/add ignore the key while the cache is off: skip encoding
+           it. *)
+        if DC.enabled tb.cache then begin
+          DC.Key.reset tb.key;
+          tb.encode tb.key phase raw
+        end;
+        DC.find tb.cache tb.ch ~subject ~key:tb.key ~gen
+  in
+  let stages =
+    if not sp then []
+    else
+      [ ("table", if Option.is_none h.table then 0 else since d t0);
+        ("slot", 0) ]
+  in
+  match (found, h.table) with
+  | Some v, Some tb ->
+      d.last_engine <- J.engine_cache;
+      if d.traced then
+        conclude d h tb.k_cache ~t0 ~gen ~stages:(List.rev stages) v;
+      v
+  | _ ->
+      let v = run d h env engine ~phase raw in
+      (match h.table with
+       | Some tb -> DC.add tb.cache tb.ch ~subject ~key:tb.key ~gen ~verdict:v
+       | None -> ());
+      if d.traced then begin
+        let k = match engine with `Pfm -> h.k_pfm | `Ref -> h.k_ref in
+        let stages = if sp then ("engine", since d t0) :: stages else stages in
+        conclude d h k ~t0 ~gen ~stages:(List.rev stages) v
+      end;
+      v
+
+(* A hook without a table decides with its engine alone; a traced
+   decision takes [ladder] for its marks. *)
+let decide d h env ~gen ~subject ~phase ~engine raw =
+  if d.traced || Option.is_some h.table then
+    ladder d h env ~gen ~subject ~phase ~engine raw
+  else run d h env engine ~phase raw

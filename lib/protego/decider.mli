@@ -1,22 +1,20 @@
-(** The decision ladder — front slot, then {!Decision_cache} table, then
-    engine — in one call ({!decide}), the one implementation every
-    filtered decision runs through: the LSM hooks ({!Pfm_dispatch}) and
-    every decision-plane worker alike.  Below it, both paths register
-    the four policy-state hooks with the same key and engine over one
-    {!Request.t}; only the packet hook has its own ({!nf_key}).
+(** The decision ladder in one call ({!decide}): the one implementation
+    every filtered decision runs through, the LSM hooks
+    ({!Pfm_dispatch}) and every decision-plane worker alike.  Below it,
+    both paths register the four policy-state hooks with the same
+    engine over one {!Request.t}; only the packet hook has its own.
 
-    The slot is compared by {e physical} identity of the raw value
-    (sound: it is immutable), so only a caller that reuses its values
-    hits it: a plane generator interns its requests, while an LSM hook
-    builds a fresh request from each syscall's arguments and is served
-    by the table.  The slot is stamped with the cache epoch plus one
-    caller-supplied [stamp]: the source generation on the LSM path, the
-    snapshot epoch on a plane worker.  Table entries are stamped with
-    the source generation [gen].  The caller's lifecycle phase index
-    keys both, so a phase transition strands exactly the transitioning
-    subject's cached verdicts.  Caches and slots hold only {e true}
-    verdicts; record mode flips a would-deny afterwards ({!flip}).  A
-    decider is single-threaded: each plane worker owns one. *)
+    A hook consults a {!Decision_cache} table only if it registered one
+    ({!hook}'s [?table]): then the ladder is table, then engine, the
+    table memoizing the engine's verdicts stamped with the source
+    generation [gen].  Only the packet hook registers a table ({!nf_key}):
+    its compiled OUTPUT chain is linear in the rule count, while a
+    request hook's program decides with one switch dispatch and a few
+    instructions, about what a table lookup costs, so a request hook
+    runs its engine directly.  No hook has a front slot.  A table holds
+    only {e true} verdicts; record mode flips a would-deny afterwards
+    ({!flip}).  A decider is single-threaded: each plane worker owns
+    one. *)
 
 module Pfm = Protego_filter.Pfm
 
@@ -37,75 +35,76 @@ val errno : kind -> Pfm.verdict -> Protego_base.Errno.t option
 (** [None] for [Allow], {!deny_errno} otherwise. *)
 
 val nf_key : Decision_cache.Key.t -> Pfm.ctx -> unit
-(** The packet hook's table key: the integer fields of its
-    {!Protego_filter.Pfm_compile.packet_ctx}, no phase (chains carry no
-    phase guards). *)
+(** The packet hook's table key, the one table key any hook registers:
+    the integer fields of its {!Protego_filter.Pfm_compile.packet_ctx},
+    no phase (chains carry no phase guards). *)
 
 (** {1 Deciders and hooks} *)
 
 type engine = [ `Pfm | `Ref ]
 
 type stats = private {
-  mutable served : int;        (** decisions served, by any rung *)
-  mutable served_allow : int;
-  mutable served_deny : int;   (** deny + reject *)
-  mutable evals : int;         (** engine evaluations (table misses) *)
-  mutable eval_allow : int;
-  mutable eval_deny : int;
-  mutable eval_reject : int;
+  mutable evals : int;   (** engine evaluations (table misses) *)
+  mutable allow : int;
+  mutable deny : int;
+  mutable reject : int;
 }
-(** Per-hook counters.  The LSM's filter_stats shows the engine ones;
-    the plane shows the served ones. *)
+(** Per-hook engine counters: the LSM's filter_stats and the plane's
+    per-hook lines.  A hook without a table serves every decision from
+    its engine, so there they count its decisions too. *)
 
 type t
 type ('e, 'a) hook
-(** One hook's front slot, cache-table hook, latency series, counters
-    and engine; ['a] is the raw argument value the slot holds, ['e] the
+(** One hook's table (if it has one), latency series, counters and
+    engine; ['a] is the raw argument value it decides, ['e] the
     environment the engine evaluates in. *)
 
-val create : cache:Decision_cache.t -> trace:Trace.t -> t
-(** A decider serving through [cache] and recording into [trace] (it
-    becomes the tracer's {!Trace.on_arm} listener).  Record mode off. *)
+val create : trace:Trace.t -> t
+(** A decider recording into [trace] (it becomes the tracer's
+    {!Trace.on_arm} listener).  Record mode off. *)
 
 val hook :
-  t -> kind -> key:(Decision_cache.Key.t -> int -> 'a -> unit) ->
-  eval:('e -> engine -> phase:int -> 'a -> Pfm.verdict) ->
+  t -> kind ->
+  ?table:Decision_cache.t * (Decision_cache.Key.t -> int -> 'a -> unit) ->
+  ('e -> engine -> phase:int -> 'a -> Pfm.verdict) ->
   ('e, 'a) hook
-(** Register a hook: its cache-table hook and its [cache]/[pfm]/[ref]
-    latency series, in call order.  [key k phase raw] encodes the table
-    key into the decider's emptied scratch key [k]; it runs only on a
-    slot miss while the cache is enabled.
+(** [hook d kind ?table eval] registers a hook and its latency series,
+    in call order: [cache] (with a table only), [pfm], [ref].
     [eval env engine ~phase raw] is the hook's engine: the compiled
-    program or the reference walk, as [engine] says.  The subject keys
-    the cache and the slot only: an engine that reads it finds it in
-    [raw] (a {!Request.t} carries its own). *)
+    program or the reference walk, as [engine] says.
 
-val cache : t -> Decision_cache.t
+    [table = (cache, key)] puts [cache] in front of the engine, under
+    the hook's name: [key k phase raw] encodes the table key into the
+    hook's emptied scratch key [k], and runs only while the cache is
+    enabled.  Only the packet hook passes one ([scripts/ci.sh --fast]
+    fails on another in [lib/]). *)
+
 val trace : t -> Trace.t
 val kind : ('e, 'a) hook -> kind
 val stats : ('e, 'a) hook -> stats
 val reset_stats : ('e, 'a) hook -> unit
 
-val hits : ('e, 'a) hook -> int
-(** Front-slot plus table hits, as the cache's per-hook line counts them. *)
-
 (** {1 The ladder} *)
 
 val decide :
-  t -> ('e, 'a) hook -> 'e -> stamp:int -> gen:int -> subject:int ->
-  phase:int -> engine:engine -> 'a -> Pfm.verdict
-(** [decide d h env ~stamp ~gen ~subject ~phase ~engine raw]: the true
-    verdict for [raw], served by the first rung that has it.
-    - {b Slot}: the slot holds [raw] itself (physical identity) and is
-      fresh: cache enabled, same cache epoch, [stamp], [subject] and
-      [phase].  Counted as a cache hit.
-    - {b Table}: an entry for the hook's key of [raw] under [subject],
-      stamped [gen].
-    - {b Engine}: the hook's engine in [env], memoized in the table.
-    A table or engine decision refills the slot with [raw], except while
-    the cache is disabled, so a bypassed decision is never replayed
-    after re-enabling.  A traced decision's span carries a stage per
-    rung passed: [slot], then [table], then [engine]. *)
+  t -> ('e, 'a) hook -> 'e -> gen:int -> subject:int -> phase:int ->
+  engine:engine -> 'a -> Pfm.verdict
+(** [decide d h env ~gen ~subject ~phase ~engine raw]: the true verdict
+    for [raw].
+    - {b Table} (a hook that registered one): an entry for the hook's
+      key of [raw] under [subject], stamped [gen].
+    - {b Engine}: the hook's engine in [env], memoized in the table if
+      the hook has one.
+    [gen] is the generation of the source the hook reads; [subject] and
+    [phase] key the table, and [phase] rides into the engine.
+
+    A traced decision's span carries a [slot], a [table] and an
+    [engine] mark, in that order, each the offset from the decision's
+    start at which the rung was passed; a rung the hook lacks (the
+    front slot is gone from every hook, the table from all but the
+    packet hook) is marked zero-width at the start, so readers that
+    classify spans by those three names keep working.  A table hit has
+    no [engine] mark. *)
 
 (** {1 Record mode} *)
 
@@ -123,8 +122,9 @@ val last_recorded : t -> bool
 
 val last_engine : t -> int
 (** What served the most recent decision, as a journal engine code:
-    {!Protego_journal.Journal.engine_cache}, [engine_pfm] or
-    [engine_ref]; [engine_pfm] before any. *)
+    {!Protego_journal.Journal.engine_cache} (a table hit, so only the
+    packet hook's), [engine_pfm] or [engine_ref]; [engine_pfm] before
+    any. *)
 
 val last_span : t -> int option
 (** Span id of the most recent decision; [None] when spans were off. *)

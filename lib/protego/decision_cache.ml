@@ -53,16 +53,6 @@ module Key = struct
   (* Zigzag first, so small negative values stay short too. *)
   let int k n = uvarint k ((n lsl 1) lxor (n asr (Sys.int_size - 1)))
 
-  let last_string k s =
-    let n = String.length s in
-    reserve k n;
-    Bytes.unsafe_blit_string s 0 k.buf k.len n;
-    k.len <- k.len + n
-
-  let string k s =
-    uvarint k (String.length s);
-    last_string k s
-
   (* One pass over the bytes, eight at a time, then the hook and subject;
      the final avalanche spreads every input bit into the low bits the
      bucket index takes. *)
@@ -132,8 +122,7 @@ type t = {
   mutable free : int;  (* the free list's first slot, or -1 *)
   mutable size : int;
   mutable enabled : bool;
-  (* Atomic: the one field another domain may read. *)
-  epoch : int Atomic.t;
+  mutable epoch : int;
   mutable hits : int;
   mutable misses : int;
   mutable stale : int;
@@ -164,7 +153,7 @@ let create ?(capacity = default_capacity) () =
     s_hid = ints (); s_subject = ints (); s_gen = ints ();
     s_verdict = ints (); s_prev = ints (); s_next = ints ();
     s_chain = ints (); s_key = Array.make 1 Bytes.empty; s_klen = ints ();
-    used = 1; free = -1; size = 0; enabled = true; epoch = Atomic.make 0;
+    used = 1; free = -1; size = 0; enabled = true; epoch = 0;
     hits = 0; misses = 0; stale = 0; evicted = 0; hooks = [];
     m_key = no_key; m_stamp = 0; m_hid = -1; m_subject = 0; m_hash = 0 }
 
@@ -179,15 +168,10 @@ let register t name =
       t.hooks <- h :: t.hooks;
       h
 
-let capacity t = t.cap
 let length t = t.size
 let enabled t = t.enabled
 let set_enabled t e = t.enabled <- e
-let epoch t = Atomic.get t.epoch
-
-let record_hit t hook =
-  t.hits <- t.hits + 1;
-  hook.h_hits <- hook.h_hits + 1
+let epoch t = t.epoch
 
 let hits t = t.hits
 let misses t = t.misses
@@ -364,7 +348,7 @@ let clear t =
   t.used <- 1;
   t.free <- -1;
   t.size <- 0;
-  Atomic.incr t.epoch
+  t.epoch <- t.epoch + 1
 
 let reset t =
   clear t;

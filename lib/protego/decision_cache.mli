@@ -1,18 +1,21 @@
-(** The hot-path decision cache: a fixed-capacity, generation-stamped memo
-    table, the middle rung of the {!Decider} ladder.
+(** The decision cache: a fixed-capacity, generation-stamped memo table
+    that fronts the packet hook's engine in the {!Decider} ladder.
 
-    A filtered hook's decision is a pure function of (policy sources it
-    reads, subject credential key, argument tuple), so its verdict is
-    memoized — positive (Allow) and negative (Deny/Reject) alike.  Only
-    the verdict is stored: the hook derives its errno from it.
+    A hook's decision is a pure function of (the source it reads,
+    subject, argument tuple), so its verdict — allow and deny alike —
+    can be memoized; the hook derives its errno from it.  A hook uses a
+    table only if it registers one with {!Decider.hook}, and only the
+    packet hook does: its compiled chain runs linearly in the rule
+    count, while a request hook's program decides in a few instructions,
+    no dearer than a lookup.
 
     {b Keys are the raw arguments, encoded.}  An entry is keyed by the
-    hook, the subject and a {!Key}: the caller's argument tuple written as
-    fields (zigzag varint integers, length-prefixed strings, at most one
-    bare string last) into a scratch buffer the caller owns and reuses.  The
-    encoding is injective for a fixed field layout, so two different
-    tuples never share an entry, whatever bytes their strings hold.  A
-    lookup hashes the key once and compares stored bytes in place.
+    hook, the subject and a {!Key}: the caller's argument tuple written
+    as zigzag varint fields into a scratch buffer the caller owns and
+    reuses.  Varints are self-delimiting, so the encoding is injective
+    for a fixed field layout and two different tuples never share an
+    entry.  A lookup hashes the key once and compares stored bytes in
+    place.
 
     {b Entries are slots in parallel arrays.}  Int arrays hold each
     slot's hash, hook id, subject, generation, verdict code, LRU links
@@ -21,23 +24,19 @@
     steady-state insert allocate nothing.  A new table holds no slots;
     the arrays and the bucket heads grow by doubling up to the capacity.
 
-    {b Invalidation is lazy and per-source, not a global flush.}  Every
-    policy source carries a generation counter ({!Policy_state.generation});
-    a cache entry is stamped with the generation of the source its hook
-    reads at insertion time.  A lookup compares the entry's generation
-    against the current one and treats a mismatch as a miss, evicting the
-    entry ("stale eviction").  A write to [/proc/protego/bind_map] thus
-    invalidates only bind entries — cached mount verdicts survive — and
-    nothing is scanned eagerly at reload time.
+    {b Invalidation is lazy, not a flush.}  An entry is stamped with the
+    generation of the source its hook read when it was inserted (for
+    the packet hook, {!Protego_net.Netfilter.generation}, which every
+    chain edit bumps).  A lookup that finds another generation treats
+    the entry as a miss and evicts it ("stale eviction"); nothing is
+    scanned at reload time.
 
     Capacity is fixed at creation; when full, the least-recently-used entry
     is evicted ("capacity eviction").  A hit refreshes recency.
 
-    {b One owner domain.}  A table belongs to one domain: the LSM
-    dispatcher's, or one plane worker's.  Only that domain looks up,
-    inserts or clears; {!epoch} is the one value another domain may read, and
-    the counters are read elsewhere only while the owner is idle (a
-    plane's stats between runs).
+    {b One owner.}  A table belongs to the LSM dispatcher that created
+    it (decision-plane workers keep none) and is not safe to share
+    between domains.
 
     The table is observable and controllable through
     [/proc/protego/cache_stats] (see {!render} / {!handle_write}). *)
@@ -69,13 +68,6 @@ module Key : sig
   val int : t -> int -> unit
   (** A zigzag LEB128 varint: 1 byte for [-64..63], at most 9. *)
 
-  val string : t -> string -> unit
-  (** A varint length, then the bytes. *)
-
-  val last_string : t -> string -> unit
-  (** The bytes alone: the field runs to the end of the key, so it must
-      be the last one written. *)
-
   val contents : t -> string
 end
 
@@ -90,7 +82,6 @@ val register : t -> string -> hook
     record).  Registration order fixes the order of per-hook lines in
     {!render}. *)
 
-val capacity : t -> int
 val length : t -> int
 
 val enabled : t -> bool
@@ -120,19 +111,10 @@ val add :
     subject missed, the insert reuses that lookup's hash and does not
     search again. *)
 
-(** {1 Front slots}
-
-    {!Decider} keeps a one-entry front slot per hook ahead of this table.
-    A slot is only served while {!epoch} still has the value the slot was
-    stamped with, and a slot hit is counted here like any other hit. *)
-
 val epoch : t -> int
-(** Changes whenever memoized entries are dropped wholesale ({!clear} /
-    {!reset} / the ["reset"] command) — front slots stamped with an older
-    epoch must not be served. *)
-
-val record_hit : t -> hook -> unit
-(** Count a front-slot hit in the global and per-hook counters. *)
+(** Bumped whenever memoized entries are dropped wholesale ({!clear} /
+    {!reset} / the ["reset"] command): the epoch a decision span
+    carries ({!Trace.span}'s [sp_epoch]). *)
 
 (** {1 Stats and control} *)
 

@@ -73,6 +73,7 @@ type t = {
   mutable engine : engine;
   mutable lint_mode : lint_mode;
   dec : Decider.t;
+  cache : Decision_cache.t;  (* the packet hook's table *)
   (* the ladder's hooks: the four request hooks by {!Request.index}, and
      the packet hook *)
   reqs : (Policy_state.t, Request.t) Decider.hook array;
@@ -96,17 +97,22 @@ let eval_counted c p ctx =
   c.insns <- c.insns + (p.Pfm.retired - before);
   v
 
-(* A request hook: when the store's program for the live source value
-   is not the one the slot was filled from (the value changed), take a
-   counter-fresh clone of it — the store, not the dispatcher, compiles. *)
-let run_stored c st kind ctx =
-  let orig = Policy_state.program st kind in
-  let p =
-    match c.slot with
-    | Some (k, p) when k == orig -> p
-    | _ -> reload c orig (Pfm.clone orig)
+(* A request hook's program runner: when the store's program for the
+   live source value is not the one the slot was filled from (the value
+   changed), take a counter-fresh clone of it — the store, not the
+   dispatcher, compiles.  A closure of the runner's own arity, like
+   {!Request.eval}'s. *)
+let run_stored c =
+  let run st kind ctx =
+    let orig = Policy_state.program st kind in
+    let p =
+      match c.slot with
+      | Some (k, p) when k == orig -> p
+      | _ -> reload c orig (Pfm.clone orig)
+    in
+    eval_counted c p ctx
   in
-  eval_counted c p ctx
+  run
 
 (* The netfilter OUTPUT hook: its chain lives on the machine, not in
    [Policy_state], so it keeps a lazy compile keyed by (rules identity,
@@ -122,26 +128,25 @@ let run_nf c nf ctx =
   eval_counted c p ctx
 
 let create () =
-  let dec =
-    Decider.create ~cache:(Decision_cache.create ()) ~trace:(Trace.create ())
-  in
+  let dec = Decider.create ~trace:(Trace.create ()) in
   let progs = Array.init Request.count (fun _ -> fresh_prog ()) in
-  (* The request hooks share one key and one engine ({!Request.eval});
-     the program is a clone of the store's, per hook. *)
+  (* The request hooks share one engine ({!Request.eval}) and register
+     no table: the program is a clone of the store's, per hook. *)
   let request i =
-    Decider.hook dec (Request.kind_of_index i) ~key:Request.key
-      ~eval:(Request.eval ~state:Fun.id ~run:(run_stored progs.(i)))
+    Decider.hook dec (Request.kind_of_index i)
+      (Request.eval ~state:Fun.id ~run:(run_stored progs.(i)))
   in
-  (* Registration order fixes the order of the cache_stats and latency
-     lines: mount, umount, bind, nf_output, ppp_ioctl. *)
+  (* Registration order fixes the order of the latency lines: mount,
+     umount, bind, nf_output, ppp_ioctl. *)
   let mount = request 0 in
   let umount = request 1 in
   let bind = request 2 in
   let nf_prog = fresh_prog () in
+  let cache = Decision_cache.create () in
   let nf =
     Decider.hook dec Decider.Nf_output
-      ~key:(fun k _ p -> Decider.nf_key k (packet_ctx p))
-      ~eval:(fun nf engine ~phase:_ p ->
+      ~table:(cache, fun k _ p -> Decider.nf_key k (packet_ctx p))
+      (fun nf engine ~phase:_ p ->
         match engine with
         | `Ref ->
             Compile.verdict_of_netfilter
@@ -156,7 +161,8 @@ let create () =
       [ Hook (mount, progs.(0)); Hook (umount, progs.(1));
         Hook (bind, progs.(2)); Hook (nf, nf_prog); Hook (ppp, progs.(3)) ]
   in
-  { engine = `Pfm; lint_mode = `Warn; dec; reqs; nf; hooks; opt_rejects = 0 }
+  { engine = `Pfm; lint_mode = `Warn; dec; cache; reqs; nf; hooks;
+    opt_rejects = 0 }
 
 let engine t = t.engine
 let set_engine t e = t.engine <- e
@@ -174,7 +180,7 @@ let last_recorded t = Decider.last_recorded t.dec
 let lint_mode_name t =
   match t.lint_mode with `Warn -> "warn" | `Enforce -> "enforce"
 
-let cache t = Decider.cache t.dec
+let cache t = t.cache
 let trace t = Decider.trace t.dec
 let last_span t = Decider.last_span t.dec
 let last_span_id t = Decider.last_span_id t.dec
@@ -184,8 +190,8 @@ let stats t =
     (fun (name, Hook (h, p)) ->
       let s = Decider.stats h in
       ( name,
-        { evals = s.Decider.evals; allow = s.Decider.eval_allow;
-          deny = s.Decider.eval_deny; reject = s.Decider.eval_reject;
+        { evals = s.Decider.evals; allow = s.Decider.allow;
+          deny = s.Decider.deny; reject = s.Decider.reject;
           invalidations = p.invalidations; insns = p.insns } ))
     t.hooks
 
@@ -295,22 +301,22 @@ let statuses t =
 
 (* --- hook decisions ---------------------------------------------------- *)
 
-(* Each decision serves [Decider.flip] of the ladder's true verdict. *)
+(* Each decision serves [Decider.flip] of the ladder's true verdict.  A
+   request's [gen] only stamps its span: the hook has no table. *)
 let decide t ~phase st req =
   let i = Request.index req in
-  let gen = Policy_state.generation st (Request.source_of_index i) in
   let v =
-    Decider.decide t.dec t.reqs.(i) st ~stamp:gen ~gen
+    Decider.decide t.dec t.reqs.(i) st
+      ~gen:(Policy_state.generation st (Request.source_of_index i))
       ~subject:(Request.subject req) ~phase:(Phase.index phase) ~engine:t.engine
       req
   in
   Decider.flip t.dec v = Pfm.Allow
 
 let decide_nf_output t nf pkt ~origin =
-  let gen = Netfilter.generation nf in
   let v =
-    Decider.decide t.dec t.nf nf ~stamp:gen ~gen ~subject:0 ~phase:0
-      ~engine:t.engine { pkt; origin; ctx = no_ctx }
+    Decider.decide t.dec t.nf nf ~gen:(Netfilter.generation nf) ~subject:0
+      ~phase:0 ~engine:t.engine { pkt; origin; ctx = no_ctx }
   in
   Compile.netfilter_of_verdict (Decider.flip t.dec v)
 

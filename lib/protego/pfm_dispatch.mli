@@ -2,39 +2,37 @@
     compiled {!Protego_filter.Pfm} programs.
 
     Each filtered hook (mount, umount, bind, netfilter output, ppp ioctl)
-    asks the dispatcher for a verdict, served through one {!Decider} —
-    front slot, then the {!Decision_cache} table, then the engine: under
-    [`Pfm] (the default) the hook's policy source as a bytecode program,
-    under [`Ref] the original list-walking decision ({!Request.oracle},
-    {!Protego_net.Netfilter.walk}), kept in-tree as the
-    differential-testing oracle.  Memoized verdicts are stamped with the
-    generation of the source the hook reads ({!Request.source}, or
-    {!Protego_net.Netfilter.generation} for the output chain).  A
-    source changes only through {!Policy_state.set} (or a netfilter
-    mutator), which bumps its generation, so a reload lazily invalidates
-    exactly the stamped entries.  Decisions only read generations; they
-    never write them.
+    asks the dispatcher for a verdict, served through one {!Decider}:
+    under [`Pfm] (the default) the hook's policy source as a bytecode
+    program, under [`Ref] the original list-walking decision
+    ({!Request.oracle}, {!Protego_net.Netfilter.walk}), kept in-tree as
+    the differential-testing oracle.
 
-    The four [Policy_state]-backed hooks decide a {!Request.t}: they are
-    registered with {!Request.key} and {!Request.eval}, the same key and
-    engine every decision-plane worker registers, so the two paths share
-    everything below the ladder but where the program comes from.  Here
-    each hook keeps a counter-fresh {!Protego_filter.Pfm.clone} of the
-    state's program-store entry for the live source value
-    ({!Policy_state.program}), keyed on that entry's {e physical
-    identity}, not on the source's generation: a bare generation bump (a
-    reload with unchanged contents) keeps the program, while a new value
-    replaces it on the next evaluation.  These hooks never compile: the
-    load gate compiled the value when the write was accepted.  The
-    netfilter OUTPUT hook compiles its chain lazily, keyed by (rules
-    identity, chain policy): the chain lives on the machine, not in
+    The four [Policy_state]-backed hooks decide a {!Request.t} with
+    their engine alone: they are registered with {!Request.eval} and no
+    table, as every decision-plane worker registers them, so the two
+    paths share everything below the ladder but where the program comes
+    from.  Here each hook keeps a counter-fresh
+    {!Protego_filter.Pfm.clone} of the state's program-store entry for
+    the live source value ({!Policy_state.program}), keyed on that
+    entry's {e physical identity}, not on the source's generation: a
+    bare generation bump (a reload with unchanged contents) keeps the
+    program, while a new value replaces it on the next evaluation.
+    These hooks never compile: the load gate compiled the value when
+    the write was accepted.
+
+    The netfilter OUTPUT hook is the one with a {!Decision_cache} table
+    in front of its engine, because its compiled chain runs linearly in
+    the rule count.  Its memoized verdicts are stamped with
+    {!Protego_net.Netfilter.generation}, which every chain mutator
+    bumps, so an edit lazily invalidates them; decisions only read the
+    generation.  It compiles its chain lazily, keyed by (rules identity,
+    chain policy): the chain lives on the machine, not in
     {!Policy_state}, so the store does not cover it (ROADMAP item 5,
     [nf_output] on the plane, revisits this).
 
     A dispatcher serves one {!Policy_state.t} (as {!Lsm.install} wires
-    it); decision-cache keys do not name the state, so sharing a
-    dispatcher between states would let entries from one answer for the
-    other. *)
+    it). *)
 
 type engine = Decider.engine
 
@@ -44,7 +42,7 @@ type lint_mode = [ `Warn | `Enforce ]
     audit trail; [`Enforce] refuses the install. *)
 
 type hook_stats = {
-  mutable evals : int;          (** engine evaluations (table misses) *)
+  mutable evals : int;  (** engine evaluations (packet: table misses) *)
   mutable allow : int;
   mutable deny : int;
   mutable reject : int;
@@ -55,7 +53,7 @@ type hook_stats = {
 type t
 
 val create : unit -> t
-(** Starts on the [`Pfm] engine with empty caches and zeroed stats. *)
+(** Starts on the [`Pfm] engine with an empty table and zeroed stats. *)
 
 val engine : t -> engine
 val set_engine : t -> engine -> unit
@@ -67,11 +65,13 @@ val decision_engine : t -> int
     the LSM decision records carry ({!Decider.last_engine}). *)
 
 val decision_engine_name : t -> string
-(** {!decision_engine}'s name: ["cache"], ["pfm"] or ["ref"] — what the
-    audit text shows.  ["pfm"] before any decision. *)
+(** {!decision_engine}'s name: ["cache"] (a packet decision the table
+    served), ["pfm"] or ["ref"] — what the audit text shows.  ["pfm"]
+    before any decision. *)
 
 val cache : t -> Decision_cache.t
-(** The decision cache in front of both engines. *)
+(** The packet hook's decision table: the only hook with one, so
+    [/proc/protego/cache_stats] lists only [nf_output]. *)
 
 val trace : t -> Trace.t
 (** The decision tracer: per-(hook, engine) latency histograms plus the
@@ -181,25 +181,20 @@ val opt_rejects : t -> int
 
 val decide :
   t -> phase:Protego_base.Phase.t -> Policy_state.t -> Request.t -> bool
-(** The mount, umount, bind and ppp ioctl hooks' one entry point: serve
-    [req] through the ladder ({!Decider.decide}), its [subject] being the
-    cache subject, and return the served verdict (record mode's flip
-    applied).  [phase] is the caller's lifecycle phase
-    ({!Protego_base.Phase.initial} without task context, verdict-neutral
-    for unphased policies); it keys the ladder and rides into the PFM
-    context / reference oracle so phase-guarded rules see it.  It is
+(** The mount, umount, bind and ppp ioctl hooks' one entry point: decide
+    [req] with the hook's engine ({!Decider.decide}; no table) and return
+    the served verdict (record mode's flip applied).  [phase] is the
+    caller's lifecycle phase ({!Protego_base.Phase.initial} without task
+    context, verdict-neutral for unphased policies); it rides into the
+    PFM context / reference oracle so phase-guarded rules see it.  It is
     required, not optional: dune's dev profile compiles with [-opaque],
-    so an optional argument would box a [Some] on every hook call.
-
-    The front slot compares requests by physical identity: a caller that
-    reuses a request value hits it, while the LSM hooks, which build a
-    fresh request from each syscall's arguments, are served by the
-    table. *)
+    so an optional argument would box a [Some] on every hook call. *)
 
 val decide_nf_output :
   t -> Protego_net.Netfilter.t -> Protego_net.Packet.t ->
   origin:Protego_net.Packet.origin -> Protego_net.Netfilter.verdict
-(** Installed as the chain's output override at {!Lsm.install} time. *)
+(** Installed as the chain's output override at {!Lsm.install} time:
+    the table, then the engine. *)
 
 (** {1 Load-time policy lint} *)
 

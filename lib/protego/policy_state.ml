@@ -191,7 +191,7 @@ let candidate t u =
   ignore (install c u : source);
   c
 
-let compiled ?(stage = false) t kind =
+let fetch_kind t kind ~stage =
   let s = t.store in
   match kind with
   | Mount_program -> fetch s s.s_mount t.mounts ~stage
@@ -199,7 +199,11 @@ let compiled ?(stage = false) t kind =
   | Bind_program -> fetch s s.s_bind t.binds ~stage
   | Ppp_program -> fetch s s.s_ppp t.ppp ~stage
 
-let program t kind = fst (compiled t kind)
+let compiled ?(stage = false) t kind = fetch_kind t kind ~stage
+
+(* Not through [compiled]: the dispatcher calls this on every engine
+   run, and an optional argument costs a default-argument wrapper. *)
+let program t kind = fst (fetch_kind t kind ~stage:false)
 let compiles t = t.store.compiles
 
 (* --- name service ---------------------------------------------------- *)

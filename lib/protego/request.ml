@@ -2,7 +2,6 @@ module Pfm = Protego_filter.Pfm
 module Compile = Protego_filter.Pfm_compile
 module Phase = Protego_base.Phase
 module PS = Policy_state
-module Key = Decision_cache.Key
 module J = Protego_journal.Journal
 
 module Value = struct
@@ -59,40 +58,37 @@ let program_kind = function
 
 let deny_errno r = Option.get (Decider.deny_errno kinds.(index r))
 
-(* A bind's protocol code in the table key and both journal record
-   kinds. *)
+(* A bind's protocol code in both journal record kinds. *)
 let proto_code = function
   | Protego_policy.Bindconf.Tcp -> 0
   | Protego_policy.Bindconf.Udp -> 1
 
-(* One string goes last, unprefixed: see the interface. *)
-let key k phase r =
-  Key.int k phase;
-  match r with
-  | Mount { source; target; fstype; flags; _ } ->
-      Key.int k (Compile.flags_mask flags);
-      Key.string k source;
-      Key.string k fstype;
-      Key.last_string k target
-  | Umount { target; mounted_by; _ } ->
-      Key.int k mounted_by;
-      Key.last_string k target
-  | Bind { port; proto; exe; _ } ->
-      Key.int k port;
-      Key.int k (proto_code proto);
-      Key.last_string k exe
-  | Ppp_ioctl { device; opt; _ } ->
-      Key.int k (if Protego_net.Ppp.option_is_safe opt then 1 else 0);
-      Key.last_string k device
+(* One PFM context per hook, by {!index}, each refilled in place by the
+   hook's next decision. *)
+let contexts () =
+  [| Compile.mount_ctx ~phase:0 ~source:"" ~target:"" ~fstype:"" ~flags:[];
+     Compile.umount_ctx ~phase:0 ~target:"" ~mounted_by:0 ~ruid:0;
+     Compile.bind_ctx ~phase:0 ~port:0 ~proto:Protego_policy.Bindconf.Tcp
+       ~exe:"" ~uid:0;
+     Compile.ppp_ctx ~phase:0 ~device:"" ~opt:Protego_net.Ppp.Accomp |]
 
-let ctx ~phase = function
+let refill (ctxs : Pfm.ctx array) ~phase = function
   | Mount { source; target; fstype; flags; _ } ->
-      Compile.mount_ctx ~phase ~source ~target ~fstype ~flags
+      let c = ctxs.(0) in
+      Compile.mount_into c ~phase ~source ~target ~fstype ~flags;
+      c
   | Umount { subject; target; mounted_by } ->
-      Compile.umount_ctx ~phase ~target ~mounted_by ~ruid:subject
+      let c = ctxs.(1) in
+      Compile.umount_into c ~phase ~target ~mounted_by ~ruid:subject;
+      c
   | Bind { subject; port; proto; exe } ->
-      Compile.bind_ctx ~phase ~port ~proto ~exe ~uid:subject
-  | Ppp_ioctl { device; opt; _ } -> Compile.ppp_ctx ~phase ~device ~opt
+      let c = ctxs.(2) in
+      Compile.bind_into c ~phase ~port ~proto ~exe ~uid:subject;
+      c
+  | Ppp_ioctl { device; opt; _ } ->
+      let c = ctxs.(3) in
+      Compile.ppp_into c ~phase ~device ~opt;
+      c
 
 let oracle ?phase st = function
   | Mount { source; target; fstype; flags; _ } ->
@@ -104,13 +100,20 @@ let oracle ?phase st = function
   | Ppp_ioctl { device; opt; _ } -> PS.ppp_ioctl_decision ?phase st ~device ~opt
 
 (* The shared engine; [run] supplies the program, per path (see the
-   interface for why a plane worker never reads the store). *)
-let eval ~state ~run env (engine : Decider.engine) ~phase req =
-  match engine with
-  | `Ref ->
-      if oracle ~phase:(Phase.of_index phase) (state env) req then Pfm.Allow
-      else Pfm.Deny
-  | `Pfm -> run env (program_kind req) (ctx ~phase req)
+   interface for why a plane worker never reads the store).  It returns
+   a closure of the engine's own arity, so the decider's call reaches it
+   directly rather than through a partial application's stubs, and the
+   closure owns the contexts it refills. *)
+let eval ~state ~run =
+  let ctxs = contexts () in
+  let eval env (engine : Decider.engine) ~phase req =
+    match engine with
+    | `Ref ->
+        if oracle ~phase:(Phase.of_index phase) (state env) req then Pfm.Allow
+        else Pfm.Deny
+    | `Pfm -> run env (program_kind req) (refill ctxs ~phase req)
+  in
+  eval
 
 (* --- journal records ----------------------------------------------------- *)
 

@@ -2,18 +2,17 @@
     four [Policy_state]-backed hooks (mount, umount, bind, ppp ioctl)
     decide, on either path.  The LSM dispatcher ({!Pfm_dispatch}) and
     every decision-plane worker ([Protego_plane.Plane]) register their
-    {!Decider} hooks with {!key} and {!eval}, so a hook's table key, PFM
-    context, reference verdict and journal records are written once,
-    here.  The netfilter OUTPUT hook decides a packet against the
-    machine's chain instead. *)
+    {!Decider} hooks with {!eval} and no table, so a hook's PFM context,
+    reference verdict and journal records are written once, here.  The
+    netfilter OUTPUT hook decides a packet against the machine's chain
+    instead. *)
 
 module Pfm = Protego_filter.Pfm
 
 (** The constructors, in a module of their own so that
     [Protego_plane.Plane] re-exports them by [include].  Arguments mirror
     the LSM hook signatures; [subject] is the caller's uid (ruid for
-    umount).  A front slot compares requests by physical identity, so
-    generators should intern and reuse request values. *)
+    umount). *)
 module Value : sig
   type request =
     | Mount of {
@@ -50,28 +49,14 @@ val index : t -> int
 val kind_of_index : int -> Decider.kind
 
 val subject : t -> int
-(** The cache subject, and the key of the plane's phase table. *)
+(** The caller, and the key of the plane's phase table. *)
 
 val source_of_index : int -> Policy_state.source
-(** The source whose generation stamps the hook's cached verdicts:
-    [Mounts] (mount, umount), [Binds] or [Ppp]. *)
-
-val program_kind : t -> Policy_state.program_kind
+(** The source the hook reads, whose generation a decision span
+    carries: [Mounts] (mount, umount), [Binds] or [Ppp]. *)
 
 val deny_errno : t -> Protego_base.Errno.t
 (** {!Decider.deny_errno} of the hook: every request hook has one. *)
-
-val key : Decision_cache.Key.t -> int -> t -> unit
-(** [key k phase req]: the table key, phase index first, into [k].  All
-    fields but a trailing string are self-delimiting varints, so the
-    encoding is injective, and for strings under 16 KiB it is no longer
-    than the fields joined with separators.  The table keys the subject
-    itself; flags canonicalize to their mask, a ppp option to its
-    intrinsic-safety bit (all the decision reads). *)
-
-val ctx : phase:int -> t -> Pfm.ctx
-(** The PFM context ({!Protego_filter.Pfm_compile.mount_ctx} and
-    friends) for the program of {!program_kind}. *)
 
 val oracle : ?phase:Protego_base.Phase.t -> Policy_state.t -> t -> bool
 (** The reference verdict: {!Policy_state.mount_decision} and friends.
@@ -84,9 +69,14 @@ val eval :
   state:('e -> Policy_state.t) ->
   run:('e -> Policy_state.program_kind -> Pfm.ctx -> Pfm.verdict) ->
   'e -> Decider.engine -> phase:int -> t -> Pfm.verdict
-(** A request hook's engine, for {!Decider.hook}'s [~eval]: [`Ref] runs
-    the {!oracle} over [state env], [`Pfm] runs [run env kind ctx] on
-    the request's {!program_kind} and {!ctx}.
+(** A request hook's engine, for {!Decider.hook}: [`Ref] runs the
+    {!oracle} over [state env], [`Pfm] runs [run env kind ctx] on the
+    kind of program that decides the request and its PFM context
+    ({!Protego_filter.Pfm_compile.mount_ctx} and friends).  The engine
+    owns one context per hook and refills it in place on each decision
+    ({!Protego_filter.Pfm_compile.mount_into} and friends), so a
+    decision allocates none, and [run] must not keep [ctx].  An engine
+    is single-threaded: each plane worker builds its own.
 
     [run] is where the program comes from, and that stays per path on
     purpose.  The dispatcher clones the program store's program for the
@@ -99,10 +89,11 @@ val eval :
 
     The two encoders and the one decoder of a request's journal records
     sit together here, so what a record stores and what it decodes to
-    are written side by side.  Both encoders store the same lossy codes
-    as {!key}: a mount's flag mask (a kind-3 record its flag codes, in
-    the caller's order), a bind's protocol code (0 tcp, 1 udp) and a ppp
-    option's intrinsic-safety bit.  Neither allocates. *)
+    are written side by side.  Both encoders store the same lossy codes,
+    the fields the decision reads: a mount's flag mask (a kind-3 record
+    its flag codes, in the caller's order), a bind's protocol code (0
+    tcp, 1 udp) and a ppp option's intrinsic-safety bit.  Neither
+    allocates. *)
 
 val append :
   Protego_journal.Journal.term -> seq:int -> run:int -> epoch:int ->
@@ -140,12 +131,12 @@ val of_journal : subject:int -> Protego_journal.Journal.req -> t option
       carries).  The request gets {!Protego_filter.Pfm_compile.
       flags_of_mask} of it: each flag once, in the canonical order
       readonly, nosuid, nodev, noexec.  The caller's order and repeats
-      are gone; the {!key} (the mask) and the {!oracle} (set inclusion
-      against a rule's required flags) read only the set.
+      are gone; the compiled program (the mask) and the {!oracle} (set
+      inclusion against a rule's required flags) read only the set.
     - {b The ppp option.}  A record stores only its intrinsic-safety bit.
       The request gets a representative of that class:
-      [Ppp.Accomp] if safe, [Ppp.Default_route] if not.  The {!key} and
-      the {!oracle} read only that bit.
+      [Ppp.Accomp] if safe, [Ppp.Default_route] if not.  The compiled
+      program and the {!oracle} read only that bit.
 
     A bind record's protocol code 1 is UDP, anything else TCP. *)
 

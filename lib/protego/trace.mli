@@ -15,7 +15,8 @@
     - {b Spans} answer "what happened on {e this} decision?".  When
       enabled (opt-in, off by default), each decision records a span —
       hook, serving engine, verdict, errno, generation and epoch
-      stamps, and per-stage timestamps (front slot, memo table, engine)
+      stamps, and per-stage marks ([slot], [table], [engine]; a rung
+      the hook lacks is marked zero-width, see {!Decider.decide})
       — into a fixed-capacity ring buffer, and the decision's audit
       record carries the span id.
 
@@ -119,13 +120,14 @@ type span = {
   sp_verdict : Pfm.verdict;
   sp_errno : Protego_base.Errno.t option;
   sp_gen : int;                     (** generation stamp of the decision *)
-  sp_epoch : int;                   (** decision-cache epoch *)
+  sp_epoch : int;  (** epoch of the hook's table; 0 without one *)
   sp_start : int;                   (** clock value at decision entry *)
   sp_ns : int;                      (** total latency *)
   sp_stages : (string * int) list;
       (** (stage, offset from [sp_start]) pairs in execution order:
           ["slot"], ["table"], ["engine"] — present as far as the
-          decision got. *)
+          decision got (a table hit has no ["engine"]).  A rung the
+          hook lacks is marked at offset 0. *)
 }
 
 val spans_enabled : t -> bool

@@ -340,9 +340,8 @@ let golden_plane_flip k st =
 
 let golden_flip_count = 3
 
-(* One probe battery: each request asked twice (the repeat is typically
-   a front-slot or memo hit), values interned so identity-keyed fast
-   paths engage. *)
+(* One probe battery: each request asked twice, the repeat against the
+   same interned value. *)
 let golden_battery () =
   let m_bare =
     Plane.Mount { subject = 1000; source = "/dev/cdrom"; target = "/media/cdrom";

@@ -28,7 +28,7 @@ val schema_version : int
 (** 1. *)
 
 type scenario = {
-  sc_name : string;                   (** e.g. ["filter:mount"], ["cache:mount"] *)
+  sc_name : string;                   (** e.g. ["filter:mount"], ["cache:nf_output"] *)
   sc_metrics : (string * float) list; (** name -> value; [*_ns] are gated *)
 }
 

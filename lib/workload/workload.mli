@@ -5,9 +5,7 @@
 
     - a {b zipfian} popularity distribution over an interned request
       pool per hook (a few requests dominate, the tail is long: what a
-      real hook sees, and what exercises the front slots and the memo
-      table at realistic hit ratios; request values are physically
-      shared, so identity-keyed fast paths work);
+      real hook sees; request values are physically shared);
     - a configurable {b hook mix} (mount/umount/bind/ppp weights) and
       zipfian subject skew;
     - {b phases}: [Steady] (mostly grants), [Deny_flood] (a burst of
@@ -85,7 +83,7 @@ type schedule = {
           ({!Protego_plane.Plane.set_subject_phase}; saturating at the
           final phase).  The synthetic rules are all [Always]-guarded,
           so the storm is verdict-preserving: it stresses the
-          phase-keyed front slots and memo entries, not the policy. *)
+          per-subject phase table, not the policy. *)
 }
 
 val generate : spec -> workers:int -> schedule

@@ -6,7 +6,9 @@
 #   --fast   build + full unit/property suite + the one-oracle grep (no
 #            policy-state decision called outside Request.oracle in
 #            lib/) + the one-encoder grep (no request record written
-#            outside Request.append/sink in lib/) + strict policy lint (including the phased examples
+#            outside Request.append/sink in lib/) + the one-table grep
+#            (no Decider.hook but the packet hook's passes a table key
+#            in lib/) + strict policy lint (including the phased examples
 #            and the deliberate-loosening rejection check) + the
 #            lsmbench smoke run (outcome oracle on all four workloads).
 #            This is the per-compiler signal job.
@@ -82,6 +84,24 @@ fast_tier() {
         exit 1
     fi
 
+    # One decision table: the packet hook's.  A request hook's compiled
+    # program decides in a few instructions, about what a table lookup
+    # costs, so in lib/ only the nf_output Decider.hook call may pass a
+    # [~table] key (within three lines of the call).
+    echo "==> one decision table (the packet hook's) in lib/"
+    copies=$(find lib -name '*.ml' | sort | xargs awk '
+        FNR == 1 { hook = ""; at = -10 }
+        /Decider\.hook/ { hook = $0; at = FNR }
+        /~table/ {
+            if (FNR - at > 3 || hook !~ /Nf_output/)
+                print FILENAME ":" FNR ": " $0
+        }')
+    if [ -n "$copies" ]; then
+        echo "$copies"
+        echo "CI: a hook other than the packet hook registers a decision table" >&2
+        exit 1
+    fi
+
     # --prove runs the symbolic equivalence prover over every compilable
     # source: each production compiler's output must be proven equal to the
     # naive linear compilation.  Under --strict an Unknown (not just a
@@ -131,9 +151,9 @@ fast_tier() {
     # syscall, Netstack.packet_work at every packet, and both spend their
     # time in Cost.chain, whose cost should not move with its offset mod
     # 64 (the former add loops' did).  Pfm.eval (with Pfm.step, its
-    # interpreter loop), Decider.decide, Decision_cache.find and .add,
-    # Plane.decide_with and the Lsm hook entries are the rest of the
-    # measured paths; their speed still
+    # interpreter loop), Decider.decide, Decision_cache.find and .add
+    # (the packet hook's table), Plane.decide_with and the Lsm hook
+    # entries are the rest of the measured paths; their speed still
     # moves with their offset, so a change that resizes code linked
     # before them can move benchmarks that run none of it.  Each bench
     # log records every offset.
@@ -186,9 +206,10 @@ full_tier() {
         --baseline bench/baseline.json --tolerance 3 \
         --floor filter:nf_output,opt_speedup,3
 
-    # The decision-cache table: cold miss, table hit (fresh argument
-    # copies, the path a syscall takes) and front-slot hit, by whitelist
-    # size.  A smoke run: it must complete, the numbers are informational.
+    # The packet hook's decision table: cold miss and table hit (a fresh
+    # packet record per call, the path a sendto takes) against the
+    # engines, by chain size.  A smoke run: it must complete, the numbers
+    # are informational.
     echo "==> decision-cache bench smoke (bench/main.exe cache)"
     ./_build/default/bench/main.exe cache
 

@@ -313,8 +313,8 @@ let test_lint_gate_scoped () =
 
 (* A refused write changes nothing: the gate lints a candidate copy of
    the state and only an accepted one is committed, so the written
-   source's generation stays put and decisions cached against the
-   unchanged policy keep being served. *)
+   source's generation stays put and the hook keeps serving the
+   unchanged policy's program. *)
 let test_refused_write_keeps_generation () =
   let img = Image.build Image.Protego in
   let m = img.Image.machine in
@@ -322,7 +322,6 @@ let test_refused_write_keeps_generation () =
   let lsm = Option.get img.Image.protego in
   let st = Protego_core.Lsm.state lsm in
   let disp = Protego_core.Lsm.dispatch lsm in
-  let dc = Protego_core.Pfm_dispatch.cache disp in
   let root = Image.login img "root" in
   let alice = Image.login img "alice" in
   let write file s = Syscall.write_file m root file s in
@@ -341,15 +340,19 @@ let test_refused_write_keeps_generation () =
   check "refused write leaves the whitelist" true (st.PS.mounts == before);
   Alcotest.(check int) "refused write leaves the generation" gen
     (PS.generation st PS.Mounts);
-  let hits = Protego_core.Decision_cache.hits dc
-  and stale = Protego_core.Decision_cache.stale_evictions dc in
+  let mount_stats () =
+    List.assoc "mount" (Protego_core.Pfm_dispatch.stats disp)
+  in
+  let before = mount_stats () in
   mount ();
-  check_str "identical decision served by the cache" "cache"
+  check_str "identical decision served by the engine" "pfm"
     (Protego_core.Pfm_dispatch.decision_engine_name disp);
-  Alcotest.(check int) "one more hit" (hits + 1)
-    (Protego_core.Decision_cache.hits dc);
-  Alcotest.(check int) "no stale eviction" stale
-    (Protego_core.Decision_cache.stale_evictions dc)
+  Alcotest.(check int) "one more evaluation"
+    (before.Protego_core.Pfm_dispatch.evals + 1)
+    (mount_stats ()).Protego_core.Pfm_dispatch.evals;
+  Alcotest.(check int) "the same program: no reload"
+    before.Protego_core.Pfm_dispatch.invalidations
+    (mount_stats ()).Protego_core.Pfm_dispatch.invalidations
 
 (* --- scoped lint and the indexed checks --------------------------------- *)
 

@@ -129,15 +129,14 @@ let test_engine_metadata () =
        ~flags:[]);
   check "pfm engine recorded" true
     ((last_mount ()).Audit.au_engine = Some "pfm");
-  (* Repeating the identical syscall is served by the decision cache. *)
+  (* Repeating the identical syscall runs the engine again: a request
+     hook has no decision table. *)
   ignore
     (Syscall.mount m alice ~source:"/dev/sda2" ~target:"/etc" ~fstype:"ext4"
        ~flags:[]);
-  check "cache engine recorded" true
-    ((last_mount ()).Audit.au_engine = Some "cache");
-  (* With the cache bypassed, the selected engine shows through again. *)
-  Syntax.expect_ok "disable cache"
-    (Syscall.write_file m root "/proc/protego/cache_stats" "enable off\n");
+  check "pfm engine recorded for the repeat" true
+    ((last_mount ()).Audit.au_engine = Some "pfm");
+  (* The selected engine shows through. *)
   Syntax.expect_ok "switch engine"
     (Syscall.write_file m root "/proc/protego/filter_stats" "engine ref\n");
   ignore
@@ -162,7 +161,7 @@ let test_engine_metadata () =
     go 0
   in
   check "engine=pfm rendered" true (has "engine=pfm");
-  check "engine=cache rendered" true (has "engine=cache");
+  check "no request decision rendered engine=cache" false (has "engine=cache");
   check "engine=ref rendered" true (has "engine=ref")
 
 let test_ring_bounded () =
@@ -273,68 +272,68 @@ let lsm_scenario () =
 let lsm_expected =
   {|type=GRANT msg=audit(1000): pid=3 uid=1000 op=mount obj=/dev/cdrom on /media/cdrom res=success engine=pfm
 type=DENIAL msg=audit(1000): pid=3 uid=1000 op=mount obj=/dev/sda2 on /etc res=failed engine=pfm
-type=DENIAL msg=audit(1000): pid=3 uid=1000 op=mount obj=/dev/sda2 on /etc res=failed engine=cache
+type=DENIAL msg=audit(1000): pid=3 uid=1000 op=mount obj=/dev/sda2 on /etc res=failed engine=pfm
 type=GRANT msg=audit(1000): pid=3 uid=1000 op=umount obj=/media/cdrom res=success engine=pfm
 type=GRANT msg=audit(1000): pid=5 uid=101 op=bind obj=port 25/tcp by /usr/sbin/exim4 res=success engine=pfm
 type=DENIAL msg=audit(1000): pid=3 uid=1000 op=bind obj=port 25/tcp by /bin/sh res=failed engine=pfm
 type=DENIAL msg=audit(1000): pid=3 uid=1000 op=bind obj=port 53/udp by /bin/sh res=failed engine=pfm
-type=GRANT msg=audit(1000): pid=3 uid=1000 op=mount obj=/dev/cdrom on /media/cdrom res=success engine=cache span=1
-type=DENIAL msg=audit(1000): pid=3 uid=1000 op=mount obj=/dev/sda2 on /etc res=failed engine=cache span=2
-type=DENIAL msg=audit(1000): pid=3 uid=1000 op=mount obj=/dev/sda2 on /etc res=failed engine=cache span=3
-type=GRANT msg=audit(1000): pid=3 uid=1000 op=umount obj=/media/cdrom res=success engine=cache span=4
-type=GRANT msg=audit(1000): pid=5 uid=101 op=bind obj=port 25/tcp by /usr/sbin/exim4 res=success engine=cache span=5
-type=DENIAL msg=audit(1000): pid=3 uid=1000 op=bind obj=port 25/tcp by /bin/sh res=failed engine=cache span=6
-type=DENIAL msg=audit(1000): pid=3 uid=1000 op=bind obj=port 53/udp by /bin/sh res=failed engine=cache span=7
+type=GRANT msg=audit(1000): pid=3 uid=1000 op=mount obj=/dev/cdrom on /media/cdrom res=success engine=pfm span=1
+type=DENIAL msg=audit(1000): pid=3 uid=1000 op=mount obj=/dev/sda2 on /etc res=failed engine=pfm span=2
+type=DENIAL msg=audit(1000): pid=3 uid=1000 op=mount obj=/dev/sda2 on /etc res=failed engine=pfm span=3
+type=GRANT msg=audit(1000): pid=3 uid=1000 op=umount obj=/media/cdrom res=success engine=pfm span=4
+type=GRANT msg=audit(1000): pid=5 uid=101 op=bind obj=port 25/tcp by /usr/sbin/exim4 res=success engine=pfm span=5
+type=DENIAL msg=audit(1000): pid=3 uid=1000 op=bind obj=port 25/tcp by /bin/sh res=failed engine=pfm span=6
+type=DENIAL msg=audit(1000): pid=3 uid=1000 op=bind obj=port 53/udp by /bin/sh res=failed engine=pfm span=7
 type=GRANT msg=audit(1000): pid=4 uid=0 op=record-mode obj=on res=success
 type=GRANT msg=audit(1000): pid=3 uid=1000 op=record-mount obj=phase=setup subject=1000 verdict=allow source=/dev/cdrom target=/media/cdrom fstype=iso9660 flags=ro,nosuid,nodev res=success
-type=GRANT msg=audit(1000): pid=3 uid=1000 op=mount obj=/dev/cdrom on /media/cdrom res=success engine=cache
+type=GRANT msg=audit(1000): pid=3 uid=1000 op=mount obj=/dev/cdrom on /media/cdrom res=success engine=pfm
 type=GRANT msg=audit(1000): pid=3 uid=1000 op=record-mount obj=phase=setup subject=1000 verdict=recorded source=/dev/sda2 target=/etc fstype=ext4 flags=nodev,nosuid,nodev res=success
-type=GRANT msg=audit(1000): pid=3 uid=1000 op=mount obj=/dev/sda2 on /etc res=success engine=cache
+type=GRANT msg=audit(1000): pid=3 uid=1000 op=mount obj=/dev/sda2 on /etc res=success engine=pfm
 type=GRANT msg=audit(1000): pid=3 uid=1000 op=record-mount obj=phase=setup subject=1000 verdict=recorded source=/dev/sda2 target=/etc fstype=ext4 flags=nodev,nosuid,nodev res=success
-type=GRANT msg=audit(1000): pid=3 uid=1000 op=mount obj=/dev/sda2 on /etc res=success engine=cache
+type=GRANT msg=audit(1000): pid=3 uid=1000 op=mount obj=/dev/sda2 on /etc res=success engine=pfm
 type=GRANT msg=audit(1000): pid=3 uid=1000 op=record-umount obj=phase=setup subject=1000 verdict=allow target=/media/cdrom mounted_by=1000 res=success
-type=GRANT msg=audit(1000): pid=3 uid=1000 op=umount obj=/media/cdrom res=success engine=cache
+type=GRANT msg=audit(1000): pid=3 uid=1000 op=umount obj=/media/cdrom res=success engine=pfm
 type=GRANT msg=audit(1000): pid=5 uid=101 op=record-bind obj=phase=setup subject=101 verdict=allow port=25 proto=tcp exe=/usr/sbin/exim4 res=success
-type=GRANT msg=audit(1000): pid=5 uid=101 op=bind obj=port 25/tcp by /usr/sbin/exim4 res=success engine=cache
+type=GRANT msg=audit(1000): pid=5 uid=101 op=bind obj=port 25/tcp by /usr/sbin/exim4 res=success engine=pfm
 type=GRANT msg=audit(1000): pid=3 uid=1000 op=record-bind obj=phase=setup subject=1000 verdict=recorded port=25 proto=tcp exe=/bin/sh res=success
-type=GRANT msg=audit(1000): pid=3 uid=1000 op=bind obj=port 25/tcp by /bin/sh res=success engine=cache
+type=GRANT msg=audit(1000): pid=3 uid=1000 op=bind obj=port 25/tcp by /bin/sh res=success engine=pfm
 type=GRANT msg=audit(1000): pid=3 uid=1000 op=record-bind obj=phase=setup subject=1000 verdict=recorded port=53 proto=udp exe=/bin/sh res=success
-type=GRANT msg=audit(1000): pid=3 uid=1000 op=bind obj=port 53/udp by /bin/sh res=success engine=cache
+type=GRANT msg=audit(1000): pid=3 uid=1000 op=bind obj=port 53/udp by /bin/sh res=success engine=pfm
 type=GRANT msg=audit(1000): pid=3 uid=1000 op=record-ppp obj=phase=setup subject=1000 verdict=allow device=/dev/ttyS0 safe=1 res=success
 type=GRANT msg=audit(1000): pid=3 uid=1000 op=record-ppp obj=phase=setup subject=1000 verdict=recorded device=/dev/ttyS0 safe=0 res=success
 type=GRANT msg=audit(1000): pid=3 uid=1000 op=record-ppp obj=phase=setup subject=1000 verdict=recorded device=/dev/ttyS9 safe=1 res=success
 type=GRANT msg=audit(1000): pid=1 uid=0 op=record-nf obj=phase=- subject=1000 verdict=allow proto=icmp dst=10.0.0.1 dport=- origin=raw icmp=echo-request res=success
 type=GRANT msg=audit(1000): pid=3 uid=1000 op=record-mount obj=phase=setup subject=1000 verdict=allow source=/dev/cdrom target=/media/cdrom fstype=iso9660 flags=ro,nosuid,nodev res=success
-type=GRANT msg=audit(1000): pid=3 uid=1000 op=mount obj=/dev/cdrom on /media/cdrom res=success engine=cache span=12
+type=GRANT msg=audit(1000): pid=3 uid=1000 op=mount obj=/dev/cdrom on /media/cdrom res=success engine=pfm span=12
 type=GRANT msg=audit(1000): pid=3 uid=1000 op=record-mount obj=phase=setup subject=1000 verdict=recorded source=/dev/sda2 target=/etc fstype=ext4 flags=nodev,nosuid,nodev res=success
-type=GRANT msg=audit(1000): pid=3 uid=1000 op=mount obj=/dev/sda2 on /etc res=success engine=cache span=13
+type=GRANT msg=audit(1000): pid=3 uid=1000 op=mount obj=/dev/sda2 on /etc res=success engine=pfm span=13
 type=GRANT msg=audit(1000): pid=3 uid=1000 op=record-mount obj=phase=setup subject=1000 verdict=recorded source=/dev/sda2 target=/etc fstype=ext4 flags=nodev,nosuid,nodev res=success
-type=GRANT msg=audit(1000): pid=3 uid=1000 op=mount obj=/dev/sda2 on /etc res=success engine=cache span=14
+type=GRANT msg=audit(1000): pid=3 uid=1000 op=mount obj=/dev/sda2 on /etc res=success engine=pfm span=14
 type=GRANT msg=audit(1000): pid=3 uid=1000 op=record-umount obj=phase=setup subject=1000 verdict=allow target=/media/cdrom mounted_by=1000 res=success
-type=GRANT msg=audit(1000): pid=3 uid=1000 op=umount obj=/media/cdrom res=success engine=cache span=15
+type=GRANT msg=audit(1000): pid=3 uid=1000 op=umount obj=/media/cdrom res=success engine=pfm span=15
 type=GRANT msg=audit(1000): pid=5 uid=101 op=record-bind obj=phase=setup subject=101 verdict=allow port=25 proto=tcp exe=/usr/sbin/exim4 res=success
-type=GRANT msg=audit(1000): pid=5 uid=101 op=bind obj=port 25/tcp by /usr/sbin/exim4 res=success engine=cache span=16
+type=GRANT msg=audit(1000): pid=5 uid=101 op=bind obj=port 25/tcp by /usr/sbin/exim4 res=success engine=pfm span=16
 type=GRANT msg=audit(1000): pid=3 uid=1000 op=record-bind obj=phase=setup subject=1000 verdict=recorded port=25 proto=tcp exe=/bin/sh res=success
-type=GRANT msg=audit(1000): pid=3 uid=1000 op=bind obj=port 25/tcp by /bin/sh res=success engine=cache span=17
+type=GRANT msg=audit(1000): pid=3 uid=1000 op=bind obj=port 25/tcp by /bin/sh res=success engine=pfm span=17
 type=GRANT msg=audit(1000): pid=3 uid=1000 op=record-bind obj=phase=setup subject=1000 verdict=recorded port=53 proto=udp exe=/bin/sh res=success
-type=GRANT msg=audit(1000): pid=3 uid=1000 op=bind obj=port 53/udp by /bin/sh res=success engine=cache span=18
+type=GRANT msg=audit(1000): pid=3 uid=1000 op=bind obj=port 53/udp by /bin/sh res=success engine=pfm span=18
 type=GRANT msg=audit(1000): pid=3 uid=1000 op=record-ppp obj=phase=setup subject=1000 verdict=allow device=/dev/ttyS0 safe=1 res=success
 type=GRANT msg=audit(1000): pid=3 uid=1000 op=record-ppp obj=phase=setup subject=1000 verdict=recorded device=/dev/ttyS0 safe=0 res=success
 type=GRANT msg=audit(1000): pid=3 uid=1000 op=record-ppp obj=phase=setup subject=1000 verdict=recorded device=/dev/ttyS9 safe=1 res=success
 type=GRANT msg=audit(1000): pid=1 uid=0 op=record-nf obj=phase=- subject=1000 verdict=allow proto=icmp dst=10.0.0.1 dport=- origin=raw icmp=echo-request res=success
 type=GRANT msg=audit(1000): pid=4 uid=0 op=record-mode obj=off res=success
-type=GRANT msg=audit(1000): pid=3 uid=1000 op=mount obj=/dev/cdrom on /media/cdrom res=success engine=cache span=23
-type=DENIAL msg=audit(1000): pid=3 uid=1000 op=mount obj=/dev/sda2 on /etc res=failed engine=cache span=24
-type=DENIAL msg=audit(1000): pid=3 uid=1000 op=mount obj=/dev/sda2 on /etc res=failed engine=cache span=25
-type=GRANT msg=audit(1000): pid=3 uid=1000 op=umount obj=/media/cdrom res=success engine=cache span=26
-type=GRANT msg=audit(1000): pid=5 uid=101 op=bind obj=port 25/tcp by /usr/sbin/exim4 res=success engine=cache span=27
-type=DENIAL msg=audit(1000): pid=3 uid=1000 op=bind obj=port 25/tcp by /bin/sh res=failed engine=cache span=28
-type=DENIAL msg=audit(1000): pid=3 uid=1000 op=bind obj=port 53/udp by /bin/sh res=failed engine=cache span=29
+type=GRANT msg=audit(1000): pid=3 uid=1000 op=mount obj=/dev/cdrom on /media/cdrom res=success engine=pfm span=23
+type=DENIAL msg=audit(1000): pid=3 uid=1000 op=mount obj=/dev/sda2 on /etc res=failed engine=pfm span=24
+type=DENIAL msg=audit(1000): pid=3 uid=1000 op=mount obj=/dev/sda2 on /etc res=failed engine=pfm span=25
+type=GRANT msg=audit(1000): pid=3 uid=1000 op=umount obj=/media/cdrom res=success engine=pfm span=26
+type=GRANT msg=audit(1000): pid=5 uid=101 op=bind obj=port 25/tcp by /usr/sbin/exim4 res=success engine=pfm span=27
+type=DENIAL msg=audit(1000): pid=3 uid=1000 op=bind obj=port 25/tcp by /bin/sh res=failed engine=pfm span=28
+type=DENIAL msg=audit(1000): pid=3 uid=1000 op=bind obj=port 53/udp by /bin/sh res=failed engine=pfm span=29
 type=SUMMARY msg=audit: records=59 dropped=0
 |}
 
 let lsm_overflow_expected =
-  {|type=GRANT msg=audit(1000): pid=3 uid=1000 op=mount obj=/dev/sda2 on /etc res=success engine=cache span=122
+  {|type=GRANT msg=audit(1000): pid=3 uid=1000 op=mount obj=/dev/sda2 on /etc res=success engine=pfm span=122
 type=GRANT msg=audit(1000): pid=3 uid=1000 op=record-mount obj=phase=setup subject=1000 verdict=recorded source=/dev/sda2 target=/etc fstype=ext4 flags=- res=success
 type=GRANT msg=audit(1000): pid=3 uid=1000 op=record-ppp obj=phase=setup subject=1000 verdict=allow device=/dev/ttyS0 safe=1 res=success
 type=SUMMARY msg=audit: records=1024 dropped=237

@@ -34,9 +34,17 @@ let starts_with haystack prefix =
 
 (* --- the table itself --------------------------------------------------- *)
 
+(* A string as key fields, one varint per byte: the table's keys are
+   written as ints.  A loop, not [String.iter]: the closure would
+   allocate. *)
+let put k s =
+  for i = 0 to String.length s - 1 do
+    DC.Key.int k (Char.code (String.unsafe_get s i))
+  done
+
 let key s =
   let k = DC.Key.create () in
-  DC.Key.last_string k s;
+  put k s;
   k
 
 let test_lru_eviction () =
@@ -137,7 +145,7 @@ let test_register_and_reset () =
      hook bind hits 0 misses 1 stale 0\n"
     (DC.render c);
   (* clear drops entries but keeps counters; reset zeroes everything; both
-     advance the epoch so front slots die with the entries. *)
+     advance the epoch a decision span carries. *)
   let e0 = DC.epoch c in
   DC.clear c;
   check "clear bumps epoch" true (DC.epoch c > e0);
@@ -164,7 +172,7 @@ let test_insert_after_miss () =
   let k = DC.Key.create () in
   let set s =
     DC.Key.reset k;
-    DC.Key.last_string k s
+    put k s
   in
   let find ?(subject = 0) s = DC.find c h ~subject ~key:(key s) ~gen in
   set "a";
@@ -225,7 +233,7 @@ let test_full_insert_allocates_nothing () =
   let insert i s =
     DC.Key.reset k;
     DC.Key.int k i;
-    DC.Key.last_string k s;
+    put k s;
     if i land 1 = 1 || DC.find c h ~subject:0 ~key:k ~gen:0 = None then
       DC.add c h ~subject:0 ~key:k ~gen:0 ~verdict:Pfm.Deny
   in
@@ -344,7 +352,7 @@ let test_model () =
           let v = verdicts.(Random.State.int rand 3) in
           let write () =
             DC.Key.reset k;
-            DC.Key.last_string k key
+            put k key
           in
           let find () =
             write ();
@@ -403,181 +411,157 @@ let rec product = function
   | xs :: rest ->
       List.concat_map (fun x -> List.map (fun t -> x :: t) (product rest)) xs
 
-(* Every hook's encoding separates tuples a separator-joined rendering
-   confuses, and tuples whose fields hold varint-looking bytes; and no
-   key is longer than that rendering of the same tuple. *)
+(* The packet key, the one table key, separates every tuple of its
+   integer fields, and is no longer than those fields joined with a
+   separator. *)
 let test_keys_injective_and_short () =
   let module D = Protego_core.Decider in
-  let module R = Protego_core.Request in
-  let module Bindconf = Protego_policy.Bindconf in
-  let module Ppp = Protego_net.Ppp in
-  let us = "\x1f" in
-  let strs =
-    [ ""; "/dev/sdc1"; "/media/stick"; "/dev/sdc1\x1f/media/stick";
-      "/media/stick\x1f/etc"; "/etc"; "/etc\x1fext4"; "ext4"; "auto";
-      "\x01"; "\x80\x01"; String.make 200 'p' ]
-  in
   let ints = [ 0; 1; 2; 63; 64; 1000; -1; 33434; min_int; max_int ] in
-  let check_hook name keys =
-    let n = List.length keys in
-    check_int (name ^ ": one key per tuple") n
-      (List.length (List.sort_uniq compare (List.map fst keys)));
-    List.iter
-      (fun (k, rendered) ->
-        if String.length k > String.length rendered then
-          Alcotest.failf "%s: key of %d bytes, rendering of %d" name
-            (String.length k) (String.length rendered))
-      keys
+  let keys =
+    List.map
+      (fun xs ->
+        let ctx = { Pfm.ints = Array.of_list xs; strs = [||] } in
+        ( encoded (fun k -> D.nf_key k ctx),
+          String.concat "\x1f" (List.map string_of_int xs) ))
+      (product [ ints; ints; [ 0; min_int ] ])
   in
-  let i = string_of_int in
-  check_hook "mount"
-    (List.map
-       (function
-         | [ source; target; fstype ] ->
-             List.concat_map
-               (fun (phase, flags) ->
-                 let mask = Protego_filter.Pfm_compile.flags_mask flags in
-                 [ ( encoded (fun k ->
-                         R.key k phase
-                           (R.Mount
-                              { subject = 0; source; target; fstype; flags })),
-                     String.concat us
-                       [ i phase; source; target; fstype; i mask ] ) ])
-               [ (0, []); (2, [ Mf_nosuid; Mf_nodev ]) ]
-         | _ -> assert false)
-       (product [ strs; strs; strs ])
-    |> List.concat);
-  check_hook "umount"
-    (List.concat_map
-       (fun target ->
-         List.concat_map
-           (fun mounted_by ->
-             List.map
-               (fun phase ->
-                 ( encoded (fun k ->
-                       R.key k phase
-                         (R.Umount { subject = 0; target; mounted_by })),
-                   String.concat us [ i phase; target; i mounted_by ] ))
-               [ 0; 1; 2 ])
-           ints)
-       strs);
-  check_hook "bind"
-    (List.concat_map
-       (fun exe ->
-         List.concat_map
-           (fun port ->
-             List.map
-               (fun proto ->
-                 ( encoded (fun k ->
-                       R.key k 1 (R.Bind { subject = 0; port; proto; exe })),
-                   String.concat us
-                     [ "1"; i port; Bindconf.proto_to_string proto; exe ] ))
-               [ Bindconf.Tcp; Bindconf.Udp ])
-           ints)
-       strs);
-  check_hook "ppp_ioctl"
-    (List.concat_map
-       (fun device ->
-         List.map
-           (fun opt ->
-             ( encoded (fun k ->
-                 R.key k 0 (R.Ppp_ioctl { subject = 0; device; opt })),
-               String.concat us
-                 [ "0"; device; (if Ppp.option_is_safe opt then "1" else "0") ]
-             ))
-           [ Ppp.Accomp; Ppp.Default_route ])
-       strs);
-  check_hook "nf_output"
-    (List.map
-       (fun xs ->
-         let ctx = { Pfm.ints = Array.of_list xs; strs = [||] } in
-         (encoded (fun k -> D.nf_key k ctx), String.concat us (List.map i xs)))
-       (product [ ints; ints; [ 0; min_int ] ]))
+  check_int "one key per tuple" (List.length keys)
+    (List.length (List.sort_uniq compare (List.map fst keys)));
+  List.iter
+    (fun (k, rendered) ->
+      if String.length k > String.length rendered then
+        Alcotest.failf "key of %d bytes, rendering of %d" (String.length k)
+          (String.length rendered))
+    keys
 
-(* --- the dispatcher in front of a policy state -------------------------- *)
+(* --- the dispatcher ----------------------------------------------------- *)
 
+module NF = Protego_net.Netfilter
+module Packet = Protego_net.Packet
+
+(* A dispatcher over one mount rule, and a netfilter OUTPUT chain that
+   accepts UDP to port 53 and drops the rest. *)
 let raw_dispatch () =
   let st = PS.create () in
   PS.set st
     (PS.Set_mounts
        [ { PS.mr_source = "/dev/a"; mr_target = "/m"; mr_fstype = "ext4";
            mr_flags = []; mr_mode = `Users; mr_phase = PS.Phase.Always } ]);
-  (st, PD.create ())
+  let nf = NF.create ~output_policy:NF.Drop () in
+  NF.append nf NF.Output
+    { NF.matches = [ NF.Proto Packet.Udp; NF.Dst_port { lo = 53; hi = 53 } ];
+      target = NF.Accept; comment = "" };
+  (st, nf, PD.create ())
+
+(* A fresh packet record per call, as a syscall decodes one from the
+   user's buffer. *)
+let packet ?(payload = "q") dport =
+  { Packet.src = Protego_net.Ipaddr.v 10 0 0 1;
+    dst = Protego_net.Ipaddr.v 10 0 0 53; ttl = 64;
+    transport =
+      Packet.Udp_dgram { src_port = 4000; dst_port = dport; payload } }
+
+let send disp nf ?payload dport =
+  PD.decide_nf_output disp nf (packet ?payload dport)
+    ~origin:(Packet.Raw_app { uid = 1000 })
 
 let test_dispatch_cache_flow () =
-  let st, disp = raw_dispatch () in
+  let _, nf, disp = raw_dispatch () in
   let dc = PD.cache disp in
-  let decide subject =
-    PD.decide disp ~phase:Phase.initial st
-      (Request.Mount
-         { subject; source = "/dev/a"; target = "/m"; fstype = "ext4";
-           flags = [] })
-  in
-  check "allowed" true (decide 1);
+  check "accepted" true (send disp nf 53 = NF.Accept);
   check_str "first decision from the engine" "pfm" (PD.decision_engine_name disp);
-  check "repeat allowed" true (decide 1);
+  check "repeat accepted" true (send disp nf 53 = NF.Accept);
   check_str "repeat served by the cache" "cache" (PD.decision_engine_name disp);
   check_int "one hit" 1 (DC.hits dc);
-  (* The subject credential key separates entries with identical args. *)
-  check "other subject" true (decide 2);
-  check_str "other subject is a miss" "pfm" (PD.decision_engine_name disp);
+  (* The key separates packets that differ in a field the chain reads. *)
+  check "other port dropped" true (send disp nf 54 = NF.Drop);
+  check_str "other port is a miss" "pfm" (PD.decision_engine_name disp);
   check_int "two entries" 2 (DC.length dc);
-  check "back to the first subject" true (decide 1);
-  check_str "still cached per subject" "cache" (PD.decision_engine_name disp);
-  (* A reload outside /proc goes through [PS.set] too: it bumps the
-     generation, so nothing stale is served. *)
-  PS.set st (PS.Set_mounts []);
-  check "reload denies" true (not (decide 1));
-  check_str "post-reload decision from the engine" "pfm"
+  check "back to the first packet" true (send disp nf 53 = NF.Accept);
+  check_str "still cached" "cache" (PD.decision_engine_name disp);
+  (* A chain edit bumps the chain's generation, so nothing stale is
+     served. *)
+  NF.insert nf NF.Output
+    { NF.matches = [ NF.Dst_port { lo = 53; hi = 53 } ]; target = NF.Drop;
+      comment = "" };
+  check "edit drops" true (send disp nf 53 = NF.Drop);
+  check_str "post-edit decision from the engine" "pfm"
     (PD.decision_engine_name disp);
-  check "cached denial" true (not (decide 1));
-  check_str "denial cached too" "cache" (PD.decision_engine_name disp)
-
-let test_dispatch_reset_kills_front_slot () =
-  let st, disp = raw_dispatch () in
-  let dc = PD.cache disp in
-  let decide () =
-    PD.decide disp ~phase:Phase.initial st
-      (Request.Mount
-         { subject = 0; source = "/dev/a"; target = "/m"; fstype = "ext4";
-           flags = [] })
-  in
-  ignore (decide ());
-  ignore (decide ());
-  check_str "warm" "cache" (PD.decision_engine_name disp);
-  DC.reset dc;
-  (* After a wholesale reset nothing may be served from memo state — the
-     epoch kills the dispatcher's front slot along with the table. *)
-  ignore (decide ());
-  check_str "post-reset decision re-evaluated" "pfm"
-    (PD.decision_engine_name disp);
-  check_int "post-reset miss counted" 1 (DC.misses dc);
-  check_int "no phantom hit" 0 (DC.hits dc)
+  check_int "the stale entry evicted" 1 (DC.stale_evictions dc);
+  check "cached drop" true (send disp nf 53 = NF.Drop);
+  check_str "drop cached too" "cache" (PD.decision_engine_name disp)
 
 let test_dispatch_disable_bypasses () =
-  let st, disp = raw_dispatch () in
+  let _, nf, disp = raw_dispatch () in
   let dc = PD.cache disp in
-  let decide () =
-    PD.decide disp ~phase:Phase.initial st
-      (Request.Mount
-         { subject = 0; source = "/dev/a"; target = "/m"; fstype = "ext4";
-           flags = [] })
-  in
   DC.set_enabled dc false;
-  ignore (decide ());
-  ignore (decide ());
+  ignore (send disp nf 53);
+  ignore (send disp nf 53);
   check_str "bypassed decisions come from the engine" "pfm"
     (PD.decision_engine_name disp);
   check_int "no counters while disabled" 0 (DC.hits dc + DC.misses dc);
   check_int "both evals reached the filter machine" 2
-    (List.assoc "mount" (PD.stats disp)).PD.evals
+    (List.assoc "nf_output" (PD.stats disp)).PD.evals
+
+(* 1,000 mixed request decisions under each engine: none is looked up in
+   or inserted into the table, and each is an engine evaluation.  The
+   packet hook still hits, and goes stale on a chain edit. *)
+let test_dispatch_requests_skip_table () =
+  let module Bindconf = Protego_policy.Bindconf in
+  let st, nf, disp = raw_dispatch () in
+  let dc = PD.cache disp in
+  let reqs =
+    [| Request.Mount
+         { subject = 1000; source = "/dev/a"; target = "/m"; fstype = "ext4";
+           flags = [] };
+       Request.Umount { subject = 1000; target = "/m"; mounted_by = 1000 };
+       Request.Bind
+         { subject = 8; port = 25; proto = Bindconf.Tcp; exe = "/usr/sbin/exim4" };
+       Request.Ppp_ioctl
+         { subject = 0; device = "/dev/ttyS0"; opt = Protego_net.Ppp.Accomp } |]
+  in
+  List.iter
+    (fun engine ->
+      PD.set_engine disp engine;
+      PD.reset_stats disp;
+      for i = 0 to 999 do
+        let req = reqs.(i mod 4) in
+        let got = PD.decide disp ~phase:Phase.initial st req in
+        check "verdict is the oracle's" (Request.oracle st req) got;
+        check "served by the engine" true (PD.decision_engine_name disp <> "cache")
+      done;
+      check_int "no table entry" 0 (DC.length dc);
+      check_int "no table lookup" 0 (DC.hits dc + DC.misses dc);
+      List.iter
+        (fun name ->
+          check_int (name ^ ": every decision evaluated") 250
+            (List.assoc name (PD.stats disp)).PD.evals)
+        [ "mount"; "umount"; "bind"; "ppp_ioctl" ])
+    [ `Pfm; `Ref ];
+  check_str "the table lists only the packet hook"
+    "hook nf_output hits 0 misses 0 stale 0\n"
+    (String.concat ""
+       (List.filter
+          (fun l -> starts_with l "hook ")
+          (List.map (fun l -> l ^ "\n")
+             (String.split_on_char '\n' (String.trim (DC.render dc))))));
+  PD.set_engine disp `Pfm;
+  ignore (send disp nf 53);
+  ignore (send disp nf 53);
+  check_int "a packet still hits" 1 (DC.hits dc);
+  NF.append nf NF.Output
+    { NF.matches = [ NF.Dst_port { lo = 80; hi = 80 } ]; target = NF.Accept;
+      comment = "" };
+  ignore (send disp nf 53);
+  check_int "and goes stale on a chain edit" 1 (DC.stale_evictions dc)
 
 (* A physically new string with the same bytes, as a syscall's copy from
-   user memory makes: the front slot, compared by identity, misses it. *)
+   user memory makes. *)
 let fresh s = Bytes.to_string (Bytes.of_string s)
 
-(* Tuples packed with separators and digits, decided cold and then again
-   from the table: each must get the reference verdict both times. *)
+(* Tuples packed with separators and digits, each decided twice through
+   the request hooks' engine, with fresh copies of their strings: each
+   must get the reference verdict both times. *)
 let test_dispatch_separator_tuples () =
   let module Bindconf = Protego_policy.Bindconf in
   let module Pppopts = Protego_policy.Pppopts in
@@ -600,9 +584,9 @@ let test_dispatch_separator_tuples () =
   let disp = PD.create () in
   let twice name decide oracle =
     let expect = oracle () in
-    check (name ^ ": cold") expect (decide ());
-    check (name ^ ": cached") expect (decide ());
-    check_str (name ^ ": served by the cache") "cache"
+    check (name ^ ": first") expect (decide ());
+    check (name ^ ": repeat") expect (decide ());
+    check_str (name ^ ": served by the engine") "pfm"
       (PD.decision_engine_name disp)
   in
   List.iter
@@ -639,35 +623,29 @@ let test_dispatch_separator_tuples () =
       ("/dev/ttyS0\x1f1", Ppp.Default_route);
       ("/dev/ttyS0\x1f1\x1f1", Ppp.Accomp) ]
 
-(* A table hit does not render the arguments: with fresh copies of the
-   paths on every call the table serves, and the words allocated per
-   decision do not grow with the path. *)
+(* A table hit does not render the arguments: with a fresh packet record
+   on every call the table serves, and the words allocated per decision
+   do not grow with the payload. *)
 let test_dispatch_hit_no_rendering () =
-  let st = PS.create () in
-  let disp = PD.create () in
+  let _, nf, disp = raw_dispatch () in
   let n = 2000 in
   let per_hit len =
-    let source = "/dev/" ^ String.make (len - 5) 's' in
-    let target = "/mnt/" ^ String.make (len - 5) 't' in
-    let sources = Array.init n (fun _ -> fresh source) in
-    let targets = Array.init n (fun _ -> fresh target) in
+    let pkts = Array.init n (fun _ -> packet ~payload:(String.make len 'p') 53) in
     let decide i =
       ignore
-        (PD.decide disp ~phase:Phase.initial st
-           (Request.Mount
-              { subject = 0; source = sources.(i); target = targets.(i);
-                fstype = "ext4"; flags = [] }))
+        (PD.decide_nf_output disp nf pkts.(i)
+           ~origin:(Packet.Raw_app { uid = 1000 }))
     in
     decide 0;
     let hits = DC.hits (PD.cache disp) in
     let w = words_per_call n decide in
-    check_int (Printf.sprintf "%d-byte paths: every call a table hit" len)
+    check_int (Printf.sprintf "%d-byte payloads: every call a table hit" len)
       (hits + n) (DC.hits (PD.cache disp));
     w
   in
   let short = per_hit 8 and long = per_hit 1000 in
   Alcotest.(check (float 0.01))
-    (Printf.sprintf "words per hit: %.2f (8-byte paths) vs %.2f (1000-byte)"
+    (Printf.sprintf "words per hit: %.2f (8-byte payload) vs %.2f (1000-byte)"
        short long)
     short long
 
@@ -678,22 +656,23 @@ let fixture () =
   img.Image.machine.password_source <- (fun _ -> None);
   img
 
-(* The LSM hooks around a warm table hit, record mode off: each writes
-   one typed decision record and formats nothing, so a call allocates a
-   small fixed number of words whatever its path lengths.  Arguments are
-   fresh copies per call, as a syscall's copy from user memory makes, so
-   the front slot misses and the table serves.  Measured: 8 words per
-   sb_mount, 6 per sb_umount, 7 per socket_bind and 6 per ppp
-   file_ioctl, and every word has one of two sources: the request the
-   slot miss builds from the arguments (a [Request.t] block: 6 words
-   for a mount, 4 for an umount, 5 for a bind, 4 for an ioctl) and the
-   [Some] that stores it in the front slot (2).  The canonical target
-   is not copied, the mount table is searched without a closure or an
-   option, the labels carry no optional-argument boxes and the hooks
-   take their arguments in one application, not through a partial
-   one.  The bounds leave 25% headroom.  Before those changes the same
-   calls cost 82, 66, 34 and 23 words, and when the hooks still built
-   the audit text, umount, bind and ioctl cost 125, 178 and 76. *)
+(* The LSM hooks around a warm engine decision, record mode off: each
+   writes one typed decision record and formats nothing, so a call
+   allocates a small fixed number of words whatever its path lengths.
+   Arguments are fresh copies per call, as a syscall's copy from user
+   memory makes.  Measured: 6 words per sb_mount, 4 per sb_umount, 5 per
+   socket_bind and 4 per ppp file_ioctl: exactly the request the hook
+   builds from the arguments (a [Request.t] block).  The engine
+   allocates nothing: it refills one PFM context per hook in place, its
+   interpreter loop is not a closure, and a switch looks its key up
+   without an option.  The canonical target is not copied, the mount
+   table is searched without a closure or an option, the labels carry
+   no optional-argument boxes and the hooks take their arguments in one
+   application, not through a partial one.  The bounds leave 25%
+   headroom.  A front slot's [Some] cost 2 more words per call (8, 6, 7
+   and 6); before the changes above the same calls cost 82, 66, 34 and
+   23 words, and when the hooks still built the audit text, umount,
+   bind and ioctl cost 125, 178 and 76. *)
 let test_hooks_format_nothing () =
   let img = fixture () in
   let m = img.Image.machine in
@@ -716,12 +695,13 @@ let test_hooks_format_nothing () =
   in
   let n = 2000 in
   let emitted () = m.audit.Protego_journal.Journal.sk_emitted in
-  let per_call name ~records f =
+  let evals hook = (List.assoc hook (PD.stats disp)).PD.evals in
+  let per_call name ~hook ~records f =
     f 0;
-    let hits = DC.hits (PD.cache disp) and e0 = emitted () in
+    let e0 = emitted () and v0 = evals hook in
     let w = words_per_call n f in
-    check_int (name ^ ": every call a table hit") (hits + n)
-      (DC.hits (PD.cache disp));
+    check_int (name ^ ": every call an engine evaluation") (v0 + n)
+      (evals hook);
     check_int (name ^ ": records written") (if records then e0 + n else e0)
       (emitted ());
     w
@@ -735,18 +715,18 @@ let test_hooks_format_nothing () =
   let fstypes = Array.init n (fun _ -> fresh "iso9660") in
   let flags = [ Mf_readonly; Mf_nosuid; Mf_nodev ] in
   let mount =
-    per_call "sb_mount" ~records:true (fun i ->
+    per_call "sb_mount" ~hook:"mount" ~records:true (fun i ->
         ignore
           (m.security.sb_mount m alice ~source:sources.(i) ~target:targets.(i)
              ~fstype:fstypes.(i) ~flags))
   in
   let umount =
-    per_call "sb_umount" ~records:true (fun i ->
+    per_call "sb_umount" ~hook:"umount" ~records:true (fun i ->
         ignore (m.security.sb_umount m alice ~target:targets.(i)))
   in
   let exes = Array.init n (fun _ -> fresh "/usr/sbin/exim4") in
   let bind =
-    per_call "socket_bind" ~records:true (fun i ->
+    per_call "socket_bind" ~hook:"bind" ~records:true (fun i ->
         exim.exe_path <- exes.(i);
         ignore (m.security.socket_bind m exim sock Protego_net.Ipaddr.any 25))
   in
@@ -757,19 +737,20 @@ let test_hooks_format_nothing () =
             ppp_opt = Protego_net.Ppp.Compression (fresh "deflate") })
   in
   let ioctl =
-    per_call "file_ioctl" ~records:false (fun i ->
+    per_call "file_ioctl" ~hook:"ppp_ioctl" ~records:false (fun i ->
         ignore (m.security.file_ioctl m alice reqs.(i)))
   in
-  bounded "sb_mount" mount 10;
-  bounded "sb_umount" umount 8;
-  bounded "socket_bind" bind 9;
-  bounded "file_ioctl" ioctl 8
+  bounded "sb_mount" mount 7;
+  bounded "sb_umount" umount 5;
+  bounded "socket_bind" bind 6;
+  bounded "file_ioctl" ioctl 5
 
-(* A warm mount+umount pair through the syscalls, each hook a table hit
-   (fresh argument copies, as in the test above), record mode off.
-   Measured: 220 words per pair.  Where they go: the mounted medium's
-   fresh inode tree (175: five inodes with their buffers, four names,
-   the entry lists), the two hooks (14, see above), the mount record
+(* A warm mount+umount pair through the syscalls, each hook an engine
+   decision (fresh argument copies, as in the test above), record mode
+   off.  Measured: 216 words per pair (220 with a front slot).  Where
+   they go: the mounted medium's fresh inode tree (175: five inodes with
+   their buffers, four names, the entry lists), the two hooks (10, see
+   above), the mount record
    and its table cell (11), the typed dmesg lines and their cells
    (8 + 6), and three result boxes (the walk's [Ok], the device table's
    [Some], the tree's [Ok]).  The walk itself allocates nothing else.
@@ -790,22 +771,28 @@ let test_mount_pair_budget () =
          ~fstype:fstypes.(i) ~flags);
     Syntax.expect_ok "umount" (Syscall.umount m alice ~target:targets.(i))
   in
+  let evals () =
+    let s = PD.stats disp in
+    (List.assoc "mount" s).PD.evals + (List.assoc "umount" s).PD.evals
+  in
   pair 0;
-  let hits = DC.hits (PD.cache disp) in
+  let e0 = evals () in
   let w = words_per_call n pair in
-  check_int "every hook a table hit" (hits + (2 * n)) (DC.hits (PD.cache disp));
-  check (Printf.sprintf "%.2f words per mount+umount <= 275" w) true (w <= 275.)
+  check_int "every hook an engine evaluation" (e0 + (2 * n)) (evals ());
+  check (Printf.sprintf "%.2f words per mount+umount <= 270" w) true (w <= 270.)
 
-(* The table stores verdicts only; a denial served from it still
-   returns the hook's errno.  Fresh argument copies make the front slot
-   miss, so each repeat is a table hit. *)
+(* A repeated denial keeps its hook's errno: the engine decides each
+   repeat, and the hook derives the errno from the verdict. *)
 let test_repeated_denial_errno () =
   let img = fixture () in
   let m = img.Image.machine in
-  let cache = PD.cache (Protego_core.Lsm.dispatch (Option.get img.Image.protego)) in
+  let disp = Protego_core.Lsm.dispatch (Option.get img.Image.protego) in
   let alice = Image.login img "alice" in
   let fd = Syntax.expect_ok "socket" (Syscall.socket m alice Af_inet Sock_stream 6) in
-  let hits = DC.hits cache in
+  let evals () =
+    List.fold_left (fun acc (_, h) -> acc + h.PD.evals) 0 (PD.stats disp)
+  in
+  let e0 = evals () in
   for i = 1 to 2 do
     alice.exe_path <- fresh "/bin/sh";
     Alcotest.(check (result unit errno))
@@ -816,7 +803,22 @@ let test_repeated_denial_errno () =
       (Syscall.mount m alice ~source:(fresh "/dev/sda2") ~target:(fresh "/etc")
          ~fstype:(fresh "ext4") ~flags:[])
   done;
-  check_int "each repeat a table hit" (hits + 2) (DC.hits cache)
+  check_int "each decision an engine evaluation" (e0 + 4) (evals ());
+  check_int "no table lookup" 0 (DC.hits (PD.cache disp) + DC.misses (PD.cache disp))
+
+(* A raw socket of alice's and a sender of UDP datagrams to a port: the
+   stock chain drops port 9 from a raw socket and lets 33434 through. *)
+let raw_sender m alice =
+  let fd =
+    Syntax.expect_ok "raw socket" (Syscall.socket m alice Af_inet Sock_raw 17)
+  in
+  let remote = Protego_net.Ipaddr.v 10 0 0 1 in
+  fun dport ->
+    Syscall.sendto m alice fd remote 0
+      (Packet.encode
+         { Packet.src = Protego_net.Ipaddr.v 10 0 0 2; dst = remote; ttl = 64;
+           transport =
+             Packet.Udp_dgram { src_port = 40000; dst_port = dport; payload = "" } })
 
 let test_cache_stats_proc () =
   let img = fixture () in
@@ -828,38 +830,40 @@ let test_cache_stats_proc () =
       (Syscall.read_file m root "/proc/protego/cache_stats")
   in
   let write s = Syscall.write_file m root "/proc/protego/cache_stats" s in
-  let denied_mount () =
-    ignore
-      (Syscall.mount m alice ~source:"/dev/sda2" ~target:"/etc" ~fstype:"ext4"
-         ~flags:[])
-  in
+  let send = raw_sender m alice in
+  let dropped () = ignore (send 9) in
   Syntax.expect_ok "reset" (write "reset\n");
-  check "zeroed after reset" true
+  check_str "zeroed after reset; the packet hook's line only"
+    "cache on capacity 1024 entries 0\nhits 0 misses 0 stale 0 evicted 0\n\
+     hook nf_output hits 0 misses 0 stale 0\n"
+    (read ());
+  (* Request decisions never reach the table. *)
+  ignore
+    (Syscall.mount m alice ~source:"/dev/sda2" ~target:"/etc" ~fstype:"ext4"
+       ~flags:[]);
+  check "a mount leaves it untouched" true
     (starts_with (read ())
        "cache on capacity 1024 entries 0\nhits 0 misses 0 stale 0 evicted 0\n");
-  denied_mount ();
-  denied_mount ();
+  check "the packet is dropped" true (send 9 = Error Errno.EPERM);
+  dropped ();
   check "one miss one hit" true
     (starts_with (read ())
        "cache on capacity 1024 entries 1\nhits 1 misses 1 stale 0 evicted 0\n");
   check "per-hook breakdown" true
-    (contains (read ()) "hook mount hits 1 misses 1 stale 0\n");
-  (* A policy write bumps the source generation: the cached denial is
-     stale, evicted lazily on the next lookup. *)
-  let wl =
-    Syntax.expect_ok "read whitelist"
-      (Syscall.read_file m root "/proc/protego/mount_whitelist")
-  in
-  Syntax.expect_ok "rewrite whitelist"
-    (Syscall.write_file m root "/proc/protego/mount_whitelist" wl);
-  denied_mount ();
-  check "reload invalidated exactly the stale entry" true
+    (contains (read ()) "hook nf_output hits 1 misses 1 stale 0\n");
+  (* A chain edit bumps its generation: the cached drop is stale,
+     evicted lazily on the next lookup. *)
+  NF.append m.netfilter NF.Output
+    { NF.matches = [ NF.Dst_port { lo = 80; hi = 80 } ]; target = NF.Accept;
+      comment = "" };
+  dropped ();
+  check "the edit invalidated exactly the stale entry" true
     (starts_with (read ())
        "cache on capacity 1024 entries 1\nhits 1 misses 2 stale 1 evicted 0\n");
   (* enable off / on round-trips and shows in the header. *)
   Syntax.expect_ok "disable" (write "enable off\n");
   check "off in header" true (starts_with (read ()) "cache off ");
-  denied_mount ();
+  dropped ();
   check "no counter movement while off" true
     (contains (read ()) "hits 1 misses 2 stale 1 evicted 0\n");
   Syntax.expect_ok "re-enable" (write "enable on\n");
@@ -879,40 +883,155 @@ let test_cache_stats_proc () =
 
 (* --- audit metadata ------------------------------------------------------ *)
 
+(* A packet decision's journal record names the engine that served it:
+   [pfm] for the evaluation, [cache] for the table hit that repeats it.
+   A request decision's record names the engine every time. *)
 let test_audit_cache_metadata () =
+  let module J = Protego_journal.Journal in
   let img = fixture () in
   let m = img.Image.machine in
+  let root = Image.login img "root" in
   let alice = Image.login img "alice" in
-  let disp =
-    match img.Image.protego with
-    | Some lsm -> Protego_core.Lsm.dispatch lsm
-    | None -> Alcotest.fail "Protego image has no LSM"
-  in
-  Audit.clear m;
+  let disp = Protego_core.Lsm.dispatch (Option.get img.Image.protego) in
   PD.reset_stats disp;
-  let denied_mount () =
-    ignore
-      (Syscall.mount m alice ~source:"/dev/sda2" ~target:"/etc" ~fstype:"ext4"
-         ~flags:[])
+  (* The packet hook journals its decisions in record mode. *)
+  Syntax.expect_ok "record on"
+    (Syscall.write_file m root "/proc/protego/record" "on");
+  let send = raw_sender m alice in
+  let seen = List.length (J.entries m.audit.J.sk_journal) in
+  ignore (send 9);
+  ignore (send 9);
+  ignore
+    (Syscall.mount m alice ~source:"/dev/sda2" ~target:"/etc" ~fstype:"ext4"
+       ~flags:[]);
+  ignore
+    (Syscall.mount m alice ~source:"/dev/sda2" ~target:"/etc" ~fstype:"ext4"
+       ~flags:[]);
+  let engines hook =
+    List.filteri (fun i _ -> i >= seen) (J.entries m.audit.J.sk_journal)
+    |> List.filter_map (function
+         | J.Decision ({ J.d_lsm = Some l; _ } as d) when hook d.J.d_req ->
+             Some (J.engine_name l.J.l_engine)
+         | _ -> None)
   in
-  denied_mount ();
-  denied_mount ();
-  (match Audit.records m with
-  | [ r1; r2 ] ->
-      check "engine record tagged pfm" true (r1.Audit.au_engine = Some "pfm");
-      check "cache hit tagged cache" true (r2.Audit.au_engine = Some "cache");
-      (* Apart from the tag (and the clock), the records are identical. *)
-      check "same op" true (r1.Audit.au_op = r2.Audit.au_op);
-      check "same object" true (r1.Audit.au_obj = r2.Audit.au_obj);
-      check "same subject" true (r1.Audit.au_uid = r2.Audit.au_uid);
-      check "same verdict" true (r1.Audit.au_allowed = r2.Audit.au_allowed)
-  | rs -> Alcotest.fail (Printf.sprintf "expected 2 records, got %d" (List.length rs)));
-  check_int "by_engine finds the hit" 1 (List.length (Audit.by_engine m "cache"));
-  check_int "by_engine finds the eval" 1 (List.length (Audit.by_engine m "pfm"));
-  (* The filter machine never saw the second decision: hook counters count
-     engine evaluations, and a cache hit is not one. *)
+  Alcotest.(check (list string))
+    "packet: evaluation then table hit" [ "pfm"; "cache" ]
+    (engines (function J.Nf _ -> true | _ -> false));
+  Alcotest.(check (list string))
+    "mount: the engine both times" [ "pfm"; "pfm" ]
+    (engines (function J.Mount _ -> true | _ -> false));
+  (* The filter machine never saw the repeated packet: hook counters
+     count engine evaluations, and a table hit is not one. *)
   check_int "no double-counted eval" 1
+    (List.assoc "nf_output" (PD.stats disp)).PD.evals;
+  check_int "both mounts evaluated" 2
     (List.assoc "mount" (PD.stats disp)).PD.evals
+
+(* --- request decisions against live /proc writes ------------------------ *)
+
+type op =
+  | Write of string * string  (* /proc file, contents *)
+  | Decide of Request.t
+
+let pp_op = function
+  | Write (file, text) -> Printf.sprintf "write %s %S" file text
+  | Decide req ->
+      Printf.sprintf "decide %s subject %d"
+        (Protego_core.Decider.kind_name (Request.kind_of_index (Request.index req)))
+        (Request.subject req)
+
+let op_gen =
+  let open QCheck2.Gen in
+  let lines file pool =
+    map
+      (fun ls -> Write (file, String.concat "\n" ls ^ "\n"))
+      (list_size (int_bound 3) (oneofl pool))
+  in
+  let subject = oneofl [ 0; 1000; 1001; 102 ] in
+  let mount =
+    map3
+      (fun subject (source, target) (fstype, flags) ->
+        Request.Mount { subject; source; target; fstype; flags })
+      subject
+      (oneofl
+         [ ("/dev/cdrom", "/media/cdrom"); ("/dev/sdb1", "/mnt/usb");
+           ("/dev/sda2", "/etc") ])
+      (oneofl
+         [ ("iso9660", [ Mf_readonly; Mf_nosuid; Mf_nodev ]);
+           ("vfat", [ Mf_nosuid; Mf_nodev ]); ("ext4", []) ])
+  in
+  let umount =
+    map3
+      (fun subject target mounted_by ->
+        Request.Umount { subject; target; mounted_by })
+      subject (oneofl [ "/media/cdrom"; "/mnt/usb"; "/etc" ])
+      (oneofl [ 0; 1000; 1001 ])
+  in
+  let bind =
+    map3
+      (fun subject (port, proto) exe ->
+        Request.Bind { subject; port; proto; exe })
+      subject
+      (oneofl
+         Protego_policy.Bindconf.[ (25, Tcp); (53, Udp); (80, Tcp); (8080, Tcp) ])
+      (oneofl [ "/usr/sbin/exim4"; "/usr/sbin/named"; "/bin/sh" ])
+  in
+  let ppp =
+    map3
+      (fun subject device opt -> Request.Ppp_ioctl { subject; device; opt })
+      subject
+      (oneofl [ "/dev/ttyS0"; "/dev/ttyS1"; "/dev/ttyS9" ])
+      (oneofl Protego_net.Ppp.[ Accomp; Default_route; Compression "deflate" ])
+  in
+  frequency
+    [ ( 1,
+        lines "/proc/protego/mount_whitelist"
+          [ "allow /dev/cdrom /media/cdrom iso9660 nosuid user";
+            "allow /dev/sdb1 /mnt/usb vfat - users";
+            "allow /dev/sda2 /etc ext4 nodev users";
+            "allow /dev/cdrom /media/cdrom auto - users" ] );
+      ( 1,
+        lines "/proc/protego/bind_map"
+          [ "25 tcp /usr/sbin/exim4 0"; "53 udp /usr/sbin/named 102";
+            "80 tcp /bin/sh 1000"; "8080 tcp /bin/sh 1001" ] );
+      ( 1,
+        lines "/proc/protego/ppp_policy"
+          [ "allow-device /dev/ttyS0"; "allow-device /dev/ttyS1"; "mru 1500" ] );
+      ( 1,
+        map
+          (fun e -> Write ("/proc/protego/filter_stats", "engine " ^ e))
+          (oneofl [ "pfm"; "ref" ]) );
+      (8, map (fun r -> Decide r) (oneof [ mount; umount; bind; ppp ])) ]
+
+let prop_live_writes =
+  QCheck2.Test.make
+    ~name:
+      "request verdicts equal Request.expected under /proc writes, pfm and ref"
+    ~count:40
+    ~print:(fun ops -> String.concat "\n" (List.map pp_op ops))
+    QCheck2.Gen.(list_size (int_range 1 60) op_gen)
+    (fun ops ->
+      let img = fixture () in
+      let m = img.Image.machine in
+      let root = Image.login img "root" in
+      let lsm = Option.get img.Image.protego in
+      let st = Protego_core.Lsm.state lsm in
+      let disp = Protego_core.Lsm.dispatch lsm in
+      let entries = DC.length (PD.cache disp) in
+      List.for_all
+        (function
+          | Write (file, text) ->
+              (* A refused write (EINVAL, a lint refusal) changes nothing. *)
+              ignore (Syscall.write_file m root file text);
+              true
+          | Decide req ->
+              let got = PD.decide disp ~phase:Phase.initial st req in
+              let verdict, _ =
+                Request.expected st ~phase:(Phase.index Phase.initial)
+                  ~recorded:false req
+              in
+              got = (verdict = 1) && DC.length (PD.cache disp) = entries)
+        ops)
 
 (* --- policy_state generations ------------------------------------------- *)
 
@@ -977,8 +1096,9 @@ let suites =
           test_keys_injective_and_short ]);
     ("cache:dispatch",
       [ Alcotest.test_case "hit/miss flow" `Quick test_dispatch_cache_flow;
-        Alcotest.test_case "reset kills the front slot" `Quick
-          test_dispatch_reset_kills_front_slot;
+        Alcotest.test_case "request decisions never touch the table" `Quick
+          test_dispatch_requests_skip_table;
+        QCheck_alcotest.to_alcotest ~long:false prop_live_writes;
         Alcotest.test_case "disable bypasses" `Quick
           test_dispatch_disable_bypasses;
         Alcotest.test_case "separator-laden tuples" `Quick

@@ -1109,9 +1109,9 @@ let prop_absint_reference_policies =
    10k random decisions per hook, driven through the dispatcher with the
    cache enabled, with a policy reload every ~100 decisions.  At every
    step the (possibly cached) answer must equal a fresh engine evaluation
-   with the cache bypassed AND the reference oracle — so neither the memo
-   table nor the front slots can ever serve a verdict the live policy
-   would not produce.  Deterministic: a fixed Random.State drives the
+   with the cache bypassed AND the reference oracle — so neither the
+   packet hook's table nor a request hook's program can ever serve a
+   verdict the live policy would not produce.  Deterministic: a fixed Random.State drives the
    QCheck generators directly. *)
 
 module PD = Protego_core.Pfm_dispatch

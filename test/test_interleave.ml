@@ -2,12 +2,11 @@
 
    A scripted scheduler replays every merge order of a fixed reloader
    script (three /proc policy writes) against a fixed decider script
-   (three probe batches).  Each probe asks the dispatcher twice — the
-   second ask is typically a cache or front-slot hit — and compares both
-   answers against the uncached reference oracle computed from the live
-   policy state at that instant.  If any reload left a stale verdict
-   servable, some interleaving puts a probe right after it and the oracle
-   comparison fails.  With 3 reload and 3 probe steps this is C(6,3) = 20
+   (three probe batches).  Each probe asks the dispatcher twice and
+   compares both answers against the reference oracle computed from the
+   live policy state at that instant.  If any reload left a stale verdict
+   or program servable, some interleaving puts a probe right after it and
+   the oracle comparison fails.  With 3 reload and 3 probe steps this is C(6,3) = 20
    schedules, each on a fresh image.
 
    The plane and optimizer-gate counterparts of this harness moved onto

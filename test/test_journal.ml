@@ -932,10 +932,19 @@ let gen_request =
   in
   pair (oneof [ mount; umount; bind; ppp ]) (int_bound (Phase.count - 1))
 
-let key_bytes phase req =
-  let k = Protego_core.Decision_cache.Key.create () in
-  Request.key k phase req;
-  Protego_core.Decision_cache.Key.contents k
+(* What the compiled program reads of a request: its PFM context, with
+   the same lossy codes a record stores (a mount's flag mask, a bind's
+   protocol, a ppp option's safety bit). *)
+let decision_ctx phase req =
+  let module C = Protego_filter.Pfm_compile in
+  match req with
+  | Plane.Mount { source; target; fstype; flags; _ } ->
+      C.mount_ctx ~phase ~source ~target ~fstype ~flags
+  | Plane.Umount { subject; target; mounted_by } ->
+      C.umount_ctx ~phase ~target ~mounted_by ~ruid:subject
+  | Plane.Bind { subject; port; proto; exe } ->
+      C.bind_ctx ~phase ~port ~proto ~exe ~uid:subject
+  | Plane.Ppp_ioctl { device; opt; _ } -> C.ppp_ctx ~phase ~device ~opt
 
 (* Each generated request is journaled three ways, through the two
    encoders beside [Request.of_journal]: a plane (kind-1) record, and
@@ -1003,7 +1012,7 @@ let prop_decode_roundtrip =
                      Request.index got = Request.index req
                      && Request.subject got = Request.subject req
                      && d.J.d_phase = phase
-                     && key_bytes phase got = key_bytes phase req
+                     && decision_ctx phase got = decision_ctx phase req
                      && allows (got, phase) = allows (req, phase)
                      && Request.expected st ~phase
                           ~recorded:(d.J.d_verdict = 3) got

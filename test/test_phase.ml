@@ -66,15 +66,16 @@ let test_plane_invalidation () =
   let st = phased_state () in
   let plane = Plane.create st in
   let req5 = setup_mount 5 and req6 = setup_mount 6 in
-  (* Warm the front slot and the memo table in the setup phase. *)
+  (* Decide in the setup phase, twice. *)
   check "cold allow in setup" true (allowed (Plane.decide plane req5));
   check "warm allow in setup" true (allowed (Plane.decide plane req5));
   check "other subject allows" true (allowed (Plane.decide plane req6));
   Alcotest.(check (result unit string))
     "transition accepted" (Ok ())
     (Plane.set_subject_phase plane ~subject:5 Phase.Serving);
-  (* Same interned request value: only the phase in the key changed, so
-     a hit on the pre-transition cache entry would wrongly allow. *)
+  (* Same interned request value: only the subject's phase changed, so
+     any verdict remembered from before the transition would wrongly
+     allow. *)
   let o = Plane.decide plane req5 in
   check "guarded grant expired" false (allowed o);
   check_int "served under serving" (Phase.index Phase.Serving) o.Plane.o_phase;
@@ -366,7 +367,7 @@ let test_load_gate_loosening () =
 
 let suites =
   [ ( "phase:plane",
-      [ Alcotest.test_case "cache and front slot invalidate on transition"
+      [ Alcotest.test_case "a transition changes only its subject's verdicts"
           `Quick test_plane_invalidation;
         Alcotest.test_case "plane table refuses loosening" `Quick
           test_plane_loosening_refused;

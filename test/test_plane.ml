@@ -509,7 +509,7 @@ let test_workload_phase_storm () =
   (* The storm's rules are always-guarded, so the scheduled transitions
      are verdict-preserving: the fixed-policy oracle must hold for every
      outcome even as subjects advance mid-run (the transitions stress
-     the phase-keyed front slots and memo tables, not the semantics). *)
+     the per-subject phase table, not the semantics). *)
   let st = fresh_state sp in
   let plane = Plane.create ~domains:4 st in
   let reloads =

@@ -193,10 +193,10 @@ let test_mount_binary_equivalence () =
     (drive Image.Linux = drive Image.Protego)
 
 (* Permissive record mode through /proc/protego/record: a would-deny is
-   served (and leaves a record-tagged audit entry), while the true
-   verdict is what the ladder caches — so switching record off needs no
-   flush, and the very next identical request is denied from the
-   cache. *)
+   served (and leaves a record-tagged audit entry), while the ladder
+   returns the true verdict and the flip happens after it — so switching
+   record off flushes nothing (the packet hook's table keeps its epoch),
+   and the very next identical request is denied by the engine. *)
 let test_record_mode_proc () =
   let img = Image.build Image.Protego in
   let m = img.Image.machine in
@@ -242,7 +242,7 @@ let test_record_mode_proc () =
   | last :: _ ->
       check "denial audited" false last.Audit.au_allowed;
       Alcotest.(check (option string))
-        "true verdict served from the cache" (Some "cache") last.Audit.au_engine
+        "true verdict served by the engine" (Some "pfm") last.Audit.au_engine
   | [] -> Alcotest.fail "no mount audit record"
 
 (* Two mount requests whose fields differ but whose concatenations agree

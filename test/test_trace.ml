@@ -268,12 +268,15 @@ let test_trace_proc () =
   | rs ->
       Alcotest.fail
         (Printf.sprintf "expected 1 audit record, got %d" (List.length rs)));
-  (* A second identical mount is served by the memo state but still
-     spans, with a fresh id and the serving engine named. *)
+  (* A second identical mount is decided by the engine again and spans
+     with a fresh id.  A request hook has no table: its span marks the
+     slot and the table zero-width at the start, then the engine. *)
   denied_mount ();
   let body = read () in
   check "second span recorded" true (contains body "spans 2");
-  check "memo hit names its engine" true (contains body " engine cache ");
+  check "no memo hit for a request" false (contains body " engine cache ");
+  check "zero-width slot and table marks" true
+    (contains body " stages slot+0,table+0,engine+");
   check "fresh id for the hit" true (PD.last_span disp = Some (span_id + 1));
   (* reset drops the spans but ids keep counting. *)
   Syntax.expect_ok "reset" (write "reset\n");
@@ -344,10 +347,11 @@ let test_latency_proc () =
   denied_mount ();
   denied_mount ();
   let body = read () in
-  check "engine decision counted" true
-    (contains body "hook mount engine pfm count 1 p50 127 p90 127 p99 127 max 64\n");
-  check "memo hit counted against its own series" true
-    (contains body "hook mount engine cache count 1 p50 127 p90 127 p99 127 max 64\n");
+  check "both engine decisions counted" true
+    (contains body "hook mount engine pfm count 2 p50 127 p90 127 p99 127 max 64\n");
+  check "only the packet hook has a cache series" true
+    (contains body "hook nf_output engine cache count 0 "
+    && not (contains body "hook mount engine cache "));
   check "untouched hooks stay at zero" true
     (contains body "hook ppp_ioctl engine ref count 0 p50 0 p90 0 p99 0 max 0\n");
   (* reset zeroes the histograms but keeps the registered series. *)
@@ -356,7 +360,7 @@ let test_latency_proc () =
     (contains (read ()) "hook mount engine pfm count 0 p50 0 p90 0 p99 0 max 0\n");
   denied_mount ();
   check "counting resumes after reset" true
-    (contains (read ()) "hook mount engine cache count 1 ");
+    (contains (read ()) "hook mount engine pfm count 1 ");
   (* Unknown commands are EINVAL; the file is root-only. *)
   Alcotest.(check (result unit errno))
     "junk command" (Error Errno.EINVAL) (write "flush\n");
