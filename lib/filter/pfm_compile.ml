@@ -405,6 +405,7 @@ let f_icmp = 5
 let f_syn = 6
 let f_origin = 7
 let f_owner = 8
+let packet_ints = f_owner + 1
 
 (* [Other q] must never collide with the named protocols, mirroring the
    reference's variant comparison (assumes 0 <= q < 0x10000, the IP
@@ -485,7 +486,11 @@ let netfilter_notes ~rules ~policy =
         end
   in
   emit 0 rules;
-  let p = checked (Asm.assemble a ~name:"nf_output" ~n_int_fields:9 ~n_str_fields:0) in
+  let p =
+    checked
+      (Asm.assemble a ~name:"nf_output" ~n_int_fields:packet_ints
+         ~n_str_fields:0)
+  in
   (p, Asm.notes a)
 
 let netfilter ~rules ~policy = fst (netfilter_notes ~rules ~policy)

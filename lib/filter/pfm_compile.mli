@@ -142,6 +142,9 @@ val netfilter_notes :
 
 val packet_ctx : Packet.t -> origin:Packet.origin -> Pfm.ctx
 
+val packet_ints : int
+(** The length of a packet context's [ints]: 9. *)
+
 (** {1 Safe-ioctl (pppd modem options) whitelist} *)
 
 val ppp_ioctl : ?phase:Phase.t -> Pppopts.t -> Pfm.program

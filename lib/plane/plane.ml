@@ -241,7 +241,7 @@ let decide_with t w engine snap req =
   let h = w.w_hooks.(hi) in
   let v =
     Decider.decide w.w_dec h w ~gen:snap.Snapshot.gens.(gens_index.(hi))
-      ~subject ~phase:ph ~engine req
+      ~phase:ph ~engine req
   in
   { o_verdict = v; o_errno = Decider.errno (Decider.kind h) v;
     o_epoch = snap.Snapshot.epoch; o_phase = ph }

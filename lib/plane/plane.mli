@@ -284,16 +284,11 @@ val handle_write : t -> string -> (unit, string) result
     errors), ["reset"] (fresh workers with zeroed counters, phases back
     to initial, fresh journal); anything else errors. *)
 
-val render_journal : t -> string
-(** The /proc/protego/journal read image: a
-    [journal mode <m> rotations <n>] line, then
-    {!Protego_journal.Journal.render_stats}. *)
-
-val handle_journal_write : t -> string -> (unit, string) result
-(** ["rotate"], ["reset"]; anything else errors. *)
-
 val install_proc :
   Protego_kernel.Ktypes.machine -> t -> unit
 (** Install [/proc/protego/plane] and [/proc/protego/journal] (both
     root-only, 0600): reads render, writes dispatch to {!handle_write}
-    / {!handle_journal_write} (EINVAL + dmesg on parse errors). *)
+    for the plane file (EINVAL + dmesg on parse errors).  The journal
+    file reads as a [journal mode <m> rotations <n>] line, then
+    {!Protego_journal.Journal.render_stats}; it takes ["rotate"] and
+    ["reset"], and anything else errors. *)

@@ -1,5 +1,4 @@
 module Pfm = Protego_filter.Pfm
-module Compile = Protego_filter.Pfm_compile
 module Errno = Protego_base.Errno
 module DC = Decision_cache
 module J = Protego_journal.Journal
@@ -21,17 +20,6 @@ let deny_errno = function
 let errno kind (v : Pfm.verdict) =
   match v with Pfm.Allow -> None | Pfm.Deny | Pfm.Reject -> deny_errno kind
 
-(* --- the packet key -----------------------------------------------------
-
-   The packet context is the canonical integer encoding of everything
-   the chain can match on; ints are zigzag varints, so the layout is
-   injective. *)
-let nf_key k (ctx : Pfm.ctx) =
-  let ints = ctx.Pfm.ints in
-  for i = 0 to Array.length ints - 1 do
-    DC.Key.int k (Array.unsafe_get ints i)
-  done
-
 (* --- deciders and hooks ------------------------------------------------ *)
 
 type engine = [ `Pfm | `Ref ]
@@ -43,21 +31,10 @@ type stats = {
   mutable reject : int;
 }
 
-(* A hook's table: the cache, its per-hook line, the key encoder, the
-   scratch key it writes each decision into, and the latency series of
-   the decisions the table serves. *)
-type 'a table = {
-  cache : DC.t;
-  ch : DC.hook;
-  encode : DC.Key.t -> int -> 'a -> unit;
-  key : DC.Key.t;
-  k_cache : Trace.key;
-}
-
 type ('e, 'a) hook = {
   kind : kind;
-  table : 'a table option;
   eval : 'e -> engine -> phase:int -> 'a -> Pfm.verdict;
+  k_cache : Trace.key;  (* table hits: the packet hook's; [k_pfm] otherwise *)
   k_pfm : Trace.key;
   k_ref : Trace.key;
   stats : stats;
@@ -88,20 +65,14 @@ let create ~trace =
       d.last_span <- 0);
   d
 
-let hook d kind ?table eval =
-  let name = kind_name kind in
-  let series engine = Trace.register d.trace ~hook:name ~engine in
-  let table =
-    Option.map
-      (fun (cache, encode) ->
-        let k_cache = series "cache" in
-        { cache; ch = DC.register cache name; encode; key = DC.Key.create ();
-          k_cache })
-      table
-  in
+let hook d kind eval =
+  let series engine = Trace.register d.trace ~hook:(kind_name kind) ~engine in
+  (* Only the packet hook has a table ({!decide_cached}); the series of its
+     hits comes first. *)
+  let k_cache = if kind = Nf_output then Some (series "cache") else None in
   let k_pfm = series "pfm" in
   let k_ref = series "ref" in
-  { kind; table; eval; k_pfm; k_ref;
+  { kind; eval; k_cache = Option.value k_cache ~default:k_pfm; k_pfm; k_ref;
     stats = { evals = 0; allow = 0; deny = 0; reject = 0 } }
 
 let trace d = d.trace
@@ -142,12 +113,11 @@ let run d h env engine ~phase raw =
 
 (* Close out a traced decision: the serving engine's histogram always sees
    the latency; a span is recorded only when spans are on ([stages] is
-   oldest-first by then). *)
-let conclude d h k ~t0 ~gen ~stages v =
+   empty otherwise). *)
+let conclude d h k ~t0 ~gen ~epoch ~stages v =
   let tr = d.trace in
   let fin = Trace.now tr in
   Trace.observe k ~ns:(fin - t0);
-  let epoch = match h.table with Some tb -> DC.epoch tb.cache | None -> 0 in
   d.last_span <-
     (match
        Trace.record_span tr ~hook:k.Trace.k_hook ~engine:k.Trace.k_engine
@@ -159,52 +129,48 @@ let conclude d h k ~t0 ~gen ~stages v =
 
 let since d t0 = Trace.now d.trace - t0
 
-(* The whole ladder, for a traced decision or a hook with a table.  No
-   hook has a front slot, and a hook without a table has no table rung:
-   a rung a hook lacks is marked zero-width at the decision's start, so
-   every span carries [slot], [table] and [engine] marks in that order. *)
-let ladder d h env ~gen ~subject ~phase ~engine raw =
+let engine_key h = function `Pfm -> h.k_pfm | `Ref -> h.k_ref
+
+(* A request hook decides with its engine alone.  A traced decision's
+   span still carries [slot], [table] and [engine] marks in that order:
+   no hook has a front slot and a request hook has no table, so those
+   two are marked zero-width at the decision's start. *)
+let decide d h env ~gen ~phase ~engine raw =
+  if not d.traced then run d h env engine ~phase raw
+  else begin
+    let t0 = Trace.now d.trace in
+    let sp = Trace.spans_enabled d.trace in
+    let v = run d h env engine ~phase raw in
+    let stages =
+      if sp then [ ("slot", 0); ("table", 0); ("engine", since d t0) ] else []
+    in
+    conclude d h (engine_key h engine) ~t0 ~gen ~epoch:0 ~stages v;
+    v
+  end
+
+(* The packet hook: its table, then its engine, the engine's verdict
+   memoized under [key].  A hit's span has no [engine] mark. *)
+let decide_cached d h cache ~key env ~gen ~engine raw =
   let t0 = if d.traced then Trace.now d.trace else 0 in
   let sp = d.traced && Trace.spans_enabled d.trace in
-  let found =
-    match h.table with
-    | None -> None
-    | Some tb ->
-        (* find/add ignore the key while the cache is off: skip encoding
-           it. *)
-        if DC.enabled tb.cache then begin
-          DC.Key.reset tb.key;
-          tb.encode tb.key phase raw
-        end;
-        DC.find tb.cache tb.ch ~subject ~key:tb.key ~gen
-  in
-  let stages =
-    if not sp then []
-    else
-      [ ("table", if Option.is_none h.table then 0 else since d t0);
-        ("slot", 0) ]
-  in
-  match (found, h.table) with
-  | Some v, Some tb ->
+  let found = DC.find cache ~key ~gen in
+  let t_table = if sp then since d t0 else 0 in
+  match found with
+  | Some v ->
       d.last_engine <- J.engine_cache;
       if d.traced then
-        conclude d h tb.k_cache ~t0 ~gen ~stages:(List.rev stages) v;
+        conclude d h h.k_cache ~t0 ~gen ~epoch:(DC.epoch cache)
+          ~stages:(if sp then [ ("slot", 0); ("table", t_table) ] else [])
+          v;
       v
-  | _ ->
-      let v = run d h env engine ~phase raw in
-      (match h.table with
-       | Some tb -> DC.add tb.cache tb.ch ~subject ~key:tb.key ~gen ~verdict:v
-       | None -> ());
-      if d.traced then begin
-        let k = match engine with `Pfm -> h.k_pfm | `Ref -> h.k_ref in
-        let stages = if sp then ("engine", since d t0) :: stages else stages in
-        conclude d h k ~t0 ~gen ~stages:(List.rev stages) v
-      end;
+  | None ->
+      let v = run d h env engine ~phase:0 raw in
+      DC.add cache ~key ~gen ~verdict:v;
+      if d.traced then
+        conclude d h (engine_key h engine) ~t0 ~gen ~epoch:(DC.epoch cache)
+          ~stages:
+            (if sp then
+               [ ("slot", 0); ("table", t_table); ("engine", since d t0) ]
+             else [])
+          v;
       v
-
-(* A hook without a table decides with its engine alone; a traced
-   decision takes [ladder] for its marks. *)
-let decide d h env ~gen ~subject ~phase ~engine raw =
-  if d.traced || Option.is_some h.table then
-    ladder d h env ~gen ~subject ~phase ~engine raw
-  else run d h env engine ~phase raw

@@ -1,20 +1,18 @@
-(** The decision ladder in one call ({!decide}): the one implementation
-    every filtered decision runs through, the LSM hooks
-    ({!Pfm_dispatch}) and every decision-plane worker alike.  Below it,
-    both paths register the four policy-state hooks with the same
-    engine over one {!Request.t}; only the packet hook has its own.
+(** The decision ladder: the one implementation every filtered decision
+    runs through, the LSM hooks ({!Pfm_dispatch}) and every
+    decision-plane worker alike.  Below it, both paths register the four
+    policy-state hooks with the same engine over one {!Request.t}; only
+    the packet hook has its own.
 
-    A hook consults a {!Decision_cache} table only if it registered one
-    ({!hook}'s [?table]): then the ladder is table, then engine, the
-    table memoizing the engine's verdicts stamped with the source
-    generation [gen].  Only the packet hook registers a table ({!nf_key}):
-    its compiled OUTPUT chain is linear in the rule count, while a
-    request hook's program decides with one switch dispatch and a few
-    instructions, about what a table lookup costs, so a request hook
-    runs its engine directly.  No hook has a front slot.  A table holds
-    only {e true} verdicts; record mode flips a would-deny afterwards
-    ({!flip}).  A decider is single-threaded: each plane worker owns
-    one. *)
+    A request hook decides with its engine ({!decide}): its program
+    decides with one switch dispatch and a few instructions, about what
+    a table lookup costs.  The packet hook's compiled OUTPUT chain is
+    linear in the rule count, so it alone puts a {!Decision_cache} table
+    in front of its engine ({!decide_cached}), keyed by the packet
+    context's ints and stamped with the chain's generation.  No hook has
+    a front slot.  A table holds only {e true} verdicts; record mode
+    flips a would-deny afterwards ({!flip}).  A decider is
+    single-threaded: each plane worker owns one. *)
 
 module Pfm = Protego_filter.Pfm
 
@@ -34,11 +32,6 @@ val deny_errno : kind -> Protego_base.Errno.t option
 val errno : kind -> Pfm.verdict -> Protego_base.Errno.t option
 (** [None] for [Allow], {!deny_errno} otherwise. *)
 
-val nf_key : Decision_cache.Key.t -> Pfm.ctx -> unit
-(** The packet hook's table key, the one table key any hook registers:
-    the integer fields of its {!Protego_filter.Pfm_compile.packet_ctx},
-    no phase (chains carry no phase guards). *)
-
 (** {1 Deciders and hooks} *)
 
 type engine = [ `Pfm | `Ref ]
@@ -50,34 +43,26 @@ type stats = private {
   mutable reject : int;
 }
 (** Per-hook engine counters: the LSM's filter_stats and the plane's
-    per-hook lines.  A hook without a table serves every decision from
-    its engine, so there they count its decisions too. *)
+    per-hook lines.  A request hook serves every decision from its
+    engine, so they count its decisions too. *)
 
 type t
 type ('e, 'a) hook
-(** One hook's table (if it has one), latency series, counters and
-    engine; ['a] is the raw argument value it decides, ['e] the
-    environment the engine evaluates in. *)
+(** One hook's latency series, counters and engine; ['a] is the raw
+    argument value it decides, ['e] the environment the engine evaluates
+    in. *)
 
 val create : trace:Trace.t -> t
 (** A decider recording into [trace] (it becomes the tracer's
     {!Trace.on_arm} listener).  Record mode off. *)
 
 val hook :
-  t -> kind ->
-  ?table:Decision_cache.t * (Decision_cache.Key.t -> int -> 'a -> unit) ->
-  ('e -> engine -> phase:int -> 'a -> Pfm.verdict) ->
+  t -> kind -> ('e -> engine -> phase:int -> 'a -> Pfm.verdict) ->
   ('e, 'a) hook
-(** [hook d kind ?table eval] registers a hook and its latency series,
-    in call order: [cache] (with a table only), [pfm], [ref].
+(** [hook d kind eval] registers a hook and its latency series, in call
+    order: [cache] (the packet hook only), [pfm], [ref].
     [eval env engine ~phase raw] is the hook's engine: the compiled
-    program or the reference walk, as [engine] says.
-
-    [table = (cache, key)] puts [cache] in front of the engine, under
-    the hook's name: [key k phase raw] encodes the table key into the
-    hook's emptied scratch key [k], and runs only while the cache is
-    enabled.  Only the packet hook passes one ([scripts/ci.sh --fast]
-    fails on another in [lib/]). *)
+    program or the reference walk, as [engine] says. *)
 
 val trace : t -> Trace.t
 val kind : ('e, 'a) hook -> kind
@@ -87,24 +72,32 @@ val reset_stats : ('e, 'a) hook -> unit
 (** {1 The ladder} *)
 
 val decide :
-  t -> ('e, 'a) hook -> 'e -> gen:int -> subject:int -> phase:int ->
-  engine:engine -> 'a -> Pfm.verdict
-(** [decide d h env ~gen ~subject ~phase ~engine raw]: the true verdict
-    for [raw].
-    - {b Table} (a hook that registered one): an entry for the hook's
-      key of [raw] under [subject], stamped [gen].
-    - {b Engine}: the hook's engine in [env], memoized in the table if
-      the hook has one.
-    [gen] is the generation of the source the hook reads; [subject] and
-    [phase] key the table, and [phase] rides into the engine.
+  t -> ('e, 'a) hook -> 'e -> gen:int -> phase:int -> engine:engine -> 'a ->
+  Pfm.verdict
+(** [decide d h env ~gen ~phase ~engine raw]: the true verdict for [raw]
+    from the hook's engine in [env].  [gen] is the generation of the
+    source the hook reads (it stamps the span); [phase] rides into the
+    engine.
 
     A traced decision's span carries a [slot], a [table] and an
     [engine] mark, in that order, each the offset from the decision's
-    start at which the rung was passed; a rung the hook lacks (the
-    front slot is gone from every hook, the table from all but the
-    packet hook) is marked zero-width at the start, so readers that
-    classify spans by those three names keep working.  A table hit has
-    no [engine] mark. *)
+    start at which the rung was passed.  The rungs a request hook lacks
+    (the front slot is gone from every hook, the table from all but the
+    packet hook) are marked zero-width at the start, so readers that
+    classify spans by those three names keep working. *)
+
+val decide_cached :
+  t -> ('e, 'a) hook -> Decision_cache.t -> key:int array -> 'e -> gen:int ->
+  engine:engine -> 'a -> Pfm.verdict
+(** [decide_cached d h cache ~key env ~gen ~engine raw]: the packet
+    hook's ladder.  An entry of [cache] for [key] stamped [gen] serves
+    the decision ({!last_engine} reads [engine_cache]); otherwise the
+    hook's engine decides (phase 0: chains carry no phase guards) and
+    its verdict is memoized under [key].  A span's [epoch] is [cache]'s;
+    a table hit has no [engine] mark.  Only
+    {!Pfm_dispatch.decide_nf_output} calls it ([scripts/ci.sh --fast]
+    fails on another caller, and on a {!Decision_cache.find} or
+    {!Decision_cache.add} outside it, in [lib/]). *)
 
 (** {1 Record mode} *)
 

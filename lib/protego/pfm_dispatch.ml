@@ -54,20 +54,9 @@ type 'k prog = {
    types: what the per-hook /proc and optimizer walks iterate over. *)
 type any_hook = Hook : ('e, 'a) Decider.hook * 'k prog -> any_hook
 
-(* A packet decision's raw arguments.  The table key and the compiled
-   program both read the packet's PFM context: whichever runs first
-   builds it, once per decision. *)
-type packet = {
-  pkt : Packet.t;
-  origin : Packet.origin;
-  mutable ctx : Pfm.ctx;  (* [no_ctx] until built *)
-}
-
-let no_ctx = { Pfm.ints = [||]; strs = [||] }
-
-let packet_ctx p =
-  if p.ctx == no_ctx then p.ctx <- Compile.packet_ctx p.pkt ~origin:p.origin;
-  p.ctx
+(* A packet decision's raw arguments, with its PFM context: the table
+   key and the compiled chain both read it. *)
+type packet = { pkt : Packet.t; origin : Packet.origin; ctx : Pfm.ctx }
 
 type t = {
   mutable engine : engine;
@@ -130,8 +119,8 @@ let run_nf c nf ctx =
 let create () =
   let dec = Decider.create ~trace:(Trace.create ()) in
   let progs = Array.init Request.count (fun _ -> fresh_prog ()) in
-  (* The request hooks share one engine ({!Request.eval}) and register
-     no table: the program is a clone of the store's, per hook. *)
+  (* The request hooks share one engine ({!Request.eval}): the program is
+     a clone of the store's, per hook. *)
   let request i =
     Decider.hook dec (Request.kind_of_index i)
       (Request.eval ~state:Fun.id ~run:(run_stored progs.(i)))
@@ -144,14 +133,12 @@ let create () =
   let nf_prog = fresh_prog () in
   let cache = Decision_cache.create () in
   let nf =
-    Decider.hook dec Decider.Nf_output
-      ~table:(cache, fun k _ p -> Decider.nf_key k (packet_ctx p))
-      (fun nf engine ~phase:_ p ->
+    Decider.hook dec Decider.Nf_output (fun nf engine ~phase:_ p ->
         match engine with
         | `Ref ->
             Compile.verdict_of_netfilter
               (Netfilter.walk nf Netfilter.Output p.pkt ~origin:p.origin)
-        | `Pfm -> run_nf nf_prog nf (packet_ctx p))
+        | `Pfm -> run_nf nf_prog nf p.ctx)
   in
   let ppp = request 3 in
   let reqs = [| mount; umount; bind; ppp |] in
@@ -308,15 +295,16 @@ let decide t ~phase st req =
   let v =
     Decider.decide t.dec t.reqs.(i) st
       ~gen:(Policy_state.generation st (Request.source_of_index i))
-      ~subject:(Request.subject req) ~phase:(Phase.index phase) ~engine:t.engine
-      req
+      ~phase:(Phase.index phase) ~engine:t.engine req
   in
   Decider.flip t.dec v = Pfm.Allow
 
+(* The packet hook's table key is its PFM context's ints. *)
 let decide_nf_output t nf pkt ~origin =
+  let ctx = Compile.packet_ctx pkt ~origin in
   let v =
-    Decider.decide t.dec t.nf nf ~gen:(Netfilter.generation nf) ~subject:0
-      ~phase:0 ~engine:t.engine { pkt; origin; ctx = no_ctx }
+    Decider.decide_cached t.dec t.nf t.cache ~key:ctx.Pfm.ints nf
+      ~gen:(Netfilter.generation nf) ~engine:t.engine { pkt; origin; ctx }
   in
   Compile.netfilter_of_verdict (Decider.flip t.dec v)
 

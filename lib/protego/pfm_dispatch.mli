@@ -9,8 +9,8 @@
     the differential-testing oracle.
 
     The four [Policy_state]-backed hooks decide a {!Request.t} with
-    their engine alone: they are registered with {!Request.eval} and no
-    table, as every decision-plane worker registers them, so the two
+    their engine alone: they are registered with {!Request.eval}, as
+    every decision-plane worker registers them, so the two
     paths share everything below the ladder but where the program comes
     from.  Here each hook keeps a counter-fresh
     {!Protego_filter.Pfm.clone} of the state's program-store entry for
@@ -22,7 +22,8 @@
     the write was accepted.
 
     The netfilter OUTPUT hook is the one with a {!Decision_cache} table
-    in front of its engine, because its compiled chain runs linearly in
+    in front of its engine ({!Decider.decide_cached}, keyed by the
+    packet context's ints), because its compiled chain runs linearly in
     the rule count.  Its memoized verdicts are stamped with
     {!Protego_net.Netfilter.generation}, which every chain mutator
     bumps, so an edit lazily invalidates them; decisions only read the
@@ -182,7 +183,7 @@ val opt_rejects : t -> int
 val decide :
   t -> phase:Protego_base.Phase.t -> Policy_state.t -> Request.t -> bool
 (** The mount, umount, bind and ppp ioctl hooks' one entry point: decide
-    [req] with the hook's engine ({!Decider.decide}; no table) and return
+    [req] with the hook's engine ({!Decider.decide}) and return
     the served verdict (record mode's flip applied).  [phase] is the
     caller's lifecycle phase ({!Protego_base.Phase.initial} without task
     context, verdict-neutral for unphased policies); it rides into the
@@ -194,7 +195,8 @@ val decide_nf_output :
   t -> Protego_net.Netfilter.t -> Protego_net.Packet.t ->
   origin:Protego_net.Packet.origin -> Protego_net.Netfilter.verdict
 (** Installed as the chain's output override at {!Lsm.install} time:
-    the table, then the engine. *)
+    the table, keyed by the packet's
+    {!Protego_filter.Pfm_compile.packet_ctx} ints, then the engine. *)
 
 (** {1 Load-time policy lint} *)
 

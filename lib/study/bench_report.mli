@@ -63,10 +63,6 @@ type t = {
 
 val to_json : t -> Json.t
 
-val of_json : Json.t -> (t, string) result
-(** Shape check only (schema version, required keys, field types);
-    {!validate} adds the semantic checks. *)
-
 val validate : t -> (unit, string list) result
 (** The structural assertions CI runs on a freshly generated report:
     at least one scenario; every metric finite and non-negative; every
@@ -82,4 +78,5 @@ val compare_baseline :
     baseline ratchets forward when it is regenerated, not here. *)
 
 val load_file : string -> (t, string) result
-(** Read + parse + {!of_json}. *)
+(** Read, parse and shape-check a report (schema version, required
+    keys, field types); {!validate} adds the semantic checks. *)

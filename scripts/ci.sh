@@ -7,9 +7,9 @@
 #            policy-state decision called outside Request.oracle in
 #            lib/) + the one-encoder grep (no request record written
 #            outside Request.append/sink in lib/) + the one-table grep
-#            (no Decider.hook but the packet hook's passes a table key
-#            in lib/) + strict policy lint (including the phased examples
-#            and the deliberate-loosening rejection check) + the
+#            (Decision_cache.find/add called only on the packet hook's
+#            path in lib/) + strict policy lint (including the phased
+#            examples and the deliberate-loosening rejection check) + the
 #            lsmbench smoke run (outcome oracle on all four workloads).
 #            This is the per-compiler signal job.
 #   --full   everything the fast tier skips: the bench regression gate,
@@ -86,19 +86,57 @@ fast_tier() {
 
     # One decision table: the packet hook's.  A request hook's compiled
     # program decides in a few instructions, about what a table lookup
-    # costs, so in lib/ only the nf_output Decider.hook call may pass a
-    # [~table] key (within three lines of the call).
+    # costs, so in lib/ Decision_cache.find and .add (under any module
+    # alias, and never through an open or include of the module) may be
+    # called only inside Decider.decide_cached, and that only inside
+    # Pfm_dispatch.decide_nf_output: the packet hook's path.  Comments
+    # and string literals are not calls.
     echo "==> one decision table (the packet hook's) in lib/"
-    copies=$(find lib -name '*.ml' | sort | xargs awk '
-        FNR == 1 { hook = ""; at = -10 }
-        /Decider\.hook/ { hook = $0; at = FNR }
-        /~table/ {
-            if (FNR - at > 3 || hook !~ /Nf_output/)
-                print FILENAME ":" FNR ": " $0
+    names=$( { echo Decision_cache; find lib -name '*.ml' -exec sed -n \
+            's/^ *module \([A-Z][A-Za-z0-9_]*\) *= *\([A-Za-z0-9_]*\.\)*Decision_cache *$/\1/p' \
+            {} + ; } | sort -u | paste -sd'|' -)
+    copies=$(find lib -name '*.ml' | sort | xargs awk -v names="$names" -v q="'" '
+        # The line without its comments, string literals and the
+        # character literals of a double quote ([q] is a single quote).
+        function code(line,   out, i, c) {
+            out = ""
+            instr = 0
+            for (i = 1; i <= length(line); i++) {
+                c = substr(line, i, 1)
+                if (depth == 0 && instr) {
+                    if (c == "\\") i++
+                    else if (c == "\"") instr = 0
+                } else if (depth == 0 && substr(line, i, 3) == q "\"" q) i += 2
+                else if (depth == 0 && substr(line, i, 4) == q "\\\"" q) i += 3
+                else if (depth == 0 && c == "\"") instr = 1
+                else if (substr(line, i, 2) == "(*") { depth++; i++ }
+                else if (depth > 0 && substr(line, i, 2) == "*)") { depth--; i++ }
+                else if (depth == 0) out = out c
+            }
+            return out
+        }
+        FNR == 1 { fn = ""; depth = 0 }
+        /^let / { fn = ($2 == "rec") ? $3 : $2 }
+        {
+            at = FILENAME ":" FNR ": " $0
+            line = code($0)
+        }
+        line ~ /(^|[^A-Za-z0-9_])(open|include)!? +([A-Za-z0-9_]+\.)*Decision_cache([^A-Za-z0-9_]|$)/ {
+            print at
+            next
+        }
+        line ~ "(^|[^A-Za-z0-9_])(" names ")\\.(find|add)([^A-Za-z0-9_]|$)" {
+            if (!(FILENAME == "lib/protego/decider.ml" && fn == "decide_cached"))
+                print at
+        }
+        line ~ /(^|[^A-Za-z0-9_])decide_cached([^A-Za-z0-9_]|$)/ {
+            if (FILENAME == "lib/protego/decider.ml" && /^let decide_cached /) next
+            if (!(FILENAME == "lib/protego/pfm_dispatch.ml" && fn == "decide_nf_output"))
+                print at
         }')
     if [ -n "$copies" ]; then
         echo "$copies"
-        echo "CI: a hook other than the packet hook registers a decision table" >&2
+        echo "CI: the decision table is used off the packet hook's path" >&2
         exit 1
     fi
 
@@ -151,17 +189,18 @@ fast_tier() {
     # syscall, Netstack.packet_work at every packet, and both spend their
     # time in Cost.chain, whose cost should not move with its offset mod
     # 64 (the former add loops' did).  Pfm.eval (with Pfm.step, its
-    # interpreter loop), Decider.decide, Decision_cache.find and .add
-    # (the packet hook's table), Plane.decide_with and the Lsm hook
-    # entries are the rest of the measured paths; their speed still
-    # moves with their offset, so a change that resizes code linked
-    # before them can move benchmarks that run none of it.  Each bench
+    # interpreter loop), Decider.decide (every request hook's decision),
+    # Decider.decide_cached with Decision_cache.find and .add (the packet
+    # hook's table, keyed by its context's ints), Plane.decide_with and
+    # the Lsm hook entries are the rest of the measured paths; their
+    # speed still moves with their offset, so a change that resizes code
+    # linked before them can move benchmarks that run none of it.  Each bench
     # log records every offset.
     # Informational only; never fails the job.
     echo "==> hot-symbol layout in lsmbench/suite.exe"
     for sym in kernel:Syscall.trap kernel:Netstack.packet_work kernel:Cost.chain \
             filter:Pfm.eval filter:Pfm.step core:Decider.decide \
-            core:Decision_cache.find core:Decision_cache.add \
+            core:Decider.decide_cached core:Decision_cache.find core:Decision_cache.add \
             plane:Plane.decide_with core:Lsm.sb_mount core:Lsm.sb_umount \
             core:Lsm.socket_bind core:Lsm.file_ioctl; do
         lib=${sym%%:*}

@@ -34,90 +34,78 @@ let starts_with haystack prefix =
 
 (* --- the table itself --------------------------------------------------- *)
 
-(* A string as key fields, one varint per byte: the table's keys are
-   written as ints.  A loop, not [String.iter]: the closure would
-   allocate. *)
-let put k s =
-  for i = 0 to String.length s - 1 do
-    DC.Key.int k (Char.code (String.unsafe_get s i))
-  done
+let width = Protego_filter.Pfm_compile.packet_ints
 
-let key s =
-  let k = DC.Key.create () in
-  put k s;
+(* A table key, a packet context's ints: [xs] in the first fields, the
+   rest zero. *)
+let key xs =
+  let k = Array.make width 0 in
+  List.iteri (fun i x -> k.(i) <- x) xs;
   k
 
 let test_lru_eviction () =
   let c = DC.create ~capacity:2 () in
-  let h = DC.register c "mount" in
   let gen = 0 in
-  DC.add c h ~subject:0 ~key:(key "a") ~gen ~verdict:Pfm.Allow;
-  DC.add c h ~subject:0 ~key:(key "b") ~gen ~verdict:Pfm.Allow;
+  DC.add c ~key:(key [ 1 ]) ~gen ~verdict:Pfm.Allow;
+  DC.add c ~key:(key [ 2 ]) ~gen ~verdict:Pfm.Allow;
   check_int "at capacity" 2 (DC.length c);
-  (* A hit refreshes recency: touching "a" makes "b" the LRU victim. *)
-  check "a hits" true (DC.find c h ~subject:0 ~key:(key "a") ~gen <> None);
-  DC.add c h ~subject:0 ~key:(key "c") ~gen ~verdict:Pfm.Deny;
+  (* A hit refreshes recency: touching 1 makes 2 the LRU victim. *)
+  check "1 hits" true (DC.find c ~key:(key [ 1 ]) ~gen <> None);
+  DC.add c ~key:(key [ 3 ]) ~gen ~verdict:Pfm.Deny;
   check_int "one capacity eviction" 1 (DC.capacity_evictions c);
   check_int "still at capacity" 2 (DC.length c);
-  check "b was the victim" true
-    (DC.find c h ~subject:0 ~key:(key "b") ~gen = None);
-  check "a survived" true (DC.find c h ~subject:0 ~key:(key "a") ~gen <> None);
-  check "c resident" true (DC.find c h ~subject:0 ~key:(key "c") ~gen <> None);
+  check "2 was the victim" true (DC.find c ~key:(key [ 2 ]) ~gen = None);
+  check "1 survived" true (DC.find c ~key:(key [ 1 ]) ~gen <> None);
+  check "3 resident" true (DC.find c ~key:(key [ 3 ]) ~gen <> None);
   (* Re-adding a resident key refreshes in place, no eviction. *)
-  DC.add c h ~subject:0 ~key:(key "a") ~gen ~verdict:Pfm.Deny;
+  DC.add c ~key:(key [ 1 ]) ~gen ~verdict:Pfm.Deny;
   check_int "refresh is not an insert" 1 (DC.capacity_evictions c);
   check_int "size unchanged" 2 (DC.length c)
 
 let test_negative_caching () =
   let c = DC.create () in
-  let h = DC.register c "bind" in
   let gen = 5 in
-  DC.add c h ~subject:8 ~key:(key "k") ~gen ~verdict:Pfm.Deny;
-  (match DC.find c h ~subject:8 ~key:(key "k") ~gen with
+  let owned uid = key [ 17; 0; 0; 0; 53; 0; 0; 1; uid ] in
+  DC.add c ~key:(owned 8) ~gen ~verdict:Pfm.Deny;
+  (match DC.find c ~key:(owned 8) ~gen with
   | Some Pfm.Deny -> ()
   | _ -> Alcotest.fail "negative result not cached");
-  DC.add c h ~subject:8 ~key:(key "ok") ~gen ~verdict:Pfm.Allow;
-  (match DC.find c h ~subject:8 ~key:(key "ok") ~gen with
+  DC.add c ~key:(key [ 6 ]) ~gen ~verdict:Pfm.Allow;
+  (match DC.find c ~key:(key [ 6 ]) ~gen with
   | Some Pfm.Allow -> ()
   | _ -> Alcotest.fail "positive result not cached");
-  (* Subjects are part of the key. *)
-  check "other subject misses" true
-    (DC.find c h ~subject:9 ~key:(key "k") ~gen = None)
+  (* The last field is part of the key too. *)
+  check "other owner misses" true (DC.find c ~key:(owned 9) ~gen = None)
 
 let test_generation_staleness () =
   let c = DC.create () in
-  let h = DC.register c "mount" in
-  DC.add c h ~subject:0 ~key:(key "k") ~gen:3 ~verdict:Pfm.Allow;
-  check "fresh generation hits" true
-    (DC.find c h ~subject:0 ~key:(key "k") ~gen:3 <> None);
+  let k = key [ 1 ] in
+  DC.add c ~key:k ~gen:3 ~verdict:Pfm.Allow;
+  check "fresh generation hits" true (DC.find c ~key:k ~gen:3 <> None);
   (* A bumped generation is a miss AND evicts the stale entry. *)
-  check "stale generation misses" true
-    (DC.find c h ~subject:0 ~key:(key "k") ~gen:4 = None);
+  check "stale generation misses" true (DC.find c ~key:k ~gen:4 = None);
   check_int "stale eviction counted" 1 (DC.stale_evictions c);
   check_int "stale lookup counts as a miss" 1 (DC.misses c);
   check_int "entry gone" 0 (DC.length c);
   (* The entry was dropped, so the next lookup is a plain miss. *)
-  check "second lookup plain miss" true
-    (DC.find c h ~subject:0 ~key:(key "k") ~gen:4 = None);
+  check "second lookup plain miss" true (DC.find c ~key:k ~gen:4 = None);
   check_int "no second stale eviction" 1 (DC.stale_evictions c);
   check_int "but a second miss" 2 (DC.misses c);
   (* The entry keeps the generation it was inserted with. *)
   let gen = ref 7 in
-  DC.add c h ~subject:0 ~key:(key "r") ~gen:!gen ~verdict:Pfm.Allow;
+  DC.add c ~key:(key [ 2 ]) ~gen:!gen ~verdict:Pfm.Allow;
   gen := 8;
   check "entry stamped with insertion-time gens" true
-    (DC.find c h ~subject:0 ~key:(key "r") ~gen:7 <> None)
+    (DC.find c ~key:(key [ 2 ]) ~gen:7 <> None)
 
 let test_enable_off_bypass () =
   let c = DC.create () in
-  let h = DC.register c "ppp_ioctl" in
   let gen = 0 in
-  DC.add c h ~subject:0 ~key:(key "k") ~gen ~verdict:Pfm.Allow;
-  ignore (DC.find c h ~subject:0 ~key:(key "k") ~gen);
+  DC.add c ~key:(key [ 1 ]) ~gen ~verdict:Pfm.Allow;
+  ignore (DC.find c ~key:(key [ 1 ]) ~gen);
   DC.set_enabled c false;
-  check "disabled lookups miss" true
-    (DC.find c h ~subject:0 ~key:(key "k") ~gen = None);
-  DC.add c h ~subject:0 ~key:(key "new") ~gen ~verdict:Pfm.Deny;
+  check "disabled lookups miss" true (DC.find c ~key:(key [ 1 ]) ~gen = None);
+  DC.add c ~key:(key [ 2 ]) ~gen ~verdict:Pfm.Deny;
   (* A pure bypass: no insert, no counter movement. *)
   check_int "no insert while disabled" 1 (DC.length c);
   check_int "hits untouched" 1 (DC.hits c);
@@ -126,23 +114,17 @@ let test_enable_off_bypass () =
   (* Entries cached before the bypass are still valid afterwards: their
      generation stamps, not the toggle, decide freshness. *)
   check "entry servable after re-enable" true
-    (DC.find c h ~subject:0 ~key:(key "k") ~gen <> None)
+    (DC.find c ~key:(key [ 1 ]) ~gen <> None)
 
-let test_register_and_reset () =
+let test_render_and_reset () =
   let c = DC.create ~capacity:4 () in
-  let hm = DC.register c "mount" in
-  let hm' = DC.register c "mount" in
-  check "registration is idempotent" true (hm == hm');
-  let hb = DC.register c "bind" in
-  check_int "dense ids" 1 hb.DC.hid;
-  DC.add c hm ~subject:0 ~key:(key "x") ~gen:0 ~verdict:Pfm.Allow;
-  ignore (DC.find c hm ~subject:0 ~key:(key "x") ~gen:0);
-  ignore (DC.find c hb ~subject:0 ~key:(key "y") ~gen:0);
+  DC.add c ~key:(key [ 1 ]) ~gen:0 ~verdict:Pfm.Allow;
+  ignore (DC.find c ~key:(key [ 1 ]) ~gen:0);
+  ignore (DC.find c ~key:(key [ 2 ]) ~gen:0);
   check_str "render"
     "cache on capacity 4 entries 1\n\
      hits 1 misses 1 stale 0 evicted 0\n\
-     hook mount hits 1 misses 0 stale 0\n\
-     hook bind hits 0 misses 1 stale 0\n"
+     hook nf_output hits 1 misses 1 stale 0\n"
     (DC.render c);
   (* clear drops entries but keeps counters; reset zeroes everything; both
      advance the epoch a decision span carries. *)
@@ -156,45 +138,38 @@ let test_register_and_reset () =
   check_str "reset zeroes the stats"
     "cache on capacity 4 entries 0\n\
      hits 0 misses 0 stale 0 evicted 0\n\
-     hook mount hits 0 misses 0 stale 0\n\
-     hook bind hits 0 misses 0 stale 0\n"
+     hook nf_output hits 0 misses 0 stale 0\n"
     (DC.render c);
   (match DC.handle_write c "bogus" with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "junk command accepted")
 
-(* An insert right after a miss reuses that lookup; a key rewritten or a
-   subject changed in between still lands under its own key. *)
+(* An insert after a miss lands under the key's ints as they are at the
+   insert, even if the caller rewrote them in between, and copies them:
+   rewriting the key afterwards leaves the entry where it is. *)
 let test_insert_after_miss () =
   let c = DC.create () in
-  let h = DC.register c "mount" in
   let gen = 0 in
-  let k = DC.Key.create () in
-  let set s =
-    DC.Key.reset k;
-    put k s
-  in
-  let find ?(subject = 0) s = DC.find c h ~subject ~key:(key s) ~gen in
-  set "a";
-  check "cold miss" true (DC.find c h ~subject:0 ~key:k ~gen = None);
-  DC.add c h ~subject:0 ~key:k ~gen ~verdict:Pfm.Allow;
-  check "inserted under its bytes" true (find "a" = Some Pfm.Allow);
-  set "b";
-  check "b misses" true (DC.find c h ~subject:0 ~key:k ~gen = None);
-  set "c";
-  DC.add c h ~subject:0 ~key:k ~gen ~verdict:Pfm.Deny;
-  check "rewritten key inserted as c" true (find "c" = Some Pfm.Deny);
-  check "b never inserted" true (find "b" = None);
-  set "d";
-  check "d misses for subject 0" true
-    (DC.find c h ~subject:0 ~key:k ~gen = None);
-  DC.add c h ~subject:1 ~key:k ~gen ~verdict:Pfm.Allow;
-  check "inserted for subject 1" true (find ~subject:1 "d" <> None);
-  check "not for subject 0" true (find "d" = None);
+  let k = key [ 1 ] in
+  let find xs = DC.find c ~key:(key xs) ~gen in
+  check "cold miss" true (DC.find c ~key:k ~gen = None);
+  DC.add c ~key:k ~gen ~verdict:Pfm.Allow;
+  check "inserted under its ints" true (find [ 1 ] = Some Pfm.Allow);
+  k.(0) <- 2;
+  check "2 misses" true (DC.find c ~key:k ~gen = None);
+  k.(0) <- 3;
+  DC.add c ~key:k ~gen ~verdict:Pfm.Deny;
+  check "rewritten key inserted as 3" true (find [ 3 ] = Some Pfm.Deny);
+  check "2 never inserted" true (find [ 2 ] = None);
+  k.(width - 1) <- 4;
+  check "the entry does not follow its key" true (find [ 3 ] = Some Pfm.Deny);
   (* The same key added twice is refreshed, not duplicated. *)
-  DC.add c h ~subject:1 ~key:k ~gen ~verdict:Pfm.Deny;
-  check "refreshed verdict" true (find ~subject:1 "d" = Some Pfm.Deny);
-  check_int "three entries" 3 (DC.length c)
+  DC.add c ~key:(key [ 3 ]) ~gen ~verdict:Pfm.Allow;
+  check "refreshed verdict" true (find [ 3 ] = Some Pfm.Allow);
+  check_int "two entries" 2 (DC.length c);
+  Alcotest.check_raises "a key of another width"
+    (Invalid_argument "Decision_cache: key of the wrong width") (fun () ->
+      ignore (DC.find c ~key:(Array.make (width - 1) 0) ~gen))
 
 (* Minor-heap words one call of [f] allocates, averaged over [n] calls. *)
 let words_per_call n f =
@@ -206,45 +181,35 @@ let words_per_call n f =
 
 let test_hit_allocates_nothing () =
   let c = DC.create () in
-  let h = DC.register c "mount" in
   let gen = 0 in
   List.iter
-    (fun len ->
-      let k = key (String.make len 'x') in
-      DC.add c h ~subject:0 ~key:k ~gen ~verdict:Pfm.Allow;
-      let w =
-        words_per_call 1000 (fun _ ->
-            ignore (DC.find c h ~subject:0 ~key:k ~gen))
-      in
-      check (Printf.sprintf "%d-byte key: %.3f words per hit" len w) true
+    (fun (name, k) ->
+      DC.add c ~key:k ~gen ~verdict:Pfm.Allow;
+      let w = words_per_call 1000 (fun _ -> ignore (DC.find c ~key:k ~gen)) in
+      check (Printf.sprintf "%s key: %.3f words per hit" name w) true
         (w < 0.01))
-    [ 8; 1000 ]
+    [ ("small", key [ 1 ]); ("extreme", Array.init width (fun i ->
+          if i land 1 = 0 then min_int else max_int)) ]
 
 (* Inserts into a full table, each with its capacity eviction, allocate
-   nothing once every slot's key buffer has held a key as long: half go
-   through a missed [find] (the insert reuses its hash), half straight
-   to [add]. *)
+   nothing: half go through a missed [find], half straight to [add]. *)
 let test_full_insert_allocates_nothing () =
   let cap = 64 in
   let c = DC.create ~capacity:cap () in
-  let h = DC.register c "mount" in
-  let k = DC.Key.create () in
-  let long = String.make 40 'x' and short = String.make 24 'y' in
-  let insert i s =
-    DC.Key.reset k;
-    DC.Key.int k i;
-    put k s;
-    if i land 1 = 1 || DC.find c h ~subject:0 ~key:k ~gen:0 = None then
-      DC.add c h ~subject:0 ~key:k ~gen:0 ~verdict:Pfm.Deny
+  let k = key [ 0; -1; max_int ] in
+  let insert i =
+    k.(0) <- i;
+    if i land 1 = 1 || DC.find c ~key:k ~gen:0 = None then
+      DC.add c ~key:k ~gen:0 ~verdict:Pfm.Deny
   in
   for i = 0 to (2 * cap) - 1 do
-    insert i long
+    insert i
   done;
   let n = 1000 in
   let evicted = DC.capacity_evictions c in
   let before = Gc.minor_words () in
   for i = 0 to n - 1 do
-    insert (1_000_000 + i) short
+    insert (1_000_000 + i)
   done;
   let words = Gc.minor_words () -. before in
   check_int "every insert evicted" n (DC.capacity_evictions c - evicted);
@@ -255,118 +220,102 @@ let test_full_insert_allocates_nothing () =
 (* --- the table against a model ------------------------------------------ *)
 
 (* A naive LRU the table must agree with: an association list, most recent
-   first, of (hook, subject, key) to (gen, verdict), and the counters. *)
+   first, of keys (as int lists) to (gen, verdict), and the counters. *)
 type model = {
   cap : int;
-  mutable entries : ((int * int * string) * (int * Pfm.verdict)) list;
+  mutable entries : (int list * (int * Pfm.verdict)) list;
   mutable hits : int;
   mutable misses : int;
   mutable stale : int;
   mutable evicted : int;
-  per_hook : (int * int * int) array;  (* hits, misses, stale *)
 }
 
-let model_count m hid ~hit ~stale =
-  let a, b, c = m.per_hook.(hid) in
-  if hit then begin
-    m.hits <- m.hits + 1;
-    m.per_hook.(hid) <- (a + 1, b, c)
-  end
-  else begin
-    m.misses <- m.misses + 1;
-    if stale then m.stale <- m.stale + 1;
-    m.per_hook.(hid) <- (a, b + 1, if stale then c + 1 else c)
-  end
-
-let model_find m hid subject key gen =
-  let k = (hid, subject, key) in
-  let rest = List.remove_assoc k m.entries in
-  match List.assoc_opt k m.entries with
+let model_find m key gen =
+  let rest = List.remove_assoc key m.entries in
+  match List.assoc_opt key m.entries with
   | Some (g, v) when g = gen ->
-      m.entries <- (k, (g, v)) :: rest;
-      model_count m hid ~hit:true ~stale:false;
+      m.entries <- (key, (g, v)) :: rest;
+      m.hits <- m.hits + 1;
       Some v
   | Some _ ->
       m.entries <- rest;
-      model_count m hid ~hit:false ~stale:true;
+      m.misses <- m.misses + 1;
+      m.stale <- m.stale + 1;
       None
   | None ->
-      model_count m hid ~hit:false ~stale:false;
+      m.misses <- m.misses + 1;
       None
 
-let model_add m hid subject key gen v =
-  let k = (hid, subject, key) in
-  let rest = List.remove_assoc k m.entries in
+let model_add m key gen v =
+  let rest = List.remove_assoc key m.entries in
   let rest =
-    if List.mem_assoc k m.entries || List.length rest < m.cap then rest
+    if List.mem_assoc key m.entries || List.length rest < m.cap then rest
     else begin
       m.evicted <- m.evicted + 1;
       List.filteri (fun i _ -> i < m.cap - 1) rest
     end
   in
-  m.entries <- (k, (gen, v)) :: rest
+  m.entries <- (key, (gen, v)) :: rest
 
-let model_render m names =
+let model_render m =
   Printf.sprintf "cache on capacity %d entries %d\n" m.cap
     (List.length m.entries)
   ^ Printf.sprintf "hits %d misses %d stale %d evicted %d\n" m.hits m.misses
       m.stale m.evicted
-  ^ String.concat ""
-      (List.mapi
-         (fun i name ->
-           let a, b, c = m.per_hook.(i) in
-           Printf.sprintf "hook %s hits %d misses %d stale %d\n" name a b c)
-         names)
+  ^ Printf.sprintf "hook nf_output hits %d misses %d stale %d\n" m.hits
+      m.misses m.stale
 
 (* Random runs of find, add, find-then-add, generation bumps, clear and
    reset.  Capacities 1, 2, 3, 16 and 17 meet the table's growth (its
    slots double up to capacity + 1, rebucketed each time) and eviction
-   at capacity; keys of 0 to 30 bytes, some prefixes of others, land in
-   slots whose reused buffers hold longer keys. *)
+   at capacity.  The keys differ from the zero key in the first, a
+   middle or the last field, by small and extreme values, and are
+   written into one scratch array, so the table never holds the
+   caller's. *)
 let test_model () =
-  let names = [ "mount"; "bind" ] in
   let keys =
-    List.concat_map
-      (fun ch -> List.map (fun n -> String.make n ch) [ 0; 1; 3; 7; 8; 9; 15; 16; 17; 30 ])
-      [ 'a'; 'b' ]
-    |> Array.of_list
+    Array.of_list
+      (key []
+      :: List.concat_map
+           (fun i ->
+             List.map
+               (fun v ->
+                 let k = key [] in
+                 k.(i) <- v;
+                 k)
+               [ 1; -1; min_int; max_int ])
+           [ 0; width / 2; width - 1 ]
+      @ [ Array.make width 1; Array.make width min_int ])
   in
   List.iter
     (fun cap ->
       for seed = 0 to 39 do
         let rand = Random.State.make [| 0xDC; cap; seed |] in
         let c = DC.create ~capacity:cap () in
-        let hooks = Array.of_list (List.map (DC.register c) names) in
         let m =
-          { cap; entries = []; hits = 0; misses = 0; stale = 0; evicted = 0;
-            per_hook = Array.make 2 (0, 0, 0) }
+          { cap; entries = []; hits = 0; misses = 0; stale = 0; evicted = 0 }
         in
-        let gens = [| 0; 0 |] in
-        let k = DC.Key.create () in
+        let gen = ref 0 in
+        let k = key [] in
         let verdicts = [| Pfm.Allow; Pfm.Deny; Pfm.Reject |] in
         for step = 1 to 300 do
           let where = Printf.sprintf "cap %d seed %d step %d" cap seed step in
-          let hid = Random.State.int rand 2 in
-          let subject = Random.State.int rand 3 in
-          let key = keys.(Random.State.int rand (Array.length keys)) in
+          let pick = keys.(Random.State.int rand (Array.length keys)) in
           let v = verdicts.(Random.State.int rand 3) in
-          let write () =
-            DC.Key.reset k;
-            put k key
-          in
+          let write () = Array.blit pick 0 k 0 width in
           let find () =
             write ();
-            let got = DC.find c hooks.(hid) ~subject ~key:k ~gen:gens.(hid) in
-            let want = model_find m hid subject key gens.(hid) in
+            let got = DC.find c ~key:k ~gen:!gen in
+            let want = model_find m (Array.to_list pick) !gen in
             check (where ^ ": find") true (got = want);
             got
           in
           let add () =
-            DC.add c hooks.(hid) ~subject ~key:k ~gen:gens.(hid) ~verdict:v;
-            model_add m hid subject key gens.(hid) v
+            DC.add c ~key:k ~gen:!gen ~verdict:v;
+            model_add m (Array.to_list pick) !gen v
           in
           (match Random.State.int rand 20 with
-          | 0 -> gens.(hid) <- gens.(hid) + 1
+          | 0 -> incr gen
           | 1 ->
               DC.clear c;
               m.entries <- []
@@ -376,8 +325,7 @@ let test_model () =
               m.hits <- 0;
               m.misses <- 0;
               m.stale <- 0;
-              m.evicted <- 0;
-              Array.fill m.per_hook 0 2 (0, 0, 0)
+              m.evicted <- 0
           | 3 | 4 | 5 | 6 | 7 | 8 ->
               write ();
               add ()
@@ -388,51 +336,10 @@ let test_model () =
           check_int (where ^ ": misses") m.misses (DC.misses c);
           check_int (where ^ ": stale") m.stale (DC.stale_evictions c);
           check_int (where ^ ": evicted") m.evicted (DC.capacity_evictions c);
-          List.iter2
-            (fun h (hits, misses, stale) ->
-              check_int (where ^ ": hook hits") hits h.DC.h_hits;
-              check_int (where ^ ": hook misses") misses h.DC.h_misses;
-              check_int (where ^ ": hook stale") stale h.DC.h_stale)
-            (DC.hook_stats c) (Array.to_list m.per_hook);
-          check_str (where ^ ": render") (model_render m names) (DC.render c)
+          check_str (where ^ ": render") (model_render m) (DC.render c)
         done
       done)
     [ 1; 2; 3; 16; 17 ]
-
-(* --- keys --------------------------------------------------------------- *)
-
-let encoded f =
-  let k = DC.Key.create () in
-  f k;
-  DC.Key.contents k
-
-let rec product = function
-  | [] -> [ [] ]
-  | xs :: rest ->
-      List.concat_map (fun x -> List.map (fun t -> x :: t) (product rest)) xs
-
-(* The packet key, the one table key, separates every tuple of its
-   integer fields, and is no longer than those fields joined with a
-   separator. *)
-let test_keys_injective_and_short () =
-  let module D = Protego_core.Decider in
-  let ints = [ 0; 1; 2; 63; 64; 1000; -1; 33434; min_int; max_int ] in
-  let keys =
-    List.map
-      (fun xs ->
-        let ctx = { Pfm.ints = Array.of_list xs; strs = [||] } in
-        ( encoded (fun k -> D.nf_key k ctx),
-          String.concat "\x1f" (List.map string_of_int xs) ))
-      (product [ ints; ints; [ 0; min_int ] ])
-  in
-  check_int "one key per tuple" (List.length keys)
-    (List.length (List.sort_uniq compare (List.map fst keys)));
-  List.iter
-    (fun (k, rendered) ->
-      if String.length k > String.length rendered then
-        Alcotest.failf "key of %d bytes, rendering of %d" (String.length k)
-          (String.length rendered))
-    keys
 
 (* --- the dispatcher ----------------------------------------------------- *)
 
@@ -490,6 +397,72 @@ let test_dispatch_cache_flow () =
   check_int "the stale entry evicted" 1 (DC.stale_evictions dc);
   check "cached drop" true (send disp nf 53 = NF.Drop);
   check_str "drop cached too" "cache" (PD.decision_engine_name disp)
+
+(* Pairs of sends whose packet contexts differ in one field only, in
+   context order (proto, src, dst, sport, dport, icmp, syn, origin,
+   owner uid), each with a match that holds for the first send and not
+   the second. *)
+let field_pairs =
+  let module Ip = Protego_net.Ipaddr in
+  let a = Ip.v 10 0 0 1 and b = Ip.v 10 0 0 2 in
+  let pkt ?(src = a) ?(dst = b) transport =
+    { Packet.src; dst; ttl = 64; transport }
+  in
+  let udp ?(sport = 4000) ?(dport = 53) () =
+    Packet.Udp_dgram { src_port = sport; dst_port = dport; payload = "q" }
+  in
+  let tcp ~syn = Packet.Tcp_seg { src_port = 4000; dst_port = 53; syn; payload = "" } in
+  let icmp t = Packet.Icmp_msg { icmp_type = t; code = 0; payload = "" } in
+  let raw uid = Packet.Raw_app { uid } in
+  let one ip = Ip.Cidr.make ip 32 in
+  let same o x y m = ((x, o), (y, o), m) in
+  [ same (raw 1000) (pkt (udp ())) (pkt (tcp ~syn:false)) (NF.Proto Packet.Udp);
+    same (raw 1000) (pkt (udp ())) (pkt ~src:b (udp ())) (NF.Src (one a));
+    same (raw 1000) (pkt (udp ())) (pkt ~dst:a (udp ())) (NF.Dst (one b));
+    same (raw 1000) (pkt (udp ())) (pkt (udp ~sport:4001 ()))
+      (NF.Src_port { lo = 4000; hi = 4000 });
+    same (raw 1000) (pkt (udp ())) (pkt (udp ~dport:54 ()))
+      (NF.Dst_port { lo = 53; hi = 53 });
+    same (raw 1000) (pkt (icmp Packet.Echo_request))
+      (pkt (icmp Packet.Echo_reply)) (NF.Icmp_type Packet.Echo_request);
+    same (raw 1000) (pkt (tcp ~syn:true)) (pkt (tcp ~syn:false)) NF.Tcp_syn;
+    ((pkt (udp ()), raw 1000), (pkt (udp ()), Packet.Packet_app { uid = 1000 }),
+     NF.Origin_raw);
+    ((pkt (udp ()), raw 1000), (pkt (udp ()), raw 1001), NF.Owner_uid 1000) ]
+
+(* The table key is the whole packet context: for each field, two sends
+   that differ in it alone never share an entry, so the second misses,
+   and every verdict is the reference walk's. *)
+let test_dispatch_each_field_keys () =
+  let module Compile = Protego_filter.Pfm_compile in
+  check_int "a pair per context field" width (List.length field_pairs);
+  List.iteri
+    (fun i (x, y, m) ->
+      let ints (p, origin) = (Compile.packet_ctx p ~origin).Pfm.ints in
+      let differing =
+        List.filter
+          (fun j -> (ints x).(j) <> (ints y).(j))
+          (List.init width Fun.id)
+      in
+      Alcotest.(check (list int)) (Printf.sprintf "pair %d differs in field %d only" i i)
+        [ i ] differing;
+      let nf = NF.create ~output_policy:NF.Drop () in
+      NF.append nf NF.Output { NF.matches = [ m ]; target = NF.Accept; comment = "" };
+      let disp = PD.create () in
+      let send what (p, origin) ~served =
+        let name = Printf.sprintf "field %d, %s" i what in
+        check (name ^ ": the walk's verdict") true
+          (PD.decide_nf_output disp nf p ~origin
+          = NF.walk nf NF.Output p ~origin);
+        check_str (name ^ ": served by") served (PD.decision_engine_name disp)
+      in
+      send "first" x ~served:"pfm";
+      send "second" y ~served:"pfm";
+      check_int (Printf.sprintf "field %d: two entries" i) 2
+        (DC.length (PD.cache disp));
+      send "first again" x ~served:"cache";
+      send "second again" y ~served:"cache")
+    field_pairs
 
 let test_dispatch_disable_bypasses () =
   let _, nf, disp = raw_dispatch () in
@@ -1083,8 +1056,7 @@ let suites =
         Alcotest.test_case "generation staleness" `Quick
           test_generation_staleness;
         Alcotest.test_case "enable off bypass" `Quick test_enable_off_bypass;
-        Alcotest.test_case "registration, render, reset" `Quick
-          test_register_and_reset;
+        Alcotest.test_case "render and reset" `Quick test_render_and_reset;
         Alcotest.test_case "insert after a miss" `Quick test_insert_after_miss;
         Alcotest.test_case "a hit allocates nothing" `Quick
           test_hit_allocates_nothing;
@@ -1092,8 +1064,8 @@ let suites =
           `Quick test_full_insert_allocates_nothing;
         Alcotest.test_case "agrees with a naive LRU model" `Quick test_model ]);
     ("cache:keys",
-      [ Alcotest.test_case "injective and no longer than a rendering" `Quick
-          test_keys_injective_and_short ]);
+      [ Alcotest.test_case "each packet field separates entries" `Quick
+          test_dispatch_each_field_keys ]);
     ("cache:dispatch",
       [ Alcotest.test_case "hit/miss flow" `Quick test_dispatch_cache_flow;
         Alcotest.test_case "request decisions never touch the table" `Quick
