@@ -420,34 +420,28 @@ let analyze ?(max_disjuncts = default_max_disjuncts) (p : Pfm.program) =
         else if reached > 0 && !only_f = reached then
           const_branches := (pc, false) :: !const_branches
     | Pfm.Iswitch { tbl; default } ->
-        let keys = Hashtbl.fold (fun k _ a -> ISet.add k a) tbl ISet.empty in
+        let keys = Pfm.table_fold (fun k _ a -> ISet.add k a) tbl ISet.empty in
+        let edge st d v =
+          if d >= 0 && v <> Ibot then propagate (pc + 1 + d) (with_ai st v)
+        in
         List.iter
           (fun st ->
-            Hashtbl.iter
-              (fun k d ->
-                if d >= 0 then
-                  let v = imeet st.ai (Iset (ISet.singleton k)) in
-                  if v <> Ibot then propagate (pc + 1 + d) (with_ai st v))
-              tbl;
-            if default >= 0 then begin
-              let v = imeet st.ai (Inot keys) in
-              if v <> Ibot then propagate (pc + 1 + default) (with_ai st v)
-            end)
+            Pfm.table_fold
+              (fun k d () -> edge st d (imeet st.ai (Iset (ISet.singleton k))))
+              tbl ();
+            edge st default (imeet st.ai (Inot keys)))
           disjuncts
     | Pfm.Sswitch { tbl; default } ->
-        let keys = Hashtbl.fold (fun k _ a -> SSet.add k a) tbl SSet.empty in
+        let keys = Pfm.table_fold (fun k _ a -> SSet.add k a) tbl SSet.empty in
+        let edge st d v =
+          if d >= 0 && v <> Sbot then propagate (pc + 1 + d) (with_asv st v)
+        in
         List.iter
           (fun st ->
-            Hashtbl.iter
-              (fun k d ->
-                if d >= 0 then
-                  let v = smeet st.asv (Sset (SSet.singleton k)) in
-                  if v <> Sbot then propagate (pc + 1 + d) (with_asv st v))
-              tbl;
-            if default >= 0 then begin
-              let v = smeet st.asv (Snot keys) in
-              if v <> Sbot then propagate (pc + 1 + default) (with_asv st v)
-            end)
+            Pfm.table_fold
+              (fun k d () -> edge st d (smeet st.asv (Sset (SSet.singleton k))))
+              tbl ();
+            edge st default (smeet st.asv (Snot keys)))
           disjuncts
     | Pfm.Ret _ -> ()
   done;

@@ -484,53 +484,6 @@ let materialize ni ns st =
     end
   end
 
-(* Debug dump of a constraint store, behind PFM_EQUIV_DEBUG. *)
-let debug_enabled =
-  match Sys.getenv_opt "PFM_EQUIV_DEBUG" with
-  | Some ("" | "0") | None -> false
-  | Some _ -> true
-
-let iv_str = function
-  | A.Ibot -> "bot"
-  | A.Iset s ->
-      "{" ^ String.concat "," (List.map string_of_int (A.ISet.elements s)) ^ "}"
-  | A.Irange (lo, hi) ->
-      Printf.sprintf "[%s;%s]"
-        (if lo = min_int then "min" else string_of_int lo)
-        (if hi = max_int then "max" else string_of_int hi)
-  | A.Inot s ->
-      "!{" ^ String.concat "," (List.map string_of_int (A.ISet.elements s)) ^ "}"
-
-let sv_str = function
-  | A.Sbot -> "bot"
-  | A.Sset s -> "{" ^ String.concat "," (A.SSet.elements s) ^ "}"
-  | A.Snot s -> "!{" ^ String.concat "," (A.SSet.elements s) ^ "}"
-
-let icon_str c =
-  Printf.sprintf "%s nr=[%s] m=(%x,%x) mneg=[%s]" (iv_str c.ib)
-    (String.concat ";"
-       (List.map (fun (a, b) -> Printf.sprintf "%d..%d" a b) c.nranges))
-    c.mmask c.mval
-    (String.concat ";"
-       (List.map (fun (m, v) -> Printf.sprintf "%x<>%x" m v) c.mneg))
-
-let scon_str c =
-  Printf.sprintf "%s pre=%S npre=[%s]" (sv_str c.sb) c.pre
-    (String.concat ";" (List.map (Printf.sprintf "%S") c.npre))
-
-let debug_state st =
-  Array.iteri (fun i c -> Printf.eprintf "    i%d: %s\n" i (icon_str c)) st.fi;
-  Array.iteri (fun i c -> Printf.eprintf "    s%d: %s\n" i (scon_str c)) st.fs;
-  Printf.eprintf "    a1i=%d a1s=%d a2i=%d a2s=%d eq+=%d eq-=%d\n%!" st.a1i
-    st.a1s st.a2i st.a2s (List.length st.eq_pos) (List.length st.eq_neg)
-
-(* Replay copies: fresh counters so proving never perturbs the live
-   profile of the programs under test. *)
-let quiet (p : Pfm.program) =
-  { p with
-    Pfm.counters = Array.make (Array.length p.Pfm.counters) 0;
-    retired = 0 }
-
 (* ------------------------------------------------------------------ *)
 (* The product engine                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -539,61 +492,29 @@ type side = Left | Right
 
 (* --- identical-suffix cut ------------------------------------------- *)
 
-(* Structural instruction equality; switch tables compare by bindings.
-   Offsets are relative and forward-only, so equal instruction suffixes
-   denote the same computation. *)
-let insn_equal i1 i2 =
-  let tbl_equal fold find t1 t2 =
-    Hashtbl.length t1 = Hashtbl.length t2
-    && fold (fun k d acc -> acc && find t2 k = Some d) t1 true
-  in
-  match i1, i2 with
-  | Pfm.Iswitch { tbl = t1; default = d1 }, Pfm.Iswitch { tbl = t2; default = d2 }
-    ->
-      d1 = d2 && tbl_equal Hashtbl.fold Hashtbl.find_opt t1 t2
-  | Pfm.Sswitch { tbl = t1; default = d1 }, Pfm.Sswitch { tbl = t2; default = d2 }
-    ->
-      d1 = d2 && tbl_equal Hashtbl.fold Hashtbl.find_opt t1 t2
-  | Pfm.Iswitch _, _ | Pfm.Sswitch _, _ -> false
-  | _ -> i1 = i2
-
 (* Per-pc accumulator live-in: does some path from [pc] read the int
    (resp. string) accumulator before reloading it?  Programs are
    forward-only, so one backward sweep suffices. *)
 let acc_live (prog : Pfm.program) =
   let n = Array.length prog.Pfm.insns in
   let li = Array.make n false and ls = Array.make n false in
-  let cond_uses = function
-    | Pfm.Str_eq _ | Pfm.Str_prefix _ -> (false, true)
-    | Pfm.Eq _ | Pfm.Ge _ | Pfm.Le _ | Pfm.In_range _ | Pfm.All_bits _
-    | Pfm.Masked_eq _ | Pfm.Eq_field _ -> (true, false)
-  in
   for pc = n - 1 downto 0 do
-    match prog.Pfm.insns.(pc) with
-    | Pfm.Ret _ -> ()
-    | Pfm.Ld_int _ ->
-        li.(pc) <- false;
-        ls.(pc) <- ls.(pc + 1)
-    | Pfm.Ld_str _ ->
-        ls.(pc) <- false;
-        li.(pc) <- li.(pc + 1)
-    | Pfm.Jmp d ->
-        li.(pc) <- li.(pc + 1 + d);
-        ls.(pc) <- ls.(pc + 1 + d)
-    | Pfm.Jif (cond, jt, jf) ->
-        let ui, us = cond_uses cond in
-        li.(pc) <- ui || li.(pc + 1 + jt) || li.(pc + 1 + jf);
-        ls.(pc) <- us || ls.(pc + 1 + jt) || ls.(pc + 1 + jf)
-    | Pfm.Iswitch { tbl; default } ->
-        li.(pc) <- true;
-        ls.(pc) <-
-          Hashtbl.fold (fun _ d acc -> acc || ls.(pc + 1 + d)) tbl
-            ls.(pc + 1 + default)
-    | Pfm.Sswitch { tbl; default } ->
-        ls.(pc) <- true;
-        li.(pc) <-
-          Hashtbl.fold (fun _ d acc -> acc || li.(pc + 1 + d)) tbl
-            li.(pc + 1 + default)
+    let insn = prog.Pfm.insns.(pc) in
+    (* live here: read here, or read by a successor and not overwritten *)
+    let next live =
+      Pfm.fold_offsets (fun acc d -> acc || live.(pc + 1 + d)) false insn
+    in
+    let ui, us =
+      match insn with
+      | Pfm.Jif (c, _, _) -> (Pfm.cond_is_int c, not (Pfm.cond_is_int c))
+      | Pfm.Iswitch _ -> (true, false)
+      | Pfm.Sswitch _ -> (false, true)
+      | Pfm.Ld_int _ | Pfm.Ld_str _ | Pfm.Jmp _ | Pfm.Ret _ -> (false, false)
+    in
+    li.(pc) <-
+      ui || ((match insn with Pfm.Ld_int _ -> false | _ -> true) && next li);
+    ls.(pc) <-
+      us || ((match insn with Pfm.Ld_str _ -> false | _ -> true) && next ls)
   done;
   (li, ls)
 
@@ -639,8 +560,12 @@ let prove ?(max_disjuncts = 256) ?(max_nodes = 500_000) p q =
               (* break the cycle pessimistically; forward-only programs
                  cannot actually revisit (pc1, pc2) *)
               Hashtbl.add suffix_memo (pc1, pc2) false;
+              (* Offsets are relative and forward-only, so equal
+                 instruction suffixes denote the same computation; a
+                 switch table is a function of its bindings, so
+                 instructions compare structurally. *)
               let r =
-                insn_equal p.Pfm.insns.(pc1) q.Pfm.insns.(pc2)
+                p.Pfm.insns.(pc1) = q.Pfm.insns.(pc2)
                 && (pc1 + 1 >= len1 || suffix_eq (pc1 + 1) (pc2 + 1))
               in
               Hashtbl.replace suffix_memo (pc1, pc2) r;
@@ -669,8 +594,6 @@ let prove ?(max_disjuncts = 256) ?(max_nodes = 500_000) p q =
                 r
           in
           if List.length !cell >= max_disjuncts then begin
-            if debug_enabled then
-              Printf.eprintf "  OVERFLOW join at (%d,%d)\n%!" pc1 pc2;
             match !cell with
             | last :: rest -> cell := pstate_join last st :: rest
             | [] -> cell := [ st ]
@@ -707,6 +630,15 @@ let prove ?(max_disjuncts = 256) ?(max_nodes = 500_000) p q =
             | Left -> ((pc', other_pc), st)
             | Right -> ((other_pc, pc'), st)
           in
+          (* the cases a switch's key can take, each edge refined *)
+          let switch_cases cond tbl =
+            Pfm.table_fold
+              (fun k d acc ->
+                match refine_cond st ~ai ~asf (cond k) true with
+                | None -> acc
+                | Some st' -> mk (pc + 1 + d) st' :: acc)
+              tbl []
+          in
           match prog.Pfm.insns.(pc) with
           | Pfm.Ld_int f -> [ mk (pc + 1) (with_ai st f) ]
           | Pfm.Ld_str f -> [ mk (pc + 1) (with_as st f) ]
@@ -721,16 +653,9 @@ let prove ?(max_disjuncts = 256) ?(max_nodes = 500_000) p q =
               branch true jt (branch false jf [])
           | Pfm.Iswitch { tbl; default } ->
               let keys =
-                Hashtbl.fold (fun k _ acc -> A.ISet.add k acc) tbl A.ISet.empty
+                Pfm.table_fold (fun k _ acc -> A.ISet.add k acc) tbl A.ISet.empty
               in
-              let cases =
-                Hashtbl.fold
-                  (fun k d acc ->
-                    match refine_cond st ~ai ~asf (Pfm.Eq k) true with
-                    | None -> acc
-                    | Some st' -> mk (pc + 1 + d) st' :: acc)
-                  tbl []
-              in
+              let cases = switch_cases (fun k -> Pfm.Eq k) tbl in
               let def =
                 if ai < 0 then Some (mk (pc + 1 + default) st)
                 else
@@ -752,16 +677,9 @@ let prove ?(max_disjuncts = 256) ?(max_nodes = 500_000) p q =
               (match def with None -> cases | Some d -> d :: cases)
           | Pfm.Sswitch { tbl; default } ->
               let keys =
-                Hashtbl.fold (fun k _ acc -> A.SSet.add k acc) tbl A.SSet.empty
+                Pfm.table_fold (fun k _ acc -> A.SSet.add k acc) tbl A.SSet.empty
               in
-              let cases =
-                Hashtbl.fold
-                  (fun k d acc ->
-                    match refine_cond st ~ai ~asf (Pfm.Str_eq k) true with
-                    | None -> acc
-                    | Some st' -> mk (pc + 1 + d) st' :: acc)
-                  tbl []
-              in
+              let cases = switch_cases (fun k -> Pfm.Str_eq k) tbl in
               let def =
                 if asf < 0 then Some (mk (pc + 1 + default) st)
                 else
@@ -797,21 +715,10 @@ let prove ?(max_disjuncts = 256) ?(max_nodes = 500_000) p q =
               else if converged_cut pc1 pc2 st then ()
               else begin
                 incr processed;
-                if debug_enabled then begin
-                  Printf.eprintf "node (%d,%d):\n" pc1 pc2;
-                  debug_state st
-                end;
                 let i1 = p.Pfm.insns.(pc1) and i2 = q.Pfm.insns.(pc2) in
                 match i1, i2 with
                 | Pfm.Ret v1, Pfm.Ret v2 ->
-                    if v1 <> v2 then begin
-                      if debug_enabled then begin
-                        Printf.eprintf "  divergent leaf (%d,%d): %s vs %s\n"
-                          pc1 pc2 (verdict_name v1) (verdict_name v2);
-                        debug_state st
-                      end;
-                      divergent := (v1, v2, st) :: !divergent
-                    end
+                    if v1 <> v2 then divergent := (v1, v2, st) :: !divergent
                 | Pfm.Ret _, _ ->
                     List.iter (fun (k, s) -> push k s)
                       (step_side Right q pc2 pc1 st)
@@ -856,7 +763,8 @@ let prove ?(max_disjuncts = 256) ?(max_nodes = 500_000) p q =
           match List.rev !divergent with
           | [] -> Equal
           | divs ->
-              let pq = quiet p and qq = quiet q in
+              (* fresh counters: proving never perturbs the live profile *)
+              let pq = Pfm.clone p and qq = Pfm.clone q in
               let replays = ref 0 in
               let rec try_divs = function
                 | [] ->

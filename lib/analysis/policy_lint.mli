@@ -60,8 +60,6 @@ module Netfilter = Protego_net.Netfilter
 
 type severity = Info | Warning | Error
 
-val severity_to_string : severity -> string
-
 type finding = {
   code : string;
   severity : severity;

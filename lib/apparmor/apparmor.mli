@@ -15,4 +15,3 @@ val install : Protego_kernel.Ktypes.machine -> t
 val load_profile : t -> Profile.t -> unit
 val unload_profile : t -> string -> unit
 val profiles : t -> Profile.t list
-val find_profile : t -> string -> Profile.t option

@@ -56,6 +56,5 @@ val charlie_uid : int
 val exim_uid : int
 val wwwdata_uid : int
 val mail_gid : int
-val dialout_gid : int
 val lp_gid : int
 val staff_gid : int

@@ -11,13 +11,112 @@ type cond =
   | Str_eq of string
   | Str_prefix of string
 
+(* --- switch tables ------------------------------------------------------ *)
+
+(* An immutable open-addressing table from keys to jump offsets.  The
+   entries sit in [keys]/[dests] in key order, which is the iteration
+   order; [slots] (a power of two, at most half full, so every probe
+   ends at a free slot) holds each entry's index at its key's home slot
+   [hash k land mask] or the first free slot after it, and -1 where
+   free.  Nothing mutates a table after [build]: clones and plane
+   domains share it as is. *)
+type 'k table = {
+  keys : 'k array;
+  dests : int array;
+  slots : int array;
+  mask : int;
+}
+
+let[@inline] hash_int h =
+  let h = (h lxor (h lsr 32)) * 0x2545F4914F6CDD1D in
+  h lxor (h lsr 29)
+
+external get64 : string -> int -> int64 = "%caml_string_get64"
+
+(* A word at a time, the last word overlapping the one before it (byte
+   by byte under 8 bytes); no allocation, the loads stay unboxed. *)
+let hash_str s =
+  let n = String.length s in
+  let h = ref n and i = ref 0 in
+  if n < 8 then
+    for j = 0 to n - 1 do h := (!h lsl 8) lor Char.code s.[j] done
+  else begin
+    while !i + 8 < n do
+      h := hash_int (!h lxor Int64.to_int (get64 s !i));
+      i := !i + 8
+    done;
+    h := !h lxor Int64.to_int (get64 s (n - 8))
+  end;
+  hash_int !h
+
+(* One sort of the case list; a key bound twice keeps its last binding. *)
+let build ~dummy ~compare ~hash cases =
+  let entries =
+    List.fold_left
+      (fun acc ((k, _) as c) ->
+        match acc with
+        | (k', _) :: rest when compare k k' = 0 -> c :: rest
+        | _ -> c :: acc)
+      []
+      (List.stable_sort (fun (a, _) (b, _) -> compare a b) cases)
+    |> List.rev
+  in
+  let n = List.length entries in
+  let cap = ref 1 in
+  while !cap < 2 * n do cap := 2 * !cap done;
+  let mask = !cap - 1 in
+  let keys = Array.make n dummy and dests = Array.make n 0 in
+  let slots = Array.make !cap (-1) in
+  List.iteri
+    (fun e (k, d) ->
+      keys.(e) <- k;
+      dests.(e) <- d;
+      let i = ref (hash k land mask) in
+      while slots.(!i) >= 0 do i := (!i + 1) land mask done;
+      slots.(!i) <- e)
+    entries;
+  { keys; dests; slots; mask }
+
+(* The lookups: loops over the table's own arrays, whose invariants
+   ([slots] entries index [keys]/[dests]; a slot index is masked) are
+   the only bounds the unchecked reads rely on. *)
+let find_int (t : int table) k default =
+  let slots = t.slots and keys = t.keys and mask = t.mask in
+  let i = ref (hash_int k land mask) in
+  let e = ref (Array.unsafe_get slots !i) in
+  while !e >= 0 && Array.unsafe_get keys !e <> k do
+    i := (!i + 1) land mask;
+    e := Array.unsafe_get slots !i
+  done;
+  if !e < 0 then default else Array.unsafe_get t.dests !e
+
+let find_str (t : string table) k default =
+  let slots = t.slots and keys = t.keys and mask = t.mask in
+  let i = ref (hash_str k land mask) in
+  let e = ref (Array.unsafe_get slots !i) in
+  while !e >= 0 && not (String.equal (Array.unsafe_get keys !e) k) do
+    i := (!i + 1) land mask;
+    e := Array.unsafe_get slots !i
+  done;
+  if !e < 0 then default else Array.unsafe_get t.dests !e
+
+let table_fold f t acc =
+  let r = ref acc in
+  for e = 0 to Array.length t.keys - 1 do
+    r := f t.keys.(e) t.dests.(e) !r
+  done;
+  !r
+
+let int_table = build ~dummy:0 ~compare:Int.compare ~hash:hash_int
+let string_table = build ~dummy:"" ~compare:String.compare ~hash:hash_str
+
 type insn =
   | Ld_int of int
   | Ld_str of int
   | Jmp of int
   | Jif of cond * int * int
-  | Iswitch of { tbl : (int, int) Hashtbl.t; default : int }
-  | Sswitch of { tbl : (string, int) Hashtbl.t; default : int }
+  | Iswitch of { tbl : int table; default : int }
+  | Sswitch of { tbl : string table; default : int }
   | Ret of verdict
 
 type ctx = { ints : int array; strs : string array }
@@ -69,30 +168,12 @@ let cond_is_int = function
       true
   | Str_eq _ | Str_prefix _ -> false
 
-(* Successor program counters of the instruction at [pc] (all relative
-   offsets already added; Ret has none). *)
-let successors pc insn =
-  match insn with
-  | Ld_int _ | Ld_str _ -> [ pc + 1 ]
-  | Jmp d -> [ pc + 1 + d ]
-  | Jif (_, jt, jf) -> [ pc + 1 + jt; pc + 1 + jf ]
-  | Iswitch { tbl; default } ->
-      (pc + 1 + default)
-      :: Hashtbl.fold (fun _ d acc -> (pc + 1 + d) :: acc) tbl []
-  | Sswitch { tbl; default } ->
-      (pc + 1 + default)
-      :: Hashtbl.fold (fun _ d acc -> (pc + 1 + d) :: acc) tbl []
-  | Ret _ -> []
-
-(* Fold [f] over the instruction's relative control offsets, a load's
-   fall-through counting as offset 0 ([Ret] has none).  The verifier
-   walks edges with it rather than building [successors] lists. *)
 let fold_offsets f acc = function
   | Ld_int _ | Ld_str _ -> f acc 0
   | Jmp d -> f acc d
   | Jif (_, jt, jf) -> f (f acc jt) jf
-  | Iswitch { tbl; default } -> Hashtbl.fold (fun _ d acc -> f acc d) tbl (f acc default)
-  | Sswitch { tbl; default } -> Hashtbl.fold (fun _ d acc -> f acc d) tbl (f acc default)
+  | Iswitch { tbl; default } -> Array.fold_left f (f acc default) tbl.dests
+  | Sswitch { tbl; default } -> Array.fold_left f (f acc default) tbl.dests
   | Ret _ -> acc
 
 (* The verifier runs two passes and collects *every* error it finds (the
@@ -182,10 +263,7 @@ let verify_all p =
   end
 
 let verify p =
-  match verify_all p with
-  | Ok () -> Ok ()
-  | Error [] -> Ok ()
-  | Error (e :: _) -> Error e
+  match verify_all p with Error (e :: _) -> Error e | Ok () | Error [] -> Ok ()
 
 (* --- evaluation -------------------------------------------------------- *)
 
@@ -211,30 +289,62 @@ let eval_cond c acc_i acc_s (ctx : ctx) =
   | Str_prefix prefix -> has_prefix ~prefix acc_s
 
 (* The interpreter loop, top-level so that an evaluation allocates no
-   closure for it.  A switch looks its key up with [Hashtbl.find], not
-   [find_opt], whose [Some] would be an evaluation's one allocation. *)
+   closure for it.  A load runs the test after it in the same dispatch
+   ([fused]), and a jump runs its target ([goto]): a [Ret] returns
+   there.  Each instruction run still bumps its own counter and counts
+   one step, so counters and [retired] read as if every instruction had
+   been dispatched alone. *)
 let rec step p (ctx : ctx) counters insns pc acc_i acc_s steps =
-  counters.(pc) <- counters.(pc) + 1;
   match insns.(pc) with
-  | Ld_int f -> step p ctx counters insns (pc + 1) ctx.ints.(f) acc_s (steps + 1)
-  | Ld_str f -> step p ctx counters insns (pc + 1) acc_i ctx.strs.(f) (steps + 1)
-  | Jmp d -> step p ctx counters insns (pc + 1 + d) acc_i acc_s (steps + 1)
-  | Jif (c, jt, jf) ->
-      let d = if eval_cond c acc_i acc_s ctx then jt else jf in
-      step p ctx counters insns (pc + 1 + d) acc_i acc_s (steps + 1)
-  | Iswitch { tbl; default } ->
-      let d =
-        match Hashtbl.find tbl acc_i with d -> d | exception Not_found -> default
-      in
-      step p ctx counters insns (pc + 1 + d) acc_i acc_s (steps + 1)
-  | Sswitch { tbl; default } ->
-      let d =
-        match Hashtbl.find tbl acc_s with d -> d | exception Not_found -> default
-      in
-      step p ctx counters insns (pc + 1 + d) acc_i acc_s (steps + 1)
+  | Ld_int f ->
+      counters.(pc) <- counters.(pc) + 1;
+      fused p ctx counters insns (pc + 1) ctx.ints.(f) acc_s (steps + 1)
+  | Ld_str f ->
+      counters.(pc) <- counters.(pc) + 1;
+      fused p ctx counters insns (pc + 1) acc_i ctx.strs.(f) (steps + 1)
+  | Jmp d ->
+      counters.(pc) <- counters.(pc) + 1;
+      goto p ctx counters insns (pc + 1 + d) acc_i acc_s (steps + 1)
   | Ret v ->
+      counters.(pc) <- counters.(pc) + 1;
       p.retired <- p.retired + steps + 1;
       v
+  | Jif _ | Iswitch _ | Sswitch _ ->
+      fused p ctx counters insns pc acc_i acc_s steps
+
+(* A test runs here; anything else takes its own dispatch. *)
+and fused p ctx counters insns pc acc_i acc_s steps =
+  match insns.(pc) with
+  | Jif (c, jt, jf) ->
+      counters.(pc) <- counters.(pc) + 1;
+      let d = if eval_cond c acc_i acc_s ctx then jt else jf in
+      goto p ctx counters insns (pc + 1 + d) acc_i acc_s (steps + 1)
+  | Iswitch { tbl; default } ->
+      counters.(pc) <- counters.(pc) + 1;
+      goto p ctx counters insns (pc + 1 + find_int tbl acc_i default) acc_i
+        acc_s (steps + 1)
+  | Sswitch { tbl; default } ->
+      counters.(pc) <- counters.(pc) + 1;
+      goto p ctx counters insns (pc + 1 + find_str tbl acc_s default) acc_i
+        acc_s (steps + 1)
+  | Ld_int _ | Ld_str _ | Jmp _ | Ret _ ->
+      step p ctx counters insns pc acc_i acc_s steps
+
+(* A jump's target: a [Ret] returns and a load runs here. *)
+and goto p ctx counters insns pc acc_i acc_s steps =
+  match insns.(pc) with
+  | Ret v ->
+      counters.(pc) <- counters.(pc) + 1;
+      p.retired <- p.retired + steps + 1;
+      v
+  | Ld_int f ->
+      counters.(pc) <- counters.(pc) + 1;
+      fused p ctx counters insns (pc + 1) ctx.ints.(f) acc_s (steps + 1)
+  | Ld_str f ->
+      counters.(pc) <- counters.(pc) + 1;
+      fused p ctx counters insns (pc + 1) acc_i ctx.strs.(f) (steps + 1)
+  | Jmp _ | Jif _ | Iswitch _ | Sswitch _ ->
+      step p ctx counters insns pc acc_i acc_s steps
 
 let eval p ctx =
   if
@@ -274,7 +384,7 @@ let cond_to_string = function
 
 let switch_entries_to_string to_s tbl default =
   let entries =
-    Hashtbl.fold (fun k d acc -> (to_s k, d) :: acc) tbl []
+    table_fold (fun k d acc -> (to_s k, d) :: acc) tbl []
     |> List.sort compare
     |> List.map (fun (k, d) -> Printf.sprintf "%s=>+%d" k d)
   in
@@ -291,8 +401,6 @@ let insn_to_string = function
       "sswitch "
       ^ switch_entries_to_string (fun s -> Printf.sprintf "%S" s) tbl default
   | Ret v -> "ret " ^ verdict_to_string v
-
-let pp_insn ppf i = Format.pp_print_string ppf (insn_to_string i)
 
 let disassemble p =
   let b = Buffer.create 256 in
@@ -367,11 +475,7 @@ module Asm = struct
       if l < Array.length t.addr && t.addr.(l) >= 0 then t.addr.(l) - (pc + 1)
       else invalid_arg (Printf.sprintf "Pfm.Asm.assemble: unplaced label %d" l)
     in
-    let switch pc cases =
-      let tbl = Hashtbl.create (List.length cases * 2) in
-      List.iter (fun (k, l) -> Hashtbl.replace tbl k (resolve pc l)) cases;
-      tbl
-    in
+    let cases pc = List.map (fun (k, l) -> (k, resolve pc l)) in
     let n = t.n in
     let insns = Array.make n (Ret Deny) in
     (* The items are newest first: fill the program from its end. *)
@@ -383,10 +487,12 @@ module Asm = struct
           | A_insn insn -> insn
           | A_jmp l -> Jmp (resolve pc l)
           | A_jif (c, jt, jf) -> Jif (c, resolve pc jt, resolve pc jf)
-          | A_iswitch (cases, default) ->
-              Iswitch { tbl = switch pc cases; default = resolve pc default }
-          | A_sswitch (cases, default) ->
-              Sswitch { tbl = switch pc cases; default = resolve pc default }))
+          | A_iswitch (cs, default) ->
+              Iswitch
+                { tbl = int_table (cases pc cs); default = resolve pc default }
+          | A_sswitch (cs, default) ->
+              Sswitch
+                { tbl = string_table (cases pc cs); default = resolve pc default }))
       t.items;
     { pname = name; n_int_fields; n_str_fields; insns;
       counters = Array.make n 0; retired = 0 }

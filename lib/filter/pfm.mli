@@ -16,9 +16,15 @@
     program (a path without a verdict), conditionals that read an
     accumulator before any load wrote it, and unreachable instructions.
 
+    A switch looks its key up in a typed, immutable {!table}.  The
+    interpreter runs a load and the test after it in one dispatch, and a
+    jump's target at the jump (a [Ret] returns there).
+
     Every instruction slot carries an execution counter
     (observability for /proc/protego/filter_stats and for the
-    differential-rollout audit trail). *)
+    differential-rollout audit trail); a fused dispatch bumps each
+    counter it passes and counts each instruction toward [retired], as
+    if every instruction had been dispatched alone. *)
 
 (** {1 Values and programs} *)
 
@@ -40,6 +46,24 @@ type cond =
   | Str_eq of string                       (** acc = imm *)
   | Str_prefix of string                   (** imm is a prefix of acc *)
 
+(** A switch's table: an immutable map from keys to jump offsets, built
+    once from the case list by {!int_table} or {!string_table} (a key
+    bound twice keeps its last binding; equal bindings give structurally
+    equal tables).  [find_int t k default] ({!find_str}) is [k]'s offset,
+    or [default], and allocates nothing; {!table_fold} visits the
+    bindings in increasing key order.  A key's home slot is
+    [hash_int k land (c - 1)] ({!hash_str}), [c] the table's power-of-two
+    capacity. *)
+type 'k table
+
+val int_table : (int * int) list -> int table
+val string_table : (string * int) list -> string table
+val find_int : int table -> int -> int -> int
+val find_str : string table -> string -> int -> int
+val table_fold : ('k -> int -> 'a -> 'a) -> 'k table -> 'a -> 'a
+val hash_int : int -> int
+val hash_str : string -> int
+
 (** Jump offsets are relative to the {e next} instruction and must be
     [>= 0]: a verified program can only move forward. *)
 type insn =
@@ -47,10 +71,10 @@ type insn =
   | Ld_str of int                          (** string accumulator <- strs.(i) *)
   | Jmp of int
   | Jif of cond * int * int                (** (cond, jump-if-true, jump-if-false) *)
-  | Iswitch of { tbl : (int, int) Hashtbl.t; default : int }
-      (** hashed dispatch on the int accumulator; offsets like [Jmp] *)
-  | Sswitch of { tbl : (string, int) Hashtbl.t; default : int }
-      (** hashed dispatch on the string accumulator *)
+  | Iswitch of { tbl : int table; default : int }
+      (** table dispatch on the int accumulator; offsets like [Jmp] *)
+  | Sswitch of { tbl : string table; default : int }
+      (** table dispatch on the string accumulator *)
   | Ret of verdict
 
 (** The subject of one evaluation: the hook marshals the syscall arguments
@@ -99,9 +123,11 @@ val verify_all : program -> (unit, verify_error list) result
 
 val verify_error_to_string : verify_error -> string
 
-val successors : int -> insn -> int list
-(** [successors pc insn]: the program counters control can reach next
-    from [insn] at [pc], jump offsets resolved ([Ret] has none). *)
+val cond_is_int : cond -> bool
+
+val fold_offsets : ('a -> int -> 'a) -> 'a -> insn -> 'a
+(** Fold over the instruction's relative control offsets, a load's
+    fall-through counting as offset 0 ([Ret] has none). *)
 
 (** {1 Evaluation} *)
 
@@ -117,14 +143,14 @@ val reset_counters : program -> unit
 
 val clone : program -> program
 (** A copy with fresh, zeroed execution counters ([counters], [retired])
-    that shares the instruction array and dispatch tables (read-only
-    under {!eval}).  How one program is run by several evaluators — a
+    that shares the instruction array and the switch tables: nothing
+    writes either after assembly, and a table is immutable by
+    construction.  How one program is run by several evaluators — a
     dispatcher, each plane worker — without any of them writing to
     another's counters or to the shared original. *)
 
 (** {1 Disassembly} *)
 
-val pp_insn : Format.formatter -> insn -> unit
 val disassemble : program -> string
 (** One instruction per line, with execution counts. *)
 

@@ -495,37 +495,43 @@ let netfilter_notes ~rules ~policy =
 
 let netfilter ~rules ~policy = fst (netfilter_notes ~rules ~policy)
 
-let packet_ctx (pkt : Packet.t) ~origin =
-  let proto =
-    match pkt.transport with
-    | Packet.Icmp_msg _ -> 1
-    | Packet.Tcp_seg _ -> 6
-    | Packet.Udp_dgram _ -> 17
-    | Packet.Raw_payload { protocol; _ } -> 0x10000 lor protocol
-  in
-  let opt_port = function Some p -> p | None -> min_int in
-  let icmp =
-    match pkt.transport with
-    | Packet.Icmp_msg { icmp_type; _ } -> Packet.icmp_type_code icmp_type
-    | Packet.Tcp_seg _ | Packet.Udp_dgram _ | Packet.Raw_payload _ -> min_int
-  in
-  let syn =
-    match pkt.transport with
-    | Packet.Tcp_seg { syn = true; payload = ""; _ } -> 1
-    | Packet.Tcp_seg _ | Packet.Icmp_msg _ | Packet.Udp_dgram _
-    | Packet.Raw_payload _ -> 0
-  in
+let set_transport ints proto sport dport icmp syn =
+  ints.(f_proto) <- proto;
+  ints.(f_sport) <- sport;
+  ints.(f_dport) <- dport;
+  ints.(f_icmp) <- icmp;
+  ints.(f_syn) <- syn
+
+(* Refills a packet context in place, allocating nothing: the ports
+   come from the transport directly, not through [Packet.src_port]'s
+   option. *)
+let packet_into (c : Pfm.ctx) (pkt : Packet.t) ~origin =
+  let ints = c.Pfm.ints in
+  (match pkt.transport with
+  | Packet.Icmp_msg { icmp_type; _ } ->
+      set_transport ints 1 min_int min_int (Packet.icmp_type_code icmp_type) 0
+  | Packet.Tcp_seg { src_port; dst_port; syn; payload } ->
+      set_transport ints 6 src_port dst_port min_int
+        (if syn && payload = "" then 1 else 0)
+  | Packet.Udp_dgram { src_port; dst_port; _ } ->
+      set_transport ints 17 src_port dst_port min_int 0
+  | Packet.Raw_payload { protocol; _ } ->
+      set_transport ints (0x10000 lor protocol) min_int min_int min_int 0);
+  ints.(f_src) <- addr_int pkt.src;
+  ints.(f_dst) <- addr_int pkt.dst;
   let origin_code, owner =
     match origin with
     | Packet.Kernel_stack -> (0, min_int)
     | Packet.Raw_app { uid } -> (1, uid)
     | Packet.Packet_app { uid } -> (2, uid)
   in
-  { Pfm.ints =
-      [| proto; addr_int pkt.src; addr_int pkt.dst;
-         opt_port (Packet.src_port pkt); opt_port (Packet.dst_port pkt);
-         icmp; syn; origin_code; owner |];
-    strs = [||] }
+  ints.(f_origin) <- origin_code;
+  ints.(f_owner) <- owner
+
+let packet_ctx pkt ~origin =
+  let c = { Pfm.ints = Array.make packet_ints 0; strs = [||] } in
+  packet_into c pkt ~origin;
+  c
 
 (* --- ppp modem-configuration ioctl ------------------------------------- *)
 

@@ -142,6 +142,9 @@ val netfilter_notes :
 
 val packet_ctx : Packet.t -> origin:Packet.origin -> Pfm.ctx
 
+val packet_into : Pfm.ctx -> Packet.t -> origin:Packet.origin -> unit
+(** Refill a {!packet_ctx} in place, allocating nothing. *)
+
 val packet_ints : int
 (** The length of a packet context's [ints]: 9. *)
 

@@ -51,19 +51,16 @@ type xi =
   | Xret of Pfm.verdict
 
 let decode insns pc =
+  let cases tbl =
+    Pfm.table_fold (fun k d acc -> (k, pc + 1 + d) :: acc) tbl []
+  in
   match insns.(pc) with
   | Pfm.Ld_int f -> Xld_int f
   | Pfm.Ld_str f -> Xld_str f
   | Pfm.Jmp d -> Xjmp (pc + 1 + d)
   | Pfm.Jif (c, jt, jf) -> Xjif (c, pc + 1 + jt, pc + 1 + jf)
-  | Pfm.Iswitch { tbl; default } ->
-      Xiswitch
-        ( Hashtbl.fold (fun k d acc -> (k, pc + 1 + d) :: acc) tbl [],
-          pc + 1 + default )
-  | Pfm.Sswitch { tbl; default } ->
-      Xsswitch
-        ( Hashtbl.fold (fun k d acc -> (k, pc + 1 + d) :: acc) tbl [],
-          pc + 1 + default )
+  | Pfm.Iswitch { tbl; default } -> Xiswitch (cases tbl, pc + 1 + default)
+  | Pfm.Sswitch { tbl; default } -> Xsswitch (cases tbl, pc + 1 + default)
   | Pfm.Ret v -> Xret v
 
 let xmap f = function
@@ -85,6 +82,7 @@ let encode ~name ~n_int_fields ~n_str_fields items =
         Hashtbl.add labels id l;
         l
   in
+  let cases cs = List.map (fun (k, t) -> (k, lab t)) cs in
   List.iter
     (fun (ids, xi) ->
       List.iter (fun id -> Pfm.Asm.place a (lab id)) ids;
@@ -93,14 +91,8 @@ let encode ~name ~n_int_fields ~n_str_fields items =
       | Xld_str f -> Pfm.Asm.ld_str a f
       | Xjmp t -> Pfm.Asm.jmp a (lab t)
       | Xjif (c, t, f_) -> Pfm.Asm.jif a c ~jt:(lab t) ~jf:(lab f_)
-      | Xiswitch (cs, d) ->
-          Pfm.Asm.iswitch a
-            (List.map (fun (k, t) -> (k, lab t)) cs)
-            ~default:(lab d)
-      | Xsswitch (cs, d) ->
-          Pfm.Asm.sswitch a
-            (List.map (fun (k, t) -> (k, lab t)) cs)
-            ~default:(lab d)
+      | Xiswitch (cs, d) -> Pfm.Asm.iswitch a (cases cs) ~default:(lab d)
+      | Xsswitch (cs, d) -> Pfm.Asm.sswitch a (cases cs) ~default:(lab d)
       | Xret v -> Pfm.Asm.ret a v)
     items;
   Pfm.Asm.assemble a ~name ~n_int_fields ~n_str_fields
@@ -113,8 +105,11 @@ let compute_preds insns =
   let n = Array.length insns in
   let p = Array.make n [] in
   for pc = 0 to n - 1 do
-    List.iter (fun s -> if s >= 0 && s < n then p.(s) <- pc :: p.(s))
-      (Pfm.successors pc insns.(pc))
+    Pfm.fold_offsets
+      (fun () d ->
+        let s = pc + 1 + d in
+        if s >= 0 && s < n then p.(s) <- pc :: p.(s))
+      () insns.(pc)
   done;
   p
 
@@ -302,6 +297,18 @@ type region = {
   r_emit : (int -> int) -> (int list * xi) list;
 }
 
+(* The case of the switch at [pc] whose target ran most (the first in
+   key order on a tie): (key, target pc, the target's count). *)
+let hottest counters pc tbl =
+  Pfm.table_fold
+    (fun k d acc ->
+      let t = pc + 1 + d in
+      let c = if t < Array.length counters then counters.(t) else 0 in
+      match acc with
+      | Some (_, _, best) when best >= c -> acc
+      | _ -> Some (k, t, c))
+    tbl None
+
 let optimize_exn (p : Pfm.program) =
   let insns = p.Pfm.insns and counters = p.Pfm.counters in
   let n = Array.length insns in
@@ -475,69 +482,39 @@ let optimize_exn (p : Pfm.program) =
          end)
      | _ -> ());
     if not !advanced then begin
-      (* switch re-bucketing: hoist a dominant case over the hash *)
+      (* switch re-bucketing: hoist a dominant case over the table *)
       (if !pc + 1 < n then
-         match insns.(!pc), insns.(!pc + 1) with
-         | Pfm.Ld_int f, Pfm.Iswitch { tbl; _ } ->
-             let total = counters.(!pc + 1) in
-             let hot =
-               Hashtbl.fold
-                 (fun k d acc ->
-                   let t = !pc + 2 + d in
-                   let c = if t < n then counters.(t) else 0 in
-                   match acc with
-                   | Some (_, _, best) when best >= c -> acc
-                   | _ -> Some (k, t, c))
-                 tbl None
-             in
-             (match hot with
-              | Some (k, target, cnt) when cnt > 0 && cnt * 2 > total ->
-                  let e = !pc in
-                  regions :=
-                    { r_start = e; r_stop = e + 2;
-                      r_emit =
-                        (fun rw ->
-                          [ ([ e ], Xld_int f);
-                            ([], Xjif (Pfm.Eq k, rw target, e + 1));
-                            ([ e + 1 ], xmap rw (decode insns (e + 1))) ]) }
-                    :: !regions;
-                  applied :=
-                    ("switch-hoist",
-                     Printf.sprintf "iswitch at %d, hot key %d" (e + 1) k)
-                    :: !applied;
-                  pc := e + 2;
-                  advanced := true
-              | _ -> ())
-         | Pfm.Ld_str f, Pfm.Sswitch { tbl; _ } ->
-             let total = counters.(!pc + 1) in
-             let hot =
-               Hashtbl.fold
-                 (fun k d acc ->
-                   let t = !pc + 2 + d in
-                   let c = if t < n then counters.(t) else 0 in
-                   match acc with
-                   | Some (_, _, best) when best >= c -> acc
-                   | _ -> Some (k, t, c))
-                 tbl None
-             in
-             (match hot with
-              | Some (k, target, cnt) when cnt > 0 && cnt * 2 > total ->
-                  let e = !pc in
-                  regions :=
-                    { r_start = e; r_stop = e + 2;
-                      r_emit =
-                        (fun rw ->
-                          [ ([ e ], Xld_str f);
-                            ([], Xjif (Pfm.Str_eq k, rw target, e + 1));
-                            ([ e + 1 ], xmap rw (decode insns (e + 1))) ]) }
-                    :: !regions;
-                  applied :=
-                    ("switch-hoist",
-                     Printf.sprintf "sswitch at %d, hot key %S" (e + 1) k)
-                    :: !applied;
-                  pc := e + 2;
-                  advanced := true
-              | _ -> ())
+         let e = !pc in
+         let hoist =
+           match insns.(e), insns.(e + 1) with
+           | Pfm.Ld_int f, Pfm.Iswitch { tbl; _ } ->
+               Option.map
+                 (fun (k, t, c) ->
+                   (Xld_int f, Pfm.Eq k, t, c,
+                    Printf.sprintf "iswitch at %d, hot key %d" (e + 1) k))
+                 (hottest counters (e + 1) tbl)
+           | Pfm.Ld_str f, Pfm.Sswitch { tbl; _ } ->
+               Option.map
+                 (fun (k, t, c) ->
+                   (Xld_str f, Pfm.Str_eq k, t, c,
+                    Printf.sprintf "sswitch at %d, hot key %S" (e + 1) k))
+                 (hottest counters (e + 1) tbl)
+           | _ -> None
+         in
+         match hoist with
+         | Some (load, cond, target, cnt, what)
+           when cnt > 0 && cnt * 2 > counters.(e + 1) ->
+             regions :=
+               { r_start = e; r_stop = e + 2;
+                 r_emit =
+                   (fun rw ->
+                     [ ([ e ], load);
+                       ([], Xjif (cond, rw target, e + 1));
+                       ([ e + 1 ], xmap rw (decode insns (e + 1))) ]) }
+               :: !regions;
+             applied := ("switch-hoist", what) :: !applied;
+             pc := e + 2;
+             advanced := true
          | _ -> ());
       if not !advanced then incr pc
     end

@@ -3,7 +3,7 @@
     [optimize p] inspects the per-instruction counters [p] has retired
     and rebuilds hot structures:
 
-    - {b eq-cascade → hashed switch}: a first-match cascade of ≥4
+    - {b eq-cascade → switch}: a first-match cascade of ≥4
       equality tests on one field (the shape the netfilter compiler
       emits for per-port rules) becomes one [Iswitch]; rule bodies are
       kept, and their "continue scanning" edges collapse to the
@@ -20,7 +20,8 @@
       disjoint tests cannot both match).
     - {b switch re-bucketing}: when one case of an [Iswitch]/[Sswitch]
       absorbs more than half the traffic, a single equality test on
-      the hot key is hoisted in front of the hash dispatch.
+      the hot key is hoisted in front of the table lookup (the first
+      such case in key order, if several tie).
 
     The rewritten program is {e not} verified or proven here: the
     caller must gate installation on {!Pfm.verify} and

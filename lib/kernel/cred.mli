@@ -2,8 +2,6 @@
 
 open Protego_base
 
-val root_uid : Ktypes.uid
-
 val make :
   ?groups:Ktypes.gid list -> ?caps:Cap.Set.t -> uid:Ktypes.uid ->
   gid:Ktypes.gid -> unit -> Ktypes.cred

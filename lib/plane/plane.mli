@@ -94,16 +94,14 @@ val create :
   ?domains:int -> ?journal_seg_bytes:int -> ?journal_segments:int -> PS.t -> t
 (** A plane over the live state, initial snapshot published at epoch 0.
     [domains] defaults to 1 and is clamped to
-    [1..min max_domains journal_segments] — each worker's journal term
+    [1..min 64 journal_segments] — each worker's journal term
     owns a whole segment, so the journal geometry bounds the domain
     count.  [journal_seg_bytes] (default 256 KiB) and [journal_segments]
     (default 32) size the audit journal; both must be powers of two
     (see {!Protego_journal.Journal.create}). *)
 
-val max_domains : int
-
 val plane_max_domains : t -> int
-(** [min max_domains (journal segments)]: the effective domain ceiling
+(** [min 64 (journal segments)]: the effective domain ceiling
     of this plane's geometry. *)
 
 val domains : t -> int

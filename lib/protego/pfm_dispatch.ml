@@ -54,10 +54,6 @@ type 'k prog = {
    types: what the per-hook /proc and optimizer walks iterate over. *)
 type any_hook = Hook : ('e, 'a) Decider.hook * 'k prog -> any_hook
 
-(* A packet decision's raw arguments, with its PFM context: the table
-   key and the compiled chain both read it. *)
-type packet = { pkt : Packet.t; origin : Packet.origin; ctx : Pfm.ctx }
-
 type t = {
   mutable engine : engine;
   mutable lint_mode : lint_mode;
@@ -66,7 +62,11 @@ type t = {
   (* the ladder's hooks: the four request hooks by {!Request.index}, and
      the packet hook *)
   reqs : (Policy_state.t, Request.t) Decider.hook array;
-  nf : (Netfilter.t, packet) Decider.hook;
+  nf : (Netfilter.t, Packet.t) Decider.hook;
+  (* the packet hook's arguments, refilled per send: the table key and
+     the compiled chain read the context, the reference walk the origin *)
+  nf_ctx : Pfm.ctx;
+  nf_origin : Packet.origin ref;
   hooks : (string * any_hook) list;  (* filter_stats order, by name *)
   mutable opt_rejects : int;  (* gate rejections since [create] *)
 }
@@ -132,13 +132,15 @@ let create () =
   let bind = request 2 in
   let nf_prog = fresh_prog () in
   let cache = Decision_cache.create () in
+  let nf_ctx = { Pfm.ints = Array.make Compile.packet_ints 0; strs = [||] } in
+  let nf_origin = ref Packet.Kernel_stack in
   let nf =
-    Decider.hook dec Decider.Nf_output (fun nf engine ~phase:_ p ->
+    Decider.hook dec Decider.Nf_output (fun nf engine ~phase:_ pkt ->
         match engine with
         | `Ref ->
             Compile.verdict_of_netfilter
-              (Netfilter.walk nf Netfilter.Output p.pkt ~origin:p.origin)
-        | `Pfm -> run_nf nf_prog nf p.ctx)
+              (Netfilter.walk nf Netfilter.Output pkt ~origin:!nf_origin)
+        | `Pfm -> run_nf nf_prog nf nf_ctx)
   in
   let ppp = request 3 in
   let reqs = [| mount; umount; bind; ppp |] in
@@ -148,8 +150,8 @@ let create () =
       [ Hook (mount, progs.(0)); Hook (umount, progs.(1));
         Hook (bind, progs.(2)); Hook (nf, nf_prog); Hook (ppp, progs.(3)) ]
   in
-  { engine = `Pfm; lint_mode = `Warn; dec; cache; reqs; nf; hooks;
-    opt_rejects = 0 }
+  { engine = `Pfm; lint_mode = `Warn; dec; cache; reqs; nf; nf_ctx; nf_origin;
+    hooks; opt_rejects = 0 }
 
 let engine t = t.engine
 let set_engine t e = t.engine <- e
@@ -299,12 +301,14 @@ let decide t ~phase st req =
   in
   Decider.flip t.dec v = Pfm.Allow
 
-(* The packet hook's table key is its PFM context's ints. *)
+(* The packet hook's table key is its PFM context's ints, refilled in
+   place ([Decision_cache.add] copies them). *)
 let decide_nf_output t nf pkt ~origin =
-  let ctx = Compile.packet_ctx pkt ~origin in
+  t.nf_origin := origin;
+  Compile.packet_into t.nf_ctx pkt ~origin;
   let v =
-    Decider.decide_cached t.dec t.nf t.cache ~key:ctx.Pfm.ints nf
-      ~gen:(Netfilter.generation nf) ~engine:t.engine { pkt; origin; ctx }
+    Decider.decide_cached t.dec t.nf t.cache ~key:t.nf_ctx.Pfm.ints nf
+      ~gen:(Netfilter.generation nf) ~engine:t.engine pkt
   in
   Compile.netfilter_of_verdict (Decider.flip t.dec v)
 

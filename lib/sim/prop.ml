@@ -39,6 +39,8 @@ let always name ~applies pred ~why =
          with Exit -> ());
         !out) }
 
+(* The fold is hidden behind the closure, so properties with state
+   (last published epoch, pending-mutation count) stay declarative. *)
 let always_fold name ~applies ~init ~step =
   { p_name = name; p_applies = applies;
     p_eval =

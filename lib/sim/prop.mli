@@ -27,12 +27,6 @@ val always :
   string -> applies:(Sim.spec -> bool) -> (Sim.ctx -> Sim.event -> bool) ->
   why:(Sim.ctx -> Sim.event -> string) -> t
 
-val always_fold :
-  string -> applies:(Sim.spec -> bool) -> init:'s ->
-  step:(Sim.ctx -> 's -> Sim.event -> ('s, string) result) -> t
-(** The fold is hidden behind the closure, so properties with state
-    (last published epoch, pending-mutation count) stay declarative. *)
-
 (** {1 The registry}
 
     Plane lane: ["epoch-monotone"], ["verdict-matches-epoch"],

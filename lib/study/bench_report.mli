@@ -5,7 +5,7 @@
     [bench/baseline.json].  The schema is versioned so the gate can
     refuse a report it does not understand instead of silently passing.
 
-    Shape (schema version {!schema_version}):
+    Shape (schema version 1):
     {v
     { "schema_version": 1,
       "tool": "protego-bench",
@@ -23,9 +23,6 @@
     Metric names ending in [_ns] are per-operation latencies in
     nanoseconds — the regression gate compares exactly those; ratios
     ([speedup], [hit_ratio]) and counts are informational. *)
-
-val schema_version : int
-(** 1. *)
 
 type scenario = {
   sc_name : string;                   (** e.g. ["filter:mount"], ["cache:nf_output"] *)

@@ -13,9 +13,6 @@ type observation = {
 
 val exercise_all : Protego_dist.Image.t -> observation list
 
-val table7_binaries : string list
-(** The 11 command-line binaries whose coverage the paper reports. *)
-
 val coverage_rows : unit -> (string * float) list
 (** Current coverage per Table 7 binary. *)
 

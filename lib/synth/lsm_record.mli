@@ -7,7 +7,7 @@
     journal ({!Protego_kernel.Audit}).  {!Synth.observations} reads those
     records like plane decision records.
 
-    A request's subject [s] runs as uid [uid_base + s] (subject 0 would
+    A request's subject [s] runs as uid [2000 + s] (subject 0 would
     otherwise be root, which no hook is asked about), and so do an
     umount's [mounted_by] and a bind map entry's owner: the relations
     between them survive.
@@ -19,9 +19,6 @@
     After the requests, every subject (in order of first appearance)
     sends {!nf_battery} through the netfilter OUTPUT hook; each packet
     leaves one nf record. *)
-
-val uid_base : int
-(** 2000. *)
 
 val nf_battery :
   (Protego_kernel.Ktypes.sock_domain * int * Protego_net.Packet.t) list
@@ -43,7 +40,7 @@ val run :
   ?seg_bytes:int -> ?segments:int -> Protego_workload.Workload.spec ->
   Protego_plane.Plane.request array -> (result, string) Stdlib.result
 (** Install the spec's policy ({!Protego_workload.Workload.install_policy},
-    bind owners shifted by [uid_base]) on a fresh image, switch record
+    bind owners shifted by 2000) on a fresh image, switch record
     mode on, drive [requests] in order, then the nf battery.  The audit
     journal is [seg_bytes] x [segments] (default 256 KiB x 32); [Error]
     if any record was lost to wraparound. *)

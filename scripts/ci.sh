@@ -3,9 +3,10 @@
 #
 # Usage: scripts/ci.sh [--fast|--full]   (from the repository root)
 #
-#   --fast   build + full unit/property suite + the one-oracle grep (no
-#            policy-state decision called outside Request.oracle in
-#            lib/) + the one-encoder grep (no request record written
+#   --fast   build + full unit/property suite + the typed-switch check
+#            (no Hashtbl in the filter machine's instruction type) + the
+#            one-oracle grep (no policy-state decision called outside
+#            Request.oracle in lib/) + the one-encoder grep (no request record written
 #            outside Request.append/sink in lib/) + the one-table grep
 #            (Decision_cache.find/add called only on the packet hook's
 #            path in lib/) + strict policy lint (including the phased
@@ -46,6 +47,20 @@ fast_tier() {
 
     echo "==> dune runtest"
     dune runtest
+
+    # Typed switch tables: a switch instruction carries an immutable
+    # Pfm.table, never a Hashtbl, whose lookups hash and compare
+    # polymorphically and which clones would share mutable.
+    echo "==> typed switch tables (no Hashtbl in Pfm.insn)"
+    insn=$(awk '/^type insn/ { on = 1 } on && /^$/ { exit } on' lib/filter/pfm.mli)
+    if [ -z "$insn" ]; then
+        echo "CI: no 'type insn' in lib/filter/pfm.mli" >&2
+        exit 1
+    fi
+    if echo "$insn" | grep -n 'Hashtbl'; then
+        echo "CI: the instruction type in lib/filter/pfm.mli mentions Hashtbl" >&2
+        exit 1
+    fi
 
     # One reference oracle for the four policy-state hooks: in lib/, only
     # Request.oracle may call the decision procedures Policy_state
@@ -188,18 +203,22 @@ fast_tier() {
     # Where the linker placed the hot code: Syscall.trap runs at every
     # syscall, Netstack.packet_work at every packet, and both spend their
     # time in Cost.chain, whose cost should not move with its offset mod
-    # 64 (the former add loops' did).  Pfm.eval (with Pfm.step, its
-    # interpreter loop), Decider.decide (every request hook's decision),
-    # Decider.decide_cached with Decision_cache.find and .add (the packet
-    # hook's table, keyed by its context's ints), Plane.decide_with and
-    # the Lsm hook entries are the rest of the measured paths; their
-    # speed still moves with their offset, so a change that resizes code
-    # linked before them can move benchmarks that run none of it.  Each bench
-    # log records every offset.
+    # 64 (the former add loops' did).  Pfm.eval runs Pfm.step (one
+    # instruction), Pfm.fused (the test after a load, in the same
+    # dispatch), Pfm.goto (a jump's target, returning at a Ret) and the
+    # switch lookups Pfm.find_int and Pfm.find_str.  Decider.decide
+    # (every request hook's decision), Decider.decide_cached with
+    # Decision_cache.find and .add (the packet hook's table, keyed by its
+    # context's ints), Plane.decide_with and the Lsm hook entries are the
+    # rest of the measured paths; their speed still moves with their
+    # offset, so a change that resizes code linked before them can move
+    # benchmarks that run none of it.  Each bench log records every
+    # offset.
     # Informational only; never fails the job.
     echo "==> hot-symbol layout in lsmbench/suite.exe"
     for sym in kernel:Syscall.trap kernel:Netstack.packet_work kernel:Cost.chain \
-            filter:Pfm.eval filter:Pfm.step core:Decider.decide \
+            filter:Pfm.eval filter:Pfm.step filter:Pfm.fused filter:Pfm.goto \
+            filter:Pfm.find_int filter:Pfm.find_str core:Decider.decide \
             core:Decider.decide_cached core:Decision_cache.find core:Decision_cache.add \
             plane:Plane.decide_with core:Lsm.sb_mount core:Lsm.sb_umount \
             core:Lsm.socket_bind core:Lsm.file_ioctl; do

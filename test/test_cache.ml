@@ -622,6 +622,31 @@ let test_dispatch_hit_no_rendering () =
        short long)
     short long
 
+(* A packet decision allocates nothing once the packet is decoded: the
+   hook refills one PFM context in place, and its ints are the table key
+   (an insert copies them).  On a hit, and on a miss whose insert
+   evicts: 2048 distinct ports sent in turn through a 1024-entry LRU
+   table all miss.  Before the refill, a decision built a fresh context
+   and argument record: 21 words. *)
+let test_dispatch_packet_allocates_nothing () =
+  let _, nf, disp = raw_dispatch () in
+  let dc = PD.cache disp in
+  let origin = Packet.Raw_app { uid = 1000 } in
+  let pkts = Array.init 2048 (fun i -> packet (1000 + i)) in
+  let decide i = ignore (PD.decide_nf_output disp nf pkts.(i) ~origin) in
+  let words what f expect =
+    let h0 = DC.hits dc and m0 = DC.misses dc in
+    let n = 4096 in
+    let w = words_per_call n f in
+    check_int (what ^ ": hits") (if expect then h0 + n else h0) (DC.hits dc);
+    check_int (what ^ ": misses") (if expect then m0 else m0 + n) (DC.misses dc);
+    check (Printf.sprintf "%s: %.3f words per decision" what w) true (w = 0.)
+  in
+  decide 0;
+  words "table hit" (fun _ -> decide 0) true;
+  for i = 0 to 2047 do decide i done;
+  words "miss with an evicting insert" (fun i -> decide (i land 2047)) false
+
 (* --- /proc/protego/cache_stats ------------------------------------------ *)
 
 let fixture () =
@@ -717,6 +742,79 @@ let test_hooks_format_nothing () =
   bounded "sb_umount" umount 5;
   bounded "socket_bind" bind 6;
   bounded "file_ioctl" ioctl 5
+
+(* The filter machine's own evaluation, on a program that takes every
+   path the interpreter fuses: an int and a string switch, each hit and
+   missed, loads followed by a switch and by a [Jif], and jumps (a
+   [Jmp], a [Jif], a switch) that land on a [Ret].  Contexts are
+   [ints = [| kind; flags |]], [strs = [| path; device |]]. *)
+let switch_program () =
+  let module A = Pfm.Asm in
+  let a = A.create () in
+  let l_media = A.fresh_label a and l_ports = A.fresh_label a
+  and l_any = A.fresh_label a and l_cdrom = A.fresh_label a
+  and l_usb = A.fresh_label a and l_allow = A.fresh_label a
+  and l_deny = A.fresh_label a and l_reject = A.fresh_label a in
+  A.ld_int a 0;
+  A.iswitch a [ (0, l_media); (1, l_ports); (7, l_any); (min_int, l_reject) ]
+    ~default:l_deny;
+  A.place a l_media;
+  A.ld_str a 0;
+  A.sswitch a [ ("/media/cdrom", l_cdrom); ("/mnt/usb", l_usb); ("", l_deny) ]
+    ~default:l_deny;
+  A.place a l_cdrom;
+  A.ld_int a 1;
+  A.jif a (Pfm.All_bits 6) ~jt:l_allow ~jf:l_deny;
+  A.place a l_usb;
+  A.ld_str a 1;
+  A.jif a (Pfm.Str_prefix "/dev/sd") ~jt:l_allow ~jf:l_reject;
+  A.place a l_ports;
+  A.ld_int a 1;
+  A.jif a (Pfm.In_range (10, 20)) ~jt:l_allow ~jf:l_deny;
+  A.place a l_any;
+  A.jmp a l_allow;
+  A.place a l_allow;
+  A.ret a Pfm.Allow;
+  A.place a l_deny;
+  A.ret a Pfm.Deny;
+  A.place a l_reject;
+  A.ret a Pfm.Reject;
+  A.assemble a ~name:"switches" ~n_int_fields:2 ~n_str_fields:2
+
+let switch_contexts =
+  List.map
+    (fun (kind, flags, path, device) ->
+      { Pfm.ints = [| kind; flags |]; strs = [| path; device |] })
+    [ (0, 6, "/media/cdrom", ""); (0, 2, "/media/cdrom", "");
+      (0, 0, "/mnt/usb", "/dev/sdb1"); (0, 0, "/mnt/usb", "/dev/hda");
+      (0, 0, "/mnt/other", ""); (0, 0, "/mnt", ""); (0, 0, "/m", "");
+      (0, 0, "", ""); (1, 15, "", "");
+      (1, 21, "", ""); (7, 0, "", ""); (3, 0, "", ""); (min_int, 0, "", "");
+      (max_int, 0, "", "") ]
+
+(* Evaluating it allocates nothing, and over a fixed sequence of
+   contexts (each evaluated twice) its verdicts, per-pc counters and
+   [retired] are those the one-dispatch-per-instruction interpreter
+   counted before loads and tests were fused. *)
+let test_eval_allocates_nothing () =
+  let p = switch_program () in
+  let ctxs = Array.of_list switch_contexts in
+  let verdicts =
+    List.concat_map (fun c -> [ Pfm.eval p c; Pfm.eval p c ]) switch_contexts
+    |> List.map (function Pfm.Allow -> "A" | Pfm.Deny -> "D" | Pfm.Reject -> "R")
+  in
+  check_str "verdicts" "A;A;D;D;A;A;R;R;D;D;D;D;D;D;D;D;A;A;D;D;A;A;D;D;R;R;D;D"
+    (String.concat ";" verdicts);
+  Alcotest.(check (list int)) "per-pc counters"
+    [ 28; 28; 16; 16; 4; 4; 4; 4; 4; 4; 2; 8; 16; 4 ]
+    (Array.to_list p.Pfm.counters);
+  check_int "retired" 142 p.Pfm.retired;
+  let n = Array.length ctxs * 200 in
+  let w =
+    words_per_call n (fun i ->
+        ignore (Sys.opaque_identity (Pfm.eval p ctxs.(i mod Array.length ctxs))))
+  in
+  check (Printf.sprintf "%.3f words per evaluation" w) true (w = 0.)
 
 (* A warm mount+umount pair through the syscalls, each hook an engine
    decision (fresh argument copies, as in the test above), record mode
@@ -1077,8 +1175,12 @@ let suites =
           test_dispatch_separator_tuples;
         Alcotest.test_case "a table hit renders nothing" `Quick
           test_dispatch_hit_no_rendering;
+        Alcotest.test_case "a packet decision allocates nothing" `Quick
+          test_dispatch_packet_allocates_nothing;
         Alcotest.test_case "a warm LSM hook formats nothing" `Quick
           test_hooks_format_nothing;
+        Alcotest.test_case "a program's evaluation allocates nothing" `Quick
+          test_eval_allocates_nothing;
         Alcotest.test_case "a warm mount+umount pair's words" `Quick
           test_mount_pair_budget;
         Alcotest.test_case "a repeated denial keeps its errno" `Quick

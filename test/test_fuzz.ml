@@ -945,27 +945,27 @@ module Absint_reference = struct
               Option.iter (fun s -> if jt >= 0 then propagate (pc + 1 + jt) s) feas_t;
               Option.iter (fun s -> if jf >= 0 then propagate (pc + 1 + jf) s) feas_f
           | Pfm.Iswitch { tbl; default } ->
-              let keys = Hashtbl.fold (fun k _ a -> ISet.add k a) tbl ISet.empty in
-              Hashtbl.iter
-                (fun k d ->
+              let entries = Pfm.table_fold (fun k d a -> (k, d) :: a) tbl [] in
+              let keys = ISet.of_list (List.map fst entries) in
+              List.iter
+                (fun (k, d) ->
                   if d >= 0 then
                     let v = imeet st.ai (Iset (ISet.singleton k)) in
                     if v <> Ibot then propagate (pc + 1 + d) (with_ai st v))
-                tbl;
+                (List.rev entries);
               if default >= 0 then begin
                 let v = imeet st.ai (Inot keys) in
                 if v <> Ibot then propagate (pc + 1 + default) (with_ai st v)
               end
           | Pfm.Sswitch { tbl; default } ->
-              let keys =
-                Hashtbl.fold (fun k _ a -> SSet.add k a) tbl SSet.empty
-              in
-              Hashtbl.iter
-                (fun k d ->
+              let entries = Pfm.table_fold (fun k d a -> (k, d) :: a) tbl [] in
+              let keys = SSet.of_list (List.map fst entries) in
+              List.iter
+                (fun (k, d) ->
                   if d >= 0 then
                     let v = smeet st.asv (Sset (SSet.singleton k)) in
                     if v <> Sbot then propagate (pc + 1 + d) (with_asv st v))
-                tbl;
+                (List.rev entries);
               if default >= 0 then begin
                 let v = smeet st.asv (Snot keys) in
                 if v <> Sbot then propagate (pc + 1 + default) (with_asv st v)
@@ -1004,6 +1004,94 @@ module Absint_reference = struct
       const_branches )
 end
 
+(* --- switch tables: find against an association list -------------------
+
+   A table's [find] must answer as a lookup in its case list would, the
+   last binding of a key winning, for every member and for keys it does
+   not hold; [fold] must visit each key once, in increasing order. *)
+
+(* [key 0] and [n] more of [key 1], [key 2], ... whose home slot is
+   [key 0]'s in every table of up to 1024 slots (the low ten bits of
+   their hashes agree), found by brute force against the table's own
+   hash. *)
+let colliding hash key n =
+  let home = hash (key 0) land 1023 in
+  let rec go i acc n =
+    if n = 0 then List.rev acc
+    else
+      let k = key i in
+      if hash k land 1023 = home then go (i + 1) (k :: acc) (n - 1)
+      else go (i + 1) acc n
+  in
+  go 1 [ key 0 ] n
+
+let int_collisions = colliding Pfm.hash_int Fun.id 8
+let str_collisions =
+  colliding Pfm.hash_str (fun i -> "/dev/k" ^ string_of_int i) 8
+
+let table_cases_gen key =
+  let open QCheck2.Gen in
+  let case = pair key (int_range (-3) 400) in
+  frequency
+    [ (1, return []); (1, map (fun c -> [ c ]) case);
+      (6, list_size (int_range 2 24) case) ]
+
+let table_agrees ~of_list ~find ~fold ~compare ~print (cases, probes) =
+  let t = of_list cases in
+  let default = min_int in
+  let expect k =
+    match List.assoc_opt k (List.rev cases) with Some d -> d | None -> default
+  in
+  let keys = List.sort_uniq compare (List.map fst cases) in
+  let folded = List.rev (fold (fun k _ acc -> k :: acc) t []) in
+  if folded <> keys then
+    QCheck2.Test.fail_reportf "fold visits [%s], want [%s]"
+      (String.concat "; " (List.map print folded))
+      (String.concat "; " (List.map print keys));
+  List.for_all
+    (fun k ->
+      let got = find t k default in
+      got = expect k
+      || QCheck2.Test.fail_reportf "find %s = %d, the case list says %d"
+           (print k) got (expect k))
+    (List.map fst cases @ probes)
+
+let prop_itable_find =
+  let open QCheck2.Gen in
+  let key =
+    frequency
+      [ (4, int_range (-5) 5);
+        (2, oneofl [ min_int; max_int; min_int + 1; max_int - 1; -1 ]);
+        (3, oneofl int_collisions); (2, int) ]
+  in
+  QCheck2.Test.make ~name:"pfm: int switch table find equals an assoc lookup"
+    ~count:1000
+    (pair (table_cases_gen key) (list_size (int_bound 12) key))
+    (table_agrees ~of_list:Pfm.int_table ~find:Pfm.find_int
+       ~fold:Pfm.table_fold ~compare:Int.compare ~print:string_of_int)
+
+let prop_stable_find =
+  let open QCheck2.Gen in
+  let key =
+    let part = oneofl [ ""; "/"; "/media/"; "/dev/ttyS"; "/usr/sbin/svc"; "a" ] in
+    let tail = oneofl [ ""; "0"; "1"; "01"; ".so"; "/x"; "sb1" ] in
+    frequency
+      [ (5,
+         map3
+           (fun p m t ->
+             let s = p ^ m ^ t in
+             String.sub s 0 (min 40 (String.length s)))
+           part (string_size ~gen:(char_range 'a' 'c') (int_bound 30)) tail);
+        (2, oneofl str_collisions);
+        (1, string_size ~gen:char (int_bound 40)) ]
+  in
+  QCheck2.Test.make
+    ~name:"pfm: string switch table find equals an assoc lookup" ~count:1000
+    (pair (table_cases_gen key) (list_size (int_bound 12) key))
+    (table_agrees ~of_list:Pfm.string_table ~find:Pfm.find_str
+       ~fold:Pfm.table_fold ~compare:String.compare
+       ~print:(Printf.sprintf "%S"))
+
 let absint_agrees ?(max_disjuncts = 64) p =
   let s = Absint.analyze ~max_disjuncts p in
   Absint_reference.analyze ~max_disjuncts p
@@ -1029,22 +1117,17 @@ let absint_program_gen =
         map (fun f -> Pfm.Eq_field f) (int_range (-1) 2);
         map (fun s -> Pfm.Str_eq s) str; map (fun s -> Pfm.Str_prefix s) str ]
   in
-  let table key =
-    map
-      (fun cases ->
-        let tbl = Hashtbl.create 4 in
-        List.iter (fun (k, d) -> Hashtbl.replace tbl k d) cases;
-        tbl)
-      (list_size (int_bound 3) (pair key off))
-  in
+  let table of_list key = map of_list (list_size (int_bound 3) (pair key off)) in
   let insn =
     frequency
       [ (3, map (fun f -> Pfm.Ld_int f) (int_range (-1) 2));
         (2, map (fun f -> Pfm.Ld_str f) (int_range (-1) 1));
         (1, map (fun d -> Pfm.Jmp d) off);
         (5, map3 (fun c jt jf -> Pfm.Jif (c, jt, jf)) cond off off);
-        (1, map2 (fun tbl default -> Pfm.Iswitch { tbl; default }) (table small) off);
-        (1, map2 (fun tbl default -> Pfm.Sswitch { tbl; default }) (table str) off);
+        (1, map2 (fun tbl default -> Pfm.Iswitch { tbl; default })
+              (table Pfm.int_table small) off);
+        (1, map2 (fun tbl default -> Pfm.Sswitch { tbl; default })
+              (table Pfm.string_table str) off);
         (3, map (fun v -> Pfm.Ret v) (oneofl [ Pfm.Allow; Pfm.Deny; Pfm.Reject ])) ]
   in
   map
@@ -1323,7 +1406,8 @@ let suites =
           prop_rule_spec_roundtrip;
           prop_sudoers_roundtrip; prop_resolve_normalized;
           prop_normalize_reference; prop_resolve_reference;
-          prop_absint_reference_random; prop_absint_reference_policies ]);
+          prop_absint_reference_random; prop_absint_reference_policies;
+          prop_itable_find; prop_stable_find ]);
     ("fuzz:filter-differential",
       List.map
         (QCheck_alcotest.to_alcotest ~long:false)
