@@ -427,26 +427,18 @@ let run_filter () =
     PD.set_engine disp `Pfm;
     for _ = 1 to 64 do f () done;
     let pfm_ns = Harness.measure_ns (name ^ ":pfm") f in
-    (* Profile-guided recompilation: the pfm run above warmed the
-       instruction counters; every rewrite is gated on verify + an
-       equivalence proof before it is installed. *)
-    ignore (PD.optimize disp : (string * PD.outcome) list);
-    for _ = 1 to 64 do f () done;
-    let opt_ns = Harness.measure_ns (name ^ ":opt") f in
-    ignore (PD.deoptimize disp : (string * PD.outcome) list);
     PD.set_engine disp `Ref;
     for _ = 1 to 64 do f () done;
     let ref_ns = Harness.measure_ns (name ^ ":ref") f in
     PD.set_engine disp `Pfm;
-    (ref_ns, pfm_ns, opt_ns)
+    (ref_ns, pfm_ns)
   in
   let rows =
     List.map
       (fun (name, f) ->
-        let ref_ns, pfm_ns, opt_ns = measure name f in
-        [ name; fmt_ns ref_ns; fmt_ns pfm_ns; fmt_ns opt_ns;
-          Printf.sprintf "%.2fx" (ref_ns /. pfm_ns);
-          Printf.sprintf "%.2fx" (ref_ns /. opt_ns) ])
+        let ref_ns, pfm_ns = measure name f in
+        [ name; fmt_ns ref_ns; fmt_ns pfm_ns;
+          Printf.sprintf "%.2fx" (ref_ns /. pfm_ns) ])
       [ ("mount decision (129-rule whitelist)", decide_mount);
         ("bind decision (512-entry map)", decide_bind);
         ("nf OUTPUT verdict (135-rule chain)", decide_nf);
@@ -454,15 +446,10 @@ let run_filter () =
   in
   print_string
     (Study.Report.table
-       ~title:"per-operation cost, reference walk vs compiled vs optimized"
-       ~header:[ "operation"; "ref"; "pfm"; "opt"; "pfm x"; "opt x" ]
-       ~align:Study.Report.[ L; R; R; R; R; R ]
+       ~title:"per-operation cost, reference walk vs compiled"
+       ~header:[ "operation"; "ref"; "pfm"; "pfm x" ]
+       ~align:Study.Report.[ L; R; R; R ]
        rows);
-  Printf.printf "\nProfile-guided recompilation (verify + prove gated):\n";
-  List.iter
-    (fun (hook, o) ->
-      Printf.printf "  %-10s %s\n" hook (PD.outcome_to_string o))
-    (PD.optimize disp);
   Printf.printf "\nCompiled program sizes:\n";
   List.iter
     (fun name ->
@@ -924,18 +911,11 @@ let run_json ~out =
   in
   let filter_scenario name f =
     let ref_ns, pfm_ns = engine_pair name f in
-    (* Optimized engine: recompile from the profile the pfm run just
-       warmed; each rewrite is verify + prove gated before install. *)
-    ignore (PD.optimize disp : (string * PD.outcome) list);
-    for _ = 1 to 64 do f () done;
-    let opt_ns = Harness.measure_ns (name ^ ":opt") f in
-    ignore (PD.deoptimize disp : (string * PD.outcome) list);
     ( pfm_ns,
       { BR.sc_name = "filter:" ^ name;
         sc_metrics =
-          [ ("ref_ns", ref_ns); ("pfm_ns", pfm_ns); ("opt_ns", opt_ns);
-            ("speedup", ref_ns /. pfm_ns);
-            ("opt_speedup", ref_ns /. opt_ns) ] } )
+          [ ("ref_ns", ref_ns); ("pfm_ns", pfm_ns);
+            ("speedup", ref_ns /. pfm_ns) ] } )
   in
   let _, filter_mount = filter_scenario "mount" decide_mount in
   let _, filter_bind = filter_scenario "bind" decide_bind in

@@ -13,7 +13,7 @@
 module BR = Protego_study.Bench_report
 
 (* --floor SCENARIO,METRIC,MIN: assert an absolute lower bound on one
-   metric of the fresh report — e.g. the optimized filter engine must
+   metric of the fresh report — e.g. the compiled filter engine must
    keep a real speedup over the reference walk, not merely avoid
    regressing against the baseline.  Scenario names contain ':', so the
    spec is comma-separated. *)

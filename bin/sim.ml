@@ -1,5 +1,5 @@
 (* protego-sim: run, replay and sweep deterministic simulations of the
-   decision plane and the optimizer gate (Protego_sim). *)
+   decision plane and the LSM-side dispatcher (Protego_sim). *)
 
 module Sim = Protego_sim.Sim
 module Prop = Protego_sim.Prop

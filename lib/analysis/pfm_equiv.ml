@@ -523,7 +523,7 @@ module Q = Set.Make (struct
   let compare = compare
 end)
 
-let prove ?(max_disjuncts = 256) ?(max_nodes = 500_000) p q =
+let prove ?(max_disjuncts = 4096) ?(max_nodes = 500_000) p q =
   if p == q then Equal
   else
     match Pfm.verify p, Pfm.verify q with
@@ -541,8 +541,8 @@ let prove ?(max_disjuncts = 256) ?(max_nodes = 500_000) p q =
         let len1 = Array.length p.Pfm.insns
         and len2 = Array.length q.Pfm.insns in
         (* Identical-suffix cut: when the remaining code of both sides
-           is instruction-for-instruction the same (optimizer rewrites
-           leave untouched regions identical), any input reaching this
+           is instruction-for-instruction the same (two compiles of one
+           policy often end in the same code), any input reaching this
            product state takes the same decisions on both sides — the
            pair has converged.  Without the cut, a rewritten region
            followed by a long shared tail makes the product walk every

@@ -35,8 +35,8 @@
       copies, so proving does not perturb the profile counters of live
       programs.
     - [Unknown] means the prover ran out of budget, or found an
-      abstractly-feasible divergence it could not concretize.  Callers
-      gating an optimization must treat [Unknown] as a rejection. *)
+      abstractly-feasible divergence it could not concretize.  A caller
+      that gates on a proof must treat [Unknown] as a refusal. *)
 
 module Pfm = Protego_filter.Pfm
 
@@ -54,9 +54,13 @@ type result =
 val prove :
   ?max_disjuncts:int -> ?max_nodes:int ->
   Pfm.program -> Pfm.program -> result
-(** [max_disjuncts] (default 256) bounds the path disjuncts kept per
+(** [max_disjuncts] (default 4096) bounds the path disjuncts kept per
     product node before joining; [max_nodes] (default 500_000) bounds
-    the total disjuncts processed.  Programs that fail {!Pfm.verify}
+    the total disjuncts processed.  A straight-line netfilter chain
+    tests each rule's matches in turn, so the paths into a rule
+    multiply with the tests before it; against a chain compiled with a
+    port switch, 256 joined paths of some 6-rule chains into [Unknown],
+    which 1,024 already proves.  Programs that fail {!Pfm.verify}
     yield [Unknown] (the prover's refinement rules assume the
     verifier's accumulator-initialization invariant).  The two
     programs may declare different arities; the witness context is as

@@ -440,10 +440,12 @@ let match_is_trivial = function
   | Netfilter.Src c | Netfilter.Dst c -> Ipaddr.Cidr.prefix_len c = 0
   | _ -> false
 
-let compile_match a m ~jf =
-  if not (match_is_trivial m) then begin
-    let field, cond =
-      match m with
+(* A match's field and test; [None] for a trivially true one. *)
+let match_cond m =
+  if match_is_trivial m then None
+  else
+    Some
+      (match m with
       | Netfilter.Proto p -> (f_proto, Pfm.Eq (packet_proto_code p))
       | Netfilter.Src c -> (f_src, cidr_cond c)
       | Netfilter.Dst c -> (f_dst, cidr_cond c)
@@ -453,37 +455,111 @@ let compile_match a m ~jf =
       | Netfilter.Tcp_syn -> (f_syn, Pfm.Eq 1)
       | Netfilter.Owner_uid uid -> (f_owner, Pfm.Eq uid)
       | Netfilter.Origin_raw -> (f_origin, Pfm.Eq 1)
-      | Netfilter.Origin_packet -> (f_origin, Pfm.Eq 2)
-    in
-    Pfm.Asm.ld_int a field;
-    check a cond ~jf
-  end
+      | Netfilter.Origin_packet -> (f_origin, Pfm.Eq 2))
 
-let netfilter_notes ~rules ~policy =
+let compile_match a m ~jf =
+  match match_cond m with
+  | None -> ()
+  | Some (field, cond) ->
+      Pfm.Asm.ld_int a field;
+      check a cond ~jf
+
+(* A rule whose first compiled match pins one int field to one value
+   ([--dport N], an owner uid, an icmp type): the field, the value and
+   the matches after it. *)
+let keyed (r : Netfilter.rule) =
+  let rec go = function
+    | [] -> None
+    | m :: rest -> (
+        match match_cond m with
+        | None -> go rest
+        | Some (f, Pfm.Eq k) -> Some (f, k, rest)
+        | Some (f, Pfm.In_range (lo, hi)) when lo = hi -> Some (f, lo, rest)
+        | Some _ -> None)
+  in
+  go r.Netfilter.matches
+
+(* The shortest run the compiler dispatches through a switch. *)
+let min_run = 4
+
+(* The run at the head of [rules]: the longest prefix keyed on one field
+   with pairwise distinct values, as (field, [(value, rule, rest of its
+   matches)], the rules after it), if it has [min_run] rules.  Distinct
+   values make the run's rules mutually exclusive, so at most one can
+   match a packet: a switch on the field finds it, and when its other
+   matches fail no later rule of the run can match either. *)
+let take_run rules =
+  match rules with
+  | [] -> None
+  | r :: _ -> (
+      match keyed r with
+      | None -> None
+      | Some (field, _, _) ->
+          let seen = Hashtbl.create 16 in
+          let rec go acc = function
+            | r :: rest as all -> (
+                match keyed r with
+                | Some (f, k, ms) when f = field && not (Hashtbl.mem seen k) ->
+                    Hashtbl.add seen k ();
+                    go ((k, r, ms) :: acc) rest
+                | _ -> (List.rev acc, all))
+            | [] -> (List.rev acc, [])
+          in
+          let run, rest = go [] rules in
+          if List.length run >= min_run then Some (field, run, rest) else None)
+
+(* First-match translation of a chain.  With [~switch], each run
+   ({!take_run}) becomes one [iswitch] on its field whose cases run the
+   rest of a rule's matches in order; any failure, and the default, go
+   to the code after the run.  Every rule keeps one note: a run's first
+   at its dispatch, the others at their case bodies. *)
+let netfilter_emit ~switch ~rules ~policy =
   let a = Asm.create () in
-  let rec emit i = function
-    | [] ->
-        Asm.note a
-          ("chain policy "
-          ^ (match policy with
-             | Netfilter.Accept -> "ACCEPT"
-             | Netfilter.Drop -> "DROP"
-             | Netfilter.Reject -> "REJECT"));
-        Asm.ret a (verdict_of_netfilter policy)
-    | (r : Netfilter.rule) :: rest ->
-        Asm.note a
-          (String.concat "" [ "rule "; string_of_int i; ": "; Netfilter.rule_to_spec r ]);
-        if List.for_all match_is_trivial r.matches then
-          (* A match-anything rule terminates the walk; later rules are
-             dead code the verifier would (rightly) reject. *)
-          Asm.ret a (verdict_of_netfilter r.target)
-        else begin
-          let l_next = Asm.fresh_label a in
-          List.iter (fun m -> compile_match a m ~jf:l_next) r.matches;
-          Asm.ret a (verdict_of_netfilter r.target);
-          Asm.place a l_next;
-          emit (i + 1) rest
-        end
+  let note_rule i r =
+    Asm.note a
+      (String.concat "" [ "rule "; string_of_int i; ": "; Netfilter.rule_to_spec r ])
+  in
+  let rec emit i rules =
+    match (if switch then take_run rules else None) with
+    | Some (field, run, rest) ->
+        let l_out = Asm.fresh_label a in
+        let cases = List.map (fun (k, r, ms) -> (k, r, ms, Asm.fresh_label a)) run in
+        let _, first, _ = List.hd run in
+        note_rule i first;
+        Asm.ld_int a field;
+        Asm.iswitch a (List.map (fun (k, _, _, l) -> (k, l)) cases) ~default:l_out;
+        List.iteri
+          (fun j (_, (r : Netfilter.rule), ms, l) ->
+            Asm.place a l;
+            if j > 0 then note_rule (i + j) r;
+            List.iter (fun m -> compile_match a m ~jf:l_out) ms;
+            Asm.ret a (verdict_of_netfilter r.target))
+          cases;
+        Asm.place a l_out;
+        emit (i + List.length run) rest
+    | None -> (
+        match rules with
+        | [] ->
+            Asm.note a
+              ("chain policy "
+              ^ (match policy with
+                 | Netfilter.Accept -> "ACCEPT"
+                 | Netfilter.Drop -> "DROP"
+                 | Netfilter.Reject -> "REJECT"));
+            Asm.ret a (verdict_of_netfilter policy)
+        | (r : Netfilter.rule) :: rest ->
+            note_rule i r;
+            if List.for_all match_is_trivial r.matches then
+              (* A match-anything rule terminates the walk; later rules
+                 are dead code the verifier would (rightly) reject. *)
+              Asm.ret a (verdict_of_netfilter r.target)
+            else begin
+              let l_next = Asm.fresh_label a in
+              List.iter (fun m -> compile_match a m ~jf:l_next) r.matches;
+              Asm.ret a (verdict_of_netfilter r.target);
+              Asm.place a l_next;
+              emit (i + 1) rest
+            end)
   in
   emit 0 rules;
   let p =
@@ -492,6 +568,8 @@ let netfilter_notes ~rules ~policy =
          ~n_str_fields:0)
   in
   (p, Asm.notes a)
+
+let netfilter_notes ~rules ~policy = netfilter_emit ~switch:true ~rules ~policy
 
 let netfilter ~rules ~policy = fst (netfilter_notes ~rules ~policy)
 
@@ -755,7 +833,7 @@ let netfilter_linear ~rules ~policy =
      yields a genuinely different instruction stream for the prover to
      relate to the production one. *)
   let rev (r : Netfilter.rule) = { r with Netfilter.matches = List.rev r.matches } in
-  fst (netfilter_notes ~rules:(List.map rev rules) ~policy)
+  fst (netfilter_emit ~switch:false ~rules:(List.map rev rules) ~policy)
 
 let ppp_linear (policy : Pppopts.t) =
   let devices = ppp_devices_of policy in

@@ -131,14 +131,23 @@ val verdict_of_netfilter : Netfilter.verdict -> Pfm.verdict
 val netfilter_of_verdict : Pfm.verdict -> Netfilter.verdict
 
 val netfilter : rules:Netfilter.rule list -> policy:Netfilter.verdict -> Pfm.program
-(** Straight-line first-match-wins translation of a chain; the chain
-    policy becomes the final verdict.  Rules behind a match-anything rule
-    (one whose every match is trivially true, e.g. only /0 prefixes) are
-    dead in the reference walk and are not emitted. *)
+(** First-match-wins translation of a chain; the chain policy becomes
+    the final verdict.  Each run of four or more consecutive rules whose
+    first non-trivial match pins one int field to pairwise distinct
+    values ([--dport N], an owner uid, an icmp type, ...) is dispatched
+    through one [iswitch] on that field: a case runs the rest of its
+    rule's matches in order, and any failure, like the default, jumps to
+    the code after the run (distinct values make the run's rules
+    mutually exclusive).  A repeated value ends the run.  Every other
+    rule is tested in turn.  Rules behind a match-anything rule (one
+    whose every match is trivially true, e.g. only /0 prefixes) are dead
+    in the reference walk and are not emitted. *)
 
 val netfilter_notes :
   rules:Netfilter.rule list -> policy:Netfilter.verdict ->
   Pfm.program * (int * string) list
+(** One note per emitted rule: a run's first rule at its dispatch, the
+    others at their case bodies. *)
 
 val packet_ctx : Packet.t -> origin:Packet.origin -> Pfm.ctx
 
@@ -172,9 +181,9 @@ val ppp_into :
     its linear sibling: if the production compiler's dispatch structure
     ever drifts from first-match semantics, the prover produces a
     replayable counterexample instead of a silent divergence.
-    [netfilter_linear] additionally reverses each rule's match
-    conjunction (semantically free) so the two instruction streams are
-    genuinely different. *)
+    [netfilter_linear] tests every rule in turn, with no switch, and
+    additionally reverses each rule's match conjunction (semantically
+    free) so the two instruction streams are genuinely different. *)
 
 val mount_linear : mount_rule list -> Pfm.program
 val umount_linear : mount_rule list -> Pfm.program

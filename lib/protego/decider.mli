@@ -6,8 +6,9 @@
 
     A request hook decides with its engine ({!decide}): its program
     decides with one switch dispatch and a few instructions, about what
-    a table lookup costs.  The packet hook's compiled OUTPUT chain is
-    linear in the rule count, so it alone puts a {!Decision_cache} table
+    a table lookup costs.  The packet hook's compiled OUTPUT chain tests
+    every rule outside a run of singleton-valued rules in turn, so it
+    alone puts a {!Decision_cache} table
     in front of its engine ({!decide_cached}), keyed by the packet
     context's ints and stamped with the chain's generation.  No hook has
     a front slot.  A table holds only {e true} verdicts; record mode

@@ -4,9 +4,10 @@
 
     A packet's verdict — accept and drop alike — is a pure function of
     the chain and the packet's PFM context, so it can be memoized.  Only
-    the netfilter OUTPUT hook has a table: its compiled chain runs
-    linearly in the rule count, while a request hook's program decides in
-    a few instructions, no dearer than a lookup.
+    the netfilter OUTPUT hook has a table: its compiled chain tests every
+    rule outside a run of singleton-valued rules in turn, while a
+    request hook's program decides in a few instructions, no dearer than
+    a lookup.
 
     {b Keys are the context's ints.}  An entry is keyed by the [int
     array] of {!Protego_filter.Pfm_compile.packet_ctx}, all

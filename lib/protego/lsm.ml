@@ -594,29 +594,6 @@ let install_proc_files m st disp =
       | _ ->
           log_dmesg m "protego: phase: expected \"pid <pid> <phase>\"";
           Error Errno.EINVAL);
-  add "/proc/protego/filter_stats"
-    ~read:(fun _m _t -> Ok (Pfm_dispatch.render disp))
-    ~write:(fun m t contents ->
-      match Pfm_dispatch.handle_write disp contents with
-      | Ok outcomes ->
-          (* an install, a rejection or a revert is logged and audited;
-             a rejected rewrite is an audited denial, not a write error *)
-          List.iter
-            (fun (hook, o) ->
-              match Pfm_dispatch.audited o with
-              | None -> ()
-              | Some allowed ->
-                  let line =
-                    "opt " ^ hook ^ " " ^ Pfm_dispatch.outcome_to_string o
-                  in
-                  log_dmesg m "protego: %s" line;
-                  Audit.emit ~engine:(Pfm_dispatch.engine_name disp) m t
-                    ~op:"filter-opt" ~obj:line ~allowed)
-            outcomes;
-          Ok ()
-      | Error msg ->
-          log_dmesg m "protego: %s" msg;
-          Error Errno.EINVAL);
   (* The dispatcher's counter files: the render on read, the handler's
      commands on write (EINVAL plus a dmesg line on a bad one). *)
   let cache = Pfm_dispatch.cache disp and trace = Pfm_dispatch.trace disp in
@@ -630,7 +607,10 @@ let install_proc_files m st disp =
           | Error msg ->
               log_dmesg m "protego: %s" msg;
               Error Errno.EINVAL))
-    [ ( "cache_stats",
+    [ ( "filter_stats",
+        (fun () -> Pfm_dispatch.render disp),
+        Pfm_dispatch.handle_write disp );
+      ( "cache_stats",
         (fun () -> Decision_cache.render cache),
         Decision_cache.handle_write cache );
       ( "trace",

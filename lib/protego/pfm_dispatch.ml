@@ -5,8 +5,6 @@ module Packet = Protego_net.Packet
 module Phase = Protego_base.Phase
 
 module Policy_lint = Protego_analysis.Policy_lint
-module Pfm_opt = Protego_filter.Pfm_opt
-module Pfm_equiv = Protego_analysis.Pfm_equiv
 
 type engine = Decider.engine
 type lint_mode = [ `Warn | `Enforce ]
@@ -20,38 +18,20 @@ type hook_stats = {
   mutable insns : int;
 }
 
-type status =
-  | Inactive
-  | Active of Pfm_opt.report
-  | Refused of string
-  | Stale
-
-type outcome =
-  | Installed of { replaced : Pfm.program; report : Pfm_opt.report }
-  | Already_installed
-  | No_rewrite
-  | Rejected of string
-  | Skipped
-  | Reverted
-
 (* One hook's program, keyed on the physical identity of what it was
    built from (a request hook: the store's program for the source value;
    the packet hook: the chain), with the reloads a source change forced
    and the bytecode instructions its runs retired.  The key is not the
    generation: a bare generation bump (a reload that changes no value)
-   must stale the cached verdicts without touching the program.  The
-   optimizer's state rides along: the (original, optimized) pair it
-   installed, and the last gate result ([status], never [Stale]). *)
+   must stale the cached verdicts without touching the program. *)
 type 'k prog = {
   mutable slot : ('k * Pfm.program) option;
   mutable invalidations : int;
   mutable insns : int;
-  mutable installed : (Pfm.program * Pfm.program) option;
-  mutable status : status;
 }
 
 (* A hook's ladder and its program, whatever their argument and source
-   types: what the per-hook /proc and optimizer walks iterate over. *)
+   types: what the per-hook /proc walks iterate over. *)
 type any_hook = Hook : ('e, 'a) Decider.hook * 'k prog -> any_hook
 
 type t = {
@@ -68,12 +48,9 @@ type t = {
   nf_ctx : Pfm.ctx;
   nf_origin : Packet.origin ref;
   hooks : (string * any_hook) list;  (* filter_stats order, by name *)
-  mutable opt_rejects : int;  (* gate rejections since [create] *)
 }
 
-let fresh_prog () =
-  { slot = None; invalidations = 0; insns = 0; installed = None;
-    status = Inactive }
+let fresh_prog () = { slot = None; invalidations = 0; insns = 0 }
 
 let reload c key p =
   if Option.is_some c.slot then c.invalidations <- c.invalidations + 1;
@@ -151,7 +128,7 @@ let create () =
         Hook (bind, progs.(2)); Hook (nf, nf_prog); Hook (ppp, progs.(3)) ]
   in
   { engine = `Pfm; lint_mode = `Warn; dec; cache; reqs; nf; nf_ctx; nf_origin;
-    hooks; opt_rejects = 0 }
+    hooks }
 
 let engine t = t.engine
 let set_engine t e = t.engine <- e
@@ -196,97 +173,6 @@ let cached_program t name =
   match List.assoc_opt name t.hooks with
   | Some (Hook (_, { slot = Some (_, p); _ })) -> Some p
   | Some (Hook (_, { slot = None; _ })) | None -> None
-
-(* --- profile-guided recompilation --------------------------------------- *)
-
-let opt_rejects t = t.opt_rejects
-
-let outcome_to_string = function
-  | Installed { report; _ } -> "installed: " ^ Pfm_opt.report_to_string report
-  | Already_installed -> "unchanged: optimization already installed"
-  | No_rewrite -> "unchanged: no profitable rewrite"
-  | Rejected reason -> "rejected: " ^ reason
-  | Skipped -> "skipped: no compiled program"
-  | Reverted -> "reverted"
-
-let audited = function
-  | Installed _ | Reverted -> Some true
-  | Rejected _ -> Some false
-  | Already_installed | No_rewrite | Skipped -> None
-
-let status_to_string = function
-  | Inactive -> "none"
-  | Active report -> "active: " ^ Pfm_opt.report_to_string report
-  | Refused reason -> "rejected: " ^ reason
-  | Stale -> "stale (policy changed)"
-
-(* The slot still serves the optimization installed in it. *)
-let serving c =
-  match c.installed, c.slot with
-  | Some (_, q), Some (_, cur) -> q == cur
-  | _ -> false
-
-(* Gate and install one hook's optimized program.  The slot keeps its
-   key, so a policy reload still replaces it with the new source's
-   program (after which the installed optimization reads as stale in
-   {!statuses}).  Soundness rests entirely on the gate: {!Pfm.verify}
-   must accept AND {!Pfm_equiv.prove} must return [Equal].  A
-   counterexample or an [Unknown] keeps the original program running
-   and is reported as [Rejected] — "trust me" never installs. *)
-let optimize_slot t (name, Hook (_, c)) =
-  ( name,
-    match c.slot with
-    | None -> Skipped
-    | Some _ when serving c -> Already_installed
-    | Some (key, p) -> (
-        match Pfm_opt.optimize p with
-        | None -> No_rewrite
-        | Some (q, report) -> (
-            let reject reason =
-              t.opt_rejects <- t.opt_rejects + 1;
-              c.status <- Refused reason;
-              Rejected reason
-            in
-            match Pfm.verify q with
-            | Error e -> reject ("verify: " ^ Pfm.verify_error_to_string e)
-            | Ok () -> (
-                match Pfm_equiv.prove p q with
-                | Pfm_equiv.Equal ->
-                    c.slot <- Some (key, q);
-                    c.installed <- Some (p, q);
-                    c.status <- Active report;
-                    Installed { replaced = p; report }
-                | Pfm_equiv.Not_equal _ as r ->
-                    reject ("refuted: " ^ Pfm_equiv.result_to_string r)
-                | Pfm_equiv.Unknown m -> reject ("unproven: " ^ m)))) )
-
-let optimize t = List.map (optimize_slot t) t.hooks
-
-let deoptimize t =
-  List.filter_map
-    (fun (name, Hook (_, c)) ->
-      match c.installed with
-      | None -> None
-      | Some (orig, _) ->
-          (* after a policy change the slot already holds fresh code *)
-          (match c.slot with
-           | Some (key, _) when serving c -> c.slot <- Some (key, orig)
-           | _ -> ());
-          c.installed <- None;
-          c.status <- Inactive;
-          Some (name, Reverted))
-    t.hooks
-
-(* The stored status, unless the slot no longer serves the installed
-   program: a reload that replaced it demotes the hook to [Stale],
-   whatever the gate said since. *)
-let statuses t =
-  List.map
-    (fun (name, Hook (_, c)) ->
-      ( name,
-        if Option.is_some c.installed && not (serving c) then Stale
-        else c.status ))
-    t.hooks
 
 (* --- hook decisions ---------------------------------------------------- *)
 
@@ -381,21 +267,11 @@ let render t =
            "hook %s evals %d allow %d deny %d reject %d invalidations %d insns %d\n"
            name s.evals s.allow s.deny s.reject s.invalidations s.insns))
     (stats t);
-  List.iter
-    (fun (name, status) ->
-      Buffer.add_string b
-        (Printf.sprintf "opt %s %s\n" name (status_to_string status)))
-    (statuses t);
-  Buffer.add_string b (Printf.sprintf "opt_rejects %d\n" t.opt_rejects);
   Buffer.contents b
 
 let handle_write t contents =
   match String.trim contents with
-  | "reset" -> reset_stats t; Ok []
-  | "engine pfm" -> t.engine <- `Pfm; Ok []
-  | "engine ref" -> t.engine <- `Ref; Ok []
-  (* Gate rejections are not write errors: the original program keeps
-     serving and the rejection is among the outcomes. *)
-  | "optimize" -> Ok (optimize t)
-  | "deoptimize" -> Ok (deoptimize t)
+  | "reset" -> reset_stats t; Ok ()
+  | "engine pfm" -> t.engine <- `Pfm; Ok ()
+  | "engine ref" -> t.engine <- `Ref; Ok ()
   | other -> Error ("filter_stats: unknown command: " ^ other)

@@ -23,8 +23,10 @@
 
     The netfilter OUTPUT hook is the one with a {!Decision_cache} table
     in front of its engine ({!Decider.decide_cached}, keyed by the
-    packet context's ints), because its compiled chain runs linearly in
-    the rule count.  Its memoized verdicts are stamped with
+    packet context's ints): its compiled chain dispatches runs of
+    singleton-valued rules through a switch
+    ({!Protego_filter.Pfm_compile.netfilter}) but tests every other rule
+    in turn.  Its memoized verdicts are stamped with
     {!Protego_net.Netfilter.generation}, which every chain mutator
     bumps, so an edit lazily invalidates them; decisions only read the
     generation.  It compiles its chain lazily, keyed by (rules identity,
@@ -112,71 +114,8 @@ val reset_stats : t -> unit
 val cached_program : t -> string -> Protego_filter.Pfm.program option
 (** The program currently in a hook's slot (hook names as listed by
     {!stats}), if any evaluation has loaded one: the dispatcher's own
-    clone, or its installed optimization. *)
-
-(** {1 Profile-guided recompilation}
-
-    [optimize] runs {!Protego_filter.Pfm_opt.optimize} over every hook's
-    cached program and gates each rewrite on {!Protego_filter.Pfm.verify}
-    {e and} a {!Protego_analysis.Pfm_equiv.prove} equivalence proof
-    before installing it in the hook's program slot.  A refuted or
-    unproven rewrite is never installed: the original program keeps
-    serving and the rejection counter is bumped.  Each hook's slot
-    carries the optimizer's state — the (original, optimized) pair it
-    installed and the last gate result — and every call reports typed
-    per-hook {!outcome}s; the text forms come only from
-    {!outcome_to_string} and {!status_to_string}.  A policy reload
-    replaces the slot's program with the new source's, demoting a
-    previously installed optimization to {!Stale}. *)
-
-type status =
-  | Inactive  (** ["none"] *)
-  | Active of Protego_filter.Pfm_opt.report  (** ["active: <report>"] *)
-  | Refused of string  (** ["rejected: <reason>"]: the gate's last word *)
-  | Stale
-      (** ["stale (policy changed)"]: a reload replaced the program an
-          installed rewrite was built from.  Derived from the slot, never
-          stored; it shadows a later rejection until {!deoptimize}. *)
-
-type outcome =
-  | Installed of {
-      replaced : Protego_filter.Pfm.program;
-          (** the program the rewrite replaced, proved equal to it *)
-      report : Protego_filter.Pfm_opt.report;
-    }  (** ["installed: <report>"] *)
-  | Already_installed  (** ["unchanged: optimization already installed"] *)
-  | No_rewrite  (** ["unchanged: no profitable rewrite"] *)
-  | Rejected of string
-      (** ["rejected: <reason>"]: [verify: ...], [refuted: ...] or
-          [unproven: ...] *)
-  | Skipped  (** ["skipped: no compiled program"] *)
-  | Reverted  (** ["reverted"]: {!deoptimize} removed an install *)
-
-val outcome_to_string : outcome -> string
-(** The texts above; prefixed with ["opt <hook> "], the dmesg and audit
-    line of an {!audited} outcome. *)
-
-val audited : outcome -> bool option
-(** The audit result of an outcome the kernel logs ([false] only for
-    [Rejected]); [None] for one that changes nothing. *)
-
-val status_to_string : status -> string
-(** The texts above: the tail of a {!render} [opt] line. *)
-
-val optimize : t -> (string * outcome) list
-(** Per hook, in {!stats} order. *)
-
-val deoptimize : t -> (string * outcome) list
-(** Restore every hook whose slot still serves an installed optimized
-    program back to its original compiled program, and forget every
-    install; one [Reverted] per hook that had one, in {!stats} order. *)
-
-val statuses : t -> (string * status) list
-(** Per hook, in {!stats} order: what the [opt] lines of {!render}
-    show. *)
-
-val opt_rejects : t -> int
-(** Rewrites the verify/prove gate has refused since [create]. *)
+    clone of the store's program, or the packet hook's compiled
+    chain. *)
 
 (** {1 Hook decisions} *)
 
@@ -250,19 +189,12 @@ val render : t -> string
     {v
     engine <pfm|ref>
     hook <name> evals <n> allow <n> deny <n> reject <n> invalidations <n> insns <n>
-    opt <name> <status>
-    opt_rejects <n>
     v}
-    with one [hook] and one [opt] line per filtered hook, in {!stats}
-    order ([mount], [umount], [bind], [nf_output], [ppp_ioctl]); an
-    [opt] line's status is {!status_to_string} of {!statuses}. *)
+    with one [hook] line per filtered hook, in {!stats} order
+    ([mount], [umount], [bind], [nf_output], [ppp_ioctl]). *)
 
-val handle_write : t -> string -> ((string * outcome) list, string) result
+val handle_write : t -> string -> (unit, string) result
 (** A write to the file: ["engine pfm"] or ["engine ref"] selects the
-    evaluating engine, ["reset"] zeroes every hook counter (both return
-    no outcomes), ["optimize"] runs {!optimize}, ["deoptimize"] runs
-    {!deoptimize} and returns their outcomes; anything else is an
-    [Error] (EINVAL from the /proc handler).  ["optimize"] returns [Ok]
-    even when rewrites are rejected by the proof gate: a rejection is
-    an outcome, shown by {!render} and audited by the caller, not a
-    write error. *)
+    evaluating engine, ["reset"] zeroes every hook counter; anything
+    else is an [Error] (EINVAL and a dmesg line from the /proc
+    handler). *)

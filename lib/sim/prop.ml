@@ -76,7 +76,7 @@ let leads_to name ~applies ~trigger ~ack ~why =
 (* --- applicability helpers ---------------------------------------------- *)
 
 let plane_lane sp = sp.Sim.sp_lane = Sim.Lane_plane
-let opt_lane sp = sp.Sim.sp_lane = Sim.Lane_opt
+let dispatch_lane sp = sp.Sim.sp_lane = Sim.Lane_dispatch
 let without fs sp = List.for_all (fun f -> not (Sim.has_fault f sp)) fs
 
 (* --- plane-lane properties ---------------------------------------------- *)
@@ -396,10 +396,10 @@ let no_overrun =
       | _ -> true)
     ~why:(fun _ _ -> "journal writer overran a lagging term")
 
-(* --- opt-lane properties ------------------------------------------------ *)
+(* --- dispatch-lane properties ------------------------------------------- *)
 
 let nf_oracle =
-  always "nf-oracle" ~applies:opt_lane
+  always "nf-oracle" ~applies:dispatch_lane
     (fun _ e -> match e with Sim.E_nf n -> n.n_ok | _ -> true)
     ~why:(fun _ e ->
       match e with
@@ -409,7 +409,7 @@ let nf_oracle =
       | _ -> "")
 
 let pd_oracle =
-  always "pd-oracle" ~applies:opt_lane
+  always "pd-oracle" ~applies:dispatch_lane
     (fun _ e -> match e with Sim.E_pd p -> p.pd_ok | _ -> true)
     ~why:(fun _ e ->
       match e with
@@ -419,33 +419,20 @@ let pd_oracle =
             p.pd_seq
       | _ -> "")
 
-(* always (opt install => Equal proof): the program every install left
-   serving proves equal to the one it replaced, re-checked by the sim. *)
-let opt_proof_gated =
-  always "opt-proof-gated" ~applies:opt_lane
-    (fun _ e -> match e with Sim.E_opt o -> o.t_proved | _ -> true)
+(* After every chain edit, the program the nf hook serves proves equal
+   to the straight-line compile of the live chain, re-checked by the
+   sim: the switch the compiler emits never changes a verdict, and the
+   hook never serves a stale chain. *)
+let nf_proved =
+  always "nf-proved" ~applies:dispatch_lane
+    (fun _ e -> match e with Sim.E_edit d -> d.e_proved | _ -> true)
     ~why:(fun _ e ->
       match e with
-      | Sim.E_opt o ->
+      | Sim.E_edit d ->
           Printf.sprintf
-            "opt %s installed a rewrite not proved equal to the program it \
-             replaced"
-            o.t_label
-      | _ -> "")
-
-(* An installed rewrite is never found stale.  A chain edit between
-   optimizes legitimately demotes the install, so this is opt-in: it
-   never applies in sweeps and exists to be selected explicitly as the
-   recompile-install-race catch property. *)
-let opt_never_stale =
-  always "opt-never-stale"
-    ~applies:(fun _ -> false)
-    (fun _ e -> match e with Sim.E_opt o -> not o.t_stale | _ -> true)
-    ~why:(fun _ e ->
-      match e with
-      | Sim.E_opt o ->
-          Printf.sprintf "opt %s found a previously installed rewrite stale"
-            o.t_label
+            "after edit %s the served nf program is not proved equal to \
+             netfilter_linear of the live chain"
+            d.e_label
       | _ -> "")
 
 (* --- the registry ------------------------------------------------------- *)
@@ -454,7 +441,7 @@ let all =
   [ epoch_monotone; verdict_matches_epoch; live_oracle; reload_acked;
     no_decide_under_pending_mutate; phase_monotone; phase_consistent;
     journal_faithful; replay_clean; no_torn; all_journaled; no_overrun;
-    nf_oracle; pd_oracle; opt_proof_gated; opt_never_stale ]
+    nf_oracle; pd_oracle; nf_proved ]
 
 let applicable sp = List.filter (fun p -> p.p_applies sp) all
 

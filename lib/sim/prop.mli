@@ -36,8 +36,7 @@ val always :
     at its subject's current phase — with monotonicity, no verdict is
     ever served under a later-loosened phase), ["journal-faithful"],
     ["replay-clean"], ["no-torn"], ["all-journaled"], ["no-overrun"].
-    Opt lane: ["nf-oracle"], ["pd-oracle"], ["opt-proof-gated"],
-    ["opt-never-stale"] (explicit selection only). *)
+    Dispatch lane: ["nf-oracle"], ["pd-oracle"], ["nf-proved"]. *)
 
 val all : t list
 

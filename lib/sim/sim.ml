@@ -1,12 +1,13 @@
-(* Deterministic simulation of the decision plane and the optimizer
-   gate.  One OCaml domain, one splitmix64 stream: every decision step,
-   publish point, reload, journal append and recompile toggle is a
+(* Deterministic simulation of the decision plane and the LSM-side
+   dispatcher.  One OCaml domain, one splitmix64 stream: every decision
+   step, publish point, reload, journal append and chain edit is a
    scheduler-chosen event, so any interleaving is replayable from
    (seed, spec) alone — and any recorded action script replays
    byte-for-byte without the seed. *)
 
 module PS = Protego_core.Policy_state
 module PD = Protego_core.Pfm_dispatch
+module Compile = Protego_filter.Pfm_compile
 module Request = Protego_core.Request
 module Plane = Protego_plane.Plane
 module Snapshot = Protego_plane.Snapshot
@@ -25,7 +26,7 @@ module Phase = Protego_base.Phase
 
 (* --- specs -------------------------------------------------------------- *)
 
-type lane = Lane_plane | Lane_opt
+type lane = Lane_plane | Lane_dispatch
 
 type fault_kind = F_crash | F_stale | F_dup | F_drop | F_delay | F_wrap
 
@@ -36,7 +37,7 @@ type spec = {
   sp_workers : int;
   sp_steps : int;
   sp_reloads : int;
-  sp_opts : int;
+  sp_edits : int;
   sp_wseed : int;
   sp_flood : bool;
   sp_seg_bytes : int;
@@ -47,11 +48,11 @@ type spec = {
 
 let default =
   { sp_lane = Lane_plane; sp_golden = false; sp_seed = 1; sp_workers = 2;
-    sp_steps = 64; sp_reloads = 3; sp_opts = 0; sp_wseed = 42;
+    sp_steps = 64; sp_reloads = 3; sp_edits = 0; sp_wseed = 42;
     sp_flood = false; sp_seg_bytes = 4096; sp_segments = 8; sp_phases = false;
     sp_faults = [] }
 
-let lane_name = function Lane_plane -> "plane" | Lane_opt -> "opt"
+let lane_name = function Lane_plane -> "plane" | Lane_dispatch -> "dispatch"
 
 let fault_name = function
   | F_crash -> "crash"
@@ -75,11 +76,11 @@ let has_fault k sp = List.exists (fun (k', n) -> k' = k && n > 0) sp.sp_faults
 let spec_to_string sp =
   let base =
     Printf.sprintf
-      "lane=%s,golden=%d,seed=%d,workers=%d,steps=%d,reloads=%d,opts=%d,\
+      "lane=%s,golden=%d,seed=%d,workers=%d,steps=%d,reloads=%d,edits=%d,\
        wseed=%d,flood=%d,segbytes=%d,segments=%d"
       (lane_name sp.sp_lane)
       (if sp.sp_golden then 1 else 0)
-      sp.sp_seed sp.sp_workers sp.sp_steps sp.sp_reloads sp.sp_opts sp.sp_wseed
+      sp.sp_seed sp.sp_workers sp.sp_steps sp.sp_reloads sp.sp_edits sp.sp_wseed
       (if sp.sp_flood then 1 else 0)
       sp.sp_seg_bytes sp.sp_segments
   in
@@ -118,14 +119,14 @@ let spec_of_string s =
     | "lane" -> (
         match v with
         | "plane" -> Ok { sp with sp_lane = Lane_plane }
-        | "opt" -> Ok { sp with sp_lane = Lane_opt }
+        | "dispatch" -> Ok { sp with sp_lane = Lane_dispatch }
         | _ -> Error ("sim: unknown lane " ^ v))
     | "golden" -> int (fun n -> { sp with sp_golden = n <> 0 })
     | "seed" -> int (fun n -> { sp with sp_seed = n })
     | "workers" -> int (fun n -> { sp with sp_workers = n })
     | "steps" -> int (fun n -> { sp with sp_steps = n })
     | "reloads" -> int (fun n -> { sp with sp_reloads = n })
-    | "opts" -> int (fun n -> { sp with sp_opts = n })
+    | "edits" -> int (fun n -> { sp with sp_edits = n })
     | "wseed" -> int (fun n -> { sp with sp_wseed = n })
     | "flood" -> int (fun n -> { sp with sp_flood = n <> 0 })
     | "segbytes" -> int (fun n -> { sp with sp_seg_bytes = n })
@@ -167,7 +168,7 @@ type action =
   | Stale of int
   | Dup of int
   | Flood
-  | Opt
+  | Edit
   | Probe
   | Phase_step of int
 
@@ -181,7 +182,7 @@ let action_to_string = function
   | Stale w -> "s" ^ string_of_int w
   | Dup w -> "u" ^ string_of_int w
   | Flood -> "w"
-  | Opt -> "o"
+  | Edit -> "e"
   | Probe -> "p"
   | Phase_step s -> "h" ^ string_of_int s
 
@@ -197,7 +198,7 @@ let action_of_string s =
   | "r+" -> Ok Reload_delayed
   | "f" -> Ok Flush
   | "w" -> Ok Flood
-  | "o" -> Ok Opt
+  | "e" -> Ok Edit
   | "p" -> Ok Probe
   | _ when String.length s >= 2 && s.[0] = 'd' -> indexed 'd' (fun w -> Decide w)
   | _ when String.length s >= 2 && s.[0] = 'c' -> indexed 'c' (fun w -> Crash w)
@@ -249,12 +250,7 @@ type event =
   | E_dup of { u_worker : int; u_seq : int }
   | E_flood of { f_bytes : int; f_overrun : bool }
   | E_overrun of { o_worker : int }
-  | E_opt of {
-      t_label : string;
-      t_installed : string list;
-      t_stale : bool;
-      t_proved : bool;
-    }
+  | E_edit of { e_label : string; e_proved : bool }
   | E_nf of { n_port : int; n_ok : bool }
   | E_pd of { pd_seq : int; pd_ok : bool }
 
@@ -278,11 +274,7 @@ let event_to_string = function
       Printf.sprintf "flood %d bytes%s" f.f_bytes
         (if f.f_overrun then " overrun" else "")
   | E_overrun o -> Printf.sprintf "overrun w%d" o.o_worker
-  | E_opt o ->
-      Printf.sprintf "opt %s installed [%s]%s%s" o.t_label
-        (String.concat " " o.t_installed)
-        (if o.t_stale then " stale" else "")
-        (if o.t_proved then "" else " unproved")
+  | E_edit e -> "edit " ^ e.e_label ^ if e.e_proved then "" else " unproved"
   | E_nf n -> Printf.sprintf "nf port %d %s" n.n_port (if n.n_ok then "ok" else "DIVERGED")
   | E_pd p -> Printf.sprintf "pd seq %d %s" p.pd_seq (if p.pd_ok then "ok" else "DIVERGED")
 
@@ -395,19 +387,6 @@ let golden_plane_scripts =
          in
          (name, script))
 
-let golden_opt_scripts =
-  let labels = [| "O1"; "E2"; "O3" |] in
-  interleavings [ `O 0; `O 1; `O 2 ] [ `P; `P; `P ]
-  |> List.map (fun steps ->
-         let name =
-           String.concat ""
-             (List.map (function `O i -> labels.(i) | `P -> "D") steps)
-         in
-         let script =
-           List.map (function `O _ -> Opt | `P -> Probe) steps
-         in
-         (name, script))
-
 (* --- the scheduler --------------------------------------------------------
 
    One driver runs every lane.  A lane supplies two functions:
@@ -417,8 +396,8 @@ let golden_opt_scripts =
    - [offers ()] lists what a seeded run may draw next: a weight and a
      generator that draws the action's target from the stream, built
      over [ready] with {!offer} and {!offer_any}, so nothing is offered
-     that cannot run.  Seeded budgets (the fault pool, the golden opt
-     lane's probe cap) live here, spent by the generator ({!spending}).
+     that cannot run.  Seeded budgets (the fault pool, the golden
+     dispatch lane's probe cap) live here, spent by the generator ({!spending}).
    [Scripted] runs each action that is ready and skips the rest;
    [Seeded] draws an offer by weight and runs it until nothing is
    offered.  Both record exactly the actions that ran, so a recorded
@@ -677,7 +656,7 @@ let run_plane sp mode =
             publish ())
     | Flood when not !journal_dead -> Option.map (fun t () -> do_flood t) flood_term
     | Phase_step s when can_phase s -> Some (fun () -> do_phase s)
-    | Dup _ | Reload | Reload_dropped | Reload_delayed | Flush | Flood | Opt
+    | Dup _ | Reload | Reload_dropped | Reload_delayed | Flush | Flood | Edit
     | Probe | Phase_step _ ->
         None
   in
@@ -725,22 +704,36 @@ let run_plane sp mode =
     x_run = run_id; x_requests = requests; x_journal = jds;
     x_dropped = J.dropped j }
 
-(* --- opt lane ----------------------------------------------------------- *)
+(* --- dispatch lane ------------------------------------------------------ *)
 
-(* 64 singleton-port accepts over a Drop policy: the eq-cascade shape
-   the switch conversion targets, so optimize really installs. *)
-let ofiller_rules =
-  List.init 64 (fun i ->
-      { Netfilter.matches =
-          [ Netfilter.Dst_port { lo = 40000 + i; hi = 40000 + i };
-            Netfilter.Proto Packet.Tcp ];
-        target = Netfilter.Accept; comment = "" })
+let port_rule port target =
+  { Netfilter.matches =
+      [ Netfilter.Dst_port { lo = port; hi = port }; Netfilter.Proto Packet.Tcp ];
+    target; comment = "" }
 
-(* The chain edit: dport 7 flips Drop (policy) -> Accept, and demotes
-   any installed rewrite to stale. *)
-let edit_rule =
-  { Netfilter.matches = [ Netfilter.Dst_port { lo = 7; hi = 7 } ];
-    target = Netfilter.Accept; comment = "" }
+(* 16 singleton-port accepts over a Drop policy: a run the compiler
+   dispatches through one switch. *)
+let filler_rules = List.init 16 (fun i -> port_rule (40000 + i) Netfilter.Accept)
+
+(* The chain edits, in turn: dport 7 joins the head of the run (Drop ->
+   Accept), a repeated port 40000 ahead of it splits the run (Accept ->
+   Drop), a rule outside any run follows it, and the policy flips. *)
+let chain_edits =
+  [| ("insert dport 7 accept",
+      fun nf -> Netfilter.insert nf Netfilter.Output (port_rule 7 Netfilter.Accept));
+     ("insert dport 40000 drop",
+      fun nf -> Netfilter.insert nf Netfilter.Output (port_rule 40000 Netfilter.Drop));
+     ("append icmp reject",
+      fun nf ->
+        Netfilter.append nf Netfilter.Output
+          { Netfilter.matches = [ Netfilter.Proto Packet.Icmp ];
+            target = Netfilter.Reject; comment = "" });
+     ("flip policy",
+      fun nf ->
+        Netfilter.set_policy nf Netfilter.Output
+          (match Netfilter.policy nf Netfilter.Output with
+           | Netfilter.Drop -> Netfilter.Accept
+           | _ -> Netfilter.Drop)) |]
 
 let opkt dport =
   { Packet.src = Ipaddr.v 10 0 0 2; dst = Ipaddr.v 8 8 8 8; ttl = 64;
@@ -748,30 +741,21 @@ let opkt dport =
       Packet.Tcp_seg
         { src_port = 5000; dst_port = dport; syn = false; payload = "" } }
 
-let oprobe_ports = [ 7; 22; 40000; 40031; 40063; 41000 ]
+let oprobe_ports = [ 7; 22; 40000; 40007; 40015; 41000 ]
 
-let run_opt sp mode =
+let run_dispatch sp mode =
   let disp = PD.create () in
   let events = ref [] in
   let emit e = events := e :: !events in
-  (* Golden: the optimizer-gate interleaving fixture over the netfilter
-     chain.  Non-golden: a generated workload through the sequential
-     dispatcher with optimize/deoptimize toggles. *)
+  (* Golden: chain edits and nf probe batteries.  Non-golden: a
+     generated workload through the sequential dispatcher, with chain
+     edits. *)
   let golden = sp.sp_golden in
   let nf = Netfilter.create ~output_policy:Netfilter.Drop () in
+  List.iter (Netfilter.append nf Netfilter.Output) filler_rules;
   let st = PS.create () in
   let requests =
-    if golden then begin
-      List.iter (Netfilter.append nf Netfilter.Output) ofiller_rules;
-      (* Warm with distinct ports so the profile counters heat up and
-         the compiled program exists before the first optimize. *)
-      for d = 1 to 300 do
-        ignore
-          (PD.decide_nf_output disp nf (opkt d) ~origin:Packet.Kernel_stack
-            : Netfilter.verdict)
-      done;
-      [||]
-    end
+    if golden then [||]
     else begin
       let wl = workload_spec sp in
       Workload.install_policy wl st;
@@ -780,57 +764,29 @@ let run_opt sp mode =
   in
   let nreq = Array.length requests in
   let next = ref 0 in
-  let plan = ref (if golden then [ `Optimize "O1"; `Edit "E2"; `Optimize "O3" ] else []) in
-  let opts_done = ref 0 in
-  let deopt = ref false in
-  (* One optimizer step: staleness is sampled {e before} [act] (an
-     optimize that finds its previous install demoted records the
-     race), then [act] runs and the hooks it installed are kept.  Each
-     install is proved again here: the program the hook now serves must
-     be [Equal] to the one it replaced.  An edit or a deoptimize acts
-     first and steps with no action. *)
-  let opt_step label act =
-    let stale =
-      List.exists (function _, PD.Stale -> true | _ -> false)
-        (PD.statuses disp)
-    in
-    let installs =
-      List.filter_map
-        (fun (n, o) ->
-          match o with
-          | PD.Installed { replaced; _ } -> Some (n, replaced)
-          | _ -> None)
-        (act ())
+  let edits = if golden then 3 else sp.sp_edits in
+  let edits_done = ref 0 in
+  (* One edit, then one decision, which loads the edited chain's
+     program into the hook; that served program must prove [Equal] to
+     the straight-line compile of the live chain. *)
+  let do_edit () =
+    let label, edit = chain_edits.(!edits_done mod Array.length chain_edits) in
+    incr edits_done;
+    edit nf;
+    ignore
+      (PD.decide_nf_output disp nf (opkt 7) ~origin:Packet.Kernel_stack
+        : Netfilter.verdict);
+    let linear =
+      Compile.netfilter_linear
+        ~rules:(Netfilter.rules nf Netfilter.Output)
+        ~policy:(Netfilter.policy nf Netfilter.Output)
     in
     let proved =
-      List.for_all
-        (fun (n, replaced) ->
-          match PD.cached_program disp n with
-          | Some served -> Pfm_equiv.prove replaced served = Pfm_equiv.Equal
-          | None -> false)
-        installs
+      match PD.cached_program disp "nf_output" with
+      | Some served -> Pfm_equiv.prove served linear = Pfm_equiv.Equal
+      | None -> false
     in
-    emit (E_opt { t_label = label; t_installed = List.map fst installs;
-                  t_stale = stale; t_proved = proved })
-  in
-  let no_action () = [] in
-  let do_opt () =
-    match !plan with
-    | `Optimize label :: rest ->
-        plan := rest;
-        opt_step label (fun () -> PD.optimize disp)
-    | `Edit label :: rest ->
-        plan := rest;
-        Netfilter.insert nf Netfilter.Output edit_rule;
-        opt_step label no_action
-    | [] ->
-        incr opts_done;
-        deopt := not !deopt;
-        if !deopt then opt_step "optimize" (fun () -> PD.optimize disp)
-        else begin
-          ignore (PD.deoptimize disp : (string * PD.outcome) list);
-          opt_step "deoptimize" no_action
-        end
+    emit (E_edit { e_label = label; e_proved = proved })
   in
   let do_probe () =
     List.iter
@@ -856,8 +812,7 @@ let run_opt sp mode =
     emit (E_pd { pd_seq = seq; pd_ok = ok })
   in
   let ready = function
-    | Opt when if golden then !plan <> [] else !opts_done < sp.sp_opts ->
-        Some do_opt
+    | Edit when !edits_done < edits -> Some do_edit
     | Probe when golden -> Some do_probe
     | Decide 0 when (not golden) && !next < nreq -> Some do_pd
     | _ -> None
@@ -866,7 +821,7 @@ let run_opt sp mode =
   let probes = ref 0 in
   let offers () =
     List.concat
-      [ offer ready 1 Opt;
+      [ offer ready 1 Edit;
         (if !probes < 3 then spending (fun () -> incr probes) (offer ready 4 Probe)
          else []);
         offer ready 8 (Decide 0) ]
@@ -881,4 +836,4 @@ let run_opt sp mode =
 let run sp mode =
   match sp.sp_lane with
   | Lane_plane -> run_plane sp mode
-  | Lane_opt -> run_opt sp mode
+  | Lane_dispatch -> run_dispatch sp mode

@@ -1,10 +1,10 @@
-(** Deterministic simulation of the decision plane and the optimizer
-    gate.
+(** Deterministic simulation of the decision plane and the LSM-side
+    dispatcher.
 
     The simulator owns {e all} nondeterminism: it runs on a single
     OCaml domain and drives the plane's workers as step functions —
     every decision, publish, reload, journal append, crash, duplicate
-    append, journal flood and recompile toggle is a scheduler-chosen
+    append, journal flood and chain edit is a scheduler-chosen
     event drawn from one splitmix64 stream.  A seeded run is therefore
     bit-replayable from [(seed, spec)] alone, and every run records the
     action script it executed, so the exact interleaving replays
@@ -20,7 +20,10 @@ module J = Protego_journal.Journal
 
 type lane =
   | Lane_plane  (** virtual plane workers over Plane/Snapshot/Journal *)
-  | Lane_opt    (** the sequential dispatcher's recompile gate *)
+  | Lane_dispatch
+      (** the sequential dispatcher ({!Protego_core.Pfm_dispatch}): the
+          generated workload's requests, or nf probe batteries (golden),
+          with edits of the netfilter OUTPUT chain *)
 
 (** Injected fault classes; each instance is drawn from the seeded plan
     (or scripted explicitly) and recorded in the trace. *)
@@ -36,13 +39,13 @@ type spec = {
   sp_lane : lane;
   sp_golden : bool;
       (** replay the legacy hand-fixed interleaving fixture (1 worker,
-          probe batteries, the P1/P2/P3 or O1/E2/O3 scripts) instead of
-          a generated workload *)
+          probe batteries: the P1/P2/P3 scripts, or three chain edits)
+          instead of a generated workload *)
   sp_seed : int;      (** scheduler seed (Seeded mode only) *)
   sp_workers : int;   (** virtual plane workers *)
   sp_steps : int;     (** workload length (requests) *)
   sp_reloads : int;   (** reload budget *)
-  sp_opts : int;      (** optimize/deoptimize toggle budget (opt lane) *)
+  sp_edits : int;     (** chain edit budget (dispatch lane, non-golden) *)
   sp_wseed : int;     (** workload generator seed *)
   sp_flood : bool;    (** Deny_flood workload phase instead of Steady *)
   sp_seg_bytes : int; (** journal segment bytes (power of two, >= 4096) *)
@@ -86,15 +89,15 @@ type action =
   | Stale of int       (** F_stale: decide against the run-start snapshot *)
   | Dup of int         (** F_dup: re-journal the worker's last decision *)
   | Flood              (** F_wrap: kaudit-flood the journal to overrun *)
-  | Opt                (** next recompile action (optimize/edit/deopt) *)
-  | Probe              (** golden opt lane: one nf probe battery *)
+  | Edit               (** next edit of the netfilter OUTPUT chain *)
+  | Probe              (** golden dispatch lane: one nf probe battery *)
   | Phase_step of int
       (** advance subject [s]'s lifecycle phase one step forward
           (plane lane, [sp_phases] specs only) *)
 
 val action_of_string : string -> (action, string) result
 (** One script token: [d<w>], [r], [r-], [r+], [f], [c<w>], [s<w>],
-    [u<w>], [w], [o], [p], [h<s>]. *)
+    [u<w>], [w], [e], [p], [h<s>]. *)
 
 val script_to_string : action list -> string
 (** Dot-joined tokens; the empty script renders as ["-"]. *)
@@ -129,15 +132,14 @@ type event =
   | E_dup of { u_worker : int; u_seq : int }
   | E_flood of { f_bytes : int; f_overrun : bool }
   | E_overrun of { o_worker : int }    (** journal writer overrun; -1 = flood *)
-  | E_opt of {
-      t_label : string;           (** O1/E2/O3, optimize, deoptimize *)
-      t_installed : string list;  (** hooks whose rewrite was installed *)
-      t_stale : bool;   (** a previously installed rewrite was stale *)
-      t_proved : bool;
-          (** the sim re-proved every install:
-              {!Protego_analysis.Pfm_equiv.prove} of the program each
-              hook now serves against the one its rewrite replaced
-              returned [Equal] *)
+  | E_edit of {
+      e_label : string;  (** which chain edit *)
+      e_proved : bool;
+          (** after the edit and one nf decision,
+              {!Protego_analysis.Pfm_equiv.prove} of the program the
+              hook serves against
+              {!Protego_filter.Pfm_compile.netfilter_linear} of the live
+              chain returned [Equal] *)
     }
   | E_nf of { n_port : int; n_ok : bool }   (** probe vs Netfilter.walk *)
   | E_pd of { pd_seq : int; pd_ok : bool }  (** dispatcher vs live oracle *)
@@ -162,13 +164,13 @@ val trace_to_string : ctx -> string
     and the guard reads lane state only.
     - [Scripted script] steps each action of [script] in order: one
       whose guard holds runs, any other is skipped.  No seeded budget
-      applies: a script may inject any fault, or probe the golden opt
-      lane, as often as its guards allow.
+      applies: a script may inject any fault, or probe the golden
+      dispatch lane, as often as its guards allow.
     - [Seeded] draws from the lane's weighted offers with the
       [sp_seed] stream until none is left.  Only actions whose guard
       holds are offered, so each draw runs.  Seeded-only budgets live
       in the offers: the spec's fault instances (each offered until
-      drawn once) and the golden opt lane's 3 probes.
+      drawn once) and the golden dispatch lane's 3 probes.
     Both record exactly the actions that ran, in order ([x_script]);
     replaying that record as [Scripted] meets the same guards in the
     same states and reproduces the trace. *)
@@ -182,15 +184,13 @@ val run : spec -> mode -> ctx
 (** {1 Golden fixtures}
 
     The 20 hand-fixed merge orders of the legacy interleaving harness,
-    pinned as named scripts ([("P1DP2DP3D", [...]), ...] and the
-    optimizer-gate ([O1]/[E2]/[O3]) counterpart).  Run them with
-    [{default with sp_golden = true}] / [{... sp_lane = Lane_opt}]. *)
+    pinned as named scripts ([("P1DP2DP3D", [...]), ...]).  Run them
+    with [{default with sp_golden = true}]. *)
 
 val interleavings : 'a list -> 'a list -> 'a list list
 (** All merge orders preserving the relative order within each list. *)
 
 val golden_plane_scripts : (string * action list) list
-val golden_opt_scripts : (string * action list) list
 
 val golden_plane_setup : PS.t -> unit
 (** Install the golden initial policy (cdrom mountable bare, port 777

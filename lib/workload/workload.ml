@@ -10,7 +10,6 @@ type phase =
   | Deny_flood
   | Audit_heavy
   | Reload_storm of { period : int }
-  | Opt_storm of { period : int }
   | Phase_storm of { period : int }
 
 type spec = {
@@ -280,7 +279,6 @@ let build_heavy_pools spec =
 type schedule = {
   s_requests : Plane.request array;
   s_reloads : (int * PS.source) list;
-  s_optimizes : int list;
   s_phase_steps : (int * int) list;
 }
 
@@ -311,7 +309,6 @@ let generate spec ~workers =
   in
   let requests = Array.make n (fst pools.(0)).(0) in
   let reloads = ref [] in
-  let optimizes = ref [] in
   let phase_steps = ref [] in
   let stepped = ref 0 in
   let storms = ref 0 in
@@ -320,7 +317,7 @@ let generate spec ~workers =
     (fun (phase, count) ->
       let deny_pct =
         match phase with
-        | Steady | Reload_storm _ | Opt_storm _ | Phase_storm _ -> 10
+        | Steady | Reload_storm _ | Phase_storm _ -> 10
         | Audit_heavy -> 30
         | Deny_flood -> 85
       in
@@ -333,16 +330,6 @@ let generate spec ~workers =
                (!th, storm_sources.(!storms mod Array.length storm_sources))
                :: !reloads;
              incr storms;
-             th := !th + period
-           done
-       | Opt_storm { period } when period > 0 ->
-           (* Same threshold shape as Reload_storm, but the action is a
-              recompile toggle instead of a generation bump: the runner
-              alternates optimize / deoptimize at each threshold, so the
-              schedule itself only records where the toggles land. *)
-           let th = ref (!off + period) in
-           while !th < !off + count do
-             optimizes := !th :: !optimizes;
              th := !th + period
            done
        | Phase_storm { period } when period > 0 ->
@@ -370,5 +357,4 @@ let generate spec ~workers =
       off := !off + count)
     spec.phases;
   { s_requests = requests; s_reloads = List.rev !reloads;
-    s_optimizes = List.rev !optimizes;
     s_phase_steps = List.rev !phase_steps }

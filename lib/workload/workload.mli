@@ -14,16 +14,12 @@
       encoder's worst case; the long rules only enter the policy when a
       heavy phase is present, so other schedules are unchanged), and
       [Reload_storm] (policy republication every [period] requests —
-      the snapshot-churn worst case), and [Opt_storm] (a profile-guided
-      recompile toggle every [period] requests — optimize/deoptimize
-      alternation racing the decision path), and [Phase_storm] (a
+      the snapshot-churn worst case), and [Phase_storm] (a
       lifecycle-phase advance for one subject every [period] requests —
       phase-keyed cache invalidation racing the decision path).  Storm
-      reloads are
-      generation bumps and optimizations are proof-gated rewrites,
-      i.e. both are semantics preserving: every verdict stays equal to
-      the fixed-policy oracle, which is what lets differential tests
-      run under storms;
+      reloads are generation bumps, i.e. semantics preserving: every
+      verdict stays equal to the fixed-policy oracle, which is what
+      lets differential tests run under storms;
     - {b open or closed} loop shape: [`Open] draws one global arrival
       stream (workers share it round-robin); [`Closed] gives each of
       [workers] simulated callers its own stream, interleaved at its
@@ -40,7 +36,6 @@ type phase =
   | Deny_flood
   | Audit_heavy
   | Reload_storm of { period : int }
-  | Opt_storm of { period : int }
   | Phase_storm of { period : int }
 
 type spec = {
@@ -71,11 +66,6 @@ type schedule = {
       (** (completed-count threshold, source whose generation to bump)
           — from [Reload_storm] phases, ascending.  The runner turns
           each into a bump + publish action. *)
-  s_optimizes : int list;
-      (** completed-count thresholds from [Opt_storm] phases,
-          ascending.  The runner alternates a filter optimize /
-          deoptimize toggle at each threshold; both directions are
-          verdict-preserving, so the oracle is unchanged. *)
   s_phase_steps : (int * int) list;
       (** (completed-count threshold, subject) pairs from [Phase_storm]
           phases, ascending — the runner advances that subject's

@@ -157,7 +157,9 @@ fast_tier() {
 
     # --prove runs the symbolic equivalence prover over every compilable
     # source: each production compiler's output must be proven equal to the
-    # naive linear compilation.  Under --strict an Unknown (not just a
+    # naive linear compilation.  output.ports.chain is a run of singleton
+    # --dport rules, which the netfilter compiler dispatches through one
+    # switch: this is that switch's translation validation.  Under --strict an Unknown (not just a
     # refutation) also fails, so the prover must actually discharge the
     # example policies, not time out on them.
     echo "==> protego-lint --strict --prove over the example policies"
@@ -168,6 +170,7 @@ fast_tier() {
         --accounts examples/policies/accounts \
         --ppp examples/policies/options.ppp \
         --netfilter output=examples/policies/output.chain \
+        --netfilter ports=examples/policies/output.ports.chain \
         --strict --prove
 
     # The phased bind-then-drop example must lint clean and prove: every
@@ -256,13 +259,13 @@ full_tier() {
     echo "==> bench report (BENCH_protego.json)"
     ./_build/default/bench/main.exe --json -o BENCH_protego.json
 
-    # The --floor is absolute, not baseline-relative: the proof-gated
-    # recompilation of the 128-rule netfilter chain must keep a >=3x win
-    # over the reference walk (it measures ~8x on a quiet box).
+    # The --floor is absolute, not baseline-relative: the program the
+    # netfilter hook serves for the 128-port chain (its ports dispatched
+    # through one switch) must keep a >=3x win over the reference walk.
     echo "==> bench structural check + regression gate"
     ./_build/default/bin/bench_gate.exe BENCH_protego.json \
         --baseline bench/baseline.json --tolerance 3 \
-        --floor filter:nf_output,opt_speedup,3
+        --floor filter:nf_output,speedup,3
 
     # The packet hook's decision table: cold miss and table hit (a fresh
     # packet record per call, the path a sendto takes) against the
@@ -281,11 +284,10 @@ full_tier() {
     echo "==> decision-cache interleaving harness"
     ./_build/default/test/test_main.exe test cache
 
-    # Equivalence prover + optimizer gate: golden proven-equal/-different
-    # pairs per hook compiler, the QCheck prove-vs-differential properties,
-    # the /proc optimize/stale/deoptimize lifecycle, and the
-    # optimize-vs-decide interleaving replays (incl. the Opt_storm
-    # workload phase against the live oracle).
+    # Equivalence prover: golden proven-equal/-different pairs per hook
+    # compiler, the netfilter compiler's port switch against its
+    # straight-line sibling, and the QCheck prove-vs-differential
+    # properties.
     echo "==> equivalence prover + translation-validation suites"
     ./_build/default/test/test_main.exe test equiv
 
@@ -307,7 +309,7 @@ full_tier() {
 
     # Deterministic simulation: bit-replayability, the seeded sweeps over
     # the temporal-property registry, one catch-and-shrink test per
-    # injected fault class, and the 20+20 pinned golden interleavings.
+    # injected fault class, and the 20 pinned golden interleavings.
     echo "==> deterministic simulation suites"
     ./_build/default/test/test_main.exe test sim
 
@@ -330,11 +332,13 @@ full_tier() {
         --seeds 200 --out SIM_failure.txt
 
     # The dispatcher lane: the generated workload through the LSM-side
-    # dispatcher (Pfm_dispatch) with optimize/deoptimize toggles, every
-    # verdict checked against the live policy-state oracle.
-    echo "==> dispatcher-lane simulation sweep (200 seeds, lane=opt)"
+    # dispatcher (Pfm_dispatch) with netfilter chain edits, every verdict
+    # checked against the live policy-state oracle and, after each edit,
+    # the served nf program proved equal to the straight-line compile of
+    # the live chain (nf-proved).
+    echo "==> dispatcher-lane simulation sweep (200 seeds, lane=dispatch)"
     ./_build/default/bin/sim.exe sweep \
-        --spec 'lane=opt,steps=120,opts=4' \
+        --spec 'lane=dispatch,steps=120,edits=4' \
         --seeds 200 --out SIM_failure.txt
 
     echo "==> decision-plane scaling smoke (numbers land in PLANE_scaling.txt)"

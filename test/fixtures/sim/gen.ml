@@ -15,8 +15,8 @@ let specs =
     "faults=crash:1"; "faults=stale:1"; "faults=dup:1"; "faults=drop:1";
     "faults=delay:1"; "faults=wrap:1";
     "segments=4,faults=wrap:1";
-    "lane=opt,steps=120,opts=4";
-    "lane=opt,golden=1";
+    "lane=dispatch,steps=120,edits=4";
+    "lane=dispatch,golden=1";
     "lane=plane,golden=1" ]
 
 let seeds = 20
@@ -26,8 +26,8 @@ let full =
   [ ("plane", "lane=plane,workers=3,steps=120,reloads=4");
     ("phased", "lane=plane,workers=3,steps=120,reloads=4,phases=on");
     ("crash", "faults=crash:1");
-    ("opt", "lane=opt,steps=120,opts=4");
-    ("opt-golden", "lane=opt,golden=1") ]
+    ("dispatch", "lane=dispatch,steps=120,edits=4");
+    ("dispatch-golden", "lane=dispatch,golden=1") ]
 
 let parse s =
   match Sim.spec_of_string s with Ok sp -> sp | Error e -> failwith e

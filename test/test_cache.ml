@@ -645,7 +645,21 @@ let test_dispatch_packet_allocates_nothing () =
   decide 0;
   words "table hit" (fun _ -> decide 0) true;
   for i = 0 to 2047 do decide i done;
-  words "miss with an evicting insert" (fun i -> decide (i land 2047)) false
+  words "miss with an evicting insert" (fun i -> decide (i land 2047)) false;
+  (* Sixteen singleton-port rules compile to a switch, which a miss
+     then runs, on the run's ports and off them. *)
+  for p = 1000 to 1015 do
+    NF.append nf NF.Output
+      { NF.matches = [ NF.Dst_port { lo = p; hi = p }; NF.Proto Packet.Udp ];
+        target = NF.Accept; comment = "" }
+  done;
+  for i = 0 to 2047 do decide i done;
+  check "the served chain has a switch" true
+    (match PD.cached_program disp "nf_output" with
+     | Some p ->
+         Array.exists (function Pfm.Iswitch _ -> true | _ -> false) p.Pfm.insns
+     | None -> false);
+  words "miss that runs the switch" (fun i -> decide (i land 2047)) false
 
 (* --- /proc/protego/cache_stats ------------------------------------------ *)
 

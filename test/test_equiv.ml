@@ -1,15 +1,14 @@
-(* Equivalence prover + profile-guided optimizer suites.
+(* Equivalence prover suites.
 
    Golden pairs: for every hook compiler, the production program and
    its independently-derived linear sibling must prove Equal, and a
    seeded semantic mutation must prove Not_equal with a counterexample
-   that really diverges under Pfm.eval.  The optimizer suites compile
-   bench-shaped policies, warm the profile counters, optimize, and
-   require both a structural change and an equivalence proof. *)
+   that really diverges under Pfm.eval.  The compiler suite checks the
+   switch the netfilter compiler emits for a run of singleton-port
+   rules on the bench's 128-port chain, served through the dispatcher. *)
 
 module Pfm = Protego_filter.Pfm
 module Compile = Protego_filter.Pfm_compile
-module Opt = Protego_filter.Pfm_opt
 module Equiv = Protego_analysis.Pfm_equiv
 module Netfilter = Protego_net.Netfilter
 module Packet = Protego_net.Packet
@@ -172,11 +171,13 @@ let test_diff_ppp () =
     (Compile.ppp_ioctl ppp_policy)
     (Compile.ppp_linear mutated)
 
-(* --- optimizer: structural rewrites proven equivalent ------------------ *)
+(* --- compiler: a run of singleton-port rules becomes one switch ------- *)
 
-(* Bench-shaped netfilter chain: many singleton-port filler rules in
-   front of a few defaults — the eq-cascade the switch conversion is
-   for. *)
+module PD = Protego_core.Pfm_dispatch
+module DC = Protego_core.Decision_cache
+
+(* The bench's netfilter chain: 128 singleton-port filler rules in front
+   of a few defaults. *)
 let nf_filler_rules n =
   List.init n (fun i ->
       { Netfilter.matches =
@@ -185,206 +186,56 @@ let nf_filler_rules n =
         target = Netfilter.Accept; comment = "" })
   @ nf_rules
 
-let warm prog ctxs = List.iter (fun c -> ignore (Pfm.eval prog c)) ctxs
-
-let nf_ctx ?(dport = 7) () =
-  Compile.packet_ctx
-    { Packet.src = Ipaddr.v 10 0 0 2; dst = Ipaddr.v 8 8 8 8; ttl = 64;
-      transport =
-        Packet.Udp_dgram { src_port = 5353; dst_port = dport; payload = "" } }
-    ~origin:Packet.Kernel_stack
-
-let test_opt_nf_switch () =
-  let rules = nf_filler_rules 64 in
-  let p = Compile.netfilter ~rules ~policy:Netfilter.Drop in
-  warm p [ nf_ctx () ];
-  match Opt.optimize p with
-  | None -> Alcotest.fail "optimizer found nothing in a 64-rule eq cascade"
-  | Some (q, rep) ->
-      Alcotest.(check bool) "eq-switch applied" true
-        (List.mem_assoc "eq-switch" rep.Opt.applied);
-      (match Pfm.verify q with
-       | Ok () -> ()
-       | Error e -> Alcotest.failf "optimized nf fails verify: %s"
-                      (Pfm.verify_error_to_string e));
-      check_equal "nf vs nf+opt" p q;
-      (* spot-check a few packets on both programs *)
-      List.iter
-        (fun dport ->
-          let c = nf_ctx ~dport () in
-          Alcotest.(check bool)
-            (Printf.sprintf "same verdict for dport %d" dport)
-            true
-            (Pfm.eval p c = Pfm.eval q c))
-        [ 7; 22; 40000; 40031; 40063; 1023 ]
-
-let test_opt_cidr_trie () =
-  let prefixes =
-    [ "10.1.0.0/16"; "10.2.0.0/16"; "192.168.0.0/16"; "192.169.0.0/16";
-      "172.16.0.0/12"; "10.3.3.0/24" ]
-  in
-  let rules =
-    List.map
-      (fun pfx ->
-        { Netfilter.matches = [ Netfilter.Src (cidr pfx) ];
-          target = Netfilter.Accept; comment = "" })
-      prefixes
-  in
-  let p = Compile.netfilter ~rules ~policy:Netfilter.Drop in
-  warm p [ nf_ctx () ];
-  match Opt.optimize p with
-  | None -> Alcotest.fail "optimizer found nothing in a CIDR cascade"
-  | Some (q, rep) ->
-      Alcotest.(check bool) "cidr-trie applied" true
-        (List.mem_assoc "cidr-trie" rep.Opt.applied);
-      (match Pfm.verify q with
-       | Ok () -> ()
-       | Error e -> Alcotest.failf "optimized cidr chain fails verify: %s"
-                      (Pfm.verify_error_to_string e));
-      check_equal "cidr vs cidr+opt" p q
-
-let test_opt_hoist () =
-  let p = Compile.bind bind_entries in
-  (* Skew the profile: hammer the sshd entry. *)
-  let hot =
-    Compile.bind_ctx ~phase:0 ~port:22 ~proto:Bindconf.Tcp
-      ~exe:"/usr/sbin/sshd" ~uid:0
-  in
-  for _ = 1 to 100 do ignore (Pfm.eval p hot) done;
-  match Opt.optimize p with
-  | None -> Alcotest.fail "optimizer found nothing in a skewed bind program"
-  | Some (q, rep) ->
-      Alcotest.(check bool) "switch-hoist applied" true
-        (List.mem_assoc "switch-hoist" rep.Opt.applied);
-      check_equal "bind vs bind+opt" p q
-
-let test_opt_reorder () =
-  (* Three disjoint singleton-port rules, traffic on the last one:
-     short cascade, so hot-reorder (not eq-switch) must fire. *)
-  let rules =
-    List.map
-      (fun (port, tgt) ->
-        { Netfilter.matches = [ Netfilter.Dst_port { lo = port; hi = port } ];
-          target = tgt; comment = "" })
-      [ (80, Netfilter.Accept); (443, Netfilter.Accept); (53, Netfilter.Reject) ]
-  in
-  let p = Compile.netfilter ~rules ~policy:Netfilter.Drop in
-  let hot = nf_ctx ~dport:53 () in
-  for _ = 1 to 50 do ignore (Pfm.eval p hot) done;
-  match Opt.optimize p with
-  | None -> Alcotest.fail "optimizer found nothing in a skewed 3-rule cascade"
-  | Some (q, rep) ->
-      Alcotest.(check bool) "hot-reorder applied" true
-        (List.mem_assoc "hot-reorder" rep.Opt.applied);
-      check_equal "nf vs nf reordered" p q;
-      (* the hot rule must now decide in fewer retired instructions *)
-      let qq =
-        { q with Pfm.counters = Array.make (Array.length q.Pfm.insns) 0;
-          retired = 0 }
-      and pp =
-        { p with Pfm.counters = Array.make (Array.length p.Pfm.insns) 0;
-          retired = 0 }
-      in
-      ignore (Pfm.eval pp hot);
-      ignore (Pfm.eval qq hot);
-      Alcotest.(check bool) "hot path shortened" true
-        (qq.Pfm.retired < pp.Pfm.retired)
-
-let test_opt_rejects_overlap () =
-  (* Overlapping ranges are not first-match-safe: the optimizer must
-     not reorder them, and if it rewrites anything the prover must
-     still find the programs Equal. *)
-  let rules =
-    [ { Netfilter.matches = [ Netfilter.Dst_port { lo = 10; hi = 20 } ];
-        target = Netfilter.Accept; comment = "" };
-      { Netfilter.matches = [ Netfilter.Dst_port { lo = 15; hi = 25 } ];
-        target = Netfilter.Drop; comment = "" } ]
-  in
-  let p = Compile.netfilter ~rules ~policy:Netfilter.Drop in
-  let hot = nf_ctx ~dport:25 () in
-  for _ = 1 to 50 do ignore (Pfm.eval p hot) done;
-  match Opt.optimize p with
-  | None -> ()
-  | Some (q, _) -> check_equal "overlapping chain rewrite" p q
-
-(* --- dispatcher gate: /proc optimize/deoptimize ------------------------ *)
-
-module PD = Protego_core.Pfm_dispatch
-module DC = Protego_core.Decision_cache
-
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec scan i = i + nn <= nh && (String.sub hay i nn = needle || scan (i + 1)) in
-  scan 0
-
-let test_dispatch_gate () =
+let test_nf_port_switch () =
   let disp = PD.create () in
+  DC.set_enabled (PD.cache disp) false;
   let nf = Netfilter.create ~output_policy:Netfilter.Drop () in
-  List.iter (Netfilter.append nf Netfilter.Output) (nf_filler_rules 64);
+  List.iter (Netfilter.append nf Netfilter.Output) (nf_filler_rules 128);
   let pkt dport =
     { Packet.src = Ipaddr.v 10 0 0 2; dst = Ipaddr.v 8 8 8 8; ttl = 64;
       transport =
-        Packet.Udp_dgram { src_port = 5353; dst_port = dport; payload = "" } }
+        Packet.Tcp_seg
+          { src_port = 5000; dst_port = dport; syn = false; payload = "" } }
   in
-  let decide dport =
-    PD.decide_nf_output disp nf (pkt dport) ~origin:Packet.Kernel_stack
-  in
-  (* Warm the profile with distinct ports so the decision cache cannot
-     absorb them all and the bytecode counters actually heat up. *)
-  for d = 1 to 300 do ignore (decide d) done;
-  let probes = [ 7; 22; 40000; 40063; 1023; 515 ] in
-  DC.set_enabled (PD.cache disp) false;
-  let before = List.map decide probes in
-  let write cmd =
-    match PD.handle_write disp cmd with
-    | Ok outcomes -> outcomes
-    | Error e -> Alcotest.fail (cmd ^ " write refused: " ^ e)
-  in
-  let outcomes = write "optimize" in
-  Alcotest.(check bool) "install reported" true
-    (match List.assoc "nf_output" outcomes with
-     | PD.Installed _ -> true
-     | _ -> false);
-  Alcotest.(check bool) "status active" true
-    (contains (PD.render disp) "opt nf_output active:");
-  let after = List.map decide probes in
-  List.iter2
-    (fun b a ->
-      Alcotest.(check bool) "verdict unchanged by optimize" true (a = b))
-    before after;
-  List.iter2
-    (fun d v ->
+  (* Every filler port, the ports around the run and the tail rules'. *)
+  List.iter
+    (fun dport ->
       Alcotest.(check bool)
-        (Printf.sprintf "optimized verdict matches walk oracle (dport %d)" d)
+        (Printf.sprintf "served verdict matches the walk (dport %d)" dport)
         true
-        (v = Netfilter.walk nf Netfilter.Output (pkt d)
-               ~origin:Packet.Kernel_stack))
-    probes after;
-  Alcotest.(check int) "no rejects" 0 (PD.opt_rejects disp);
-  (* No chain here makes the gate refuse a rewrite; what a refusal
-     reports is pinned on the value the kernel's writer reads. *)
-  let refusal = PD.Rejected "unproven: budget" in
-  Alcotest.(check string) "a rejection's text" "rejected: unproven: budget"
-    (PD.outcome_to_string refusal);
-  Alcotest.(check (option bool)) "a rejection is audited as a denial"
-    (Some false) (PD.audited refusal);
-  (* A policy reload must demote the installed optimization to stale. *)
-  Netfilter.flush nf Netfilter.Output;
-  List.iter (Netfilter.append nf Netfilter.Output) (nf_filler_rules 64);
-  ignore (decide 7);
-  Alcotest.(check bool) "stale after reload" true
-    (contains (PD.render disp) "opt nf_output stale (policy changed)");
-  (* Re-optimize the fresh compile, then deoptimize back to the original. *)
-  ignore (write "optimize" : (string * PD.outcome) list);
-  Alcotest.(check bool) "revert reported" true
-    (List.assoc_opt "nf_output" (write "deoptimize") = Some PD.Reverted);
-  Alcotest.(check bool) "status none after revert" true
-    (contains (PD.render disp) "opt nf_output none");
-  let restored = List.map decide probes in
-  List.iter2
-    (fun b a ->
-      Alcotest.(check bool) "verdict unchanged by deoptimize" true (a = b))
-    before restored
+        (PD.decide_nf_output disp nf (pkt dport) ~origin:Packet.Kernel_stack
+         = Netfilter.walk nf Netfilter.Output (pkt dport)
+             ~origin:Packet.Kernel_stack))
+    (List.init 128 (fun i -> 40000 + i) @ [ 7; 22; 1023; 39999; 40128; 41000 ]);
+  let served =
+    match PD.cached_program disp "nf_output" with
+    | Some p -> p
+    | None -> Alcotest.fail "no nf program served"
+  in
+  Alcotest.(check int) "one iswitch served" 1
+    (Array.fold_left
+       (fun n i -> match i with Pfm.Iswitch _ -> n + 1 | _ -> n)
+       0 served.Pfm.insns);
+  check_equal "served nf vs netfilter_linear" served
+    (Compile.netfilter_linear
+       ~rules:(Netfilter.rules nf Netfilter.Output)
+       ~policy:Netfilter.Drop);
+  (* One provenance note per rule, in rule order, then the policy's. *)
+  let _, notes =
+    Compile.netfilter_notes
+      ~rules:(Netfilter.rules nf Netfilter.Output)
+      ~policy:Netfilter.Drop
+  in
+  Alcotest.(check (list string)) "one note per rule"
+    (List.init 132 (fun i -> Printf.sprintf "rule %d" i) @ [ "chain policy DROP" ])
+    (List.map
+       (fun (_, text) ->
+         match String.index_opt text ':' with
+         | Some i -> String.sub text 0 i
+         | None -> text)
+       notes);
+  Alcotest.(check bool) "notes in program order" true
+    (List.sort compare (List.map fst notes) = List.map fst notes)
 
 (* --- QCheck: prover vs differential testing ---------------------------- *)
 
@@ -489,26 +340,29 @@ let prop_prove_vs_differential =
              Unknown as reject. *)
           true)
 
-(* Optimizer outputs must always prove Equal on random chains. *)
-let prop_optimize_proves =
+(* The production compile of a chain with a run of singleton-valued
+   rules (mostly a switch) proves Equal to its straight-line sibling. *)
+let prop_runs_prove =
   QCheck2.Test.make
-    ~name:"equiv: every optimizer rewrite of a random chain proves Equal"
-    ~count:60
+    ~name:"equiv: a chain with a run proves Equal to netfilter_linear"
+    ~count:100
     QCheck2.Gen.(
-      pair (list_size (int_range 2 10) nf_rule_gen) (int_bound 1000))
-    (fun (rules, seed) ->
-      let p = Compile.netfilter ~rules ~policy:Netfilter.Accept in
-      let rng = Random.State.make [| seed; 0xbeef |] in
-      for _ = 1 to 200 do ignore (Pfm.eval p (random_ctx rng)) done;
-      match Opt.optimize p with
-      | None -> true
-      | Some (q, _) -> (
-          match Pfm.verify q with
-          | Error _ -> false
-          | Ok () -> (
-              match Equiv.prove p q with
-              | Equiv.Equal -> true
-              | Equiv.Not_equal _ | Equiv.Unknown _ -> false)))
+      pair
+        (map
+           (List.filteri (fun i _ -> i < 12))
+           (Test_fuzz.nf_chain_with_runs_gen ~plain:4))
+        (oneofl [ Netfilter.Accept; Netfilter.Drop; Netfilter.Reject ]))
+    ~print:(fun (rules, policy) ->
+      String.concat "; " (List.map Netfilter.rule_to_spec rules)
+      ^ "; policy " ^ Netfilter.verdict_to_string policy)
+    (fun (rules, policy) ->
+      match
+        Equiv.prove
+          (Compile.netfilter ~rules ~policy)
+          (Compile.netfilter_linear ~rules ~policy)
+      with
+      | Equiv.Equal -> true
+      | r -> QCheck2.Test.fail_reportf "%s" (Equiv.result_to_string r))
 
 let suites =
   [ ( "equiv:prover",
@@ -524,19 +378,9 @@ let suites =
         Alcotest.test_case "netfilter overlap reorder rejected" `Quick
           test_diff_netfilter;
         Alcotest.test_case "ppp mutation rejected" `Quick test_diff_ppp ] );
-    ( "equiv:optimizer",
-      [ Alcotest.test_case "nf eq-cascade becomes a switch" `Quick
-          test_opt_nf_switch;
-        Alcotest.test_case "cidr cascade becomes a trie" `Quick
-          test_opt_cidr_trie;
-        Alcotest.test_case "skewed switch gets a hoisted test" `Quick
-          test_opt_hoist;
-        Alcotest.test_case "short cascade reordered by heat" `Quick
-          test_opt_reorder;
-        Alcotest.test_case "overlapping rules never reordered" `Quick
-          test_opt_rejects_overlap;
-        Alcotest.test_case "/proc gate: optimize, stale, deoptimize" `Quick
-          test_dispatch_gate ] );
+    ( "equiv:compiler",
+      [ Alcotest.test_case "nf 128-port chain serves one switch" `Quick
+          test_nf_port_switch ] );
     ( "equiv:qcheck",
       [ QCheck_alcotest.to_alcotest ~long:false prop_prove_vs_differential;
-        QCheck_alcotest.to_alcotest ~long:false prop_optimize_proves ] ) ]
+        QCheck_alcotest.to_alcotest ~long:false prop_runs_prove ] ) ]

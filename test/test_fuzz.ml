@@ -620,24 +620,126 @@ let nf_packet_gen =
             [ Packet.Kernel_stack; Packet.Raw_app { uid = 1000 };
               Packet.Packet_app { uid = 33 } ])))
 
+(* Runs: 4-12 rules whose first match pins the destination port, the
+   owner uid or the icmp type to a distinct value, followed by random
+   matches and a target — what the compiler dispatches through a switch
+   — and, half the time, one more rule repeating one of the run's
+   values, which must end the run (first match wants the first rule
+   with the value; a switch table would keep the last).  A run draws its
+   values from these pools; packets draw from the same pools plus one
+   value outside them, so they land on and off a run. *)
+let run_ports = [ 7; 22; 53; 80; 443; 1024; 3306; 5353; 6667; 8080; 33434; 33500 ]
+let run_uids = [ 0; 1; 33; 100; 1000; 1001; 1002; 1003; 1004; 1005; 65534; 99 ]
+
+let run_icmp_types =
+  Packet.
+    [ Echo_request; Echo_reply; Dest_unreachable; Time_exceeded;
+      Timestamp_request; Timestamp_reply; Address_mask_request; Redirect ]
+
+let nf_run_gen =
+  let open QCheck2.Gen in
+  let keyed key values = map (fun vs -> List.map key vs) (shuffle_l values) in
+  let* keys =
+    oneof
+      [ keyed (fun p -> Netfilter.Dst_port { lo = p; hi = p }) run_ports;
+        keyed (fun u -> Netfilter.Owner_uid u) run_uids;
+        keyed (fun ty -> Netfilter.Icmp_type ty) run_icmp_types ]
+  in
+  let* n = int_range 4 (List.length keys) in
+  let keys = List.filteri (fun i _ -> i < n) keys in
+  let* repeat = frequency [ (1, return []); (1, map (fun k -> [ k ]) (oneofl keys)) ] in
+  flatten_l
+    (List.map
+       (fun key ->
+         map2
+           (fun matches target ->
+             { Netfilter.matches = key :: matches; target; comment = "" })
+           (list_size (int_bound 2) nf_match_gen)
+           (oneofl nf_verdicts))
+       (keys @ repeat))
+
+(* Up to [plain] random rules, or a run with up to two random rules
+   before it and [plain / 2] after.  A random rule may match anything and
+   end the chain early, hence few rules ahead of the run. *)
+let nf_chain_with_runs_gen ~plain =
+  QCheck2.Gen.(
+    frequency
+      [ (1, list_size (int_bound plain) nf_rule_gen);
+        ( 3,
+          map3
+            (fun pre run post -> pre @ run @ post)
+            (list_size (int_bound 2) nf_rule_gen)
+            nf_run_gen
+            (list_size (int_bound (plain / 2)) nf_rule_gen) ) ])
+
+let nf_run_packet_gen =
+  QCheck2.Gen.(
+    let port = oneofl (9999 :: run_ports) in
+    let uid = oneofl (4242 :: run_uids) in
+    map3
+      (fun src transport origin ->
+        ({ Packet.src; dst = Ipaddr.v 10 0 0 7; ttl = 64; transport }, origin))
+      (oneofl [ Ipaddr.v 10 0 0 2; Ipaddr.v 192 168 1 5 ])
+      (oneof
+         [ map2
+             (fun dst_port syn ->
+               Packet.Tcp_seg { src_port = 9; dst_port; syn; payload = "" })
+             port bool;
+           map
+             (fun dst_port ->
+               Packet.Udp_dgram { src_port = 5353; dst_port; payload = "" })
+             port;
+           map
+             (fun icmp_type -> Packet.Icmp_msg { icmp_type; code = 0; payload = "" })
+             (oneofl run_icmp_types) ])
+      (oneof
+         [ return Packet.Kernel_stack;
+           map (fun uid -> Packet.Raw_app { uid }) uid;
+           map (fun uid -> Packet.Packet_app { uid }) uid ]))
+
+let has_switch (p : Pfm.program) =
+  Array.exists (function Pfm.Iswitch _ -> true | _ -> false) p.Pfm.insns
+
+(* Cases drawn, and those whose compiled chain has a switch. *)
+let nf_cases = ref 0
+let nf_switched = ref 0
+
 let prop_pfm_netfilter =
   QCheck2.Test.make
     ~name:"pfm: compiled netfilter chain equals the reference walk"
     ~count:500
     QCheck2.Gen.(
       pair
-        (pair (list_size (int_bound 8) nf_rule_gen) (oneofl nf_verdicts))
-        (list_repeat 20 nf_packet_gen))
+        (pair (nf_chain_with_runs_gen ~plain:8) (oneofl nf_verdicts))
+        (list_repeat 20 (oneof [ nf_packet_gen; nf_run_packet_gen ])))
     (fun ((rules, policy), cases) ->
       let t = Netfilter.create ~output_policy:policy () in
       List.iter (Netfilter.append t Netfilter.Output) rules;
       let prog = Compile.netfilter ~rules ~policy in
+      incr nf_cases;
+      if has_switch prog then incr nf_switched;
       List.for_all
         (fun (pkt, origin) ->
           Compile.verdict_of_netfilter
             (Netfilter.walk t Netfilter.Output pkt ~origin)
           = Pfm.eval prog (Compile.packet_ctx pkt ~origin))
         cases)
+
+(* The netfilter differential, which also reports how often its chains
+   formed a switch: at least a third of them must, or the property
+   hardly tests the switch. *)
+let pfm_netfilter_case =
+  let name, speed, run = QCheck_alcotest.to_alcotest ~long:false prop_pfm_netfilter in
+  ( name,
+    speed,
+    fun () ->
+      nf_cases := 0;
+      nf_switched := 0;
+      run ();
+      Printf.printf "netfilter chains with a switch: %d of %d\n" !nf_switched
+        !nf_cases;
+      Alcotest.(check bool) "a switch formed in at least a third of cases" true
+        (3 * !nf_switched >= !nf_cases) )
 
 let ppp_devices = [ "/dev/ttyS0"; "/dev/ttyS1"; "/dev/ttyUSB0" ]
 
@@ -1411,8 +1513,9 @@ let suites =
     ("fuzz:filter-differential",
       List.map
         (QCheck_alcotest.to_alcotest ~long:false)
-        [ prop_pfm_mount; prop_pfm_umount; prop_pfm_bind; prop_pfm_netfilter;
-          prop_pfm_ppp ]);
+        [ prop_pfm_mount; prop_pfm_umount; prop_pfm_bind ]
+      @ [ pfm_netfilter_case;
+          QCheck_alcotest.to_alcotest ~long:false prop_pfm_ppp ]);
     ("fuzz:absint-soundness",
       List.map
         (QCheck_alcotest.to_alcotest ~long:false)

@@ -9,13 +9,12 @@
    the oracle comparison fails.  With 3 reload and 3 probe steps this is C(6,3) = 20
    schedules, each on a fresh image.
 
-   The plane and optimizer-gate counterparts of this harness moved onto
-   the deterministic simulator: their 20 merge orders are pinned as
-   named scripts in {!Protego_sim.Sim.golden_plane_scripts} /
-   [golden_opt_scripts], replayed through [Sim.run], checked against
-   the full temporal-property registry, and independently re-verified
-   here by a parity walk that recomputes every verdict and errno the
-   legacy loops asserted. *)
+   The plane counterpart of this harness moved onto the deterministic
+   simulator: its 20 merge orders are pinned as named scripts in
+   {!Protego_sim.Sim.golden_plane_scripts}, replayed through [Sim.run],
+   checked against the full temporal-property registry, and
+   independently re-verified here by a parity walk that recomputes
+   every verdict and errno the legacy loop asserted. *)
 
 open Protego_base
 open Protego_kernel
@@ -26,7 +25,6 @@ module PS = Protego_core.Policy_state
 module Bindconf = Protego_policy.Bindconf
 module Plane = Protego_plane.Plane
 module Request = Protego_core.Request
-module Workload = Protego_workload.Workload
 module Sim = Protego_sim.Sim
 module Prop = Protego_sim.Prop
 
@@ -201,93 +199,10 @@ let test_publish_interleavings () =
       parity_walk name ctx)
     Sim.golden_plane_scripts
 
-(* --- profile-guided recompilation vs nf decisions -----------------------
-
-   The optimizer-gate counterpart: the 20 merge orders of a proof-gated
-   optimize (O1), a chain edit (E2) and a re-optimize (O3) with three
-   nf probe batteries, pinned as simulator scripts.  Every schedule
-   must hold nf-oracle (each probe and its warm repeat agree with the
-   uncompiled [Netfilter.walk]), pd-oracle and opt-proof-gated (no
-   rewrite installs without its Equal-proof log line) — whatever order
-   the toggles land in. *)
-
-let test_opt_interleavings () =
-  Alcotest.(check int) "20 pinned schedules" 20
-    (List.length Sim.golden_opt_scripts);
-  let sp = { Sim.default with Sim.sp_lane = Sim.Lane_opt; sp_golden = true } in
-  List.iter
-    (fun (name, script) ->
-      let ctx = Sim.run sp (Sim.Scripted script) in
-      check (name ^ " executed verbatim") true (ctx.Sim.x_script = script);
-      assert_props name sp ctx;
-      let opts = ref 0 and nfs = ref 0 in
-      Array.iter
-        (function
-          | Sim.E_opt _ -> incr opts
-          | Sim.E_nf _ -> incr nfs
-          | _ -> ())
-        ctx.Sim.x_trace;
-      Alcotest.(check int) (name ^ " ran all three recompile actions") 3 !opts;
-      (* 3 scripted batteries + the settle battery, 6 ports each. *)
-      Alcotest.(check int) (name ^ " probed every battery") 24 !nfs)
-    Sim.golden_opt_scripts
-
-(* --- Opt_storm: scheduled recompile toggles under a full workload ------- *)
-
-(* An [Opt_storm] phase alternates optimize / deoptimize every [period]
-   requests while the whole generated workload flows through the
-   sequential dispatcher: every verdict, before, between and after
-   toggles, must match the live policy-state oracle. *)
-let test_opt_storm_schedule () =
-  let sp =
-    Workload.default
-      ~phases:
-        [ (Workload.Steady, 64);
-          (Workload.Opt_storm { period = 32 }, 256);
-          (Workload.Deny_flood, 64) ]
-      ()
-  in
-  let sched = Workload.generate sp ~workers:1 in
-  check "storm produced toggles" true (sched.Workload.s_optimizes <> []);
-  let rec ascending = function
-    | a :: (b :: _ as rest) -> a < b && ascending rest
-    | _ -> true
-  in
-  check "toggle thresholds ascend" true (ascending sched.Workload.s_optimizes);
-  List.iter
-    (fun th -> check "toggle inside storm phase" true (th > 64 && th < 320))
-    sched.Workload.s_optimizes;
-  let st = PS.create () in
-  Workload.install_policy sp st;
-  let disp = PD.create () in
-  let toggles = ref sched.Workload.s_optimizes in
-  let deopt = ref false in
-  Array.iteri
-    (fun i req ->
-      (match !toggles with
-       | th :: rest when i = th ->
-           toggles := rest;
-           let cmd = if !deopt then "deoptimize" else "optimize" in
-           deopt := not !deopt;
-           (match PD.handle_write disp cmd with
-            | Ok (_ : (string * PD.outcome) list) -> ()
-            | Error e -> Alcotest.failf "toggle at %d: %s" i e)
-       | _ -> ());
-      if PD.decide disp ~phase:Phase.initial st req <> Test_support.oracle st req
-      then
-        Alcotest.failf "opt storm verdict diverged from oracle at request %d" i)
-    sched.Workload.s_requests;
-  check "all toggles consumed" true (!toggles = [])
-
 let suites =
   [ ("cache:interleave",
       [ Alcotest.test_case "reloads vs decisions, all orders" `Quick
           test_all_interleavings ]);
     ("plane:interleave",
       [ Alcotest.test_case "publishes vs plane decisions, all orders" `Quick
-          test_publish_interleavings ]);
-    ("equiv:interleave",
-      [ Alcotest.test_case "optimize toggles vs nf decisions, all orders"
-          `Quick test_opt_interleavings;
-        Alcotest.test_case "Opt_storm schedule replays against the oracle"
-          `Quick test_opt_storm_schedule ]) ]
+          test_publish_interleavings ]) ]

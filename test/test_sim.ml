@@ -63,7 +63,7 @@ let test_spec_roundtrip () =
       { Sim.default with Sim.sp_seed = 99; sp_workers = 4; sp_steps = 200;
         sp_flood = true; sp_seg_bytes = 8192; sp_segments = 16 };
       { Sim.default with Sim.sp_faults = [ (Sim.F_crash, 1); (Sim.F_wrap, 1) ] };
-      { Sim.default with Sim.sp_lane = Sim.Lane_opt; sp_opts = 4 };
+      { Sim.default with Sim.sp_lane = Sim.Lane_dispatch; sp_edits = 4 };
       { Sim.default with Sim.sp_phases = true };
       { Sim.default with Sim.sp_golden = true; sp_reloads = 0 } ]
   in
@@ -79,7 +79,7 @@ let test_spec_roundtrip () =
    | Ok _ -> Alcotest.fail "unknown spec field accepted");
   let script =
     [ Sim.Decide 2; Sim.Reload; Sim.Reload_dropped; Sim.Reload_delayed;
-      Sim.Flush; Sim.Crash 0; Sim.Stale 1; Sim.Dup 3; Sim.Flood; Sim.Opt;
+      Sim.Flush; Sim.Crash 0; Sim.Stale 1; Sim.Dup 3; Sim.Flood; Sim.Edit;
       Sim.Probe; Sim.Phase_step 2 ]
   in
   (match Sim.script_of_string (Sim.script_to_string script) with
@@ -210,12 +210,13 @@ let test_sweep_plane_faulted () =
       sp_faults = [ (Sim.F_crash, 1); (Sim.F_wrap, 1) ] }
     ~from:0 ~seeds:40
 
-let test_sweep_opt () =
-  sweep "opt-golden"
-    { Sim.default with Sim.sp_lane = Sim.Lane_opt; sp_golden = true }
+let test_sweep_dispatch () =
+  sweep "dispatch-golden"
+    { Sim.default with Sim.sp_lane = Sim.Lane_dispatch; sp_golden = true }
     ~from:0 ~seeds:10;
-  sweep "opt-workload"
-    { Sim.default with Sim.sp_lane = Sim.Lane_opt; sp_steps = 48; sp_opts = 4 }
+  sweep "dispatch-workload"
+    { Sim.default with Sim.sp_lane = Sim.Lane_dispatch; sp_steps = 48;
+      sp_edits = 4 }
     ~from:0 ~seeds:20
 
 (* --- sim:faults — catch and shrink every injected fault class ----------- *)
@@ -307,26 +308,6 @@ let test_catch_wrap () =
       sp_faults = [ (Sim.F_wrap, 1) ] }
     "no-overrun"
 
-let test_catch_opt_stale () =
-  (* The recompile-install race is deterministic, not hunted: the
-     golden O1/E2/O3 plan edits the chain under an installed rewrite,
-     a probe then recompiles the slot away from the install, and the
-     next optimize samples the demotion — the explicit-selection-only
-     staleness property fails on the scripted schedule. *)
-  let sp = { Sim.default with Sim.sp_lane = Sim.Lane_opt; sp_golden = true } in
-  let prop = find_prop "opt-never-stale" in
-  let script = [ Sim.Opt; Sim.Opt; Sim.Probe; Sim.Opt ] in
-  check_bool "opt: O1/E2/probe/O3 trips the staleness property" true
-    (Shrink.still_fails sp prop script);
-  let shrunk = Shrink.minimize sp prop script in
-  check_bool "opt: shrunk schedule still fails" true
-    (Shrink.still_fails sp prop shrunk);
-  check_bool "opt: shrunk to <= 10 actions" true (List.length shrunk <= 10);
-  let cmd = Shrink.replay_command sp prop shrunk in
-  Printf.printf "opt: %s\n" cmd;
-  check_bool "opt: printed as a replay command" true
-    (contains cmd "protego-sim replay")
-
 (* --- sim:golden — the pinned legacy interleavings ------------------------ *)
 
 let unique_names scripts =
@@ -335,9 +316,7 @@ let unique_names scripts =
 
 let test_golden_pinned () =
   check_int "20 plane interleavings" 20 (List.length Sim.golden_plane_scripts);
-  check_int "20 opt interleavings" 20 (List.length Sim.golden_opt_scripts);
   check_bool "plane names unique" true (unique_names Sim.golden_plane_scripts);
-  check_bool "opt names unique" true (unique_names Sim.golden_opt_scripts);
   List.iter
     (fun (name, script) ->
       match Sim.script_of_string (Sim.script_to_string script) with
@@ -345,7 +324,7 @@ let test_golden_pinned () =
           check_bool ("golden script round-trips: " ^ name) true
             (script = script')
       | Error e -> Alcotest.failf "golden %s: %s" name e)
-    (Sim.golden_plane_scripts @ Sim.golden_opt_scripts)
+    Sim.golden_plane_scripts
 
 let test_golden_deterministic () =
   let sp = { Sim.default with Sim.sp_golden = true } in
@@ -378,7 +357,7 @@ let suites =
          test_sweep_plane_phased;
        Alcotest.test_case "plane crash+wrap faults, 40 seeds" `Quick
          test_sweep_plane_faulted;
-       Alcotest.test_case "opt lane, 30 seeds" `Quick test_sweep_opt ]);
+       Alcotest.test_case "dispatch lane, 30 seeds" `Quick test_sweep_dispatch ]);
     ("sim:faults",
      [ Alcotest.test_case "stale read breaks epoch-monotone" `Quick
          test_catch_stale;
@@ -390,11 +369,9 @@ let suites =
        Alcotest.test_case "duplicate append breaks journal-faithful" `Quick
          test_catch_dup;
        Alcotest.test_case "wraparound flood breaks no-overrun" `Quick
-         test_catch_wrap;
-       Alcotest.test_case "recompile race breaks opt-never-stale" `Quick
-         test_catch_opt_stale ]);
+         test_catch_wrap ]);
     ("sim:golden",
-     [ Alcotest.test_case "20 + 20 interleavings pinned" `Quick
+     [ Alcotest.test_case "20 interleavings pinned" `Quick
          test_golden_pinned;
        Alcotest.test_case "golden replay deterministic and clean" `Quick
          test_golden_deterministic ]) ]
